@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 
@@ -107,8 +108,21 @@ def _parse_params(family, raw):
     raise ValueError(f"unknown family {family!r}")
 
 
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction such as -7/3 as a positional, as argparse
+    already does for a negative integer; subparsers inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_FRACTION.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="surgeryforge",
         description="exact Dehn-surgery calculators and verification sweeps")
     parser.add_argument("--format", choices=("json", "csv", "text"),

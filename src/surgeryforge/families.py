@@ -187,10 +187,6 @@ def wsl_identification(p):
 # ---------------------------------------------------------------------------
 
 
-def _int_slope(n):
-    return rat(n)
-
-
 def _recip_shift(c, m):
     # the slope c - 1/m
     return ExtRational(c * m - 1, m)
@@ -472,6 +468,31 @@ def _is_twist_shape(seq):
     return None
 
 
+def _gofk_seeds(t_bound, seq_bound):
+    """The seed sequences a of the dual pairs (a, dual(a)).
+
+    Lengths 1..seq_bound with at most three entries from 3..seq_bound+3
+    placed among 2s.  Seeds with more cannot contribute: each template
+    instance contains a itself, a without one end entry, or a without both
+    end entries next to a merged entry of at least 4, so four non-2 entries
+    in a leave at least three in every instance, and no fibered pattern
+    shape has more than two.  The twist family's index t comes from the
+    seed (t+2, 3) alone, so those seeds are added up to t_bound where the
+    range above stops short of them."""
+    big = range(3, seq_bound + 4)
+    for length in range(1, seq_bound + 1):
+        for k in range(min(3, length) + 1):
+            for spots in itertools.combinations(range(length), k):
+                for values in itertools.product(big, repeat=k):
+                    a = [2] * length
+                    for i, v in zip(spots, values):
+                        a[i] = v
+                    yield tuple(a)
+    first_unseeded = 0 if seq_bound < 2 else seq_bound + 2
+    for t in range(first_unseeded, t_bound + 1):
+        yield (t + 2, 3)
+
+
 def _gofk_sequences(t_bound, seq_bound):
     """All constrained template instances over bounded dual pairs that match
     a fibered pattern shape, deduplicated.
@@ -479,20 +500,16 @@ def _gofk_sequences(t_bound, seq_bound):
     The two infinite families are cut off by their own knobs: all-2s
     sequences at seq_bound entries and twist-family sequences at index
     t_bound."""
-    lo, hi = 2, seq_bound + 3
-    a_seqs = []
-    for length in range(1, seq_bound + 1):
-        a_seqs.extend(itertools.product(range(lo, hi + 1), repeat=length))
     found = set()
-    for a in a_seqs:
-        if sum(1 for e in a if e != 2) > 3:
-            continue  # every census shape keeps at most two non-2 entries
+    for a in _gofk_seeds(t_bound, seq_bound):
         b = riemenschneider_dual(a).entries
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):
                 if not seq or seq in found:
                     continue
-                if not gofk_exponent_sums_safe(seq):
+                if sum(1 for e in seq if e != 2) > 2:
+                    continue  # no shape in _pattern_sums has more
+                if not gofk_exponent_sums(seq):
                     continue
                 if all(e == 2 for e in seq) and len(seq) > seq_bound:
                     continue
@@ -501,13 +518,6 @@ def _gofk_sequences(t_bound, seq_bound):
                     continue
                 found.add(seq)
     return found
-
-
-def gofk_exponent_sums_safe(seq):
-    try:
-        return gofk_exponent_sums(seq)
-    except ValueError:
-        return frozenset()
 
 
 @dataclass(frozen=True)
@@ -545,7 +555,14 @@ def _census_targets(t_bound, seq_bound):
 
 
 def gofklens_census(t_bound, seq_bound):
-    """Assemble and cross-check the census of (p, q, k) triples."""
+    """Assemble and cross-check the census of (p, q, k) triples.
+
+    seq_bound (>= 0) limits the sequence length; t_bound (>= -1) is the top
+    index of the twist family, independent of seq_bound."""
+    if seq_bound < 0:
+        raise ValueError("seqmax must be >= 0")
+    if t_bound < -1:
+        raise ValueError("tmax must be >= -1")
     entries = {}
 
     def add(entry, witness):
@@ -697,20 +714,18 @@ def alt_gofk_pipeline():
             if hits:
                 bad.append(("genus-stage", str(lens), tuple(map(str, hits))))
             continue
-        for p in alive:
-            final.append({"p": p, "alternative_lens": str(lens)})
+        final.extend((p, lens) for p in alive)
 
-    got = sorted((f["p"], LensSpace(*_parse_pq(f["alternative_lens"])))
-                 for f in final)
+    final.sort(key=lambda pl: pl[0])
     want = [(19, LensSpace(18, 11)), (31, LensSpace(32, 7))]
-    if [p for p, _ in got] != [p for p, _ in want] or any(
-            not homeo_unoriented(g, w) for (_, g), (_, w) in zip(got, want)):
-        bad.append(("final", tuple(str(x) for x in got)))
+    if [p for p, _ in final] != [p for p, _ in want] or any(
+            not homeo_unoriented(g, w) for (_, g), (_, w) in zip(final, want)):
+        bad.append(("final", tuple(str(x) for x in final)))
 
     knot_names = {19: "pretzel P(-2,3,7)",
                   31: "+1-surgery dual on the Whitehead sister link"}
-    final_named = tuple(dict(item, knot=knot_names.get(item["p"], "?"))
-                        for item in sorted(final, key=lambda d: d["p"]))
+    final_named = tuple({"p": p, "alternative_lens": str(lens),
+                         "knot": knot_names.get(p, "?")} for p, lens in final)
 
     return PipelineReport(
         census_ok=census.ok,
@@ -722,12 +737,6 @@ def alt_gofk_pipeline():
         final=final_named,
         counterexamples=tuple(bad),
     )
-
-
-def _parse_pq(text):
-    inner = text[text.index("(") + 1:text.index(")")]
-    a, b = inner.split(",")
-    return int(a), int(b)
 
 
 def _genus_or_none(knot):

@@ -1,5 +1,6 @@
 import json
 
+from surgeryforge import families
 from surgeryforge.cli import main
 
 
@@ -90,13 +91,33 @@ def test_usage_errors_exit_2(capsys):
     assert main(["cf", "eval", "not-a-word"]) == 2
 
 
-def test_verification_failure_exits_1(capsys):
-    # bounds too small to regenerate the deeper twist-family entries: the
-    # census reports them missing and the command signals failure
-    code, report = run_json(capsys, "families", "census", "--tmax", "5",
-                            "--seqmax", "2")
+def test_census_bounds_out_of_range_exit_2(capsys):
+    assert main(["families", "census", "--seqmax", "-1"]) == 2
+    assert main(["families", "census", "--tmax", "-3"]) == 2
+    assert main(["families", "census", "--tmax", "-1", "--seqmax", "0"]) != 2
+
+
+def test_verification_failure_exits_1(capsys, monkeypatch):
+    # a census that reports a missing row is a counterexample, and the
+    # command signals failure
+    row = families.CensusEntry(68, 15, 23)
+    report = families.CensusReport(t_bound=6, seq_bound=4, entries=(),
+                                   witnesses={}, extras=(), missing=(row,))
+    monkeypatch.setattr(families, "gofklens_census", lambda t, s: report)
+    code, out = run_json(capsys, "families", "census", "--tmax", "6",
+                         "--seqmax", "4")
     assert code == 1
-    assert report["counterexamples"]
+    assert out["counterexamples"] == [["missing", str(row)]]
+
+
+def test_negative_fraction_positionals(capsys):
+    code, plain = run(capsys, "pentangle", "simplifies", "-7/3", "1", "2", "3")
+    assert code == 0
+    code, dashed = run(capsys, "pentangle", "simplifies", "--", "-7/3", "1",
+                       "2", "3")
+    assert code == 0
+    assert plain == dashed
+    assert json.loads(plain)["parameters"]["filling"] == "P(-7/3,1,2,3)"
 
 
 def test_formats(capsys):

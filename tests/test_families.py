@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 from surgeryforge.families import (CensusEntry, ExcludedParameter,
+                                   _gofk_sequences, _is_twist_shape,
+                                   _template_instances,
                                    alt_gofk_pipeline, family_lens,
                                    family_triple, figure_eight_sister_triple,
                                    gofklens_census, optsurg_catalog,
@@ -8,6 +12,7 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    verify_three_filling_intersections,
                                    wsl_identification)
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
+from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
 from surgeryforge.rationals import INF, rat
 
 
@@ -122,6 +127,52 @@ def test_census_respects_bounds():
     orders = {e.p for e in small.entries}
     assert 32 in orders          # twist index 2 still inside
     assert 41 not in orders      # twist index 3 cut by t_bound = 2
+
+
+def _oracle_gofk_sequences(t_bound, seq_bound):
+    # the product-based generator: every sequence over 2..seq_bound+3, then
+    # the ones with at most three non-2 entries
+    found = set()
+    for length in range(1, seq_bound + 1):
+        for a in itertools.product(range(2, seq_bound + 4), repeat=length):
+            if sum(1 for e in a if e != 2) > 3:
+                continue
+            b = riemenschneider_dual(a).entries
+            for first, second in ((a, b), (b, a)):
+                for seq in _template_instances(first, second):
+                    if not seq or seq in found:
+                        continue
+                    if not gofk_exponent_sums(seq):
+                        continue
+                    if all(e == 2 for e in seq) and len(seq) > seq_bound:
+                        continue
+                    t = _is_twist_shape(seq)
+                    if t is not None and t > t_bound:
+                        continue
+                    found.add(seq)
+    return found
+
+
+@pytest.mark.parametrize("seq_bound,t_bound",
+                         [(s, t) for s in range(2, 6) for t in range(-1, 7)]
+                         + [(6, 6)])
+def test_gofk_sequences_match_product_oracle(seq_bound, t_bound):
+    got = _gofk_sequences(t_bound, seq_bound)
+    oracle = _oracle_gofk_sequences(t_bound, seq_bound)
+    # the product generator reaches twist index seq_bound+1 at most; beyond
+    # that the seeded one adds exactly the twist rows up to t_bound
+    assert oracle <= got
+    extra = got - oracle
+    assert all(_is_twist_shape(seq) is not None for seq in extra)
+    assert sorted(_is_twist_shape(seq) for seq in extra) == list(
+        range(seq_bound + 2, t_bound + 1))
+
+
+def test_census_ok_on_bound_grid():
+    for seq_bound in range(2, 7):
+        for t_bound in range(-1, 7):
+            assert gofklens_census(t_bound, seq_bound).ok, (t_bound, seq_bound)
+    assert gofklens_census(6, 8).ok
 
 
 def test_alt_gofk_pipeline():

@@ -237,6 +237,14 @@ def test_exponent_sums_match_oracle_random(seq):
     assert gofk_exponent_sums(tuple(seq)) == _oracle_sums(tuple(seq))
 
 
+def test_exponent_sums_empty_beyond_two_non2_entries():
+    # the census generator skips such sequences without asking
+    for n in range(3, 7):
+        for seq in product(range(2, 8), repeat=n):
+            if sum(1 for e in seq if e != 2) > 2:
+                assert not gofk_exponent_sums(seq), seq
+
+
 def test_exponent_sums_requires_reduced():
     with pytest.raises(ValueError):
         gofk_exponent_sums((3, 1, 2))
