@@ -98,14 +98,37 @@ def _emit_text(report):
         print(f"  {ce}")
 
 
+_FAMILY_ARITY = {"X0": 2, "X1": 2, "X2": 2, "X3": 2, "A": 2, "B": 1}
+
+
 def _parse_params(family, raw):
+    if family not in _FAMILY_ARITY:
+        raise ValueError(f"unknown family {family!r}")
+    if len(raw) != _FAMILY_ARITY[family]:
+        raise ValueError(f"family {family} takes {_FAMILY_ARITY[family]} "
+                         f"parameter(s), got {len(raw)}")
     if family in ("X0", "X3", "A"):
         return (int(raw[0]), int(raw[1]))
     if family in ("X1", "X2"):
         return (int(raw[0]), parse_slope(raw[1]))
-    if family == "B":
-        return (parse_slope(raw[0]),)
-    raise ValueError(f"unknown family {family!r}")
+    return (parse_slope(raw[0]),)
+
+
+def _resolve_jobs(args):
+    """The worker count: a --jobs option, else SURGERYFORGE_JOBS, else 1."""
+    jobs = getattr(args, "pjobs", None)
+    if jobs is None:
+        jobs = args.jobs
+    if jobs is None:
+        text = os.environ.get("SURGERYFORGE_JOBS", "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError("SURGERYFORGE_JOBS must be an integer, "
+                             f"got {text!r}") from None
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 _NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
@@ -127,8 +150,9 @@ def main(argv=None):
         description="exact Dehn-surgery calculators and verification sweeps")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("SURGERYFORGE_JOBS", "1")))
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: SURGERYFORGE_JOBS "
+                             "or 1)")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
     sub = parser.add_subparsers(dest="module", required=True)
@@ -206,6 +230,7 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        args.jobs = _resolve_jobs(args)
         return _dispatch(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -233,7 +258,7 @@ def _dispatch(args):
             return emit("cf expand", {"value": str(x)},
                         {"expansion": list(seq)})
         if op == "solve-tail":
-            prefix = normseq.parse_seq(args.prefix)
+            prefix = normseq.expand_blocks(normseq.parse_seq(args.prefix))
             tail = rationals.cf_solve_tail(prefix, args.j)
             return emit("cf solve-tail",
                         {"prefix": list(prefix), "j": args.j},
@@ -323,8 +348,8 @@ def _dispatch(args):
     if mod == "pentangle":
         if op == "verify":
             # jobs only partitions the sweep; it never appears in the report
-            jobs = args.pjobs if args.pjobs is not None else args.jobs
-            report = pentangle.verify_simplification(args.bound, jobs=jobs)
+            report = pentangle.verify_simplification(args.bound,
+                                                     jobs=args.jobs)
             return emit("pentangle verify",
                         {"bound": args.bound},
                         {"bound": report.bound,

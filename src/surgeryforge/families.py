@@ -478,7 +478,7 @@ def _gofk_seeds(t_bound, seq_bound):
     in a leave at least three in every instance, and no fibered pattern
     shape has more than two.  The twist family's index t comes from the
     seed (t+2, 3) alone, so those seeds are added up to t_bound where the
-    range above stops short of them."""
+    range above stops short of them.  Callers pass seq_bound >= 2."""
     big = range(3, seq_bound + 4)
     for length in range(1, seq_bound + 1):
         for k in range(min(3, length) + 1):
@@ -488,8 +488,7 @@ def _gofk_seeds(t_bound, seq_bound):
                     for i, v in zip(spots, values):
                         a[i] = v
                     yield tuple(a)
-    first_unseeded = 0 if seq_bound < 2 else seq_bound + 2
-    for t in range(first_unseeded, t_bound + 1):
+    for t in range(seq_bound + 2, t_bound + 1):
         yield (t + 2, 3)
 
 
@@ -499,9 +498,10 @@ def _gofk_sequences(t_bound, seq_bound):
 
     The two infinite families are cut off by their own knobs: all-2s
     sequences at seq_bound entries and twist-family sequences at index
-    t_bound."""
+    t_bound.  The fixed rows and the twist row t = -1 come from seeds of
+    length at most 2, so seeds are drawn as for seq_bound 2 at least."""
     found = set()
-    for a in _gofk_seeds(t_bound, seq_bound):
+    for a in _gofk_seeds(t_bound, max(seq_bound, 2)):
         b = riemenschneider_dual(a).entries
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):

@@ -65,11 +65,6 @@ S3 = LensSpace(1, 0)
 S1XS2 = LensSpace(0, 1)
 
 
-def lens_normalize(p, q):
-    """Normalized lens space label for the integer pair (p, q)."""
-    return LensSpace(p, q)
-
-
 def parse_lens(text):
     """Parse 'L(p,q)', 'S3' or 'S1xS2'."""
     s = text.strip()

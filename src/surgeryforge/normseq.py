@@ -78,6 +78,20 @@ def parse_seq(text):
     return tuple(items)
 
 
+def expand_blocks(items):
+    """The plain entries of an item list: each 2^[t] block with t >= 0
+    becomes t twos.  Negative blocks have no plain expansion."""
+    out = []
+    for item in items:
+        if isinstance(item, Pow2):
+            if item.t < 0:
+                raise ValueError(f"{item} has no plain expansion")
+            out.extend([2] * item.t)
+        else:
+            out.append(item)
+    return tuple(out)
+
+
 def format_items(items):
     return "(" + ",".join(str(e) for e in items) + ")"
 

@@ -386,18 +386,44 @@ def stern_brocot_slopes(bound):
 
 
 # ---------------------------------------------------------------------------
-# The sweep.  For speed the per-slope constraint predicates and per-pair
-# factor predicates are tabulated once; the inner loop then works on bit
-# masks over the slope list (bit j of a mask refers to slope j in the se
-# position).  This reproduces exactly the object-level predicates above,
-# which the test suite cross-checks.
+# The sweep.  Masks are Python ints over the slope list: bit s refers to
+# slope s, in the se position unless said otherwise.  Each of the three
+# necessary conditions can pass only through a corner in a thin slope set,
+#
+#     T0 = {inf} u {-1/h},    Tinf = the integers,    Tm1 = {inf} u {1-1/m},
+#
+# for x = 0, inf and -1, with masks M0, Minf and Mm1.  For fixed corners
+# nw, ne, sw = i, j, k each condition is then `full`, its thin mask, or one
+# symmetric pair row V[s], the slopes t for which the chart-row factor of
+# (s, t) or of (t, s) is the reciprocal of an integer:
+#
+#             value     unless           then full when               else
+#     x0      V0[j]     i or k in T0     j in T0 or k in V0[i]        M0
+#     xinf    Vinf[k]   i or j in Tinf   k in Tinf or j in Vinf[i]    Minf
+#     xm1     Vm1[i]    j or k in Tm1    i in Tm1 or k in Vm1[j]      Mm1
+#
+# For fixed nw, ne the sw corners split into at most nine cells on which
+# x0 & xm1 is one constant c.  In a cell the need mask is c & Vinf[k], or c
+# and c & Minf on the two sides of the sw corners where xinf is full; since
+# Vinf is symmetric, the k with Vinf[k] & c != 0 are the union of Vinf[s]
+# over s in c.  So the kernel visits only the triples whose need mask is
+# nonzero.  It reproduces the object-level predicates above, which the test
+# suite cross-checks, as it does against the per-triple kernel this one
+# replaced (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _SweepTables:
     def __init__(self, slopes):
         n = len(slopes)
-        self.slopes = slopes
         self.n = n
         self.full = (1 << n) - 1
 
@@ -408,141 +434,136 @@ class _SweepTables:
                     m |= 1 << j
             return m
 
-        rec = [is_reciprocal_of_integer(s) for s in slopes]
-        self.rec = rec
-        self.rec_mask = mask(rec)
-        self.c0 = [_is_neg_reciprocal(s) for s in slopes]
-        self.c0_mask = mask(self.c0)
-        self.cinf = [s.is_integer for s in slopes]
-        self.cinf_mask = mask(self.cinf)
-        self.cm1 = [_is_one_minus_reciprocal(s) for s in slopes]
-        self.cm1_mask = mask(self.cm1)
-        self.z = [s.den == 1 for s in slopes]  # [0,s] reciprocal-integer
-        self.z_mask = mask(self.z)
-        self.r1m = [is_reciprocal_of_integer(cf_eval([1, s])) for s in slopes]
-        self.r1m_mask = mask(self.r1m)
-        self.r3 = [is_reciprocal_of_integer(shift(s, -1)) for s in slopes]
-        self.r3_mask = mask(self.r3)
+        self.in0 = [_is_neg_reciprocal(s) for s in slopes]
+        self.m0 = mask(self.in0)
+        self.ininf = [s.is_integer for s in slopes]
+        self.minf = mask(self.ininf)
+        self.inm1 = [_is_one_minus_reciprocal(s) for s in slopes]
+        self.mm1 = mask(self.inm1)
         self.triv = [(s.num, s.den) in _TRIVIAL for s in slopes]
         self.triv_mask = mask(self.triv)
 
-        def pair_rows(enabled, factor):
+        def pair_rows(thin, factor):
             rows = [0] * n
             for i, s in enumerate(slopes):
-                if not enabled[i]:
+                if not thin[i]:
                     continue
-                rows[i] = mask(is_reciprocal_of_integer(factor(s, t))
-                               for t in slopes)
+                for j, t in enumerate(slopes):
+                    if is_reciprocal_of_integer(factor(s, t)):
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
             return rows
 
-        self.t0 = pair_rows(self.c0,
+        self.v0 = pair_rows(self.in0,
                             lambda s, t: cf_eval([-1, _h_param(s), t]))
-        self.tinf = pair_rows(self.cinf,
+        self.vinf = pair_rows(self.ininf,
                               lambda s, t: cf_eval([1, shift(t, s.num)]))
-        self.tm1 = pair_rows(self.cm1,
+        self.vm1 = pair_rows(self.inm1,
                              lambda s, t: cf_eval([_m_param(s), 1, t]))
-        self.t0T = self._transpose(self.t0)
-        self.tinfT = self._transpose(self.tinf)
-        self.tm1T = self._transpose(self.tm1)
+        self.fulls = [self.full] * n
+        self._near = {}
+
+        # symmetric rows of the simplification pairs, one per pairing
+        index = {(s.num, s.den): i for i, s in enumerate(slopes)}
 
         def group_rows(*conds):
             rows = [0] * n
-            for i, s in enumerate(slopes):
-                m = 0
-                for j, t in enumerate(slopes):
-                    key = _key(s, t)
-                    if any(key in cond for cond in conds):
-                        m |= 1 << j
-                rows[i] = m
+            for cond in conds:
+                for u, v in cond:
+                    if u in index and v in index:
+                        rows[index[u]] |= 1 << index[v]
+                        rows[index[v]] |= 1 << index[u]
             return rows
 
-        self.ga = group_rows(_NONHYP_A, P3_LISTS[0], MIRROR_P3_LISTS[0])
-        self.gb = group_rows(_NONHYP_B, P3_LISTS[1], MIRROR_P3_LISTS[1])
-        self.gc = group_rows(_NONHYP_C, P3_LISTS[2], MIRROR_P3_LISTS[2])
+        self.ga, self.gb, self.gc = (
+            group_rows(*conds)
+            for conds in zip(NONHYP_LISTS, P3_LISTS, MIRROR_P3_LISTS))
 
-    def _transpose(self, rows):
-        cols = [0] * self.n
-        for i, row in enumerate(rows):
-            j = 0
-            while row:
-                if row & 1:
-                    cols[j] |= 1 << i
-                row >>= 1
-                j += 1
-        return cols
-
-
-def _necessary_masks(tb, i, j, k):
-    """se-bit masks of the three necessary conditions for fixed nw,ne,sw."""
-    full, rec, rec_mask = tb.full, tb.rec, tb.rec_mask
-
-    x0 = 0
-    if tb.c0[i]:
-        x0 |= full if ((tb.t0[i] >> k) & 1 or rec[j]) else rec_mask
-    if tb.c0[k]:
-        x0 |= full if ((tb.t0[k] >> i) & 1 or rec[j]) else rec_mask
-    if tb.c0[j]:
-        x0 |= full if (rec[i] or rec[k]) else tb.t0[j]
-    if x0 != full:
-        x0 |= tb.c0_mask if (rec[k] or rec[i]) else tb.c0_mask & tb.t0T[j]
-
-    z, z_mask = tb.z, tb.z_mask
-    xinf = 0
-    if tb.cinf[i]:
-        xinf |= full if ((tb.tinf[i] >> j) & 1 or z[k]) else z_mask
-    if tb.cinf[j]:
-        xinf |= full if ((tb.tinf[j] >> i) & 1 or z[k]) else z_mask
-    if tb.cinf[k]:
-        xinf |= full if (z[i] or z[j]) else tb.tinf[k]
-    if xinf != full:
-        xinf |= tb.cinf_mask if (z[i] or z[j]) else tb.cinf_mask & tb.tinfT[k]
-
-    r1m, r3 = tb.r1m, tb.r3
-    xm1 = 0
-    if tb.cm1[j]:
-        xm1 |= full if (r1m[i] or (tb.tm1[j] >> k) & 1) else tb.r3_mask
-    if tb.cm1[i]:
-        xm1 |= full if (r1m[j] or r3[k]) else tb.tm1[i]
-    if tb.cm1[k]:
-        xm1 |= full if ((tb.tm1[k] >> j) & 1 or r3[i]) else tb.r1m_mask
-    if xm1 != full:
-        xm1 |= tb.cm1_mask if (r1m[k] or r3[j]) else tb.cm1_mask & tb.tm1T[i]
-
-    return x0 & xinf & xm1
+    def near(self, mask):
+        """The sw corners k whose Vinf[k] meets mask."""
+        out = self._near.get(mask)
+        if out is None:
+            out = 0
+            for s in _bits(mask):
+                out |= self.vinf[s]
+            self._near[mask] = out
+        return out
 
 
-def _simplifies_mask(tb, i, j, k):
-    if (tb.triv[i] or tb.triv[j] or tb.triv[k]
-            or (tb.ga[i] >> j) & 1 or (tb.gb[i] >> k) & 1
-            or (tb.gc[k] >> j) & 1):
-        return tb.full
-    return tb.triv_mask | tb.ga[k] | tb.gb[j] | tb.gc[i]
+def _pair_masks(tb, i):
+    """For nw = i, yield (j, parts, simp_k, simp_base) for every ne = j.
+
+    parts lists (cand, c, rows) with disjoint sw masks cand: the need mask
+    of the triple (i, j, k) is c & rows[k] when k is in a cand, else 0.
+    The tuples whose sw corner k is in simp_k all simplify; otherwise
+    (i, j, k, se) simplifies when se is in simp_base | ga[k]."""
+    n, full = tb.n, tb.full
+    m0, minf, mm1 = tb.m0, tb.minf, tb.mm1
+    v0, vinf, vm1, fulls = tb.v0, tb.vinf, tb.vm1, tb.fulls
+    ga, gb, gc, triv, triv_mask = tb.ga, tb.gb, tb.gc, tb.triv, tb.triv_mask
+    v0i, vinfi, vm1i = v0[i], vinf[i], vm1[i]
+    # sw corners where x0 is full or M0; elsewhere it is V0[ne]
+    a0 = full if tb.in0[i] else m0
+    i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
+    i_simp = triv[i]
+    for j in range(n):
+        v0j = v0[j]
+        # sw corners where xm1 is full or Mm1; elsewhere it is Vm1[nw]
+        am1 = full if tb.inm1[j] else mm1
+        f0 = a0 if tb.in0[j] else a0 & v0i
+        fm1 = am1 if i_m1 else am1 & vm1[j]
+        # sw corners where xinf is full; None when xinf is Vinf[sw]
+        if i_inf or tb.ininf[j]:
+            finf = full if (vinfi >> j) & 1 else minf
+        else:
+            finf = None
+        parts = []
+        for k0, x0 in ((f0, full), (a0 & ~f0, m0), (full & ~a0, v0j)):
+            if not k0:
+                continue
+            for km1, xm1 in ((fm1, full), (am1 & ~fm1, mm1),
+                             (full & ~am1, vm1i)):
+                cell = k0 & km1
+                if not cell or not (c := x0 & xm1):
+                    continue
+                if finf is None:
+                    parts.append((cell & tb.near(c), c, vinf))
+                elif c & minf:
+                    parts.append((cell & finf, c, fulls))
+                    parts.append((cell & ~finf, c & minf, fulls))
+                else:
+                    parts.append((cell & finf, c, fulls))
+        if i_simp or triv[j] or (ga[i] >> j) & 1:
+            simp_k = full
+        else:
+            simp_k = triv_mask | gb[i] | gc[j]
+        yield j, parts, simp_k, triv_mask | gb[j] | gc[i]
 
 
-def _sweep_chunk(args):
-    slopes, i_lo, i_hi = args
-    tb = _SweepTables(slopes)
-    n = tb.n
-    checked = 0
+def _sweep_chunk(tb, i_lo, i_hi):
+    ga = tb.ga
     necessary = 0
     simplified = 0
     counterexamples = []
     for i in range(i_lo, i_hi):
-        for j in range(n):
-            for k in range(n):
-                need = _necessary_masks(tb, i, j, k)
-                checked += n
-                if not need:
-                    continue
-                simp = _simplifies_mask(tb, i, j, k)
-                necessary += bin(need).count("1")
-                good = need & simp
-                simplified += bin(good).count("1")
-                bad = need & ~simp
-                if bad:
-                    for se in range(n):
-                        if (bad >> se) & 1:
-                            counterexamples.append((i, j, k, se))
+        for j, parts, simp_k, simp_base in _pair_masks(tb, i):
+            for cand, c, rows in parts:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    k = low.bit_length() - 1
+                    need = c & rows[k]
+                    count = need.bit_count()
+                    necessary += count
+                    if simp_k & low:
+                        simplified += count
+                        continue
+                    good = need & (simp_base | ga[k])
+                    simplified += good.bit_count()
+                    for se in _bits(need & ~good):
+                        counterexamples.append((i, j, k, se))
+    counterexamples.sort()
+    checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples
 
 
@@ -569,13 +590,15 @@ def verify_simplification(bound, jobs=1):
         raise ValueError("bound must be >= 2")
     slopes = stern_brocot_slopes(bound)
     n = len(slopes)
+    tables = _SweepTables(slopes)
     chunks = _partition(n, jobs)
-    args = [(slopes, lo, hi) for lo, hi in chunks]
-    if jobs <= 1 or len(args) <= 1:
-        results = [_sweep_chunk(a) for a in args]
+    if jobs <= 1 or len(chunks) <= 1:
+        results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
     else:
-        with get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_sweep_chunk, args)
+        # forked workers inherit the tables; only the nw ranges are sent
+        with get_context("fork").Pool(jobs, initializer=_adopt_tables,
+                                      initargs=(tables,)) as pool:
+            results = pool.map(_pool_chunk, chunks)
     checked = sum(r[0] for r in results)
     necessary = sum(r[1] for r in results)
     simplified = sum(r[2] for r in results)
@@ -592,6 +615,18 @@ def verify_simplification(bound, jobs=1):
         simplified=simplified,
         counterexamples=tuple(ces),
     )
+
+
+_worker_tables = None
+
+
+def _adopt_tables(tables):
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _pool_chunk(bounds):
+    return _sweep_chunk(_worker_tables, *bounds)
 
 
 def _partition(n, jobs):

@@ -44,6 +44,15 @@ def test_pentangle_verify_exit_and_determinism(capsys):
     assert out1 == out3  # and across runs
 
 
+def test_pentangle_verify_jobs_byte_identical(capsys):
+    code1, out1 = run(capsys, "--jobs", "1", "pentangle", "verify",
+                      "--bound", "6")
+    code2, out2 = run(capsys, "--jobs", "2", "pentangle", "verify",
+                      "--bound", "6")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 def test_cf_commands(capsys):
     code, report = run_json(capsys, "cf", "eval", "[3,2,2]")
     assert code == 0 and report["results"]["value"] == "7/3"
@@ -91,10 +100,36 @@ def test_usage_errors_exit_2(capsys):
     assert main(["cf", "eval", "not-a-word"]) == 2
 
 
+def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
+    # one error line on stderr, no traceback, exit 2
+    cases = [["--jobs", "0", "pentangle", "verify", "--bound", "2"],
+             ["--jobs", "-2", "pentangle", "verify", "--bound", "2"],
+             ["pentangle", "verify", "--bound", "2", "--jobs", "0"],
+             ["families", "eval", "A", "3"],
+             ["families", "eval", "B", "3", "4"]]
+    for argv in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    monkeypatch.setenv("SURGERYFORGE_JOBS", "abc")
+    assert main(["cf", "eval", "[3,2,2]"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: SURGERYFORGE_JOBS must be an integer, got 'abc'\n"
+
+
+def test_cf_solve_tail_expands_blocks(capsys):
+    for blocked, plain in (("(1,2^[2],3)", "(1,2,2,3)"), ("(2^[3])", "(2,2,2)"),
+                           ("(2^[0],4)", "(4)")):
+        code, got = run(capsys, "cf", "solve-tail", blocked, "5")
+        assert code == 0
+        assert got == run(capsys, "cf", "solve-tail", plain, "5")[1]
+    assert main(["cf", "solve-tail", "(2^[-1],3)", "1"]) == 2
+
+
 def test_census_bounds_out_of_range_exit_2(capsys):
     assert main(["families", "census", "--seqmax", "-1"]) == 2
     assert main(["families", "census", "--tmax", "-3"]) == 2
-    assert main(["families", "census", "--tmax", "-1", "--seqmax", "0"]) != 2
+    assert main(["families", "census", "--tmax", "-1", "--seqmax", "0"]) == 0
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):

@@ -1,17 +1,20 @@
 import random
 from itertools import product
 
+import pentangle_oracle as oracle
+from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, M5Filling, P3Factor, P5Filling,
-                                    _necessary_masks,
-                                    _simplifies_mask, _SweepTables, case_holds,
+                                    _bits, _is_neg_reciprocal,
+                                    _is_one_minus_reciprocal, _pair_masks,
+                                    _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     m5_to_p5, mirror_sym, montesinos_presentations,
                                     p5_to_m5, rot3, rot3_fix_ne, simplifies,
                                     stern_brocot_slopes, swap_fb, swap_lr,
                                     swap_tb, symmetry, two_bridge_necessary,
                                     verify_simplification, X_FILLINGS)
-from surgeryforge.rationals import INF, ExtRational, cf_eval, rat
+from surgeryforge.rationals import INF, ExtRational, cf_eval, rat, shift
 from surgeryforge.tangle import is_reciprocal_of_integer
 
 
@@ -230,32 +233,118 @@ def test_stern_brocot_enumeration():
     assert slopes[0] == INF and slopes[1] == rat(0)
 
 
+def kernel_masks(tb, i):
+    """(j, k, need, simp) for nw = i and every ne = j, sw = k, read off the
+    thin-set kernel's pair masks."""
+    for j, parts, simp_k, simp_base in _pair_masks(tb, i):
+        need = [0] * tb.n
+        for cand, c, rows in parts:
+            for k in _bits(cand):
+                assert not need[k]  # the candidate sets are disjoint
+                need[k] = c & rows[k]
+                assert need[k]      # and hold no triple with an empty need
+        for k in range(tb.n):
+            simp = tb.full if (simp_k >> k) & 1 else simp_base | tb.ga[k]
+            yield j, k, need[k], simp
+
+
 def test_mask_engine_matches_object_predicates():
     slopes = stern_brocot_slopes(2)
     tb = _SweepTables(slopes)
     n = len(slopes)
-    for i, j, k in product(range(n), repeat=3):
-        need = _necessary_masks(tb, i, j, k)
-        simp = _simplifies_mask(tb, i, j, k)
-        for se in range(n):
-            f = F(slopes[i], slopes[j], slopes[k], slopes[se])
-            want_need = all(two_bridge_necessary(f, x) for x in X_FILLINGS)
-            assert bool((need >> se) & 1) == want_need, f
-            if want_need:
-                assert bool((simp >> se) & 1) == simplifies(f), f
+    for i in range(n):
+        for j, k, need, simp in kernel_masks(tb, i):
+            for se in range(n):
+                f = F(slopes[i], slopes[j], slopes[k], slopes[se])
+                want_need = all(two_bridge_necessary(f, x) for x in X_FILLINGS)
+                assert bool((need >> se) & 1) == want_need, f
+                if want_need:
+                    assert bool((simp >> se) & 1) == simplifies(f), f
 
 
 def test_mask_engine_matches_object_predicates_sampled():
     slopes = stern_brocot_slopes(4)
     tb = _SweepTables(slopes)
     n = len(slopes)
+    needs = {(i, j, k): need for i in range(n)
+             for j, k, need, _ in kernel_masks(tb, i)}
     rng = random.Random(23)
     for _ in range(600):
         i, j, k, se = (rng.randrange(n) for _ in range(4))
         f = F(slopes[i], slopes[j], slopes[k], slopes[se])
-        need = _necessary_masks(tb, i, j, k)
         want = all(two_bridge_necessary(f, x) for x in X_FILLINGS)
-        assert bool((need >> se) & 1) == want
+        assert bool((needs[i, j, k] >> se) & 1) == want
+
+
+def test_kernel_matches_oracle_bounds_2_to_8():
+    for bound in range(2, 9):
+        slopes = stern_brocot_slopes(bound)
+        n = len(slopes)
+        got = _sweep_chunk(_SweepTables(slopes), 0, n)
+        assert got == oracle._sweep_chunk((slopes, 0, n)), bound
+
+
+def test_kernel_masks_match_oracle_exhaustive_bound_5():
+    # every (nw, ne, sw) with a nonzero oracle need mask is a candidate of
+    # the thin-set kernel, with the same need and simplification masks
+    slopes = stern_brocot_slopes(5)
+    tb = _SweepTables(slopes)
+    otb = oracle._SweepTables(slopes)
+    for i in range(tb.n):
+        for j, k, need, simp in kernel_masks(tb, i):
+            assert need == oracle._necessary_masks(otb, i, j, k), (i, j, k)
+            assert simp == oracle._simplifies_mask(otb, i, j, k), (i, j, k)
+
+
+def test_thin_set_identities():
+    # five of the oracle's eight per-slope lists repeat the three thin sets
+    for bound in range(2, 21):
+        for s in stern_brocot_slopes(bound):
+            t0 = _is_neg_reciprocal(s)
+            tinf = s.is_integer
+            tm1 = _is_one_minus_reciprocal(s)
+            assert is_reciprocal_of_integer(s) == t0, s
+            assert (s.den == 1) == tinf, s
+            assert is_reciprocal_of_integer(cf_eval([1, s])) == tm1, s
+            assert is_reciprocal_of_integer(shift(s, -1)) == tm1, s
+
+
+def test_tables_match_oracle_tables():
+    for bound in range(2, 11):
+        slopes = stern_brocot_slopes(bound)
+        tb = _SweepTables(slopes)
+        otb = oracle._SweepTables(slopes)
+        assert (tb.m0, tb.minf, tb.mm1) == (otb.c0_mask, otb.cinf_mask,
+                                            otb.cm1_mask)
+        assert tb.triv_mask == otb.triv_mask
+        assert tb.v0 == [r | c for r, c in zip(otb.t0, otb.t0T)]
+        assert tb.vinf == [r | c for r, c in zip(otb.tinf, otb.tinfT)]
+        assert tb.vm1 == [r | c for r, c in zip(otb.tm1, otb.tm1T)]
+        assert (tb.ga, tb.gb, tb.gc) == (otb.ga, otb.gb, otb.gc)
+
+
+def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
+    # empty simplification lists make every tuple passing the necessary
+    # conditions a counterexample, which real sweeps never produce
+    none = (frozenset(),) * 3
+    for module in (pentangle, oracle):
+        monkeypatch.setattr(module, "P3_LISTS", none)
+        monkeypatch.setattr(module, "MIRROR_P3_LISTS", none)
+        monkeypatch.setattr(module, "_TRIVIAL", frozenset())
+    monkeypatch.setattr(pentangle, "NONHYP_LISTS", none)
+    for name in ("_NONHYP_A", "_NONHYP_B", "_NONHYP_C"):
+        monkeypatch.setattr(oracle, name, frozenset())
+    slopes = stern_brocot_slopes(3)
+    n = len(slopes)
+    got = _sweep_chunk(_SweepTables(slopes), 0, n)
+    want = oracle._sweep_chunk((slopes, 0, n))
+    assert got == want
+    assert got[2] == 0 and len(got[3]) == got[1] > 0
+    named = tuple(tuple(str(slopes[x]) for x in ce) for ce in want[3])
+    for jobs in (1, 2):
+        report = verify_simplification(3, jobs=jobs)
+        assert report.counterexamples == named
+        assert not report.ok
 
 
 def test_verify_simplification_small_bounds():
