@@ -317,6 +317,8 @@ def _dispatch(args):
                         {"p": args.p, "q": args.q, "k": args.k, "chi": chi,
                          "genus": genus, "order": knot.homological_order})
         if op == "star":
+            if args.p < 2:
+                raise ValueError(f"p must be >= 2, got {args.p}")
             epss = {"+1": (1,), "-1": (-1,), "both": (1, -1)}[args.eps]
             results = {}
             for eps in epss:
@@ -329,6 +331,8 @@ def _dispatch(args):
                         results)
         if op == "genus-search":
             space = lens.parse_lens(args.lens)
+            if args.genus < 0:
+                raise ValueError(f"genus must be >= 0, got {args.genus}")
             knots = simpleknot.knots_with_genus(space, args.genus)
             return emit("simpleknot genus-search",
                         {"lens": str(space), "genus": args.genus},

@@ -15,8 +15,10 @@ consistency checking (see the flagged rows it produces).
 import itertools
 from dataclasses import dataclass
 
-from .lens import LensSpace, homeo_oriented, homeo_unoriented, mirror
-from .normseq import NormSeq, gofk_exponent_sums, norm_sequence_of, riemenschneider_dual, to_lens
+from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
+                   mirror)
+from .normseq import (NormSeq, dual_entries, gofk_exponent_sums,
+                      norm_sequence_of, to_lens)
 from .rationals import INF, ExtRational, rat
 from .simpleknot import (SimpleKnot, canonical_triple, equivalent,
                          genus_primitive, knots_with_genus, star_solutions)
@@ -99,16 +101,22 @@ def _x3(m, n, slot):
     raise ExcludedParameter("X3: lens slots are 3 and inf")
 
 
+def _fam_a_labels(m, n):
+    """The raw lens labels (p, q) of A[m, n] at the slots 1, 2 and inf."""
+    return ((2 * m * n + m + 2 * n - 1, m * n + m + n),
+            (3 * m * n - 3 * m - 5 * n + 2, m * n - m - 2 * n + 1),
+            (5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m))
+
+
+_A_SLOT_INDEX = {(1, 1): 0, (2, 1): 1, (1, 0): 2}
+
+
 def _fam_a(m, n, slot):
     _check(m not in (-1, 0, 1), "A", f"m = {m}")
     _check(n not in (0, 1), "A", f"n = {n}")
-    if slot == (1, 1):
-        return LensSpace(2 * m * n + m + 2 * n - 1, m * n + m + n)
-    if slot == (2, 1):
-        return LensSpace(3 * m * n - 3 * m - 5 * n + 2, m * n - m - 2 * n + 1)
-    if slot == (1, 0):
-        return LensSpace(5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m)
-    raise ExcludedParameter("A: lens slots are 1, 2 and inf")
+    if slot not in _A_SLOT_INDEX:
+        raise ExcludedParameter("A: lens slots are 1, 2 and inf")
+    return LensSpace(*_fam_a_labels(m, n)[_A_SLOT_INDEX[slot]])
 
 
 def _fam_b(pq, slot):
@@ -248,45 +256,37 @@ def verify_three_filling_intersections(bound):
     if case_1b != ((1, -1, -1),):
         bad.append(("case_1b", case_1b))
 
+    # The slopes c - 1/m compared below have nonzero denominators m, so two
+    # of them are equal exactly when their cross products are.
+    rng_mp = [mp for mp in rng if mp not in (0, 1)]
+    rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
+
     # Case 2a: 3 - 1/m' = 2 - 1/m'' with the free slope shared: the B family.
-    sols_2a = []
-    for mp in rng:
-        if mp in (0, 1):
-            continue
-        for mpp in rng:
-            if mpp in (-1, 0, 1):
-                continue
-            if _recip_shift(3, mp) == _recip_shift(2, mpp):
-                sols_2a.append((mp, mpp))
+    sols_2a = [(mp, mpp) for mp in rng_mp for mpp in rng_mpp
+               if (3 * mp - 1) * mpp == (2 * mpp - 1) * mp]
     case_2a = tuple(sorted(sols_2a))
     if case_2a != ((2, -2),):
         bad.append(("case_2a", case_2a))
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
-    # works and gives the A family member A[m'', m'].
+    # works and gives the A family member A[m'', m'], whose three lens
+    # labels must be valid.  The two ranges are the A family's exclusions.
     count_2b = 0
-    for mp in rng:
-        if mp in (0, 1):
-            continue
-        for mpp in rng:
-            if mpp in (-1, 0, 1):
-                continue
-            try:
-                family_triple("A", (mpp, mp))
-            except ExcludedParameter:
-                continue
-            count_2b += 1
+    bad_2b = []
+    for mp in rng_mp:
+        for mpp in rng_mpp:
+            (p1, q1), (p2, q2), (p3, q3) = _fam_a_labels(mpp, mp)
+            if (is_lens_label(p1, q1) and is_lens_label(p2, q2)
+                    and is_lens_label(p3, q3)):
+                count_2b += 1
+            else:
+                bad_2b.append((mpp, mp))
+    if bad_2b:
+        bad.append(("case_2b", tuple(bad_2b)))
 
     # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
-    sols_3a = []
-    for mpp in rng:
-        if mpp in (-1, 0, 1):
-            continue
-        for mppp in rng:
-            if mppp in (-1, 0, 1):
-                continue
-            if _recip_shift(2, mpp) == _recip_shift(1, mppp):
-                sols_3a.append((mpp, mppp))
+    sols_3a = [(mpp, mppp) for mpp in rng_mpp for mppp in rng_mpp
+               if (2 * mpp - 1) * mppp == (mppp - 1) * mpp]
     case_3a = tuple(sorted(sols_3a))
     if case_3a != ((2, -2),):
         bad.append(("case_3a", case_3a))
@@ -502,12 +502,12 @@ def _gofk_sequences(t_bound, seq_bound):
     length at most 2, so seeds are drawn as for seq_bound 2 at least."""
     found = set()
     for a in _gofk_seeds(t_bound, max(seq_bound, 2)):
-        b = riemenschneider_dual(a).entries
+        b = dual_entries(a)
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):
                 if not seq or seq in found:
                     continue
-                if sum(1 for e in seq if e != 2) > 2:
+                if len(seq) - seq.count(2) > 2:
                     continue  # no shape in _pattern_sums has more
                 if not gofk_exponent_sums(seq):
                     continue

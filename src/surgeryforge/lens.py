@@ -17,6 +17,14 @@ from math import gcd
 from .rationals import ExtRational
 
 
+def is_lens_label(p, q):
+    """Whether the integers (p, q) name a lens space: q != 0 when p = 0,
+    and gcd(p, q) = 1 when |p| >= 2 (p = +-1 always names S^3)."""
+    if p == 0:
+        return q != 0
+    return -2 < p < 2 or gcd(p, q) == 1
+
+
 @dataclass(frozen=True, slots=True)
 class LensSpace:
     """Normalized label (p, q): p >= 0, 0 <= q < p for p >= 2,
@@ -29,16 +37,14 @@ class LensSpace:
         p, q = self.p, self.q
         if p < 0:
             p, q = -p, -q
+        if p >= 2:
+            q %= p
+        if not is_lens_label(p, q):
+            raise ValueError(f"L({p},{q}) is not a lens space label")
         if p == 0:
-            if q == 0:
-                raise ValueError("L(0,0) is not a lens space")
             q = 1  # L(0,1) and L(0,-1) name the same oriented manifold
         elif p == 1:
             q = 0
-        else:
-            q %= p
-            if gcd(p, q) != 1:
-                raise ValueError(f"gcd({p},{q}) != 1: not a lens space label")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

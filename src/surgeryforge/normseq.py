@@ -243,15 +243,22 @@ def riemenschneider_dual(seq):
     entries = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
     if not entries or any(a < 2 for a in entries):
         raise ValueError("point rule needs a nonempty all->=2 sequence")
-    col_counts = []
-    col = 0
-    for a in entries:
-        for j in range(col, col + a - 1):
-            if j == len(col_counts):
-                col_counts.append(0)
-            col_counts[j] += 1
-        col = col + a - 2
-    return NormSeq(tuple(c + 1 for c in col_counts))
+    return NormSeq(dual_entries(entries))
+
+
+def dual_entries(entries):
+    """The point-rule dual of a nonempty tuple of integers >= 2, unchecked.
+
+    Every column holds one dot, and the column where row i + 1 starts holds
+    the last dot of row i as well.  With s_i the partial sums of a_k - 2,
+    the staircase has s_l + 1 columns and row i + 1 starts in column s_i,
+    so b is all 2s plus one at each s_i with i < l."""
+    b = [2] * (sum(entries) - 2 * len(entries) + 1)
+    s = 0
+    for a in entries[:-1]:
+        s += a - 2
+        b[s] += 1
+    return tuple(b)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ bounded height and confirms there are no counterexamples.
 
 from dataclasses import dataclass
 from enum import Enum
-from multiprocessing import get_context
 
 from .rationals import (INF, ZERO, ExtRational, cf_eval, corot_map,
                         one_minus_reciprocal, rat, reciprocal, rot_map, shift)
@@ -595,7 +594,9 @@ def verify_simplification(bound, jobs=1):
     if jobs <= 1 or len(chunks) <= 1:
         results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
     else:
-        # forked workers inherit the tables; only the nw ranges are sent
+        # forked workers inherit the tables; only the nw ranges are sent.
+        # Imported here because it costs every CLI process its import time.
+        from multiprocessing import get_context
         with get_context("fork").Pool(jobs, initializer=_adopt_tables,
                                       initargs=(tables,)) as pool:
             results = pool.map(_pool_chunk, chunks)

@@ -1,0 +1,131 @@
+"""The three-filling intersection check and the Riemenschneider point rule
+as they stood before the integer rewrite: a FamilyFilling triple and
+ExtRational slopes for every parameter pair, and a dual built dot by dot.
+Kept verbatim as the reference that surgeryforge.families and
+surgeryforge.normseq are tested against."""
+
+from surgeryforge.families import (ExcludedParameter, IntersectionReport,
+                                   _recip_shift, family_triple)
+from surgeryforge.normseq import NormSeq
+
+
+def verify_three_filling_intersections(bound):
+    """Solve the slope-pair coincidences between families with adjacent lens
+    slots and check the solution set is the A and B families plus the
+    subsumed cases.
+
+    Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
+    case 3 ({2,inf} vs {3,inf}), each in both pairing orders."""
+    if bound < 2:
+        raise ValueError("bound must be >= 2")
+    rng = [m for m in range(-bound, bound + 1)]
+    bad = []
+
+    # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is excluded),
+    # leaving the one-parameter family M3(4, -1/m).
+    case_1a = tuple((_recip_shift(3, mp).num, mp) for mp in rng
+                    if mp not in (0, 1) and _recip_shift(3, mp).is_integer
+                    and _recip_shift(3, mp).num not in (0, 1, 2, 3))
+    if case_1a != ((4, -1),):
+        bad.append(("case_1a", case_1a))
+
+    # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
+    sols_1b = []
+    for m in rng:
+        if m == 0:
+            continue
+        for mp in rng:
+            if mp in (0, 1):
+                continue
+            # n = 1 - 1/m + 1/m'
+            num = m * mp - mp + m
+            if num % (m * mp) != 0:
+                continue
+            n = num // (m * mp)
+            if n in (0, 1, 2, 3) or (m, n) in ((-1, 4), (-1, 5)):
+                continue
+            sols_1b.append((m, mp, n))
+    case_1b = tuple(sorted(sols_1b))
+    if case_1b != ((1, -1, -1),):
+        bad.append(("case_1b", case_1b))
+
+    # Case 2a: 3 - 1/m' = 2 - 1/m'' with the free slope shared: the B family.
+    sols_2a = []
+    for mp in rng:
+        if mp in (0, 1):
+            continue
+        for mpp in rng:
+            if mpp in (-1, 0, 1):
+                continue
+            if _recip_shift(3, mp) == _recip_shift(2, mpp):
+                sols_2a.append((mp, mpp))
+    case_2a = tuple(sorted(sols_2a))
+    if case_2a != ((2, -2),):
+        bad.append(("case_2a", case_2a))
+
+    # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
+    # works and gives the A family member A[m'', m'].
+    count_2b = 0
+    for mp in rng:
+        if mp in (0, 1):
+            continue
+        for mpp in rng:
+            if mpp in (-1, 0, 1):
+                continue
+            try:
+                family_triple("A", (mpp, mp))
+            except ExcludedParameter:
+                continue
+            count_2b += 1
+
+    # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
+    sols_3a = []
+    for mpp in rng:
+        if mpp in (-1, 0, 1):
+            continue
+        for mppp in rng:
+            if mppp in (-1, 0, 1):
+                continue
+            if _recip_shift(2, mpp) == _recip_shift(1, mppp):
+                sols_3a.append((mpp, mppp))
+    case_3a = tuple(sorted(sols_3a))
+    if case_3a != ((2, -2),):
+        bad.append(("case_3a", case_3a))
+
+    # Case 3b pairs the slopes the other way; the constraint equation is the
+    # same, so the solution set must agree with case 3a.
+    case_3b_same = case_3a == ((2, -2),)
+
+    return IntersectionReport(
+        bound=bound,
+        case_1a=case_1a,
+        case_1b=case_1b,
+        case_2a=case_2a,
+        case_2b_count=count_2b,
+        case_3a=case_3a,
+        case_3b_matches_3a=case_3b_same,
+        counterexamples=tuple(bad),
+    )
+
+
+def riemenschneider_dual(seq):
+    """The dual of an all->=2 sequence by the point rule.
+
+    Row i of a staircase carries a_i - 1 dots, each row starting in the
+    column of the last dot of the row above; the dual entry b_j is one more
+    than the number of dots in column j.  The dual satisfies
+    1/[a_1,...,a_l] + 1/[b_1,...,b_m] = 1 exactly, and the rule is an
+    involution.
+    """
+    entries = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
+    if not entries or any(a < 2 for a in entries):
+        raise ValueError("point rule needs a nonempty all->=2 sequence")
+    col_counts = []
+    col = 0
+    for a in entries:
+        for j in range(col, col + a - 1):
+            if j == len(col_counts):
+                col_counts.append(0)
+            col_counts[j] += 1
+        col = col + a - 2
+    return NormSeq(tuple(c + 1 for c in col_counts))

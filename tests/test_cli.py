@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from surgeryforge import families
 from surgeryforge.cli import main
@@ -143,6 +146,51 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
                          "--seqmax", "4")
     assert code == 1
     assert out["counterexamples"] == [["missing", str(row)]]
+
+
+def test_intersections_counterexample_exits_1(capsys, monkeypatch):
+    # a bad A-family label is a counterexample: one report on stdout, exit 1,
+    # nothing on stderr
+    labels = families._fam_a_labels
+    monkeypatch.setattr(
+        families, "_fam_a_labels",
+        lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
+        else labels(m, n))
+    code = main(["families", "verify", "intersections", "--bound", "4"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
+    assert report["counterexamples"] == [["case_2b", [[2, 3]]]]
+
+
+def test_star_and_genus_search_bad_input_exit_2(capsys):
+    for argv in (["simpleknot", "star", "0"], ["simpleknot", "star", "1"],
+                 ["simpleknot", "star", "-5"],
+                 ["simpleknot", "star", "1", "--eps", "+1"],
+                 ["simpleknot", "genus-search", "L(7,3)", "-1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("error: ")
+                and captured.err.count("\n") == 1), argv
+    code, report = run_json(capsys, "simpleknot", "star", "2")
+    assert code == 0
+    code, report = run_json(capsys, "simpleknot", "genus-search", "L(7,3)", "0")
+    assert code == 0 and report["results"]["knots"] == ["K(7,3,1)", "K(7,3,3)"]
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # multiprocessing is imported only by a pentangle sweep with jobs > 1
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, surgeryforge.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_negative_fraction_positionals(capsys):

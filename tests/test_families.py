@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
+import families_oracle as oracle
+from surgeryforge import families
 from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    _gofk_sequences, _is_twist_shape,
                                    _template_instances,
@@ -83,6 +86,32 @@ def test_intersections_bound_8():
     assert set(r.case_3a[0]) == {-2, 2}      # the slope 3/2
     assert r.case_3b_matches_3a
     assert r.case_2b_count > 0               # family A is unconstrained
+
+
+def test_intersections_match_oracle_bounds_2_to_30():
+    for bound in range(2, 31):
+        got = verify_three_filling_intersections(bound)
+        want = oracle.verify_three_filling_intersections(bound)
+        for field in dataclasses.fields(got):
+            assert (getattr(got, field.name)
+                    == getattr(want, field.name)), (bound, field.name)
+
+
+def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
+    # a non-coprime label in the A family is reported under case 2b, not
+    # raised
+    clean = verify_three_filling_intersections(4)
+    labels = families._fam_a_labels
+    monkeypatch.setattr(
+        families, "_fam_a_labels",
+        lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
+        else labels(m, n))
+    r = verify_three_filling_intersections(4)
+    assert not r.ok
+    assert r.counterexamples == (("case_2b", ((2, 3),)),)
+    assert r.case_2b_count == clean.case_2b_count - 1
+    assert dataclasses.replace(r, case_2b_count=clean.case_2b_count,
+                               counterexamples=()) == clean
 
 
 def test_prop15_consistency():

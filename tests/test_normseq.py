@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import families_oracle as oracle
 from surgeryforge.lens import LensSpace, S3, S1XS2, homeo_oriented
 from surgeryforge.normseq import (NormSeq, Pow2, applicable_rewrites,
-                                  apply_rewrite, eval_items, format_items,
-                                  gofk_exponent_sums, norm_sequence_of,
-                                  parse_seq, reduce_seq, riemenschneider_dual,
-                                  to_lens)
+                                  apply_rewrite, dual_entries, eval_items,
+                                  format_items, gofk_exponent_sums,
+                                  norm_sequence_of, parse_seq, reduce_seq,
+                                  riemenschneider_dual, to_lens)
 from surgeryforge.rationals import cf_eval
 
 
@@ -140,6 +141,18 @@ def test_dual_involution_identity_and_point_rule():
                 assert (seq[-1] == 2) != (dual[-1] == 2), (seq, dual)
             checked += 1
     assert checked == sum(5 ** n for n in range(1, 7))
+
+
+def test_dual_matches_point_rule_oracle():
+    # the row-start dual against the dot-by-dot rule, and its involution
+    checked = 0
+    for length in range(1, 7):
+        for seq in product(range(2, 8), repeat=length):
+            dual = riemenschneider_dual(seq)
+            assert dual == oracle.riemenschneider_dual(seq), seq
+            assert dual_entries(dual.entries) == seq
+            checked += 1
+    assert checked == sum(6 ** n for n in range(1, 7))
 
 
 def test_dual_rejects_bad_input():
