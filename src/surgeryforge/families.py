@@ -23,13 +23,6 @@ from .rationals import INF, ExtRational, rat
 from .simpleknot import (SimpleKnot, canonical_triple, equivalent,
                          genus_primitive, knots_with_genus, star_solutions)
 
-SLOT_0 = rat(0)
-SLOT_1 = rat(1)
-SLOT_2 = rat(2)
-SLOT_3 = rat(3)
-SLOT_INF = INF
-
-
 @dataclass(frozen=True, slots=True)
 class FamilyFilling:
     family: str
@@ -61,10 +54,8 @@ def _x0(m, n, slot):
     _check((m, n) not in ((-1, 4), (-1, 5)), "X0", f"(m,n) = ({m},{n})")
     if slot == (0, 1):
         return LensSpace(6 * m - 1, 2 * m - 1)
-    if slot == (1, 0):
-        c = 1 - m * (4 - n)
-        return LensSpace(-n * c - m, c)
-    raise ExcludedParameter("X0: lens slots are 0 and inf")
+    c = 1 - m * (4 - n)
+    return LensSpace(-n * c - m, c)
 
 
 def _x1(m, pq, slot):
@@ -75,9 +66,7 @@ def _x1(m, pq, slot):
         # kept verbatim from the transcription although it is inconsistent
         # with the A/B families on shared manifolds
         return LensSpace(2 * m * (p - 3 * q) + p - q, m * (p - 3 * q) - q)
-    if slot == (1, 0):
-        return LensSpace(-m * (3 * p - q) + p, 3 * p - q)
-    raise ExcludedParameter("X1: lens slots are 1 and inf")
+    return LensSpace(-m * (3 * p - q) + p, 3 * p - q)
 
 
 def _x2(m, pq, slot):
@@ -86,9 +75,7 @@ def _x2(m, pq, slot):
     p, q = pq.num, pq.den
     if slot == (2, 1):
         return LensSpace(3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q)
-    if slot == (1, 0):
-        return LensSpace(-m * (2 * p - q) + p, 2 * p - q)
-    raise ExcludedParameter("X2: lens slots are 2 and inf")
+    return LensSpace(-m * (2 * p - q) + p, 2 * p - q)
 
 
 def _x3(m, n, slot):
@@ -96,9 +83,7 @@ def _x3(m, n, slot):
     _check(n not in (-1, 0, 1), "X3", f"n = {n}")
     if slot == (3, 1):
         return LensSpace((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2)
-    if slot == (1, 0):
-        return LensSpace(m + n - 1, -1)
-    raise ExcludedParameter("X3: lens slots are 3 and inf")
+    return LensSpace(m + n - 1, -1)
 
 
 def _fam_a_labels(m, n):
@@ -114,8 +99,6 @@ _A_SLOT_INDEX = {(1, 1): 0, (2, 1): 1, (1, 0): 2}
 def _fam_a(m, n, slot):
     _check(m not in (-1, 0, 1), "A", f"m = {m}")
     _check(n not in (0, 1), "A", f"n = {n}")
-    if slot not in _A_SLOT_INDEX:
-        raise ExcludedParameter("A: lens slots are 1, 2 and inf")
     return LensSpace(*_fam_a_labels(m, n)[_A_SLOT_INDEX[slot]])
 
 
@@ -126,18 +109,19 @@ def _fam_b(pq, slot):
         return LensSpace(-3 * p + 11 * q, 2 * p - 7 * q)
     if slot == (2, 1):
         return LensSpace(8 * p - 13 * q, 3 * p - 5 * q)
-    if slot == (1, 0):
-        return LensSpace(5 * p - 2 * q, 2 * p - q)
-    raise ExcludedParameter("B: lens slots are 1, 2 and inf")
+    return LensSpace(5 * p - 2 * q, 2 * p - q)
 
 
-FAMILY_SLOTS = {
-    "X0": (SLOT_0, SLOT_INF),
-    "X1": (SLOT_1, SLOT_INF),
-    "X2": (SLOT_2, SLOT_INF),
-    "X3": (SLOT_3, SLOT_INF),
-    "A": (SLOT_1, SLOT_2, SLOT_INF),
-    "B": (SLOT_1, SLOT_2, SLOT_INF),
+# name: (slot formula, parameter kinds, lens slots).  The formula takes the
+# parameters and then one of the lens slots, which family_lens checks, as a
+# (num, den) pair.
+FAMILIES = {
+    "X0": (_x0, (int, int), (rat(0), INF)),
+    "X1": (_x1, (int, ExtRational), (rat(1), INF)),
+    "X2": (_x2, (int, ExtRational), (rat(2), INF)),
+    "X3": (_x3, (int, int), (rat(3), INF)),
+    "A": (_fam_a, (int, int), (rat(1), rat(2), INF)),
+    "B": (_fam_b, (ExtRational,), (rat(1), rat(2), INF)),
 }
 
 
@@ -148,20 +132,15 @@ def family_lens(family, params, slot):
     with p/q an ExtRational.  Excluded parameters raise ExcludedParameter
     with the exclusion named.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    formula, _, slots = FAMILIES[family]
     key = (slot.num, slot.den) if isinstance(slot, ExtRational) else slot
-    if family == "X0":
-        return _x0(params[0], params[1], key)
-    if family == "X1":
-        return _x1(params[0], params[1], key)
-    if family == "X2":
-        return _x2(params[0], params[1], key)
-    if family == "X3":
-        return _x3(params[0], params[1], key)
-    if family == "A":
-        return _fam_a(params[0], params[1], key)
-    if family == "B":
-        return _fam_b(params[0], key)
-    raise ValueError(f"unknown family {family!r}")
+    if key not in [(s.num, s.den) for s in slots]:
+        names = ", ".join(str(s) for s in slots[:-1])
+        raise ExcludedParameter(
+            f"{family}: lens slots are {names} and {slots[-1]}")
+    return formula(*params, key)
 
 
 def family_triple(family, params):
@@ -169,7 +148,7 @@ def family_triple(family, params):
     return tuple(
         FamilyFilling(family, tuple(params), slot,
                       family_lens(family, params, slot))
-        for slot in FAMILY_SLOTS[family]
+        for slot in FAMILIES[family][2]
     )
 
 
@@ -316,11 +295,6 @@ def verify_three_filling_intersections(bound):
 # ---------------------------------------------------------------------------
 
 
-def _mu(alpha):
-    # alpha -> (1 - alpha)/(2 - alpha)
-    return ExtRational(alpha.den - alpha.num, 2 * alpha.den - alpha.num)
-
-
 @dataclass(frozen=True)
 class Prop15Row:
     setting: str
@@ -414,9 +388,6 @@ class CensusEntry:
     p: int
     q: int
     k: int
-
-    def knot(self):
-        return SimpleKnot(self.p, self.q, self.k)
 
     def __str__(self):
         return f"(p,q,k)=({self.p},{self.q},{self.k})"
@@ -761,10 +732,6 @@ def _equivalence_classes(knots):
 # ---------------------------------------------------------------------------
 # Once-punctured-torus surgery catalog: six families of surgery-dual pairs.
 # ---------------------------------------------------------------------------
-
-
-def _slope_str(num, den):
-    return str(ExtRational(num, den))
 
 
 def optsurg_catalog(family, k, ell=None):

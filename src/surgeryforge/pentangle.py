@@ -22,7 +22,6 @@ from .rationals import (INF, ZERO, ExtRational, cf_eval, corot_map,
 from .tangle import MontesinosLink, is_reciprocal_of_integer
 
 MINUS_ONE = rat(-1)
-ONE = rat(1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -68,7 +68,6 @@ class ExtRational:
 
 INF = ExtRational(1, 0)
 ZERO = ExtRational(0, 1)
-ONE = ExtRational(1, 1)
 
 
 def rat(num, den=1):

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from surgeryforge import families
-from surgeryforge.cli import main
+from surgeryforge.cli import COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -39,8 +45,8 @@ def test_pentangle_verify_exit_and_determinism(capsys):
     code1, out1 = run(capsys, "pentangle", "verify", "--bound", "2")
     assert code1 == 0
     assert json.loads(out1)["counterexamples"] == []
-    code2, out2 = run(capsys, "pentangle", "verify", "--bound", "2",
-                      "--jobs", "3")
+    code2, out2 = run(capsys, "--jobs", "3", "pentangle", "verify",
+                      "--bound", "2")
     assert code2 == 0
     assert out1 == out2  # byte-identical across --jobs
     code3, out3 = run(capsys, "pentangle", "verify", "--bound", "2")
@@ -107,13 +113,16 @@ def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
     # one error line on stderr, no traceback, exit 2
     cases = [["--jobs", "0", "pentangle", "verify", "--bound", "2"],
              ["--jobs", "-2", "pentangle", "verify", "--bound", "2"],
-             ["pentangle", "verify", "--bound", "2", "--jobs", "0"],
              ["families", "eval", "A", "3"],
              ["families", "eval", "B", "3", "4"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+    # --jobs is a global option only
+    assert main(["pentangle", "verify", "--bound", "2", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --jobs 2\n"
     monkeypatch.setenv("SURGERYFORGE_JOBS", "abc")
     assert main(["cf", "eval", "[3,2,2]"]) == 2
     err = capsys.readouterr().err
@@ -127,6 +136,17 @@ def test_cf_solve_tail_expands_blocks(capsys):
         assert code == 0
         assert got == run(capsys, "cf", "solve-tail", plain, "5")[1]
     assert main(["cf", "solve-tail", "(2^[-1],3)", "1"]) == 2
+
+
+def test_normseq_dual_expands_blocks(capsys):
+    code, got = run(capsys, "normseq", "dual", "(2^[2])")
+    assert code == 0
+    assert got == run(capsys, "normseq", "dual", "(2,2)")[1]
+    assert json.loads(got)["results"]["dual"] == "(3)"
+    assert main(["normseq", "dual", "(3,2^[-1],4)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2^[-1] has no plain expansion\n"
 
 
 def test_census_bounds_out_of_range_exit_2(capsys):
@@ -243,3 +263,77 @@ def test_genus_search_cli(capsys):
     assert code == 0 and report["results"]["knots"] == []
     code, report = run_json(capsys, "simpleknot", "genus-search", "L(5,4)", "1")
     assert "K(5,4,2)" in report["results"]["knots"]
+
+
+# Fields for the grammar fuzz: values of every kind the commands read, some
+# malformed by construction (0/0, 2^[-1], 2^[x], L(4,2), a lone "(").
+# Integers stay in -2..3, which caps every sweep and census bound at 3.
+_FUZZ_INT = st.integers(-2, 3).map(str)
+_FUZZ_SLOPE = (st.builds("{}/{}".format, st.integers(-3, 3),
+                         st.integers(-1, 3)) | st.just("inf"))
+_FUZZ_ITEM = _FUZZ_INT | st.sampled_from(("2^[-1]", "2^[0]", "2^[2]", "2^[x]"))
+_FUZZ_SEQ = st.lists(_FUZZ_ITEM, max_size=4).map(
+    lambda xs: "(" + ",".join(xs) + ")")
+_FUZZ_WORD = st.lists(_FUZZ_INT | _FUZZ_SLOPE, max_size=3).map(
+    lambda xs: "[" + ",".join(xs) + "]")
+_FUZZ_LENS = st.builds("L({},{})".format, st.integers(-1, 9),
+                       st.integers(-3, 9))
+_FUZZ_LINK = st.lists(_FUZZ_SLOPE, max_size=3).map(
+    lambda xs: "Q(" + ",".join(xs) + ")")
+_FUZZ_FIELD = st.one_of(
+    _FUZZ_INT, _FUZZ_SLOPE, _FUZZ_SEQ, _FUZZ_WORD, _FUZZ_LENS, _FUZZ_LINK,
+    st.sampled_from(("A", "B", "X0", "X1", "X2", "X3", "+1", "-1", "both",
+                     "", "x", "1.5", "(", "[3,2", "L(7", "Q(")))
+# The kind a field reads, by argument name, drawn half the time so that
+# deep paths are reached; the other half draws a field of any kind.
+_FUZZ_KINDS = {"seq": _FUZZ_SEQ, "prefix": _FUZZ_SEQ, "word": _FUZZ_WORD,
+               "lens": _FUZZ_LENS, "link": _FUZZ_LINK, "value": _FUZZ_SLOPE,
+               "slope": _FUZZ_SLOPE, "--x": _FUZZ_SLOPE}
+_FUZZ_GLOBALS = ([], [], [], ["--format", "text"], ["--format", "csv"],
+                 ["--jobs", "1"], ["--format", "xml"], ["--jobs", "0"],
+                 ["--jobs", "x"])
+_VERIFICATION = ("pentangle verify", "families census", "families verify")
+
+
+@st.composite
+def _fuzz_argv(draw, name):
+    """An argv for the command table entry name, with malformed fields and,
+    at times, a field too few or too many."""
+    argv = draw(st.sampled_from(_FUZZ_GLOBALS)) + name.split()
+    for flags, keywords in COMMANDS[name][0]:
+        flag = flags[0]
+        field = st.one_of(_FUZZ_KINDS.get(flag, _FUZZ_INT), _FUZZ_FIELD)
+        if not flag.startswith("-"):
+            nargs = keywords.get("nargs")
+            low, high = {"+": (1, 3), "?": (0, 1)}.get(nargs, (1, 1))
+            count = draw(st.integers(low, high))
+            argv += [draw(field) for _ in range(count)]
+        elif keywords.get("action") == "store_true":
+            argv += [flag] if draw(st.booleans()) else []
+        elif keywords.get("required") or draw(st.booleans()):
+            argv += [flag, draw(field)]
+    arity = draw(st.sampled_from(("keep", "keep", "keep", "drop", "add")))
+    if arity == "drop":
+        argv.pop()
+    elif arity == "add":
+        argv.append(draw(_FUZZ_FIELD))
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_grammar_fuzz(name, data):
+    # every input gives a report (exit 0, or 1 for a verification that found
+    # counterexamples) or one error line with exit 2, never a traceback
+    argv = data.draw(_fuzz_argv(name), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert (err.getvalue().startswith("error: ")
+                and err.getvalue().count("\n") == 1), argv
+    if code == 1:
+        assert name.startswith(_VERIFICATION), argv
