@@ -131,13 +131,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-# The command table: "module op" -> (arguments, handler), each argument a
-# (flags, keywords) pair for add_argument.  The entries "module op what"
-# share one "module op" parser, where what is a positional choice and each
-# entry adds its own arguments.  A handler returns (parameters, results) or
-# (parameters, results, counterexamples).  Handlers call library functions
-# through their modules at call time, so that a function replaced on its
-# module (by a test or a tracer) is the one that runs.
+# The command table: command words -> (arguments, handler), each argument a
+# (flags, keywords) pair for add_argument.  Each word is one subparser level,
+# and the arguments belong to the parser of the last word, which records
+# the entry's name as args.command.  A handler returns (parameters, results)
+# or (parameters, results, counterexamples).  Handlers call library
+# functions through their modules at call time, so that a function replaced
+# on its module (by a test or a tracer) is the one that runs.
 COMMANDS = {}
 
 
@@ -397,22 +397,18 @@ def _build_parser():
                              "or 1)")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
-    modules = parser.add_subparsers(dest="module", required=True)
-    ops, op_parsers = {}, {}
+    # the subparsers below each command prefix, keyed by its words
+    levels = {(): parser.add_subparsers(required=True)}
     for name, (arguments, _) in COMMANDS.items():
-        module, op, *what = name.split()
-        if module not in ops:
-            ops[module] = modules.add_parser(module).add_subparsers(
-                dest="op", required=True)
-        p = op_parsers.get((module, op))
-        if p is None:
-            p = op_parsers[module, op] = ops[module].add_parser(op)
-            if what:
-                p.add_argument("what", choices=[
-                    n.split()[2] for n in COMMANDS
-                    if n.startswith(f"{module} {op} ")])
+        words = tuple(name.split())
+        for depth in range(1, len(words)):
+            if words[:depth] not in levels:
+                levels[words[:depth]] = levels[words[:depth - 1]].add_parser(
+                    words[depth - 1]).add_subparsers(required=True)
+        leaf = levels[words[:-1]].add_parser(words[-1])
+        leaf.set_defaults(command=name)
         for flags, keywords in arguments:
-            p.add_argument(*flags, **keywords)
+            leaf.add_argument(*flags, **keywords)
     return parser
 
 
@@ -420,13 +416,10 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         args.jobs = _resolve_jobs(args)
-        name = f"{args.module} {args.op}"
-        if "what" in args:
-            name += f" {args.what}"
         started = time.monotonic()
-        outcome = COMMANDS[name][1](args)
+        outcome = COMMANDS[args.command][1](args)
         elapsed = int((time.monotonic() - started) * 1000)
-        return _emit(args, name, elapsed, *outcome)
+        return _emit(args, args.command, elapsed, *outcome)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

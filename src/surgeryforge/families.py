@@ -20,8 +20,8 @@ from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
 from .normseq import (NormSeq, dual_entries, gofk_exponent_sums,
                       norm_sequence_of, to_lens)
 from .rationals import INF, ExtRational, rat
-from .simpleknot import (SimpleKnot, canonical_triple, equivalent,
-                         genus_primitive, knots_with_genus, star_solutions)
+from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
+                         knots_with_genus, star_solutions)
 
 @dataclass(frozen=True, slots=True)
 class FamilyFilling:
@@ -150,21 +150,6 @@ def family_triple(family, params):
                       family_lens(family, params, slot))
         for slot in FAMILIES[family][2]
     )
-
-
-def wsl_identification(p):
-    """Fillings of the exterior of the p-surgery knot on the unknotted
-    component of the Whitehead sister link, per the A-family.
-
-    Both index orders of the claimed identification are evaluated; the order
-    A[2, p+4] is the one that reproduces the known surgeries, and the report
-    carries both for comparison."""
-    order_a = family_triple("A", (2, p + 4))
-    try:
-        order_b = family_triple("A", (p + 4, 2))
-    except ExcludedParameter:
-        order_b = ()
-    return {"A[2,p+4]": order_a, "A[p+4,2]": order_b}
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +362,10 @@ def prop15_consistency(bound):
 # ---------------------------------------------------------------------------
 # Census: lens spaces from positive integral surgery on a knot in S^3 that
 # contain a genus one fibered knot, with the homology class of the surgery
-# dual.  Small-type rows are fixed data; large types are generated from dual
-# sequence pairs pushed through six templates and filtered by the fibered
-# pattern shapes.  Entries are canonicalized by simple-knot equivalence.
+# dual.  The sporadic small-type rows are fixed data; the all-2s rows and the
+# large types are generated from dual sequence pairs pushed through six
+# templates and filtered by the fibered pattern shapes.  Entries are
+# canonicalized by simple-knot equivalence.
 # ---------------------------------------------------------------------------
 
 
@@ -539,14 +525,10 @@ def gofklens_census(t_bound, seq_bound):
     def add(entry, witness):
         entries.setdefault(entry, set()).add(witness)
 
-    # small types, as fixed rows
-    for n in range(1, seq_bound + 1):
-        seq = (2,) * n
-        add(_canonical_entry(n + 1, n, 1), str(NormSeq(seq)))
     for seq, label, k in _SMALL_TYPE_ROWS:
         add(_canonical_entry(label.p, label.q, k), str(NormSeq(seq)))
 
-    # large types from the template generation.  The dual class k solves
+    # the rest from the template generation.  The dual class k solves
     # -k^2 = q (mod p); the two infinite families carry their printed
     # classes (the core k = 1, respectively k = 3), which matters at
     # composite orders where the congruence has extra square roots.
@@ -718,15 +700,11 @@ def _genus_or_none(knot):
 
 
 def _equivalence_classes(knots):
-    classes = []
+    """The knots grouped by equivalence class, in order of first member."""
+    classes = {}
     for k in knots:
-        for cls in classes:
-            if equivalent(cls[0], k):
-                cls.append(k)
-                break
-        else:
-            classes.append([k])
-    return classes
+        classes.setdefault(canonical_triple(k.p, k.q, k.k), []).append(k)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -48,17 +48,6 @@ class LensSpace:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def h1_order(self):
-        """Order of first homology; 0 means infinite (S^1 x S^2)."""
-        return self.p
-
-    def is_s3(self):
-        return self.p == 1
-
-    def is_s1s2(self):
-        return self.p == 0
-
     def __str__(self):
         if self.p == 1:
             return "S3"

@@ -51,12 +51,6 @@ class NormSeq:
             return "weak"
         return "raw"
 
-    def reversed(self):
-        return NormSeq(tuple(reversed(self.entries)))
-
-    def __len__(self):
-        return len(self.entries)
-
     def __str__(self):
         return "(" + ",".join(str(e) for e in self.entries) + ")"
 

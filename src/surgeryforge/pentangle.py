@@ -194,14 +194,16 @@ def _corner_pairs(f):
     )
 
 
+def _meets(groups, lists):
+    """Whether a corner pair lies in the condition list of its pairing."""
+    return any(p in cond for pair_group, cond in zip(groups, lists)
+               for p in pair_group)
+
+
 def is_nonhyperbolic(f):
     """True when a listed degeneration is forced by the four corner slopes."""
-    if any((s.num, s.den) in _TRIVIAL for s in f.corners()):
-        return True
-    for pair_group, cond in zip(_corner_pairs(f), NONHYP_LISTS):
-        if any(p in cond for p in pair_group):
-            return True
-    return False
+    return (any((s.num, s.den) in _TRIVIAL for s in f.corners())
+            or _meets(_corner_pairs(f), NONHYP_LISTS))
 
 
 class P3Factor(Enum):
@@ -211,21 +213,16 @@ class P3Factor(Enum):
     BOTH = "both"
 
 
+# (factors through P3, factors through its mirror) -> P3Factor
+_P3_FACTOR = {(False, False): P3Factor.NO, (True, False): P3Factor.P3,
+              (False, True): P3Factor.MIRROR_P3, (True, True): P3Factor.BOTH}
+
+
 def factors_through_P3(f):
     """Table lookup over the factoring condition lists (and mirror lists)."""
-    plain = any(p in cond
-                for pair_group, cond in zip(_corner_pairs(f), P3_LISTS)
-                for p in pair_group)
-    mirrored = any(p in cond
-                   for pair_group, cond in zip(_corner_pairs(f), MIRROR_P3_LISTS)
-                   for p in pair_group)
-    if plain and mirrored:
-        return P3Factor.BOTH
-    if plain:
-        return P3Factor.P3
-    if mirrored:
-        return P3Factor.MIRROR_P3
-    return P3Factor.NO
+    groups = _corner_pairs(f)
+    return _P3_FACTOR[_meets(groups, P3_LISTS),
+                      _meets(groups, MIRROR_P3_LISTS)]
 
 
 def simplifies(f):

@@ -54,10 +54,6 @@ class ExtRational:
     def is_integer(self):
         return self.den == 1
 
-    def sort_key(self):
-        # Deterministic total order on representations, not the numeric order.
-        return (self.den == 0, self.num, self.den)
-
     def __str__(self):
         if self.den == 0:
             return "inf"
@@ -96,11 +92,6 @@ def reciprocal(x):
     return _mobius(x, 0, 1, 1, 0)
 
 
-def negate(x):
-    """x -> -x; fixes 0 and inf."""
-    return _mobius(x, -1, 0, 0, 1)
-
-
 def shift(x, n):
     """x -> x + n for an integer n; fixes inf."""
     return _mobius(x, 1, n, 0, 1)
@@ -121,42 +112,9 @@ def one_minus_reciprocal(x):
     return _mobius(x, 1, -1, 1, 0)
 
 
-def add(x, y):
-    """Rational addition with inf absorbing (inf + y = inf)."""
-    if x.is_infinite or y.is_infinite:
-        return INF
-    return ExtRational(x.num * y.den + y.num * x.den, x.den * y.den)
-
-
-MOBIUS_MAPS = {
-    "reciprocal": reciprocal,
-    "negate": negate,
-    "f": rot_map,
-    "g": corot_map,
-}
-
-
-def mobius(x, name, n=None):
-    """Apply a named Moebius map; name 'shift' uses the integer n."""
-    if name == "shift":
-        if n is None:
-            raise ValueError("shift needs an integer amount")
-        return shift(x, n)
-    try:
-        return MOBIUS_MAPS[name](x)
-    except KeyError:
-        raise ValueError(f"unknown Moebius map {name!r}") from None
-
-
-def cf_step(coeff, x):
-    """One minus-convention step: coeff - 1/x (coeff may be an ExtRational)."""
-    if isinstance(coeff, int):
-        coeff = ExtRational(coeff)
-    if x.is_infinite:
-        return coeff
-    if x.num == 0:
-        return INF
-    return add(coeff, ExtRational(-x.den, x.num))
+def cf_step(c, x):
+    """One minus-convention step for an integer c: c - 1/x."""
+    return ExtRational(c * x.num - x.den, x.num)
 
 
 def cf_eval(coeffs):
@@ -166,14 +124,12 @@ def cf_eval(coeffs):
     ExtRational (a rational tail).  The empty sequence evaluates to inf.
     """
     coeffs = list(coeffs)
-    for i, c in enumerate(coeffs):
-        if not isinstance(c, int):
-            if not isinstance(c, ExtRational):
-                raise TypeError(f"coefficient {c!r} is neither int nor ExtRational")
-            if i != len(coeffs) - 1:
-                raise ValueError("only the final entry may be non-integral")
     value = INF
+    if coeffs and isinstance(coeffs[-1], ExtRational):
+        value = coeffs.pop()
     for c in reversed(coeffs):
+        if not isinstance(c, int):
+            raise ValueError("only the final entry may be non-integral")
         value = cf_step(c, value)
     return value
 

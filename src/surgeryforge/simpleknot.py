@@ -15,7 +15,6 @@ A_i - A_{i+1} = (1/p) * (res(i q^-1) - res((i+k) q^-1)), residues in
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -34,29 +33,11 @@ class SimpleKnot:
             raise ValueError("need 0 < k < p")
 
     @property
-    def k_canonical(self):
-        """k and p-k name the same unoriented knot; report the smaller."""
-        return min(self.k, self.p - self.k)
-
-    @property
     def homological_order(self):
         return self.p // gcd(self.p, self.k)
 
     def __str__(self):
         return f"K({self.p},{self.q},{self.k})"
-
-
-@dataclass(frozen=True, slots=True)
-class GradingSet:
-    """Symmetrized generator gradings: a multiset of exact rationals."""
-
-    values: tuple
-
-    def max(self):
-        return max(self.values)
-
-    def min(self):
-        return min(self.values)
 
 
 def _orbit(p, q, k):
@@ -97,15 +78,6 @@ def _relative_gradings(p, q, k):
         c -= (i * qi) % p - ((i + k) * qi) % p
         cs.append(c)
     return cs
-
-
-def alexander_set(knot):
-    """The symmetrized grading multiset (max = -min, exact rationals)."""
-    p, q, k = knot.p, knot.q, knot.k
-    cs = _relative_gradings(p, q, k)
-    top, bot = max(cs), min(cs)
-    vals = tuple(sorted(Fraction(2 * c - top - bot, 2 * p) for c in cs))
-    return GradingSet(vals)
 
 
 def euler_char(knot):

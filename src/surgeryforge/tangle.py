@@ -19,18 +19,10 @@ def is_reciprocal_of_integer(x):
     return x.den == 0 or abs(x.num) == 1
 
 
-def sum_is_rational(a, b):
-    """Necessary condition for the tangle sum a + b to be rational."""
-    return is_reciprocal_of_integer(a) or is_reciprocal_of_integer(b)
-
-
 @dataclass(frozen=True, slots=True)
 class MontesinosLink:
-    """Q(A,B,C): an ordered triple of rational tangle values.
-
-    Factors are stored exactly as produced; fingerprint() gives an
-    order-independent key for comparison.
-    """
+    """Q(A,B,C): an ordered triple of rational tangle values, stored
+    exactly as produced."""
 
     factors: tuple
 
@@ -39,9 +31,6 @@ class MontesinosLink:
         if not all(isinstance(f, ExtRational) for f in factors):
             raise TypeError("factors must be ExtRational values")
         object.__setattr__(self, "factors", factors)
-
-    def fingerprint(self):
-        return tuple(sorted((f.num, f.den) for f in self.factors))
 
     def __str__(self):
         return "Q(" + ",".join(str(f) for f in self.factors) + ")"

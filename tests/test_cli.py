@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -114,7 +115,10 @@ def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
     cases = [["--jobs", "0", "pentangle", "verify", "--bound", "2"],
              ["--jobs", "-2", "pentangle", "verify", "--bound", "2"],
              ["families", "eval", "A", "3"],
-             ["families", "eval", "B", "3", "4"]]
+             ["families", "eval", "B", "3", "4"],
+             # options follow the last command word, and alt-gofk has none
+             ["families", "verify", "alt-gofk", "--bound", "3"],
+             ["families", "verify", "--bound", "4", "intersections"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -221,6 +225,24 @@ def test_negative_fraction_positionals(capsys):
     assert code == 0
     assert plain == dashed
     assert json.loads(plain)["parameters"]["filling"] == "P(-7/3,1,2,3)"
+
+
+def test_reports_match_recorded_digests():
+    # every report recorded in perfbench/digests.json, as "exit:sha256 of
+    # stdout", is reproduced byte for byte
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "digests.json")
+    with open(path) as f:
+        digests = json.load(f)
+    got = {}
+    for key in digests:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(key.split())
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        got[key] = f"{code}:{digest}"
+    assert got == digests
 
 
 def test_formats(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from math import gcd
 
 import pytest
 
@@ -12,11 +13,11 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    family_triple, figure_eight_sister_triple,
                                    gofklens_census, optsurg_catalog,
                                    prop15_consistency,
-                                   verify_three_filling_intersections,
-                                   wsl_identification)
+                                   verify_three_filling_intersections)
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
 from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
 from surgeryforge.rationals import INF, rat
+from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
 
 
 def lenses(family, params):
@@ -69,12 +70,13 @@ def test_x_families_against_known_overlaps():
 
 
 def test_wsl_identification_index_order():
-    w = wsl_identification(1)
-    good = {str(f.lens) for f in w["A[2,p+4]"]}
+    # the exterior of the 1-surgery knot on the unknotted component of the
+    # Whitehead sister link is A[2, p+4] with p = 1, not A[p+4, 2]
+    good = {str(f.lens) for f in family_triple("A", (2, 5))}
     assert good == {"S3", "L(31,17)", "L(32,25)"}
-    other = {str(f.lens) for f in w["A[p+4,2]"]}
-    assert {l.p for l in (f.lens for f in w["A[p+4,2]"])} != {1, 31, 32}
-    assert other != good
+    other = family_triple("A", (5, 2))
+    assert {f.lens.p for f in other} != {1, 31, 32}
+    assert {str(f.lens) for f in other} != good
 
 
 def test_intersections_bound_8():
@@ -228,6 +230,25 @@ def test_alt_gofk_pipeline():
     cands18 = r.star_stage[r.final[0]["alternative_lens"]]
     assert "excluded" in cands18[17]
     assert cands18[19]["solutions"]["+1"] and cands18[19]["solutions"]["-1"]
+
+
+def test_equivalence_classes_match_pairwise_scan():
+    # grouping by canonical triple gives the classes, and their order, of a
+    # scan that compares each knot with the first member of every class
+    for p in range(2, 80):
+        knots = [SimpleKnot(p, s.q, s.k) for eps in (1, -1)
+                 for s in star_solutions(p, eps)]
+        knots += [SimpleKnot(p, q, k) for q in range(1, p) for k in (1, 2)
+                  if gcd(p, q) == 1 and k < p]
+        scan = []
+        for k in knots:
+            for cls in scan:
+                if equivalent(cls[0], k):
+                    cls.append(k)
+                    break
+            else:
+                scan.append([k])
+        assert families._equivalence_classes(knots) == scan, p
 
 
 def _pq(text):

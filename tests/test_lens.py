@@ -93,8 +93,8 @@ def test_reversal_longer_words(word):
 def test_h1_invariance():
     for p, q in ((5, 2), (18, 5), (32, 7), (1, 0), (0, 1)):
         lens = LensSpace(p, q)
-        assert mirror(lens).h1_order == lens.h1_order
-        assert LensSpace(-p, -q).h1_order == lens.h1_order
+        assert mirror(lens).p == lens.p
+        assert LensSpace(-p, -q).p == lens.p
 
 
 def test_parse_lens():

@@ -2,7 +2,7 @@ from itertools import permutations
 
 from surgeryforge.rationals import INF, rat
 from surgeryforge.tangle import (MontesinosLink, is_reciprocal_of_integer,
-                                 montesinos_is_two_bridge, sum_is_rational)
+                                 montesinos_is_two_bridge)
 
 
 def test_reciprocal_of_integer():
@@ -29,12 +29,6 @@ def test_reciprocal_sweep():
                                                    (x.num != 0 or x.den == 0))
 
 
-def test_sum_is_rational():
-    assert sum_is_rational(rat(1, 2), rat(7, 3))
-    assert not sum_is_rational(rat(2, 3), rat(5, 7))
-    assert sum_is_rational(rat(-1, 4), rat(9, 5))
-
-
 def test_montesinos_two_bridge():
     assert montesinos_is_two_bridge(MontesinosLink((rat(-2), rat(1, 2), rat(7, 3))))
     # the three factors of the tabulated first-case chart at generic values
@@ -50,6 +44,3 @@ def test_montesinos_permutation_invariance():
     values = {montesinos_is_two_bridge(MontesinosLink(p))
               for p in permutations(factors)}
     assert values == {True}
-    fingerprints = {MontesinosLink(p).fingerprint()
-                    for p in permutations(factors)}
-    assert len(fingerprints) == 1
