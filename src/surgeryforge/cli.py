@@ -51,15 +51,8 @@ def _emit_csv(report):
     rows = report["results"]
     if isinstance(rows, dict):
         rows = [rows]
-    if not isinstance(rows, list):
-        rows = [{"value": rows}]
-    scalar_rows = []
-    for row in rows:
-        if not isinstance(row, dict):
-            scalar_rows.append({"value": row})
-        else:
-            scalar_rows.append({k: v for k, v in row.items()
-                                if not isinstance(v, (dict, list))})
+    scalar_rows = [{k: v for k, v in row.items()
+                    if not isinstance(v, (dict, list))} for row in rows]
     keys = sorted({k for row in scalar_rows for k in row})
     print(",".join(keys))
     for row in scalar_rows:
@@ -74,11 +67,9 @@ def _emit_text(report):
     if isinstance(results, dict):
         for key, val in sorted(results.items()):
             print(f"{key}: {val}")
-    elif isinstance(results, list):
+    else:
         for row in results:
             print(row)
-    else:
-        print(results)
     ces = report["counterexamples"]
     print(f"counterexamples: {len(ces)}")
     for ce in ces:
@@ -135,7 +126,8 @@ class _Parser(argparse.ArgumentParser):
 # (flags, keywords) pair for add_argument.  Each word is one subparser level,
 # and the arguments belong to the parser of the last word, which records
 # the entry's name as args.command.  A handler returns (parameters, results)
-# or (parameters, results, counterexamples).  Handlers call library
+# or (parameters, results, counterexamples), with results a dict or a list
+# of dicts, which is what the emitters read.  Handlers call library
 # functions through their modules at call time, so that a function replaced
 # on its module (by a test or a tracer) is the one that runs.
 COMMANDS = {}

@@ -44,46 +44,41 @@ def _check(cond, family, message):
         raise ExcludedParameter(f"{family}: excluded parameters ({message})")
 
 
-_X_PQ_EXCLUDED = {(0, 1), (1, 1), (2, 1), (3, 1), (1, 0)}
-_B_PQ_EXCLUDED = {(0, 1), (1, 1), (3, 2), (2, 1), (3, 1), (1, 0)}
+_X_PQ_EXCLUDED = {rat(0), rat(1), rat(2), rat(3), INF}
+_B_PQ_EXCLUDED = {rat(0), rat(1), rat(3, 2), rat(2), rat(3), INF}
 
 
-def _x0(m, n, slot):
+def _x0(m, n):
     _check(m != 0, "X0", "m = 0")
     _check(n not in (0, 1, 2, 3), "X0", f"n = {n}")
     _check((m, n) not in ((-1, 4), (-1, 5)), "X0", f"(m,n) = ({m},{n})")
-    if slot == (0, 1):
-        return LensSpace(6 * m - 1, 2 * m - 1)
     c = 1 - m * (4 - n)
-    return LensSpace(-n * c - m, c)
+    return (6 * m - 1, 2 * m - 1), (-n * c - m, c)
 
 
-def _x1(m, pq, slot):
+def _x1(m, pq):
     _check(m not in (0, 1), "X1", f"m = {m}")
-    _check((pq.num, pq.den) not in _X_PQ_EXCLUDED, "X1", f"p/q = {pq}")
+    _check(pq not in _X_PQ_EXCLUDED, "X1", f"p/q = {pq}")
     p, q = pq.num, pq.den
-    if slot == (1, 1):
-        # kept verbatim from the transcription although it is inconsistent
-        # with the A/B families on shared manifolds
-        return LensSpace(2 * m * (p - 3 * q) + p - q, m * (p - 3 * q) - q)
-    return LensSpace(-m * (3 * p - q) + p, 3 * p - q)
+    # the slot-1 label is kept verbatim from the transcription although it
+    # is inconsistent with the A/B families on shared manifolds
+    return ((2 * m * (p - 3 * q) + p - q, m * (p - 3 * q) - q),
+            (-m * (3 * p - q) + p, 3 * p - q))
 
 
-def _x2(m, pq, slot):
+def _x2(m, pq):
     _check(m not in (-1, 0, 1), "X2", f"m = {m}")
-    _check((pq.num, pq.den) not in _X_PQ_EXCLUDED, "X2", f"p/q = {pq}")
+    _check(pq not in _X_PQ_EXCLUDED, "X2", f"p/q = {pq}")
     p, q = pq.num, pq.den
-    if slot == (2, 1):
-        return LensSpace(3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q)
-    return LensSpace(-m * (2 * p - q) + p, 2 * p - q)
+    return ((3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q),
+            (-m * (2 * p - q) + p, 2 * p - q))
 
 
-def _x3(m, n, slot):
+def _x3(m, n):
     _check(m not in (-1, 0, 1), "X3", f"m = {m}")
     _check(n not in (-1, 0, 1), "X3", f"n = {n}")
-    if slot == (3, 1):
-        return LensSpace((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2)
-    return LensSpace(m + n - 1, -1)
+    return (((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2),
+            (m + n - 1, -1))
 
 
 def _fam_a_labels(m, n):
@@ -93,28 +88,21 @@ def _fam_a_labels(m, n):
             (5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m))
 
 
-_A_SLOT_INDEX = {(1, 1): 0, (2, 1): 1, (1, 0): 2}
-
-
-def _fam_a(m, n, slot):
+def _fam_a(m, n):
     _check(m not in (-1, 0, 1), "A", f"m = {m}")
     _check(n not in (0, 1), "A", f"n = {n}")
-    return LensSpace(*_fam_a_labels(m, n)[_A_SLOT_INDEX[slot]])
+    return _fam_a_labels(m, n)
 
 
-def _fam_b(pq, slot):
-    _check((pq.num, pq.den) not in _B_PQ_EXCLUDED, "B", f"p/q = {pq}")
+def _fam_b(pq):
+    _check(pq not in _B_PQ_EXCLUDED, "B", f"p/q = {pq}")
     p, q = pq.num, pq.den
-    if slot == (1, 1):
-        return LensSpace(-3 * p + 11 * q, 2 * p - 7 * q)
-    if slot == (2, 1):
-        return LensSpace(8 * p - 13 * q, 3 * p - 5 * q)
-    return LensSpace(5 * p - 2 * q, 2 * p - q)
+    return ((-3 * p + 11 * q, 2 * p - 7 * q), (8 * p - 13 * q, 3 * p - 5 * q),
+            (5 * p - 2 * q, 2 * p - q))
 
 
-# name: (slot formula, parameter kinds, lens slots).  The formula takes the
-# parameters and then one of the lens slots, which family_lens checks, as a
-# (num, den) pair.
+# name: (label formula, parameter kinds, lens slots).  The formula checks
+# the exclusions and returns the raw labels (p, q) of the slots, in order.
 FAMILIES = {
     "X0": (_x0, (int, int), (rat(0), INF)),
     "X1": (_x1, (int, ExtRational), (rat(1), INF)),
@@ -135,12 +123,11 @@ def family_lens(family, params, slot):
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     formula, _, slots = FAMILIES[family]
-    key = (slot.num, slot.den) if isinstance(slot, ExtRational) else slot
-    if key not in [(s.num, s.den) for s in slots]:
+    if slot not in slots:
         names = ", ".join(str(s) for s in slots[:-1])
         raise ExcludedParameter(
             f"{family}: lens slots are {names} and {slots[-1]}")
-    return formula(*params, key)
+    return LensSpace(*formula(*params)[slots.index(slot)])
 
 
 def family_triple(family, params):
@@ -302,16 +289,13 @@ class Prop15Report:
         return not self.counterexamples
 
 
+# (oriented-equal, mirror-equal) -> relation
+_RELATION = {(True, True): "both", (True, False): "equal",
+             (False, True): "mirror", (False, False): "mismatch"}
+
+
 def _relation(l1, l2):
-    eq = homeo_oriented(l1, l2)
-    mir = homeo_oriented(l1, mirror(l2))
-    if eq and mir:
-        return "both"
-    if eq:
-        return "equal"
-    if mir:
-        return "mirror"
-    return "mismatch"
+    return _RELATION[homeo_oriented(l1, l2), homeo_oriented(l1, mirror(l2))]
 
 
 def prop15_consistency(bound):
@@ -320,9 +304,20 @@ def prop15_consistency(bound):
     rows = []
     bad = []
 
-    def record(setting, param, alpha, lhs, rhs, flagged=False):
+    def record(setting, param, a, slot, partner, flagged=False):
+        # compare A[a] at the slot with the partner (family, params, slot)
+        lhs = family_lens("A", a, slot)
+        try:
+            rhs = family_lens(*partner)
+        except ValueError:
+            if not flagged:
+                raise
+            rows.append(Prop15Row(setting, param, str(slot), str(lhs),
+                                  "invalid label", "mismatch", True))
+            return
         rel = _relation(lhs, rhs)
-        row = Prop15Row(setting, param, alpha, str(lhs), str(rhs), rel, flagged)
+        row = Prop15Row(setting, param, str(slot), str(lhs), str(rhs), rel,
+                        flagged)
         rows.append(row)
         if rel == "mismatch" and not flagged:
             bad.append(row)
@@ -332,28 +327,21 @@ def prop15_consistency(bound):
         if m in (-1, 0, 1):
             continue
         pq = _recip_shift(1, -m)  # 1 + 1/m
-        record("A[m,-1]", m, "1", _fam_a(m, -1, (1, 1)), _x2(2, pq, (1, 0)))
-        record("A[m,-1]", m, "2", _fam_a(m, -1, (2, 1)), _x3(-2, -m, (3, 1)))
-        record("A[m,-1]", m, "inf", _fam_a(m, -1, (1, 0)), _x2(2, pq, (2, 1)))
+        record("A[m,-1]", m, (m, -1), rat(1), ("X2", (2, pq), INF))
+        record("A[m,-1]", m, (m, -1), rat(2), ("X3", (-2, -m), rat(3)))
+        record("A[m,-1]", m, (m, -1), INF, ("X2", (2, pq), rat(2)))
 
     # Setting II: A[2,n] = M3(3/2, 3-1/n) against M3(4, mu(slot), 1/n).
     for n in range(-bound, bound + 1):
         if n in (0, 1):
             continue
-        record("A[2,n]", n, "1", _fam_a(2, n, (1, 1)), _x0(-n, 4, (0, 1)))
-        record("A[2,n]", n, "2", _fam_a(2, n, (2, 1)), _x0(-n, 4, (1, 0)))
+        record("A[2,n]", n, (2, n), rat(1), ("X0", (-n, 4), rat(0)))
+        record("A[2,n]", n, (2, n), rat(2), ("X0", (-n, 4), INF))
         # the partner of the inf slot is the slot-1 formula of X1, which is
         # the known-inconsistent one (it can even produce non-coprime labels);
         # computed and flagged, never counted against the check
-        try:
-            partner = _x1(-1, ExtRational(1, n), (1, 1))
-        except ValueError:
-            rows.append(Prop15Row("A[2,n]", n, "inf",
-                                  str(_fam_a(2, n, (1, 0))),
-                                  "invalid label", "mismatch", True))
-        else:
-            record("A[2,n]", n, "inf", _fam_a(2, n, (1, 0)), partner,
-                   flagged=True)
+        record("A[2,n]", n, (2, n), INF,
+               ("X1", (-1, ExtRational(1, n)), rat(1)), flagged=True)
 
     return Prop15Report(bound=bound, rows=tuple(rows),
                         counterexamples=tuple(bad))
@@ -495,20 +483,12 @@ def _census_targets(t_bound, seq_bound):
     """The nine-family list restricted to what the bounded generation can
     reach: the fixed rows, the surgery-dual unknot family, and the
     one-parameter twist family (whose index ranges down to t = -1)."""
-    targets = {}
-
-    def add(name, p, q, k):
-        targets.setdefault(_canonical_entry(p, q, k), name)
-
-    for p, q, k in ((7, 3, 2), (13, 4, 3), (13, 9, 2), (18, 11, 5),
-                    (19, 3, 4), (27, 11, 4), (32, 7, 5)):
-        add(f"fixed({p},{q},{k})", p, q, k)
-    for n in range(1, seq_bound + 1):
-        add("unknot-family", n + 1, n, 1)
-    for t in range(-1, t_bound + 1):
-        p = 9 * t + 14
-        add(f"twist-family(t={t})", p, (-9) % p, 3)
-    return targets
+    triples = [(7, 3, 2), (13, 4, 3), (13, 9, 2), (18, 11, 5), (19, 3, 4),
+               (27, 11, 4), (32, 7, 5)]
+    triples += [(n + 1, n, 1) for n in range(1, seq_bound + 1)]
+    triples += [(9 * t + 14, (-9) % (9 * t + 14), 3)
+                for t in range(-1, t_bound + 1)]
+    return {_canonical_entry(*triple) for triple in triples}
 
 
 def gofklens_census(t_bound, seq_bound):
@@ -580,13 +560,6 @@ class PipelineReport:
         return not self.counterexamples
 
 
-def _exponent_sets(lens):
-    """Exponent sums present in the lens space and in its mirror."""
-    own = gofk_exponent_sums(norm_sequence_of(lens))
-    mir = gofk_exponent_sums(norm_sequence_of(mirror(lens)))
-    return own, mir
-
-
 def alt_gofk_pipeline():
     """Reproduce the elimination that pins down the two knots with an
     alternative surgery."""
@@ -616,7 +589,8 @@ def alt_gofk_pipeline():
     survivors = []
     for (p, q), es in stage_ab.items():
         lens = LensSpace(p, q)
-        own, mir = _exponent_sets(lens)
+        own = gofk_exponent_sums(norm_sequence_of(lens))
+        mir = gofk_exponent_sums(norm_sequence_of(mirror(lens)))
         keep = bool((own | mir) & {-1, 1, 3})
         exponent_info[str(lens)] = {
             "own": tuple(sorted(own)), "mirror": tuple(sorted(mir)),

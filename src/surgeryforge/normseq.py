@@ -29,6 +29,10 @@ class Pow2:
 
     t: int
 
+    def __post_init__(self):
+        if self.t < -1:
+            raise ValueError(f"2^[{self.t}] is undefined: blocks need t >= -1")
+
     def __str__(self):
         return f"2^[{self.t}]"
 
@@ -52,7 +56,7 @@ class NormSeq:
         return "raw"
 
     def __str__(self):
-        return "(" + ",".join(str(e) for e in self.entries) + ")"
+        return format_items(self.entries)
 
 
 def parse_seq(text):

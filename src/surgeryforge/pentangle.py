@@ -16,10 +16,12 @@ bounded height and confirms there are no counterexamples.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 from .rationals import (INF, ZERO, ExtRational, cf_eval, corot_map,
                         one_minus_reciprocal, rat, reciprocal, rot_map, shift)
-from .tangle import MontesinosLink, is_reciprocal_of_integer
+from .tangle import (MontesinosLink, is_reciprocal_of_integer,
+                     montesinos_is_two_bridge)
 
 MINUS_ONE = rat(-1)
 
@@ -239,13 +241,9 @@ def simplifies(f):
 # ---------------------------------------------------------------------------
 
 
-def _is_neg_reciprocal(s):
-    # s = [0,h] = -1/h for integer h (h = 0 gives inf)
-    return s.is_infinite or abs(s.num) == 1
-
-
 def _h_param(s):
-    # solve s = -1/h
+    # solve s = [0,h] = -1/h for integer h (h = 0 gives inf), given
+    # is_reciprocal_of_integer(s)
     if s.is_infinite:
         return 0
     return -s.den * s.num  # s.num is +-1 here
@@ -265,7 +263,7 @@ def _m_param(s):
 
 def _row_west(t):
     """x = 0 row: needs nw = [0,h]; gives Q([-1,h,sw], [ne], [se])."""
-    if not _is_neg_reciprocal(t.nw):
+    if not is_reciprocal_of_integer(t.nw):
         return None
     return MontesinosLink((cf_eval([-1, _h_param(t.nw), t.sw]), t.ne, t.se))
 
@@ -313,9 +311,8 @@ def montesinos_presentations(f, x):
 def two_bridge_necessary(f, x):
     """Necessary condition for the x-filling to be a two-bridge link:
     some Montesinos presentation exists with a reciprocal-integer factor."""
-    return any(is_reciprocal_of_integer(factor)
-               for link in montesinos_presentations(f, x)
-               for factor in link.factors)
+    return any(montesinos_is_two_bridge(link)
+               for link in montesinos_presentations(f, x))
 
 
 X_FILLINGS = (ZERO, INF, MINUS_ONE)
@@ -327,26 +324,19 @@ X_FILLINGS = (ZERO, INF, MINUS_ONE)
 # ---------------------------------------------------------------------------
 
 ROW_CONSTRAINTS = {
-    "WxNW": lambda f: _is_neg_reciprocal(f.nw),
-    "WxSW": lambda f: _is_neg_reciprocal(f.sw),
-    "ExNE": lambda f: _is_neg_reciprocal(f.ne),
-    "ExSE": lambda f: _is_neg_reciprocal(f.se),
+    "WxNW": lambda f: is_reciprocal_of_integer(f.nw),
+    "WxSW": lambda f: is_reciprocal_of_integer(f.sw),
+    "ExNE": lambda f: is_reciprocal_of_integer(f.ne),
+    "ExSE": lambda f: is_reciprocal_of_integer(f.se),
     "NxNW": lambda f: f.nw.is_integer,
     "NxNE": lambda f: f.ne.is_integer,
     "FxNE": lambda f: _is_one_minus_reciprocal(f.ne),
     "FxSW": lambda f: _is_one_minus_reciprocal(f.sw),
 }
 
-CASE_TRIPLES = {
-    1: ("WxNW", "NxNW", "FxNE"), 2: ("WxNW", "NxNW", "FxSW"),
-    3: ("WxNW", "NxNE", "FxNE"), 4: ("WxNW", "NxNE", "FxSW"),
-    5: ("WxSW", "NxNW", "FxNE"), 6: ("WxSW", "NxNW", "FxSW"),
-    7: ("WxSW", "NxNE", "FxNE"), 8: ("WxSW", "NxNE", "FxSW"),
-    9: ("ExNE", "NxNW", "FxNE"), 10: ("ExNE", "NxNW", "FxSW"),
-    11: ("ExNE", "NxNE", "FxNE"), 12: ("ExNE", "NxNE", "FxSW"),
-    13: ("ExSE", "NxNW", "FxNE"), 14: ("ExSE", "NxNW", "FxSW"),
-    15: ("ExSE", "NxNE", "FxNE"), 16: ("ExSE", "NxNE", "FxSW"),
-}
+# one x = 0 row, one x = inf row and one x = -1 row per case, numbered 1-16
+CASE_TRIPLES = dict(enumerate(product(("WxNW", "WxSW", "ExNE", "ExSE"),
+                                      ("NxNW", "NxNE"), ("FxNE", "FxSW")), 1))
 
 
 def case_holds(case, f):
@@ -429,7 +419,7 @@ class _SweepTables:
                     m |= 1 << j
             return m
 
-        self.in0 = [_is_neg_reciprocal(s) for s in slopes]
+        self.in0 = [is_reciprocal_of_integer(s) for s in slopes]
         self.m0 = mask(self.in0)
         self.ininf = [s.is_integer for s in slopes]
         self.minf = mask(self.ininf)

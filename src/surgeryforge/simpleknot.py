@@ -42,18 +42,11 @@ class SimpleKnot:
 
 def _orbit(p, q, k):
     """Closure of (q mod p, k mod p) under the two equivalence moves:
-    k -> -k, and (q, k) -> (q^-1, q^-1 k)."""
-    start = (q % p, k % p)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        qq, kk = frontier.pop()
-        qi = pow(qq, -1, p)
-        for nxt in ((qq, (-kk) % p), (qi, (qi * kk) % p), (qi, (-qi * kk) % p)):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    k -> -k, and (q, k) -> (q^-1, q^-1 k).  Both moves are involutions and
+    they commute, so the closure is {(q, +-k), (q^-1, +-q^-1 k)} mod p."""
+    qi = pow(q % p, -1, p)
+    return {(q % p, k % p), (q % p, -k % p),
+            (qi, qi * k % p), (qi, -qi * k % p)}
 
 
 def equivalent(k1, k2):

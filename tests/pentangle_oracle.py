@@ -5,10 +5,11 @@ surgeryforge.pentangle is tested against."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, P3_LISTS, _NONHYP_A,
                                     _NONHYP_B, _NONHYP_C, _TRIVIAL,
-                                    _h_param, _is_neg_reciprocal,
+                                    _h_param,
                                     _is_one_minus_reciprocal, _key, _m_param)
 from surgeryforge.rationals import cf_eval, shift
-from surgeryforge.tangle import is_reciprocal_of_integer
+from surgeryforge.tangle import (is_reciprocal_of_integer,
+                                 is_reciprocal_of_integer as _is_neg_reciprocal)
 
 
 class _SweepTables:

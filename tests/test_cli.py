@@ -118,7 +118,11 @@ def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
              ["families", "eval", "B", "3", "4"],
              # options follow the last command word, and alt-gofk has none
              ["families", "verify", "alt-gofk", "--bound", "3"],
-             ["families", "verify", "--bound", "4", "intersections"]]
+             ["families", "verify", "--bound", "4", "intersections"],
+             # 2^[t] is defined for t >= -1 only
+             ["normseq", "reduce", "(3,2^[-2],4)"],
+             ["normseq", "to-lens", "(3,2^[-2],4)"],
+             ["normseq", "exponents", "(3,2^[-2],4)"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

@@ -55,6 +55,12 @@ def test_reduce_rejects_adjacent_blocks():
         reduce_seq((Pow2(-1), Pow2(-1)))
 
 
+def test_blocks_below_minus_one_are_refused():
+    # the fusion rules would read 2^[-2] as 2^[-1]
+    with pytest.raises(ValueError):
+        Pow2(-2)
+
+
 def _random_raw_items(rng):
     n = rng.randint(1, 6)
     items = []

@@ -5,8 +5,8 @@ import pentangle_oracle as oracle
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, M5Filling, P3Factor, P5Filling,
-                                    _bits, _is_neg_reciprocal,
-                                    _is_one_minus_reciprocal, _pair_masks,
+                                    _bits, _is_one_minus_reciprocal,
+                                    _pair_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     m5_to_p5, mirror_sym, montesinos_presentations,
@@ -297,13 +297,12 @@ def test_kernel_masks_match_oracle_exhaustive_bound_5():
 
 
 def test_thin_set_identities():
-    # five of the oracle's eight per-slope lists repeat the three thin sets
+    # five of the oracle's eight per-slope lists repeat the three thin sets;
+    # the x = 0 thin set is the reciprocal-integer test itself
     for bound in range(2, 21):
         for s in stern_brocot_slopes(bound):
-            t0 = _is_neg_reciprocal(s)
             tinf = s.is_integer
             tm1 = _is_one_minus_reciprocal(s)
-            assert is_reciprocal_of_integer(s) == t0, s
             assert (s.den == 1) == tinf, s
             assert is_reciprocal_of_integer(cf_eval([1, s])) == tm1, s
             assert is_reciprocal_of_integer(shift(s, -1)) == tm1, s

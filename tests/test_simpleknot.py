@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgeryforge.lens import LensSpace
-from surgeryforge.simpleknot import (SimpleKnot, _relative_gradings,
+from surgeryforge.simpleknot import (SimpleKnot, _orbit, _relative_gradings,
                                      canonical_triple, equivalent, euler_char,
                                      genus_primitive, knots_with_genus,
                                      star_canonical, star_solutions)
@@ -66,6 +66,31 @@ def test_equivalence_examples():
     assert not equivalent(SimpleKnot(31, 6, 5), SimpleKnot(32, 7, 5))
     for p, q, k in ((7, 3, 2), (18, 5, 7), (31, 17, 18)):
         assert equivalent(SimpleKnot(p, q, k), SimpleKnot(p, q, p - k))
+
+
+def oracle_orbit(p, q, k):
+    """The breadth-first closure that simpleknot._orbit replaced, verbatim."""
+    start = (q % p, k % p)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        qq, kk = frontier.pop()
+        qi = pow(qq, -1, p)
+        for nxt in ((qq, (-kk) % p), (qi, (qi * kk) % p), (qi, (-qi * kk) % p)):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def test_orbit_closed_form_matches_search():
+    # q and k also range outside 0..p-1: _orbit reduces them itself
+    for p in range(2, 41):
+        for q in range(-p, 2 * p):
+            if gcd(p, q) != 1:
+                continue
+            for k in range(-p, 2 * p):
+                assert _orbit(p, q, k) == oracle_orbit(p, q, k), (p, q, k)
 
 
 def test_canonical_triple_is_class_invariant():
