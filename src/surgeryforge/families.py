@@ -12,7 +12,6 @@ inconsistent with the A/B families on overlaps and is excluded from
 consistency checking (see the flagged rows it produces).
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
@@ -414,25 +413,26 @@ def _is_twist_shape(seq):
 
 
 def _gofk_seeds(t_bound, seq_bound):
-    """The seed sequences a of the dual pairs (a, dual(a)).
+    """The seeds a of the dual pairs (a, dual(a)): lengths 1..seq_bound, all
+    2s or with entries from 3..seq_bound+3, one anywhere or two at the ends.
 
-    Lengths 1..seq_bound with at most three entries from 3..seq_bound+3
-    placed among 2s.  Seeds with more cannot contribute: each template
-    instance contains a itself, a without one end entry, or a without both
-    end entries next to a merged entry of at least 4, so four non-2 entries
-    in a leave at least three in every instance, and no fibered pattern
-    shape has more than two.  The twist family's index t comes from the
-    seed (t+2, 3) alone, so those seeds are added up to t_bound where the
-    range above stops short of them.  Callers pass seq_bound >= 2."""
+    No other seed contributes.  Let a (length >= 2) have n entries other than
+    2, I inside.  By the row-start rule of dual_entries, b = dual(a) has I + 1,
+    ending in one exactly where a ends in 2.  Any other seed has two or more,
+    one inside, so b is longer than 1 with n - 1 inside.  Each template
+    instance on (f, s) = (a, b) or (b, a) is then, up to reversing s,
+    f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with x >= 5
+    (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1] with
+    x >= 4 (2n - 1 or 2I + 1): three or more, and no fibered pattern shape
+    has more than two.  Seeds (t+2, 3) alone give twist index t <= t_bound."""
     big = range(3, seq_bound + 4)
     for length in range(1, seq_bound + 1):
-        for k in range(min(3, length) + 1):
-            for spots in itertools.combinations(range(length), k):
-                for values in itertools.product(big, repeat=k):
-                    a = [2] * length
-                    for i, v in zip(spots, values):
-                        a[i] = v
-                    yield tuple(a)
+        twos = (2,) * length
+        yield twos
+        yield from (twos[:i] + (v,) + twos[i + 1:]
+                    for i in range(length) for v in big)
+        if length > 1:
+            yield from ((v,) + twos[2:] + (w,) for v in big for w in big)
     for t in range(seq_bound + 2, t_bound + 1):
         yield (t + 2, 3)
 

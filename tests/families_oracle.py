@@ -1,12 +1,17 @@
-"""The three-filling intersection check and the Riemenschneider point rule
-as they stood before the integer rewrite: a FamilyFilling triple and
-ExtRational slopes for every parameter pair, and a dual built dot by dot.
-Kept verbatim as the reference that surgeryforge.families and
-surgeryforge.normseq are tested against."""
+"""The three-filling intersection check, the Riemenschneider point rule and
+the census seed generators as they stood before their rewrites: a
+FamilyFilling triple and ExtRational slopes for every parameter pair, a dual
+built dot by dot, seeds with up to three entries other than 2 placed among
+2s, and the product over all entries 2..seq_bound+3.  Kept verbatim as the
+reference that surgeryforge.families and surgeryforge.normseq are tested
+against."""
+
+import itertools
 
 from surgeryforge.families import (ExcludedParameter, IntersectionReport,
-                                   _recip_shift, family_triple)
-from surgeryforge.normseq import NormSeq
+                                   _is_twist_shape, _recip_shift,
+                                   _template_instances, family_triple)
+from surgeryforge.normseq import NormSeq, gofk_exponent_sums
 
 
 def verify_three_filling_intersections(bound):
@@ -129,3 +134,51 @@ def riemenschneider_dual(seq):
             col_counts[j] += 1
         col = col + a - 2
     return NormSeq(tuple(c + 1 for c in col_counts))
+
+
+def _gofk_seeds(t_bound, seq_bound):
+    """The seed sequences a of the dual pairs (a, dual(a)).
+
+    Lengths 1..seq_bound with at most three entries from 3..seq_bound+3
+    placed among 2s.  Seeds with more cannot contribute: each template
+    instance contains a itself, a without one end entry, or a without both
+    end entries next to a merged entry of at least 4, so four non-2 entries
+    in a leave at least three in every instance, and no fibered pattern
+    shape has more than two.  The twist family's index t comes from the
+    seed (t+2, 3) alone, so those seeds are added up to t_bound where the
+    range above stops short of them.  Callers pass seq_bound >= 2."""
+    big = range(3, seq_bound + 4)
+    for length in range(1, seq_bound + 1):
+        for k in range(min(3, length) + 1):
+            for spots in itertools.combinations(range(length), k):
+                for values in itertools.product(big, repeat=k):
+                    a = [2] * length
+                    for i, v in zip(spots, values):
+                        a[i] = v
+                    yield tuple(a)
+    for t in range(seq_bound + 2, t_bound + 1):
+        yield (t + 2, 3)
+
+
+def _oracle_gofk_sequences(t_bound, seq_bound):
+    # the product-based generator: every sequence over 2..seq_bound+3, then
+    # the ones with at most three non-2 entries
+    found = set()
+    for length in range(1, seq_bound + 1):
+        for a in itertools.product(range(2, seq_bound + 4), repeat=length):
+            if sum(1 for e in a if e != 2) > 3:
+                continue
+            b = riemenschneider_dual(a).entries
+            for first, second in ((a, b), (b, a)):
+                for seq in _template_instances(first, second):
+                    if not seq or seq in found:
+                        continue
+                    if not gofk_exponent_sums(seq):
+                        continue
+                    if all(e == 2 for e in seq) and len(seq) > seq_bound:
+                        continue
+                    t = _is_twist_shape(seq)
+                    if t is not None and t > t_bound:
+                        continue
+                    found.add(seq)
+    return found

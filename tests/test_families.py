@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 from math import gcd
 
 import pytest
@@ -15,7 +14,7 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    prop15_consistency,
                                    verify_three_filling_intersections)
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
-from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
+from surgeryforge.normseq import dual_entries
 from surgeryforge.rationals import INF, rat
 from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
 
@@ -160,50 +159,56 @@ def test_census_respects_bounds():
     assert 41 not in orders      # twist index 3 cut by t_bound = 2
 
 
-def _oracle_gofk_sequences(t_bound, seq_bound):
-    # the product-based generator: every sequence over 2..seq_bound+3, then
-    # the ones with at most three non-2 entries
-    found = set()
-    for length in range(1, seq_bound + 1):
-        for a in itertools.product(range(2, seq_bound + 4), repeat=length):
-            if sum(1 for e in a if e != 2) > 3:
-                continue
-            b = riemenschneider_dual(a).entries
-            for first, second in ((a, b), (b, a)):
-                for seq in _template_instances(first, second):
-                    if not seq or seq in found:
-                        continue
-                    if not gofk_exponent_sums(seq):
-                        continue
-                    if all(e == 2 for e in seq) and len(seq) > seq_bound:
-                        continue
-                    t = _is_twist_shape(seq)
-                    if t is not None and t > t_bound:
-                        continue
-                    found.add(seq)
-    return found
-
-
 @pytest.mark.parametrize("seq_bound,t_bound",
                          [(s, t) for s in range(2, 6) for t in range(-1, 7)]
                          + [(6, 6)])
 def test_gofk_sequences_match_product_oracle(seq_bound, t_bound):
     got = _gofk_sequences(t_bound, seq_bound)
-    oracle = _oracle_gofk_sequences(t_bound, seq_bound)
+    product = oracle._oracle_gofk_sequences(t_bound, seq_bound)
     # the product generator reaches twist index seq_bound+1 at most; beyond
     # that the seeded one adds exactly the twist rows up to t_bound
-    assert oracle <= got
-    extra = got - oracle
+    assert product <= got
+    extra = got - product
     assert all(_is_twist_shape(seq) is not None for seq in extra)
     assert sorted(_is_twist_shape(seq) for seq in extra) == list(
         range(seq_bound + 2, t_bound + 1))
 
 
 def test_census_ok_on_bound_grid():
-    for seq_bound in range(0, 8):
-        for t_bound in range(-1, 7):
+    for seq_bound in range(0, 11):
+        for t_bound in range(-1, 9):
             assert gofklens_census(t_bound, seq_bound).ok, (t_bound, seq_bound)
-    assert gofklens_census(6, 8).ok
+    assert gofklens_census(40, 40).ok
+
+
+def test_seeds_match_old_generator_on_bound_grid(monkeypatch):
+    # the closed-form seeds give the same sequences and the same census
+    # report as the old seeds, with up to three entries other than 2 anywhere
+    for seq_bound in range(0, 9):
+        for t_bound in range(-1, 9):
+            seqs = _gofk_sequences(t_bound, seq_bound)
+            census = gofklens_census(t_bound, seq_bound)
+            with monkeypatch.context() as patch:
+                patch.setattr(families, "_gofk_seeds", oracle._gofk_seeds)
+                old = _gofk_sequences(t_bound, seq_bound)
+                patch.setattr(families, "_gofk_sequences", lambda t, s: old)
+                old_census = gofklens_census(t_bound, seq_bound)
+            assert seqs == old, (t_bound, seq_bound)
+            assert census == old_census, (t_bound, seq_bound)
+
+
+def test_seeds_left_out_leave_three_entries_other_than_2():
+    # every old seed outside the closed-form set, up to seqmax 7, gives only
+    # template instances with three or more entries other than 2, which no
+    # fibered pattern shape has
+    kept = set(families._gofk_seeds(-1, 7))
+    old = set(oracle._gofk_seeds(-1, 7))
+    assert kept < old
+    for a in old - kept:
+        b = dual_entries(a)
+        for first, second in ((a, b), (b, a)):
+            for seq in _template_instances(first, second):
+                assert len(seq) - seq.count(2) >= 3, (a, seq)
 
 
 def test_alt_gofk_pipeline():

@@ -161,6 +161,26 @@ def test_dual_matches_point_rule_oracle():
     assert checked == sum(6 ** n for n in range(1, 7))
 
 
+def _non2(seq):
+    return sum(1 for e in seq if e != 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=12),
+       st.integers(2, 60))
+def test_dual_counts_entries_other_than_2(seq, v):
+    # the two facts the census seed shapes rest on: a dual gets one entry
+    # other than 2 per distinct row start, so 1 + the interior count of a
+    # longer sequence, and it ends in one exactly where the sequence ends in
+    # a 2; a single entry v has the dual 2^[v-1]
+    a = tuple(seq)
+    b = dual_entries(a)
+    if len(a) >= 2:
+        assert _non2(b) == 1 + _non2(a[1:-1]), (a, b)
+        assert (b[0] != 2) == (a[0] == 2) and (b[-1] != 2) == (a[-1] == 2)
+    assert dual_entries((v,)) == (2,) * (v - 1)
+
+
 def test_dual_rejects_bad_input():
     with pytest.raises(ValueError):
         riemenschneider_dual(())
