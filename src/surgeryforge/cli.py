@@ -7,14 +7,35 @@ and across --jobs values; timing is only attached when --timing is passed.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import re
 import sys
 import time
 
-from . import __version__, families, lens, normseq, pentangle, rationals, simpleknot, tangle
+from . import __version__, lens, rationals
 from .rationals import ExtRational, parse_cf, parse_slope
+
+
+def _lazy_module(name):
+    """The package module ``name``, registered in sys.modules and on the
+    package as an import would, but run only on its first attribute access,
+    so that a command loads only the modules it uses."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+families, normseq, pentangle, simpleknot, tangle = map(
+    _lazy_module, ("families", "normseq", "pentangle", "simpleknot", "tangle"))
 
 
 def _jsonable(value):
@@ -48,15 +69,20 @@ def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
 
 
 def _emit_csv(report):
+    """One row per result, one column per result field, a nested field as a
+    compact JSON cell; cells are quoted where CSV needs it."""
+    import csv
     rows = report["results"]
     if isinstance(rows, dict):
         rows = [rows]
-    scalar_rows = [{k: v for k, v in row.items()
-                    if not isinstance(v, (dict, list))} for row in rows]
-    keys = sorted({k for row in scalar_rows for k in row})
-    print(",".join(keys))
-    for row in scalar_rows:
-        print(",".join(str(row.get(k, "")) for k in keys))
+    keys = sorted({k for row in rows for k in row})
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(keys)
+    for row in rows:
+        cells = (row.get(k, "") for k in keys)
+        writer.writerow(json.dumps(v, sort_keys=True, separators=(",", ":"))
+                        if isinstance(v, (dict, list)) else str(v)
+                        for v in cells)
 
 
 def _emit_text(report):
@@ -85,8 +111,17 @@ def _parse_params(family, raw):
     if len(raw) != len(kinds):
         raise ValueError(f"family {family} takes {len(kinds)} "
                          f"parameter(s), got {len(raw)}")
-    return tuple(parse_slope(text) if kind is ExtRational else int(text)
-                 for kind, text in zip(kinds, raw))
+    params = []
+    for kind, text in zip(kinds, raw):
+        if kind is ExtRational:
+            params.append(parse_slope(text))
+            continue
+        try:
+            params.append(int(text))
+        except ValueError:
+            raise ValueError(f"family {family} parameter {text!r} is not an "
+                             "integer") from None
+    return tuple(params)
 
 
 def _resolve_jobs(args):
@@ -378,7 +413,23 @@ def _families_fes_triple(args):
                 for key, val in data.items()}
 
 
-def _build_parser():
+def _command_tree():
+    """The command words as nested dicts, in the order of COMMANDS: each
+    word maps to the words below it, or at a leaf to its command name."""
+    tree = {}
+    for name in COMMANDS:
+        *path, last = name.split()
+        node = tree
+        for word in path:
+            node = node.setdefault(word, {})
+        node[last] = name
+    return tree
+
+
+def _build_parser(argv):
+    """The parser for argv.  Each level on argv's command path gets a parser
+    for every word, so that help and "invalid choice" messages list them
+    all, but only the words argv names get subparsers and arguments."""
     parser = _Parser(
         prog="surgeryforge",
         description="exact Dehn-surgery calculators and verification sweeps")
@@ -389,24 +440,29 @@ def _build_parser():
                              "or 1)")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
-    # the subparsers below each command prefix, keyed by its words
-    levels = {(): parser.add_subparsers(required=True)}
-    for name, (arguments, _) in COMMANDS.items():
-        words = tuple(name.split())
-        for depth in range(1, len(words)):
-            if words[:depth] not in levels:
-                levels[words[:depth]] = levels[words[:depth - 1]].add_parser(
-                    words[depth - 1]).add_subparsers(required=True)
-        leaf = levels[words[:-1]].add_parser(words[-1])
-        leaf.set_defaults(command=name)
-        for flags, keywords in arguments:
-            leaf.add_argument(*flags, **keywords)
+    # The word argparse reads at a level is the first token that is a word
+    # of the level: before the first command word argv holds only global
+    # options, whose values (a format, an integer) are never command words,
+    # and a value that is one fails in argparse before any word is read.
+    node, level_parser, tokens = _command_tree(), parser, iter(argv)
+    while isinstance(node, dict):
+        level = level_parser.add_subparsers(required=True)
+        children = {word: level.add_parser(word) for word in node}
+        word = next((token for token in tokens if token in node), None)
+        if word is None:
+            return parser
+        node, level_parser = node[word], children[word]
+    level_parser.set_defaults(command=node)
+    for flags, keywords in COMMANDS[node][0]:
+        level_parser.add_argument(*flags, **keywords)
     return parser
 
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _build_parser(argv).parse_args(argv)
         args.jobs = _resolve_jobs(args)
         started = time.monotonic()
         outcome = COMMANDS[args.command][1](args)

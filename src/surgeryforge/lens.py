@@ -68,9 +68,14 @@ def parse_lens(text):
     if s.replace("^", "").lower() in ("s1xs2", "s1s2"):
         return S1XS2
     if s.startswith("L(") and s.endswith(")"):
-        a, b = s[2:-1].split(",")
-        return LensSpace(int(a), int(b))
-    raise ValueError(f"not a lens space label: {text!r}")
+        try:
+            p, q = (int(term) for term in s[2:-1].split(","))
+        except ValueError:
+            pass
+        else:
+            return LensSpace(p, q)
+    raise ValueError(f"not a lens space label: {text!r} (expected L(p,q), "
+                     "S3 or S1xS2)")
 
 
 def mirror(lens):

@@ -69,10 +69,13 @@ def parse_seq(text):
         part = part.strip()
         if not part:
             continue
-        if part.startswith("2^[") and part.endswith("]"):
-            items.append(Pow2(int(part[3:-1])))
-        else:
-            items.append(int(part))
+        block = part.startswith("2^[") and part.endswith("]")
+        try:
+            value = int(part[3:-1] if block else part)
+        except ValueError:
+            raise ValueError(f"not a norm sequence: {text!r} (expected "
+                             "(a1,...,an), integers or 2^[t] blocks)") from None
+        items.append(Pow2(value) if block else value)
     return tuple(items)
 
 

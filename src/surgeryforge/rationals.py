@@ -76,10 +76,12 @@ def parse_slope(text):
     s = text.strip()
     if s.lower() in ("inf", "infinity", "1/0"):
         return INF
-    if "/" in s:
-        a, b = s.split("/", 1)
-        return ExtRational(int(a), int(b))
-    return ExtRational(int(s))
+    try:
+        terms = [int(term) for term in s.split("/", 1)]
+    except ValueError:
+        raise ValueError(f"not a slope: {text!r} (expected p/q, an integer "
+                         "or inf)") from None
+    return ExtRational(*terms)
 
 
 def _mobius(x, a, b, c, d):
@@ -162,19 +164,24 @@ class ContFrac:
 
 def parse_cf(text):
     """Parse '[a1,a2,...,an]' (final entry may be 'p/q' or 'inf')."""
+    bad = ValueError(f"not a continued fraction: {text!r} (expected "
+                     "[a1,...,an], integers but for a last p/q or inf)")
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"not a continued fraction literal: {text!r}")
+        raise bad
     body = s[1:-1].strip()
     if not body:
         return ContFrac(())
     parts = [p.strip() for p in body.split(",")]
     coeffs = []
-    for i, p in enumerate(parts):
-        if i == len(parts) - 1 and ("/" in p or p.lower() == "inf"):
-            coeffs.append(parse_slope(p))
-        else:
-            coeffs.append(int(p))
+    try:
+        for i, p in enumerate(parts):
+            if i == len(parts) - 1 and ("/" in p or p.lower() == "inf"):
+                coeffs.append(parse_slope(p))
+            else:
+                coeffs.append(int(p))
+    except ValueError:
+        raise bad from None
     return ContFrac(tuple(coeffs))
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -137,6 +138,22 @@ def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
     assert err == "error: SURGERYFORGE_JOBS must be an integer, got 'abc'\n"
 
 
+@pytest.mark.parametrize("argv, bad", [
+    (["lens", "from-surgery", "x"], "x"),
+    (["cf", "eval", "[1,,2]"], "[1,,2]"),
+    (["tangle", "two-bridge", "Q(1/2,x)"], "x"),
+    (["normseq", "dual", "(3,x)"], "(3,x)"),
+    (["normseq", "reduce", "(3,2^[x])"], "(3,2^[x])"),
+    (["simpleknot", "genus-search", "L(x,1)", "1"], "L(x,1)"),
+    (["simpleknot", "genus-search", "L(7)", "1"], "L(7)"),
+    (["families", "eval", "A", "x", "2"], "x")])
+def test_bad_field_error_names_the_field(capsys, argv, bad):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(bad) in err and "int()" not in err and "unpack" not in err
+
+
 def test_cf_solve_tail_expands_blocks(capsys):
     for blocked, plain in (("(1,2^[2],3)", "(1,2,2,3)"), ("(2^[3])", "(2,2,2)"),
                            ("(2^[0],4)", "(4)")):
@@ -209,16 +226,98 @@ def test_star_and_genus_search_bad_input_exit_2(capsys):
     assert code == 0 and report["results"]["knots"] == ["K(7,3,1)", "K(7,3,3)"]
 
 
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+PACKAGE_DIR = os.path.join(ROOT, "src", "surgeryforge")
+
+
+def run_python(*argv):
+    """Stdout of a fresh interpreter run with src on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # multiprocessing is imported only by a pentangle sweep with jobs > 1
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, surgeryforge.cli; "
-         "print('multiprocessing' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    out = run_python("-c", "import sys, surgeryforge.cli; "
+                           "print('multiprocessing' in sys.modules)")
     assert out == "False\n"
+
+
+# Imports the CLI, runs cli.main on argv and prints, as JSON, the package
+# modules that are in sys.modules and those whose code ran.
+_RAN_MODULES = """
+import contextlib, io, json, os, sys
+ran = set()
+sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code.co_filename))
+import surgeryforge.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+sys.setprofile(None)
+package = os.path.dirname(cli.__file__)
+print(json.dumps({
+    "loaded": sorted(name.split(".")[1] for name in sys.modules
+                     if name.startswith("surgeryforge.")),
+    "ran": sorted(os.path.basename(f)[:-3] for f in ran
+                  if os.path.dirname(f) == package)}))
+"""
+_LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["--help"], _LIBRARY),
+    (["cf", "eval", "[3,2,2]"], _LIBRARY),
+    (["lens", "homeo", "5", "2", "5", "3"], _LIBRARY),
+    (["pentangle", "verify", "--bound", "2"],
+     ("families", "normseq", "simpleknot"))])
+def test_command_runs_only_the_modules_it_uses(argv, unused):
+    # every library module is imported, but a module's code runs only when
+    # a command uses it
+    out = json.loads(run_python("-c", _RAN_MODULES, *argv))
+    assert set(out["loaded"]) >= set(_LIBRARY) | {"cli", "lens", "rationals"}
+    assert "cli" in out["ran"]
+    assert not set(unused) & set(out["ran"]), out["ran"]
+
+
+def test_lazy_module_is_the_imported_module():
+    # a function set on a library module before its first use is the one
+    # the handler calls
+    out = run_python("-c", """
+import types
+import surgeryforge.cli as cli
+from surgeryforge import families
+assert families is cli.families
+families.gofklens_census = lambda tmax, seqmax: types.SimpleNamespace(
+    entries=(), witnesses={}, extras=(), missing=("row",))
+print(cli.main(["families", "census"]))
+""")
+    report, code = out.splitlines()
+    assert code == "1"
+    assert json.loads(report)["counterexamples"] == [["missing", "row"]]
+
+
+@pytest.mark.parametrize("argv", [["cf", "eval", "[3,2,2]"],
+                                  ["families", "verify", "alt-gofk"]])
+def test_tracer_wraps_every_module(tmp_path, argv):
+    # perfbench/tracer.py counts calls to the functions of every package
+    # module and leaves the CLI's stdout and exit code as they are
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               TRACE=str(trace))
+    traced = subprocess.run(
+        ["sh", "-c", 'exec "$@" 3>"$TRACE"', "sh", sys.executable,
+         os.path.join(ROOT, "perfbench", "tracer.py"), *argv],
+        env=env, capture_output=True, text=True)
+    assert traced.returncode == 0
+    assert traced.stdout == run_python("-m", "surgeryforge.cli", *argv)
+    functions = json.loads(trace.read_text())["functions"]
+    modules = {name[:-3] for name in os.listdir(PACKAGE_DIR)
+               if name.endswith(".py") and name != "__init__.py"}
+    assert {name.split(".")[0] for name in functions} == modules
+    assert functions["cli.main"][0] == 1
 
 
 def test_negative_fraction_positionals(capsys):
@@ -258,6 +357,16 @@ def test_formats(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "knot,lens"
     assert len(lines) == 3
+    # a cell with a comma is quoted, and a nested field is a JSON cell
+    assert run(capsys, "--format", "csv", "lens", "normalize", "7", "2") == (
+        0, 'lens\n"L(7,2)"\n')
+    for argv in (["families", "census", "--tmax", "2", "--seqmax", "3"],
+                 ["simpleknot", "star", "31"]):
+        code, out = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        results = run_json(capsys, *argv)[1]["results"]
+        assert dict(zip(header, map(json.loads, row))) == results
 
 
 def test_no_timing_by_default(capsys):
@@ -289,6 +398,51 @@ def test_genus_search_cli(capsys):
     assert code == 0 and report["results"]["knots"] == []
     code, report = run_json(capsys, "simpleknot", "genus-search", "L(5,4)", "1")
     assert "K(5,4,2)" in report["results"]["knots"]
+
+
+def _command_levels():
+    """Each command prefix with the words below it, in table order; a
+    command maps to None."""
+    levels = {}
+    for name in COMMANDS:
+        words = tuple(name.split())
+        for depth in range(len(words)):
+            below = levels.setdefault(words[:depth], [])
+            if words[depth] not in below:
+                below.append(words[depth])
+        levels[words] = None
+    return levels
+
+
+def _help_entries(out):
+    """The first field of each argument line of a help text."""
+    return [line.split()[0].rstrip(",") for line in out.splitlines()
+            if line.startswith("  ") and not line[2].isspace()]
+
+
+_LEVELS = _command_levels()
+
+
+@pytest.mark.parametrize("prefix", _LEVELS,
+                         ids=lambda prefix: " ".join(prefix) or "root")
+def test_grammar_at_every_prefix(capsys, prefix):
+    # -h lists a prefix's words or a command's arguments; an unknown word
+    # is refused with every word of its level
+    below = _LEVELS[prefix]
+    with pytest.raises(SystemExit) as exit_:
+        main([*prefix, "-h"])
+    assert exit_.value.code == 0
+    entries = _help_entries(capsys.readouterr().out)
+    if below is None:
+        name = " ".join(prefix)
+        assert sorted(entries) == sorted(
+            ["-h"] + [flags[0] for flags, _ in COMMANDS[name][0]])
+        return
+    assert "{" + ",".join(below) + "}" in entries
+    assert main([*prefix, "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and err.count("\n") == 1
+    assert all(repr(word) in err for word in below)
 
 
 # Fields for the grammar fuzz: values of every kind the commands read, some
