@@ -391,10 +391,22 @@ def stern_brocot_slopes(bound):
 # x0 & xm1 is one constant c.  In a cell the need mask is c & Vinf[k], or c
 # and c & Minf on the two sides of the sw corners where xinf is full; since
 # Vinf is symmetric, the k with Vinf[k] & c != 0 are the union of Vinf[s]
-# over s in c.  So the kernel visits only the triples whose need mask is
-# nonzero.  It reproduces the object-level predicates above, which the test
-# suite cross-checks, as it does against the per-triple kernel this one
-# replaced (tests/pentangle_oracle.py).
+# over s in c, and only those k are candidates.  The ne corners with equal
+# flags and rows, on no simplification pair, give every nw the same cells
+# and are swept as one group.
+#
+# The kernel counts cells rather than visiting their sw corners.  The sw
+# corners in simp_k simplify whole; the others simplify exactly on
+# simp_base | ga[k], and ga[k] is nonzero only on the nine slopes of the
+# pairing-A lists.  Off those, a constant cell contributes |cand| * |c| need
+# bits, split by simp_base, and a Vinf cell the sum over k in cand of
+# |c & Vinf[k]|, which by symmetry equals the sum over s in c of
+# |cand & Vinf[s]|, so the loop runs over the smaller mask.  Per-triple
+# visits remain only for sw corners on the ga support and, with the same
+# enumeration, for cells whose counts show a counterexample.  The kernel
+# reproduces the object-level predicates above, which the test suite
+# cross-checks, as it does against the two kernels this one replaced
+# (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
 
 
@@ -404,6 +416,11 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _nonempty(*classes):
+    """The (sw mask, value) classes whose sw mask is nonempty."""
+    return [cls for cls in classes if cls[0]]
 
 
 class _SweepTables:
@@ -428,24 +445,44 @@ class _SweepTables:
         self.triv = [(s.num, s.den) in _TRIVIAL for s in slopes]
         self.triv_mask = mask(self.triv)
 
-        def pair_rows(thin, factor):
+        # Each chart-row factor of (s, t) is t under x -> (a x + b)/(c x + d)
+        # for an integer matrix given by s, since c - 1/x is (c, -1; 1, 0) and
+        # x + n is (1, n; 0, 1).  The value (a t + b)/(c t + d) is the
+        # reciprocal of an integer, or inf, when a t + b divides c t + d.
+        fractions = [(s.num, s.den) for s in slopes]
+
+        def pair_rows(thin, matrix):
             rows = [0] * n
             for i, s in enumerate(slopes):
                 if not thin[i]:
                     continue
-                for j, t in enumerate(slopes):
-                    if is_reciprocal_of_integer(factor(s, t)):
+                a, b, c, d = matrix(s)
+                for j, (p, q) in enumerate(fractions):
+                    num = a * p + b * q
+                    if num and not (c * p + d * q) % num:
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
             return rows
 
+        # [-1, h, t], [1, t + n] and [m, 1, t]
         self.v0 = pair_rows(self.in0,
-                            lambda s, t: cf_eval([-1, _h_param(s), t]))
+                            lambda s: (-_h_param(s) - 1, 1, _h_param(s), -1))
         self.vinf = pair_rows(self.ininf,
-                              lambda s, t: cf_eval([1, shift(t, s.num)]))
+                              lambda s: (1, s.num - 1, 1, s.num))
         self.vm1 = pair_rows(self.inm1,
-                             lambda s, t: cf_eval([_m_param(s), 1, t]))
+                             lambda s: (_m_param(s) - 1, -_m_param(s), 1, -1))
         self.fulls = [self.full] * n
+        # the xm1 classes of each ne corner, for nw outside and inside Tm1:
+        # sw corners where xm1 is full or Mm1, and elsewhere Vm1[nw] (None)
+        self.m1_classes = ([], [])
+        for j in range(n):
+            am1 = self.full if self.inm1[j] else self.mm1
+            fm1 = am1 & self.vm1[j]
+            rest = self.full & ~am1
+            self.m1_classes[0].append(_nonempty(
+                (fm1, self.full), (am1 & ~fm1, self.mm1), (rest, None)))
+            self.m1_classes[1].append(_nonempty((am1, self.full),
+                                                (rest, None)))
         self._near = {}
 
         # symmetric rows of the simplification pairs, one per pairing
@@ -463,6 +500,20 @@ class _SweepTables:
         self.ga, self.gb, self.gc = (
             group_rows(*conds)
             for conds in zip(NONHYP_LISTS, P3_LISTS, MIRROR_P3_LISTS))
+        self.ga_support = mask(self.ga)
+
+        # ne corners with equal thin-set flags and rows give every nw the
+        # same cells; those on no simplification pair and not trivial also
+        # give it the same _simp_masks.  Group them; the others stand alone.
+        groups = {}
+        for j in range(n):
+            if self.triv[j] or self.ga[j] or self.gb[j] or self.gc[j]:
+                key = j
+            else:
+                key = (self.in0[j], self.v0[j], self.ininf[j],
+                       self.inm1[j], self.vm1[j])
+            groups[key] = groups.get(key, 0) | 1 << j
+        self.ne_groups = list(groups.values())
 
     def near(self, mask):
         """The sw corners k whose Vinf[k] meets mask."""
@@ -475,78 +526,134 @@ class _SweepTables:
         return out
 
 
-def _pair_masks(tb, i):
-    """For nw = i, yield (j, parts, simp_k, simp_base) for every ne = j.
+def _simp_masks(tb, i, j):
+    """(simp_k, simp_base) for nw = i and ne = j: the tuples whose sw corner
+    k is in simp_k all simplify; otherwise (i, j, k, se) simplifies when se
+    is in simp_base | ga[k]."""
+    if tb.triv[i] or tb.triv[j] or (tb.ga[i] >> j) & 1:
+        simp_k = tb.full
+    else:
+        simp_k = tb.triv_mask | tb.gb[i] | tb.gc[j]
+    return simp_k, tb.triv_mask | tb.gb[j] | tb.gc[i]
 
-    parts lists (cand, c, rows) with disjoint sw masks cand: the need mask
-    of the triple (i, j, k) is c & rows[k] when k is in a cand, else 0.
-    The tuples whose sw corner k is in simp_k all simplify; otherwise
-    (i, j, k, se) simplifies when se is in simp_base | ga[k]."""
-    n, full = tb.n, tb.full
+
+def _pair_masks(tb, i):
+    """For nw = i, yield (js, parts, simp_k, simp_base) for disjoint masks
+    js of ne corners; the ne corners in no js have no necessary tuple.
+
+    parts lists (cand, c, rows) with disjoint nonzero sw masks cand: for
+    every j in js the need mask of the triple (i, j, k) is c & rows[k] when
+    k is in a cand, else 0, and (simp_k, simp_base) is _simp_masks(tb, i, j).
+    """
+    full = tb.full
     m0, minf, mm1 = tb.m0, tb.minf, tb.mm1
     v0, vinf, vm1, fulls = tb.v0, tb.vinf, tb.vm1, tb.fulls
-    ga, gb, gc, triv, triv_mask = tb.ga, tb.gb, tb.gc, tb.triv, tb.triv_mask
     v0i, vinfi, vm1i = v0[i], vinf[i], vm1[i]
-    # sw corners where x0 is full or M0; elsewhere it is V0[ne]
+    # the x0 classes, for ne inside and outside T0: sw corners where x0 is
+    # full or M0, and elsewhere V0[ne] (None)
     a0 = full if tb.in0[i] else m0
-    i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
-    i_simp = triv[i]
-    for j in range(n):
+    f0 = a0 & v0i
+    x0_in = _nonempty((a0, full), (full & ~a0, None))
+    x0_out = _nonempty((f0, full), (a0 & ~f0, m0), (full & ~a0, None))
+    m1_classes = tb.m1_classes[tb.inm1[i]]
+    i_inf = tb.ininf[i]
+    for js in tb.ne_groups:
+        j = (js & -js).bit_length() - 1
         v0j = v0[j]
-        # sw corners where xm1 is full or Mm1; elsewhere it is Vm1[nw]
-        am1 = full if tb.inm1[j] else mm1
-        f0 = a0 if tb.in0[j] else a0 & v0i
-        fm1 = am1 if i_m1 else am1 & vm1[j]
-        # sw corners where xinf is full; None when xinf is Vinf[sw]
-        if i_inf or tb.ininf[j]:
-            finf = full if (vinfi >> j) & 1 else minf
-        else:
-            finf = None
-        parts = []
-        for k0, x0 in ((f0, full), (a0 & ~f0, m0), (full & ~a0, v0j)):
-            if not k0:
-                continue
-            for km1, xm1 in ((fm1, full), (am1 & ~fm1, mm1),
-                             (full & ~am1, vm1i)):
+        cells = []
+        for k0, x0 in x0_in if tb.in0[j] else x0_out:
+            if x0 is None:
+                x0 = v0j
+            for km1, xm1 in m1_classes[j]:
                 cell = k0 & km1
-                if not cell or not (c := x0 & xm1):
-                    continue
-                if finf is None:
-                    parts.append((cell & tb.near(c), c, vinf))
-                elif c & minf:
-                    parts.append((cell & finf, c, fulls))
-                    parts.append((cell & ~finf, c & minf, fulls))
-                else:
-                    parts.append((cell & finf, c, fulls))
-        if i_simp or triv[j] or (ga[i] >> j) & 1:
-            simp_k = full
+                if cell and (c := x0 & (vm1i if xm1 is None else xm1)):
+                    cells.append((cell, c))
+        if not cells:
+            continue
+        if i_inf or tb.ininf[j]:
+            # xinf is full on every sw corner for the ne corners in
+            # Vinf[nw]; for the others it is full on Minf and Minf elsewhere
+            splits = ((js & vinfi, [(cell, c, fulls) for cell, c in cells]),
+                      (js & ~vinfi, [part for cell, c in cells for part in (
+                          (cell & minf, c, fulls),
+                          (cell & ~minf, c & minf, fulls))]))
         else:
-            simp_k = triv_mask | gb[i] | gc[j]
-        yield j, parts, simp_k, triv_mask | gb[j] | gc[i]
+            splits = ((js, [(cell & tb.near(c), c, vinf)
+                            for cell, c in cells]),)
+        simp_k, simp_base = _simp_masks(tb, i, j)
+        for sub, parts in splits:
+            parts = [part for part in parts if part[0] and part[1]]
+            if sub and parts:
+                yield sub, parts, simp_k, simp_base
+
+
+def _pair_count(rows, a, b):
+    """The sum over k in a of |b & rows[k]|, for a symmetric rows table.
+
+    By symmetry it is also the sum over s in b of |a & rows[s]|, so the
+    loop runs over the smaller of the two masks."""
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    total = 0
+    while a:
+        low = a & -a
+        a ^= low
+        total += (b & rows[low.bit_length() - 1]).bit_count()
+    return total
+
+
+def _cell_counts(tb, parts, simp_k, simp_base):
+    """(necessary, simplified, bad) over the cells of one (nw, ne) pair,
+    where bad lists the (sw, se) corners of its counterexamples."""
+    ga, ga_support, fulls = tb.ga, tb.ga_support, tb.fulls
+    necessary = 0
+    simplified = 0
+    bad = []
+    for cand, c, rows in parts:
+        inside = cand & simp_k
+        rest = cand & ~(simp_k | ga_support)
+        good_c = c & simp_base
+        bad_c = c ^ good_c
+        if rows is fulls:
+            n_in = inside.bit_count() * c.bit_count()
+            n_good = rest.bit_count() * good_c.bit_count()
+            n_bad = rest.bit_count() * bad_c.bit_count()
+        else:
+            n_in = _pair_count(rows, inside, c) if inside else 0
+            n_good = _pair_count(rows, rest, good_c) if rest else 0
+            n_bad = _pair_count(rows, rest, bad_c) if rest else 0
+        necessary += n_in + n_good + n_bad
+        simplified += n_in + n_good
+        if n_bad:
+            bad.extend((k, se) for k in _bits(rest)
+                       for se in _bits(bad_c & rows[k]))
+        visit = cand & ga_support & ~simp_k
+        while visit:
+            low = visit & -visit
+            visit ^= low
+            k = low.bit_length() - 1
+            need = c & rows[k]
+            good = need & (simp_base | ga[k])
+            necessary += need.bit_count()
+            simplified += good.bit_count()
+            if need != good:
+                bad.extend((k, se) for se in _bits(need ^ good))
+    return necessary, simplified, bad
 
 
 def _sweep_chunk(tb, i_lo, i_hi):
-    ga = tb.ga
     necessary = 0
     simplified = 0
     counterexamples = []
     for i in range(i_lo, i_hi):
-        for j, parts, simp_k, simp_base in _pair_masks(tb, i):
-            for cand, c, rows in parts:
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    k = low.bit_length() - 1
-                    need = c & rows[k]
-                    count = need.bit_count()
-                    necessary += count
-                    if simp_k & low:
-                        simplified += count
-                        continue
-                    good = need & (simp_base | ga[k])
-                    simplified += good.bit_count()
-                    for se in _bits(need & ~good):
-                        counterexamples.append((i, j, k, se))
+        for js, parts, simp_k, simp_base in _pair_masks(tb, i):
+            nec, simp, bad = _cell_counts(tb, parts, simp_k, simp_base)
+            width = js.bit_count()
+            necessary += width * nec
+            simplified += width * simp
+            if bad:
+                counterexamples.extend((i, j, k, se) for j in _bits(js)
+                                       for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples
@@ -577,13 +684,14 @@ def verify_simplification(bound, jobs=1):
     n = len(slopes)
     tables = _SweepTables(slopes)
     chunks = _partition(n, jobs)
-    if jobs <= 1 or len(chunks) <= 1:
+    if len(chunks) == 1:
         results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
     else:
         # forked workers inherit the tables; only the nw ranges are sent.
         # Imported here because it costs every CLI process its import time.
         from multiprocessing import get_context
-        with get_context("fork").Pool(jobs, initializer=_adopt_tables,
+        with get_context("fork").Pool(len(chunks),
+                                      initializer=_adopt_tables,
                                       initargs=(tables,)) as pool:
             results = pool.map(_pool_chunk, chunks)
     checked = sum(r[0] for r in results)

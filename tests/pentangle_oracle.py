@@ -1,10 +1,15 @@
-"""The pentangle sweep kernel as it stood before the thin-set rewrite: one
+"""Two earlier pentangle sweep kernels, kept verbatim as references for the
+counting kernel in surgeryforge.pentangle.
+
+_sweep_chunk is the kernel as it stood before the thin-set rewrite: one
 _SweepTables per chunk and a mask evaluation for every (nw, ne, sw) triple.
-Kept verbatim as the reference the thin-set kernel in
-surgeryforge.pentangle is tested against."""
+
+_visit_sweep_chunk is the thin-set kernel that visited every sw corner of
+every cell, with the _visit_pair_masks cells it read.  It runs on the
+library's _SweepTables."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, P3_LISTS, _NONHYP_A,
-                                    _NONHYP_B, _NONHYP_C, _TRIVIAL,
+                                    _NONHYP_B, _NONHYP_C, _TRIVIAL, _bits,
                                     _h_param,
                                     _is_one_minus_reciprocal, _key, _m_param)
 from surgeryforge.rationals import cf_eval, shift
@@ -161,4 +166,81 @@ def _sweep_chunk(args):
                     for se in range(n):
                         if (bad >> se) & 1:
                             counterexamples.append((i, j, k, se))
+    return checked, necessary, simplified, counterexamples
+
+
+def _visit_pair_masks(tb, i):
+    """For nw = i, yield (j, parts, simp_k, simp_base) for every ne = j.
+
+    parts lists (cand, c, rows) with disjoint sw masks cand: the need mask
+    of the triple (i, j, k) is c & rows[k] when k is in a cand, else 0.
+    The tuples whose sw corner k is in simp_k all simplify; otherwise
+    (i, j, k, se) simplifies when se is in simp_base | ga[k]."""
+    n, full = tb.n, tb.full
+    m0, minf, mm1 = tb.m0, tb.minf, tb.mm1
+    v0, vinf, vm1, fulls = tb.v0, tb.vinf, tb.vm1, tb.fulls
+    ga, gb, gc, triv, triv_mask = tb.ga, tb.gb, tb.gc, tb.triv, tb.triv_mask
+    v0i, vinfi, vm1i = v0[i], vinf[i], vm1[i]
+    # sw corners where x0 is full or M0; elsewhere it is V0[ne]
+    a0 = full if tb.in0[i] else m0
+    i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
+    i_simp = triv[i]
+    for j in range(n):
+        v0j = v0[j]
+        # sw corners where xm1 is full or Mm1; elsewhere it is Vm1[nw]
+        am1 = full if tb.inm1[j] else mm1
+        f0 = a0 if tb.in0[j] else a0 & v0i
+        fm1 = am1 if i_m1 else am1 & vm1[j]
+        # sw corners where xinf is full; None when xinf is Vinf[sw]
+        if i_inf or tb.ininf[j]:
+            finf = full if (vinfi >> j) & 1 else minf
+        else:
+            finf = None
+        parts = []
+        for k0, x0 in ((f0, full), (a0 & ~f0, m0), (full & ~a0, v0j)):
+            if not k0:
+                continue
+            for km1, xm1 in ((fm1, full), (am1 & ~fm1, mm1),
+                             (full & ~am1, vm1i)):
+                cell = k0 & km1
+                if not cell or not (c := x0 & xm1):
+                    continue
+                if finf is None:
+                    parts.append((cell & tb.near(c), c, vinf))
+                elif c & minf:
+                    parts.append((cell & finf, c, fulls))
+                    parts.append((cell & ~finf, c & minf, fulls))
+                else:
+                    parts.append((cell & finf, c, fulls))
+        if i_simp or triv[j] or (ga[i] >> j) & 1:
+            simp_k = full
+        else:
+            simp_k = triv_mask | gb[i] | gc[j]
+        yield j, parts, simp_k, triv_mask | gb[j] | gc[i]
+
+
+def _visit_sweep_chunk(tb, i_lo, i_hi):
+    ga = tb.ga
+    necessary = 0
+    simplified = 0
+    counterexamples = []
+    for i in range(i_lo, i_hi):
+        for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
+            for cand, c, rows in parts:
+                while cand:
+                    low = cand & -cand
+                    cand ^= low
+                    k = low.bit_length() - 1
+                    need = c & rows[k]
+                    count = need.bit_count()
+                    necessary += count
+                    if simp_k & low:
+                        simplified += count
+                        continue
+                    good = need & (simp_base | ga[k])
+                    simplified += good.bit_count()
+                    for se in _bits(need & ~good):
+                        counterexamples.append((i, j, k, se))
+    counterexamples.sort()
+    checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples

@@ -64,6 +64,20 @@ def test_pentangle_verify_jobs_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_pentangle_verify_bound_14_pinned(capsys):
+    code1, out1 = run(capsys, "--jobs", "1", "pentangle", "verify",
+                      "--bound", "14")
+    code2, out2 = run(capsys, "--jobs", "2", "pentangle", "verify",
+                      "--bound", "14")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    report = json.loads(out1)
+    assert report["results"] == {
+        "bound": 14, "slope_count": 256, "tuples_checked": 256 ** 4,
+        "necessary_all_three": 4_798_240, "simplified": 4_798_240}
+    assert report["counterexamples"] == []
+
+
 def test_cf_commands(capsys):
     code, report = run_json(capsys, "cf", "eval", "[3,2,2]")
     assert code == 0 and report["results"]["value"] == "7/3"

@@ -1,12 +1,15 @@
+import multiprocessing
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pentangle_oracle as oracle
+import pytest
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, M5Filling, P3Factor, P5Filling,
                                     _bits, _is_one_minus_reciprocal,
-                                    _pair_masks,
+                                    _pair_masks, _partition, _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     m5_to_p5, mirror_sym, montesinos_presentations,
@@ -235,17 +238,21 @@ def test_stern_brocot_enumeration():
 
 def kernel_masks(tb, i):
     """(j, k, need, simp) for nw = i and every ne = j, sw = k, read off the
-    thin-set kernel's pair masks."""
-    for j, parts, simp_k, simp_base in _pair_masks(tb, i):
-        need = [0] * tb.n
-        for cand, c, rows in parts:
-            for k in _bits(cand):
-                assert not need[k]  # the candidate sets are disjoint
-                need[k] = c & rows[k]
-                assert need[k]      # and hold no triple with an empty need
+    counting kernel's pair masks."""
+    need = {}
+    for js, parts, simp_k, simp_base in _pair_masks(tb, i):
+        for j in _bits(js):
+            assert (simp_k, simp_base) == _simp_masks(tb, i, j)
+            for cand, c, rows in parts:
+                for k in _bits(cand):
+                    assert (j, k) not in need  # groups and cells are disjoint
+                    need[j, k] = c & rows[k]
+                    assert need[j, k]          # and hold no empty need
+    for j in range(tb.n):
+        simp_k, simp_base = _simp_masks(tb, i, j)
         for k in range(tb.n):
             simp = tb.full if (simp_k >> k) & 1 else simp_base | tb.ga[k]
-            yield j, k, need[k], simp
+            yield j, k, need.get((j, k), 0), simp
 
 
 def test_mask_engine_matches_object_predicates():
@@ -280,8 +287,33 @@ def test_kernel_matches_oracle_bounds_2_to_8():
     for bound in range(2, 9):
         slopes = stern_brocot_slopes(bound)
         n = len(slopes)
-        got = _sweep_chunk(_SweepTables(slopes), 0, n)
+        tb = _SweepTables(slopes)
+        got = _sweep_chunk(tb, 0, n)
         assert got == oracle._sweep_chunk((slopes, 0, n)), bound
+        assert got == oracle._visit_sweep_chunk(tb, 0, n), bound
+
+
+def test_kernel_matches_visit_oracle_by_chunk():
+    # the nw ranges that --jobs workers sweep, at a bound above the range of
+    # the per-triple oracle
+    slopes = stern_brocot_slopes(10)
+    tb = _SweepTables(slopes)
+    for jobs in (1, 3, 7, 128):
+        for lo, hi in _partition(tb.n, jobs):
+            assert _sweep_chunk(tb, lo, hi) == \
+                oracle._visit_sweep_chunk(tb, lo, hi), (lo, hi)
+
+
+def test_pair_count_transposes():
+    # the sum over k in a of |b & Vinf[k]| counted from either side
+    tb = _SweepTables(stern_brocot_slopes(6))
+    rng = random.Random(5)
+    for _ in range(200):
+        a = rng.getrandbits(tb.n)
+        b = rng.getrandbits(tb.n) & rng.getrandbits(tb.n)
+        want = sum((b & tb.vinf[k]).bit_count() for k in _bits(a))
+        assert pentangle._pair_count(tb.vinf, a, b) == want
+        assert pentangle._pair_count(tb.vinf, b, a) == want
 
 
 def test_kernel_masks_match_oracle_exhaustive_bound_5():
@@ -322,28 +354,54 @@ def test_tables_match_oracle_tables():
         assert (tb.ga, tb.gb, tb.gc) == (otb.ga, otb.gb, otb.gc)
 
 
+def empty_lists(monkeypatch, *names):
+    """Empty the named simplification lists in the library and the oracle."""
+    none = (frozenset(),) * 3
+    for name in names:
+        if name == "NONHYP_LISTS":
+            monkeypatch.setattr(pentangle, name, none)
+            for part in ("_NONHYP_A", "_NONHYP_B", "_NONHYP_C"):
+                monkeypatch.setattr(oracle, part, frozenset())
+        else:
+            empty = frozenset() if name == "_TRIVIAL" else none
+            for module in (pentangle, oracle):
+                monkeypatch.setattr(module, name, empty)
+
+
 def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     # empty simplification lists make every tuple passing the necessary
     # conditions a counterexample, which real sweeps never produce
-    none = (frozenset(),) * 3
-    for module in (pentangle, oracle):
-        monkeypatch.setattr(module, "P3_LISTS", none)
-        monkeypatch.setattr(module, "MIRROR_P3_LISTS", none)
-        monkeypatch.setattr(module, "_TRIVIAL", frozenset())
-    monkeypatch.setattr(pentangle, "NONHYP_LISTS", none)
-    for name in ("_NONHYP_A", "_NONHYP_B", "_NONHYP_C"):
-        monkeypatch.setattr(oracle, name, frozenset())
+    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
+                "NONHYP_LISTS")
     slopes = stern_brocot_slopes(3)
     n = len(slopes)
-    got = _sweep_chunk(_SweepTables(slopes), 0, n)
+    tb = _SweepTables(slopes)
+    got = _sweep_chunk(tb, 0, n)
     want = oracle._sweep_chunk((slopes, 0, n))
-    assert got == want
+    assert got == want == oracle._visit_sweep_chunk(tb, 0, n)
     assert got[2] == 0 and len(got[3]) == got[1] > 0
     named = tuple(tuple(str(slopes[x]) for x in ce) for ce in want[3])
     for jobs in (1, 2):
         report = verify_simplification(3, jobs=jobs)
         assert report.counterexamples == named
         assert not report.ok
+
+
+@pytest.mark.parametrize("names", [
+    ("P3_LISTS",), ("NONHYP_LISTS",), ("MIRROR_P3_LISTS", "_TRIVIAL")])
+def test_counterexamples_in_mixed_cells(monkeypatch, names):
+    # with only part of the simplification lists emptied, cells hold both
+    # simplified tuples and counterexamples
+    empty_lists(monkeypatch, *names)
+    for bound in range(2, 7):
+        slopes = stern_brocot_slopes(bound)
+        n = len(slopes)
+        tb = _SweepTables(slopes)
+        got = _sweep_chunk(tb, 0, n)
+        assert got == oracle._visit_sweep_chunk(tb, 0, n), bound
+        assert got == oracle._sweep_chunk((slopes, 0, n)), bound
+        assert got[1] == got[2] + len(got[3])
+    assert got[2] > 0 and got[3]
 
 
 def test_verify_simplification_small_bounds():
@@ -360,3 +418,33 @@ def test_verify_simplification_jobs_deterministic():
     serial = verify_simplification(2, jobs=1)
     parallel = verify_simplification(2, jobs=3)
     assert serial == parallel
+
+
+def test_pool_sized_by_chunks(monkeypatch):
+    # a fake fork context runs the chunks in process and records the pool
+    # size asked for; no process is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(pentangle, "_worker_tables", None)
+    serial = verify_simplification(2)
+    for jobs, chunks in ((64, 8), (3, 3), (2, 2)):
+        assert verify_simplification(2, jobs=jobs) == serial
+        assert sizes[-1] == chunks == len(_partition(serial.slope_count,
+                                                     jobs))
+    assert len(sizes) == 3
