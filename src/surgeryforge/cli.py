@@ -9,7 +9,6 @@ and across --jobs values; timing is only attached when --timing is passed.
 import argparse
 import importlib.util
 import json
-import os
 import re
 import sys
 import time
@@ -124,21 +123,6 @@ def _parse_params(family, raw):
     return tuple(params)
 
 
-def _resolve_jobs(args):
-    """The worker count: --jobs, else SURGERYFORGE_JOBS, else 1."""
-    jobs = args.jobs
-    if jobs is None:
-        text = os.environ.get("SURGERYFORGE_JOBS", "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise ValueError("SURGERYFORGE_JOBS must be an integer, "
-                             f"got {text!r}") from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
 _NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
 
 
@@ -162,7 +146,9 @@ class _Parser(argparse.ArgumentParser):
 # and the arguments belong to the parser of the last word, which records
 # the entry's name as args.command.  A handler returns (parameters, results)
 # or (parameters, results, counterexamples), with results a dict or a list
-# of dicts, which is what the emitters read.  Handlers call library
+# of dicts, which is what the emitters read; a sweep returns the (results,
+# counterexamples) pair itself, and its handler passes it through after the
+# parameters.  Handlers call library
 # functions through their modules at call time, so that a function replaced
 # on its module (by a test or a tracer) is the one that runs.
 COMMANDS = {}
@@ -321,14 +307,8 @@ def _tangle_two_bridge(args):
 @_command("pentangle verify", _arg("--bound", type=int, required=True))
 def _pentangle_verify(args):
     # jobs only partitions the sweep; it never appears in the report
-    report = pentangle.verify_simplification(args.bound, jobs=args.jobs)
     return ({"bound": args.bound},
-            {"bound": report.bound,
-             "slope_count": report.slope_count,
-             "tuples_checked": report.tuples_checked,
-             "necessary_all_three": report.necessary_all_three,
-             "simplified": report.simplified},
-            report.counterexamples)
+            *pentangle.verify_simplification(args.bound, jobs=args.jobs))
 
 
 @_command("pentangle simplifies", *_FILLING)
@@ -361,40 +341,20 @@ def _families_eval(args):
 @_command("families census", _arg("--tmax", type=int, default=5),
           _arg("--seqmax", type=int, default=6))
 def _families_census(args):
-    report = families.gofklens_census(args.tmax, args.seqmax)
-    ces = [("extra", str(e)) for e in report.extras]
-    ces += [("missing", str(m)) for m in report.missing]
     return ({"tmax": args.tmax, "seqmax": args.seqmax},
-            {"entries": [str(e) for e in report.entries],
-             "witnesses": report.witnesses},
-            ces)
+            *families.gofklens_census(args.tmax, args.seqmax))
 
 
 @_command("families verify intersections",
           _arg("--bound", type=int, default=8))
 def _families_verify_intersections(args):
-    report = families.verify_three_filling_intersections(args.bound)
     return ({"bound": args.bound},
-            {"case_1a": list(report.case_1a),
-             "case_1b": list(report.case_1b),
-             "case_2a": list(report.case_2a),
-             "case_2b_count": report.case_2b_count,
-             "case_3a": list(report.case_3a),
-             "case_3b_matches_3a": report.case_3b_matches_3a},
-            report.counterexamples)
+            *families.verify_three_filling_intersections(args.bound))
 
 
 @_command("families verify alt-gofk")
 def _families_verify_alt_gofk(args):
-    report = families.alt_gofk_pipeline()
-    return ({},
-            {"census_ok": report.census_ok,
-             "survivors": list(report.survivors_after_filters),
-             "exponent_filter": report.exponent_filter,
-             "star_stage": report.star_stage,
-             "genus_stage": report.genus_stage,
-             "final": list(report.final)},
-            report.counterexamples)
+    return {}, *families.alt_gofk_pipeline()
 
 
 @_command("families optsurg", _arg("family", type=int), _arg("k", type=int),
@@ -435,9 +395,8 @@ def _build_parser(argv):
         description="exact Dehn-surgery calculators and verification sweeps")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: SURGERYFORGE_JOBS "
-                             "or 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default: 1)")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
     # The word argparse reads at a level is the first token that is a word
@@ -463,7 +422,8 @@ def main(argv=None):
         if argv is None:
             argv = sys.argv[1:]
         args = _build_parser(argv).parse_args(argv)
-        args.jobs = _resolve_jobs(args)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         started = time.monotonic()
         outcome = COMMANDS[args.command][1](args)
         elapsed = int((time.monotonic() - started) * 1000)

@@ -6,10 +6,10 @@ and the once-punctured-torus surgery catalog.
 
 Family formulas give the lens space of each exceptional filling slot as a
 closed form in the family parameters.  Two slot formulas in the two-filling
-list are implemented with the parameter m where the transcription read n
-(flagged in reports); the slot-1 formula of the X1 family is additionally
-inconsistent with the A/B families on overlaps and is excluded from
-consistency checking (see the flagged rows it produces).
+list are implemented with the parameter m where the transcription read n;
+the slot-1 formula of the X1 family is additionally inconsistent with the
+A/B families on overlaps and is excluded from consistency checking (see the
+flagged rows it produces).
 """
 
 from dataclasses import dataclass
@@ -150,29 +150,16 @@ def _recip_shift(c, m):
     return ExtRational(c * m - 1, m)
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    bound: int
-    case_1a: tuple
-    case_1b: tuple
-    case_2a: tuple
-    case_2b_count: int
-    case_3a: tuple
-    case_3b_matches_3a: bool
-    counterexamples: tuple
-
-    @property
-    def ok(self):
-        return not self.counterexamples
-
-
 def verify_three_filling_intersections(bound):
     """Solve the slope-pair coincidences between families with adjacent lens
     slots and check the solution set is the A and B families plus the
     subsumed cases.
 
     Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
-    case 3 ({2,inf} vs {3,inf}), each in both pairing orders."""
+    case 3 ({2,inf} vs {3,inf}), each in both pairing orders.  Returns
+    (results, counterexamples): the solution sets per case, and a
+    (case, solutions) row for each case whose solutions are not the
+    expected ones."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     rng = [m for m in range(-bound, bound + 1)]
@@ -245,16 +232,13 @@ def verify_three_filling_intersections(bound):
     # same, so the solution set must agree with case 3a.
     case_3b_same = case_3a == ((2, -2),)
 
-    return IntersectionReport(
-        bound=bound,
-        case_1a=case_1a,
-        case_1b=case_1b,
-        case_2a=case_2a,
-        case_2b_count=count_2b,
-        case_3a=case_3a,
-        case_3b_matches_3a=case_3b_same,
-        counterexamples=tuple(bad),
-    )
+    return ({"case_1a": case_1a,
+             "case_1b": case_1b,
+             "case_2a": case_2a,
+             "case_2b_count": count_2b,
+             "case_3a": case_3a,
+             "case_3b_matches_3a": case_3b_same},
+            tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -264,28 +248,6 @@ def verify_three_filling_intersections(bound):
 # mirror) is recorded per row because the family formulas do not
 # carry coherent orientations.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Prop15Row:
-    setting: str
-    param: int
-    alpha: str
-    side_a: str
-    side_b: str
-    relation: str
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class Prop15Report:
-    bound: int
-    rows: tuple
-    counterexamples: tuple
-
-    @property
-    def ok(self):
-        return not self.counterexamples
 
 
 # (oriented-equal, mirror-equal) -> relation
@@ -299,7 +261,11 @@ def _relation(l1, l2):
 
 def prop15_consistency(bound):
     """Cross-check the A family against the X families through the slope
-    translation, for parameters up to the bound."""
+    translation, for parameters up to the bound.
+
+    Returns (results, counterexamples): {"rows": rows}, one row per
+    comparison, and the unflagged rows whose two sides are not
+    homeomorphic."""
     rows = []
     bad = []
 
@@ -311,12 +277,12 @@ def prop15_consistency(bound):
         except ValueError:
             if not flagged:
                 raise
-            rows.append(Prop15Row(setting, param, str(slot), str(lhs),
-                                  "invalid label", "mismatch", True))
-            return
-        rel = _relation(lhs, rhs)
-        row = Prop15Row(setting, param, str(slot), str(lhs), str(rhs), rel,
-                        flagged)
+            rhs, rel = "invalid label", "mismatch"
+        else:
+            rel = _relation(lhs, rhs)
+        row = {"setting": setting, "param": param, "alpha": slot,
+               "side_a": lhs, "side_b": rhs, "relation": rel,
+               "flagged": flagged}
         rows.append(row)
         if rel == "mismatch" and not flagged:
             bad.append(row)
@@ -342,8 +308,7 @@ def prop15_consistency(bound):
         record("A[2,n]", n, (2, n), INF,
                ("X1", (-1, ExtRational(1, n)), rat(1)), flagged=True)
 
-    return Prop15Report(bound=bound, rows=tuple(rows),
-                        counterexamples=tuple(bad))
+    return {"rows": tuple(rows)}, tuple(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +321,7 @@ def prop15_consistency(bound):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class CensusEntry:
     p: int
     q: int
@@ -465,20 +430,6 @@ def _gofk_sequences(t_bound, seq_bound):
     return found
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    t_bound: int
-    seq_bound: int
-    entries: tuple
-    witnesses: dict
-    extras: tuple
-    missing: tuple
-
-    @property
-    def ok(self):
-        return not self.extras and not self.missing
-
-
 def _census_targets(t_bound, seq_bound):
     """The nine-family list restricted to what the bounded generation can
     reach: the fixed rows, the surgery-dual unknot family, and the
@@ -495,7 +446,10 @@ def gofklens_census(t_bound, seq_bound):
     """Assemble and cross-check the census of (p, q, k) triples.
 
     seq_bound (>= 0) limits the sequence length; t_bound (>= -1) is the top
-    index of the twist family, independent of seq_bound."""
+    index of the twist family, independent of seq_bound.  Returns (results,
+    counterexamples): the entries with the sequences that witness each, and
+    an ("extra", entry) or ("missing", entry) row for each entry outside,
+    or target not reached by, the nine-family list."""
     if seq_bound < 0:
         raise ValueError("seqmax must be >= 0")
     if t_bound < -1:
@@ -526,15 +480,12 @@ def gofklens_census(t_bound, seq_bound):
             add(_canonical_entry(p, q, k), str(NormSeq(seq)))
 
     targets = _census_targets(t_bound, seq_bound)
-    extras = tuple(sorted((e for e in entries if e not in targets),
-                          key=lambda e: (e.p, e.q, e.k)))
-    missing = tuple(sorted((t for t in targets if t not in entries),
-                           key=lambda e: (e.p, e.q, e.k)))
-    ordered = tuple(sorted(entries, key=lambda e: (e.p, e.q, e.k)))
-    witnesses = {str(e): tuple(sorted(entries[e])) for e in ordered}
-    return CensusReport(t_bound=t_bound, seq_bound=seq_bound,
-                        entries=ordered, witnesses=witnesses,
-                        extras=extras, missing=missing)
+    ordered = tuple(sorted(entries))
+    bad = [("extra", e) for e in ordered if e not in targets]
+    bad += [("missing", t) for t in sorted(targets - entries.keys())]
+    return ({"entries": ordered,
+             "witnesses": {str(e): tuple(sorted(entries[e])) for e in ordered}},
+            tuple(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -545,32 +496,23 @@ def gofklens_census(t_bound, seq_bound):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineReport:
-    census_ok: bool
-    survivors_after_filters: tuple
-    exponent_filter: dict
-    star_stage: dict
-    genus_stage: dict
-    final: tuple
-    counterexamples: tuple
-
-    @property
-    def ok(self):
-        return not self.counterexamples
-
-
 def alt_gofk_pipeline():
     """Reproduce the elimination that pins down the two knots with an
-    alternative surgery."""
+    alternative surgery.
+
+    Returns (results, counterexamples): each stage's survivors and the
+    data that decided them, and a row for each stage whose outcome is not
+    the expected one."""
     bad = []
-    census = gofklens_census(t_bound=6, seq_bound=6)
-    if not census.ok:
-        bad.append(("census", census.extras, census.missing))
+    census, census_bad = gofklens_census(t_bound=6, seq_bound=6)
+    if census_bad:
+        bad.append(("census",) + tuple(
+            tuple(e for kind, e in census_bad if kind == want)
+            for want in ("extra", "missing")))
 
     # lens-space level: dedupe entries to oriented lens spaces
     spaces = {}
-    for e in census.entries:
+    for e in census["entries"]:
         spaces.setdefault((e.p, e.q), []).append(e)
 
     # (a) even order at least 18, (b) not a surgery giving L(n, +-1)
@@ -598,7 +540,8 @@ def alt_gofk_pipeline():
         }
         if keep:
             survivors.append(lens)
-    survivor_orders = tuple(sorted(l.p for l in survivors))
+    survivors.sort(key=lambda l: l.p)
+    survivor_orders = tuple(l.p for l in survivors)
     if survivor_orders != (18, 32, 50, 68):
         bad.append(("exponent-survivors", survivor_orders))
 
@@ -608,7 +551,7 @@ def alt_gofk_pipeline():
     star_stage = {}
     genus_stage = {}
     final = []
-    for lens in sorted(survivors, key=lambda l: l.p):
+    for lens in survivors:
         cands = {}
         for p in (lens.p - 1, lens.p + 1):
             if p < 19:
@@ -654,16 +597,13 @@ def alt_gofk_pipeline():
     final_named = tuple({"p": p, "alternative_lens": str(lens),
                          "knot": knot_names.get(p, "?")} for p, lens in final)
 
-    return PipelineReport(
-        census_ok=census.ok,
-        survivors_after_filters=tuple(str(l) for l in sorted(
-            survivors, key=lambda l: l.p)),
-        exponent_filter=exponent_info,
-        star_stage=star_stage,
-        genus_stage=genus_stage,
-        final=final_named,
-        counterexamples=tuple(bad),
-    )
+    return ({"census_ok": not census_bad,
+             "survivors": tuple(survivors),
+             "exponent_filter": exponent_info,
+             "star_stage": star_stage,
+             "genus_stage": genus_stage,
+             "final": final_named},
+            tuple(bad))
 
 
 def _genus_or_none(knot):

@@ -659,25 +659,13 @@ def _sweep_chunk(tb, i_lo, i_hi):
     return checked, necessary, simplified, counterexamples
 
 
-@dataclass(frozen=True)
-class SimplificationReport:
-    bound: int
-    slope_count: int
-    tuples_checked: int
-    necessary_all_three: int
-    simplified: int
-    counterexamples: tuple
-
-    @property
-    def ok(self):
-        return not self.counterexamples
-
-
 def verify_simplification(bound, jobs=1):
     """Sweep all slope 4-tuples of height <= bound; every tuple passing the
     two-bridge necessary conditions at x = 0, inf and -1 must simplify.
 
-    Returns a report whose counterexample list is expected to be empty."""
+    Returns (results, counterexamples): the counts the report prints, and
+    the (nw, ne, sw, se) slope tuples that pass the conditions without
+    simplifying, which are expected to be none."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     slopes = stern_brocot_slopes(bound)
@@ -694,22 +682,13 @@ def verify_simplification(bound, jobs=1):
                                       initializer=_adopt_tables,
                                       initargs=(tables,)) as pool:
             results = pool.map(_pool_chunk, chunks)
-    checked = sum(r[0] for r in results)
-    necessary = sum(r[1] for r in results)
-    simplified = sum(r[2] for r in results)
-    ces = []
-    for r in results:
-        for i, j, k, se in r[3]:
-            ces.append((str(slopes[i]), str(slopes[j]),
-                        str(slopes[k]), str(slopes[se])))
-    return SimplificationReport(
-        bound=bound,
-        slope_count=n,
-        tuples_checked=checked,
-        necessary_all_three=necessary,
-        simplified=simplified,
-        counterexamples=tuple(ces),
-    )
+    return ({"bound": bound,
+             "slope_count": n,
+             "tuples_checked": sum(r[0] for r in results),
+             "necessary_all_three": sum(r[1] for r in results),
+             "simplified": sum(r[2] for r in results)},
+            tuple(tuple(slopes[x] for x in ce)
+                  for r in results for ce in r[3]))
 
 
 _worker_tables = None

@@ -8,9 +8,9 @@ against."""
 
 import itertools
 
-from surgeryforge.families import (ExcludedParameter, IntersectionReport,
-                                   _is_twist_shape, _recip_shift,
-                                   _template_instances, family_triple)
+from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
+                                   _recip_shift, _template_instances,
+                                   family_triple)
 from surgeryforge.normseq import NormSeq, gofk_exponent_sums
 
 
@@ -101,16 +101,13 @@ def verify_three_filling_intersections(bound):
     # same, so the solution set must agree with case 3a.
     case_3b_same = case_3a == ((2, -2),)
 
-    return IntersectionReport(
-        bound=bound,
-        case_1a=case_1a,
-        case_1b=case_1b,
-        case_2a=case_2a,
-        case_2b_count=count_2b,
-        case_3a=case_3a,
-        case_3b_matches_3a=case_3b_same,
-        counterexamples=tuple(bad),
-    )
+    return ({"case_1a": case_1a,
+             "case_1b": case_1b,
+             "case_2a": case_2a,
+             "case_2b_count": count_2b,
+             "case_3a": case_3a,
+             "case_3b_matches_3a": case_3b_same},
+            tuple(bad))
 
 
 def riemenschneider_dual(seq):

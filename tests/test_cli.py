@@ -125,7 +125,7 @@ def test_usage_errors_exit_2(capsys):
     assert main(["cf", "eval", "not-a-word"]) == 2
 
 
-def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
+def test_bad_jobs_and_family_arity_exit_2(capsys):
     # one error line on stderr, no traceback, exit 2
     cases = [["--jobs", "0", "pentangle", "verify", "--bound", "2"],
              ["--jobs", "-2", "pentangle", "verify", "--bound", "2"],
@@ -146,10 +146,6 @@ def test_bad_jobs_and_family_arity_exit_2(capsys, monkeypatch):
     assert main(["pentangle", "verify", "--bound", "2", "--jobs", "2"]) == 2
     err = capsys.readouterr().err
     assert err == "error: unrecognized arguments: --jobs 2\n"
-    monkeypatch.setenv("SURGERYFORGE_JOBS", "abc")
-    assert main(["cf", "eval", "[3,2,2]"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: SURGERYFORGE_JOBS must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -198,13 +194,31 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     # a census that reports a missing row is a counterexample, and the
     # command signals failure
     row = families.CensusEntry(68, 15, 23)
-    report = families.CensusReport(t_bound=6, seq_bound=4, entries=(),
-                                   witnesses={}, extras=(), missing=(row,))
+    report = {"entries": (), "witnesses": {}}, (("missing", row),)
     monkeypatch.setattr(families, "gofklens_census", lambda t, s: report)
-    code, out = run_json(capsys, "families", "census", "--tmax", "6",
-                         "--seqmax", "4")
+    argv = ("families", "census", "--tmax", "6", "--seqmax", "4")
+    code, out = run_json(capsys, *argv)
     assert code == 1
     assert out["counterexamples"] == [["missing", str(row)]]
+    # the text report counts the rows and prints each on its own line
+    code, out = run(capsys, "--format", "text", *argv)
+    assert code == 1
+    assert out.endswith("counterexamples: 1\n"
+                        "  ['missing', '(p,q,k)=(68,15,23)']\n")
+
+
+def test_alt_gofk_census_failure_row(capsys, monkeypatch):
+    # a census counterexample reaches the pipeline's report as one row:
+    # "census", then the extra entries, then the missing ones
+    census = families.gofklens_census
+    row = families.CensusEntry(68, 15, 23)
+    monkeypatch.setattr(families, "gofklens_census",
+                        lambda **bounds: (census(**bounds)[0],
+                                          (("missing", row),)))
+    code, out = run_json(capsys, "families", "verify", "alt-gofk")
+    assert code == 1
+    assert out["results"]["census_ok"] is False
+    assert out["counterexamples"] == [["census", [], [str(row)]]]
 
 
 def test_intersections_counterexample_exits_1(capsys, monkeypatch):
@@ -300,12 +314,11 @@ def test_lazy_module_is_the_imported_module():
     # a function set on a library module before its first use is the one
     # the handler calls
     out = run_python("-c", """
-import types
 import surgeryforge.cli as cli
 from surgeryforge import families
 assert families is cli.families
-families.gofklens_census = lambda tmax, seqmax: types.SimpleNamespace(
-    entries=(), witnesses={}, extras=(), missing=("row",))
+families.gofklens_census = lambda tmax, seqmax: (
+    {"entries": (), "witnesses": {}}, (("missing", "row"),))
 print(cli.main(["families", "census"]))
 """)
     report, code = out.splitlines()
@@ -388,14 +401,6 @@ def test_no_timing_by_default(capsys):
     assert "elapsed_ms" not in report
     code, out = run(capsys, "--timing", "simpleknot", "chi", "3", "1", "1")
     assert "elapsed_ms" in json.loads(out)
-
-
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("SURGERYFORGE_JOBS", "2")
-    code, out = run(capsys, "pentangle", "verify", "--bound", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["parameters"] == {"bound": 2}
 
 
 def test_star_cli(capsys):

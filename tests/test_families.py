@@ -1,4 +1,3 @@
-import dataclasses
 from math import gcd
 
 import pytest
@@ -79,60 +78,56 @@ def test_wsl_identification_index_order():
 
 
 def test_intersections_bound_8():
-    r = verify_three_filling_intersections(8)
-    assert r.ok
-    assert r.case_1a == ((4, -1),)
-    assert r.case_1b == ((1, -1, -1),)       # the manifold M3(-1, 4)
-    assert set(r.case_2a[0]) == {-2, 2}      # the slope 5/2: family B
-    assert set(r.case_3a[0]) == {-2, 2}      # the slope 3/2
-    assert r.case_3b_matches_3a
-    assert r.case_2b_count > 0               # family A is unconstrained
+    r, ces = verify_three_filling_intersections(8)
+    assert ces == ()
+    assert r["case_1a"] == ((4, -1),)
+    assert r["case_1b"] == ((1, -1, -1),)    # the manifold M3(-1, 4)
+    assert set(r["case_2a"][0]) == {-2, 2}   # the slope 5/2: family B
+    assert set(r["case_3a"][0]) == {-2, 2}   # the slope 3/2
+    assert r["case_3b_matches_3a"]
+    assert r["case_2b_count"] > 0            # family A is unconstrained
 
 
 def test_intersections_match_oracle_bounds_2_to_30():
     for bound in range(2, 31):
         got = verify_three_filling_intersections(bound)
         want = oracle.verify_three_filling_intersections(bound)
-        for field in dataclasses.fields(got):
-            assert (getattr(got, field.name)
-                    == getattr(want, field.name)), (bound, field.name)
+        assert got == want, bound
 
 
 def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     # a non-coprime label in the A family is reported under case 2b, not
     # raised
-    clean = verify_three_filling_intersections(4)
+    clean, _ = verify_three_filling_intersections(4)
     labels = families._fam_a_labels
     monkeypatch.setattr(
         families, "_fam_a_labels",
         lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
         else labels(m, n))
-    r = verify_three_filling_intersections(4)
-    assert not r.ok
-    assert r.counterexamples == (("case_2b", ((2, 3),)),)
-    assert r.case_2b_count == clean.case_2b_count - 1
-    assert dataclasses.replace(r, case_2b_count=clean.case_2b_count,
-                               counterexamples=()) == clean
+    r, ces = verify_three_filling_intersections(4)
+    assert ces == (("case_2b", ((2, 3),)),)
+    assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
 
 
 def test_prop15_consistency():
-    r = prop15_consistency(5)
-    assert r.ok
-    unflagged = [row for row in r.rows if not row.flagged]
-    assert unflagged and all(row.relation != "mismatch" for row in unflagged)
+    r, ces = prop15_consistency(5)
+    assert ces == ()
+    unflagged = [row for row in r["rows"] if not row["flagged"]]
+    assert unflagged and all(row["relation"] != "mismatch"
+                             for row in unflagged)
     # the tabulated family formulas carry incoherent orientations: both
     # oriented-equal and mirror-equal relations occur across the rows
-    relations = {row.relation for row in unflagged}
+    relations = {row["relation"] for row in unflagged}
     assert "equal" in relations and "mirror" in relations
     # the inf-slot partner needs the defective slot-1 formula: flagged rows
-    flagged = [row for row in r.rows if row.flagged]
-    assert flagged and all(row.setting == "A[2,n]" for row in flagged)
+    flagged = [row for row in r["rows"] if row["flagged"]]
+    assert flagged and all(row["setting"] == "A[2,n]" for row in flagged)
 
 
 def test_census_acceptance_bounds():
-    r = gofklens_census(5, 6)
-    assert r.ok
-    got = set(r.entries)
+    r, ces = gofklens_census(5, 6)
+    assert ces == ()
+    got = set(r["entries"])
 
     def canon(p, q, k):
         from surgeryforge.simpleknot import canonical_triple
@@ -147,14 +142,14 @@ def test_census_acceptance_bounds():
     for n in range(2, 7):
         assert canon(n + 1, n, 1) in got
     # every entry satisfies the dual-class congruence in its own coordinates
-    for e in r.entries:
+    for e in r["entries"]:
         assert (-e.k * e.k) % e.p == e.q
 
 
 def test_census_respects_bounds():
-    small = gofklens_census(2, 4)
-    assert small.ok
-    orders = {e.p for e in small.entries}
+    small, ces = gofklens_census(2, 4)
+    assert ces == ()
+    orders = {e.p for e in small["entries"]}
     assert 32 in orders          # twist index 2 still inside
     assert 41 not in orders      # twist index 3 cut by t_bound = 2
 
@@ -177,8 +172,9 @@ def test_gofk_sequences_match_product_oracle(seq_bound, t_bound):
 def test_census_ok_on_bound_grid():
     for seq_bound in range(0, 11):
         for t_bound in range(-1, 9):
-            assert gofklens_census(t_bound, seq_bound).ok, (t_bound, seq_bound)
-    assert gofklens_census(40, 40).ok
+            _, ces = gofklens_census(t_bound, seq_bound)
+            assert ces == (), (t_bound, seq_bound)
+    assert gofklens_census(40, 40)[1] == ()
 
 
 def test_seeds_match_old_generator_on_bound_grid(monkeypatch):
@@ -212,27 +208,27 @@ def test_seeds_left_out_leave_three_entries_other_than_2():
 
 
 def test_alt_gofk_pipeline():
-    r = alt_gofk_pipeline()
-    assert r.ok and r.census_ok
-    orders = sorted(LensSpace(*_pq(s)).p for s in r.survivors_after_filters)
-    assert orders == [18, 32, 50, 68]
-    assert [f["p"] for f in r.final] == [19, 31]
-    assert homeo_unoriented(LensSpace(*_pq(r.final[0]["alternative_lens"])),
+    r, ces = alt_gofk_pipeline()
+    assert ces == () and r["census_ok"]
+    assert [l.p for l in r["survivors"]] == [18, 32, 50, 68]
+    final = r["final"]
+    assert [f["p"] for f in final] == [19, 31]
+    assert homeo_unoriented(LensSpace(*_pq(final[0]["alternative_lens"])),
                             LensSpace(18, 11))
-    assert homeo_unoriented(LensSpace(*_pq(r.final[1]["alternative_lens"])),
+    assert homeo_unoriented(LensSpace(*_pq(final[1]["alternative_lens"])),
                             LensSpace(32, 7))
     # the twist branches died by the genus obstruction
     assert all(not info["primitive_simple_knots"]
-               for info in r.genus_stage.values())
+               for info in r["genus_stage"].values())
     # quadratic-congruence classes at p = 31: torus pair and the dual pair
-    cands = r.star_stage[r.final[1]["alternative_lens"]]
+    cands = r["star_stage"][final[1]["alternative_lens"]]
     sols31 = cands[31]["solutions"]
     assert sols31["+1"] == ((5, 6), (25, 26))
     assert sols31["-1"] == ((13, 17), (19, 11))
     assert len(cands[31]["classes"]) == 2
     assert cands[33]["solutions"] == {"+1": (), "-1": ()}
     # order 17 is excluded by the torus-knot bound, not by the congruence
-    cands18 = r.star_stage[r.final[0]["alternative_lens"]]
+    cands18 = r["star_stage"][final[0]["alternative_lens"]]
     assert "excluded" in cands18[17]
     assert cands18[19]["solutions"]["+1"] and cands18[19]["solutions"]["-1"]
 
@@ -263,13 +259,13 @@ def _pq(text):
 
 
 def test_pipeline_filters_record_both_orientations():
-    r = alt_gofk_pipeline()
-    for info in r.exponent_filter.values():
+    exponent_filter = alt_gofk_pipeline()[0]["exponent_filter"]
+    for info in exponent_filter.values():
         assert info["kept"]
         assert (set(info["own"]) | set(info["mirror"])) & {-1, 1, 3}
     # at least one survivor needed the mirror reading
     assert any(not (set(info["own"]) & {-1, 1, 3})
-               for info in r.exponent_filter.values())
+               for info in exponent_filter.values())
 
 
 def test_optsurg_catalog_families():

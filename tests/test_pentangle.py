@@ -126,16 +126,6 @@ def test_factors_examples():
     assert simplifies(both)
 
 
-def test_simplifies_invariant_under_symmetries():
-    slopes = stern_brocot_slopes(3)
-    maps = (swap_lr, swap_tb, swap_fb, rot3, rot3_fix_ne, mirror_sym)
-    for corners in product(slopes, repeat=4):
-        f = F(*corners)
-        s = simplifies(f)
-        for g in maps:
-            assert simplifies(g(f)) == s, (f, g)
-
-
 def test_simplifies_invariant_height_4_exhaustive():
     slopes = stern_brocot_slopes(4)
     maps = (swap_lr, swap_tb, swap_fb, rot3, rot3_fix_ne, mirror_sym)
@@ -380,11 +370,9 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     want = oracle._sweep_chunk((slopes, 0, n))
     assert got == want == oracle._visit_sweep_chunk(tb, 0, n)
     assert got[2] == 0 and len(got[3]) == got[1] > 0
-    named = tuple(tuple(str(slopes[x]) for x in ce) for ce in want[3])
+    named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
     for jobs in (1, 2):
-        report = verify_simplification(3, jobs=jobs)
-        assert report.counterexamples == named
-        assert not report.ok
+        assert verify_simplification(3, jobs=jobs)[1] == named
 
 
 @pytest.mark.parametrize("names", [
@@ -405,13 +393,13 @@ def test_counterexamples_in_mixed_cells(monkeypatch, names):
 
 
 def test_verify_simplification_small_bounds():
-    r2 = verify_simplification(2)
-    assert r2.counterexamples == ()
-    assert r2.tuples_checked == r2.slope_count ** 4
-    assert r2.necessary_all_three == r2.simplified > 0
-    r3 = verify_simplification(3)
-    assert r3.counterexamples == ()
-    assert r3.necessary_all_three == r3.simplified
+    r2, ces = verify_simplification(2)
+    assert ces == ()
+    assert r2["tuples_checked"] == r2["slope_count"] ** 4
+    assert r2["necessary_all_three"] == r2["simplified"] > 0
+    r3, ces = verify_simplification(3)
+    assert ces == ()
+    assert r3["necessary_all_three"] == r3["simplified"]
 
 
 def test_verify_simplification_jobs_deterministic():
@@ -445,6 +433,6 @@ def test_pool_sized_by_chunks(monkeypatch):
     serial = verify_simplification(2)
     for jobs, chunks in ((64, 8), (3, 3), (2, 2)):
         assert verify_simplification(2, jobs=jobs) == serial
-        assert sizes[-1] == chunks == len(_partition(serial.slope_count,
-                                                     jobs))
+        assert sizes[-1] == chunks == len(
+            _partition(serial[0]["slope_count"], jobs))
     assert len(sizes) == 3
