@@ -12,22 +12,22 @@ A/B families on overlaps and is excluded from consistency checking (see the
 flagged rows it produces).
 """
 
-from dataclasses import dataclass
-
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
 from .normseq import (NormSeq, dual_entries, gofk_exponent_sums,
                       norm_sequence_of, to_lens)
-from .rationals import INF, ExtRational, rat
+from .rationals import INF, ExtRational, FrozenValue, rat
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
 
-@dataclass(frozen=True, slots=True)
-class FamilyFilling:
-    family: str
-    params: tuple
-    slot: ExtRational
-    lens: LensSpace
+class FamilyFilling(FrozenValue):
+    __slots__ = ("family", "params", "slot", "lens")
+
+    def __init__(self, family, params, slot, lens):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "lens", lens)
 
     def __str__(self):
         pars = ",".join(str(p) for p in self.params)
@@ -321,11 +321,28 @@ def prop15_consistency(bound):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CensusEntry:
-    p: int
-    q: int
-    k: int
+class CensusEntry(FrozenValue):
+    """A census row (p, q, k); rows sort by that tuple."""
+
+    __slots__ = ("p", "q", "k")
+
+    def __init__(self, p, q, k):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q, self.k) == (other.p, other.q, other.k)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q, self.k))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q, self.k) < (other.p, other.q, other.k)
+        return NotImplemented
 
     def __str__(self):
         return f"(p,q,k)=({self.p},{self.q},{self.k})"

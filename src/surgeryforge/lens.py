@@ -11,10 +11,9 @@ unoriented.  Oriented homeomorphism L(p,q) ~ L(p,q') holds iff q' = q or
 q q' = 1 (mod p); the mirror of L(p,q) is L(p,-q).
 """
 
-from dataclasses import dataclass
 from math import gcd
 
-from .rationals import ExtRational
+from .rationals import ExtRational, FrozenValue
 
 
 def is_lens_label(p, q):
@@ -25,16 +24,13 @@ def is_lens_label(p, q):
     return -2 < p < 2 or gcd(p, q) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class LensSpace:
+class LensSpace(FrozenValue):
     """Normalized label (p, q): p >= 0, 0 <= q < p for p >= 2,
     (p, q) = (1, 0) for S^3 and (0, 1) for S^1 x S^2."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p, q):
         if p < 0:
             p, q = -p, -q
         if p >= 2:
@@ -47,6 +43,14 @@ class LensSpace:
             q = 0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     def __str__(self):
         if self.p == 1:

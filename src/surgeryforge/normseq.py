@@ -17,32 +17,29 @@ Entries 0 and 1 reduce away except in the terminal sequences (0) and (1):
 (0) names S^1 x S^2 while (1) and () name S^3.
 """
 
-from dataclasses import dataclass
-
 from .lens import LensSpace, from_fraction
-from .rationals import INF, ExtRational, cf_expand_norm, cf_step
+from .rationals import INF, ExtRational, FrozenValue, cf_expand_norm, cf_step
 
 
-@dataclass(frozen=True, slots=True)
-class Pow2:
+class Pow2(FrozenValue):
     """The shorthand block 2^[t]."""
 
-    t: int
+    __slots__ = ("t",)
 
-    def __post_init__(self):
-        if self.t < -1:
-            raise ValueError(f"2^[{self.t}] is undefined: blocks need t >= -1")
+    def __init__(self, t):
+        if t < -1:
+            raise ValueError(f"2^[{t}] is undefined: blocks need t >= -1")
+        object.__setattr__(self, "t", t)
 
     def __str__(self):
         return f"2^[{self.t}]"
 
 
-@dataclass(frozen=True, slots=True)
-class NormSeq:
-    entries: tuple
+class NormSeq(FrozenValue):
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, entries):
+        entries = tuple(entries)
         if not all(isinstance(e, int) for e in entries):
             raise ValueError("NormSeq entries must be plain integers")
         object.__setattr__(self, "entries", entries)

@@ -14,25 +14,30 @@ necessary conditions for two-bridgeness case by case over all slopes of
 bounded height and confirms there are no counterexamples.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
-from .rationals import (INF, ZERO, ExtRational, cf_eval, corot_map,
-                        one_minus_reciprocal, rat, reciprocal, rot_map, shift)
+from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval,
+                        corot_map, one_minus_reciprocal, rat, reciprocal,
+                        rot_map, shift)
 from .tangle import (MontesinosLink, is_reciprocal_of_integer,
                      montesinos_is_two_bridge)
 
 MINUS_ONE = rat(-1)
 
 
-@dataclass(frozen=True, slots=True)
-class P5Filling:
-    nw: ExtRational
-    ne: ExtRational
-    sw: ExtRational
-    se: ExtRational
-    x: ExtRational = None
+class P5Filling(FrozenValue):
+    """Tangle coordinates (nw, ne, sw, se), with the fifth slope x unset
+    (None) for a 4-tuple."""
+
+    __slots__ = ("nw", "ne", "sw", "se", "x")
+
+    def __init__(self, nw, ne, sw, se, x=None):
+        object.__setattr__(self, "nw", nw)
+        object.__setattr__(self, "ne", ne)
+        object.__setattr__(self, "sw", sw)
+        object.__setattr__(self, "se", se)
+        object.__setattr__(self, "x", x)
 
     def corners(self):
         return (self.nw, self.ne, self.sw, self.se)
@@ -44,13 +49,17 @@ class P5Filling:
         return "P(" + ",".join(parts) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class M5Filling:
-    a1: ExtRational
-    a2: ExtRational
-    a3: ExtRational
-    a4: ExtRational
-    a5: ExtRational
+class M5Filling(FrozenValue):
+    """Chain-link coordinates (a1, ..., a5)."""
+
+    __slots__ = ("a1", "a2", "a3", "a4", "a5")
+
+    def __init__(self, a1, a2, a3, a4, a5):
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        object.__setattr__(self, "a5", a5)
 
     def slopes(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a5)

@@ -14,12 +14,52 @@ Only the final entry of a continued fraction may itself be a rational; this
 is what the tangle calculus needs for words like [-1, h, sw].
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True, slots=True)
-class ExtRational:
+class FrozenValue:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields in ``__slots__`` and sets each one once in
+    its ``__init__`` through ``object.__setattr__``.  Equality holds only
+    between instances of the same class with equal field tuples, and the
+    hash is the hash of the field tuple, as for a frozen dataclass; a
+    subclass on a hot path writes both out for its own fields.  The repr is
+    ``Name(field=value, ...)``.  These are plain classes rather than
+    dataclasses because importing ``dataclasses`` also loads ``inspect``,
+    ``ast``, ``dis`` and ``tokenize``, a start-up cost that every CLI
+    process would pay.
+    """
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class ExtRational(FrozenValue):
     """A reduced fraction num/den in Qhat.
 
     Invariants after construction: gcd(num, den) = 1, den >= 0, and den = 0
@@ -27,11 +67,9 @@ class ExtRational:
     the same slope).  Zero is 0/1.
     """
 
-    num: int
-    den: int = 1
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = self.num, self.den
+    def __init__(self, num, den=1):
         if den == 0:
             if num == 0:
                 raise ValueError("0/0 is not a slope")
@@ -45,6 +83,14 @@ class ExtRational:
                 den //= g
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num, self.den) == (other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
 
     @property
     def is_infinite(self):
@@ -136,17 +182,16 @@ def cf_eval(coeffs):
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class ContFrac:
+class ContFrac(FrozenValue):
     """A minus-convention continued fraction word.
 
     All entries are integers except that the last may be an ExtRational.
     """
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         for i, c in enumerate(coeffs):
             if isinstance(c, int):
                 continue

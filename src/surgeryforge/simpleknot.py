@@ -14,23 +14,24 @@ A_i - A_{i+1} = (1/p) * (res(i q^-1) - res((i+k) q^-1)), residues in
 {0, ..., p-1}, and the set {A_i} is shifted so max = -min.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
+from .rationals import FrozenValue
 
-@dataclass(frozen=True, slots=True)
-class SimpleKnot:
-    p: int
-    q: int
-    k: int
 
-    def __post_init__(self):
-        if self.p < 2:
+class SimpleKnot(FrozenValue):
+    __slots__ = ("p", "q", "k")
+
+    def __init__(self, p, q, k):
+        if p < 2:
             raise ValueError("need p >= 2 (no simple knots in S^3 or S^1xS^2)")
-        if gcd(self.p, self.q) != 1:
-            raise ValueError(f"gcd({self.p},{self.q}) != 1")
-        if not 0 < self.k < self.p:
+        if gcd(p, q) != 1:
+            raise ValueError(f"gcd({p},{q}) != 1")
+        if not 0 < k < p:
             raise ValueError("need 0 < k < p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
 
     @property
     def homological_order(self):
@@ -99,12 +100,14 @@ def genus_primitive(knot):
     return (1 - chi) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class StarSolution:
+class StarSolution(FrozenValue):
     """A residue k with k^2 + eps(k+1) = 0 mod p, with companion q = -k^2."""
 
-    k: int
-    q: int
+    __slots__ = ("k", "q")
+
+    def __init__(self, k, q):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
 
 
 def star_solutions(p, eps):

@@ -9,9 +9,7 @@ integers are exactly {1/j : j in Z} together with inf = 1/0; the value 0 is
 excluded (a 0 factor splits the link instead).
 """
 
-from dataclasses import dataclass
-
-from .rationals import ExtRational
+from .rationals import ExtRational, FrozenValue
 
 
 def is_reciprocal_of_integer(x):
@@ -19,15 +17,17 @@ def is_reciprocal_of_integer(x):
     return x.den == 0 or abs(x.num) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class MontesinosLink:
+class MontesinosLink(FrozenValue):
     """Q(A,B,C): an ordered triple of rational tangle values, stored
     exactly as produced."""
 
-    factors: tuple
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if len(factors) != 3:
+            raise ValueError(f"a Montesinos link Q(A,B,C) has three "
+                             f"factors, got {len(factors)}")
         if not all(isinstance(f, ExtRational) for f in factors):
             raise TypeError("factors must be ExtRational values")
         object.__setattr__(self, "factors", factors)

@@ -137,7 +137,10 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
              # 2^[t] is defined for t >= -1 only
              ["normseq", "reduce", "(3,2^[-2],4)"],
              ["normseq", "to-lens", "(3,2^[-2],4)"],
-             ["normseq", "exponents", "(3,2^[-2],4)"]]
+             ["normseq", "exponents", "(3,2^[-2],4)"],
+             # a Montesinos link Q(A,B,C) has three factors
+             ["tangle", "two-bridge", "Q(1,inf)"],
+             ["tangle", "two-bridge", "Q(1,2,3,4)"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -290,7 +293,8 @@ print(json.dumps({
     "loaded": sorted(name.split(".")[1] for name in sys.modules
                      if name.startswith("surgeryforge.")),
     "ran": sorted(os.path.basename(f)[:-3] for f in ran
-                  if os.path.dirname(f) == package)}))
+                  if os.path.dirname(f) == package),
+    "heavy": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
 """
 _LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
 
@@ -300,14 +304,25 @@ _LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
     (["cf", "eval", "[3,2,2]"], _LIBRARY),
     (["lens", "homeo", "5", "2", "5", "3"], _LIBRARY),
     (["pentangle", "verify", "--bound", "2"],
+     ("families", "normseq", "simpleknot")),
+    (["families", "eval", "A", "2", "5"], ("pentangle",)),
+    (["normseq", "reduce", "(2,3,4)"],
+     ("families", "pentangle", "simpleknot", "tangle")),
+    (["simpleknot", "star", "31"],
+     ("families", "normseq", "pentangle", "tangle")),
+    (["tangle", "two-bridge", "Q(1,2,3)"],
+     ("families", "normseq", "pentangle", "simpleknot")),
+    (["pentangle", "simplifies", "1", "2", "3", "4"],
      ("families", "normseq", "simpleknot"))])
 def test_command_runs_only_the_modules_it_uses(argv, unused):
     # every library module is imported, but a module's code runs only when
-    # a command uses it
+    # a command uses it; no command loads dataclasses or inspect, whose
+    # import would cost more than most commands' own work
     out = json.loads(run_python("-c", _RAN_MODULES, *argv))
     assert set(out["loaded"]) >= set(_LIBRARY) | {"cli", "lens", "rationals"}
     assert "cli" in out["ran"]
     assert not set(unused) & set(out["ran"]), out["ran"]
+    assert out["heavy"] == [], out["heavy"]
 
 
 def test_lazy_module_is_the_imported_module():

@@ -1,0 +1,250 @@
+"""The package's value classes as they stood when they were frozen
+dataclasses: ExtRational and ContFrac (rationals), LensSpace (lens),
+MontesinosLink (tangle), Pow2 and NormSeq (normseq), SimpleKnot and
+StarSolution (simpleknot), P5Filling and M5Filling (pentangle), and
+FamilyFilling and CensusEntry (families).  Kept verbatim as the reference
+for the plain __slots__ classes that replaced them: the same fields after
+normalisation, the same errors, equality, hash, str and repr."""
+
+from dataclasses import dataclass
+from math import gcd
+
+from surgeryforge.lens import is_lens_label
+from surgeryforge.normseq import format_items
+from surgeryforge.rationals import cf_eval
+
+
+@dataclass(frozen=True, slots=True)
+class ExtRational:
+    """A reduced fraction num/den in Qhat.
+
+    Invariants after construction: gcd(num, den) = 1, den >= 0, and den = 0
+    only for inf which is stored as 1/0 (slopes are unoriented, so -1/0 is
+    the same slope).  Zero is 0/1.
+    """
+
+    num: int
+    den: int = 1
+
+    def __post_init__(self):
+        num, den = self.num, self.den
+        if den == 0:
+            if num == 0:
+                raise ValueError("0/0 is not a slope")
+            num = 1
+        else:
+            if den < 0:
+                num, den = -num, -den
+            g = gcd(num, den)
+            if g > 1:
+                num //= g
+                den //= g
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @property
+    def is_infinite(self):
+        return self.den == 0
+
+    @property
+    def is_integer(self):
+        return self.den == 1
+
+    def __str__(self):
+        if self.den == 0:
+            return "inf"
+        if self.den == 1:
+            return str(self.num)
+        return f"{self.num}/{self.den}"
+
+
+@dataclass(frozen=True, slots=True)
+class ContFrac:
+    """A minus-convention continued fraction word.
+
+    All entries are integers except that the last may be an ExtRational.
+    """
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
+        for i, c in enumerate(coeffs):
+            if isinstance(c, int):
+                continue
+            if isinstance(c, ExtRational) and i == len(coeffs) - 1:
+                continue
+            raise ValueError("only the final entry may be non-integral")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def value(self):
+        return cf_eval(self.coeffs)
+
+    def __str__(self):
+        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
+
+
+@dataclass(frozen=True, slots=True)
+class LensSpace:
+    """Normalized label (p, q): p >= 0, 0 <= q < p for p >= 2,
+    (p, q) = (1, 0) for S^3 and (0, 1) for S^1 x S^2."""
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        p, q = self.p, self.q
+        if p < 0:
+            p, q = -p, -q
+        if p >= 2:
+            q %= p
+        if not is_lens_label(p, q):
+            raise ValueError(f"L({p},{q}) is not a lens space label")
+        if p == 0:
+            q = 1  # L(0,1) and L(0,-1) name the same oriented manifold
+        elif p == 1:
+            q = 0
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __str__(self):
+        if self.p == 1:
+            return "S3"
+        if self.p == 0:
+            return "S1xS2"
+        return f"L({self.p},{self.q})"
+
+
+@dataclass(frozen=True, slots=True)
+class MontesinosLink:
+    """Q(A,B,C): an ordered triple of rational tangle values, stored
+    exactly as produced."""
+
+    factors: tuple
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        if not all(isinstance(f, ExtRational) for f in factors):
+            raise TypeError("factors must be ExtRational values")
+        object.__setattr__(self, "factors", factors)
+
+    def __str__(self):
+        return "Q(" + ",".join(str(f) for f in self.factors) + ")"
+
+
+@dataclass(frozen=True, slots=True)
+class Pow2:
+    """The shorthand block 2^[t]."""
+
+    t: int
+
+    def __post_init__(self):
+        if self.t < -1:
+            raise ValueError(f"2^[{self.t}] is undefined: blocks need t >= -1")
+
+    def __str__(self):
+        return f"2^[{self.t}]"
+
+
+@dataclass(frozen=True, slots=True)
+class NormSeq:
+    entries: tuple
+
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        if not all(isinstance(e, int) for e in entries):
+            raise ValueError("NormSeq entries must be plain integers")
+        object.__setattr__(self, "entries", entries)
+
+    @property
+    def kind(self):
+        if self.entries and all(e >= 2 for e in self.entries):
+            return "norm"
+        if all(e >= 0 for e in self.entries):
+            return "weak"
+        return "raw"
+
+    def __str__(self):
+        return format_items(self.entries)
+
+
+@dataclass(frozen=True, slots=True)
+class SimpleKnot:
+    p: int
+    q: int
+    k: int
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError("need p >= 2 (no simple knots in S^3 or S^1xS^2)")
+        if gcd(self.p, self.q) != 1:
+            raise ValueError(f"gcd({self.p},{self.q}) != 1")
+        if not 0 < self.k < self.p:
+            raise ValueError("need 0 < k < p")
+
+    @property
+    def homological_order(self):
+        return self.p // gcd(self.p, self.k)
+
+    def __str__(self):
+        return f"K({self.p},{self.q},{self.k})"
+
+
+@dataclass(frozen=True, slots=True)
+class StarSolution:
+    """A residue k with k^2 + eps(k+1) = 0 mod p, with companion q = -k^2."""
+
+    k: int
+    q: int
+
+
+@dataclass(frozen=True, slots=True)
+class P5Filling:
+    nw: ExtRational
+    ne: ExtRational
+    sw: ExtRational
+    se: ExtRational
+    x: ExtRational = None
+
+    def corners(self):
+        return (self.nw, self.ne, self.sw, self.se)
+
+    def __str__(self):
+        parts = [str(s) for s in self.corners()]
+        if self.x is not None:
+            parts.append(str(self.x))
+        return "P(" + ",".join(parts) + ")"
+
+
+@dataclass(frozen=True, slots=True)
+class M5Filling:
+    a1: ExtRational
+    a2: ExtRational
+    a3: ExtRational
+    a4: ExtRational
+    a5: ExtRational
+
+    def slopes(self):
+        return (self.a1, self.a2, self.a3, self.a4, self.a5)
+
+
+@dataclass(frozen=True, slots=True)
+class FamilyFilling:
+    family: str
+    params: tuple
+    slot: ExtRational
+    lens: LensSpace
+
+    def __str__(self):
+        pars = ",".join(str(p) for p in self.params)
+        return f"{self.family}[{pars}]({self.slot}) = {self.lens}"
+
+
+@dataclass(frozen=True, slots=True, order=True)
+class CensusEntry:
+    p: int
+    q: int
+    k: int
+
+    def __str__(self):
+        return f"(p,q,k)=({self.p},{self.q},{self.k})"
