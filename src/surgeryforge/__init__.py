@@ -6,13 +6,13 @@ __version__ = "0.1.0"
 
 from .lens import (LensSpace, S3, S1XS2, from_surgery, homeo_oriented,
                    homeo_unoriented, mirror)
-from .rationals import (INF, ZERO, ContFrac, ExtRational, cf_eval,
-                        cf_expand_norm, cf_solve_tail, rat)
+from .rationals import (INF, ZERO, ExtRational, cf_eval, cf_expand_norm,
+                        cf_solve_tail, rat)
 
 __all__ = [
     "__version__",
     "LensSpace", "S3", "S1XS2", "from_surgery", "homeo_oriented",
     "homeo_unoriented", "mirror",
-    "INF", "ZERO", "ContFrac", "ExtRational", "cf_eval", "cf_expand_norm",
-    "cf_solve_tail", "rat",
+    "INF", "ZERO", "ExtRational", "cf_eval", "cf_expand_norm", "cf_solve_tail",
+    "rat",
 ]

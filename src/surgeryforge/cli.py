@@ -176,7 +176,8 @@ def _filling(args):
 @_command("cf eval", _arg("word"))
 def _cf_eval(args):
     word = parse_cf(args.word)
-    return {"word": str(word)}, {"value": str(word.value())}
+    return ({"word": rationals.format_cf(word)},
+            {"value": str(rationals.cf_eval(word))})
 
 
 @_command("cf expand", _arg("value"))
@@ -226,7 +227,8 @@ def _normseq_reduce(args):
     items = normseq.parse_seq(args.seq)
     red = normseq.reduce_seq(items)
     return ({"seq": normseq.format_items(items)},
-            {"reduced": str(red), "kind": red.kind,
+            {"reduced": normseq.format_items(red),
+             "kind": normseq.sequence_kind(red),
              "lens": str(normseq.to_lens(red))})
 
 
@@ -242,7 +244,8 @@ def _normseq_dual(args):
     # the point rule reads plain entries: 2^[t] with t >= 0 is t twos
     entries = normseq.expand_blocks(normseq.parse_seq(args.seq))
     dual = normseq.riemenschneider_dual(entries)
-    return {"seq": normseq.format_items(entries)}, {"dual": str(dual)}
+    return ({"seq": normseq.format_items(entries)},
+            {"dual": normseq.format_items(dual)})
 
 
 @_command("normseq exponents", _arg("seq"))
@@ -257,14 +260,11 @@ def _normseq_exponents(args):
           *(_arg(name, type=int) for name in ("p", "q", "k")))
 def _simpleknot_chi(args):
     knot = simpleknot.SimpleKnot(args.p, args.q, args.k)
-    chi = simpleknot.euler_char(knot)
-    try:
-        genus = simpleknot.genus_primitive(knot)
-    except ValueError:
-        genus = None
     return ({"p": args.p, "q": args.q, "k": args.k},
-            {"p": args.p, "q": args.q, "k": args.k, "chi": chi,
-             "genus": genus, "order": knot.homological_order})
+            {"p": args.p, "q": args.q, "k": args.k,
+             "chi": simpleknot.euler_char(knot),
+             "genus": simpleknot.genus_primitive(knot),
+             "order": knot.homological_order})
 
 
 @_command("simpleknot star", _arg("p", type=int),
@@ -277,7 +277,7 @@ def _simpleknot_star(args):
     for eps in epss:
         sols = simpleknot.star_solutions(args.p, eps)
         results[f"eps={eps:+d}"] = {
-            "raw": [{"k": s.k, "q": s.q} for s in sols],
+            "raw": [{"k": k, "q": q} for k, q in sols],
             "canonical": list(simpleknot.star_canonical(args.p, eps)),
         }
     return {"p": args.p, "eps": args.eps}, results
@@ -335,7 +335,7 @@ def _families_eval(args):
     params = _parse_params(args.family, args.params)
     triple = families.family_triple(args.family, params)
     return ({"family": args.family, "params": [str(p) for p in params]},
-            {str(f.slot): str(f.lens) for f in triple})
+            {str(slot): str(space) for slot, space in triple})
 
 
 @_command("families census", _arg("--tmax", type=int, default=5),

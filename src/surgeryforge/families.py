@@ -14,24 +14,11 @@ flagged rows it produces).
 
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
-from .normseq import (NormSeq, dual_entries, gofk_exponent_sums,
+from .normseq import (dual_entries, format_items, gofk_exponent_sums,
                       norm_sequence_of, to_lens)
 from .rationals import INF, ExtRational, FrozenValue, rat
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
-
-class FamilyFilling(FrozenValue):
-    __slots__ = ("family", "params", "slot", "lens")
-
-    def __init__(self, family, params, slot, lens):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "slot", slot)
-        object.__setattr__(self, "lens", lens)
-
-    def __str__(self):
-        pars = ",".join(str(p) for p in self.params)
-        return f"{self.family}[{pars}]({self.slot}) = {self.lens}"
 
 
 class ExcludedParameter(ValueError):
@@ -130,12 +117,11 @@ def family_lens(family, params, slot):
 
 
 def family_triple(family, params):
-    """All lens filling slots of one family member, as FamilyFilling values."""
-    return tuple(
-        FamilyFilling(family, tuple(params), slot,
-                      family_lens(family, params, slot))
-        for slot in FAMILIES[family][2]
-    )
+    """All lens filling slots of one family member, as (slot, LensSpace)
+    pairs in slot order, from one evaluation of the family's formula."""
+    formula, _, slots = FAMILIES[family]
+    return tuple((slot, LensSpace(*label))
+                 for slot, label in zip(slots, formula(*params)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +463,7 @@ def gofklens_census(t_bound, seq_bound):
         entries.setdefault(entry, set()).add(witness)
 
     for seq, label, k in _SMALL_TYPE_ROWS:
-        add(_canonical_entry(label.p, label.q, k), str(NormSeq(seq)))
+        add(_canonical_entry(label.p, label.q, k), format_items(seq))
 
     # the rest from the template generation.  The dual class k solves
     # -k^2 = q (mod p); the two infinite families carry their printed
@@ -494,7 +480,7 @@ def gofklens_census(t_bound, seq_bound):
         elif _is_twist_shape(seq) is not None:
             ks = [k for k in ks if k in (3, p - 3)]
         for k in ks:
-            add(_canonical_entry(p, q, k), str(NormSeq(seq)))
+            add(_canonical_entry(p, q, k), format_items(seq))
 
     targets = _census_targets(t_bound, seq_bound)
     ordered = tuple(sorted(entries))
@@ -527,26 +513,18 @@ def alt_gofk_pipeline():
             tuple(e for kind, e in census_bad if kind == want)
             for want in ("extra", "missing")))
 
-    # lens-space level: dedupe entries to oriented lens spaces
-    spaces = {}
-    for e in census["entries"]:
-        spaces.setdefault((e.p, e.q), []).append(e)
-
-    # (a) even order at least 18, (b) not a surgery giving L(n, +-1)
-    stage_ab = {}
-    for (p, q), es in sorted(spaces.items()):
-        if p % 2 != 0 or p < 18:
-            continue
-        if q == 1 or q == p - 1:
-            continue
-        stage_ab[(p, q)] = es
+    # lens-space level: the census's oriented lens spaces (p, q), in order,
+    # with (a) even order at least 18, (b) not a surgery giving L(n, +-1)
+    stage_ab = sorted({(e.p, e.q) for e in census["entries"]
+                       if e.p % 2 == 0 and e.p >= 18
+                       and e.q not in (1, e.p - 1)})
 
     # (c) a genus one fibered knot with twist exponent sum in {-1, 1, 3};
     # both orientations are consulted because the tabulated chart reads the
     # sequence of the mirror for the twist family.
     exponent_info = {}
     survivors = []
-    for (p, q), es in stage_ab.items():
+    for p, q in stage_ab:
         lens = LensSpace(p, q)
         own = gofk_exponent_sums(norm_sequence_of(lens))
         mir = gofk_exponent_sums(norm_sequence_of(mirror(lens)))
@@ -557,7 +535,6 @@ def alt_gofk_pipeline():
         }
         if keep:
             survivors.append(lens)
-    survivors.sort(key=lambda l: l.p)
     survivor_orders = tuple(l.p for l in survivors)
     if survivor_orders != (18, 32, 50, 68):
         bad.append(("exponent-survivors", survivor_orders))
@@ -575,16 +552,13 @@ def alt_gofk_pipeline():
                 cands[p] = {"excluded": "order below 19 forces a torus knot"}
                 continue
             sols = {eps: star_solutions(p, eps) for eps in (1, -1)}
-            knots = [SimpleKnot(p, s.q, s.k)
-                     for eps in (1, -1) for s in sols[eps]]
+            knots = [SimpleKnot(p, q, k)
+                     for eps in (1, -1) for k, q in sols[eps]]
             classes = _equivalence_classes(knots)
             cands[p] = {
-                "solutions": {
-                    "+1": tuple((s.k, s.q) for s in sols[1]),
-                    "-1": tuple((s.k, s.q) for s in sols[-1]),
-                },
+                "solutions": {"+1": sols[1], "-1": sols[-1]},
                 "classes": tuple(tuple(str(k) for k in cls) for cls in classes),
-                "genera": tuple(sorted({_genus_or_none(k) for k in knots})),
+                "genera": tuple(sorted({genus_primitive(k) for k in knots})),
             }
         star_stage[str(lens)] = cands
 
@@ -621,13 +595,6 @@ def alt_gofk_pipeline():
              "genus_stage": genus_stage,
              "final": final_named},
             tuple(bad))
-
-
-def _genus_or_none(knot):
-    try:
-        return genus_primitive(knot)
-    except ValueError:
-        return None
 
 
 def _equivalence_classes(knots):

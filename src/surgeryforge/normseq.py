@@ -35,27 +35,6 @@ class Pow2(FrozenValue):
         return f"2^[{self.t}]"
 
 
-class NormSeq(FrozenValue):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not all(isinstance(e, int) for e in entries):
-            raise ValueError("NormSeq entries must be plain integers")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def kind(self):
-        if self.entries and all(e >= 2 for e in self.entries):
-            return "norm"
-        if all(e >= 0 for e in self.entries):
-            return "weak"
-        return "raw"
-
-    def __str__(self):
-        return format_items(self.entries)
-
-
 def parse_seq(text):
     """Parse '(a1,a2,...,an)' where entries may use the 2^[t] shorthand."""
     s = text.strip()
@@ -94,6 +73,16 @@ def format_items(items):
     return "(" + ",".join(str(e) for e in items) + ")"
 
 
+def sequence_kind(entries):
+    """'norm' for a nonempty all->=2 sequence, 'weak' for an all->=0 one
+    (the empty sequence included), otherwise 'raw'."""
+    if entries and all(e >= 2 for e in entries):
+        return "norm"
+    if all(e >= 0 for e in entries):
+        return "weak"
+    return "raw"
+
+
 def eval_items(items):
     """Exact continued-fraction value of a sequence with 2^[t] blocks.
 
@@ -118,8 +107,7 @@ def eval_items(items):
 
 def to_lens(seq):
     """The lens space named by a sequence: L(p,q) with p/q its value."""
-    items = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
-    return from_fraction(eval_items(items))
+    return from_fraction(eval_items(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -208,18 +196,16 @@ def reduce_seq(seq):
     """Canonical reduced form: blocks eliminated, no removable 0/1 entries.
 
     The result still names the same lens space (orientedly); the terminal
-    forms (0) and () / (1) name S^1 x S^2 and S^3.
+    forms (0) and () / (1) name S^1 x S^2 and S^3.  Returns a tuple of
+    integers.
     """
-    if isinstance(seq, NormSeq):
-        items = list(seq.entries)
-    else:
-        items = list(seq)
+    items = list(seq)
     while True:
         rules = applicable_rewrites(items)
         if not rules:
             if any(isinstance(e, Pow2) for e in items):
                 raise ValueError("adjacent shorthand blocks are not reducible")
-            return NormSeq(tuple(items))
+            return tuple(items)
         rule = min(rules, key=lambda r: (_PRIORITY[r[0]], r[1]))
         items = apply_rewrite(items, rule)
 
@@ -238,10 +224,9 @@ def riemenschneider_dual(seq):
     1/[a_1,...,a_l] + 1/[b_1,...,b_m] = 1 exactly, and the rule is an
     involution.
     """
-    entries = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
-    if not entries or any(a < 2 for a in entries):
+    if not seq or any(a < 2 for a in seq):
         raise ValueError("point rule needs a nonempty all->=2 sequence")
-    return NormSeq(dual_entries(entries))
+    return dual_entries(seq)
 
 
 def dual_entries(entries):
@@ -315,14 +300,13 @@ def _pattern_sums(e):
 def gofk_exponent_sums(seq):
     """Exponent sums of genus one fibered knots detected by sequence shape.
 
-    Input must be a reduced sequence: all entries >= 2, or one of the
-    terminal forms (), (0), (1).  Returns the set of realizable exponent
-    sums; empty means the criterion finds no genus one fibered knot.
+    Input must be a reduced sequence, as a tuple: all entries >= 2, or one
+    of the terminal forms (), (0), (1).  Returns the set of realizable
+    exponent sums; empty means the criterion finds no genus one fibered knot.
     """
-    entries = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
-    if entries not in ((), (0,), (1,)) and any(e < 2 for e in entries):
-        raise ValueError(f"{entries} is not reduced")
-    return frozenset(_pattern_sums(entries) | _pattern_sums(tuple(reversed(entries))))
+    if seq not in ((), (0,), (1,)) and any(e < 2 for e in seq):
+        raise ValueError(f"{seq} is not reduced")
+    return frozenset(_pattern_sums(seq) | _pattern_sums(seq[::-1]))
 
 
 def norm_sequence_of(lens):
@@ -333,9 +317,9 @@ def norm_sequence_of(lens):
     if not isinstance(lens, LensSpace):
         raise TypeError("expected a LensSpace")
     if lens.p == 0:
-        return NormSeq((0,))
+        return (0,)
     if lens.p == 1:
-        return NormSeq(())
+        return ()
     if lens.q == 0:
         raise ValueError("q = 0 only for S^3")
-    return NormSeq(cf_expand_norm(ExtRational(lens.p, lens.q)))
+    return cf_expand_norm(ExtRational(lens.p, lens.q))

@@ -29,6 +29,13 @@ class FrozenValue:
     dataclasses because importing ``dataclasses`` also loads ``inspect``,
     ``ast``, ``dis`` and ``tokenize``, a start-up cost that every CLI
     process would pay.
+
+    A value earns a class only when the class normalises or validates its
+    input (``ExtRational``, ``LensSpace``, ``SimpleKnot``,
+    ``MontesinosLink``, ``Pow2``) or gives a report its printed form
+    (``P5Filling``, ``CensusEntry``).  Plain integer data with neither, such
+    as a norm sequence, a continued-fraction word or a congruence root
+    (k, q), stays a tuple.
     """
 
     __slots__ = ()
@@ -182,33 +189,9 @@ def cf_eval(coeffs):
     return value
 
 
-class ContFrac(FrozenValue):
-    """A minus-convention continued fraction word.
-
-    All entries are integers except that the last may be an ExtRational.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        for i, c in enumerate(coeffs):
-            if isinstance(c, int):
-                continue
-            if isinstance(c, ExtRational) and i == len(coeffs) - 1:
-                continue
-            raise ValueError("only the final entry may be non-integral")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def value(self):
-        return cf_eval(self.coeffs)
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
-
-
 def parse_cf(text):
-    """Parse '[a1,a2,...,an]' (final entry may be 'p/q' or 'inf')."""
+    """Parse '[a1,a2,...,an]' into its coefficient tuple: integers, but for
+    a final 'p/q' or 'inf', which becomes an ExtRational."""
     bad = ValueError(f"not a continued fraction: {text!r} (expected "
                      "[a1,...,an], integers but for a last p/q or inf)")
     s = text.strip()
@@ -216,7 +199,7 @@ def parse_cf(text):
         raise bad
     body = s[1:-1].strip()
     if not body:
-        return ContFrac(())
+        return ()
     parts = [p.strip() for p in body.split(",")]
     coeffs = []
     try:
@@ -227,7 +210,12 @@ def parse_cf(text):
                 coeffs.append(int(p))
     except ValueError:
         raise bad from None
-    return ContFrac(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def format_cf(coeffs):
+    """The word '[a1,...,an]' of a coefficient tuple, as parse_cf reads it."""
+    return "[" + ",".join(str(c) for c in coeffs) + "]"
 
 
 def cf_solve_tail(prefix, target_j):

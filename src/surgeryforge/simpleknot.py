@@ -90,62 +90,46 @@ def genus_primitive(knot):
     """Genus of a primitive simple knot: g = (1 - chi)/2.
 
     A primitive knot (gcd(p,k) = 1) dual to a knot in S^3 caps off to a
-    surface with one boundary component, so chi = 1 - 2g.  Requires odd chi.
+    surface with one boundary component, so chi = 1 - 2g.  A knot that is
+    not primitive, or has even chi, has no genus in this convention: None.
     """
     if gcd(knot.p, knot.k) != 1:
-        raise ValueError(f"{knot} is not primitive")
+        return None
     chi = euler_char(knot)
     if chi % 2 == 0:
-        raise ValueError(f"{knot} has even Euler characteristic {chi}")
+        return None
     return (1 - chi) // 2
 
 
-class StarSolution(FrozenValue):
-    """A residue k with k^2 + eps(k+1) = 0 mod p, with companion q = -k^2."""
-
-    __slots__ = ("k", "q")
-
-    def __init__(self, k, q):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-
-
 def star_solutions(p, eps):
-    """All raw residues 0 < k < p with k^2 + eps(k+1) = 0 (mod p).
+    """All raw residues 0 < k < p with k^2 + eps(k+1) = 0 (mod p), as
+    pairs (k, q) with the companion class q = -k^2 mod p.
 
     Solutions come in pairs under k <-> p-k only after passing to the
-    equivalence of the named knots; the raw residues are reported with their
-    companion classes q = -k^2 mod p.
+    equivalence of the named knots.
     """
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     out = []
     for k in range(1, p):
         if (k * k + eps * (k + 1)) % p == 0:
-            out.append(StarSolution(k, (-k * k) % p))
+            out.append((k, (-k * k) % p))
     return tuple(out)
 
 
 def star_canonical(p, eps):
     """Solutions folded to (0, p/2] under k <-> p-k."""
-    return tuple(sorted({min(s.k, p - s.k) for s in star_solutions(p, eps)}))
+    return tuple(sorted({min(k, p - k) for k, _ in star_solutions(p, eps)}))
 
 
 def knots_with_genus(lens, genus):
     """All primitive simple knots in the lens space with the given genus.
 
-    Scans k in (0, p/2] with gcd(p,k) = 1; knots with even Euler
-    characteristic have no genus in this convention and never match.
+    Scans k in (0, p/2]; knots that genus_primitive gives no genus (the
+    non-primitive ones and those of even Euler characteristic) never match.
     """
     p, q = lens.p, lens.q
     if p < 2:
         return ()
-    found = []
-    for k in range(1, p // 2 + 1):
-        if gcd(p, k) != 1:
-            continue
-        knot = SimpleKnot(p, q, k)
-        chi = euler_char(knot)
-        if chi % 2 != 0 and (1 - chi) // 2 == genus:
-            found.append(knot)
-    return tuple(found)
+    knots = (SimpleKnot(p, q, k) for k in range(1, p // 2 + 1))
+    return tuple(knot for knot in knots if genus_primitive(knot) == genus)

@@ -1,6 +1,6 @@
 """The three-filling intersection check, the Riemenschneider point rule and
 the census seed generators as they stood before their rewrites: a
-FamilyFilling triple and ExtRational slopes for every parameter pair, a dual
+family_triple and ExtRational slopes for every parameter pair, a dual
 built dot by dot, seeds with up to three entries other than 2 placed among
 2s, and the product over all entries 2..seq_bound+3.  Kept verbatim as the
 reference that surgeryforge.families and surgeryforge.normseq are tested
@@ -11,7 +11,7 @@ import itertools
 from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
                                    _recip_shift, _template_instances,
                                    family_triple)
-from surgeryforge.normseq import NormSeq, gofk_exponent_sums
+from surgeryforge.normseq import gofk_exponent_sums
 
 
 def verify_three_filling_intersections(bound):
@@ -119,7 +119,7 @@ def riemenschneider_dual(seq):
     1/[a_1,...,a_l] + 1/[b_1,...,b_m] = 1 exactly, and the rule is an
     involution.
     """
-    entries = seq.entries if isinstance(seq, NormSeq) else tuple(seq)
+    entries = tuple(seq)
     if not entries or any(a < 2 for a in entries):
         raise ValueError("point rule needs a nonempty all->=2 sequence")
     col_counts = []
@@ -130,7 +130,7 @@ def riemenschneider_dual(seq):
                 col_counts.append(0)
             col_counts[j] += 1
         col = col + a - 2
-    return NormSeq(tuple(c + 1 for c in col_counts))
+    return tuple(c + 1 for c in col_counts)
 
 
 def _gofk_seeds(t_bound, seq_bound):
@@ -165,7 +165,7 @@ def _oracle_gofk_sequences(t_bound, seq_bound):
         for a in itertools.product(range(2, seq_bound + 4), repeat=length):
             if sum(1 for e in a if e != 2) > 3:
                 continue
-            b = riemenschneider_dual(a).entries
+            b = riemenschneider_dual(a)
             for first, second in ((a, b), (b, a)):
                 for seq in _template_instances(first, second):
                     if not seq or seq in found:

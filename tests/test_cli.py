@@ -98,6 +98,26 @@ def test_normseq_commands(capsys):
     assert report["results"]["exponent_sums"] == [6]
 
 
+@pytest.mark.parametrize("argv, parameters, results", [
+    (("cf", "eval", "[ 3, 2 ,2]"), {"word": "[3,2,2]"}, {"value": "7/3"}),
+    (("cf", "eval", "[1,6/4]"), {"word": "[1,3/2]"}, {"value": "1/3"}),
+    (("cf", "eval", "[1,inf]"), {"word": "[1,inf]"}, {"value": "1"}),
+    (("cf", "eval", "[]"), {"word": "[]"}, {"value": "inf"}),
+    (("normseq", "reduce", "(-1,3)"), {"seq": "(-1,3)"},
+     {"reduced": "(-1,3)", "kind": "raw", "lens": "L(4,1)"}),
+    (("normseq", "reduce", "(1,3,4)"), {"seq": "(1,3,4)"},
+     {"reduced": "(4,2)", "kind": "norm", "lens": "L(7,2)"}),
+    (("normseq", "reduce", "(2^[-1])"), {"seq": "(2^[-1])"},
+     {"reduced": "(0)", "kind": "weak", "lens": "S1xS2"}),
+], ids=" ".join)
+def test_word_and_sequence_echo_pinned(capsys, argv, parameters, results):
+    # the echoed word or sequence is the normalised input, printed back
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["parameters"] == parameters
+    assert report["results"] == results
+
+
 def test_tangle_command(capsys):
     code, report = run_json(capsys, "tangle", "two-bridge", "Q(-2,1/2,7/3)")
     assert report["results"]["two_bridge_necessary"] is True

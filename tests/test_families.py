@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -19,7 +20,7 @@ from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
 
 
 def lenses(family, params):
-    return {str(f.slot): f.lens for f in family_triple(family, params)}
+    return {str(slot): space for slot, space in family_triple(family, params)}
 
 
 def test_family_a_spot_checks():
@@ -56,6 +57,27 @@ def test_family_exclusions_are_named():
         family_lens("X2", (2, rat(3)), INF)
 
 
+def test_family_triple_matches_family_lens():
+    # one formula call per member gives each slot what family_lens gives,
+    # and an excluded member or invalid label raises what family_lens raises
+    ints = range(-4, 6)
+    slopes = [rat(a, b) for a in range(-4, 6) for b in (1, 2, 3)
+              if gcd(a, b) == 1] + [INF]
+    for family, (_, kinds, slots) in families.FAMILIES.items():
+        for params in product(*(ints if kind is int else slopes
+                                for kind in kinds)):
+            try:
+                want = tuple((slot, family_lens(family, params, slot))
+                             for slot in slots)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    family_triple(family, params)
+                assert (type(got.value), str(got.value)) == \
+                    (type(exc), str(exc)), (family, params)
+                continue
+            assert family_triple(family, params) == want, (family, params)
+
+
 def test_x_families_against_known_overlaps():
     # the inf-slot formulas agree with the three-filling families on shared
     # manifolds (up to the orientation slop of the tabulated formulas)
@@ -70,11 +92,11 @@ def test_x_families_against_known_overlaps():
 def test_wsl_identification_index_order():
     # the exterior of the 1-surgery knot on the unknotted component of the
     # Whitehead sister link is A[2, p+4] with p = 1, not A[p+4, 2]
-    good = {str(f.lens) for f in family_triple("A", (2, 5))}
+    good = {str(space) for _, space in family_triple("A", (2, 5))}
     assert good == {"S3", "L(31,17)", "L(32,25)"}
     other = family_triple("A", (5, 2))
-    assert {f.lens.p for f in other} != {1, 31, 32}
-    assert {str(f.lens) for f in other} != good
+    assert {space.p for _, space in other} != {1, 31, 32}
+    assert {str(space) for _, space in other} != good
 
 
 def test_intersections_bound_8():
@@ -237,8 +259,8 @@ def test_equivalence_classes_match_pairwise_scan():
     # grouping by canonical triple gives the classes, and their order, of a
     # scan that compares each knot with the first member of every class
     for p in range(2, 80):
-        knots = [SimpleKnot(p, s.q, s.k) for eps in (1, -1)
-                 for s in star_solutions(p, eps)]
+        knots = [SimpleKnot(p, q, k) for eps in (1, -1)
+                 for k, q in star_solutions(p, eps)]
         knots += [SimpleKnot(p, q, k) for q in range(1, p) for k in (1, 2)
                   if gcd(p, q) == 1 and k < p]
         scan = []
@@ -314,7 +336,7 @@ def test_three_filling_orders():
                 t = family_triple("A", (m, n))
             except ExcludedParameter:
                 continue
-            orders = sorted(f.lens.p for f in t)
+            orders = sorted(space.p for _, space in t)
             assert orders[0] + orders[1] == orders[2], (m, n)
             finite = [o for o in orders if o > 1]
             if len(set(finite)) != len(finite):
@@ -327,7 +349,7 @@ def test_three_filling_orders():
                 t = family_triple("B", (rat(a, b),))
             except ExcludedParameter:
                 continue
-            orders = sorted(f.lens.p for f in t)
+            orders = sorted(space.p for _, space in t)
             assert orders[0] + orders[1] == orders[2], (a, b)
             finite = [o for o in orders if o > 1]
             if len(set(finite)) != len(finite):
@@ -338,7 +360,7 @@ def test_three_filling_orders():
 
 def test_a32_contains_s3_exactly_once():
     t = family_triple("A", (3, 2))
-    spheres = [str(f.slot) for f in t if f.lens == S3]
+    spheres = [str(slot) for slot, space in t if space == S3]
     assert spheres == ["2"]
 
 

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from surgeryforge.rationals import (INF, ContFrac, ExtRational, cf_eval,
+from surgeryforge.rationals import (INF, ExtRational, cf_eval,
                                     cf_expand_norm, cf_solve_tail, corot_map,
-                                    parse_cf, parse_slope, rat, reciprocal,
-                                    rot_map, shift)
+                                    format_cf, parse_cf, parse_slope, rat,
+                                    reciprocal, rot_map, shift)
 
 # Independent oracle: evaluate the minus-convention word with Fractions,
 # using None for infinity.
@@ -163,8 +163,12 @@ def test_parse_and_format():
     assert str(rat(-2)) == "-2"
     assert str(INF) == "inf"
     word = parse_cf("[3,2,2]")
-    assert word.coeffs == (3, 2, 2)
-    assert word.value() == rat(7, 3)
-    assert parse_cf("[-1,1,5/7]").coeffs == (-1, 1, rat(5, 7))
-    with pytest.raises(ValueError):
-        ContFrac((rat(1, 2), 3))
+    assert word == (3, 2, 2)
+    assert cf_eval(word) == rat(7, 3)
+    assert format_cf(word) == "[3,2,2]"
+    assert parse_cf("[-1,1,5/7]") == (-1, 1, rat(5, 7))
+    assert format_cf(parse_cf("[-1,1,5/7]")) == "[-1,1,5/7]"
+    # only the final entry of a word may be non-integral
+    for word in ((rat(1, 2), 3), (2, "x")):
+        with pytest.raises(ValueError, match="only the final entry"):
+            cf_eval(word)

@@ -10,18 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import values_oracle as oracle
-from surgeryforge.families import CensusEntry, FamilyFilling
+from surgeryforge.families import CensusEntry
 from surgeryforge.lens import LensSpace
-from surgeryforge.normseq import NormSeq, Pow2
+from surgeryforge.normseq import Pow2
 from surgeryforge.pentangle import M5Filling, P5Filling
-from surgeryforge.rationals import ContFrac, ExtRational
-from surgeryforge.simpleknot import SimpleKnot, StarSolution
+from surgeryforge.rationals import ExtRational
+from surgeryforge.simpleknot import SimpleKnot
 from surgeryforge.tangle import MontesinosLink
 
 NEW = types.SimpleNamespace(**{cls.__name__: cls for cls in (
-    ExtRational, ContFrac, LensSpace, MontesinosLink, Pow2, NormSeq,
-    SimpleKnot, StarSolution, P5Filling, M5Filling, FamilyFilling,
-    CensusEntry)})
+    ExtRational, LensSpace, MontesinosLink, Pow2, SimpleKnot, P5Filling,
+    M5Filling, CensusEntry)})
 
 
 class Make:
@@ -57,24 +56,17 @@ def outcome(impl, spec):
 small = st.integers(-7, 7)
 slope = st.builds(lambda n, d: Make("ExtRational", n, d), small, small)
 lens = st.builds(lambda p, q: Make("LensSpace", p, q), small, small)
-# a non-final ContFrac entry that is not an integer is refused
-cf_entry = st.one_of(small, small, slope)
 KINDS = (
     slope,
     st.builds(lambda n: Make("ExtRational", n), small),
     st.builds(lambda n, d: Make("ExtRational", num=n, den=d), small, small),
-    st.builds(lambda cs: Make("ContFrac", tuple(cs)),
-              st.lists(cf_entry, max_size=4)),
     lens,
     st.builds(lambda fs: Make("MontesinosLink", tuple(fs)),
               st.lists(st.one_of(slope, slope, small), min_size=3,
                        max_size=3)),
     st.builds(lambda t: Make("Pow2", t), st.integers(-3, 4)),
-    st.builds(lambda es: Make("NormSeq", tuple(es)),
-              st.lists(st.one_of(small, small, slope), max_size=4)),
     st.builds(lambda p, q, k: Make("SimpleKnot", p, q, k),
               st.integers(-1, 9), small, st.integers(-1, 10)),
-    st.builds(lambda k, q: Make("StarSolution", k, q), small, small),
     st.builds(lambda s: Make("P5Filling", *s), st.lists(slope, min_size=4,
                                                         max_size=5)),
     st.builds(lambda s, x: Make("P5Filling", nw=s[0], ne=s[1], sw=s[2],
@@ -82,9 +74,6 @@ KINDS = (
               st.lists(slope, min_size=4, max_size=4), slope),
     st.builds(lambda s: Make("M5Filling", *s), st.lists(slope, min_size=5,
                                                         max_size=5)),
-    st.builds(lambda f, ps, s, ls: Make("FamilyFilling", f, tuple(ps), s, ls),
-              st.sampled_from(("A", "B", "X1")),
-              st.lists(st.one_of(small, slope), max_size=2), slope, lens),
     st.builds(lambda p, q, k: Make("CensusEntry", p, q, k),
               small, small, small))
 values = st.one_of(KINDS)
@@ -138,10 +127,7 @@ def test_values_match_dataclass_oracle(data):
     Make("SimpleKnot", 1, 0, 0),
     Make("SimpleKnot", 6, 3, 1),
     Make("SimpleKnot", 7, 3, 7),
-    Make("ContFrac", (Make("ExtRational", 1, 2), 3)),
-    Make("ContFrac", (2, "x")),
-    Make("MontesinosLink", (1, Make("ExtRational", 1, 2), 3)),
-    Make("NormSeq", (2, Make("ExtRational", 3)))], ids=repr)
+    Make("MontesinosLink", (1, Make("ExtRational", 1, 2), 3))], ids=repr)
 def test_bad_fields_raise_as_the_oracle(spec):
     assert outcome(NEW, spec)[1] is not None
     check_same(spec, spec)

@@ -1,8 +1,7 @@
 """The package's value classes as they stood when they were frozen
-dataclasses: ExtRational and ContFrac (rationals), LensSpace (lens),
-MontesinosLink (tangle), Pow2 and NormSeq (normseq), SimpleKnot and
-StarSolution (simpleknot), P5Filling and M5Filling (pentangle), and
-FamilyFilling and CensusEntry (families).  Kept verbatim as the reference
+dataclasses: ExtRational (rationals), LensSpace (lens), MontesinosLink
+(tangle), Pow2 (normseq), SimpleKnot (simpleknot), P5Filling and M5Filling
+(pentangle), and CensusEntry (families).  Kept verbatim as the reference
 for the plain __slots__ classes that replaced them: the same fields after
 normalisation, the same errors, equality, hash, str and repr."""
 
@@ -10,8 +9,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from surgeryforge.lens import is_lens_label
-from surgeryforge.normseq import format_items
-from surgeryforge.rationals import cf_eval
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,32 +53,6 @@ class ExtRational:
         if self.den == 1:
             return str(self.num)
         return f"{self.num}/{self.den}"
-
-
-@dataclass(frozen=True, slots=True)
-class ContFrac:
-    """A minus-convention continued fraction word.
-
-    All entries are integers except that the last may be an ExtRational.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        for i, c in enumerate(coeffs):
-            if isinstance(c, int):
-                continue
-            if isinstance(c, ExtRational) and i == len(coeffs) - 1:
-                continue
-            raise ValueError("only the final entry may be non-integral")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def value(self):
-        return cf_eval(self.coeffs)
-
-    def __str__(self):
-        return "[" + ",".join(str(c) for c in self.coeffs) + "]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,28 +118,6 @@ class Pow2:
 
 
 @dataclass(frozen=True, slots=True)
-class NormSeq:
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        if not all(isinstance(e, int) for e in entries):
-            raise ValueError("NormSeq entries must be plain integers")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def kind(self):
-        if self.entries and all(e >= 2 for e in self.entries):
-            return "norm"
-        if all(e >= 0 for e in self.entries):
-            return "weak"
-        return "raw"
-
-    def __str__(self):
-        return format_items(self.entries)
-
-
-@dataclass(frozen=True, slots=True)
 class SimpleKnot:
     p: int
     q: int
@@ -188,14 +137,6 @@ class SimpleKnot:
 
     def __str__(self):
         return f"K({self.p},{self.q},{self.k})"
-
-
-@dataclass(frozen=True, slots=True)
-class StarSolution:
-    """A residue k with k^2 + eps(k+1) = 0 mod p, with companion q = -k^2."""
-
-    k: int
-    q: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,18 +167,6 @@ class M5Filling:
 
     def slopes(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a5)
-
-
-@dataclass(frozen=True, slots=True)
-class FamilyFilling:
-    family: str
-    params: tuple
-    slot: ExtRational
-    lens: LensSpace
-
-    def __str__(self):
-        pars = ",".join(str(p) for p in self.params)
-        return f"{self.family}[{pars}]({self.slot}) = {self.lens}"
 
 
 @dataclass(frozen=True, slots=True, order=True)
