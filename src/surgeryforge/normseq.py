@@ -15,6 +15,13 @@ omitted and t = -1 blocks are removed by the fusion rules
 
 Entries 0 and 1 reduce away except in the terminal sequences (0) and (1):
 (0) names S^1 x S^2 while (1) and () name S^3.
+
+Each rule is stated once, in `applicable_rewrites`, as a record (priority,
+index, lo, hi, new) that replaces items[lo:hi] by new: priority 0 for the
+block rules, 1 for the 0 rules, 2 for the 1 rules and 3 for reversing the
+list.  `reduce_seq` applies the least priority first, leftmost first.  Two
+touching 2^[-1] blocks never fuse, so a list holding them is refused with
+ValueError.
 """
 
 from .lens import LensSpace, from_fraction
@@ -121,7 +128,15 @@ def to_lens(seq):
 
 
 def applicable_rewrites(items):
-    """All (rule, index) pairs applicable to the item list."""
+    """One record (priority, index, lo, hi, new) per applicable rule: the
+    rule at item `index` replaces items[lo:hi] by the list `new`.
+
+    Priority 0 marks the block rules, 1 the 0 rules, 2 the 1 rules and 3
+    the reversal; each index carries at most one rule, so no two records
+    share (priority, index).  Reversal is offered only when nothing else
+    applies, the list starts with 0 or 1 and it holds no block: a block
+    left with no rule touches another block and never fuses.
+    """
     out = []
     n = len(items)
 
@@ -129,85 +144,53 @@ def applicable_rewrites(items):
         return 0 <= i < n and isinstance(items[i], int)
 
     for i, item in enumerate(items):
+        mid = is_int(i - 1) and is_int(i + 1)
+        end = i == n - 1 and is_int(i - 1)
         if isinstance(item, Pow2):
             if item.t >= 0:
-                out.append(("expand", i))
-            elif i == 0 and n >= 2 and is_int(1):
-                out.append(("fuse_front", i))
-            elif 0 < i < n - 1 and is_int(i - 1) and is_int(i + 1):
-                out.append(("fuse_mid", i))
-            elif i == n - 1 and n >= 2 and is_int(n - 2):
-                out.append(("fuse_end", i))
+                out.append((0, i, i, i + 1, [2] * item.t))
+            elif i == 0 and is_int(1):
+                out.append((0, i, 0, 2, [0, items[1] - 2]))
+            elif mid:
+                out.append((0, i, i - 1, i + 2,
+                            [items[i - 1] + items[i + 1] - 2]))
+            elif end:
+                out.append((0, i, i - 1, n, []))
             elif n == 1:
-                out.append(("fuse_bare", i))
-            continue
-        if item == 0:
-            if 0 < i < n - 1 and is_int(i - 1) and is_int(i + 1):
-                out.append(("zero_mid", i))
-            elif i == n - 1 and n >= 2 and is_int(n - 2):
-                out.append(("zero_end", i))
+                out.append((0, i, 0, 1, [0]))
+        elif item == 0:
+            if mid:
+                out.append((1, i, i - 1, i + 2, [items[i - 1] + items[i + 1]]))
+            elif end:
+                out.append((1, i, i - 1, n, []))
         elif item == 1:
-            if (0 < i < n - 1 and is_int(i - 1) and is_int(i + 1)
-                    and items[i - 1] != 0 and items[i + 1] != 0):
-                out.append(("one_mid", i))
-            elif i == n - 1 and n >= 2 and is_int(n - 2) and items[n - 2] != 0:
-                out.append(("one_end", i))
-    if not out and n >= 2 and items[0] in (0, 1):
+            if mid and items[i - 1] != 0 and items[i + 1] != 0:
+                out.append((2, i, i - 1, i + 2,
+                            [items[i - 1] - 1, items[i + 1] - 1]))
+            elif end and items[i - 1] != 0:
+                out.append((2, i, i - 1, n, [items[i - 1] - 1]))
+    if (not out and n >= 2 and items[0] in (0, 1)
+            and not any(isinstance(e, Pow2) for e in items)):
         # only a leading redex remains; reversal is free on norm sequences
-        out.append(("reverse", 0))
+        out.append((3, 0, 0, n, items[::-1]))
     return out
-
-
-def apply_rewrite(items, rule):
-    name, i = rule
-    items = list(items)
-    if name == "expand":
-        items[i:i + 1] = [2] * items[i].t
-    elif name == "fuse_front":
-        items[:2] = [0, items[1] - 2]
-    elif name == "fuse_mid":
-        items[i - 1:i + 2] = [items[i - 1] + items[i + 1] - 2]
-    elif name == "fuse_end":
-        del items[-2:]
-    elif name == "fuse_bare":
-        items[:] = [0]
-    elif name == "zero_mid":
-        items[i - 1:i + 2] = [items[i - 1] + items[i + 1]]
-    elif name == "zero_end":
-        del items[-2:]
-    elif name == "one_mid":
-        items[i - 1:i + 2] = [items[i - 1] - 1, items[i + 1] - 1]
-    elif name == "one_end":
-        items[-2:] = [items[-2] - 1]
-    elif name == "reverse":
-        items.reverse()
-    else:
-        raise ValueError(f"unknown rewrite {name!r}")
-    return items
-
-
-_PRIORITY = {
-    "expand": 0, "fuse_front": 0, "fuse_mid": 0, "fuse_end": 0, "fuse_bare": 0,
-    "zero_mid": 1, "zero_end": 1, "one_mid": 2, "one_end": 2, "reverse": 3,
-}
 
 
 def reduce_seq(seq):
     """Canonical reduced form: blocks eliminated, no removable 0/1 entries.
 
+    Applies the rule with the least (priority, index) until none applies.
     The result still names the same lens space (orientedly); the terminal
     forms (0) and () / (1) name S^1 x S^2 and S^3.  Returns a tuple of
     integers.
     """
     items = list(seq)
-    while True:
-        rules = applicable_rewrites(items)
-        if not rules:
-            if any(isinstance(e, Pow2) for e in items):
-                raise ValueError("adjacent shorthand blocks are not reducible")
-            return tuple(items)
-        rule = min(rules, key=lambda r: (_PRIORITY[r[0]], r[1]))
-        items = apply_rewrite(items, rule)
+    while rules := applicable_rewrites(items):
+        _, _, lo, hi, new = min(rules)
+        items[lo:hi] = new
+    if any(isinstance(e, Pow2) for e in items):
+        raise ValueError("adjacent shorthand blocks are not reducible")
+    return tuple(items)
 
 
 # ---------------------------------------------------------------------------

@@ -49,44 +49,24 @@ class P5Filling(FrozenValue):
         return "P(" + ",".join(parts) + ")"
 
 
-class M5Filling(FrozenValue):
-    """Chain-link coordinates (a1, ..., a5)."""
-
-    __slots__ = ("a1", "a2", "a3", "a4", "a5")
-
-    def __init__(self, a1, a2, a3, a4, a5):
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "a4", a4)
-        object.__setattr__(self, "a5", a5)
-
-    def slopes(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a5)
-
-
 def m5_to_p5(m):
-    """Chain coordinates to tangle coordinates."""
+    """Chain coordinates (a1, ..., a5) to tangle coordinates."""
+    a1, a2, a3, a4, a5 = m
     return P5Filling(
-        nw=m.a2,
-        ne=one_minus_reciprocal(m.a1),
-        sw=one_minus_reciprocal(m.a4),
-        se=m.a3,
-        x=shift(m.a5, -1),
+        nw=a2,
+        ne=one_minus_reciprocal(a1),
+        sw=one_minus_reciprocal(a4),
+        se=a3,
+        x=shift(a5, -1),
     )
 
 
 def p5_to_m5(f):
-    """Tangle coordinates to chain coordinates; inverse of m5_to_p5."""
+    """Tangle coordinates to chain coordinates (a1, ..., a5); inverse of
+    m5_to_p5."""
     if f.x is None:
         raise ValueError("need all five slopes")
-    return M5Filling(
-        a1=rot_map(f.ne),
-        a2=f.nw,
-        a3=f.se,
-        a4=rot_map(f.sw),
-        a5=shift(f.x, 1),
-    )
+    return (rot_map(f.ne), f.nw, f.se, rot_map(f.sw), shift(f.x, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -126,22 +106,6 @@ def mirror_sym(f):
     x = reciprocal(f.x) if f.x is not None else None
     return P5Filling(reciprocal(f.ne), reciprocal(f.se), reciprocal(f.nw),
                      reciprocal(f.sw), x)
-
-
-SYMMETRIES = {
-    "swapLR": swap_lr,
-    "swapTB": swap_tb,
-    "swapFB": swap_fb,
-    "rot3": rot3,
-    "mirror": mirror_sym,
-}
-
-
-def symmetry(f, which):
-    try:
-        return SYMMETRIES[which](f)
-    except KeyError:
-        raise ValueError(f"unknown symmetry {which!r}") from None
 
 
 # ---------------------------------------------------------------------------

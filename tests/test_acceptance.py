@@ -181,9 +181,8 @@ def test_criterion_09_pentangle_sweep():
         # symmetry group laws
         f = pentangle.P5Filling(rat(2, 3), rat(5), rat(-1, 2), rat(7, 2),
                                 rat(4))
-        for name in ("swapLR", "swapTB", "swapFB"):
-            g = pentangle.symmetry(f, name)
-            assert pentangle.symmetry(g, name) == f
+        for swap in (pentangle.swap_lr, pentangle.swap_tb, pentangle.swap_fb):
+            assert swap(swap(f)) == f
         assert pentangle.rot3(pentangle.rot3(pentangle.rot3(f))) == f
         # reciprocation carries each factoring list onto its mirror partner
         def recip_set(pairset):

@@ -288,6 +288,21 @@ def run_python(*argv):
                           capture_output=True, text=True, check=True).stdout
 
 
+@pytest.mark.parametrize("op", ["reduce", "exponents"])
+@pytest.mark.parametrize("seq", ["(1,2^[-1],2^[-1],1)",
+                                 "(0,2^[-1],2^[-1],1,2,0)"])
+def test_touching_blocks_exit_2(op, seq):
+    # the 0/1 redexes sit behind two touching 2^[-1] blocks, which no rule
+    # fuses; a fresh process with a timeout, so a rewrite loop fails here
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgeryforge.cli", "normseq", op, seq],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: adjacent shorthand blocks are not reducible\n"
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # multiprocessing is imported only by a pentangle sweep with jobs > 1
     out = run_python("-c", "import sys, surgeryforge.cli; "

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import families_oracle as oracle
+from surgeryforge import normseq
 from surgeryforge.lens import LensSpace, S3, S1XS2, homeo_oriented
-from surgeryforge.normseq import (Pow2, applicable_rewrites, apply_rewrite,
-                                  dual_entries, eval_items, format_items,
+from surgeryforge.normseq import (Pow2, applicable_rewrites, dual_entries,
+                                  eval_items, format_items,
                                   gofk_exponent_sums, norm_sequence_of,
                                   parse_seq, reduce_seq, riemenschneider_dual,
                                   sequence_kind, to_lens)
@@ -41,6 +42,13 @@ def test_reduce_examples():
     assert to_lens(reduce_seq((0,))) == S1XS2
     assert reduce_seq((5, 3, Pow2(-1))) == (5,)
     assert reduce_seq((4, 3, 2)) == (4, 3, 2)  # already reduced
+    # a leading 0 or 1 is reached by reversing the list: these pin the
+    # orientation of the result
+    assert reduce_seq((1, 5)) == (4,)
+    assert reduce_seq((0, 3, 4, 5)) == (5, 4)
+    assert reduce_seq((1, 3, Pow2(-1), 4)) == (4,)
+    assert reduce_seq((Pow2(-1), 3, 4)) == (4,)
+    assert reduce_seq((1, 2, 3)) == (2,)
 
 
 def test_reduce_kind():
@@ -53,6 +61,36 @@ def test_reduce_kind():
 def test_reduce_rejects_adjacent_blocks():
     with pytest.raises(ValueError):
         reduce_seq((Pow2(-1), Pow2(-1)))
+
+
+def test_reduce_terminates_on_every_short_list(monkeypatch):
+    # every list of length <= 5 over these items reduces or is refused
+    # within a few steps; a rewrite loop fails the cap instead of hanging
+    cap = 100
+    steps = 0
+
+    def counted(items):
+        nonlocal steps
+        steps += 1
+        if steps > cap:
+            pytest.fail(f"no normal form within {cap} steps: {start}")
+        return applicable_rewrites(items)
+
+    monkeypatch.setattr(normseq, "applicable_rewrites", counted)
+    alphabet = (-1, 0, 1, 2, 3, Pow2(-1), Pow2(0), Pow2(1))
+    reduced = refused = 0
+    for n in range(6):
+        for start in product(alphabet, repeat=n):
+            steps = 0
+            try:
+                got = reduce_seq(start)
+            except ValueError:
+                refused += 1
+                continue
+            assert all(isinstance(e, int) for e in got), (start, got)
+            assert not applicable_rewrites(got), (start, got)
+            reduced += 1
+    assert reduced + refused == sum(8 ** n for n in range(6))
 
 
 def test_blocks_below_minus_one_are_refused():
@@ -78,7 +116,8 @@ def _reduce_random_order(items, rng):
         rules = applicable_rewrites(items)
         if not rules:
             return tuple(items)
-        items = apply_rewrite(items, rng.choice(rules))
+        _, _, lo, hi, new = rng.choice(rules)
+        items[lo:hi] = new
 
 
 def _up_to_reversal(entries):

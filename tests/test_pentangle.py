@@ -7,7 +7,7 @@ import pentangle_oracle as oracle
 import pytest
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
-                                    P3_LISTS, M5Filling, P3Factor, P5Filling,
+                                    P3_LISTS, P3Factor, P5Filling,
                                     _bits, _is_one_minus_reciprocal,
                                     _pair_masks, _partition, _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
@@ -15,7 +15,7 @@ from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     m5_to_p5, mirror_sym, montesinos_presentations,
                                     p5_to_m5, rot3, rot3_fix_ne, simplifies,
                                     stern_brocot_slopes, swap_fb, swap_lr,
-                                    swap_tb, symmetry, two_bridge_necessary,
+                                    swap_tb, two_bridge_necessary,
                                     verify_simplification, X_FILLINGS)
 from surgeryforge.rationals import INF, ExtRational, cf_eval, rat, shift
 from surgeryforge.tangle import is_reciprocal_of_integer
@@ -28,7 +28,7 @@ def F(nw, ne, sw, se, x=None):
 def test_m5_p5_translation_is_inverse():
     f = F(rat(3, 2), rat(5), rat(-1), rat(7, 2), rat(0))
     assert m5_to_p5(p5_to_m5(f)) == f
-    m = M5Filling(rat(2, 3), rat(4), rat(-1, 2), rat(5), rat(7, 3))
+    m = (rat(2, 3), rat(4), rat(-1, 2), rat(5), rat(7, 3))
     assert p5_to_m5(m5_to_p5(m)) == m
 
 
@@ -43,14 +43,14 @@ def test_m5_p5_translation_sweep():
 def test_fifth_coordinate_pairing():
     # chain fillings 0, 1, inf on the fifth cusp become x = -1, 0, inf
     for a5, x in ((rat(0), rat(-1)), (rat(1), rat(0)), (INF, INF)):
-        m = M5Filling(rat(2), rat(3), rat(5), rat(7), a5)
+        m = (rat(2), rat(3), rat(5), rat(7), a5)
         assert m5_to_p5(m).x == x
 
 
 def test_symmetry_group_laws():
     f = F(rat(2, 3), rat(5), INF, rat(-1, 2), rat(4))
-    for name in ("swapLR", "swapTB", "swapFB"):
-        assert symmetry(symmetry(f, name), name) == f
+    for swap in (swap_lr, swap_tb, swap_fb):
+        assert swap(swap(f)) == f
     assert rot3(rot3(rot3(f))) == f
     assert rot3_fix_ne(rot3_fix_ne(rot3_fix_ne(f))) == f
     # the mirror squares to the front-back involution

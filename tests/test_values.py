@@ -13,14 +13,14 @@ import values_oracle as oracle
 from surgeryforge.families import CensusEntry
 from surgeryforge.lens import LensSpace
 from surgeryforge.normseq import Pow2
-from surgeryforge.pentangle import M5Filling, P5Filling
+from surgeryforge.pentangle import P5Filling
 from surgeryforge.rationals import ExtRational
 from surgeryforge.simpleknot import SimpleKnot
 from surgeryforge.tangle import MontesinosLink
 
 NEW = types.SimpleNamespace(**{cls.__name__: cls for cls in (
     ExtRational, LensSpace, MontesinosLink, Pow2, SimpleKnot, P5Filling,
-    M5Filling, CensusEntry)})
+    CensusEntry)})
 
 
 class Make:
@@ -72,8 +72,6 @@ KINDS = (
     st.builds(lambda s, x: Make("P5Filling", nw=s[0], ne=s[1], sw=s[2],
                                 se=s[3], x=x),
               st.lists(slope, min_size=4, max_size=4), slope),
-    st.builds(lambda s: Make("M5Filling", *s), st.lists(slope, min_size=5,
-                                                        max_size=5)),
     st.builds(lambda p, q, k: Make("CensusEntry", p, q, k),
               small, small, small))
 values = st.one_of(KINDS)

@@ -1,7 +1,7 @@
 """The package's value classes as they stood when they were frozen
 dataclasses: ExtRational (rationals), LensSpace (lens), MontesinosLink
-(tangle), Pow2 (normseq), SimpleKnot (simpleknot), P5Filling and M5Filling
-(pentangle), and CensusEntry (families).  Kept verbatim as the reference
+(tangle), Pow2 (normseq), SimpleKnot (simpleknot), P5Filling (pentangle)
+and CensusEntry (families).  Kept verbatim as the reference
 for the plain __slots__ classes that replaced them: the same fields after
 normalisation, the same errors, equality, hash, str and repr."""
 
@@ -155,18 +155,6 @@ class P5Filling:
         if self.x is not None:
             parts.append(str(self.x))
         return "P(" + ",".join(parts) + ")"
-
-
-@dataclass(frozen=True, slots=True)
-class M5Filling:
-    a1: ExtRational
-    a2: ExtRational
-    a3: ExtRational
-    a4: ExtRational
-    a5: ExtRational
-
-    def slopes(self):
-        return (self.a1, self.a2, self.a3, self.a4, self.a5)
 
 
 @dataclass(frozen=True, slots=True, order=True)
