@@ -316,7 +316,7 @@ def _pentangle_simplifies(args):
     f = _filling(args)
     return ({"filling": str(f)},
             {"nonhyperbolic": pentangle.is_nonhyperbolic(f),
-             "factors": pentangle.factors_through_P3(f).value,
+             "factors": pentangle.factors_through_P3(f),
              "simplifies": pentangle.simplifies(f)})
 
 

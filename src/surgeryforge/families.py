@@ -317,14 +317,6 @@ class CensusEntry(FrozenValue):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "k", k)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q, self.k) == (other.p, other.q, other.k)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.k))
-
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return (self.p, self.q, self.k) < (other.p, other.q, other.k)
@@ -421,7 +413,7 @@ def _gofk_sequences(t_bound, seq_bound):
                 if not seq or seq in found:
                     continue
                 if len(seq) - seq.count(2) > 2:
-                    continue  # no shape in _pattern_sums has more
+                    continue  # no `others` rule of _pattern_sums allows more
                 if not gofk_exponent_sums(seq):
                     continue
                 if all(e == 2 for e in seq) and len(seq) > seq_bound:
@@ -581,7 +573,7 @@ def alt_gofk_pipeline():
     want = [(19, LensSpace(18, 11)), (31, LensSpace(32, 7))]
     if [p for p, _ in final] != [p for p, _ in want] or any(
             not homeo_unoriented(g, w) for (_, g), (_, w) in zip(final, want)):
-        bad.append(("final", tuple(str(x) for x in final)))
+        bad.append(("final", tuple((p, str(lens)) for p, lens in final)))
 
     knot_names = {19: "pretzel P(-2,3,7)",
                   31: "+1-surgery dual on the Whitehead sister link"}

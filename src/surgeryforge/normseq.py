@@ -240,43 +240,38 @@ def dual_entries(entries):
 #     (2^[r-1])      : -r+1, -r-1   (4,2^[s-1])  : -s-2
 #     (2^[r-1],4,2^[s-1]) : -r-s-1
 #
-# A sequence is matched both as given and reversed.
+# Read through `others`, the entries other than 2, the chart is six rules
+# on a sequence of length n, each stated once in _pattern_sums:
+#
+#     ()                     : -2
+#     (r)                    : r-1, r+1   (the terminal (0) and (1) too)
+#     (r,2,s)                : r+s-1
+#     (r,3,2^[s-1])          : r-n        ((r,3) is s = 1)
+#     others == []           : -n, -n-2   (all 2s)
+#     others == [4]          : -n-2       (one 4 anywhere among 2s)
+#
+# No shape has more than two entries other than 2.  A sequence is matched
+# both as given and reversed.
 # ---------------------------------------------------------------------------
 
 
 def _pattern_sums(e):
-    s = set()
     n = len(e)
-    if n == 0:
-        s.add(-2)  # S^3 as (); the (1) form carries the other S^3 values
-        return s
+    if not n:
+        return {-2}  # S^3 as (); the (1) form carries the other S^3 values
     if n == 1:
-        r = e[0]
-        if r == 0:
-            s.update({-1, 1})
-        elif r == 1:
-            s.update({0, 2})
-        elif r == 2:
-            s.update({1, 3, -1, -3})  # both the (r) and the all-2s readings
-        elif r >= 3:
-            s.update({r - 1, r + 1})
-            if r == 4:
-                s.add(-3)
-        return s
-    if n == 3 and e[1] == 2 and e[0] >= 2 and e[2] >= 2:
-        s.add(e[0] + e[2] - 1)
-    if n == 2 and e[1] == 3 and e[0] >= 2:
-        s.add(e[0] - 2)
-    if n >= 3 and e[0] >= 2 and e[1] == 3 and all(c == 2 for c in e[2:]):
-        s.add(e[0] - n)  # (r,3,2^[s-1]) with s = n-1
-    if all(c == 2 for c in e):
-        s.update({-n, -n - 2})
-    if e[0] == 4 and all(c == 2 for c in e[1:]):
+        s = {e[0] - 1, e[0] + 1}
+    elif n == 3 and e[1] == 2:
+        s = {e[0] + e[2] - 1}
+    elif e[1] == 3 and e[2:].count(2) == n - 2:
+        s = {e[0] - n}
+    else:
+        s = set()
+    others = [c for c in e if c != 2]
+    if not others:
+        s |= {-n, -n - 2}
+    elif others == [4]:
         s.add(-n - 2)
-    if n >= 3:
-        for i in range(1, n - 1):
-            if e[i] == 4 and all(c == 2 for j, c in enumerate(e) if j != i):
-                s.add(-n - 2)
     return s
 
 
@@ -287,22 +282,16 @@ def gofk_exponent_sums(seq):
     of the terminal forms (), (0), (1).  Returns the set of realizable
     exponent sums; empty means the criterion finds no genus one fibered knot.
     """
-    if seq not in ((), (0,), (1,)) and any(e < 2 for e in seq):
+    if seq not in ((), (0,), (1,)) and min(seq) < 2:
         raise ValueError(f"{seq} is not reduced")
     return frozenset(_pattern_sums(seq) | _pattern_sums(seq[::-1]))
 
 
 def norm_sequence_of(lens):
-    """A norm sequence for L(p,q) (p >= 2): the all->=2 expansion of p/q.
-
-    For q = 0 or p < 2 returns the terminal forms.
-    """
+    """A norm sequence for L(p,q): the all->=2 expansion of p/q, or the
+    terminal form (0) for S^1 x S^2 and () for S^3."""
     if not isinstance(lens, LensSpace):
         raise TypeError("expected a LensSpace")
     if lens.p == 0:
         return (0,)
-    if lens.p == 1:
-        return ()
-    if lens.q == 0:
-        raise ValueError("q = 0 only for S^3")
     return cf_expand_norm(ExtRational(lens.p, lens.q))

@@ -14,7 +14,6 @@ necessary conditions for two-bridgeness case by case over all slopes of
 bounded height and confirms there are no counterexamples.
 """
 
-from enum import Enum
 from itertools import product
 
 from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval,
@@ -181,20 +180,14 @@ def is_nonhyperbolic(f):
             or _meets(_corner_pairs(f), NONHYP_LISTS))
 
 
-class P3Factor(Enum):
-    NO = "no"
-    P3 = "P3"
-    MIRROR_P3 = "mirrorP3"
-    BOTH = "both"
-
-
-# (factors through P3, factors through its mirror) -> P3Factor
-_P3_FACTOR = {(False, False): P3Factor.NO, (True, False): P3Factor.P3,
-              (False, True): P3Factor.MIRROR_P3, (True, True): P3Factor.BOTH}
+# (factors through P3, factors through its mirror) -> the report string
+_P3_FACTOR = {(False, False): "no", (True, False): "P3",
+              (False, True): "mirrorP3", (True, True): "both"}
 
 
 def factors_through_P3(f):
-    """Table lookup over the factoring condition lists (and mirror lists)."""
+    """Table lookup over the factoring condition lists (and mirror lists):
+    "no", "P3", "mirrorP3" or "both"."""
     groups = _corner_pairs(f)
     return _P3_FACTOR[_meets(groups, P3_LISTS),
                       _meets(groups, MIRROR_P3_LISTS)]
@@ -202,7 +195,7 @@ def factors_through_P3(f):
 
 def simplifies(f):
     """Non-hyperbolic, or factors through the three-cusp tangle or mirror."""
-    return is_nonhyperbolic(f) or factors_through_P3(f) is not P3Factor.NO
+    return is_nonhyperbolic(f) or factors_through_P3(f) != "no"
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,23 @@ def test_alt_gofk_census_failure_row(capsys, monkeypatch):
     assert out["counterexamples"] == [["census", [], [str(row)]]]
 
 
+def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
+    # with no candidate knot at p = 19 the final stage keeps only p = 31;
+    # its row names the lens space as the report prints it, not as a repr
+    solutions = families.star_solutions
+    monkeypatch.setattr(families, "star_solutions",
+                        lambda p, eps: () if p == 19 else solutions(p, eps))
+    argv = ("families", "verify", "alt-gofk")
+    outs = {}
+    for fmt in ("json", "text", "csv"):
+        code, outs[fmt] = run(capsys, "--format", fmt, *argv)
+        assert code == 1
+        assert "LensSpace(" not in outs[fmt]
+    assert json.loads(outs["json"])["counterexamples"] == [
+        ["final", [[31, "L(32,7)"]]]]
+    assert outs["text"].endswith("counterexamples: 1\n"
+                                 "  ['final', [[31, 'L(32,7)']]]\n")
+
 def test_intersections_counterexample_exits_1(capsys, monkeypatch):
     # a bad A-family label is a counterexample: one report on stdout, exit 1,
     # nothing on stderr

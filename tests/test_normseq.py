@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import families_oracle as oracle
+import normseq_oracle
 from surgeryforge import normseq
 from surgeryforge.lens import LensSpace, S3, S1XS2, homeo_oriented
 from surgeryforge.normseq import (Pow2, applicable_rewrites, dual_entries,
@@ -326,3 +328,41 @@ def test_exponent_sums_empty_beyond_two_non2_entries():
 def test_exponent_sums_requires_reduced():
     with pytest.raises(ValueError):
         gofk_exponent_sums((3, 1, 2))
+
+
+def _random_sparse_sequences(count, seed=15):
+    # up to three entries from 3..40 placed among 2s
+    rng = random.Random(seed)
+    for _ in range(count):
+        seq = [2] * rng.randint(1, 16)
+        places = rng.sample(range(len(seq)), rng.randint(0, min(3, len(seq))))
+        for i in places:
+            seq[i] = rng.randint(3, 40)
+        yield tuple(seq)
+
+
+def test_pattern_rules_match_chart_chain_oracle():
+    # the rules on the entries other than 2 against the if-chain they replace
+    seqs = [seq for n in range(1, 6)
+            for seq in product(range(2, 10), repeat=n)]
+    seqs += [(), (0,), (1,)]
+    seqs += _random_sparse_sequences(20000)
+    for seq in seqs:
+        assert gofk_exponent_sums(seq) == normseq_oracle.gofk_exponent_sums(
+            seq), seq
+    for seq in ((-3,), (0, 1), (2, 1), (1, 5)):
+        with pytest.raises(ValueError) as new:
+            gofk_exponent_sums(seq)
+        with pytest.raises(ValueError) as old:
+            normseq_oracle.gofk_exponent_sums(seq)
+        assert str(new.value) == str(old.value) == f"{seq} is not reduced"
+
+
+def test_norm_sequence_of_matches_oracle():
+    spaces = [S3, S1XS2] + [LensSpace(p, q) for p in range(2, 100)
+                            for q in range(p) if gcd(p, q) == 1]
+    for lens in spaces:
+        assert norm_sequence_of(lens) == normseq_oracle.norm_sequence_of(
+            lens), lens
+    with pytest.raises(TypeError):
+        norm_sequence_of((5, 2))

@@ -60,6 +60,19 @@ def test_genus_primitive_preconditions():
     assert genus_primitive(SimpleKnot(9, 2, 3)) is None
 
 
+def test_primitive_knots_have_odd_chi():
+    # genus_primitive keeps an even-chi branch that no primitive knot has
+    # been seen to reach; this pins the observation for p < 40
+    for p in range(2, 40):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            for k in range(1, p):
+                if gcd(p, k) == 1:
+                    knot = SimpleKnot(p, q, k)
+                    assert euler_char(knot) % 2 == 1, knot
+
+
 def test_equivalence_examples():
     assert equivalent(SimpleKnot(31, 17, 18), SimpleKnot(31, 11, 12))
     assert equivalent(SimpleKnot(31, 6, 5), SimpleKnot(31, 26, 25))
