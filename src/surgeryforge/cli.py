@@ -47,6 +47,10 @@ def _jsonable(value):
     return str(value)
 
 
+def _compact(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
     report = {
         "command": command,
@@ -59,7 +63,7 @@ def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
         report["elapsed_ms"] = elapsed_ms
     fmt = args.format
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(_compact(report))
     elif fmt == "csv":
         _emit_csv(report)
     else:
@@ -69,7 +73,8 @@ def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
 
 def _emit_csv(report):
     """One row per result, one column per result field, a nested field as a
-    compact JSON cell; cells are quoted where CSV needs it."""
+    compact JSON cell; cells are quoted where CSV needs it.  Counterexamples
+    follow under a `counterexample` header, one compact JSON cell each."""
     import csv
     rows = report["results"]
     if isinstance(rows, dict):
@@ -79,9 +84,11 @@ def _emit_csv(report):
     writer.writerow(keys)
     for row in rows:
         cells = (row.get(k, "") for k in keys)
-        writer.writerow(json.dumps(v, sort_keys=True, separators=(",", ":"))
-                        if isinstance(v, (dict, list)) else str(v)
+        writer.writerow(_compact(v) if isinstance(v, (dict, list)) else str(v)
                         for v in cells)
+    if report["counterexamples"]:
+        writer.writerow(["counterexample"])
+        writer.writerows([_compact(ce)] for ce in report["counterexamples"])
 
 
 def _emit_text(report):

@@ -136,6 +136,22 @@ def _recip_shift(c, m):
     return ExtRational(c * m - 1, m)
 
 
+def _coincidences(c1, xs, c2, ys):
+    """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  x and y are
+    nonzero, so the slopes are equal exactly when their cross products are."""
+    return tuple(sorted([(x, y) for x in xs for y in ys
+                         if (c1 * x - 1) * y == (c2 * y - 1) * x]))
+
+
+def _case_1b(ms, mps):
+    """The (m, m', n), m != 0, with n = 1 - 1/m + 1/m' an allowed integer."""
+    return tuple(sorted([
+        (m, mp, n) for m in ms if m != 0 for mp in mps
+        if (num := m * mp - mp + m) % (m * mp) == 0
+        and (n := num // (m * mp)) not in (0, 1, 2, 3)
+        and (m, n) not in ((-1, 4), (-1, 5))]))
+
+
 def verify_three_filling_intersections(bound):
     """Solve the slope-pair coincidences between families with adjacent lens
     slots and check the solution set is the A and B families plus the
@@ -148,83 +164,44 @@ def verify_three_filling_intersections(bound):
     expected ones."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    rng = [m for m in range(-bound, bound + 1)]
-    bad = []
-
-    # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is excluded),
-    # leaving the one-parameter family M3(4, -1/m).
-    case_1a = tuple((_recip_shift(3, mp).num, mp) for mp in rng
-                    if mp not in (0, 1) and _recip_shift(3, mp).is_integer
-                    and _recip_shift(3, mp).num not in (0, 1, 2, 3))
-    if case_1a != ((4, -1),):
-        bad.append(("case_1a", case_1a))
-
-    # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
-    sols_1b = []
-    for m in rng:
-        if m == 0:
-            continue
-        for mp in rng:
-            if mp in (0, 1):
-                continue
-            # n = 1 - 1/m + 1/m'
-            num = m * mp - mp + m
-            if num % (m * mp) != 0:
-                continue
-            n = num // (m * mp)
-            if n in (0, 1, 2, 3) or (m, n) in ((-1, 4), (-1, 5)):
-                continue
-            sols_1b.append((m, mp, n))
-    case_1b = tuple(sorted(sols_1b))
-    if case_1b != ((1, -1, -1),):
-        bad.append(("case_1b", case_1b))
-
-    # The slopes c - 1/m compared below have nonzero denominators m, so two
-    # of them are equal exactly when their cross products are.
+    rng = range(-bound, bound + 1)
     rng_mp = [mp for mp in rng if mp not in (0, 1)]
     rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
-
-    # Case 2a: 3 - 1/m' = 2 - 1/m'' with the free slope shared: the B family.
-    sols_2a = [(mp, mpp) for mp in rng_mp for mpp in rng_mpp
-               if (3 * mp - 1) * mpp == (2 * mpp - 1) * mp]
-    case_2a = tuple(sorted(sols_2a))
-    if case_2a != ((2, -2),):
-        bad.append(("case_2a", case_2a))
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
     # labels must be valid.  The two ranges are the A family's exclusions.
-    count_2b = 0
     bad_2b = []
     for mp in rng_mp:
         for mpp in rng_mpp:
             (p1, q1), (p2, q2), (p3, q3) = _fam_a_labels(mpp, mp)
-            if (is_lens_label(p1, q1) and is_lens_label(p2, q2)
+            if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)
                     and is_lens_label(p3, q3)):
-                count_2b += 1
-            else:
                 bad_2b.append((mpp, mp))
-    if bad_2b:
-        bad.append(("case_2b", tuple(bad_2b)))
 
-    # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
-    sols_3a = [(mpp, mppp) for mpp in rng_mpp for mppp in rng_mpp
-               if (2 * mpp - 1) * mppp == (mppp - 1) * mpp]
-    case_3a = tuple(sorted(sols_3a))
-    if case_3a != ((2, -2),):
-        bad.append(("case_3a", case_3a))
-
+    # (case, solutions, expected solutions), in report order
+    cases = (
+        # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is
+        # excluded), leaving the one-parameter family M3(4, -1/m).
+        ("case_1a", tuple((s.num, mp) for mp in rng_mp
+                          if (s := _recip_shift(3, mp)).is_integer
+                          and s.num not in (0, 1, 2, 3)), ((4, -1),)),
+        # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
+        ("case_1b", _case_1b(rng, rng_mp), ((1, -1, -1),)),
+        # Case 2a: 3 - 1/m' = 2 - 1/m'', the free slope shared: family B.
+        ("case_2a", _coincidences(3, rng_mp, 2, rng_mpp), ((2, -2),)),
+        # Case 2b: the A family members with an invalid label.
+        ("case_2b", tuple(bad_2b), ()),
+        # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
+        ("case_3a", _coincidences(2, rng_mpp, 1, rng_mpp), ((2, -2),)),
+    )
+    results = {name: sols for name, sols, _ in cases if name != "case_2b"}
+    results["case_2b_count"] = len(rng_mp) * len(rng_mpp) - len(bad_2b)
     # Case 3b pairs the slopes the other way; the constraint equation is the
     # same, so the solution set must agree with case 3a.
-    case_3b_same = case_3a == ((2, -2),)
-
-    return ({"case_1a": case_1a,
-             "case_1b": case_1b,
-             "case_2a": case_2a,
-             "case_2b_count": count_2b,
-             "case_3a": case_3a,
-             "case_3b_matches_3a": case_3b_same},
-            tuple(bad))
+    results["case_3b_matches_3a"] = results["case_3a"] == ((2, -2),)
+    return results, tuple((name, sols) for name, sols, want in cases
+                          if sols != want)
 
 
 # ---------------------------------------------------------------------------
@@ -602,41 +579,39 @@ def _equivalence_classes(knots):
 # ---------------------------------------------------------------------------
 
 
+# family: its two members, each (upper slope, lower slope, lens label) at
+# the member's index i.  A slope is a fixed string or a pair (a, b) that
+# stands for (a*i + b)/i; a label (pa, pb, qa, qb) is L(pa*i + pb, qa*i + qb).
+_OPTSURG = {
+    1: (("-1", (-6, 1), (6, -1, 2, -1)),) * 2,
+    2: (("-2", (-4, 1), (8, -2, 2, -1)),) * 2,
+    3: (("-3", (-3, 1), (9, -3, 3, -2)),) * 2,
+    4: (((-3, 1), "-3", (9, -3, 3, -2)), ((-3, 1), "inf", (3, -1, -1, 0))),
+    5: (((-4, 1), "-2", (8, -2, 2, -1)), ((-4, 1), "inf", (4, -1, -1, 0))),
+    6: (((-6, 1), "-1", (6, -1, 2, -1)), ((-6, 1), "inf", (6, -1, -1, 0))),
+}
+
+
+def _optsurg_slope(s, i):
+    return s if isinstance(s, str) else ExtRational(s[0] * i + s[1], i)
+
+
 def optsurg_catalog(family, k, ell=None):
     """The surgery-dual pair of the given catalog family.
 
-    Families 1-3 take an optional second index for the partner; families 4-6
-    pair a knot with its inf-filling partner and need k != 0."""
-    if family in (1, 2, 3):
-        if ell is None:
-            ell = k
-        sub, c, (pa, pb), (qa, qb) = {
-            1: ("-1", -6, (6, -1), (2, -1)),
-            2: ("-2", -4, (8, -2), (2, -1)),
-            3: ("-3", -3, (9, -3), (3, -2)),
-        }[family]
-        pair = []
-        for i in (k, ell):
-            slope = ExtRational(c * i + 1, i)
-            pair.append((f"K^({sub})_({slope})",
-                         LensSpace(pa * i + pb, qa * i + qb)))
-        return tuple(pair)
-    if family in (4, 5, 6):
-        if k == 0:
-            raise ValueError(f"family {family} needs k != 0")
-        data = {
-            4: ((-3, 1), "-3", (9, -3, 3, -2), (3, -1, -1, 0)),
-            5: ((-4, 1), "-2", (8, -2, 2, -1), (4, -1, -1, 0)),
-            6: ((-6, 1), "-1", (6, -1, 2, -1), (6, -1, -1, 0)),
-        }[family]
-        sup, sub, first, second = data
-        s = ExtRational(sup[0] * k + sup[1], k)
-        d1 = (f"K^({s})_({sub})",
-              LensSpace(first[0] * k + first[1], first[2] * k + first[3]))
-        d2 = (f"K^({s})_(inf)",
-              LensSpace(second[0] * k + second[1], second[2] * k + second[3]))
-        return (d1, d2)
-    raise ValueError("family must be 1..6")
+    Families 1-3 take an optional second index ell for the partner; families
+    4-6 pair a knot with its inf-filling partner, need k != 0 and take no
+    second index."""
+    if family not in _OPTSURG:
+        raise ValueError("family must be 1..6")
+    if family > 3 and ell is not None:
+        raise ValueError("only families 1-3 take a second index")
+    if family > 3 and k == 0:
+        raise ValueError(f"family {family} needs k != 0")
+    return tuple((f"K^({_optsurg_slope(up, i)})_({_optsurg_slope(low, i)})",
+                  LensSpace(pa * i + pb, qa * i + qb))
+                 for (up, low, (pa, pb, qa, qb)), i
+                 in zip(_OPTSURG[family], (k, k if ell is None else ell)))
 
 
 def figure_eight_sister_triple():

@@ -1,17 +1,20 @@
-"""The three-filling intersection check, the Riemenschneider point rule and
-the census seed generators as they stood before their rewrites: a
-family_triple and ExtRational slopes for every parameter pair, a dual
-built dot by dot, seeds with up to three entries other than 2 placed among
-2s, and the product over all entries 2..seq_bound+3.  Kept verbatim as the
-reference that surgeryforge.families and surgeryforge.normseq are tested
-against."""
+"""The three-filling intersection check, the Riemenschneider point rule,
+the census seed generators and the once-punctured-torus catalog as they
+stood before their rewrites: a family_triple and ExtRational slopes for
+every parameter pair, a dual built dot by dot, seeds with up to three
+entries other than 2 placed among 2s, the product over all entries
+2..seq_bound+3, and one catalog branch with its own data per family kind.
+Kept verbatim as the reference that surgeryforge.families and
+surgeryforge.normseq are tested against."""
 
 import itertools
 
 from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
                                    _recip_shift, _template_instances,
                                    family_triple)
+from surgeryforge.lens import LensSpace
 from surgeryforge.normseq import gofk_exponent_sums
+from surgeryforge.rationals import ExtRational
 
 
 def verify_three_filling_intersections(bound):
@@ -179,3 +182,40 @@ def _oracle_gofk_sequences(t_bound, seq_bound):
                         continue
                     found.add(seq)
     return found
+
+
+def optsurg_catalog(family, k, ell=None):
+    """The surgery-dual pair of the given catalog family.
+
+    Families 1-3 take an optional second index for the partner; families 4-6
+    pair a knot with its inf-filling partner and need k != 0."""
+    if family in (1, 2, 3):
+        if ell is None:
+            ell = k
+        sub, c, (pa, pb), (qa, qb) = {
+            1: ("-1", -6, (6, -1), (2, -1)),
+            2: ("-2", -4, (8, -2), (2, -1)),
+            3: ("-3", -3, (9, -3), (3, -2)),
+        }[family]
+        pair = []
+        for i in (k, ell):
+            slope = ExtRational(c * i + 1, i)
+            pair.append((f"K^({sub})_({slope})",
+                         LensSpace(pa * i + pb, qa * i + qb)))
+        return tuple(pair)
+    if family in (4, 5, 6):
+        if k == 0:
+            raise ValueError(f"family {family} needs k != 0")
+        data = {
+            4: ((-3, 1), "-3", (9, -3, 3, -2), (3, -1, -1, 0)),
+            5: ((-4, 1), "-2", (8, -2, 2, -1), (4, -1, -1, 0)),
+            6: ((-6, 1), "-1", (6, -1, 2, -1), (6, -1, -1, 0)),
+        }[family]
+        sup, sub, first, second = data
+        s = ExtRational(sup[0] * k + sup[1], k)
+        d1 = (f"K^({s})_({sub})",
+              LensSpace(first[0] * k + first[1], first[2] * k + first[3]))
+        d2 = (f"K^({s})_(inf)",
+              LensSpace(second[0] * k + second[1], second[2] * k + second[3]))
+        return (d1, d2)
+    raise ValueError("family must be 1..6")

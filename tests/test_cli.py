@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgeryforge import families
+from surgeryforge import families, pentangle
 from surgeryforge.cli import COMMANDS, main
+from surgeryforge.rationals import INF, rat
 
 
 def run(capsys, *argv):
@@ -160,7 +162,11 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
              ["normseq", "exponents", "(3,2^[-2],4)"],
              # a Montesinos link Q(A,B,C) has three factors
              ["tangle", "two-bridge", "Q(1,inf)"],
-             ["tangle", "two-bridge", "Q(1,2,3,4)"]]
+             ["tangle", "two-bridge", "Q(1,2,3,4)"],
+             # only catalog families 1-3 take a second index
+             ["families", "optsurg", "4", "2", "3"],
+             ["families", "optsurg", "5", "2", "3"],
+             ["families", "optsurg", "6", "2", "3"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -276,6 +282,123 @@ def test_intersections_counterexample_exits_1(capsys, monkeypatch):
     assert captured.out.count("\n") == 1
     report = json.loads(captured.out)
     assert report["counterexamples"] == [["case_2b", [[2, 3]]]]
+
+
+def _break_intersection_cases(monkeypatch, cases):
+    """Push each named intersection case off its expected solutions by
+    patching the helper that computes them."""
+    recip_shift, case_1b = families._recip_shift, families._case_1b
+    coincidences, labels = families._coincidences, families._fam_a_labels
+    if "case_1a" in cases:
+        # 3 - 1/m' read as the integer 5 at m' = 2
+        monkeypatch.setattr(families, "_recip_shift",
+                            lambda c, m: rat(5) if m == 2
+                            else recip_shift(c, m))
+    if "case_1b" in cases:
+        monkeypatch.setattr(families, "_case_1b",
+                            lambda ms, mps: case_1b(ms, mps) + ((9, 9, 9),))
+    # case 2a solves 3 - 1/x = 2 - 1/y, case 3a 2 - 1/x = 1 - 1/y
+    shifted = {c1 for case, c1 in (("case_2a", 3), ("case_3a", 2))
+               if case in cases}
+    monkeypatch.setattr(families, "_coincidences",
+                        lambda c1, xs, c2, ys: coincidences(c1, xs, c2, ys)
+                        + (((0, 0),) if c1 in shifted else ()))
+    if "case_2b" in cases:
+        monkeypatch.setattr(
+            families, "_fam_a_labels",
+            lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
+            else labels(m, n))
+
+
+_BROKEN_INTERSECTION_ROWS = [
+    ["case_1a", [[4, -1], [5, 2]]],
+    ["case_1b", [[1, -1, -1], [9, 9, 9]]],
+    ["case_2a", [[2, -2], [0, 0]]],
+    ["case_2b", [[2, 3]]],
+    ["case_3a", [[2, -2], [0, 0]]],
+]
+
+
+# case 2b alone is test_intersections_counterexample_exits_1
+@pytest.mark.parametrize("row", [row for row in _BROKEN_INTERSECTION_ROWS
+                                 if row[0] != "case_2b"],
+                         ids=lambda row: row[0])
+def test_intersection_case_failure_row(capsys, monkeypatch, row):
+    _break_intersection_cases(monkeypatch, {row[0]})
+    code, report = run_json(capsys, "families", "verify", "intersections",
+                            "--bound", "4")
+    assert code == 1
+    assert report["counterexamples"] == [row]
+    assert report["results"]["case_3b_matches_3a"] is (row[0] != "case_3a")
+
+
+def test_intersection_failure_rows_in_case_order(capsys, monkeypatch):
+    _break_intersection_cases(monkeypatch,
+                              {row[0] for row in _BROKEN_INTERSECTION_ROWS})
+    code, report = run_json(capsys, "families", "verify", "intersections",
+                            "--bound", "4")
+    assert code == 1
+    assert report["counterexamples"] == _BROKEN_INTERSECTION_ROWS
+
+
+# command -> (the sweep on its module, one counterexample row the sweep is
+# made to return, that row as the JSON report prints it)
+_FAILING_SWEEPS = {
+    ("pentangle", "verify", "--bound", "2"): (
+        pentangle, "verify_simplification", (rat(1, 2), rat(3), rat(-1), INF),
+        ["1/2", "3", "-1", "inf"]),
+    ("families", "census", "--tmax", "2", "--seqmax", "3"): (
+        families, "gofklens_census",
+        ("missing", families.CensusEntry(68, 15, 23)),
+        ["missing", "(p,q,k)=(68,15,23)"]),
+    ("families", "verify", "intersections", "--bound", "4"): (
+        families, "verify_three_filling_intersections", ("case_2b", ((2, 3),)),
+        ["case_2b", [[2, 3]]]),
+    ("families", "verify", "alt-gofk"): (
+        families, "alt_gofk_pipeline", ("final", ((31, "L(32,7)"),)),
+        ["final", [[31, "L(32,7)"]]]),
+}
+
+
+@pytest.mark.parametrize("argv", _FAILING_SWEEPS, ids=" ".join)
+def test_failing_row_in_every_format(capsys, monkeypatch, argv):
+    # a failing sweep prints its counterexample row in json, text and csv;
+    # csv writes it after the unchanged results, under its own header
+    module, name, row, printed = _FAILING_SWEEPS[argv]
+    code, passing_csv = run(capsys, "--format", "csv", *argv)
+    assert code == 0 and "counterexample" not in passing_csv
+    sweep = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: (
+        sweep(*args, **kwargs)[0], (row,)))
+    outs = {}
+    for fmt in ("json", "text", "csv"):
+        code, outs[fmt] = run(capsys, "--format", fmt, *argv)
+        assert code == 1, fmt
+    assert json.loads(outs["json"])["counterexamples"] == [printed]
+    assert outs["text"].endswith(f"counterexamples: 1\n  {printed}\n")
+    assert outs["csv"].startswith(passing_csv)
+    tail = list(csv.reader(io.StringIO(outs["csv"][len(passing_csv):])))
+    assert tail == [["counterexample"],
+                    [json.dumps(printed, separators=(",", ":"))]]
+
+
+def test_readme_command_examples(capsys):
+    # every example of the README's command-line block runs and prints one
+    # JSON report
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as f:
+        readme = f.read()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True)
+                for line in block.splitlines()
+                if line.startswith("surgeryforge ")]
+    assert len(examples) >= 18
+    for argv in examples:
+        code, out = run(capsys, *argv[1:])
+        assert code == 0, argv
+        assert out.count("\n") == 1, argv
+        json.loads(out)
 
 
 def test_star_and_genus_search_bad_input_exit_2(capsys):

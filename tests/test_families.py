@@ -303,12 +303,34 @@ def test_optsurg_catalog_families():
         optsurg_catalog(4, 0)
     with pytest.raises(ValueError):
         optsurg_catalog(7, 1)
+    for family in (4, 5, 6):
+        with pytest.raises(ValueError,
+                           match="^only families 1-3 take a second index$"):
+            optsurg_catalog(family, 2, 3)
 
 
 def test_optsurg_pairs_with_partner_index():
     pair = optsurg_catalog(1, 2, 3)
     assert pair[0][1] == LensSpace(11, 3)
     assert pair[1][1] == LensSpace(17, 5)
+
+
+def test_optsurg_catalog_matches_oracle():
+    # the table gives the two-branch catalog's pairs, and its errors, on
+    # every family, with and without the second index of families 1-3
+    def outcome(catalog, *args):
+        try:
+            return catalog(*args)
+        except ValueError as exc:
+            return "error", str(exc)
+
+    grid = [(family, k) for family in range(1, 7) for k in range(-20, 21)
+            if family <= 3 or k != 0]
+    grid += [(family, k, ell) for family in (1, 2, 3) for k in range(-20, 21)
+             for ell in range(-5, 6)]
+    for args in grid:
+        assert (outcome(optsurg_catalog, *args)
+                == outcome(oracle.optsurg_catalog, *args)), args
 
 
 def test_figure_eight_sister_triple():
