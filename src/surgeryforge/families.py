@@ -14,8 +14,8 @@ flagged rows it produces).
 
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
-from .normseq import (dual_entries, format_items, gofk_exponent_sums,
-                      norm_sequence_of, to_lens)
+from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
+                      riemenschneider_dual, to_lens)
 from .rationals import INF, ExtRational, FrozenValue, rat
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
@@ -296,7 +296,7 @@ class CensusEntry(FrozenValue):
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
-            return (self.p, self.q, self.k) < (other.p, other.q, other.k)
+            return self._fields() < other._fields()
         return NotImplemented
 
     def __str__(self):
@@ -354,14 +354,16 @@ def _gofk_seeds(t_bound, seq_bound):
     2s or with entries from 3..seq_bound+3, one anywhere or two at the ends.
 
     No other seed contributes.  Let a (length >= 2) have n entries other than
-    2, I inside.  By the row-start rule of dual_entries, b = dual(a) has I + 1,
-    ending in one exactly where a ends in 2.  Any other seed has two or more,
-    one inside, so b is longer than 1 with n - 1 inside.  Each template
-    instance on (f, s) = (a, b) or (b, a) is then, up to reversing s,
-    f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with x >= 5
-    (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1] with
-    x >= 4 (2n - 1 or 2I + 1): three or more, and no fibered pattern shape
-    has more than two.  Seeds (t+2, 3) alone give twist index t <= t_bound."""
+    2, I inside.  By the row-start rule of riemenschneider_dual (b is all 2s
+    plus one at each partial sum of a_k - 2 short of the last), b = dual(a)
+    has I + 1, ending in one exactly where a ends in 2.  Any other seed has
+    two or more, one inside, so b is longer than 1 with n - 1 inside.  Each
+    template instance on (f, s) = (a, b) or (b, a) is then, up to reversing
+    s, f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with
+    x >= 5 (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1]
+    with x >= 4 (2n - 1 or 2I + 1): three or more, and no fibered pattern
+    shape has more than two.  Seeds (t+2, 3) alone give twist index
+    t <= t_bound."""
     big = range(3, seq_bound + 4)
     for length in range(1, seq_bound + 1):
         twos = (2,) * length
@@ -384,7 +386,7 @@ def _gofk_sequences(t_bound, seq_bound):
     length at most 2, so seeds are drawn as for seq_bound 2 at least."""
     found = set()
     for a in _gofk_seeds(t_bound, max(seq_bound, 2)):
-        b = dual_entries(a)
+        b = riemenschneider_dual(a)
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):
                 if not seq or seq in found:

@@ -44,14 +44,6 @@ class LensSpace(FrozenValue):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
-
     def __str__(self):
         if self.p == 1:
             return "S3"

@@ -101,12 +101,10 @@ def eval_items(items):
     for item in reversed(list(items)):
         if isinstance(item, Pow2):
             t = item.t
-            # T^t as a matrix: x -> ((t+1)x - t) / (tx - (t-1))
-            num = (t + 1) * value.num - t * value.den
-            den = t * value.num - (t - 1) * value.den
-            if num == 0 and den == 0:
-                raise ValueError("degenerate block evaluation")
-            value = ExtRational(num, den)
+            # T^t as a matrix: x -> ((t+1)x - t) / (tx - (t-1)).  Its
+            # determinant is 1, so a reduced value never maps to 0/0.
+            value = ExtRational((t + 1) * value.num - t * value.den,
+                                t * value.num - (t - 1) * value.den)
         else:
             value = cf_step(item, value)
     return value
@@ -206,22 +204,17 @@ def riemenschneider_dual(seq):
     than the number of dots in column j.  The dual satisfies
     1/[a_1,...,a_l] + 1/[b_1,...,b_m] = 1 exactly, and the rule is an
     involution.
-    """
-    if not seq or any(a < 2 for a in seq):
-        raise ValueError("point rule needs a nonempty all->=2 sequence")
-    return dual_entries(seq)
-
-
-def dual_entries(entries):
-    """The point-rule dual of a nonempty tuple of integers >= 2, unchecked.
 
     Every column holds one dot, and the column where row i + 1 starts holds
     the last dot of row i as well.  With s_i the partial sums of a_k - 2,
     the staircase has s_l + 1 columns and row i + 1 starts in column s_i,
-    so b is all 2s plus one at each s_i with i < l."""
-    b = [2] * (sum(entries) - 2 * len(entries) + 1)
+    so b is all 2s plus one at each s_i with i < l: the row-start rule.
+    """
+    if not seq or min(seq) < 2:
+        raise ValueError("point rule needs a nonempty all->=2 sequence")
+    b = [2] * (sum(seq) - 2 * len(seq) + 1)
     s = 0
-    for a in entries[:-1]:
+    for a in seq[:-1]:
         s += a - 2
         b[s] += 1
     return tuple(b)

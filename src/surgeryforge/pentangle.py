@@ -17,8 +17,7 @@ bounded height and confirms there are no counterexamples.
 from itertools import product
 
 from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval,
-                        corot_map, one_minus_reciprocal, rat, reciprocal,
-                        rot_map, shift)
+                        cf_step, corot_map, rat, reciprocal, rot_map, shift)
 from .tangle import (MontesinosLink, is_reciprocal_of_integer,
                      montesinos_is_two_bridge)
 
@@ -53,8 +52,8 @@ def m5_to_p5(m):
     a1, a2, a3, a4, a5 = m
     return P5Filling(
         nw=a2,
-        ne=one_minus_reciprocal(a1),
-        sw=one_minus_reciprocal(a4),
+        ne=cf_step(1, a1),
+        sw=cf_step(1, a4),
         se=a3,
         x=shift(a5, -1),
     )

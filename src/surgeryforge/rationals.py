@@ -23,12 +23,11 @@ class FrozenValue:
     A subclass lists its fields in ``__slots__`` and sets each one once in
     its ``__init__`` through ``object.__setattr__``.  Equality holds only
     between instances of the same class with equal field tuples, and the
-    hash is the hash of the field tuple, as for a frozen dataclass; a
-    subclass on a hot path writes both out for its own fields.  The repr is
-    ``Name(field=value, ...)``.  These are plain classes rather than
-    dataclasses because importing ``dataclasses`` also loads ``inspect``,
-    ``ast``, ``dis`` and ``tokenize``, a start-up cost that every CLI
-    process would pay.
+    hash is the hash of the field tuple, as for a frozen dataclass.  The
+    repr is ``Name(field=value, ...)``.  These are plain classes rather
+    than dataclasses because importing ``dataclasses`` also loads
+    ``inspect``, ``ast``, ``dis`` and ``tokenize``, a start-up cost that
+    every CLI process would pay.
 
     A value earns a class only when the class normalises or validates its
     input (``ExtRational``, ``LensSpace``, ``SimpleKnot``,
@@ -91,14 +90,6 @@ class ExtRational(FrozenValue):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.num, self.den) == (other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     @property
     def is_infinite(self):
         return self.den == 0
@@ -160,11 +151,6 @@ def rot_map(x):
 def corot_map(x):
     """The order-3 map x -> -1/(1 + x)."""
     return _mobius(x, 0, -1, 1, 1)
-
-
-def one_minus_reciprocal(x):
-    """x -> 1 - 1/x, inverse of rot_map."""
-    return _mobius(x, 1, -1, 1, 0)
 
 
 def cf_step(c, x):

@@ -1,12 +1,19 @@
-"""The fibered-knot pattern matcher and norm_sequence_of as they stood
-before the pattern chart was rewritten as rules on the entries other than
-2: _pattern_sums as an if-chain over the chart shapes with a per-index
-search for an interior 4, gofk_exponent_sums with a generator check of the
-reduced form, and norm_sequence_of with its q = 0 and S^3 branches.  Kept
-verbatim as the reference that surgeryforge.normseq is tested against."""
+"""Earlier forms of surgeryforge.normseq functions, kept verbatim as the
+reference that the module is tested against.
+
+The fibered-knot pattern matcher and norm_sequence_of as they stood before
+the pattern chart was rewritten as rules on the entries other than 2:
+_pattern_sums as an if-chain over the chart shapes with a per-index search
+for an interior 4, gofk_exponent_sums with a generator check of the
+reduced form, and norm_sequence_of with its q = 0 and S^3 branches.
+
+The point rule as a checked riemenschneider_dual over an unchecked
+dual_entries, and eval_items with its guard against a 0/0 block value,
+as they stood before each was folded into one function."""
 
 from surgeryforge.lens import LensSpace
-from surgeryforge.rationals import ExtRational, cf_expand_norm
+from surgeryforge.normseq import Pow2
+from surgeryforge.rationals import INF, ExtRational, cf_expand_norm, cf_step
 
 
 def _pattern_sums(e):
@@ -71,3 +78,54 @@ def norm_sequence_of(lens):
     if lens.q == 0:
         raise ValueError("q = 0 only for S^3")
     return cf_expand_norm(ExtRational(lens.p, lens.q))
+
+
+def eval_items(items):
+    """Exact continued-fraction value of a sequence with 2^[t] blocks.
+
+    A block acts as the t-th power of the Moebius map T(x) = 2 - 1/x, which
+    for t copies of the literal entry 2 agrees with plain evaluation and
+    extends it to t = -1.
+    """
+    value = INF
+    for item in reversed(list(items)):
+        if isinstance(item, Pow2):
+            t = item.t
+            # T^t as a matrix: x -> ((t+1)x - t) / (tx - (t-1))
+            num = (t + 1) * value.num - t * value.den
+            den = t * value.num - (t - 1) * value.den
+            if num == 0 and den == 0:
+                raise ValueError("degenerate block evaluation")
+            value = ExtRational(num, den)
+        else:
+            value = cf_step(item, value)
+    return value
+
+
+def riemenschneider_dual(seq):
+    """The dual of an all->=2 sequence by the point rule.
+
+    Row i of a staircase carries a_i - 1 dots, each row starting in the
+    column of the last dot of the row above; the dual entry b_j is one more
+    than the number of dots in column j.  The dual satisfies
+    1/[a_1,...,a_l] + 1/[b_1,...,b_m] = 1 exactly, and the rule is an
+    involution.
+    """
+    if not seq or any(a < 2 for a in seq):
+        raise ValueError("point rule needs a nonempty all->=2 sequence")
+    return dual_entries(seq)
+
+
+def dual_entries(entries):
+    """The point-rule dual of a nonempty tuple of integers >= 2, unchecked.
+
+    Every column holds one dot, and the column where row i + 1 starts holds
+    the last dot of row i as well.  With s_i the partial sums of a_k - 2,
+    the staircase has s_l + 1 columns and row i + 1 starts in column s_i,
+    so b is all 2s plus one at each s_i with i < l."""
+    b = [2] * (sum(entries) - 2 * len(entries) + 1)
+    s = 0
+    for a in entries[:-1]:
+        s += a - 2
+        b[s] += 1
+    return tuple(b)

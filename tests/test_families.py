@@ -14,7 +14,7 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    prop15_consistency,
                                    verify_three_filling_intersections)
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
-from surgeryforge.normseq import dual_entries
+from surgeryforge.normseq import riemenschneider_dual
 from surgeryforge.rationals import INF, rat
 from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
 
@@ -215,6 +215,22 @@ def test_seeds_match_old_generator_on_bound_grid(monkeypatch):
             assert census == old_census, (t_bound, seq_bound)
 
 
+def test_census_duals_go_through_checked_point_rule(monkeypatch):
+    # every seed's dual comes from riemenschneider_dual, the function with
+    # the all->=2 guard, once per seed
+    calls = []
+
+    def counted(seq):
+        calls.append(seq)
+        return riemenschneider_dual(seq)
+
+    monkeypatch.setattr(families, "riemenschneider_dual", counted)
+    gofklens_census(6, 6)
+    seeds = list(families._gofk_seeds(6, 6))
+    assert len(seeds) == 398
+    assert calls == seeds
+
+
 def test_seeds_left_out_leave_three_entries_other_than_2():
     # every old seed outside the closed-form set, up to seqmax 7, gives only
     # template instances with three or more entries other than 2, which no
@@ -223,7 +239,7 @@ def test_seeds_left_out_leave_three_entries_other_than_2():
     old = set(oracle._gofk_seeds(-1, 7))
     assert kept < old
     for a in old - kept:
-        b = dual_entries(a)
+        b = riemenschneider_dual(a)
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):
                 assert len(seq) - seq.count(2) >= 3, (a, seq)

@@ -11,11 +11,10 @@ import families_oracle as oracle
 import normseq_oracle
 from surgeryforge import normseq
 from surgeryforge.lens import LensSpace, S3, S1XS2, homeo_oriented
-from surgeryforge.normseq import (Pow2, applicable_rewrites, dual_entries,
-                                  eval_items, format_items,
-                                  gofk_exponent_sums, norm_sequence_of,
-                                  parse_seq, reduce_seq, riemenschneider_dual,
-                                  sequence_kind, to_lens)
+from surgeryforge.normseq import (Pow2, applicable_rewrites, eval_items,
+                                  format_items, gofk_exponent_sums,
+                                  norm_sequence_of, parse_seq, reduce_seq,
+                                  riemenschneider_dual, sequence_kind, to_lens)
 from surgeryforge.rationals import cf_eval
 
 
@@ -197,7 +196,7 @@ def test_dual_matches_point_rule_oracle():
         for seq in product(range(2, 8), repeat=length):
             dual = riemenschneider_dual(seq)
             assert dual == oracle.riemenschneider_dual(seq), seq
-            assert dual_entries(dual) == seq
+            assert riemenschneider_dual(dual) == seq
             checked += 1
     assert checked == sum(6 ** n for n in range(1, 7))
 
@@ -215,11 +214,11 @@ def test_dual_counts_entries_other_than_2(seq, v):
     # longer sequence, and it ends in one exactly where the sequence ends in
     # a 2; a single entry v has the dual 2^[v-1]
     a = tuple(seq)
-    b = dual_entries(a)
+    b = riemenschneider_dual(a)
     if len(a) >= 2:
         assert _non2(b) == 1 + _non2(a[1:-1]), (a, b)
         assert (b[0] != 2) == (a[0] == 2) and (b[-1] != 2) == (a[-1] == 2)
-    assert dual_entries((v,)) == (2,) * (v - 1)
+    assert riemenschneider_dual((v,)) == (2,) * (v - 1)
 
 
 def test_dual_rejects_bad_input():
@@ -227,6 +226,39 @@ def test_dual_rejects_bad_input():
         riemenschneider_dual(())
     with pytest.raises(ValueError):
         riemenschneider_dual((3, 1))
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def test_dual_matches_checked_and_unchecked_pair_oracle():
+    # the one checked function against the old checked/unchecked pair, on
+    # every short tuple with entries on both sides of the >= 2 guard
+    checked = 0
+    for length in range(0, 6):
+        for seq in product(range(-1, 7), repeat=length):
+            got = _outcome(riemenschneider_dual, seq)
+            assert got == _outcome(normseq_oracle.riemenschneider_dual,
+                                   seq), seq
+            checked += 1
+    assert checked == sum(8 ** n for n in range(0, 6))
+
+
+def test_eval_items_matches_guarded_oracle():
+    # no block value is 0/0, so dropping the guard changes no value and
+    # no input raises
+    alphabet = (-1, 0, 1, 2, 3, 5, Pow2(-1), Pow2(0), Pow2(1), Pow2(3))
+    checked = 0
+    for length in range(0, 5):
+        for items in product(alphabet, repeat=length):
+            assert eval_items(items) == normseq_oracle.eval_items(items), \
+                items
+            checked += 1
+    assert checked == sum(10 ** n for n in range(0, 5))
 
 
 # --- exponent sums ---------------------------------------------------------
