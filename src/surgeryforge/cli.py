@@ -285,7 +285,7 @@ def _simpleknot_star(args):
         sols = simpleknot.star_solutions(args.p, eps)
         results[f"eps={eps:+d}"] = {
             "raw": [{"k": k, "q": q} for k, q in sols],
-            "canonical": list(simpleknot.star_canonical(args.p, eps)),
+            "canonical": list(simpleknot.star_canonical(args.p, sols)),
         }
     return {"p": args.p, "eps": args.eps}, results
 

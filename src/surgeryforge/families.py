@@ -12,6 +12,8 @@ A/B families on overlaps and is excluded from consistency checking (see the
 flagged rows it produces).
 """
 
+from math import gcd
+
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
 from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
@@ -137,19 +139,35 @@ def _recip_shift(c, m):
 
 
 def _coincidences(c1, xs, c2, ys):
-    """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  x and y are
-    nonzero, so the slopes are equal exactly when their cross products are."""
-    return tuple(sorted([(x, y) for x in xs for y in ys
-                         if (c1 * x - 1) * y == (c2 * y - 1) * x]))
+    """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  Cross
+    multiplied, (c1 x - 1) y = (c2 y - 1) x, whose one solution for a given
+    x is y = x / (1 + (c2 - c1) x) when that is an integer."""
+    ys = set(ys)
+    out = []
+    for x in xs:
+        d = 1 + (c2 - c1) * x
+        if d and not x % d and (y := x // d) in ys:
+            out.append((x, y))
+    return tuple(sorted(out))
 
 
 def _case_1b(ms, mps):
-    """The (m, m', n), m != 0, with n = 1 - 1/m + 1/m' an allowed integer."""
-    return tuple(sorted([
-        (m, mp, n) for m in ms if m != 0 for mp in mps
-        if (num := m * mp - mp + m) % (m * mp) == 0
-        and (n := num // (m * mp)) not in (0, 1, 2, 3)
-        and (m, n) not in ((-1, 4), (-1, 5))]))
+    """The (m, m', n), m != 0, with n = 1 - 1/m + 1/m' an allowed integer.
+    n is an integer exactly when t = 1/m' - 1/m is, and |t| <= 2, so for
+    each m and t the one candidate is m' = m / (t m + 1), with n = 1 + t."""
+    mps = set(mps)
+    out = []
+    for m in ms:
+        if m == 0:
+            continue
+        for t in range(-2, 3):
+            d = t * m + 1
+            n = 1 + t
+            if (d and not m % d and (mp := m // d) in mps
+                    and n not in (0, 1, 2, 3)
+                    and (m, n) not in ((-1, 4), (-1, 5))):
+                out.append((m, mp, n))
+    return tuple(sorted(out))
 
 
 def verify_three_filling_intersections(bound):
@@ -171,10 +189,13 @@ def verify_three_filling_intersections(bound):
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
     # labels must be valid.  The two ranges are the A family's exclusions.
+    # A label with gcd 1 is valid, so is_lens_label decides only the rest.
     bad_2b = []
     for mp in rng_mp:
         for mpp in rng_mpp:
             (p1, q1), (p2, q2), (p3, q3) = _fam_a_labels(mpp, mp)
+            if gcd(p1, q1) == gcd(p2, q2) == gcd(p3, q3) == 1:
+                continue
             if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)
                     and is_lens_label(p3, q3)):
                 bad_2b.append((mpp, mp))

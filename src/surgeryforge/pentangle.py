@@ -120,8 +120,13 @@ def mirror_sym(f):
 # ---------------------------------------------------------------------------
 
 
+def _ordered(a, b):
+    """Two (num, den) tuples as an unordered pair, smaller first."""
+    return (a, b) if a <= b else (b, a)
+
+
 def _key(u, v):
-    return tuple(sorted(((u.num, u.den), (v.num, v.den))))
+    return _ordered((u.num, u.den), (v.num, v.den))
 
 
 def _pairset(pairs):
@@ -159,23 +164,22 @@ _TRIVIAL = frozenset(((0, 1), (1, 1), (1, 0)))
 
 def _corner_pairs(f):
     """The six corner pairs grouped by pairing."""
-    nw, ne, sw, se = f.corners()
+    nw, ne, sw, se = [(s.num, s.den) for s in f.corners()]
     return (
-        (_key(nw, ne), _key(sw, se)),
-        (_key(nw, sw), _key(ne, se)),
-        (_key(nw, se), _key(sw, ne)),
+        (_ordered(nw, ne), _ordered(sw, se)),
+        (_ordered(nw, sw), _ordered(ne, se)),
+        (_ordered(nw, se), _ordered(sw, ne)),
     )
 
 
 def _meets(groups, lists):
     """Whether a corner pair lies in the condition list of its pairing."""
-    return any(p in cond for pair_group, cond in zip(groups, lists)
-               for p in pair_group)
+    return not all(map(frozenset.isdisjoint, lists, groups))
 
 
 def is_nonhyperbolic(f):
     """True when a listed degeneration is forced by the four corner slopes."""
-    return (any((s.num, s.den) in _TRIVIAL for s in f.corners())
+    return (not _TRIVIAL.isdisjoint([(s.num, s.den) for s in f.corners()])
             or _meets(_corner_pairs(f), NONHYP_LISTS))
 
 
@@ -368,7 +372,11 @@ def stern_brocot_slopes(bound):
 # |c & Vinf[k]|, which by symmetry equals the sum over s in c of
 # |cand & Vinf[s]|, so the loop runs over the smaller mask.  Per-triple
 # visits remain only for sw corners on the ga support and, with the same
-# enumeration, for cells whose counts show a counterexample.  The kernel
+# enumeration, for cells whose counts show a counterexample.  Likewise the
+# nw corners with equal flags and rows, on no simplification pair, have the
+# same cells against every ne group, and each group of them is swept once
+# and weighted by its width; within it, ne groups whose cells come out
+# equal share one count.  The kernel
 # reproduces the object-level predicates above, which the test suite
 # cross-checks, as it does against the two kernels this one replaced
 # (tests/pentangle_oracle.py).
@@ -606,19 +614,42 @@ def _cell_counts(tb, parts, simp_k, simp_base):
     return necessary, simplified, bad
 
 
+def _nw_groups(tb, i_lo, i_hi):
+    """The nw corners in [i_lo, i_hi) as lists that _pair_masks cannot tell
+    apart: equal thin-set flags and rows, on no simplification pair and not
+    trivial (_simp_masks reads those rows for nw).  The others stand alone."""
+    groups = {}
+    for i in range(i_lo, i_hi):
+        if tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]:
+            key = i
+        else:
+            key = (tb.in0[i], tb.v0[i], tb.ininf[i], tb.vinf[i],
+                   tb.inm1[i], tb.vm1[i])
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def _sweep_chunk(tb, i_lo, i_hi):
     necessary = 0
     simplified = 0
     counterexamples = []
-    for i in range(i_lo, i_hi):
-        for js, parts, simp_k, simp_base in _pair_masks(tb, i):
-            nec, simp, bad = _cell_counts(tb, parts, simp_k, simp_base)
-            width = js.bit_count()
+    fulls = tb.fulls
+    for members in _nw_groups(tb, i_lo, i_hi):
+        # ne groups whose cells and simplification masks coincide for this
+        # nw group have the same counts; the rows are fulls or vinf
+        counted = {}
+        for js, parts, simp_k, simp_base in _pair_masks(tb, members[0]):
+            key = (simp_k, simp_base,
+                   *[(cand, c, rows is fulls) for cand, c, rows in parts])
+            if key not in counted:
+                counted[key] = _cell_counts(tb, parts, simp_k, simp_base)
+            nec, simp, bad = counted[key]
+            width = len(members) * js.bit_count()
             necessary += width * nec
             simplified += width * simp
             if bad:
-                counterexamples.extend((i, j, k, se) for j in _bits(js)
-                                       for k, se in bad)
+                counterexamples.extend((i, j, k, se) for i in members
+                                       for j in _bits(js) for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples

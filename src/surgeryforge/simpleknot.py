@@ -117,9 +117,9 @@ def star_solutions(p, eps):
     return tuple(out)
 
 
-def star_canonical(p, eps):
-    """Solutions folded to (0, p/2] under k <-> p-k."""
-    return tuple(sorted({min(k, p - k) for k, _ in star_solutions(p, eps)}))
+def star_canonical(p, solutions):
+    """The k of star_solutions(p, eps) folded to (0, p/2] under k <-> p-k."""
+    return tuple(sorted({min(k, p - k) for k, _ in solutions}))
 
 
 def knots_with_genus(lens, genus):

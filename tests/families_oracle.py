@@ -1,11 +1,12 @@
-"""The three-filling intersection check, the Riemenschneider point rule,
-the census seed generators and the once-punctured-torus catalog as they
-stood before their rewrites: a family_triple and ExtRational slopes for
-every parameter pair, a dual built dot by dot, seeds with up to three
-entries other than 2 placed among 2s, the product over all entries
-2..seq_bound+3, and one catalog branch with its own data per family kind.
-Kept verbatim as the reference that surgeryforge.families and
-surgeryforge.normseq are tested against."""
+"""The three-filling intersection check and its two coincidence solvers,
+the Riemenschneider point rule, the census seed generators and the
+once-punctured-torus catalog as they stood before their rewrites: a
+family_triple and ExtRational slopes for every parameter pair, a double
+loop over both parameter ranges per coincidence, a dual built dot by dot,
+seeds with up to three entries other than 2 placed among 2s, the product
+over all entries 2..seq_bound+3, and one catalog branch with its own data
+per family kind.  Kept verbatim as the reference that surgeryforge.families
+and surgeryforge.normseq are tested against."""
 
 import itertools
 
@@ -15,6 +16,22 @@ from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
 from surgeryforge.lens import LensSpace
 from surgeryforge.normseq import gofk_exponent_sums
 from surgeryforge.rationals import ExtRational
+
+
+def _coincidences(c1, xs, c2, ys):
+    """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  x and y are
+    nonzero, so the slopes are equal exactly when their cross products are."""
+    return tuple(sorted([(x, y) for x in xs for y in ys
+                         if (c1 * x - 1) * y == (c2 * y - 1) * x]))
+
+
+def _case_1b(ms, mps):
+    """The (m, m', n), m != 0, with n = 1 - 1/m + 1/m' an allowed integer."""
+    return tuple(sorted([
+        (m, mp, n) for m in ms if m != 0 for mp in mps
+        if (num := m * mp - mp + m) % (m * mp) == 0
+        and (n := num // (m * mp)) not in (0, 1, 2, 3)
+        and (m, n) not in ((-1, 4), (-1, 5))]))
 
 
 def verify_three_filling_intersections(bound):

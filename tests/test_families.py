@@ -13,7 +13,8 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    gofklens_census, optsurg_catalog,
                                    prop15_consistency,
                                    verify_three_filling_intersections)
-from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
+from surgeryforge.lens import (LensSpace, S3, homeo_oriented, homeo_unoriented,
+                              is_lens_label)
 from surgeryforge.normseq import riemenschneider_dual
 from surgeryforge.rationals import INF, rat
 from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
@@ -129,6 +130,47 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     r, ces = verify_three_filling_intersections(4)
     assert ces == (("case_2b", ((2, 3),)),)
     assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
+
+
+def test_coincidence_solvers_match_double_loops():
+    # the O(bound) solvers against the double loops they replaced, on the
+    # parameter ranges of the call sites
+    for bound in [*range(2, 61), 100, 300]:
+        rng = range(-bound, bound + 1)
+        rng_mp = [m for m in rng if m not in (0, 1)]
+        rng_mpp = [m for m in rng if m not in (-1, 0, 1)]
+        assert (families._case_1b(rng, rng_mp)
+                == oracle._case_1b(rng, rng_mp)), bound
+        for c1, c2 in product(range(-3, 4), repeat=2):
+            assert (families._coincidences(c1, rng_mp, c2, rng_mpp)
+                    == oracle._coincidences(c1, rng_mp, c2, rng_mpp)), (
+                        bound, c1, c2)
+
+
+@pytest.mark.parametrize("label", [(0, 5), (0, 0), (1, 4), (-1, 0), (1, 0),
+                                   (-1, 7), (0, 1), (6, 4), (2, 0), (-6, 9)])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_case_2b_gcd_fast_path_agrees_with_is_lens_label(monkeypatch, label,
+                                                          slot):
+    # an A-family label with gcd other than 1 is still valid when
+    # is_lens_label says so, e.g. L(0,5); the gcd test only skips labels
+    # with gcd 1
+    labels = families._fam_a_labels
+
+    def patched(m, n):
+        out = labels(m, n)
+        if (m, n) != (2, 3):
+            return out
+        return out[:slot] + (label,) + out[slot + 1:]
+
+    clean, _ = verify_three_filling_intersections(4)
+    monkeypatch.setattr(families, "_fam_a_labels", patched)
+    r, ces = verify_three_filling_intersections(4)
+    if is_lens_label(*label):
+        assert (r, ces) == (clean, ())
+    else:
+        assert ces == (("case_2b", ((2, 3),)),)
+        assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
 
 
 def test_prop15_consistency():

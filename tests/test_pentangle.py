@@ -9,7 +9,8 @@ from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, P5Filling,
                                     _bits, _is_one_minus_reciprocal,
-                                    _pair_masks, _partition, _simp_masks,
+                                    _nw_groups, _pair_masks, _partition,
+                                    _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     m5_to_p5, mirror_sym, montesinos_presentations,
@@ -291,6 +292,74 @@ def test_kernel_matches_visit_oracle_by_chunk():
         for lo, hi in _partition(tb.n, jobs):
             assert _sweep_chunk(tb, lo, hi) == \
                 oracle._visit_sweep_chunk(tb, lo, hi), (lo, hi)
+
+
+def _nw_key(tb, i):
+    return (tb.in0[i], tb.v0[i], tb.ininf[i], tb.vinf[i], tb.inm1[i],
+            tb.vm1[i])
+
+
+def test_nw_groups_partition_each_chunk():
+    # the groups of each --jobs chunk are disjoint, cover it, share the
+    # key, and leave out no corner that could join one
+    slopes = stern_brocot_slopes(10)
+    tb = _SweepTables(slopes)
+    alone = [tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]
+             for i in range(tb.n)]
+    assert len(_nw_groups(tb, 0, tb.n)) == 88 and tb.n == 128
+    for jobs in (1, 3, 7):
+        for lo, hi in _partition(tb.n, jobs):
+            groups = _nw_groups(tb, lo, hi)
+            assert sorted(i for g in groups for i in g) == list(range(lo, hi))
+            keys = []
+            for g in groups:
+                if len(g) > 1:
+                    assert not any(alone[i] for i in g), g
+                    assert len({_nw_key(tb, i) for i in g}) == 1, g
+                if not alone[g[0]]:
+                    keys.append(_nw_key(tb, g[0]))
+            assert len(keys) == len(set(keys)), (lo, hi)
+
+
+def test_grouped_nw_corners_expand_counterexamples(monkeypatch):
+    # with nothing simplifying, a group of several nw corners yields
+    # counterexamples, which must be expanded over every member
+    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
+                "NONHYP_LISTS")
+    slopes = stern_brocot_slopes(5)
+    tb = _SweepTables(slopes)
+    nw_bad = {ce[0] for ce in _sweep_chunk(tb, 0, tb.n)[3]}
+    assert any(len(g) > 1 and nw_bad.issuperset(g)
+               for g in _nw_groups(tb, 0, tb.n))
+    for jobs in (1, 3, 7):
+        for lo, hi in _partition(tb.n, jobs):
+            assert _sweep_chunk(tb, lo, hi) == \
+                oracle._visit_sweep_chunk(tb, lo, hi), (jobs, lo, hi)
+
+
+@pytest.mark.parametrize("pairing", [None, 0, 1, 2])
+def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
+                                                         pairing):
+    # make one member of a wide nw group trivial (None), or put it on a
+    # pair of one pairing, which fills its row of ga, gb or gc: its tuples
+    # then simplify unlike the rest of the group, so it must stand alone
+    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
+                "NONHYP_LISTS")
+    slopes = stern_brocot_slopes(5)
+    a = max(_nw_groups(_SweepTables(slopes), 0, len(slopes)), key=len)[-1]
+    u, v = slopes[a], slopes[2]
+    if pairing is None:
+        monkeypatch.setattr(pentangle, "_TRIVIAL", frozenset({(u.num, u.den)}))
+    else:
+        lists = [frozenset()] * 3
+        lists[pairing] = frozenset({pentangle._key(u, v)})
+        monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
+    tb = _SweepTables(slopes)
+    assert [a] in _nw_groups(tb, 0, tb.n)
+    for jobs in (1, 3):
+        for lo, hi in _partition(tb.n, jobs):
+            assert _sweep_chunk(tb, lo, hi) == \
+                oracle._visit_sweep_chunk(tb, lo, hi), (pairing, lo, hi)
 
 
 def test_pair_count_transposes():

@@ -150,8 +150,8 @@ def test_star_solutions_p31():
     assert plus == ((5, 6), (25, 26))
     minus = star_solutions(31, -1)
     assert minus == ((13, 17), (19, 11))
-    assert star_canonical(31, 1) == (5, 6)
-    assert star_canonical(31, -1) == (12, 13)
+    assert star_canonical(31, plus) == (5, 6)
+    assert star_canonical(31, minus) == (12, 13)
     # the tabulated tuples are the +-k partners of the raw eps = -1 roots
     assert equivalent(SimpleKnot(31, 17, 13), SimpleKnot(31, 17, 18))
     assert equivalent(SimpleKnot(31, 11, 19), SimpleKnot(31, 11, 12))
