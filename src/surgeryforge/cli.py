@@ -71,10 +71,16 @@ def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
     return 1 if report["counterexamples"] else 0
 
 
+def _cell(value):
+    """A report field as text and csv print it: a string as itself, any
+    other value as its compact JSON."""
+    return value if isinstance(value, str) else _compact(value)
+
+
 def _emit_csv(report):
-    """One row per result, one column per result field, a nested field as a
-    compact JSON cell; cells are quoted where CSV needs it.  Counterexamples
-    follow under a `counterexample` header, one compact JSON cell each."""
+    """One row per result, one column per result field, each cell a _cell
+    quoted where CSV needs it.  Counterexamples follow under a
+    `counterexample` header, one cell each, then elapsed_ms under its own."""
     import csv
     rows = report["results"]
     if isinstance(rows, dict):
@@ -82,30 +88,31 @@ def _emit_csv(report):
     keys = sorted({k for row in rows for k in row})
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
-    for row in rows:
-        cells = (row.get(k, "") for k in keys)
-        writer.writerow(_compact(v) if isinstance(v, (dict, list)) else str(v)
-                        for v in cells)
+    writer.writerows([_cell(row.get(k, "")) for k in keys] for row in rows)
     if report["counterexamples"]:
         writer.writerow(["counterexample"])
-        writer.writerows([_compact(ce)] for ce in report["counterexamples"])
+        writer.writerows([_cell(ce)] for ce in report["counterexamples"])
+    if "elapsed_ms" in report:
+        writer.writerows((["elapsed_ms"], [report["elapsed_ms"]]))
 
 
 def _emit_text(report):
     print(f"# {report['command']}")
     for key, val in sorted(report["parameters"].items()):
-        print(f"  {key} = {val}")
+        print(f"  {key} = {_cell(val)}")
     results = report["results"]
     if isinstance(results, dict):
         for key, val in sorted(results.items()):
-            print(f"{key}: {val}")
+            print(f"{key}: {_cell(val)}")
     else:
         for row in results:
-            print(row)
+            print(_cell(row))
     ces = report["counterexamples"]
     print(f"counterexamples: {len(ces)}")
     for ce in ces:
-        print(f"  {ce}")
+        print(f"  {_cell(ce)}")
+    if "elapsed_ms" in report:
+        print(f"elapsed_ms: {report['elapsed_ms']}")
 
 
 def _parse_params(family, raw):
@@ -155,9 +162,10 @@ class _Parser(argparse.ArgumentParser):
 # or (parameters, results, counterexamples), with results a dict or a list
 # of dicts, which is what the emitters read; a sweep returns the (results,
 # counterexamples) pair itself, and its handler passes it through after the
-# parameters.  Handlers call library
-# functions through their modules at call time, so that a function replaced
-# on its module (by a test or a tracer) is the one that runs.
+# parameters.  Fields hold library values, which _jsonable prints through
+# their __str__.  Handlers call library functions through their modules at
+# call time, so that a function replaced on its module (by a test or a
+# tracer) is the one that runs.
 COMMANDS = {}
 
 
@@ -184,26 +192,26 @@ def _filling(args):
 def _cf_eval(args):
     word = parse_cf(args.word)
     return ({"word": rationals.format_cf(word)},
-            {"value": str(rationals.cf_eval(word))})
+            {"value": rationals.cf_eval(word)})
 
 
 @_command("cf expand", _arg("value"))
 def _cf_expand(args):
     x = parse_slope(args.value)
-    return {"value": str(x)}, {"expansion": list(rationals.cf_expand_norm(x))}
+    return {"value": x}, {"expansion": list(rationals.cf_expand_norm(x))}
 
 
 @_command("cf solve-tail", _arg("prefix"), _arg("j", type=int))
 def _cf_solve_tail(args):
     prefix = normseq.expand_blocks(normseq.parse_seq(args.prefix))
     tail = rationals.cf_solve_tail(prefix, args.j)
-    return {"prefix": list(prefix), "j": args.j}, {"tail": str(tail)}
+    return {"prefix": list(prefix), "j": args.j}, {"tail": tail}
 
 
 @_command("lens normalize", _arg("p", type=int), _arg("q", type=int))
 def _lens_normalize(args):
     return ({"p": args.p, "q": args.q},
-            {"lens": str(lens.LensSpace(args.p, args.q))})
+            {"lens": lens.LensSpace(args.p, args.q)})
 
 
 @_command("lens homeo", *(_arg(name, type=int) for name in
@@ -213,20 +221,20 @@ def _lens_homeo(args):
     l1 = lens.LensSpace(args.p1, args.q1)
     l2 = lens.LensSpace(args.p2, args.q2)
     fn = lens.homeo_oriented if args.oriented else lens.homeo_unoriented
-    return ({"l1": str(l1), "l2": str(l2), "oriented": args.oriented},
+    return ({"l1": l1, "l2": l2, "oriented": args.oriented},
             {"homeomorphic": fn(l1, l2)})
 
 
 @_command("lens mirror", _arg("p", type=int), _arg("q", type=int))
 def _lens_mirror(args):
     return ({"p": args.p, "q": args.q},
-            {"mirror": str(lens.mirror(lens.LensSpace(args.p, args.q)))})
+            {"mirror": lens.mirror(lens.LensSpace(args.p, args.q))})
 
 
 @_command("lens from-surgery", _arg("slope"))
 def _lens_from_surgery(args):
     r = parse_slope(args.slope)
-    return {"slope": str(r)}, {"lens": str(lens.from_surgery(r))}
+    return {"slope": r}, {"lens": lens.from_surgery(r)}
 
 
 @_command("normseq reduce", _arg("seq"))
@@ -236,14 +244,14 @@ def _normseq_reduce(args):
     return ({"seq": normseq.format_items(items)},
             {"reduced": normseq.format_items(red),
              "kind": normseq.sequence_kind(red),
-             "lens": str(normseq.to_lens(red))})
+             "lens": normseq.to_lens(red)})
 
 
 @_command("normseq to-lens", _arg("seq"))
 def _normseq_to_lens(args):
     items = normseq.parse_seq(args.seq)
     return ({"seq": normseq.format_items(items)},
-            {"lens": str(normseq.to_lens(items))})
+            {"lens": normseq.to_lens(items)})
 
 
 @_command("normseq dual", _arg("seq"))
@@ -296,8 +304,7 @@ def _simpleknot_genus_search(args):
     if args.genus < 0:
         raise ValueError(f"genus must be >= 0, got {args.genus}")
     knots = simpleknot.knots_with_genus(space, args.genus)
-    return ({"lens": str(space), "genus": args.genus},
-            {"knots": [str(k) for k in knots]})
+    return ({"lens": space, "genus": args.genus}, {"knots": knots})
 
 
 @_command("tangle two-bridge", _arg("link"))
@@ -307,7 +314,7 @@ def _tangle_two_bridge(args):
         raise ValueError("expected Q(a/b,c/d,e/f)")
     factors = tuple(parse_slope(part) for part in text[2:-1].split(","))
     link = tangle.MontesinosLink(factors)
-    return ({"link": str(link)},
+    return ({"link": link},
             {"two_bridge_necessary": tangle.montesinos_is_two_bridge(link)})
 
 
@@ -321,7 +328,7 @@ def _pentangle_verify(args):
 @_command("pentangle simplifies", *_FILLING)
 def _pentangle_simplifies(args):
     f = _filling(args)
-    return ({"filling": str(f)},
+    return ({"filling": f},
             {"nonhyperbolic": pentangle.is_nonhyperbolic(f),
              "factors": pentangle.factors_through_P3(f),
              "simplifies": pentangle.simplifies(f)})
@@ -332,8 +339,8 @@ def _pentangle_montesinos(args):
     f = _filling(args)
     x = parse_slope(args.x)
     links = pentangle.montesinos_presentations(f, x)
-    return ({"filling": str(f), "x": str(x)},
-            {"presentations": [str(l) for l in links],
+    return ({"filling": f, "x": x},
+            {"presentations": links,
              "two_bridge_necessary": pentangle.two_bridge_necessary(f, x)})
 
 
@@ -342,7 +349,7 @@ def _families_eval(args):
     params = _parse_params(args.family, args.params)
     triple = families.family_triple(args.family, params)
     return ({"family": args.family, "params": [str(p) for p in params]},
-            {str(slot): str(space) for slot, space in triple})
+            dict(triple))
 
 
 @_command("families census", _arg("--tmax", type=int, default=5),
@@ -369,14 +376,14 @@ def _families_verify_alt_gofk(args):
 def _families_optsurg(args):
     pair = families.optsurg_catalog(args.family, args.k, args.ell)
     return ({"family": args.family, "k": args.k, "ell": args.ell},
-            [{"knot": d, "lens": str(l)} for d, l in pair])
+            [{"knot": d, "lens": l} for d, l in pair])
 
 
 @_command("families fes-triple")
 def _families_fes_triple(args):
     data = families.figure_eight_sister_triple()
-    return {}, {key: ([{"knot": d, "lens": str(l)} for d, l in val]
-                      if key != "triple" else list(val))
+    return {}, {key: ([{"knot": d, "lens": l} for d, l in val]
+                      if key != "triple" else val)
                 for key, val in data.items()}
 
 

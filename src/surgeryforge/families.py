@@ -479,7 +479,7 @@ def gofklens_census(t_bound, seq_bound):
     bad = [("extra", e) for e in ordered if e not in targets]
     bad += [("missing", t) for t in sorted(targets - entries.keys())]
     return ({"entries": ordered,
-             "witnesses": {str(e): tuple(sorted(entries[e])) for e in ordered}},
+             "witnesses": {e: tuple(sorted(entries[e])) for e in ordered}},
             tuple(bad))
 
 
@@ -521,7 +521,7 @@ def alt_gofk_pipeline():
         own = gofk_exponent_sums(norm_sequence_of(lens))
         mir = gofk_exponent_sums(norm_sequence_of(mirror(lens)))
         keep = bool((own | mir) & {-1, 1, 3})
-        exponent_info[str(lens)] = {
+        exponent_info[lens] = {
             "own": tuple(sorted(own)), "mirror": tuple(sorted(mir)),
             "kept": keep,
         }
@@ -549,10 +549,10 @@ def alt_gofk_pipeline():
             classes = _equivalence_classes(knots)
             cands[p] = {
                 "solutions": {"+1": sols[1], "-1": sols[-1]},
-                "classes": tuple(tuple(str(k) for k in cls) for cls in classes),
+                "classes": classes,
                 "genera": tuple(sorted({genus_primitive(k) for k in knots})),
             }
-        star_stage[str(lens)] = cands
+        star_stage[lens] = cands
 
         alive = [p for p, info in cands.items() if info.get("solutions")
                  and (info["solutions"]["+1"] or info["solutions"]["-1"])]
@@ -560,12 +560,12 @@ def alt_gofk_pipeline():
             # twist-family branches die by the genus obstruction
             target_genus = 17 if lens.p == 50 else 25
             hits = knots_with_genus(lens, target_genus)
-            genus_stage[str(lens)] = {
+            genus_stage[lens] = {
                 "genus": target_genus,
-                "primitive_simple_knots": tuple(str(k) for k in hits),
+                "primitive_simple_knots": hits,
             }
             if hits:
-                bad.append(("genus-stage", str(lens), tuple(map(str, hits))))
+                bad.append(("genus-stage", lens, hits))
             continue
         final.extend((p, lens) for p in alive)
 
@@ -573,11 +573,11 @@ def alt_gofk_pipeline():
     want = [(19, LensSpace(18, 11)), (31, LensSpace(32, 7))]
     if [p for p, _ in final] != [p for p, _ in want] or any(
             not homeo_unoriented(g, w) for (_, g), (_, w) in zip(final, want)):
-        bad.append(("final", tuple((p, str(lens)) for p, lens in final)))
+        bad.append(("final", tuple(final)))
 
     knot_names = {19: "pretzel P(-2,3,7)",
                   31: "+1-surgery dual on the Whitehead sister link"}
-    final_named = tuple({"p": p, "alternative_lens": str(lens),
+    final_named = tuple({"p": p, "alternative_lens": lens,
                          "knot": knot_names.get(p, "?")} for p, lens in final)
 
     return ({"census_ok": not census_bad,

@@ -475,18 +475,9 @@ class _SweepTables:
             for conds in zip(NONHYP_LISTS, P3_LISTS, MIRROR_P3_LISTS))
         self.ga_support = mask(self.ga)
 
-        # ne corners with equal thin-set flags and rows give every nw the
-        # same cells; those on no simplification pair and not trivial also
-        # give it the same _simp_masks.  Group them; the others stand alone.
-        groups = {}
-        for j in range(n):
-            if self.triv[j] or self.ga[j] or self.gb[j] or self.gc[j]:
-                key = j
-            else:
-                key = (self.in0[j], self.v0[j], self.ininf[j],
-                       self.inm1[j], self.vm1[j])
-            groups[key] = groups.get(key, 0) | 1 << j
-        self.ne_groups = list(groups.values())
+        # _pair_masks splits each ne group by Vinf[nw] itself
+        self.ne_groups = [sum(1 << j for j in group) for group in
+                          _corner_groups(self, range(n), by_vinf=False)]
 
     def near(self, mask):
         """The sw corners k whose Vinf[k] meets mask."""
@@ -614,16 +605,17 @@ def _cell_counts(tb, parts, simp_k, simp_base):
     return necessary, simplified, bad
 
 
-def _nw_groups(tb, i_lo, i_hi):
-    """The nw corners in [i_lo, i_hi) as lists that _pair_masks cannot tell
-    apart: equal thin-set flags and rows, on no simplification pair and not
-    trivial (_simp_masks reads those rows for nw).  The others stand alone."""
+def _corner_groups(tb, corners, by_vinf):
+    """The corners as lists that _pair_masks cannot tell apart: equal
+    thin-set flags and rows (Vinf only when by_vinf), on no simplification
+    pair and not trivial (_simp_masks reads those rows).  The others stand
+    alone."""
     groups = {}
-    for i in range(i_lo, i_hi):
+    for i in corners:
         if tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]:
             key = i
         else:
-            key = (tb.in0[i], tb.v0[i], tb.ininf[i], tb.vinf[i],
+            key = (tb.in0[i], tb.v0[i], tb.ininf[i], by_vinf and tb.vinf[i],
                    tb.inm1[i], tb.vm1[i])
         groups.setdefault(key, []).append(i)
     return list(groups.values())
@@ -634,7 +626,7 @@ def _sweep_chunk(tb, i_lo, i_hi):
     simplified = 0
     counterexamples = []
     fulls = tb.fulls
-    for members in _nw_groups(tb, i_lo, i_hi):
+    for members in _corner_groups(tb, range(i_lo, i_hi), by_vinf=True):
         # ne groups whose cells and simplification masks coincide for this
         # nw group have the same counts; the rows are fulls or vinf
         counted = {}

@@ -2,17 +2,19 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgeryforge import families, pentangle
+from surgeryforge import cli, families, pentangle
 from surgeryforge.cli import COMMANDS, main
 from surgeryforge.rationals import INF, rat
 
@@ -233,7 +235,7 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     code, out = run(capsys, "--format", "text", *argv)
     assert code == 1
     assert out.endswith("counterexamples: 1\n"
-                        "  ['missing', '(p,q,k)=(68,15,23)']\n")
+                        '  ["missing","(p,q,k)=(68,15,23)"]\n')
 
 
 def test_alt_gofk_census_failure_row(capsys, monkeypatch):
@@ -265,7 +267,7 @@ def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
     assert json.loads(outs["json"])["counterexamples"] == [
         ["final", [[31, "L(32,7)"]]]]
     assert outs["text"].endswith("counterexamples: 1\n"
-                                 "  ['final', [[31, 'L(32,7)']]]\n")
+                                 '  ["final",[[31,"L(32,7)"]]]\n')
 
 def test_intersections_counterexample_exits_1(capsys, monkeypatch):
     # a bad A-family label is a counterexample: one report on stdout, exit 1,
@@ -375,11 +377,11 @@ def test_failing_row_in_every_format(capsys, monkeypatch, argv):
         code, outs[fmt] = run(capsys, "--format", fmt, *argv)
         assert code == 1, fmt
     assert json.loads(outs["json"])["counterexamples"] == [printed]
-    assert outs["text"].endswith(f"counterexamples: 1\n  {printed}\n")
+    cell = json.dumps(printed, separators=(",", ":"))
+    assert outs["text"].endswith(f"counterexamples: 1\n  {cell}\n")
     assert outs["csv"].startswith(passing_csv)
     tail = list(csv.reader(io.StringIO(outs["csv"][len(passing_csv):])))
-    assert tail == [["counterexample"],
-                    [json.dumps(printed, separators=(",", ":"))]]
+    assert tail == [["counterexample"], [cell]]
 
 
 def test_readme_command_examples(capsys):
@@ -565,6 +567,16 @@ def test_reports_match_recorded_digests():
     assert got == digests
 
 
+def _read_field(text, want):
+    """A text or csv field read back: a string as it stands, any other
+    value through json.loads."""
+    return text if isinstance(want, str) else json.loads(text)
+
+
+def _read_fields(pairs, want):
+    return {key: _read_field(text, want[key]) for key, text in pairs}
+
+
 def test_formats(capsys):
     code, out = run(capsys, "--format", "text", "simpleknot", "chi", "5",
                     "4", "2")
@@ -584,6 +596,33 @@ def test_formats(capsys):
         header, row = csv.reader(io.StringIO(out))
         results = run_json(capsys, *argv)[1]["results"]
         assert dict(zip(header, map(json.loads, row))) == results
+    # booleans, nulls, lists and tables print as JSON in text and csv, so
+    # that every parameter, result and row reads back to the JSON report
+    for argv in (["lens", "homeo", "7", "2", "7", "4"],
+                 ["families", "optsurg", "1", "2"],
+                 ["simpleknot", "star", "7", "--eps", "+1"],
+                 ["pentangle", "simplifies", "1", "2", "3", "4"],
+                 ["families", "verify", "alt-gofk"],
+                 ["families", "fes-triple"]):
+        code, report = run_json(capsys, *argv)
+        params, results = report["parameters"], report["results"]
+        rows = results if isinstance(results, list) else [results]
+        code, out = run(capsys, "--format", "text", *argv)
+        head, *lines, tail = out.splitlines()
+        assert (head, tail) == (f"# {report['command']}", "counterexamples: 0")
+        assert _read_fields((line[2:].split(" = ", 1) for line in lines
+                             if line.startswith("  ")), params) == params
+        lines = [line for line in lines if not line.startswith("  ")]
+        if isinstance(results, list):
+            assert list(map(json.loads, lines)) == results
+        else:
+            assert _read_fields((line.split(": ", 1) for line in lines),
+                                results) == results
+        code, out = run(capsys, "--format", "csv", *argv)
+        header, *cells = csv.reader(io.StringIO(out))
+        assert [_read_fields(zip(header, row), want)
+                for row, want in zip(cells, rows)] == rows
+        assert len(cells) == len(rows)
 
 
 def test_no_timing_by_default(capsys):
@@ -591,6 +630,25 @@ def test_no_timing_by_default(capsys):
     assert "elapsed_ms" not in report
     code, out = run(capsys, "--timing", "simpleknot", "chi", "3", "1", "1")
     assert "elapsed_ms" in json.loads(out)
+
+
+def test_timing_in_every_format(capsys, monkeypatch):
+    # --timing adds elapsed_ms in every format: text ends with it, and csv
+    # ends with its header and value rows, after any counterexample rows;
+    # the rest of the report keeps the bytes it has without --timing
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+        monotonic=itertools.count(step=0.25).__next__))
+    row = families.CensusEntry(68, 15, 23)
+    monkeypatch.setattr(families, "gofklens_census", lambda t, s: (
+        {"entries": (), "witnesses": {}}, (("missing", row),)))
+    for argv in (("lens", "normalize", "7", "2"), ("families", "census")):
+        code, report = run_json(capsys, "--timing", *argv)
+        assert report["elapsed_ms"] == 250
+        for fmt, timing in (("text", "elapsed_ms: 250\n"),
+                            ("csv", "elapsed_ms\n250\n")):
+            plain = run(capsys, "--format", fmt, *argv)
+            timed = run(capsys, "--format", fmt, "--timing", *argv)
+            assert timed == (plain[0], plain[1] + timing), (argv, fmt)
 
 
 def test_star_cli(capsys):

@@ -293,10 +293,8 @@ def test_alt_gofk_pipeline():
     assert [l.p for l in r["survivors"]] == [18, 32, 50, 68]
     final = r["final"]
     assert [f["p"] for f in final] == [19, 31]
-    assert homeo_unoriented(LensSpace(*_pq(final[0]["alternative_lens"])),
-                            LensSpace(18, 11))
-    assert homeo_unoriented(LensSpace(*_pq(final[1]["alternative_lens"])),
-                            LensSpace(32, 7))
+    assert homeo_unoriented(final[0]["alternative_lens"], LensSpace(18, 11))
+    assert homeo_unoriented(final[1]["alternative_lens"], LensSpace(32, 7))
     # the twist branches died by the genus obstruction
     assert all(not info["primitive_simple_knots"]
                for info in r["genus_stage"].values())
@@ -330,12 +328,6 @@ def test_equivalence_classes_match_pairwise_scan():
             else:
                 scan.append([k])
         assert families._equivalence_classes(knots) == scan, p
-
-
-def _pq(text):
-    inner = text[text.index("(") + 1:text.index(")")]
-    a, b = inner.split(",")
-    return int(a), int(b)
 
 
 def test_pipeline_filters_record_both_orientations():

@@ -8,8 +8,9 @@ import pytest
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, P5Filling,
-                                    _bits, _is_one_minus_reciprocal,
-                                    _nw_groups, _pair_masks, _partition,
+                                    _bits, _corner_groups,
+                                    _is_one_minus_reciprocal,
+                                    _pair_masks, _partition,
                                     _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
@@ -306,10 +307,11 @@ def test_nw_groups_partition_each_chunk():
     tb = _SweepTables(slopes)
     alone = [tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]
              for i in range(tb.n)]
-    assert len(_nw_groups(tb, 0, tb.n)) == 88 and tb.n == 128
+    assert tb.n == 128
+    assert len(_corner_groups(tb, range(tb.n), by_vinf=True)) == 88
     for jobs in (1, 3, 7):
         for lo, hi in _partition(tb.n, jobs):
-            groups = _nw_groups(tb, lo, hi)
+            groups = _corner_groups(tb, range(lo, hi), by_vinf=True)
             assert sorted(i for g in groups for i in g) == list(range(lo, hi))
             keys = []
             for g in groups:
@@ -330,7 +332,7 @@ def test_grouped_nw_corners_expand_counterexamples(monkeypatch):
     tb = _SweepTables(slopes)
     nw_bad = {ce[0] for ce in _sweep_chunk(tb, 0, tb.n)[3]}
     assert any(len(g) > 1 and nw_bad.issuperset(g)
-               for g in _nw_groups(tb, 0, tb.n))
+               for g in _corner_groups(tb, range(tb.n), by_vinf=True))
     for jobs in (1, 3, 7):
         for lo, hi in _partition(tb.n, jobs):
             assert _sweep_chunk(tb, lo, hi) == \
@@ -346,7 +348,8 @@ def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
     empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
                 "NONHYP_LISTS")
     slopes = stern_brocot_slopes(5)
-    a = max(_nw_groups(_SweepTables(slopes), 0, len(slopes)), key=len)[-1]
+    a = max(_corner_groups(_SweepTables(slopes), range(len(slopes)),
+                           by_vinf=True), key=len)[-1]
     u, v = slopes[a], slopes[2]
     if pairing is None:
         monkeypatch.setattr(pentangle, "_TRIVIAL", frozenset({(u.num, u.den)}))
@@ -355,7 +358,7 @@ def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
         lists[pairing] = frozenset({pentangle._key(u, v)})
         monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
     tb = _SweepTables(slopes)
-    assert [a] in _nw_groups(tb, 0, tb.n)
+    assert [a] in _corner_groups(tb, range(tb.n), by_vinf=True)
     for jobs in (1, 3):
         for lo, hi in _partition(tb.n, jobs):
             assert _sweep_chunk(tb, lo, hi) == \
