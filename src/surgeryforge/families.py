@@ -12,8 +12,6 @@ A/B families on overlaps and is excluded from consistency checking (see the
 flagged rows it produces).
 """
 
-from math import gcd
-
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
 from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
@@ -69,11 +67,18 @@ def _x3(m, n):
             (m + n - 1, -1))
 
 
+# The A family's lens labels at the slots 1, 2 and inf: each slot is a pair
+# (p, q) of bilinear forms, each form its coefficients of (mn, m, n, 1).
+_FAM_A = (((2, 1, 2, -1), (1, 1, 1, 0)),
+          ((3, -3, -5, 2), (1, -1, -2, 1)),
+          ((5, -2, -3, 1), (0, -5, 0, 3)))
+
+
 def _fam_a_labels(m, n):
     """The raw lens labels (p, q) of A[m, n] at the slots 1, 2 and inf."""
-    return ((2 * m * n + m + 2 * n - 1, m * n + m + n),
-            (3 * m * n - 3 * m - 5 * n + 2, m * n - m - 2 * n + 1),
-            (5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m))
+    mn = m * n
+    return tuple(tuple(a * mn + b * m + c * n + d for a, b, c, d in form)
+                 for form in _FAM_A)
 
 
 def _fam_a(m, n):
@@ -170,6 +175,27 @@ def _case_1b(ms, mps):
     return tuple(sorted(out))
 
 
+def _coprime_everywhere(form):
+    """Whether a bilinear label form (p, q) has gcd(p, q) = 1 at every
+    integer (m, n), by a Bezout certificate.
+
+    Read as linear in m, p = A m + B and q = C m + D with A, B, C, D linear
+    in n.  When the resultant A D - B C is the constant polynomial +-1,
+    (p, q) is a unimodular integer matrix times (m, 1) at every n, so
+    gcd(p, q) = gcd(m, 1) = 1.  Read in n, the m and n coefficients swap
+    roles; a form may be certified in one variable only."""
+    (pa, pb, pc, pd), (qa, qb, qc, qd) = form
+    for (a1, a0, b1, b0), (c1, c0, d1, d0) in (
+            ((pa, pb, pc, pd), (qa, qb, qc, qd)),     # linear in m
+            ((pa, pc, pb, pd), (qa, qc, qb, qd))):    # linear in n
+        # A D - B C = (a1 d1 - b1 c1) y^2 + (a1 d0 + a0 d1 - b1 c0 - b0 c1) y
+        #             + (a0 d0 - b0 c0), y the other variable
+        if (a1 * d1 == b1 * c1 and a1 * d0 + a0 * d1 == b1 * c0 + b0 * c1
+                and abs(a0 * d0 - b0 * c0) == 1):
+            return True
+    return False
+
+
 def verify_three_filling_intersections(bound):
     """Solve the slope-pair coincidences between families with adjacent lens
     slots and check the solution set is the A and B families plus the
@@ -189,16 +215,19 @@ def verify_three_filling_intersections(bound):
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
     # labels must be valid.  The two ranges are the A family's exclusions.
-    # A label with gcd 1 is valid, so is_lens_label decides only the rest.
+    # A slot with a Bezout certificate has gcd 1, so a valid label, at every
+    # member.  Only the slots without one are evaluated member by member;
+    # every shipped slot has one, so no member is visited at any bound.
+    uncertified = [slot for slot, form in enumerate(_FAM_A)
+                   if not _coprime_everywhere(form)]
     bad_2b = []
-    for mp in rng_mp:
-        for mpp in rng_mpp:
-            (p1, q1), (p2, q2), (p3, q3) = _fam_a_labels(mpp, mp)
-            if gcd(p1, q1) == gcd(p2, q2) == gcd(p3, q3) == 1:
-                continue
-            if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)
-                    and is_lens_label(p3, q3)):
-                bad_2b.append((mpp, mp))
+    if uncertified:
+        for mp in rng_mp:
+            for mpp in rng_mpp:
+                labels = _fam_a_labels(mpp, mp)
+                if not all(is_lens_label(*labels[slot])
+                           for slot in uncertified):
+                    bad_2b.append((mpp, mp))
 
     # (case, solutions, expected solutions), in report order
     cases = (

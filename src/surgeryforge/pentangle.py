@@ -375,11 +375,12 @@ def stern_brocot_slopes(bound):
 # enumeration, for cells whose counts show a counterexample.  Likewise the
 # nw corners with equal flags and rows, on no simplification pair, have the
 # same cells against every ne group, and each group of them is swept once
-# and weighted by its width; within it, ne groups whose cells come out
-# equal share one count.  The kernel
-# reproduces the object-level predicates above, which the test suite
-# cross-checks, as it does against the two kernels this one replaced
-# (tests/pentangle_oracle.py).
+# and weighted by its width.  A part's counts depend only on its masks and
+# the simplification masks, and parts recur across ne and nw groups, so
+# each distinct part is counted once per chunk and weighted by the nw and
+# ne corners it stands for.  The kernel reproduces the object-level
+# predicates above, which the test suite cross-checks, as it does against
+# the two kernels this one replaced (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
 
 
@@ -445,17 +446,6 @@ class _SweepTables:
         self.vm1 = pair_rows(self.inm1,
                              lambda s: (_m_param(s) - 1, -_m_param(s), 1, -1))
         self.fulls = [self.full] * n
-        # the xm1 classes of each ne corner, for nw outside and inside Tm1:
-        # sw corners where xm1 is full or Mm1, and elsewhere Vm1[nw] (None)
-        self.m1_classes = ([], [])
-        for j in range(n):
-            am1 = self.full if self.inm1[j] else self.mm1
-            fm1 = am1 & self.vm1[j]
-            rest = self.full & ~am1
-            self.m1_classes[0].append(_nonempty(
-                (fm1, self.full), (am1 & ~fm1, self.mm1), (rest, None)))
-            self.m1_classes[1].append(_nonempty((am1, self.full),
-                                                (rest, None)))
         self._near = {}
 
         # symmetric rows of the simplification pairs, one per pairing
@@ -475,9 +465,22 @@ class _SweepTables:
             for conds in zip(NONHYP_LISTS, P3_LISTS, MIRROR_P3_LISTS))
         self.ga_support = mask(self.ga)
 
-        # _pair_masks splits each ne group by Vinf[nw] itself
-        self.ne_groups = [sum(1 << j for j in group) for group in
-                          _corner_groups(self, range(n), by_vinf=False)]
+        # _pair_masks splits each ne group by Vinf[nw] itself.  Per group:
+        # its mask js, a member j, and what _pair_masks reads of j, with the
+        # xm1 classes for nw outside and inside Tm1: sw corners where xm1 is
+        # full or Mm1, and elsewhere Vm1[nw] (None)
+        self.ne_groups = []
+        for group in _corner_groups(self, range(n), by_vinf=False):
+            j = group[0]
+            am1 = self.full if self.inm1[j] else self.mm1
+            fm1 = am1 & self.vm1[j]
+            rest = self.full & ~am1
+            self.ne_groups.append((
+                sum(1 << g for g in group), j, self.in0[j], self.v0[j],
+                _nonempty((fm1, self.full), (am1 & ~fm1, self.mm1),
+                          (rest, None)),
+                _nonempty((am1, self.full), (rest, None)),
+                self.ininf[j]))
 
     def near(self, mask):
         """The sw corners k whose Vinf[k] meets mask."""
@@ -510,31 +513,28 @@ def _pair_masks(tb, i):
     k is in a cand, else 0, and (simp_k, simp_base) is _simp_masks(tb, i, j).
     """
     full = tb.full
-    m0, minf, mm1 = tb.m0, tb.minf, tb.mm1
-    v0, vinf, vm1, fulls = tb.v0, tb.vinf, tb.vm1, tb.fulls
-    v0i, vinfi, vm1i = v0[i], vinf[i], vm1[i]
+    m0, minf = tb.m0, tb.minf
+    vinf, fulls = tb.vinf, tb.fulls
+    v0i, vinfi, vm1i = tb.v0[i], vinf[i], tb.vm1[i]
     # the x0 classes, for ne inside and outside T0: sw corners where x0 is
     # full or M0, and elsewhere V0[ne] (None)
     a0 = full if tb.in0[i] else m0
     f0 = a0 & v0i
     x0_in = _nonempty((a0, full), (full & ~a0, None))
     x0_out = _nonempty((f0, full), (a0 & ~f0, m0), (full & ~a0, None))
-    m1_classes = tb.m1_classes[tb.inm1[i]]
-    i_inf = tb.ininf[i]
-    for js in tb.ne_groups:
-        j = (js & -js).bit_length() - 1
-        v0j = v0[j]
+    i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
+    for js, j, j_in0, v0j, m1_out, m1_in, j_inf in tb.ne_groups:
         cells = []
-        for k0, x0 in x0_in if tb.in0[j] else x0_out:
+        for k0, x0 in x0_in if j_in0 else x0_out:
             if x0 is None:
                 x0 = v0j
-            for km1, xm1 in m1_classes[j]:
+            for km1, xm1 in m1_in if i_m1 else m1_out:
                 cell = k0 & km1
                 if cell and (c := x0 & (vm1i if xm1 is None else xm1)):
                     cells.append((cell, c))
         if not cells:
             continue
-        if i_inf or tb.ininf[j]:
+        if i_inf or j_inf:
             # xinf is full on every sw corner for the ne corners in
             # Vinf[nw]; for the others it is full on Minf and Minf elsewhere
             splits = ((js & vinfi, [(cell, c, fulls) for cell, c in cells]),
@@ -566,43 +566,39 @@ def _pair_count(rows, a, b):
     return total
 
 
-def _cell_counts(tb, parts, simp_k, simp_base):
-    """(necessary, simplified, bad) over the cells of one (nw, ne) pair,
-    where bad lists the (sw, se) corners of its counterexamples."""
-    ga, ga_support, fulls = tb.ga, tb.ga_support, tb.fulls
-    necessary = 0
-    simplified = 0
-    bad = []
-    for cand, c, rows in parts:
-        inside = cand & simp_k
-        rest = cand & ~(simp_k | ga_support)
-        good_c = c & simp_base
-        bad_c = c ^ good_c
-        if rows is fulls:
-            n_in = inside.bit_count() * c.bit_count()
-            n_good = rest.bit_count() * good_c.bit_count()
-            n_bad = rest.bit_count() * bad_c.bit_count()
-        else:
-            n_in = _pair_count(rows, inside, c) if inside else 0
-            n_good = _pair_count(rows, rest, good_c) if rest else 0
-            n_bad = _pair_count(rows, rest, bad_c) if rest else 0
-        necessary += n_in + n_good + n_bad
-        simplified += n_in + n_good
-        if n_bad:
-            bad.extend((k, se) for k in _bits(rest)
-                       for se in _bits(bad_c & rows[k]))
-        visit = cand & ga_support & ~simp_k
-        while visit:
-            low = visit & -visit
-            visit ^= low
-            k = low.bit_length() - 1
-            need = c & rows[k]
-            good = need & (simp_base | ga[k])
-            necessary += need.bit_count()
-            simplified += good.bit_count()
-            if need != good:
-                bad.extend((k, se) for se in _bits(need ^ good))
-    return necessary, simplified, bad
+def _cell_counts(tb, cand, c, rows, simp_k, simp_base):
+    """(necessary, simplified, bad) over one part (cand, c, rows) of a
+    (nw, ne) pair, where bad lists the (sw, se) corners of its
+    counterexamples."""
+    ga = tb.ga
+    inside = cand & simp_k
+    rest = cand & ~(simp_k | tb.ga_support)
+    good_c = c & simp_base
+    bad_c = c ^ good_c
+    if rows is tb.fulls:
+        n_in = inside.bit_count() * c.bit_count()
+        n_good = rest.bit_count() * good_c.bit_count()
+        n_bad = rest.bit_count() * bad_c.bit_count()
+    else:
+        n_in = _pair_count(rows, inside, c) if inside else 0
+        n_good = _pair_count(rows, rest, good_c) if rest else 0
+        n_bad = _pair_count(rows, rest, bad_c) if rest else 0
+    necessary = n_in + n_good + n_bad
+    simplified = n_in + n_good
+    bad = [(k, se) for k in _bits(rest)
+           for se in _bits(bad_c & rows[k])] if n_bad else []
+    visit = cand & tb.ga_support & ~simp_k
+    while visit:
+        low = visit & -visit
+        visit ^= low
+        k = low.bit_length() - 1
+        need = c & rows[k]
+        good = need & (simp_base | ga[k])
+        necessary += need.bit_count()
+        simplified += good.bit_count()
+        if need != good:
+            bad.extend((k, se) for se in _bits(need ^ good))
+    return necessary, simplified, tuple(bad)
 
 
 def _corner_groups(tb, corners, by_vinf):
@@ -626,22 +622,26 @@ def _sweep_chunk(tb, i_lo, i_hi):
     simplified = 0
     counterexamples = []
     fulls = tb.fulls
+    # a part's counts depend on its masks alone (the rows are fulls or
+    # vinf), and parts recur across ne and nw groups: each distinct one is
+    # counted once per chunk and weighted by the corners it stands for
+    counted = {}
     for members in _corner_groups(tb, range(i_lo, i_hi), by_vinf=True):
-        # ne groups whose cells and simplification masks coincide for this
-        # nw group have the same counts; the rows are fulls or vinf
-        counted = {}
         for js, parts, simp_k, simp_base in _pair_masks(tb, members[0]):
-            key = (simp_k, simp_base,
-                   *[(cand, c, rows is fulls) for cand, c, rows in parts])
-            if key not in counted:
-                counted[key] = _cell_counts(tb, parts, simp_k, simp_base)
-            nec, simp, bad = counted[key]
             width = len(members) * js.bit_count()
-            necessary += width * nec
-            simplified += width * simp
-            if bad:
-                counterexamples.extend((i, j, k, se) for i in members
-                                       for j in _bits(js) for k, se in bad)
+            for cand, c, rows in parts:
+                key = (simp_k, simp_base, cand, c, rows is fulls)
+                counts = counted.get(key)
+                if counts is None:
+                    counts = counted[key] = _cell_counts(
+                        tb, cand, c, rows, simp_k, simp_base)
+                nec, simp, bad = counts
+                necessary += width * nec
+                simplified += width * simp
+                if bad:
+                    counterexamples.extend(
+                        (i, j, k, se) for i in members for j in _bits(js)
+                        for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples

@@ -1,19 +1,23 @@
-"""The three-filling intersection check and its two coincidence solvers,
-the Riemenschneider point rule, the census seed generators and the
+"""The three-filling intersection check, its two coincidence solvers and
+its case-2b member loop, the A-family label closed form, the
+Riemenschneider point rule, the census seed generators and the
 once-punctured-torus catalog as they stood before their rewrites: a
 family_triple and ExtRational slopes for every parameter pair, a double
-loop over both parameter ranges per coincidence, a dual built dot by dot,
-seeds with up to three entries other than 2 placed among 2s, the product
-over all entries 2..seq_bound+3, and one catalog branch with its own data
-per family kind.  Kept verbatim as the reference that surgeryforge.families
-and surgeryforge.normseq are tested against."""
+loop over both parameter ranges per coincidence, a label evaluation per
+A-family member, a dual built dot by dot, seeds with up to three entries
+other than 2 placed among 2s, the product over all entries
+2..seq_bound+3, and one catalog branch with its own data per family kind.
+Kept verbatim as the reference that surgeryforge.families and
+surgeryforge.normseq are tested against."""
 
 import itertools
+from math import gcd
 
+from surgeryforge import families
 from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
                                    _recip_shift, _template_instances,
                                    family_triple)
-from surgeryforge.lens import LensSpace
+from surgeryforge.lens import LensSpace, is_lens_label
 from surgeryforge.normseq import gofk_exponent_sums
 from surgeryforge.rationals import ExtRational
 
@@ -128,6 +132,43 @@ def verify_three_filling_intersections(bound):
              "case_3a": case_3a,
              "case_3b_matches_3a": case_3b_same},
             tuple(bad))
+
+
+def _fam_a_labels(m, n):
+    """The raw lens labels (p, q) of A[m, n] at the slots 1, 2 and inf."""
+    return ((2 * m * n + m + 2 * n - 1, m * n + m + n),
+            (3 * m * n - 3 * m - 5 * n + 2, m * n - m - 2 * n + 1),
+            (5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m))
+
+
+# An A-family slot-1 form whose label, over the bound-4 parameter ranges,
+# is invalid only at A[2, 3] (there it is (-34, -17)), for tests that need
+# one bad member in families._FAM_A
+BAD_SLOT_1 = ((-3, -3, -3, -1), (-3, -1, 1, 0))
+
+
+def case_2b(bound):
+    """The case-2b rows and case_2b_count of
+    verify_three_filling_intersections, by evaluating every A-family member
+    through families._fam_a_labels (so a patched families._FAM_A)."""
+    rng = range(-bound, bound + 1)
+    rng_mp = [mp for mp in rng if mp not in (0, 1)]
+    rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
+
+    # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
+    # works and gives the A family member A[m'', m'], whose three lens
+    # labels must be valid.  The two ranges are the A family's exclusions.
+    # A label with gcd 1 is valid, so is_lens_label decides only the rest.
+    bad_2b = []
+    for mp in rng_mp:
+        for mpp in rng_mpp:
+            (p1, q1), (p2, q2), (p3, q3) = families._fam_a_labels(mpp, mp)
+            if gcd(p1, q1) == gcd(p2, q2) == gcd(p3, q3) == 1:
+                continue
+            if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)
+                    and is_lens_label(p3, q3)):
+                bad_2b.append((mpp, mp))
+    return tuple(bad_2b), len(rng_mp) * len(rng_mpp) - len(bad_2b)
 
 
 def riemenschneider_dual(seq):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 
+import families_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,11 +273,8 @@ def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
 def test_intersections_counterexample_exits_1(capsys, monkeypatch):
     # a bad A-family label is a counterexample: one report on stdout, exit 1,
     # nothing on stderr
-    labels = families._fam_a_labels
-    monkeypatch.setattr(
-        families, "_fam_a_labels",
-        lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
-        else labels(m, n))
+    monkeypatch.setattr(families, "_FAM_A",
+                        (families_oracle.BAD_SLOT_1,) + families._FAM_A[1:])
     code = main(["families", "verify", "intersections", "--bound", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -288,9 +286,9 @@ def test_intersections_counterexample_exits_1(capsys, monkeypatch):
 
 def _break_intersection_cases(monkeypatch, cases):
     """Push each named intersection case off its expected solutions by
-    patching the helper that computes them."""
+    patching the helper or table that computes them."""
     recip_shift, case_1b = families._recip_shift, families._case_1b
-    coincidences, labels = families._coincidences, families._fam_a_labels
+    coincidences = families._coincidences
     if "case_1a" in cases:
         # 3 - 1/m' read as the integer 5 at m' = 2
         monkeypatch.setattr(families, "_recip_shift",
@@ -306,10 +304,10 @@ def _break_intersection_cases(monkeypatch, cases):
                         lambda c1, xs, c2, ys: coincidences(c1, xs, c2, ys)
                         + (((0, 0),) if c1 in shifted else ()))
     if "case_2b" in cases:
+        # a slot-1 label invalid only at A[2, 3]
         monkeypatch.setattr(
-            families, "_fam_a_labels",
-            lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
-            else labels(m, n))
+            families, "_FAM_A",
+            (families_oracle.BAD_SLOT_1,) + families._FAM_A[1:])
 
 
 _BROKEN_INTERSECTION_ROWS = [

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 from math import gcd
 
@@ -122,14 +123,68 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     # a non-coprime label in the A family is reported under case 2b, not
     # raised
     clean, _ = verify_three_filling_intersections(4)
-    labels = families._fam_a_labels
-    monkeypatch.setattr(
-        families, "_fam_a_labels",
-        lambda m, n: ((6, 4),) + labels(m, n)[1:] if (m, n) == (2, 3)
-        else labels(m, n))
+    monkeypatch.setattr(families, "_FAM_A",
+                        (oracle.BAD_SLOT_1,) + families._FAM_A[1:])
     r, ces = verify_three_filling_intersections(4)
     assert ces == (("case_2b", ((2, 3),)),)
     assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
+    assert oracle.case_2b(4) == (((2, 3),), r["case_2b_count"])
+
+
+def test_fam_a_table_matches_closed_form():
+    for m, n in product(range(-40, 41), repeat=2):
+        assert families._fam_a_labels(m, n) == oracle._fam_a_labels(m, n)
+
+
+def test_case_2b_is_bound_free(monkeypatch):
+    # with every slot certified no member is evaluated, so a bound whose
+    # member loop would take hours answers at once
+    def no_members(m, n):
+        raise AssertionError("case 2b evaluated a member")
+
+    monkeypatch.setattr(families, "_fam_a_labels", no_members)
+    r, ces = verify_three_filling_intersections(10_000)
+    assert ces == ()
+    assert r == {"case_1a": ((4, -1),), "case_1b": ((1, -1, -1),),
+                 "case_2a": ((2, -2),), "case_2b_count": 399_940_002,
+                 "case_3a": ((2, -2),), "case_3b_matches_3a": True}
+
+
+_CONSTANT_LABELS = ((0, 5), (0, 0), (6, 4), (1, 4))
+
+
+def _random_a_table(rnd):
+    """Three slots, each a constant label or a random bilinear form with
+    coefficients in -3..3, drawn certified or uncertified."""
+    slots = []
+    for _ in range(3):
+        kind = rnd.randrange(4)
+        if kind == 0:
+            p, q = rnd.choice(_CONSTANT_LABELS)
+            slots.append(((0, 0, 0, p), (0, 0, 0, q)))
+            continue
+        while True:
+            form = tuple(tuple(rnd.randint(-3, 3) for _ in range(4))
+                         for _ in range(2))
+            if families._coprime_everywhere(form) == (kind > 1):
+                break
+        slots.append(form)
+    return tuple(slots)
+
+
+def test_case_2b_matches_member_loop_on_random_tables(monkeypatch):
+    rnd = random.Random(20)
+    seen = set()
+    for _ in range(40):
+        table = _random_a_table(rnd)
+        monkeypatch.setattr(families, "_FAM_A", table)
+        seen.update(map(families._coprime_everywhere, table))
+        for bound in range(2, 13):
+            r, ces = verify_three_filling_intersections(bound)
+            rows = dict(ces).get("case_2b", ())
+            assert (rows, r["case_2b_count"]) == oracle.case_2b(bound), (
+                table, bound)
+    assert seen == {True, False}
 
 
 def test_coincidence_solvers_match_double_loops():
@@ -153,24 +208,24 @@ def test_coincidence_solvers_match_double_loops():
 def test_case_2b_gcd_fast_path_agrees_with_is_lens_label(monkeypatch, label,
                                                           slot):
     # an A-family label with gcd other than 1 is still valid when
-    # is_lens_label says so, e.g. L(0,5); the gcd test only skips labels
-    # with gcd 1
-    labels = families._fam_a_labels
-
-    def patched(m, n):
-        out = labels(m, n)
-        if (m, n) != (2, 3):
-            return out
-        return out[:slot] + (label,) + out[slot + 1:]
-
+    # is_lens_label says so, e.g. L(0,5); the certificate only skips slots
+    # with gcd 1 everywhere.  The label stands at its slot as a constant
+    # form, so it is every member's label there.
+    p, q = label
+    table = families._FAM_A
     clean, _ = verify_three_filling_intersections(4)
-    monkeypatch.setattr(families, "_fam_a_labels", patched)
+    monkeypatch.setattr(
+        families, "_FAM_A",
+        table[:slot] + (((0, 0, 0, p), (0, 0, 0, q)),) + table[slot + 1:])
     r, ces = verify_three_filling_intersections(4)
+    rows, count = oracle.case_2b(4)
+    assert (dict(ces).get("case_2b", ()), r["case_2b_count"]) == (rows, count)
     if is_lens_label(*label):
         assert (r, ces) == (clean, ())
     else:
-        assert ces == (("case_2b", ((2, 3),)),)
-        assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
+        assert ces == (("case_2b", rows),)
+        assert r == dict(clean, case_2b_count=0)
+        assert len(rows) == clean["case_2b_count"]
 
 
 def test_prop15_consistency():

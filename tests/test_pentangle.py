@@ -295,6 +295,27 @@ def test_kernel_matches_visit_oracle_by_chunk():
                 oracle._visit_sweep_chunk(tb, lo, hi), (lo, hi)
 
 
+def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
+    # _cell_counts runs once per distinct (simp_k, simp_base, cand, c, rows)
+    # over the parts of every nw group, however many ne and nw groups share it
+    slopes = stern_brocot_slopes(10)
+    tb = _SweepTables(slopes)
+    keys = {(simp_k, simp_base, cand, c, rows is tb.fulls)
+            for members in _corner_groups(tb, range(tb.n), by_vinf=True)
+            for _, parts, simp_k, simp_base in _pair_masks(tb, members[0])
+            for cand, c, rows in parts}
+    calls = []
+    cell_counts = pentangle._cell_counts
+
+    def counting(*args):
+        calls.append(args)
+        return cell_counts(*args)
+
+    monkeypatch.setattr(pentangle, "_cell_counts", counting)
+    assert _sweep_chunk(tb, 0, tb.n) == oracle._visit_sweep_chunk(tb, 0, tb.n)
+    assert len(calls) == len(keys) == 1180
+
+
 def _nw_key(tb, i):
     return (tb.in0[i], tb.v0[i], tb.ininf[i], tb.vinf[i], tb.inm1[i],
             tb.vm1[i])
