@@ -16,7 +16,7 @@ from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
 from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
                       riemenschneider_dual, to_lens)
-from .rationals import INF, ExtRational, FrozenValue, rat
+from .rationals import INF, ExtRational, FrozenValue, cf_step, rat
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
 
@@ -138,11 +138,6 @@ def family_triple(family, params):
 # ---------------------------------------------------------------------------
 
 
-def _recip_shift(c, m):
-    # the slope c - 1/m
-    return ExtRational(c * m - 1, m)
-
-
 def _coincidences(c1, xs, c2, ys):
     """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  Cross
     multiplied, (c1 x - 1) y = (c2 y - 1) x, whose one solution for a given
@@ -153,25 +148,6 @@ def _coincidences(c1, xs, c2, ys):
         d = 1 + (c2 - c1) * x
         if d and not x % d and (y := x // d) in ys:
             out.append((x, y))
-    return tuple(sorted(out))
-
-
-def _case_1b(ms, mps):
-    """The (m, m', n), m != 0, with n = 1 - 1/m + 1/m' an allowed integer.
-    n is an integer exactly when t = 1/m' - 1/m is, and |t| <= 2, so for
-    each m and t the one candidate is m' = m / (t m + 1), with n = 1 + t."""
-    mps = set(mps)
-    out = []
-    for m in ms:
-        if m == 0:
-            continue
-        for t in range(-2, 3):
-            d = t * m + 1
-            n = 1 + t
-            if (d and not m % d and (mp := m // d) in mps
-                    and n not in (0, 1, 2, 3)
-                    and (m, n) not in ((-1, 4), (-1, 5))):
-                out.append((m, mp, n))
     return tuple(sorted(out))
 
 
@@ -234,10 +210,15 @@ def verify_three_filling_intersections(bound):
         # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is
         # excluded), leaving the one-parameter family M3(4, -1/m).
         ("case_1a", tuple((s.num, mp) for mp in rng_mp
-                          if (s := _recip_shift(3, mp)).is_integer
+                          if (s := cf_step(3, rat(mp))).is_integer
                           and s.num not in (0, 1, 2, 3)), ((4, -1),)),
-        # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
-        ("case_1b", _case_1b(rng, rng_mp), ((1, -1, -1),)),
+        # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m', so n = 1 + t with
+        # t = 1/m' - 1/m an integer, m != 0.  |t| <= 2 as m' is not 0 or 1,
+        # and n is not 0..3, so t = -2: 0 - 1/m = -2 - 1/m' with n = -1,
+        # which no (m, n) exclusion meets.
+        ("case_1b", tuple((m, mp, -1) for m, mp
+                          in _coincidences(0, rng, -2, rng_mp)),
+         ((1, -1, -1),)),
         # Case 2a: 3 - 1/m' = 2 - 1/m'', the free slope shared: family B.
         ("case_2a", _coincidences(3, rng_mp, 2, rng_mpp), ((2, -2),)),
         # Case 2b: the A family members with an invalid label.
@@ -304,7 +285,7 @@ def prop15_consistency(bound):
     for m in range(-bound, bound + 1):
         if m in (-1, 0, 1):
             continue
-        pq = _recip_shift(1, -m)  # 1 + 1/m
+        pq = cf_step(1, rat(-m))  # 1 + 1/m
         record("A[m,-1]", m, (m, -1), rat(1), ("X2", (2, pq), INF))
         record("A[m,-1]", m, (m, -1), rat(2), ("X3", (-2, -m), rat(3)))
         record("A[m,-1]", m, (m, -1), INF, ("X2", (2, pq), rat(2)))
@@ -401,28 +382,41 @@ def _is_twist_shape(seq):
 
 def _gofk_seeds(t_bound, seq_bound):
     """The seeds a of the dual pairs (a, dual(a)): lengths 1..seq_bound, all
-    2s or with entries from 3..seq_bound+3, one anywhere or two at the ends.
+    2s or all 2s but one entry, from 3..seq_bound+3 at lengths 1 and 2 and a
+    3 at greater lengths; and the twist seeds (t+2, 3), 1 <= t <= t_bound.
 
     No other seed contributes.  Let a (length >= 2) have n entries other than
     2, I inside.  By the row-start rule of riemenschneider_dual (b is all 2s
     plus one at each partial sum of a_k - 2 short of the last), b = dual(a)
-    has I + 1, ending in one exactly where a ends in 2.  Any other seed has
-    two or more, one inside, so b is longer than 1 with n - 1 inside.  Each
+    has I + 1, ending in one exactly where a ends in 2.  Any seed with two or
+    more, one inside, has b longer than 1 with n - 1 inside.  Each
     template instance on (f, s) = (a, b) or (b, a) is then, up to reversing
     s, f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with
     x >= 5 (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1]
-    with x >= 4 (2n - 1 or 2I + 1): three or more, and no fibered pattern
-    shape has more than two.  Seeds (t+2, 3) alone give twist index
-    t <= t_bound."""
+    with x >= 4 (2n - 1 or 2I + 1): three or more, and no rule of
+    normseq._pattern_sums admits more than two.
+
+    Two ends, a = (v, 2^[L-2], w) with v, w >= 3: b = (2^[v-2], L+1,
+    2^[w-2]), and every instance has three or more but
+    f[:-1]+(f[-1]+s[-1],)+rev(s)[1:-1] on (b, a), which is (2^[v-2], L+1,
+    2^[w-3], w+2, 2^[L-2]).  It has length 3 only at v = w = 3, L = 2, and
+    neither it nor its reverse has second entry 3 followed by only 2s
+    unless L = 2 and w = 3; the other rules admit at most one entry other
+    than 2.  Both exceptions are the twist seed (v, 3).
+
+    One entry v >= 4 at index i of a length L >= 3: b = (2+i, 2^[v-3],
+    L+1-i), and every instance has three or more, or has length 4 or more
+    with second entry 3 neither way and a lone entry other than 2 of at
+    least 6 (no single 4), which no rule admits.
+
+    The seed (t+2, 3) gives only the twist shape of index t."""
     big = range(3, seq_bound + 4)
     for length in range(1, seq_bound + 1):
         twos = (2,) * length
         yield twos
-        yield from (twos[:i] + (v,) + twos[i + 1:]
-                    for i in range(length) for v in big)
-        if length > 1:
-            yield from ((v,) + twos[2:] + (w,) for v in big for w in big)
-    for t in range(seq_bound + 2, t_bound + 1):
+        yield from (twos[:i] + (v,) + twos[i + 1:] for i in range(length)
+                    for v in (big if length <= 2 else (3,)))
+    for t in range(1, t_bound + 1):
         yield (t + 2, 3)
 
 

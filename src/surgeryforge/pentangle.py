@@ -137,16 +137,20 @@ def _map_pairs(pairs, fn):
     return [(fn(u), fn(v)) for u, v in pairs]
 
 
-_P3_BASE = [
+def _rotations(pairs):
+    """The condition list of pairing A and its images under rot_map, the
+    lists of pairings B and C."""
+    once = _map_pairs(pairs, rot_map)
+    return pairs, once, _map_pairs(once, rot_map)
+
+
+_P3_A, _P3_B, _P3_C = _rotations([
     (rat(2), rat(-2)),
     (rat(-1), rat(3, 2)),
     (rat(1, 2), rat(1, 3)),
     (rat(2), rat(1, 2)),
     (rat(-1), rat(-1)),
-]
-_P3_A = _P3_BASE
-_P3_B = _map_pairs(_P3_A, rot_map)
-_P3_C = _map_pairs(_P3_B, rot_map)
+])
 _MIR_A = _map_pairs(_P3_B, reciprocal)
 _MIR_B = _map_pairs(_P3_A, reciprocal)
 _MIR_C = _map_pairs(_P3_C, reciprocal)
@@ -154,10 +158,9 @@ _MIR_C = _map_pairs(_P3_C, reciprocal)
 P3_LISTS = tuple(_pairset(p) for p in (_P3_A, _P3_B, _P3_C))
 MIRROR_P3_LISTS = tuple(_pairset(p) for p in (_MIR_A, _MIR_B, _MIR_C))
 
-_NONHYP_A = _pairset([(rat(-1), rat(2)), (rat(1, 2), rat(1, 2))])
-_NONHYP_B = _pairset([(rat(-1), rat(1, 2)), (rat(2), rat(2))])
-_NONHYP_C = _pairset([(rat(1, 2), rat(2)), (rat(-1), rat(-1))])
-NONHYP_LISTS = (_NONHYP_A, _NONHYP_B, _NONHYP_C)
+NONHYP_LISTS = tuple(map(_pairset, _rotations(
+    [(rat(-1), rat(2)), (rat(1, 2), rat(1, 2))])))
+_NONHYP_A, _NONHYP_B, _NONHYP_C = NONHYP_LISTS
 
 _TRIVIAL = frozenset(((0, 1), (1, 1), (1, 0)))
 

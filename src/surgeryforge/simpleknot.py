@@ -50,15 +50,10 @@ def _orbit(p, q, k):
             (qi, qi * k % p), (qi, -qi * k % p)}
 
 
-def equivalent(k1, k2):
-    """Orientation-preserving equivalence of simple knots (up to k -> -k)."""
-    if k1.p != k2.p:
-        return False
-    return (k2.q % k1.p, k2.k % k1.p) in _orbit(k1.p, k1.q, k1.k)
-
-
 def canonical_triple(p, q, k):
-    """Smallest (q, k) representative of the equivalence class, as a tuple."""
+    """Smallest (q, k) representative of the equivalence class, as a tuple.
+    Two simple knots are equivalent (orientation-preserving, up to
+    k -> -k) exactly when their canonical triples are equal."""
     qq, kk = min(_orbit(p, q, k))
     return (p, qq, kk)
 

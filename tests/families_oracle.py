@@ -1,11 +1,12 @@
-"""The three-filling intersection check, its two coincidence solvers and
-its case-2b member loop, the A-family label closed form, the
-Riemenschneider point rule, the census seed generators and the
+"""The three-filling intersection check, its slope helper c - 1/m, its
+two coincidence solvers and its case-2b member loop, the A-family label
+closed form, the Riemenschneider point rule, the census seed generators and the
 once-punctured-torus catalog as they stood before their rewrites: a
 family_triple and ExtRational slopes for every parameter pair, a double
 loop over both parameter ranges per coincidence, a label evaluation per
 A-family member, a dual built dot by dot, seeds with up to three entries
-other than 2 placed among 2s, the product over all entries
+other than 2 placed among 2s, seeds of four shapes (all 2s, one entry
+anywhere, two at the ends, the twist seeds), the product over all entries
 2..seq_bound+3, and one catalog branch with its own data per family kind.
 Kept verbatim as the reference that surgeryforge.families and
 surgeryforge.normseq are tested against."""
@@ -15,11 +16,15 @@ from math import gcd
 
 from surgeryforge import families
 from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
-                                   _recip_shift, _template_instances,
-                                   family_triple)
+                                   _template_instances, family_triple)
 from surgeryforge.lens import LensSpace, is_lens_label
 from surgeryforge.normseq import gofk_exponent_sums
 from surgeryforge.rationals import ExtRational
+
+
+def _recip_shift(c, m):
+    # the slope c - 1/m
+    return ExtRational(c * m - 1, m)
 
 
 def _coincidences(c1, xs, c2, ys):
@@ -214,6 +219,33 @@ def _gofk_seeds(t_bound, seq_bound):
                     for i, v in zip(spots, values):
                         a[i] = v
                     yield tuple(a)
+    for t in range(seq_bound + 2, t_bound + 1):
+        yield (t + 2, 3)
+
+
+def _four_shape_gofk_seeds(t_bound, seq_bound):
+    """The seeds a of the dual pairs (a, dual(a)): lengths 1..seq_bound, all
+    2s or with entries from 3..seq_bound+3, one anywhere or two at the ends.
+
+    No other seed contributes.  Let a (length >= 2) have n entries other than
+    2, I inside.  By the row-start rule of riemenschneider_dual (b is all 2s
+    plus one at each partial sum of a_k - 2 short of the last), b = dual(a)
+    has I + 1, ending in one exactly where a ends in 2.  Any other seed has
+    two or more, one inside, so b is longer than 1 with n - 1 inside.  Each
+    template instance on (f, s) = (a, b) or (b, a) is then, up to reversing
+    s, f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with
+    x >= 5 (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1]
+    with x >= 4 (2n - 1 or 2I + 1): three or more, and no fibered pattern
+    shape has more than two.  Seeds (t+2, 3) alone give twist index
+    t <= t_bound."""
+    big = range(3, seq_bound + 4)
+    for length in range(1, seq_bound + 1):
+        twos = (2,) * length
+        yield twos
+        yield from (twos[:i] + (v,) + twos[i + 1:]
+                    for i in range(length) for v in big)
+        if length > 1:
+            yield from ((v,) + twos[2:] + (w,) for v in big for w in big)
     for t in range(seq_bound + 2, t_bound + 1):
         yield (t + 2, 3)
 

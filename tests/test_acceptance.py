@@ -12,7 +12,7 @@ from surgeryforge import families, pentangle, simpleknot
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
 from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
 from surgeryforge.rationals import cf_eval, cf_expand_norm, rat
-from surgeryforge.simpleknot import SimpleKnot, equivalent, euler_char
+from surgeryforge.simpleknot import SimpleKnot, canonical_triple, euler_char
 
 
 @contextmanager
@@ -85,8 +85,8 @@ def test_criterion_04_euler_characteristics():
 
 def test_criterion_05_simple_knot_equivalences():
     with criterion(5, 30.0, "simple knot equivalences and chi invariance"):
-        assert equivalent(SimpleKnot(31, 17, 18), SimpleKnot(31, 11, 12))
-        assert equivalent(SimpleKnot(31, 6, 5), SimpleKnot(31, 26, 25))
+        assert canonical_triple(31, 17, 18) == canonical_triple(31, 11, 12)
+        assert canonical_triple(31, 6, 5) == canonical_triple(31, 26, 25)
         for p in range(2, 61):
             for q in range(1, p):
                 if gcd(p, q) != 1:

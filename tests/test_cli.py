@@ -287,18 +287,16 @@ def test_intersections_counterexample_exits_1(capsys, monkeypatch):
 def _break_intersection_cases(monkeypatch, cases):
     """Push each named intersection case off its expected solutions by
     patching the helper or table that computes them."""
-    recip_shift, case_1b = families._recip_shift, families._case_1b
-    coincidences = families._coincidences
+    cf_step, coincidences = families.cf_step, families._coincidences
     if "case_1a" in cases:
         # 3 - 1/m' read as the integer 5 at m' = 2
-        monkeypatch.setattr(families, "_recip_shift",
-                            lambda c, m: rat(5) if m == 2
-                            else recip_shift(c, m))
-    if "case_1b" in cases:
-        monkeypatch.setattr(families, "_case_1b",
-                            lambda ms, mps: case_1b(ms, mps) + ((9, 9, 9),))
-    # case 2a solves 3 - 1/x = 2 - 1/y, case 3a 2 - 1/x = 1 - 1/y
-    shifted = {c1 for case, c1 in (("case_2a", 3), ("case_3a", 2))
+        monkeypatch.setattr(families, "cf_step",
+                            lambda c, x: rat(5) if x == rat(2)
+                            else cf_step(c, x))
+    # case 1b solves 0 - 1/x = -2 - 1/y, case 2a 3 - 1/x = 2 - 1/y and
+    # case 3a 2 - 1/x = 1 - 1/y
+    shifted = {c1 for case, c1 in (("case_1b", 0), ("case_2a", 3),
+                                   ("case_3a", 2))
                if case in cases}
     monkeypatch.setattr(families, "_coincidences",
                         lambda c1, xs, c2, ys: coincidences(c1, xs, c2, ys)
@@ -312,7 +310,7 @@ def _break_intersection_cases(monkeypatch, cases):
 
 _BROKEN_INTERSECTION_ROWS = [
     ["case_1a", [[4, -1], [5, 2]]],
-    ["case_1b", [[1, -1, -1], [9, 9, 9]]],
+    ["case_1b", [[1, -1, -1], [0, 0, -1]]],
     ["case_2a", [[2, -2], [0, 0]]],
     ["case_2b", [[2, 3]]],
     ["case_3a", [[2, -2], [0, 0]]],

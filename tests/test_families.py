@@ -16,9 +16,10 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    verify_three_filling_intersections)
 from surgeryforge.lens import (LensSpace, S3, homeo_oriented, homeo_unoriented,
                               is_lens_label)
-from surgeryforge.normseq import riemenschneider_dual
+from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
 from surgeryforge.rationals import INF, rat
-from surgeryforge.simpleknot import SimpleKnot, equivalent, star_solutions
+from surgeryforge.simpleknot import (SimpleKnot, canonical_triple,
+                                     star_solutions)
 
 
 def lenses(family, params):
@@ -194,7 +195,7 @@ def test_coincidence_solvers_match_double_loops():
         rng = range(-bound, bound + 1)
         rng_mp = [m for m in rng if m not in (0, 1)]
         rng_mpp = [m for m in rng if m not in (-1, 0, 1)]
-        assert (families._case_1b(rng, rng_mp)
+        assert (verify_three_filling_intersections(bound)[0]["case_1b"]
                 == oracle._case_1b(rng, rng_mp)), bound
         for c1, c2 in product(range(-3, 4), repeat=2):
             assert (families._coincidences(c1, rng_mp, c2, rng_mpp)
@@ -324,22 +325,39 @@ def test_census_duals_go_through_checked_point_rule(monkeypatch):
     monkeypatch.setattr(families, "riemenschneider_dual", counted)
     gofklens_census(6, 6)
     seeds = list(families._gofk_seeds(6, 6))
-    assert len(seeds) == 398
+    assert len(seeds) == 51
     assert calls == seeds
 
 
-def test_seeds_left_out_leave_three_entries_other_than_2():
-    # every old seed outside the closed-form set, up to seqmax 7, gives only
-    # template instances with three or more entries other than 2, which no
-    # fibered pattern shape has
-    kept = set(families._gofk_seeds(-1, 7))
-    old = set(oracle._gofk_seeds(-1, 7))
-    assert kept < old
-    for a in old - kept:
-        b = riemenschneider_dual(a)
-        for first, second in ((a, b), (b, a)):
-            for seq in _template_instances(first, second):
-                assert len(seq) - seq.count(2) >= 3, (a, seq)
+def test_seeds_left_out_give_no_kept_sequence():
+    # every instance of every four-shape seed left out (two ends, one entry
+    # of 4 or more at length 3 or more, a twist seed beyond tmax) is
+    # rejected by a filter of _gofk_sequences: three or more entries other
+    # than 2, no exponent sums, or a twist shape beyond tmax
+    for t_bound, seq_bound in ((-1, 9), (4, 9), (12, 9)):
+        kept = set(families._gofk_seeds(t_bound, seq_bound))
+        old = set(oracle._four_shape_gofk_seeds(t_bound, seq_bound))
+        assert kept < old
+        for a in old - kept:
+            b = riemenschneider_dual(a)
+            for first, second in ((a, b), (b, a)):
+                for seq in _template_instances(first, second):
+                    t = _is_twist_shape(seq)
+                    assert (len(seq) - seq.count(2) >= 3
+                            or not gofk_exponent_sums(seq)
+                            or (t is not None and t > t_bound)), (a, seq)
+
+
+def test_seeds_match_four_shape_generator_past_seqmax_8(monkeypatch):
+    # the census sequences from the proved seeds equal those from the four
+    # seed shapes at cells too large for the three-entry oracle
+    for t_bound, seq_bound in ((20, 20), (12, 40), (40, 12)):
+        seqs = _gofk_sequences(t_bound, seq_bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "_gofk_seeds",
+                          oracle._four_shape_gofk_seeds)
+            assert _gofk_sequences(t_bound, seq_bound) == seqs, (
+                t_bound, seq_bound)
 
 
 def test_alt_gofk_pipeline():
@@ -377,7 +395,8 @@ def test_equivalence_classes_match_pairwise_scan():
         scan = []
         for k in knots:
             for cls in scan:
-                if equivalent(cls[0], k):
+                if (canonical_triple(cls[0].p, cls[0].q, cls[0].k)
+                        == canonical_triple(k.p, k.q, k.k)):
                     cls.append(k)
                     break
             else:

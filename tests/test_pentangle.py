@@ -78,9 +78,10 @@ def test_mirror_exchanges_factoring_lists():
 
 
 def test_condition_lists_match_transcription():
-    # hand transcription of the tabulated pair lists; the generated pairing-C
-    # factoring list disagrees with the transcription in exactly one pair,
-    # where closure under the order-3 symmetry forces {2,2} over {-2,-2}
+    # hand transcription of the tabulated pair lists, which the library
+    # generates from pairing A by rot_map; the generated pairing-C factoring
+    # list disagrees with the transcription in exactly one pair, where
+    # closure under the order-3 symmetry forces {2,2} over {-2,-2}
     def key(a, b):
         return tuple(sorted(((a.num, a.den), (b.num, b.den))))
 
@@ -102,12 +103,16 @@ def test_condition_lists_match_transcription():
     m3 = {key(rat(2), rat(2, 3)), key(rat(1, 2), rat(3)),
           key(rat(-1), rat(-1, 2)), key(rat(2), rat(-1)),
           key(rat(1, 2), rat(1, 2))}
+    n1 = {key(rat(-1), rat(2)), key(rat(1, 2), rat(1, 2))}
+    n2 = {key(rat(-1), rat(1, 2)), key(rat(2), rat(2))}
+    n3 = {key(rat(1, 2), rat(2)), key(rat(-1), rat(-1))}
 
     assert P3_LISTS[0] == frozenset(s1)
     assert P3_LISTS[1] == frozenset(s2)
     assert MIRROR_P3_LISTS[0] == frozenset(m1)
     assert MIRROR_P3_LISTS[1] == frozenset(m2)
     assert MIRROR_P3_LISTS[2] == frozenset(m3)
+    assert NONHYP_LISTS == (frozenset(n1), frozenset(n2), frozenset(n3))
     diff = P3_LISTS[2] ^ frozenset(s3_printed)
     assert diff == {key(rat(2), rat(2)), key(rat(-2), rat(-2))}
 

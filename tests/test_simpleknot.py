@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from surgeryforge.lens import LensSpace
 from surgeryforge.simpleknot import (SimpleKnot, _orbit, _relative_gradings,
-                                     canonical_triple, equivalent, euler_char,
+                                     canonical_triple, euler_char,
                                      genus_primitive, knots_with_genus,
                                      star_canonical, star_solutions)
 
@@ -74,12 +74,12 @@ def test_primitive_knots_have_odd_chi():
 
 
 def test_equivalence_examples():
-    assert equivalent(SimpleKnot(31, 17, 18), SimpleKnot(31, 11, 12))
-    assert equivalent(SimpleKnot(31, 6, 5), SimpleKnot(31, 26, 25))
-    assert not equivalent(SimpleKnot(31, 6, 5), SimpleKnot(31, 17, 18))
-    assert not equivalent(SimpleKnot(31, 6, 5), SimpleKnot(32, 7, 5))
+    assert canonical_triple(31, 17, 18) == canonical_triple(31, 11, 12)
+    assert canonical_triple(31, 6, 5) == canonical_triple(31, 26, 25)
+    assert canonical_triple(31, 6, 5) != canonical_triple(31, 17, 18)
+    assert canonical_triple(31, 6, 5) != canonical_triple(32, 7, 5)
     for p, q, k in ((7, 3, 2), (18, 5, 7), (31, 17, 18)):
-        assert equivalent(SimpleKnot(p, q, k), SimpleKnot(p, q, p - k))
+        assert canonical_triple(p, q, k) == canonical_triple(p, q, p - k)
 
 
 def oracle_orbit(p, q, k):
@@ -153,8 +153,8 @@ def test_star_solutions_p31():
     assert star_canonical(31, plus) == (5, 6)
     assert star_canonical(31, minus) == (12, 13)
     # the tabulated tuples are the +-k partners of the raw eps = -1 roots
-    assert equivalent(SimpleKnot(31, 17, 13), SimpleKnot(31, 17, 18))
-    assert equivalent(SimpleKnot(31, 11, 19), SimpleKnot(31, 11, 12))
+    assert canonical_triple(31, 17, 13) == canonical_triple(31, 17, 18)
+    assert canonical_triple(31, 11, 19) == canonical_triple(31, 11, 12)
 
 
 def test_star_solutions_empty_cases():
