@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__, lens, rationals
-from .rationals import ExtRational, parse_cf, parse_slope
+from .rationals import parse_cf, parse_slope
 
 
 def _lazy_module(name):
@@ -113,28 +113,6 @@ def _emit_text(report):
         print(f"  {_cell(ce)}")
     if "elapsed_ms" in report:
         print(f"elapsed_ms: {report['elapsed_ms']}")
-
-
-def _parse_params(family, raw):
-    """A family member's parameters, parsed by the kinds that
-    families.FAMILIES gives for the family."""
-    if family not in families.FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    kinds = families.FAMILIES[family][1]
-    if len(raw) != len(kinds):
-        raise ValueError(f"family {family} takes {len(kinds)} "
-                         f"parameter(s), got {len(raw)}")
-    params = []
-    for kind, text in zip(kinds, raw):
-        if kind is ExtRational:
-            params.append(parse_slope(text))
-            continue
-        try:
-            params.append(int(text))
-        except ValueError:
-            raise ValueError(f"family {family} parameter {text!r} is not an "
-                             "integer") from None
-    return tuple(params)
 
 
 _NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
@@ -346,7 +324,7 @@ def _pentangle_montesinos(args):
 
 @_command("families eval", _arg("family"), _arg("params", nargs="+"))
 def _families_eval(args):
-    params = _parse_params(args.family, args.params)
+    params = families.parse_params(args.family, args.params)
     triple = families.family_triple(args.family, params)
     return ({"family": args.family, "params": [str(p) for p in params]},
             dict(triple))

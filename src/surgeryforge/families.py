@@ -5,18 +5,20 @@ and contain a genus one fibered knot, the alternative-surgery elimination,
 and the once-punctured-torus surgery catalog.
 
 Family formulas give the lens space of each exceptional filling slot as a
-closed form in the family parameters.  Two slot formulas in the two-filling
-list are implemented with the parameter m where the transcription read n;
-the slot-1 formula of the X1 family is additionally inconsistent with the
-A/B families on overlaps and is excluded from consistency checking (see the
-flagged rows it produces).
+polynomial in the family parameters, all read from one coefficient table;
+the slot-1 formula of the X1 family is inconsistent with the A/B families
+on overlaps and is excluded from consistency checking (see the flagged rows
+it produces).
 """
+
+from math import prod
 
 from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
                    mirror)
 from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
                       riemenschneider_dual, to_lens)
-from .rationals import INF, ExtRational, FrozenValue, cf_step, rat
+from .rationals import (INF, ExtRational, FrozenValue, cf_step, parse_slope,
+                        rat)
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
 
@@ -25,85 +27,97 @@ class ExcludedParameter(ValueError):
     """Raised when family parameters violate the stated exclusions."""
 
 
-def _check(cond, family, message):
-    if not cond:
-        raise ExcludedParameter(f"{family}: excluded parameters ({message})")
+_X_PQ = {rat(0), rat(1), rat(2), rat(3), INF}
 
-
-_X_PQ_EXCLUDED = {rat(0), rat(1), rat(2), rat(3), INF}
-_B_PQ_EXCLUDED = {rat(0), rat(1), rat(3, 2), rat(2), rat(3), INF}
-
-
-def _x0(m, n):
-    _check(m != 0, "X0", "m = 0")
-    _check(n not in (0, 1, 2, 3), "X0", f"n = {n}")
-    _check((m, n) not in ((-1, 4), (-1, 5)), "X0", f"(m,n) = ({m},{n})")
-    c = 1 - m * (4 - n)
-    return (6 * m - 1, 2 * m - 1), (-n * c - m, c)
-
-
-def _x1(m, pq):
-    _check(m not in (0, 1), "X1", f"m = {m}")
-    _check(pq not in _X_PQ_EXCLUDED, "X1", f"p/q = {pq}")
-    p, q = pq.num, pq.den
+# name: (parameters, excluded members, lens slots, labels).  A parameter is
+# (name, excluded values), where the slope "p/q" gives the variables p and
+# q; an excluded member is a tuple of parameter values.  The labels are the
+# lens spaces' (p, q) at the slots, in order, each a pair of polynomials
+# {monomial: coefficient} whose monomial is the string of its variables
+# ("mnn" is m n^2, "" the constant).
+FAMILIES = {
+    # Two slot formulas of the two-filling families X0-X3 are written with
+    # the parameter m where the transcription read n.
+    "X0": ((("m", {0}), ("n", {0, 1, 2, 3})), {(-1, 4), (-1, 5)},
+           (rat(0), INF),
+           (({"m": 6, "": -1}, {"m": 2, "": -1}),
+            ({"mn": 4, "mnn": -1, "m": -1, "n": -1},
+             {"mn": 1, "m": -4, "": 1}))),
     # the slot-1 label is kept verbatim from the transcription although it
     # is inconsistent with the A/B families on shared manifolds
-    return ((2 * m * (p - 3 * q) + p - q, m * (p - 3 * q) - q),
-            (-m * (3 * p - q) + p, 3 * p - q))
-
-
-def _x2(m, pq):
-    _check(m not in (-1, 0, 1), "X2", f"m = {m}")
-    _check(pq not in _X_PQ_EXCLUDED, "X2", f"p/q = {pq}")
-    p, q = pq.num, pq.den
-    return ((3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q),
-            (-m * (2 * p - q) + p, 2 * p - q))
-
-
-def _x3(m, n):
-    _check(m not in (-1, 0, 1), "X3", f"m = {m}")
-    _check(n not in (-1, 0, 1), "X3", f"n = {n}")
-    return (((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2),
-            (m + n - 1, -1))
-
-
-# The A family's lens labels at the slots 1, 2 and inf: each slot is a pair
-# (p, q) of bilinear forms, each form its coefficients of (mn, m, n, 1).
-_FAM_A = (((2, 1, 2, -1), (1, 1, 1, 0)),
-          ((3, -3, -5, 2), (1, -1, -2, 1)),
-          ((5, -2, -3, 1), (0, -5, 0, 3)))
-
-
-def _fam_a_labels(m, n):
-    """The raw lens labels (p, q) of A[m, n] at the slots 1, 2 and inf."""
-    mn = m * n
-    return tuple(tuple(a * mn + b * m + c * n + d for a, b, c, d in form)
-                 for form in _FAM_A)
-
-
-def _fam_a(m, n):
-    _check(m not in (-1, 0, 1), "A", f"m = {m}")
-    _check(n not in (0, 1), "A", f"n = {n}")
-    return _fam_a_labels(m, n)
-
-
-def _fam_b(pq):
-    _check(pq not in _B_PQ_EXCLUDED, "B", f"p/q = {pq}")
-    p, q = pq.num, pq.den
-    return ((-3 * p + 11 * q, 2 * p - 7 * q), (8 * p - 13 * q, 3 * p - 5 * q),
-            (5 * p - 2 * q, 2 * p - q))
-
-
-# name: (label formula, parameter kinds, lens slots).  The formula checks
-# the exclusions and returns the raw labels (p, q) of the slots, in order.
-FAMILIES = {
-    "X0": (_x0, (int, int), (rat(0), INF)),
-    "X1": (_x1, (int, ExtRational), (rat(1), INF)),
-    "X2": (_x2, (int, ExtRational), (rat(2), INF)),
-    "X3": (_x3, (int, int), (rat(3), INF)),
-    "A": (_fam_a, (int, int), (rat(1), rat(2), INF)),
-    "B": (_fam_b, (ExtRational,), (rat(1), rat(2), INF)),
+    "X1": ((("m", {0, 1}), ("p/q", _X_PQ)), (), (rat(1), INF),
+           (({"mp": 2, "mq": -6, "p": 1, "q": -1},
+             {"mp": 1, "mq": -3, "q": -1}),
+            ({"mp": -3, "mq": 1, "p": 1}, {"p": 3, "q": -1}))),
+    "X2": ((("m", {-1, 0, 1}), ("p/q", _X_PQ)), (), (rat(2), INF),
+           (({"mp": 3, "mq": -6, "p": -2, "q": 1},
+             {"mp": 1, "mq": -2, "p": -1, "q": 1}),
+            ({"mp": -2, "mq": 1, "p": 1}, {"p": 2, "q": -1}))),
+    "X3": ((("m", {-1, 0, 1}), ("n", {-1, 0, 1})), (), (rat(3), INF),
+           (({"mn": 4, "m": 2, "n": 2, "": -3}, {"mn": 2, "m": 1, "": -2}),
+            ({"m": 1, "n": 1, "": -1}, {"": -1}))),
+    "A": ((("m", {-1, 0, 1}), ("n", {0, 1})), (), (rat(1), rat(2), INF),
+          (({"mn": 2, "m": 1, "n": 2, "": -1}, {"mn": 1, "m": 1, "n": 1}),
+           ({"mn": 3, "m": -3, "n": -5, "": 2},
+            {"mn": 1, "m": -1, "n": -2, "": 1}),
+           ({"mn": 5, "m": -2, "n": -3, "": 1}, {"m": -5, "": 3}))),
+    "B": ((("p/q", _X_PQ | {rat(3, 2)}),), (), (rat(1), rat(2), INF),
+          (({"p": -3, "q": 11}, {"p": 2, "q": -7}),
+           ({"p": 8, "q": -13}, {"p": 3, "q": -5}),
+           ({"p": 5, "q": -2}, {"p": 2, "q": -1}))),
 }
+
+
+def parse_params(family, raw):
+    """A family member's parameters from their text: a slope for p/q, an
+    integer for any other parameter FAMILIES names for the family."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    parameters = FAMILIES[family][0]
+    if len(raw) != len(parameters):
+        raise ValueError(f"family {family} takes {len(parameters)} "
+                         f"parameter(s), got {len(raw)}")
+    params = []
+    for (name, _), text in zip(parameters, raw):
+        if name == "p/q":
+            params.append(parse_slope(text))
+            continue
+        try:
+            params.append(int(text))
+        except ValueError:
+            raise ValueError(f"family {family} parameter {text!r} is not an "
+                             "integer") from None
+    return tuple(params)
+
+
+def _evaluate(family, params):
+    """The raw lens labels (p, q) of a family member at its lens slots, in
+    order, with no exclusion check."""
+    parameters, _, _, labels = FAMILIES[family]
+    values = {}
+    for (name, _), value in zip(parameters, params):
+        if name == "p/q":
+            values["p"], values["q"] = value.num, value.den
+        else:
+            values[name] = value
+    return tuple(tuple(sum(coeff * prod(map(values.get, monomial))
+                           for monomial, coeff in poly.items())
+                       for poly in label)
+                 for label in labels)
+
+
+def _labels(family, params):
+    """The raw lens labels of a family member, after checking each parameter
+    in turn and then the member against the family's exclusions."""
+    parameters, excluded, _, _ = FAMILIES[family]
+    bad = [f"{name} = {value}" for (name, values), value
+           in zip(parameters, params) if value in values]
+    if tuple(params) in excluded:
+        names = ",".join(name for name, _ in parameters)
+        bad.append(f"({names}) = ({','.join(map(str, params))})")
+    if bad:
+        raise ExcludedParameter(f"{family}: excluded parameters ({bad[0]})")
+    return _evaluate(family, params)
 
 
 def family_lens(family, params, slot):
@@ -115,20 +129,19 @@ def family_lens(family, params, slot):
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    formula, _, slots = FAMILIES[family]
+    slots = FAMILIES[family][2]
     if slot not in slots:
         names = ", ".join(str(s) for s in slots[:-1])
         raise ExcludedParameter(
             f"{family}: lens slots are {names} and {slots[-1]}")
-    return LensSpace(*formula(*params)[slots.index(slot)])
+    return LensSpace(*_labels(family, params)[slots.index(slot)])
 
 
 def family_triple(family, params):
     """All lens filling slots of one family member, as (slot, LensSpace)
-    pairs in slot order, from one evaluation of the family's formula."""
-    formula, _, slots = FAMILIES[family]
-    return tuple((slot, LensSpace(*label))
-                 for slot, label in zip(slots, formula(*params)))
+    pairs in slot order, from one evaluation of the family's labels."""
+    return tuple((slot, LensSpace(*label)) for slot, label
+                 in zip(FAMILIES[family][2], _labels(family, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +164,24 @@ def _coincidences(c1, xs, c2, ys):
     return tuple(sorted(out))
 
 
-def _coprime_everywhere(form):
-    """Whether a bilinear label form (p, q) has gcd(p, q) = 1 at every
-    integer (m, n), by a Bezout certificate.
+_BILINEAR = ("mn", "m", "n", "")
+
+
+def _coprime_everywhere(label):
+    """Whether a label (p, q) of bilinear forms in (m, n) has gcd(p, q) = 1
+    at every integer (m, n), by a Bezout certificate.  A label with any
+    other monomial is not certified.
 
     Read as linear in m, p = A m + B and q = C m + D with A, B, C, D linear
     in n.  When the resultant A D - B C is the constant polynomial +-1,
     (p, q) is a unimodular integer matrix times (m, 1) at every n, so
     gcd(p, q) = gcd(m, 1) = 1.  Read in n, the m and n coefficients swap
     roles; a form may be certified in one variable only."""
-    (pa, pb, pc, pd), (qa, qb, qc, qd) = form
+    if any(monomial not in _BILINEAR for poly in label for monomial in poly):
+        return False
+    (pa, pb, pc, pd), (qa, qb, qc, qd) = (
+        tuple(poly.get(monomial, 0) for monomial in _BILINEAR)
+        for poly in label)
     for (a1, a0, b1, b0), (c1, c0, d1, d0) in (
             ((pa, pb, pc, pd), (qa, qb, qc, qd)),     # linear in m
             ((pa, pc, pb, pd), (qa, qc, qb, qd))):    # linear in n
@@ -194,13 +215,13 @@ def verify_three_filling_intersections(bound):
     # A slot with a Bezout certificate has gcd 1, so a valid label, at every
     # member.  Only the slots without one are evaluated member by member;
     # every shipped slot has one, so no member is visited at any bound.
-    uncertified = [slot for slot, form in enumerate(_FAM_A)
-                   if not _coprime_everywhere(form)]
+    uncertified = [slot for slot, label in enumerate(FAMILIES["A"][3])
+                   if not _coprime_everywhere(label)]
     bad_2b = []
     if uncertified:
         for mp in rng_mp:
             for mpp in rng_mpp:
-                labels = _fam_a_labels(mpp, mp)
+                labels = _evaluate("A", (mpp, mp))
                 if not all(is_lens_label(*labels[slot])
                            for slot in uncertified):
                     bad_2b.append((mpp, mp))
@@ -487,8 +508,6 @@ def gofklens_census(t_bound, seq_bound):
     for seq in sorted(_gofk_sequences(t_bound, seq_bound)):
         lens = to_lens(seq)
         p, q = lens.p, lens.q
-        if p < 2:
-            continue
         ks = [k for k in range(1, p) if (-k * k) % p == q]
         if all(e == 2 for e in seq):
             ks = [k for k in ks if k in (1, p - 1)]

@@ -1,13 +1,15 @@
 """The three-filling intersection check, its slope helper c - 1/m, its
-two coincidence solvers and its case-2b member loop, the A-family label
-closed form, the Riemenschneider point rule, the census seed generators and the
-once-punctured-torus catalog as they stood before their rewrites: a
+two coincidence solvers and its case-2b member loop, the family label
+closed forms, the Riemenschneider point rule, the census seed generators and
+the once-punctured-torus catalog as they stood before their rewrites: a
 family_triple and ExtRational slopes for every parameter pair, a double
 loop over both parameter ranges per coincidence, a label evaluation per
-A-family member, a dual built dot by dot, seeds with up to three entries
-other than 2 placed among 2s, seeds of four shapes (all 2s, one entry
-anywhere, two at the ends, the twist seeds), the product over all entries
-2..seq_bound+3, and one catalog branch with its own data per family kind.
+A-family member, one function per family with its exclusions as checks
+(families.FAMILIES has them as one coefficient table), a dual built dot by
+dot, seeds with up to three entries other than 2 placed among 2s, seeds of
+four shapes (all 2s, one entry anywhere, two at the ends, the twist seeds),
+the product over all entries 2..seq_bound+3, and one catalog branch with its
+own data per family kind.
 Kept verbatim as the reference that surgeryforge.families and
 surgeryforge.normseq are tested against."""
 
@@ -19,7 +21,7 @@ from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
                                    _template_instances, family_triple)
 from surgeryforge.lens import LensSpace, is_lens_label
 from surgeryforge.normseq import gofk_exponent_sums
-from surgeryforge.rationals import ExtRational
+from surgeryforge.rationals import INF, ExtRational, rat
 
 
 def _recip_shift(c, m):
@@ -139,6 +141,48 @@ def verify_three_filling_intersections(bound):
             tuple(bad))
 
 
+def _check(cond, family, message):
+    if not cond:
+        raise ExcludedParameter(f"{family}: excluded parameters ({message})")
+
+
+_X_PQ_EXCLUDED = {rat(0), rat(1), rat(2), rat(3), INF}
+_B_PQ_EXCLUDED = {rat(0), rat(1), rat(3, 2), rat(2), rat(3), INF}
+
+
+def _x0(m, n):
+    _check(m != 0, "X0", "m = 0")
+    _check(n not in (0, 1, 2, 3), "X0", f"n = {n}")
+    _check((m, n) not in ((-1, 4), (-1, 5)), "X0", f"(m,n) = ({m},{n})")
+    c = 1 - m * (4 - n)
+    return (6 * m - 1, 2 * m - 1), (-n * c - m, c)
+
+
+def _x1(m, pq):
+    _check(m not in (0, 1), "X1", f"m = {m}")
+    _check(pq not in _X_PQ_EXCLUDED, "X1", f"p/q = {pq}")
+    p, q = pq.num, pq.den
+    # the slot-1 label is kept verbatim from the transcription although it
+    # is inconsistent with the A/B families on shared manifolds
+    return ((2 * m * (p - 3 * q) + p - q, m * (p - 3 * q) - q),
+            (-m * (3 * p - q) + p, 3 * p - q))
+
+
+def _x2(m, pq):
+    _check(m not in (-1, 0, 1), "X2", f"m = {m}")
+    _check(pq not in _X_PQ_EXCLUDED, "X2", f"p/q = {pq}")
+    p, q = pq.num, pq.den
+    return ((3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q),
+            (-m * (2 * p - q) + p, 2 * p - q))
+
+
+def _x3(m, n):
+    _check(m not in (-1, 0, 1), "X3", f"m = {m}")
+    _check(n not in (-1, 0, 1), "X3", f"n = {n}")
+    return (((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2),
+            (m + n - 1, -1))
+
+
 def _fam_a_labels(m, n):
     """The raw lens labels (p, q) of A[m, n] at the slots 1, 2 and inf."""
     return ((2 * m * n + m + 2 * n - 1, m * n + m + n),
@@ -146,16 +190,46 @@ def _fam_a_labels(m, n):
             (5 * m * n - 2 * m - 3 * n + 1, 3 - 5 * m))
 
 
-# An A-family slot-1 form whose label, over the bound-4 parameter ranges,
+def _fam_a(m, n):
+    _check(m not in (-1, 0, 1), "A", f"m = {m}")
+    _check(n not in (0, 1), "A", f"n = {n}")
+    return _fam_a_labels(m, n)
+
+
+def _fam_b(pq):
+    _check(pq not in _B_PQ_EXCLUDED, "B", f"p/q = {pq}")
+    p, q = pq.num, pq.den
+    return ((-3 * p + 11 * q, 2 * p - 7 * q), (8 * p - 13 * q, 3 * p - 5 * q),
+            (5 * p - 2 * q, 2 * p - q))
+
+
+# family: its closed form, which checks the exclusions and returns the raw
+# labels (p, q) of the lens slots, in order
+CLOSED_FORMS = {"X0": _x0, "X1": _x1, "X2": _x2, "X3": _x3, "A": _fam_a,
+                "B": _fam_b}
+
+
+def bilinear(form):
+    """The dict form of a bilinear form given as its coefficients of
+    (mn, m, n, 1)."""
+    return dict(zip(("mn", "m", "n", ""), form))
+
+
+def a_family(labels):
+    """families.FAMILIES["A"] with its labels replaced."""
+    return families.FAMILIES["A"][:3] + (labels,)
+
+
+# An A-family slot-1 label whose value, over the bound-4 parameter ranges,
 # is invalid only at A[2, 3] (there it is (-34, -17)), for tests that need
-# one bad member in families._FAM_A
-BAD_SLOT_1 = ((-3, -3, -3, -1), (-3, -1, 1, 0))
+# one bad member in families.FAMILIES["A"]
+BAD_SLOT_1 = (bilinear((-3, -3, -3, -1)), bilinear((-3, -1, 1, 0)))
 
 
 def case_2b(bound):
     """The case-2b rows and case_2b_count of
     verify_three_filling_intersections, by evaluating every A-family member
-    through families._fam_a_labels (so a patched families._FAM_A)."""
+    through families._evaluate (so a patched families.FAMILIES["A"])."""
     rng = range(-bound, bound + 1)
     rng_mp = [mp for mp in rng if mp not in (0, 1)]
     rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
@@ -167,7 +241,7 @@ def case_2b(bound):
     bad_2b = []
     for mp in rng_mp:
         for mpp in rng_mpp:
-            (p1, q1), (p2, q2), (p3, q3) = families._fam_a_labels(mpp, mp)
+            (p1, q1), (p2, q2), (p3, q3) = families._evaluate("A", (mpp, mp))
             if gcd(p1, q1) == gcd(p2, q2) == gcd(p3, q3) == 1:
                 continue
             if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)

@@ -273,8 +273,8 @@ def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
 def test_intersections_counterexample_exits_1(capsys, monkeypatch):
     # a bad A-family label is a counterexample: one report on stdout, exit 1,
     # nothing on stderr
-    monkeypatch.setattr(families, "_FAM_A",
-                        (families_oracle.BAD_SLOT_1,) + families._FAM_A[1:])
+    monkeypatch.setitem(families.FAMILIES, "A", families_oracle.a_family(
+        (families_oracle.BAD_SLOT_1,) + families.FAMILIES["A"][3][1:]))
     code = main(["families", "verify", "intersections", "--bound", "4"])
     captured = capsys.readouterr()
     assert code == 1
@@ -303,9 +303,8 @@ def _break_intersection_cases(monkeypatch, cases):
                         + (((0, 0),) if c1 in shifted else ()))
     if "case_2b" in cases:
         # a slot-1 label invalid only at A[2, 3]
-        monkeypatch.setattr(
-            families, "_FAM_A",
-            (families_oracle.BAD_SLOT_1,) + families._FAM_A[1:])
+        monkeypatch.setitem(families.FAMILIES, "A", families_oracle.a_family(
+            (families_oracle.BAD_SLOT_1,) + families.FAMILIES["A"][3][1:]))
 
 
 _BROKEN_INTERSECTION_ROWS = [

@@ -58,6 +58,10 @@ def test_family_exclusions_are_named():
         family_lens("A", (1, 5), rat(1))
     with pytest.raises(ExcludedParameter):
         family_lens("X2", (2, rat(3)), INF)
+    # parameters given as a list are checked as their tuple
+    with pytest.raises(ExcludedParameter, match=r"\(m,n\) = \(-1,4\)"):
+        family_lens("X0", [-1, 4], rat(0))
+    assert family_triple("X0", [2, 5]) == family_triple("X0", (2, 5))
 
 
 def test_family_triple_matches_family_lens():
@@ -66,9 +70,9 @@ def test_family_triple_matches_family_lens():
     ints = range(-4, 6)
     slopes = [rat(a, b) for a in range(-4, 6) for b in (1, 2, 3)
               if gcd(a, b) == 1] + [INF]
-    for family, (_, kinds, slots) in families.FAMILIES.items():
-        for params in product(*(ints if kind is int else slopes
-                                for kind in kinds)):
+    for family, (parameters, _, slots, _) in families.FAMILIES.items():
+        for params in product(*(slopes if name == "p/q" else ints
+                                for name, _ in parameters)):
             try:
                 want = tuple((slot, family_lens(family, params, slot))
                              for slot in slots)
@@ -124,8 +128,8 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     # a non-coprime label in the A family is reported under case 2b, not
     # raised
     clean, _ = verify_three_filling_intersections(4)
-    monkeypatch.setattr(families, "_FAM_A",
-                        (oracle.BAD_SLOT_1,) + families._FAM_A[1:])
+    monkeypatch.setitem(families.FAMILIES, "A", oracle.a_family(
+        (oracle.BAD_SLOT_1,) + families.FAMILIES["A"][3][1:]))
     r, ces = verify_three_filling_intersections(4)
     assert ces == (("case_2b", ((2, 3),)),)
     assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
@@ -133,17 +137,36 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
 
 
 def test_fam_a_table_matches_closed_form():
+    # every family's table against its closed form, labels and exclusions:
+    # the grid has more points per variable than any label's degree, so
+    # each slot agrees as a polynomial identity
+    ints = range(-12, 13)
+    slopes = [rat(a, b) for a in range(-12, 13) for b in range(1, 13)
+              if gcd(a, b) == 1] + [INF]
+    for family, (parameters, _, _, _) in families.FAMILIES.items():
+        closed_form = oracle.CLOSED_FORMS[family]
+        for params in product(*(slopes if name == "p/q" else ints
+                                for name, _ in parameters)):
+            try:
+                want = closed_form(*params)
+            except ExcludedParameter as exc:
+                with pytest.raises(ValueError) as got:
+                    families._labels(family, params)
+                assert (type(got.value), str(got.value)) == \
+                    (type(exc), str(exc)), (family, params)
+                continue
+            assert families._labels(family, params) == want, (family, params)
     for m, n in product(range(-40, 41), repeat=2):
-        assert families._fam_a_labels(m, n) == oracle._fam_a_labels(m, n)
+        assert families._evaluate("A", (m, n)) == oracle._fam_a_labels(m, n)
 
 
 def test_case_2b_is_bound_free(monkeypatch):
     # with every slot certified no member is evaluated, so a bound whose
     # member loop would take hours answers at once
-    def no_members(m, n):
+    def no_members(family, params):
         raise AssertionError("case 2b evaluated a member")
 
-    monkeypatch.setattr(families, "_fam_a_labels", no_members)
+    monkeypatch.setattr(families, "_evaluate", no_members)
     r, ces = verify_three_filling_intersections(10_000)
     assert ces == ()
     assert r == {"case_1a": ((4, -1),), "case_1b": ((1, -1, -1),),
@@ -162,14 +185,16 @@ def _random_a_table(rnd):
         kind = rnd.randrange(4)
         if kind == 0:
             p, q = rnd.choice(_CONSTANT_LABELS)
-            slots.append(((0, 0, 0, p), (0, 0, 0, q)))
+            slots.append((oracle.bilinear((0, 0, 0, p)),
+                          oracle.bilinear((0, 0, 0, q))))
             continue
         while True:
-            form = tuple(tuple(rnd.randint(-3, 3) for _ in range(4))
-                         for _ in range(2))
-            if families._coprime_everywhere(form) == (kind > 1):
+            label = tuple(oracle.bilinear([rnd.randint(-3, 3)
+                                           for _ in range(4)])
+                          for _ in range(2))
+            if families._coprime_everywhere(label) == (kind > 1):
                 break
-        slots.append(form)
+        slots.append(label)
     return tuple(slots)
 
 
@@ -178,7 +203,7 @@ def test_case_2b_matches_member_loop_on_random_tables(monkeypatch):
     seen = set()
     for _ in range(40):
         table = _random_a_table(rnd)
-        monkeypatch.setattr(families, "_FAM_A", table)
+        monkeypatch.setitem(families.FAMILIES, "A", oracle.a_family(table))
         seen.update(map(families._coprime_everywhere, table))
         for bound in range(2, 13):
             r, ces = verify_three_filling_intersections(bound)
@@ -186,6 +211,17 @@ def test_case_2b_matches_member_loop_on_random_tables(monkeypatch):
             assert (rows, r["case_2b_count"]) == oracle.case_2b(bound), (
                 table, bound)
     assert seen == {True, False}
+
+
+def test_coprime_everywhere_refuses_other_monomials():
+    # a label with a monomial other than mn, m, n and 1 is uncertified, not
+    # read without that term: X0's slot-inf label has an m n^2 term, and
+    # the term added to a certified A label leaves it uncertified
+    assert not families._coprime_everywhere(families.FAMILIES["X0"][3][1])
+    p, q = families.FAMILIES["A"][3][0]
+    assert families._coprime_everywhere((p, q))
+    assert not families._coprime_everywhere((dict(p, mnn=1), q))
+    assert not families._coprime_everywhere((p, dict(q, p=1)))
 
 
 def test_coincidence_solvers_match_double_loops():
@@ -213,11 +249,11 @@ def test_case_2b_gcd_fast_path_agrees_with_is_lens_label(monkeypatch, label,
     # with gcd 1 everywhere.  The label stands at its slot as a constant
     # form, so it is every member's label there.
     p, q = label
-    table = families._FAM_A
+    table = families.FAMILIES["A"][3]
     clean, _ = verify_three_filling_intersections(4)
-    monkeypatch.setattr(
-        families, "_FAM_A",
-        table[:slot] + (((0, 0, 0, p), (0, 0, 0, q)),) + table[slot + 1:])
+    constant = (oracle.bilinear((0, 0, 0, p)), oracle.bilinear((0, 0, 0, q)))
+    monkeypatch.setitem(families.FAMILIES, "A", oracle.a_family(
+        table[:slot] + (constant,) + table[slot + 1:]))
     r, ces = verify_three_filling_intersections(4)
     rows, count = oracle.case_2b(4)
     assert (dict(ces).get("case_2b", ()), r["case_2b_count"]) == (rows, count)
