@@ -381,9 +381,20 @@ def stern_brocot_slopes(bound):
 # and weighted by its width.  A part's counts depend only on its masks and
 # the simplification masks, and parts recur across ne and nw groups, so
 # each distinct part is counted once per chunk and weighted by the nw and
-# ne corners it stands for.  The kernel reproduces the object-level
-# predicates above, which the test suite cross-checks, as it does against
-# the two kernels this one replaced (tests/pentangle_oracle.py).
+# ne corners it stands for.
+#
+# swap_lr, (nw, ne, sw, se) -> (ne, nw, se, sw), fixes each necessary
+# condition (montesinos_presentations ranges over all of _KLEIN) and each
+# simplification list (pairing A maps to itself, and in B and C the two
+# pairs trade places), so the pair (j, i) has the counts of (i, j) and the
+# counterexamples (j, i, se, k) of its (i, j, k, se).  The kernel visits
+# only the ne corners j >= i, by slope index, with the nw group's first
+# member as i: against a mask js of ne corners a member m weighs
+# 2 |js above m| + [m in js], and each counterexample with j > i is
+# reported together with its image, whose nw corner may lie in a later
+# chunk.  The kernel reproduces the object-level predicates above, which
+# the test suite cross-checks, as it does against the two kernels this one
+# replaced (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
 
 
@@ -507,9 +518,9 @@ def _simp_masks(tb, i, j):
     return simp_k, tb.triv_mask | tb.gb[j] | tb.gc[i]
 
 
-def _pair_masks(tb, i):
+def _pair_masks(tb, i, ne_mask):
     """For nw = i, yield (js, parts, simp_k, simp_base) for disjoint masks
-    js of ne corners; the ne corners in no js have no necessary tuple.
+    js of the ne corners in ne_mask; those in no js have no necessary tuple.
 
     parts lists (cand, c, rows) with disjoint nonzero sw masks cand: for
     every j in js the need mask of the triple (i, j, k) is c & rows[k] when
@@ -527,6 +538,9 @@ def _pair_masks(tb, i):
     x0_out = _nonempty((f0, full), (a0 & ~f0, m0), (full & ~a0, None))
     i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
     for js, j, j_in0, v0j, m1_out, m1_in, j_inf in tb.ne_groups:
+        js &= ne_mask
+        if not js:
+            continue
         cells = []
         for k0, x0 in x0_in if j_in0 else x0_out:
             if x0 is None:
@@ -630,8 +644,14 @@ def _sweep_chunk(tb, i_lo, i_hi):
     # counted once per chunk and weighted by the corners it stands for
     counted = {}
     for members in _corner_groups(tb, range(i_lo, i_hi), by_vinf=True):
-        for js, parts, simp_k, simp_base in _pair_masks(tb, members[0]):
-            width = len(members) * js.bit_count()
+        first = members[0]
+        for js, parts, simp_k, simp_base in _pair_masks(
+                tb, first, tb.full >> first << first):
+            # each member m stands for the pairs (m, j) with j in js, j >= m,
+            # and the mirror pair (j, m) of each with j > m
+            weight = 0
+            for m in members:
+                weight += 2 * (js >> m).bit_count() - (js >> m & 1)
             for cand, c, rows in parts:
                 key = (simp_k, simp_base, cand, c, rows is fulls)
                 counts = counted.get(key)
@@ -639,12 +659,16 @@ def _sweep_chunk(tb, i_lo, i_hi):
                     counts = counted[key] = _cell_counts(
                         tb, cand, c, rows, simp_k, simp_base)
                 nec, simp, bad = counts
-                necessary += width * nec
-                simplified += width * simp
+                necessary += weight * nec
+                simplified += weight * simp
                 if bad:
-                    counterexamples.extend(
-                        (i, j, k, se) for i in members for j in _bits(js)
-                        for k, se in bad)
+                    for i in members:
+                        for j in _bits(js >> i << i):
+                            counterexamples.extend(
+                                (i, j, k, se) for k, se in bad)
+                            if j > i:
+                                counterexamples.extend(
+                                    (j, i, se, k) for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples
@@ -673,13 +697,15 @@ def verify_simplification(bound, jobs=1):
                                       initializer=_adopt_tables,
                                       initargs=(tables,)) as pool:
             results = pool.map(_pool_chunk, chunks)
+    # a chunk also reports the mirror images of its counterexamples, whose
+    # nw corners may lie in a later chunk
+    counterexamples = sorted(ce for r in results for ce in r[3])
     return ({"bound": bound,
              "slope_count": n,
              "tuples_checked": sum(r[0] for r in results),
              "necessary_all_three": sum(r[1] for r in results),
              "simplified": sum(r[2] for r in results)},
-            tuple(tuple(slopes[x] for x in ce)
-                  for r in results for ce in r[3]))
+            tuple(tuple(slopes[x] for x in ce) for ce in counterexamples))
 
 
 _worker_tables = None

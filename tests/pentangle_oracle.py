@@ -1,12 +1,14 @@
-"""Two earlier pentangle sweep kernels, kept verbatim as references for the
-counting kernel in surgeryforge.pentangle.
+"""Two earlier pentangle sweep kernels, kept as references for the counting
+kernel in surgeryforge.pentangle.
 
 _sweep_chunk is the kernel as it stood before the thin-set rewrite: one
 _SweepTables per chunk and a mask evaluation for every (nw, ne, sw) triple.
 
 _visit_sweep_chunk is the thin-set kernel that visited every sw corner of
-every cell, with the _visit_pair_masks cells it read.  It runs on the
-library's _SweepTables."""
+every cell, with the _visit_pair_masks cells it read, tallied per (nw, ne)
+pair by visit_pair_counts.  It runs on the library's _SweepTables.  With
+mirrored=True it reports what the counting kernel reports for a chunk,
+which visits each unordered (nw, ne) pair once."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, P3_LISTS, _NONHYP_A,
                                     _NONHYP_B, _NONHYP_C, _TRIVIAL, _bits,
@@ -219,28 +221,50 @@ def _visit_pair_masks(tb, i):
         yield j, parts, simp_k, triv_mask | gb[j] | gc[i]
 
 
-def _visit_sweep_chunk(tb, i_lo, i_hi):
+def visit_pair_counts(tb, i):
+    """For nw = i, yield (j, necessary, simplified, bad) for every ne = j,
+    where bad lists the (sw, se) corners of the pair's counterexamples."""
     ga = tb.ga
+    for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
+        necessary = 0
+        simplified = 0
+        bad = []
+        for cand, c, rows in parts:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                k = low.bit_length() - 1
+                need = c & rows[k]
+                count = need.bit_count()
+                necessary += count
+                if simp_k & low:
+                    simplified += count
+                    continue
+                good = need & (simp_base | ga[k])
+                simplified += good.bit_count()
+                for se in _bits(need & ~good):
+                    bad.append((k, se))
+        yield j, necessary, simplified, bad
+
+
+def _visit_sweep_chunk(tb, i_lo, i_hi, mirrored=False):
+    """The sweep of the nw range [i_lo, i_hi) over every ne corner.  With
+    mirrored, only the pairs (i, j) with j >= i, and each with j > i also
+    stands for its swap_lr image (j, i): weight 2, and each counterexample
+    (i, j, k, se) reported with (j, i, se, k)."""
     necessary = 0
     simplified = 0
     counterexamples = []
     for i in range(i_lo, i_hi):
-        for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
-            for cand, c, rows in parts:
-                while cand:
-                    low = cand & -cand
-                    cand ^= low
-                    k = low.bit_length() - 1
-                    need = c & rows[k]
-                    count = need.bit_count()
-                    necessary += count
-                    if simp_k & low:
-                        simplified += count
-                        continue
-                    good = need & (simp_base | ga[k])
-                    simplified += good.bit_count()
-                    for se in _bits(need & ~good):
-                        counterexamples.append((i, j, k, se))
+        for j, nec, simp, bad in visit_pair_counts(tb, i):
+            if mirrored and j < i:
+                continue
+            weight = 2 if mirrored and j > i else 1
+            necessary += weight * nec
+            simplified += weight * simp
+            counterexamples.extend((i, j, k, se) for k, se in bad)
+            if weight == 2:
+                counterexamples.extend((j, i, se, k) for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples

@@ -157,6 +157,23 @@ def test_necessary_condition_transports_along_rot3():
                 two_bridge_necessary(g, corot_map(x))
 
 
+def test_necessary_condition_invariant_under_swaps():
+    # the three x-preserving involutions fix each necessary condition, since
+    # montesinos_presentations ranges over all of them; the sweep's walk
+    # over ne >= nw rests on swap_lr
+    fillings = [F(*corners) for corners in product(stern_brocot_slopes(2),
+                                                    repeat=4)]
+    slopes = stern_brocot_slopes(5)
+    rng = random.Random(2301)
+    fillings += [F(*(rng.choice(slopes) for _ in range(4)))
+                 for _ in range(2000)]
+    for f in fillings:
+        for x in X_FILLINGS:
+            want = two_bridge_necessary(f, x)
+            for swap in (swap_lr, swap_tb, swap_fb):
+                assert two_bridge_necessary(swap(f), x) == want, (f, swap, x)
+
+
 def test_mirror_swaps_plain_and_mirror_factoring():
     slopes = stern_brocot_slopes(3)
     swap = {"P3": "mirrorP3", "mirrorP3": "P3", "no": "no", "both": "both"}
@@ -236,7 +253,7 @@ def kernel_masks(tb, i):
     """(j, k, need, simp) for nw = i and every ne = j, sw = k, read off the
     counting kernel's pair masks."""
     need = {}
-    for js, parts, simp_k, simp_base in _pair_masks(tb, i):
+    for js, parts, simp_k, simp_base in _pair_masks(tb, i, tb.full):
         for j in _bits(js):
             assert (simp_k, simp_base) == _simp_masks(tb, i, j)
             for cand, c, rows in parts:
@@ -289,25 +306,61 @@ def test_kernel_matches_oracle_bounds_2_to_8():
         assert got == oracle._visit_sweep_chunk(tb, 0, n), bound
 
 
+def assert_chunks_match_oracle(tb, jobs_values):
+    """Each --jobs chunk reports what the visit oracle reports for its pairs
+    with ne >= nw, mirrored, and the chunks together report the sweep over
+    every pair."""
+    whole = oracle._visit_sweep_chunk(tb, 0, tb.n)
+    for jobs in jobs_values:
+        chunks = []
+        for lo, hi in _partition(tb.n, jobs):
+            chunks.append(_sweep_chunk(tb, lo, hi))
+            assert chunks[-1] == oracle._visit_sweep_chunk(
+                tb, lo, hi, mirrored=True), (jobs, lo, hi)
+        union = [sum(chunk[x] for chunk in chunks) for x in range(3)]
+        union.append(sorted(ce for chunk in chunks for ce in chunk[3]))
+        assert tuple(union) == whole, jobs
+
+
 def test_kernel_matches_visit_oracle_by_chunk():
     # the nw ranges that --jobs workers sweep, at a bound above the range of
     # the per-triple oracle
-    slopes = stern_brocot_slopes(10)
-    tb = _SweepTables(slopes)
-    for jobs in (1, 3, 7, 128):
-        for lo, hi in _partition(tb.n, jobs):
-            assert _sweep_chunk(tb, lo, hi) == \
-                oracle._visit_sweep_chunk(tb, lo, hi), (lo, hi)
+    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)),
+                               (1, 3, 7, 128))
+
+
+MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
+                      ("MIRROR_P3_LISTS", "_TRIVIAL")]
+
+
+@pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES)
+def test_pair_counts_symmetric_under_swap_lr(monkeypatch, names):
+    # swap_lr fixes the necessary conditions and the simplification lists,
+    # so the pair (j, i) has the counts of (i, j) and the transposed
+    # counterexamples: what lets the kernel visit only ne >= nw
+    empty_lists(monkeypatch, *names)
+    for bound in range(2, 7):
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        pairs = {(i, j): (nec, simp, set(bad)) for i in range(tb.n)
+                 for j, nec, simp, bad in oracle.visit_pair_counts(tb, i)}
+        for (i, j), (nec, simp, bad) in pairs.items():
+            nec_t, simp_t, bad_t = pairs[j, i]
+            assert (nec, simp) == (nec_t, simp_t), (bound, i, j)
+            assert bad == {(se, k) for k, se in bad_t}, (bound, i, j)
+    assert any(bad for _, _, bad in pairs.values()) == bool(names)
 
 
 def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
     # _cell_counts runs once per distinct (simp_k, simp_base, cand, c, rows)
-    # over the parts of every nw group, however many ne and nw groups share it
+    # over the parts of every nw group, however many ne and nw groups share
+    # it; the walk over ne >= nw builds fewer parts, 667 distinct of the
+    # 1,180 that the walk over every ne corner built
     slopes = stern_brocot_slopes(10)
     tb = _SweepTables(slopes)
     keys = {(simp_k, simp_base, cand, c, rows is tb.fulls)
             for members in _corner_groups(tb, range(tb.n), by_vinf=True)
-            for _, parts, simp_k, simp_base in _pair_masks(tb, members[0])
+            for _, parts, simp_k, simp_base in _pair_masks(
+                tb, members[0], tb.full >> members[0] << members[0])
             for cand, c, rows in parts}
     calls = []
     cell_counts = pentangle._cell_counts
@@ -318,7 +371,7 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(pentangle, "_cell_counts", counting)
     assert _sweep_chunk(tb, 0, tb.n) == oracle._visit_sweep_chunk(tb, 0, tb.n)
-    assert len(calls) == len(keys) == 1180
+    assert len(calls) == len(keys) == 667
 
 
 def _nw_key(tb, i):
@@ -359,10 +412,7 @@ def test_grouped_nw_corners_expand_counterexamples(monkeypatch):
     nw_bad = {ce[0] for ce in _sweep_chunk(tb, 0, tb.n)[3]}
     assert any(len(g) > 1 and nw_bad.issuperset(g)
                for g in _corner_groups(tb, range(tb.n), by_vinf=True))
-    for jobs in (1, 3, 7):
-        for lo, hi in _partition(tb.n, jobs):
-            assert _sweep_chunk(tb, lo, hi) == \
-                oracle._visit_sweep_chunk(tb, lo, hi), (jobs, lo, hi)
+    assert_chunks_match_oracle(tb, (1, 3, 7))
 
 
 @pytest.mark.parametrize("pairing", [None, 0, 1, 2])
@@ -385,10 +435,7 @@ def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
         monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
     tb = _SweepTables(slopes)
     assert [a] in _corner_groups(tb, range(tb.n), by_vinf=True)
-    for jobs in (1, 3):
-        for lo, hi in _partition(tb.n, jobs):
-            assert _sweep_chunk(tb, lo, hi) == \
-                oracle._visit_sweep_chunk(tb, lo, hi), (pairing, lo, hi)
+    assert_chunks_match_oracle(tb, (1, 3))
 
 
 def test_pair_count_transposes():
@@ -468,12 +515,12 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     assert got == want == oracle._visit_sweep_chunk(tb, 0, n)
     assert got[2] == 0 and len(got[3]) == got[1] > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
-    for jobs in (1, 2):
+    # chunks report mirrored counterexamples of later chunks' nw corners
+    for jobs in (1, 2, 3, 7):
         assert verify_simplification(3, jobs=jobs)[1] == named
 
 
-@pytest.mark.parametrize("names", [
-    ("P3_LISTS",), ("NONHYP_LISTS",), ("MIRROR_P3_LISTS", "_TRIVIAL")])
+@pytest.mark.parametrize("names", MIXED_CELL_PATCHES)
 def test_counterexamples_in_mixed_cells(monkeypatch, names):
     # with only part of the simplification lists emptied, cells hold both
     # simplified tuples and counterexamples
