@@ -378,10 +378,23 @@ def _command_tree():
     return tree
 
 
+def _next_word(node, tokens):
+    """(word, first) for the first token that is a word of node, or None,
+    consuming tokens up to it; first when no token came before it, so that
+    argparse reads the word before anything that could make it print every
+    word of the level, as help or an "invalid choice" message does."""
+    for count, token in enumerate(tokens):
+        if token in node:
+            return token, count == 0
+    return None, False
+
+
 def _build_parser(argv):
     """The parser for argv.  Each level on argv's command path gets a parser
-    for every word, so that help and "invalid choice" messages list them
-    all, but only the words argv names get subparsers and arguments."""
+    for the word argv reads there when it is the level's first token, and
+    otherwise for every word of the level, which argparse may then list in
+    help or an "invalid choice" message; only the word argv reads gets
+    subparsers, and a command its arguments."""
     parser = _Parser(
         prog="surgeryforge",
         description="exact Dehn-surgery calculators and verification sweeps")
@@ -398,8 +411,9 @@ def _build_parser(argv):
     node, level_parser, tokens = _command_tree(), parser, iter(argv)
     while isinstance(node, dict):
         level = level_parser.add_subparsers(required=True)
-        children = {word: level.add_parser(word) for word in node}
-        word = next((token for token in tokens if token in node), None)
+        word, first = _next_word(node, tokens)
+        children = {w: level.add_parser(w)
+                    for w in ([word] if first else node)}
         if word is None:
             return parser
         node, level_parser = node[word], children[word]

@@ -359,13 +359,34 @@ def stern_brocot_slopes(bound):
 #     xinf    Vinf[k]   i or j in Tinf   k in Tinf or j in Vinf[i]    Minf
 #     xm1     Vm1[i]    j or k in Tm1    i in Tm1 or k in Vm1[j]      Mm1
 #
-# For fixed nw, ne the sw corners split into at most nine cells on which
-# x0 & xm1 is one constant c.  In a cell the need mask is c & Vinf[k], or c
-# and c & Minf on the two sides of the sw corners where xinf is full; since
-# Vinf is symmetric, the k with Vinf[k] & c != 0 are the union of Vinf[s]
-# over s in c, and only those k are candidates.  The ne corners with equal
-# flags and rows, on no simplification pair, give every nw the same cells
-# and are swept as one group.
+# A chart-row factor of (s, t) is t under x -> (a x + b)/(c x + d) for an
+# integer matrix of determinant 1 given by s, since c - 1/x is (c, -1; 1, 0)
+# and x + n is (1, n; 0, 1).  For t = p/q in lowest terms a p + b q and
+# c p + d q are then coprime, so the factor is the reciprocal of an integer,
+# or inf, exactly when a p + b q = +-1: when (p, q) = +-(d - b h, a h - c)
+# for an integer h.  The rows are solved for the O(bound) values of h that
+# keep q (or p, when a = 0) within the bound, not scanned.
+#
+# _KLEIN moves each corner into the nw slot once, and it fixes each
+# necessary condition (montesinos_presentations ranges over it) and each
+# simplification list (it swaps pairs within a pairing).  The x = 0 row
+# needs nw in T0, so in the order that puts T0 first (then the other
+# slopes, each by index) every necessary tuple has its least corner in T0,
+# and its orbit holds a tuple with that corner as nw.  The kernel walks only
+# those: nw over T0, and ne, sw and se at or after nw.  Such a tuple with
+# c = 1 + [ne = nw] + [sw = nw] + [se = nw] stands for 4 / c tuples of its
+# orbit, so counts are kept in twelfths (48, 24, 16, 12) and divided per
+# chunk, which is exact as an orbit's walked tuples share their nw.  Each
+# walked counterexample is reported with its images under _KLEIN.
+#
+# For nw in T0 the x0 value is full, or full on V0[nw] and M0 elsewhere,
+# by ne.  The sw corners for fixed nw, ne split into at most six cells on
+# which x0 & xm1 is one constant c.  In a cell the need mask is c & Vinf[k],
+# or c and c & Minf on the two sides of the sw corners where xinf is full;
+# since Vinf is symmetric, the k with Vinf[k] & c != 0 are the union of
+# Vinf[s] over s in c, and only those k are candidates.  The ne corners with
+# equal flags and rows, on no simplification pair, give every nw the same
+# cells and are swept as one group.
 #
 # The kernel counts cells rather than visiting their sw corners.  The sw
 # corners in simp_k simplify whole; the others simplify exactly on
@@ -375,26 +396,13 @@ def stern_brocot_slopes(bound):
 # |c & Vinf[k]|, which by symmetry equals the sum over s in c of
 # |cand & Vinf[s]|, so the loop runs over the smaller mask.  Per-triple
 # visits remain only for sw corners on the ga support and, with the same
-# enumeration, for cells whose counts show a counterexample.  Likewise the
-# nw corners with equal flags and rows, on no simplification pair, have the
-# same cells against every ne group, and each group of them is swept once
-# and weighted by its width.  A part's counts depend only on its masks and
-# the simplification masks, and parts recur across ne and nw groups, so
-# each distinct part is counted once per chunk and weighted by the nw and
-# ne corners it stands for.
-#
-# swap_lr, (nw, ne, sw, se) -> (ne, nw, se, sw), fixes each necessary
-# condition (montesinos_presentations ranges over all of _KLEIN) and each
-# simplification list (pairing A maps to itself, and in B and C the two
-# pairs trade places), so the pair (j, i) has the counts of (i, j) and the
-# counterexamples (j, i, se, k) of its (i, j, k, se).  The kernel visits
-# only the ne corners j >= i, by slope index, with the nw group's first
-# member as i: against a mask js of ne corners a member m weighs
-# 2 |js above m| + [m in js], and each counterexample with j > i is
-# reported together with its image, whose nw corner may lie in a later
-# chunk.  The kernel reproduces the object-level predicates above, which
-# the test suite cross-checks, as it does against the two kernels this one
-# replaced (tests/pentangle_oracle.py).
+# enumeration, for cells whose counts show a counterexample.  A part's
+# counts depend only on its masks and the simplification masks, and parts
+# recur across ne groups and nw corners, so each distinct part is counted
+# once per chunk; its tuples with sw or se equal to nw, which weigh less,
+# are read off the row of nw.  The kernel reproduces the object-level
+# predicates above, which the test suite cross-checks, as it does against
+# the two kernels this one replaced (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
 
 
@@ -404,11 +412,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _nonempty(*classes):
-    """The (sw mask, value) classes whose sw mask is nonempty."""
-    return [cls for cls in classes if cls[0]]
 
 
 class _SweepTables:
@@ -432,12 +435,12 @@ class _SweepTables:
         self.mm1 = mask(self.inm1)
         self.triv = [(s.num, s.den) in _TRIVIAL for s in slopes]
         self.triv_mask = mask(self.triv)
+        # the nw corners the kernel walks, and the slopes after all of them
+        self.walk = [i for i in range(n) if self.in0[i]]
+        self.off0 = self.full & ~self.m0
 
-        # Each chart-row factor of (s, t) is t under x -> (a x + b)/(c x + d)
-        # for an integer matrix given by s, since c - 1/x is (c, -1; 1, 0) and
-        # x + n is (1, n; 0, 1).  The value (a t + b)/(c t + d) is the
-        # reciprocal of an integer, or inf, when a t + b divides c t + d.
-        fractions = [(s.num, s.den) for s in slopes]
+        index = {(s.num, s.den): i for i, s in enumerate(slopes)}
+        height = max(max(abs(p), q) for p, q in index)
 
         def pair_rows(thin, matrix):
             rows = [0] * n
@@ -445,9 +448,17 @@ class _SweepTables:
                 if not thin[i]:
                     continue
                 a, b, c, d = matrix(s)
-                for j, (p, q) in enumerate(fractions):
-                    num = a * p + b * q
-                    if num and not (c * p + d * q) % num:
+                # the h with |u h - v| <= height, for q = a h - c or, when
+                # a = 0, for p = d - b h
+                u, v = (a, c) if a else (b, d)
+                if u < 0:
+                    u, v = -u, -v
+                for h in range(-((height - v) // u), (height + v) // u + 1):
+                    p, q = d - b * h, a * h - c
+                    if q < 0 or not q and p < 0:
+                        p, q = -p, -q
+                    j = index.get((p, q))
+                    if j is not None:
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
             return rows
@@ -463,8 +474,6 @@ class _SweepTables:
         self._near = {}
 
         # symmetric rows of the simplification pairs, one per pairing
-        index = {(s.num, s.den): i for i, s in enumerate(slopes)}
-
         def group_rows(*conds):
             rows = [0] * n
             for cond in conds:
@@ -484,17 +493,15 @@ class _SweepTables:
         # xm1 classes for nw outside and inside Tm1: sw corners where xm1 is
         # full or Mm1, and elsewhere Vm1[nw] (None)
         self.ne_groups = []
-        for group in _corner_groups(self, range(n), by_vinf=False):
+        for group in _corner_groups(self, range(n)):
             j = group[0]
             am1 = self.full if self.inm1[j] else self.mm1
             fm1 = am1 & self.vm1[j]
             rest = self.full & ~am1
             self.ne_groups.append((
-                sum(1 << g for g in group), j, self.in0[j], self.v0[j],
-                _nonempty((fm1, self.full), (am1 & ~fm1, self.mm1),
-                          (rest, None)),
-                _nonempty((am1, self.full), (rest, None)),
-                self.ininf[j]))
+                sum(1 << g for g in group), j, self.in0[j],
+                ((fm1, self.full), (am1 & ~fm1, self.mm1), (rest, None)),
+                ((am1, self.full), (rest, None)), self.ininf[j]))
 
     def near(self, mask):
         """The sw corners k whose Vinf[k] meets mask."""
@@ -518,33 +525,30 @@ def _simp_masks(tb, i, j):
     return simp_k, tb.triv_mask | tb.gb[j] | tb.gc[i]
 
 
-def _pair_masks(tb, i, ne_mask):
-    """For nw = i, yield (js, parts, simp_k, simp_base) for disjoint masks
-    js of the ne corners in ne_mask; those in no js have no necessary tuple.
+def _pair_masks(tb, i, after):
+    """For nw = i in T0, yield (js, parts, simp_k, simp_base) for disjoint
+    masks js of the ne corners in after; those in no js have no necessary
+    tuple with sw and se in after.
 
-    parts lists (cand, c, rows) with disjoint nonzero sw masks cand: for
-    every j in js the need mask of the triple (i, j, k) is c & rows[k] when
-    k is in a cand, else 0, and (simp_k, simp_base) is _simp_masks(tb, i, j).
+    parts lists (cand, c, rows) with disjoint nonzero sw masks cand and se
+    masks c, all within after: for every j in js the need mask of the triple
+    (i, j, k), cut to after, is c & rows[k] when k is in a cand, else 0, and
+    (simp_k, simp_base) is _simp_masks(tb, i, j).
     """
-    full = tb.full
-    m0, minf = tb.m0, tb.minf
+    minf = tb.minf
     vinf, fulls = tb.vinf, tb.fulls
     v0i, vinfi, vm1i = tb.v0[i], vinf[i], tb.vm1[i]
-    # the x0 classes, for ne inside and outside T0: sw corners where x0 is
-    # full or M0, and elsewhere V0[ne] (None)
-    a0 = full if tb.in0[i] else m0
-    f0 = a0 & v0i
-    x0_in = _nonempty((a0, full), (full & ~a0, None))
-    x0_out = _nonempty((f0, full), (a0 & ~f0, m0), (full & ~a0, None))
+    # the x0 classes for nw in T0, for ne inside and outside T0: sw corners
+    # where x0 is full or M0
+    x0_in = ((after, after),)
+    x0_out = ((after & v0i, after), (after & ~v0i, after & tb.m0))
     i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
-    for js, j, j_in0, v0j, m1_out, m1_in, j_inf in tb.ne_groups:
-        js &= ne_mask
+    for js, j, j_in0, m1_out, m1_in, j_inf in tb.ne_groups:
+        js &= after
         if not js:
             continue
         cells = []
         for k0, x0 in x0_in if j_in0 else x0_out:
-            if x0 is None:
-                x0 = v0j
             for km1, xm1 in m1_in if i_m1 else m1_out:
                 cell = k0 & km1
                 if cell and (c := x0 & (vm1i if xm1 is None else xm1)):
@@ -618,40 +622,38 @@ def _cell_counts(tb, cand, c, rows, simp_k, simp_base):
     return necessary, simplified, tuple(bad)
 
 
-def _corner_groups(tb, corners, by_vinf):
-    """The corners as lists that _pair_masks cannot tell apart: equal
-    thin-set flags and rows (Vinf only when by_vinf), on no simplification
-    pair and not trivial (_simp_masks reads those rows).  The others stand
-    alone."""
+def _corner_groups(tb, corners):
+    """The ne corners as lists that _pair_masks cannot tell apart: equal
+    thin-set flags and rows, on no simplification pair and not trivial
+    (_simp_masks reads those rows).  The others stand alone."""
     groups = {}
     for i in corners:
         if tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]:
             key = i
         else:
-            key = (tb.in0[i], tb.v0[i], tb.ininf[i], by_vinf and tb.vinf[i],
-                   tb.inm1[i], tb.vm1[i])
+            key = (tb.in0[i], tb.ininf[i], tb.inm1[i], tb.vm1[i])
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
-def _sweep_chunk(tb, i_lo, i_hi):
+def _sweep_chunk(tb, lo, hi):
+    """(necessary, simplified, counterexamples) over the orbits whose least
+    corner is one of the walked nw corners tb.walk[lo:hi]; the
+    counterexamples are a set of index tuples."""
     necessary = 0
     simplified = 0
-    counterexamples = []
-    fulls = tb.fulls
-    # a part's counts depend on its masks alone (the rows are fulls or
-    # vinf), and parts recur across ne and nw groups: each distinct one is
-    # counted once per chunk and weighted by the corners it stands for
+    counterexamples = set()
+    fulls, ga = tb.fulls, tb.ga
     counted = {}
-    for members in _corner_groups(tb, range(i_lo, i_hi), by_vinf=True):
-        first = members[0]
-        for js, parts, simp_k, simp_base in _pair_masks(
-                tb, first, tb.full >> first << first):
-            # each member m stands for the pairs (m, j) with j in js, j >= m,
-            # and the mirror pair (j, m) of each with j > m
-            weight = 0
-            for m in members:
-                weight += 2 * (js >> m).bit_count() - (js >> m & 1)
+    for i in tb.walk[lo:hi]:
+        nw = 1 << i
+        after = tb.m0 >> i << i | tb.off0
+        for js, parts, simp_k, simp_base in _pair_masks(tb, i, after):
+            # 48 / c per tuple: 48, 24 and 16 off the ne = nw diagonal and
+            # 24, 16 and 12 on it, for 0, 1 and 2 of sw, se equal to nw
+            off, on = (js & ~nw).bit_count(), (js & nw) >> i
+            w_all = 48 * off + 24 * on
+            w_one, w_two = 24 * off + 8 * on, 16 * off + 4 * on
             for cand, c, rows in parts:
                 key = (simp_k, simp_base, cand, c, rows is fulls)
                 counts = counted.get(key)
@@ -659,19 +661,30 @@ def _sweep_chunk(tb, i_lo, i_hi):
                     counts = counted[key] = _cell_counts(
                         tb, cand, c, rows, simp_k, simp_base)
                 nec, simp, bad = counts
-                necessary += weight * nec
-                simplified += weight * simp
+                necessary += w_all * nec
+                simplified += w_all * simp
+                # the need masks with sw = nw, over se, and (rows being
+                # symmetric) with se = nw, over sw
+                sw_nw = c & rows[i] if cand & nw else 0
+                se_nw = cand & rows[i] if c & nw else 0
+                if sw_nw or se_nw:
+                    good_sw = sw_nw if simp_k & nw else (
+                        sw_nw & (simp_base | ga[i]))
+                    good_se = se_nw if simp_base & nw else (
+                        se_nw & (simp_k | ga[i]))
+                    necessary -= (w_one * (sw_nw.bit_count()
+                                           + se_nw.bit_count())
+                                  - w_two * (sw_nw >> i & 1))
+                    simplified -= (w_one * (good_sw.bit_count()
+                                            + good_se.bit_count())
+                                   - w_two * (good_sw >> i & 1))
                 if bad:
-                    for i in members:
-                        for j in _bits(js >> i << i):
-                            counterexamples.extend(
-                                (i, j, k, se) for k, se in bad)
-                            if j > i:
-                                counterexamples.extend(
-                                    (j, i, se, k) for k, se in bad)
-    counterexamples.sort()
-    checked = (i_hi - i_lo) * tb.n ** 3
-    return checked, necessary, simplified, counterexamples
+                    for j in _bits(js):
+                        for k, se in bad:
+                            counterexamples.update((
+                                (i, j, k, se), (j, i, se, k),
+                                (k, se, i, j), (se, k, j, i)))
+    return necessary // 12, simplified // 12, counterexamples
 
 
 def verify_simplification(bound, jobs=1):
@@ -686,26 +699,26 @@ def verify_simplification(bound, jobs=1):
     slopes = stern_brocot_slopes(bound)
     n = len(slopes)
     tables = _SweepTables(slopes)
-    chunks = _partition(n, jobs)
+    chunks = _partition(len(tables.walk), jobs)
     if len(chunks) == 1:
         results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
     else:
-        # forked workers inherit the tables; only the nw ranges are sent.
+        # forked workers inherit the tables; only the walk ranges are sent.
         # Imported here because it costs every CLI process its import time.
         from multiprocessing import get_context
         with get_context("fork").Pool(len(chunks),
                                       initializer=_adopt_tables,
                                       initargs=(tables,)) as pool:
             results = pool.map(_pool_chunk, chunks)
-    # a chunk also reports the mirror images of its counterexamples, whose
-    # nw corners may lie in a later chunk
-    counterexamples = sorted(ce for r in results for ce in r[3])
+    # a tuple outside the walk lies in the orbit of a walked one, or has no
+    # corner in T0 and fails x = 0
     return ({"bound": bound,
              "slope_count": n,
-             "tuples_checked": sum(r[0] for r in results),
-             "necessary_all_three": sum(r[1] for r in results),
-             "simplified": sum(r[2] for r in results)},
-            tuple(tuple(slopes[x] for x in ce) for ce in counterexamples))
+             "tuples_checked": n ** 4,
+             "necessary_all_three": sum(r[0] for r in results),
+             "simplified": sum(r[1] for r in results)},
+            tuple(tuple(slopes[x] for x in ce)
+                  for ce in sorted(ce for r in results for ce in r[2])))
 
 
 _worker_tables = None

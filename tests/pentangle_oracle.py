@@ -1,14 +1,16 @@
 """Two earlier pentangle sweep kernels, kept as references for the counting
-kernel in surgeryforge.pentangle.
+kernel in surgeryforge.pentangle, and the pair rows as its tables scanned
+them.
 
 _sweep_chunk is the kernel as it stood before the thin-set rewrite: one
 _SweepTables per chunk and a mask evaluation for every (nw, ne, sw) triple.
 
 _visit_sweep_chunk is the thin-set kernel that visited every sw corner of
 every cell, with the _visit_pair_masks cells it read, tallied per (nw, ne)
-pair by visit_pair_counts.  It runs on the library's _SweepTables.  With
-mirrored=True it reports what the counting kernel reports for a chunk,
-which visits each unordered (nw, ne) pair once."""
+pair by visit_pair_counts.  It runs on the library's _SweepTables.
+least_corner_chunk visits the same cells tuple by tuple, but only the
+tuples the counting kernel walks, and weights each as the kernel does: it
+reports what the counting kernel reports for a chunk."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, P3_LISTS, _NONHYP_A,
                                     _NONHYP_B, _NONHYP_C, _TRIVIAL, _bits,
@@ -247,24 +249,80 @@ def visit_pair_counts(tb, i):
         yield j, necessary, simplified, bad
 
 
-def _visit_sweep_chunk(tb, i_lo, i_hi, mirrored=False):
-    """The sweep of the nw range [i_lo, i_hi) over every ne corner.  With
-    mirrored, only the pairs (i, j) with j >= i, and each with j > i also
-    stands for its swap_lr image (j, i): weight 2, and each counterexample
-    (i, j, k, se) reported with (j, i, se, k)."""
+def _visit_sweep_chunk(tb, i_lo, i_hi):
+    """The sweep of the nw range [i_lo, i_hi) over every ne corner."""
     necessary = 0
     simplified = 0
     counterexamples = []
     for i in range(i_lo, i_hi):
         for j, nec, simp, bad in visit_pair_counts(tb, i):
-            if mirrored and j < i:
-                continue
-            weight = 2 if mirrored and j > i else 1
-            necessary += weight * nec
-            simplified += weight * simp
+            necessary += nec
+            simplified += simp
             counterexamples.extend((i, j, k, se) for k, se in bad)
-            if weight == 2:
-                counterexamples.extend((j, i, se, k) for k, se in bad)
     counterexamples.sort()
     checked = (i_hi - i_lo) * tb.n ** 3
     return checked, necessary, simplified, counterexamples
+
+
+# swap_lr, swap_tb and swap_fb as permutations of the corner positions
+_KLEIN_IMAGES = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def least_corner_chunk(tb, corners):
+    """(necessary, simplified, counterexamples) over the tuples whose nw
+    corner is one of corners and is their least corner in the order that
+    puts T0 first.  Such a tuple with c corners equal to nw stands for 4 / c
+    tuples of its Klein-four orbit, and each counterexample is reported with
+    its images under the group, in a set."""
+    order = sorted(range(tb.n), key=lambda s: (not tb.in0[s], s))
+    rank = {s: r for r, s in enumerate(order)}
+    necessary = 0   # in twelfths: 48 / c per tuple
+    simplified = 0
+    counterexamples = set()
+    for i in corners:
+        after = sum(1 << s for s in range(tb.n) if rank[s] >= rank[i])
+        for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
+            if not (after >> j) & 1:
+                continue
+            for cand, c, rows in parts:
+                for k in _bits(cand & after):
+                    need = c & rows[k] & after
+                    good = need if (simp_k >> k) & 1 else (
+                        need & (simp_base | tb.ga[k]))
+                    for se in _bits(need):
+                        t = (i, j, k, se)
+                        weight = 48 // t.count(i)
+                        necessary += weight
+                        if (good >> se) & 1:
+                            simplified += weight
+                        else:
+                            counterexamples.update(
+                                tuple(t[p] for p in image)
+                                for image in _KLEIN_IMAGES)
+    assert necessary % 12 == simplified % 12 == 0
+    return necessary // 12, simplified // 12, counterexamples
+
+
+def scan_pair_rows(slopes, thin, matrix):
+    """The symmetric pair rows of the library's _SweepTables, found by
+    scanning every slope t = p/q against every thin slope s for a chart-row
+    matrix (a, b, c, d) of s with a p + b q dividing c p + d q."""
+    rows = [0] * len(slopes)
+    for i, s in enumerate(slopes):
+        if not thin[i]:
+            continue
+        a, b, c, d = matrix(s)
+        for j, t in enumerate(slopes):
+            num = a * t.num + b * t.den
+            if num and not (c * t.num + d * t.den) % num:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+# the chart-row matrices of [-1, h, t], [1, t + n] and [m, 1, t]
+ROW_MATRICES = (
+    lambda s: (-_h_param(s) - 1, 1, _h_param(s), -1),
+    lambda s: (1, s.num - 1, 1, s.num),
+    lambda s: (_m_param(s) - 1, -_m_param(s), 1, -1),
+)

@@ -689,22 +689,52 @@ _LEVELS = _command_levels()
                          ids=lambda prefix: " ".join(prefix) or "root")
 def test_grammar_at_every_prefix(capsys, prefix):
     # -h lists a prefix's words or a command's arguments; an unknown word
-    # is refused with every word of its level
+    # is refused with every word of its level, also when a word of the
+    # level follows it
     below = _LEVELS[prefix]
     with pytest.raises(SystemExit) as exit_:
         main([*prefix, "-h"])
     assert exit_.value.code == 0
-    entries = _help_entries(capsys.readouterr().out)
+    help_text = capsys.readouterr().out
+    entries = _help_entries(help_text)
     if below is None:
         name = " ".join(prefix)
         assert sorted(entries) == sorted(
             ["-h"] + [flags[0] for flags, _ in COMMANDS[name][0]])
         return
     assert "{" + ",".join(below) + "}" in entries
-    assert main([*prefix, "bogus"]) == 2
-    err = capsys.readouterr().err
-    assert "invalid choice: 'bogus'" in err and err.count("\n") == 1
-    assert all(repr(word) in err for word in below)
+    with pytest.raises(SystemExit):
+        main([*prefix, "-h", below[-1]])
+    assert capsys.readouterr().out == help_text
+    for tail in ([], [below[-1]]):
+        assert main([*prefix, "bogus", *tail]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and err.count("\n") == 1
+        assert all(repr(word) in err for word in below)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["cf", "eval", "[3,2]"], 3),
+    (["families", "verify", "intersections", "--bound", "3"], 4),
+    # a level whose word is not its first token gets all its words
+    (["--jobs", "2", "pentangle", "verify"], 1 + len(_LEVELS[()]) + 1),
+    (["-h", "cf"], 1 + len(_LEVELS[()]) + len(_LEVELS[("cf",)])),
+    (["cf", "bogus", "eval"], 2 + len(_LEVELS[("cf",)])),
+    (["--jobs", "2"], 1 + len(_LEVELS[()])),
+])
+def test_parsers_built_on_the_command_path(monkeypatch, argv, built):
+    # a level gets a parser for every word only where argparse may print
+    # them all; otherwise only the word argv reads does
+    names = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        names.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli._build_parser(argv)
+    assert len(names) == built, names
 
 
 # Fields for the grammar fuzz: values of every kind the commands read, some

@@ -19,7 +19,8 @@ from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     stern_brocot_slopes, swap_fb, swap_lr,
                                     swap_tb, two_bridge_necessary,
                                     verify_simplification, X_FILLINGS)
-from surgeryforge.rationals import INF, ExtRational, cf_eval, rat, shift
+from surgeryforge.rationals import (INF, ZERO, ExtRational, cf_eval, rat,
+                                   shift)
 from surgeryforge.tangle import is_reciprocal_of_integer
 
 
@@ -159,8 +160,8 @@ def test_necessary_condition_transports_along_rot3():
 
 def test_necessary_condition_invariant_under_swaps():
     # the three x-preserving involutions fix each necessary condition, since
-    # montesinos_presentations ranges over all of them; the sweep's walk
-    # over ne >= nw rests on swap_lr
+    # montesinos_presentations ranges over all of them; the sweep's walk of
+    # one tuple per orbit rests on this
     fillings = [F(*corners) for corners in product(stern_brocot_slopes(2),
                                                     repeat=4)]
     slopes = stern_brocot_slopes(5)
@@ -249,9 +250,31 @@ def test_stern_brocot_enumeration():
     assert slopes[0] == INF and slopes[1] == rat(0)
 
 
+def test_necessary_tuples_have_a_corner_in_the_thin_sets():
+    # the lemma of the sweep's walk: a tuple passing x = 0 has a corner in
+    # T0 = {inf} u {-1/h}, as every x = 0 row needs nw in T0 and the rows
+    # range over the Klein four-group; likewise the integers for x = inf
+    # and {inf} u {1-1/m} for x = -1
+    thin = {ZERO: is_reciprocal_of_integer, INF: lambda s: s.is_integer,
+            rat(-1): _is_one_minus_reciprocal}
+    fillings = [F(*corners) for corners in product(stern_brocot_slopes(2),
+                                                    repeat=4)]
+    slopes = stern_brocot_slopes(6)
+    rng = random.Random(2401)
+    fillings += [F(*(rng.choice(slopes) for _ in range(4)))
+                 for _ in range(2000)]
+    passed = dict.fromkeys(X_FILLINGS, 0)
+    for f in fillings:
+        for x in X_FILLINGS:
+            if two_bridge_necessary(f, x):
+                passed[x] += 1
+                assert any(map(thin[x], f.corners())), (f, x)
+    assert all(passed.values())
+
+
 def kernel_masks(tb, i):
-    """(j, k, need, simp) for nw = i and every ne = j, sw = k, read off the
-    counting kernel's pair masks."""
+    """(j, k, need, simp) for nw = i in T0 and every ne = j, sw = k, read off
+    the counting kernel's pair masks."""
     need = {}
     for js, parts, simp_k, simp_base in _pair_masks(tb, i, tb.full):
         for j in _bits(js):
@@ -272,7 +295,7 @@ def test_mask_engine_matches_object_predicates():
     slopes = stern_brocot_slopes(2)
     tb = _SweepTables(slopes)
     n = len(slopes)
-    for i in range(n):
+    for i in tb.walk:
         for j, k, need, simp in kernel_masks(tb, i):
             for se in range(n):
                 f = F(slopes[i], slopes[j], slopes[k], slopes[se])
@@ -286,14 +309,22 @@ def test_mask_engine_matches_object_predicates_sampled():
     slopes = stern_brocot_slopes(4)
     tb = _SweepTables(slopes)
     n = len(slopes)
-    needs = {(i, j, k): need for i in range(n)
+    needs = {(i, j, k): need for i in tb.walk
              for j, k, need, _ in kernel_masks(tb, i)}
     rng = random.Random(23)
     for _ in range(600):
-        i, j, k, se = (rng.randrange(n) for _ in range(4))
+        i = rng.choice(tb.walk)
+        j, k, se = (rng.randrange(n) for _ in range(3))
         f = F(slopes[i], slopes[j], slopes[k], slopes[se])
         want = all(two_bridge_necessary(f, x) for x in X_FILLINGS)
         assert bool((needs[i, j, k] >> se) & 1) == want
+
+
+def sweep(tb):
+    """The counting kernel over every walked nw corner, in one chunk, with
+    its counterexamples sorted."""
+    necessary, simplified, ces = _sweep_chunk(tb, 0, len(tb.walk))
+    return necessary, simplified, sorted(ces)
 
 
 def test_kernel_matches_oracle_bounds_2_to_8():
@@ -301,43 +332,61 @@ def test_kernel_matches_oracle_bounds_2_to_8():
         slopes = stern_brocot_slopes(bound)
         n = len(slopes)
         tb = _SweepTables(slopes)
-        got = _sweep_chunk(tb, 0, n)
-        assert got == oracle._sweep_chunk((slopes, 0, n)), bound
-        assert got == oracle._visit_sweep_chunk(tb, 0, n), bound
+        got = sweep(tb)
+        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
+        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
 
 
-def assert_chunks_match_oracle(tb, jobs_values):
-    """Each --jobs chunk reports what the visit oracle reports for its pairs
-    with ne >= nw, mirrored, and the chunks together report the sweep over
-    every pair."""
-    whole = oracle._visit_sweep_chunk(tb, 0, tb.n)
+def assert_chunks_match_oracle(tb, jobs_values=(1, 2, 3, 7, 128)):
+    """Each --jobs chunk reports what the least-corner oracle reports for
+    its nw corners, and the chunks together report the sweep over every
+    tuple."""
+    assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
+    necessary, simplified, ces = oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
+    whole = necessary, simplified, len(ces), set(ces)
+    by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
     for jobs in jobs_values:
         chunks = []
-        for lo, hi in _partition(tb.n, jobs):
-            chunks.append(_sweep_chunk(tb, lo, hi))
-            assert chunks[-1] == oracle._visit_sweep_chunk(
-                tb, lo, hi, mirrored=True), (jobs, lo, hi)
-        union = [sum(chunk[x] for chunk in chunks) for x in range(3)]
-        union.append(sorted(ce for chunk in chunks for ce in chunk[3]))
-        assert tuple(union) == whole, jobs
-
-
-def test_kernel_matches_visit_oracle_by_chunk():
-    # the nw ranges that --jobs workers sweep, at a bound above the range of
-    # the per-triple oracle
-    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)),
-                               (1, 3, 7, 128))
+        for lo, hi in _partition(len(tb.walk), jobs):
+            necessary, simplified, ces = _sweep_chunk(tb, lo, hi)
+            chunks.append((necessary, simplified, len(ces), ces))
+            want = [by_corner[i] for i in tb.walk[lo:hi]]
+            assert chunks[-1] == (
+                sum(w[0] for w in want), sum(w[1] for w in want),
+                sum(len(w[2]) for w in want),
+                set().union(*(w[2] for w in want))), (jobs, lo, hi)
+        union = tuple(sum(chunk[x] for chunk in chunks) for x in range(3))
+        assert union + (set().union(*(c[3] for c in chunks)),) == whole, jobs
 
 
 MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
                       ("MIRROR_P3_LISTS", "_TRIVIAL")]
+EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
+
+
+def test_kernel_matches_visit_oracle_by_chunk():
+    # the walk ranges that --jobs workers sweep, at a bound above the range
+    # of the per-triple oracle
+    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)))
+
+
+@pytest.mark.parametrize("names", MIXED_CELL_PATCHES + [EVERY_LIST])
+def test_chunks_match_least_corner_oracle_with_counterexamples(monkeypatch,
+                                                              names):
+    # with lists emptied, cells hold counterexamples, which each chunk
+    # reports with their orbit images
+    empty_lists(monkeypatch, *names)
+    for bound in range(2, 7):
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        assert_chunks_match_oracle(tb)
+    assert sweep(tb)[2]
 
 
 @pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES)
 def test_pair_counts_symmetric_under_swap_lr(monkeypatch, names):
     # swap_lr fixes the necessary conditions and the simplification lists,
     # so the pair (j, i) has the counts of (i, j) and the transposed
-    # counterexamples: what lets the kernel visit only ne >= nw
+    # counterexamples: one of the three involutions of the kernel's walk
     empty_lists(monkeypatch, *names)
     for bound in range(2, 7):
         tb = _SweepTables(stern_brocot_slopes(bound))
@@ -352,15 +401,16 @@ def test_pair_counts_symmetric_under_swap_lr(monkeypatch, names):
 
 def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
     # _cell_counts runs once per distinct (simp_k, simp_base, cand, c, rows)
-    # over the parts of every nw group, however many ne and nw groups share
-    # it; the walk over ne >= nw builds fewer parts, 667 distinct of the
-    # 1,180 that the walk over every ne corner built
+    # over the parts of every walked nw corner, however many ne groups and
+    # nw corners share it.  The walk of nw over T0 alone, with every corner
+    # at or after nw, builds fewer: 322 distinct parts, against 667 for the
+    # walk over every nw group with ne >= nw
     slopes = stern_brocot_slopes(10)
     tb = _SweepTables(slopes)
     keys = {(simp_k, simp_base, cand, c, rows is tb.fulls)
-            for members in _corner_groups(tb, range(tb.n), by_vinf=True)
+            for i in tb.walk
             for _, parts, simp_k, simp_base in _pair_masks(
-                tb, members[0], tb.full >> members[0] << members[0])
+                tb, i, tb.m0 >> i << i | tb.off0)
             for cand, c, rows in parts}
     calls = []
     cell_counts = pentangle._cell_counts
@@ -370,62 +420,66 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
         return cell_counts(*args)
 
     monkeypatch.setattr(pentangle, "_cell_counts", counting)
-    assert _sweep_chunk(tb, 0, tb.n) == oracle._visit_sweep_chunk(tb, 0, tb.n)
-    assert len(calls) == len(keys) == 667
+    assert sweep(tb) == oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
+    assert len(calls) == len(keys) == 322
 
 
-def _nw_key(tb, i):
-    return (tb.in0[i], tb.v0[i], tb.ininf[i], tb.vinf[i], tb.inm1[i],
-            tb.vm1[i])
+def _ne_key(tb, j):
+    return tb.in0[j], tb.ininf[j], tb.inm1[j], tb.vm1[j]
 
 
-def test_nw_groups_partition_each_chunk():
-    # the groups of each --jobs chunk are disjoint, cover it, share the
-    # key, and leave out no corner that could join one
+def test_ne_groups_partition_the_slopes():
+    # the ne groups are disjoint, cover the slopes, share the key of what
+    # _pair_masks reads of an ne corner for nw in T0, and leave out no
+    # corner that could join one
     slopes = stern_brocot_slopes(10)
     tb = _SweepTables(slopes)
-    alone = [tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]
-             for i in range(tb.n)]
-    assert tb.n == 128
-    assert len(_corner_groups(tb, range(tb.n), by_vinf=True)) == 88
-    for jobs in (1, 3, 7):
-        for lo, hi in _partition(tb.n, jobs):
-            groups = _corner_groups(tb, range(lo, hi), by_vinf=True)
-            assert sorted(i for g in groups for i in g) == list(range(lo, hi))
-            keys = []
-            for g in groups:
-                if len(g) > 1:
-                    assert not any(alone[i] for i in g), g
-                    assert len({_nw_key(tb, i) for i in g}) == 1, g
-                if not alone[g[0]]:
-                    keys.append(_nw_key(tb, g[0]))
-            assert len(keys) == len(set(keys)), (lo, hi)
+    alone = [tb.triv[j] or tb.ga[j] or tb.gb[j] or tb.gc[j]
+             for j in range(tb.n)]
+    groups = _corner_groups(tb, range(tb.n))
+    assert (tb.n, len(tb.walk), len(groups)) == (128, 21, 39)
+    assert sorted(j for g in groups for j in g) == list(range(tb.n))
+    keys = []
+    for g in groups:
+        if len(g) > 1:
+            assert not any(alone[j] for j in g), g
+            assert len({_ne_key(tb, j) for j in g}) == 1, g
+        if not alone[g[0]]:
+            keys.append(_ne_key(tb, g[0]))
+    assert len(keys) == len(set(keys))
 
 
-def test_grouped_nw_corners_expand_counterexamples(monkeypatch):
-    # with nothing simplifying, a group of several nw corners yields
-    # counterexamples, which must be expanded over every member
-    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
-                "NONHYP_LISTS")
+def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
+    # with nothing simplifying, a group of several ne corners yields
+    # counterexamples, which must be expanded over every member, and so do
+    # walked tuples with c = 1, 2 and 3 corners equal to nw, which stand for
+    # 4 / c tuples of their orbit.  No tuple with four equal corners passes,
+    # as no slope lies in all three thin sets
+    empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(5)
     tb = _SweepTables(slopes)
-    nw_bad = {ce[0] for ce in _sweep_chunk(tb, 0, tb.n)[3]}
-    assert any(len(g) > 1 and nw_bad.issuperset(g)
-               for g in _corner_groups(tb, range(tb.n), by_vinf=True))
+    ces = sweep(tb)[2]
+    ne_bad = {ce[1] for ce in ces}
+    assert any(len(g) > 1 and ne_bad.issuperset(g)
+               for g in _corner_groups(tb, range(tb.n)))
+    rank = {s: r for r, s in enumerate(sorted(
+        range(tb.n), key=lambda s: (not tb.in0[s], s)))}
+    walked = [ce for ce in ces if min(ce, key=rank.get) == ce[0]]
+    assert {ce.count(ce[0]) for ce in walked} == {1, 2, 3}
+    assert not tb.m0 & tb.minf & tb.mm1
     assert_chunks_match_oracle(tb, (1, 3, 7))
 
 
 @pytest.mark.parametrize("pairing", [None, 0, 1, 2])
-def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
+def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
                                                          pairing):
-    # make one member of a wide nw group trivial (None), or put it on a
+    # make one member of a wide ne group trivial (None), or put it on a
     # pair of one pairing, which fills its row of ga, gb or gc: its tuples
     # then simplify unlike the rest of the group, so it must stand alone
-    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
-                "NONHYP_LISTS")
+    empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(5)
-    a = max(_corner_groups(_SweepTables(slopes), range(len(slopes)),
-                           by_vinf=True), key=len)[-1]
+    a = max(_corner_groups(_SweepTables(slopes), range(len(slopes))),
+            key=len)[-1]
     u, v = slopes[a], slopes[2]
     if pairing is None:
         monkeypatch.setattr(pentangle, "_TRIVIAL", frozenset({(u.num, u.den)}))
@@ -434,7 +488,7 @@ def test_nw_corner_on_a_simplification_pair_stands_alone(monkeypatch,
         lists[pairing] = frozenset({pentangle._key(u, v)})
         monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
     tb = _SweepTables(slopes)
-    assert [a] in _corner_groups(tb, range(tb.n), by_vinf=True)
+    assert [a] in _corner_groups(tb, range(tb.n))
     assert_chunks_match_oracle(tb, (1, 3))
 
 
@@ -456,7 +510,7 @@ def test_kernel_masks_match_oracle_exhaustive_bound_5():
     slopes = stern_brocot_slopes(5)
     tb = _SweepTables(slopes)
     otb = oracle._SweepTables(slopes)
-    for i in range(tb.n):
+    for i in tb.walk:
         for j, k, need, simp in kernel_masks(tb, i):
             assert need == oracle._necessary_masks(otb, i, j, k), (i, j, k)
             assert simp == oracle._simplifies_mask(otb, i, j, k), (i, j, k)
@@ -488,6 +542,18 @@ def test_tables_match_oracle_tables():
         assert (tb.ga, tb.gb, tb.gc) == (otb.ga, otb.gb, otb.gc)
 
 
+def test_solved_pair_rows_match_scanned_rows():
+    # the rows solved from the determinant-1 chart-row matrices are the rows
+    # a scan of every slope against every thin slope finds
+    for bound in range(2, 41):
+        slopes = stern_brocot_slopes(bound)
+        tb = _SweepTables(slopes)
+        for rows, thin, matrix in zip((tb.v0, tb.vinf, tb.vm1),
+                                      (tb.in0, tb.ininf, tb.inm1),
+                                      oracle.ROW_MATRICES):
+            assert rows == oracle.scan_pair_rows(slopes, thin, matrix), bound
+
+
 def empty_lists(monkeypatch, *names):
     """Empty the named simplification lists in the library and the oracle."""
     none = (frozenset(),) * 3
@@ -505,17 +571,17 @@ def empty_lists(monkeypatch, *names):
 def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     # empty simplification lists make every tuple passing the necessary
     # conditions a counterexample, which real sweeps never produce
-    empty_lists(monkeypatch, "P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL",
-                "NONHYP_LISTS")
+    empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(3)
     n = len(slopes)
     tb = _SweepTables(slopes)
-    got = _sweep_chunk(tb, 0, n)
+    got = sweep(tb)
     want = oracle._sweep_chunk((slopes, 0, n))
-    assert got == want == oracle._visit_sweep_chunk(tb, 0, n)
-    assert got[2] == 0 and len(got[3]) == got[1] > 0
+    assert got == want[1:] == oracle._visit_sweep_chunk(tb, 0, n)[1:]
+    assert got[1] == 0 and len(got[2]) == got[0] > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
-    # chunks report mirrored counterexamples of later chunks' nw corners
+    # chunks report the orbit images of their counterexamples, whose nw
+    # corners may lie outside the walk
     for jobs in (1, 2, 3, 7):
         assert verify_simplification(3, jobs=jobs)[1] == named
 
@@ -529,11 +595,11 @@ def test_counterexamples_in_mixed_cells(monkeypatch, names):
         slopes = stern_brocot_slopes(bound)
         n = len(slopes)
         tb = _SweepTables(slopes)
-        got = _sweep_chunk(tb, 0, n)
-        assert got == oracle._visit_sweep_chunk(tb, 0, n), bound
-        assert got == oracle._sweep_chunk((slopes, 0, n)), bound
-        assert got[1] == got[2] + len(got[3])
-    assert got[2] > 0 and got[3]
+        got = sweep(tb)
+        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
+        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
+        assert got[0] == got[1] + len(got[2])
+    assert got[1] > 0 and got[2]
 
 
 def test_verify_simplification_small_bounds():
@@ -544,6 +610,15 @@ def test_verify_simplification_small_bounds():
     r3, ces = verify_simplification(3)
     assert ces == ()
     assert r3["necessary_all_three"] == r3["simplified"]
+
+
+@pytest.mark.parametrize("bound, necessary", [(30, 95_850_992),
+                                              (50, 742_110_912)])
+def test_necessary_tuples_pinned(bound, necessary):
+    # the counts every kernel generation has reported at these bounds
+    results, ces = verify_simplification(bound)
+    assert ces == ()
+    assert results["necessary_all_three"] == results["simplified"] == necessary
 
 
 def test_verify_simplification_jobs_deterministic():
@@ -575,8 +650,10 @@ def test_pool_sized_by_chunks(monkeypatch):
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(pentangle, "_worker_tables", None)
     serial = verify_simplification(2)
-    for jobs, chunks in ((64, 8), (3, 3), (2, 2)):
+    # the workers split the walked nw corners, the 5 slopes of T0 at bound
+    # 2 (inf, +-1 and +-1/2), so --jobs 64 asks for 5
+    walk = _SweepTables(stern_brocot_slopes(2)).walk
+    for jobs, chunks in ((64, 5), (3, 3), (2, 2)):
         assert verify_simplification(2, jobs=jobs) == serial
-        assert sizes[-1] == chunks == len(
-            _partition(serial[0]["slope_count"], jobs))
+        assert sizes[-1] == chunks == len(_partition(len(walk), jobs))
     assert len(sizes) == 3
