@@ -120,26 +120,14 @@ def _labels(family, params):
     return _evaluate(family, params)
 
 
-def family_lens(family, params, slot):
-    """Lens space of one exceptional filling slot of a family member.
+def family_triple(family, params):
+    """All lens filling slots of one family member, as (slot, LensSpace)
+    pairs in slot order, from one evaluation of the family's labels.
 
     params: X0/X3/A take (m, n) integers; X1/X2 take (m, p/q); B takes (p/q,)
     with p/q an ExtRational.  Excluded parameters raise ExcludedParameter
-    with the exclusion named.
+    with the exclusion named, and an invalid label raises ValueError.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    slots = FAMILIES[family][2]
-    if slot not in slots:
-        names = ", ".join(str(s) for s in slots[:-1])
-        raise ExcludedParameter(
-            f"{family}: lens slots are {names} and {slots[-1]}")
-    return LensSpace(*_labels(family, params)[slots.index(slot)])
-
-
-def family_triple(family, params):
-    """All lens filling slots of one family member, as (slot, LensSpace)
-    pairs in slot order, from one evaluation of the family's labels."""
     return tuple((slot, LensSpace(*label)) for slot, label
                  in zip(FAMILIES[family][2], _labels(family, params)))
 
@@ -286,9 +274,10 @@ def prop15_consistency(bound):
 
     def record(setting, param, a, slot, partner, flagged=False):
         # compare A[a] at the slot with the partner (family, params, slot)
-        lhs = family_lens("A", a, slot)
+        family, params, partner_slot = partner
+        lhs = dict(family_triple("A", a))[slot]
         try:
-            rhs = family_lens(*partner)
+            rhs = dict(family_triple(family, params))[partner_slot]
         except ValueError:
             if not flagged:
                 raise

@@ -1,11 +1,9 @@
 """The five-cusp quotient tangle: fillings, symmetries, simplification
 predicates and the exhaustive two-bridge-triple verifier.
 
-A filling of the pentangle is a tuple (nw, ne, sw, se[, x]) of rational
-tangle slopes.  Filling the double branched cover picture instead gives a
-chain-link filling (a1, ..., a5); the two coordinate systems translate by
-
-    chain(a1..a5) = Sigma(P(a2, 1-1/a1, 1-1/a4, a3, a5-1))
+A filling of the pentangle is a 4-tuple (nw, ne, sw, se) of rational
+tangle slopes at its corners; the fifth slope x, one of 0, inf and -1,
+is passed separately where a filling of the fifth cusp is meant.
 
 The key sweep: if a 4-tuple admits two-bridge fillings at all three of
 x = 0, inf, -1 then it must "simplify" (be non-hyperbolic or factor through
@@ -15,95 +13,55 @@ bounded height and confirms there are no counterexamples.
 """
 
 from itertools import product
+from operator import itemgetter
 
-from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval,
-                        cf_step, corot_map, rat, reciprocal, rot_map, shift)
+from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval, rat,
+                        reciprocal, rot_map, shift)
 from .tangle import (MontesinosLink, is_reciprocal_of_integer,
                      montesinos_is_two_bridge)
 
-MINUS_ONE = rat(-1)
-
 
 class P5Filling(FrozenValue):
-    """Tangle coordinates (nw, ne, sw, se), with the fifth slope x unset
-    (None) for a 4-tuple."""
+    """Tangle coordinates (nw, ne, sw, se) at the four corners."""
 
-    __slots__ = ("nw", "ne", "sw", "se", "x")
+    __slots__ = ("nw", "ne", "sw", "se")
 
-    def __init__(self, nw, ne, sw, se, x=None):
+    def __init__(self, nw, ne, sw, se):
         object.__setattr__(self, "nw", nw)
         object.__setattr__(self, "ne", ne)
         object.__setattr__(self, "sw", sw)
         object.__setattr__(self, "se", se)
-        object.__setattr__(self, "x", x)
 
     def corners(self):
         return (self.nw, self.ne, self.sw, self.se)
 
     def __str__(self):
-        parts = [str(s) for s in self.corners()]
-        if self.x is not None:
-            parts.append(str(self.x))
-        return "P(" + ",".join(parts) + ")"
-
-
-def m5_to_p5(m):
-    """Chain coordinates (a1, ..., a5) to tangle coordinates."""
-    a1, a2, a3, a4, a5 = m
-    return P5Filling(
-        nw=a2,
-        ne=cf_step(1, a1),
-        sw=cf_step(1, a4),
-        se=a3,
-        x=shift(a5, -1),
-    )
-
-
-def p5_to_m5(f):
-    """Tangle coordinates to chain coordinates (a1, ..., a5); inverse of
-    m5_to_p5."""
-    if f.x is None:
-        raise ValueError("need all five slopes")
-    return (rot_map(f.ne), f.nw, f.se, rot_map(f.sw), shift(f.x, 1))
+        return "P(" + ",".join(str(s) for s in self.corners()) + ")"
 
 
 # ---------------------------------------------------------------------------
-# Symmetries.  The three slope-preserving involutions swap corner pairs; the
-# order-3 rotation fixes the se corner while transforming slopes by
-# x -> 1/(1-x) (and the fifth slope by x -> -1/(1+x)).  The mirror symmetry
-# reciprocates every slope and rotates the corners a quarter turn; it
-# exchanges the two factoring condition families below, and its square is
-# the front-back involution.
+# Symmetries.  The three slope-preserving involutions swap corner pairs and
+# fix each of the fillings x = 0, inf and -1; with the identity they form
+# the Klein four-group _KLEIN below.
 # ---------------------------------------------------------------------------
 
 
 def swap_lr(f):
-    return P5Filling(f.ne, f.nw, f.se, f.sw, f.x)
+    return P5Filling(f.ne, f.nw, f.se, f.sw)
 
 
 def swap_tb(f):
-    return P5Filling(f.sw, f.se, f.nw, f.ne, f.x)
+    return P5Filling(f.sw, f.se, f.nw, f.ne)
 
 
 def swap_fb(f):
-    return P5Filling(f.se, f.sw, f.ne, f.nw, f.x)
+    return P5Filling(f.se, f.sw, f.ne, f.nw)
 
 
-def rot3(f):
-    x = corot_map(f.x) if f.x is not None else None
-    return P5Filling(rot_map(f.ne), rot_map(f.sw), rot_map(f.nw),
-                     rot_map(f.se), x)
-
-
-def rot3_fix_ne(f):
-    """The other order-3 rotation: fixes the ne corner, permutes nw,sw,se."""
-    return swap_tb(rot3(swap_tb(f)))
-
-
-def mirror_sym(f):
-    x = reciprocal(f.x) if f.x is not None else None
-    return P5Filling(reciprocal(f.ne), reciprocal(f.se), reciprocal(f.nw),
-                     reciprocal(f.sw), x)
+_KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
+# _KLEIN on tuples of corners, read off its images of the corner positions
+_KLEIN_ON_TUPLES = tuple(itemgetter(*g(P5Filling(0, 1, 2, 3)).corners())
+                         for g in _KLEIN)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +118,10 @@ MIRROR_P3_LISTS = tuple(_pairset(p) for p in (_MIR_A, _MIR_B, _MIR_C))
 
 NONHYP_LISTS = tuple(map(_pairset, _rotations(
     [(rat(-1), rat(2)), (rat(1, 2), rat(1, 2))])))
-_NONHYP_A, _NONHYP_B, _NONHYP_C = NONHYP_LISTS
+
+# per pairing, every pair on which a filling simplifies
+_SIMPLIFYING = tuple(map(frozenset.union, NONHYP_LISTS, P3_LISTS,
+                         MIRROR_P3_LISTS))
 
 _TRIVIAL = frozenset(((0, 1), (1, 1), (1, 0)))
 
@@ -180,10 +141,14 @@ def _meets(groups, lists):
     return not all(map(frozenset.isdisjoint, lists, groups))
 
 
+def _trivial_corner(f):
+    """Whether a corner slope is 0, 1 or inf."""
+    return not _TRIVIAL.isdisjoint([(s.num, s.den) for s in f.corners()])
+
+
 def is_nonhyperbolic(f):
     """True when a listed degeneration is forced by the four corner slopes."""
-    return (not _TRIVIAL.isdisjoint([(s.num, s.den) for s in f.corners()])
-            or _meets(_corner_pairs(f), NONHYP_LISTS))
+    return _trivial_corner(f) or _meets(_corner_pairs(f), NONHYP_LISTS)
 
 
 # (factors through P3, factors through its mirror) -> the report string
@@ -201,7 +166,7 @@ def factors_through_P3(f):
 
 def simplifies(f):
     """Non-hyperbolic, or factors through the three-cusp tangle or mirror."""
-    return is_nonhyperbolic(f) or factors_through_P3(f) != "no"
+    return _trivial_corner(f) or _meets(_corner_pairs(f), _SIMPLIFYING)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +228,6 @@ def _row_front(t):
 
 
 _BASE_ROWS = {(0, 1): _row_west, (1, 0): _row_north, (-1, 1): _row_front}
-_KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
 
 
 def montesinos_presentations(f, x):
@@ -285,9 +249,6 @@ def two_bridge_necessary(f, x):
     some Montesinos presentation exists with a reciprocal-integer factor."""
     return any(montesinos_is_two_bridge(link)
                for link in montesinos_presentations(f, x))
-
-
-X_FILLINGS = (ZERO, INF, MINUS_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -474,18 +435,15 @@ class _SweepTables:
         self._near = {}
 
         # symmetric rows of the simplification pairs, one per pairing
-        def group_rows(*conds):
+        def group_rows(cond):
             rows = [0] * n
-            for cond in conds:
-                for u, v in cond:
-                    if u in index and v in index:
-                        rows[index[u]] |= 1 << index[v]
-                        rows[index[v]] |= 1 << index[u]
+            for u, v in cond:
+                if u in index and v in index:
+                    rows[index[u]] |= 1 << index[v]
+                    rows[index[v]] |= 1 << index[u]
             return rows
 
-        self.ga, self.gb, self.gc = (
-            group_rows(*conds)
-            for conds in zip(NONHYP_LISTS, P3_LISTS, MIRROR_P3_LISTS))
+        self.ga, self.gb, self.gc = map(group_rows, _SIMPLIFYING)
         self.ga_support = mask(self.ga)
 
         # _pair_masks splits each ne group by Vinf[nw] itself.  Per group:
@@ -679,11 +637,9 @@ def _sweep_chunk(tb, lo, hi):
                                             + good_se.bit_count())
                                    - w_two * (good_sw >> i & 1))
                 if bad:
-                    for j in _bits(js):
-                        for k, se in bad:
-                            counterexamples.update((
-                                (i, j, k, se), (j, i, se, k),
-                                (k, se, i, j), (se, k, j, i)))
+                    counterexamples.update(
+                        g((i, j, k, se)) for j in _bits(js)
+                        for k, se in bad for g in _KLEIN_ON_TUPLES)
     return necessary // 12, simplified // 12, counterexamples
 
 

@@ -148,11 +148,6 @@ def rot_map(x):
     return _mobius(x, 0, 1, -1, 1)
 
 
-def corot_map(x):
-    """The order-3 map x -> -1/(1 + x)."""
-    return _mobius(x, 0, -1, 1, 1)
-
-
 def cf_step(c, x):
     """One minus-convention step for an integer c: c - 1/x."""
     return ExtRational(c * x.num - x.den, x.num)

@@ -10,15 +10,70 @@ every cell, with the _visit_pair_masks cells it read, tallied per (nw, ne)
 pair by visit_pair_counts.  It runs on the library's _SweepTables.
 least_corner_chunk visits the same cells tuple by tuple, but only the
 tuples the counting kernel walks, and weights each as the kernel does: it
-reports what the counting kernel reports for a chunk."""
+reports what the counting kernel reports for a chunk.
 
-from surgeryforge.pentangle import (MIRROR_P3_LISTS, P3_LISTS, _NONHYP_A,
-                                    _NONHYP_B, _NONHYP_C, _TRIVIAL, _bits,
-                                    _h_param,
-                                    _is_one_minus_reciprocal, _key, _m_param)
-from surgeryforge.rationals import cf_eval, shift
+The chain coordinates of a five-cusp filling and the order-3 and mirror
+symmetries, which no command reads, are kept here for the tests of the
+condition lists and the necessary conditions."""
+
+from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
+                                    P3_LISTS, P5Filling, _KLEIN, _TRIVIAL,
+                                    _bits, _h_param,
+                                    _is_one_minus_reciprocal, _key, _m_param,
+                                    swap_tb)
+from surgeryforge.rationals import (INF, ZERO, _mobius, cf_eval, cf_step, rat,
+                                    reciprocal, rot_map, shift)
 from surgeryforge.tangle import (is_reciprocal_of_integer,
                                  is_reciprocal_of_integer as _is_neg_reciprocal)
+
+MINUS_ONE = rat(-1)
+X_FILLINGS = (ZERO, INF, MINUS_ONE)
+
+
+def corot_map(x):
+    """The order-3 map x -> -1/(1 + x)."""
+    return _mobius(x, 0, -1, 1, 1)
+
+
+# Filling the double branched cover picture gives a chain-link filling
+# (a1, ..., a5); it translates to the tangle filling and the fifth slope x by
+#
+#     chain(a1..a5) = Sigma(P(a2, 1-1/a1, 1-1/a4, a3, a5-1))
+
+
+def m5_to_p5(m):
+    """Chain coordinates (a1, ..., a5) to the pair (filling, x)."""
+    a1, a2, a3, a4, a5 = m
+    return (P5Filling(nw=a2, ne=cf_step(1, a1), sw=cf_step(1, a4), se=a3),
+            shift(a5, -1))
+
+
+def p5_to_m5(f, x):
+    """The filling f with fifth slope x to chain coordinates (a1, ..., a5);
+    inverse of m5_to_p5."""
+    return (rot_map(f.ne), f.nw, f.se, rot_map(f.sw), shift(x, 1))
+
+
+# The order-3 rotation fixes the se corner while transforming the corner
+# slopes by x -> 1/(1-x) and the fifth slope by corot_map.  The mirror
+# symmetry reciprocates every slope and rotates the corners a quarter turn;
+# it exchanges the plain and mirror factoring lists, and its square is
+# swap_fb.
+
+
+def rot3(f):
+    return P5Filling(rot_map(f.ne), rot_map(f.sw), rot_map(f.nw),
+                     rot_map(f.se))
+
+
+def rot3_fix_ne(f):
+    """The other order-3 rotation: fixes the ne corner, permutes nw,sw,se."""
+    return swap_tb(rot3(swap_tb(f)))
+
+
+def mirror_sym(f):
+    return P5Filling(reciprocal(f.ne), reciprocal(f.se), reciprocal(f.nw),
+                     reciprocal(f.sw))
 
 
 class _SweepTables:
@@ -83,9 +138,9 @@ class _SweepTables:
                 rows[i] = m
             return rows
 
-        self.ga = group_rows(_NONHYP_A, P3_LISTS[0], MIRROR_P3_LISTS[0])
-        self.gb = group_rows(_NONHYP_B, P3_LISTS[1], MIRROR_P3_LISTS[1])
-        self.gc = group_rows(_NONHYP_C, P3_LISTS[2], MIRROR_P3_LISTS[2])
+        self.ga, self.gb, self.gc = (
+            group_rows(NONHYP_LISTS[p], P3_LISTS[p], MIRROR_P3_LISTS[p])
+            for p in range(3))
 
     def _transpose(self, rows):
         cols = [0] * self.n
@@ -264,10 +319,6 @@ def _visit_sweep_chunk(tb, i_lo, i_hi):
     return checked, necessary, simplified, counterexamples
 
 
-# swap_lr, swap_tb and swap_fb as permutations of the corner positions
-_KLEIN_IMAGES = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-
-
 def least_corner_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the tuples whose nw
     corner is one of corners and is their least corner in the order that
@@ -296,9 +347,9 @@ def least_corner_chunk(tb, corners):
                         if (good >> se) & 1:
                             simplified += weight
                         else:
+                            f = P5Filling(*t)
                             counterexamples.update(
-                                tuple(t[p] for p in image)
-                                for image in _KLEIN_IMAGES)
+                                g(f).corners() for g in _KLEIN)
     assert necessary % 12 == simplified % 12 == 0
     return necessary // 12, simplified // 12, counterexamples
 

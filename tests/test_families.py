@@ -9,8 +9,8 @@ from surgeryforge import families
 from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    _gofk_sequences, _is_twist_shape,
                                    _template_instances,
-                                   alt_gofk_pipeline, family_lens,
-                                   family_triple, figure_eight_sister_triple,
+                                   alt_gofk_pipeline, family_triple,
+                                   figure_eight_sister_triple,
                                    gofklens_census, optsurg_catalog,
                                    prop15_consistency,
                                    verify_three_filling_intersections)
@@ -49,33 +49,35 @@ def test_family_b_spot_checks():
 
 def test_family_exclusions_are_named():
     with pytest.raises(ExcludedParameter, match="X0"):
-        family_lens("X0", (0, 5), rat(0))
+        family_triple("X0", (0, 5))
     with pytest.raises(ExcludedParameter, match="n = 2"):
-        family_lens("X0", (3, 2), rat(0))
+        family_triple("X0", (3, 2))
     with pytest.raises(ExcludedParameter, match="B"):
-        family_lens("B", (rat(3, 2),), rat(1))
+        family_triple("B", (rat(3, 2),))
     with pytest.raises(ExcludedParameter, match="A"):
-        family_lens("A", (1, 5), rat(1))
+        family_triple("A", (1, 5))
     with pytest.raises(ExcludedParameter):
-        family_lens("X2", (2, rat(3)), INF)
+        family_triple("X2", (2, rat(3)))
     # parameters given as a list are checked as their tuple
     with pytest.raises(ExcludedParameter, match=r"\(m,n\) = \(-1,4\)"):
-        family_lens("X0", [-1, 4], rat(0))
+        family_triple("X0", [-1, 4])
     assert family_triple("X0", [2, 5]) == family_triple("X0", (2, 5))
 
 
-def test_family_triple_matches_family_lens():
-    # one formula call per member gives each slot what family_lens gives,
-    # and an excluded member or invalid label raises what family_lens raises
+def test_family_triple_matches_closed_form_lenses():
+    # one formula call per member gives each slot the lens space of its
+    # closed-form label, and an excluded member or invalid label raises
+    # what the closed form or the first invalid label raises
     ints = range(-4, 6)
     slopes = [rat(a, b) for a in range(-4, 6) for b in (1, 2, 3)
               if gcd(a, b) == 1] + [INF]
     for family, (parameters, _, slots, _) in families.FAMILIES.items():
+        closed_form = oracle.CLOSED_FORMS[family]
         for params in product(*(slopes if name == "p/q" else ints
                                 for name, _ in parameters)):
             try:
-                want = tuple((slot, family_lens(family, params, slot))
-                             for slot in slots)
+                want = tuple((slot, LensSpace(*label)) for slot, label
+                             in zip(slots, closed_form(*params)))
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     family_triple(family, params)
@@ -88,12 +90,9 @@ def test_family_triple_matches_family_lens():
 def test_x_families_against_known_overlaps():
     # the inf-slot formulas agree with the three-filling families on shared
     # manifolds (up to the orientation slop of the tabulated formulas)
-    b4_inf = family_lens("B", (rat(4),), INF)
-    x2_inf = family_lens("X2", (-2, rat(4)), INF)
-    assert homeo_oriented(b4_inf, x2_inf)
-    b4_2 = family_lens("B", (rat(4),), rat(2))
-    x2_2 = family_lens("X2", (-2, rat(4)), rat(2))
-    assert homeo_oriented(b4_2, x2_2)
+    b4, x2 = lenses("B", (rat(4),)), lenses("X2", (-2, rat(4)))
+    assert homeo_oriented(b4["inf"], x2["inf"])
+    assert homeo_oriented(b4["2"], x2["2"])
 
 
 def test_wsl_identification_index_order():
@@ -550,4 +549,4 @@ def test_family1_matches_x0_slot0():
     for m in [m for m in range(-10, 11) if m != 0]:
         (desc, lens), _ = optsurg_catalog(1, m)
         n = 6 if m != -1 else 6  # any valid second parameter
-        assert family_lens("X0", (m, n), rat(0)) == lens
+        assert family_triple("X0", (m, n))[0] == (rat(0), lens)

@@ -5,59 +5,61 @@ from types import SimpleNamespace
 
 import pentangle_oracle as oracle
 import pytest
+from pentangle_oracle import (X_FILLINGS, corot_map, m5_to_p5, mirror_sym,
+                              p5_to_m5, rot3, rot3_fix_ne)
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
-                                    P3_LISTS, P5Filling,
+                                    P3_LISTS, P5Filling as F,
                                     _bits, _corner_groups,
                                     _is_one_minus_reciprocal,
                                     _pair_masks, _partition,
                                     _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
-                                    m5_to_p5, mirror_sym, montesinos_presentations,
-                                    p5_to_m5, rot3, rot3_fix_ne, simplifies,
+                                    montesinos_presentations, simplifies,
                                     stern_brocot_slopes, swap_fb, swap_lr,
                                     swap_tb, two_bridge_necessary,
-                                    verify_simplification, X_FILLINGS)
+                                    verify_simplification)
 from surgeryforge.rationals import (INF, ZERO, ExtRational, cf_eval, rat,
-                                   shift)
+                                   reciprocal, shift)
 from surgeryforge.tangle import is_reciprocal_of_integer
 
 
-def F(nw, ne, sw, se, x=None):
-    return P5Filling(nw, ne, sw, se, x)
-
-
 def test_m5_p5_translation_is_inverse():
-    f = F(rat(3, 2), rat(5), rat(-1), rat(7, 2), rat(0))
-    assert m5_to_p5(p5_to_m5(f)) == f
+    f = F(rat(3, 2), rat(5), rat(-1), rat(7, 2))
+    assert m5_to_p5(p5_to_m5(f, rat(0))) == (f, rat(0))
     m = (rat(2, 3), rat(4), rat(-1, 2), rat(5), rat(7, 3))
-    assert p5_to_m5(m5_to_p5(m)) == m
+    assert p5_to_m5(*m5_to_p5(m)) == m
 
 
 def test_m5_p5_translation_sweep():
     rng = random.Random(7)
     slopes = stern_brocot_slopes(6)
     for _ in range(300):
-        f = F(*(rng.choice(slopes) for _ in range(5)))
-        assert m5_to_p5(p5_to_m5(f)) == f
+        *corners, x = (rng.choice(slopes) for _ in range(5))
+        f = F(*corners)
+        assert m5_to_p5(p5_to_m5(f, x)) == (f, x)
 
 
 def test_fifth_coordinate_pairing():
     # chain fillings 0, 1, inf on the fifth cusp become x = -1, 0, inf
     for a5, x in ((rat(0), rat(-1)), (rat(1), rat(0)), (INF, INF)):
         m = (rat(2), rat(3), rat(5), rat(7), a5)
-        assert m5_to_p5(m).x == x
+        assert m5_to_p5(m)[1] == x
 
 
 def test_symmetry_group_laws():
-    f = F(rat(2, 3), rat(5), INF, rat(-1, 2), rat(4))
+    # the swaps fix the fifth slope x; rot3 moves it by corot_map and the
+    # mirror by reciprocal
+    f, x = F(rat(2, 3), rat(5), INF, rat(-1, 2)), rat(4)
     for swap in (swap_lr, swap_tb, swap_fb):
         assert swap(swap(f)) == f
     assert rot3(rot3(rot3(f))) == f
+    assert corot_map(corot_map(corot_map(x))) == x
     assert rot3_fix_ne(rot3_fix_ne(rot3_fix_ne(f))) == f
     # the mirror squares to the front-back involution
     assert mirror_sym(mirror_sym(f)) == swap_fb(f)
+    assert reciprocal(reciprocal(x)) == x
 
 
 def test_mirror_exchanges_factoring_lists():
@@ -134,6 +136,15 @@ def test_factors_examples():
     assert simplifies(both)
 
 
+def test_simplifies_reads_the_union_of_the_lists():
+    # one pass over the per-pairing union gives the verdict of the
+    # non-hyperbolicity and factoring predicates that the report prints
+    for corners in product(stern_brocot_slopes(3), repeat=4):
+        f = F(*corners)
+        assert simplifies(f) == (is_nonhyperbolic(f)
+                                 or factors_through_P3(f) != "no"), f
+
+
 def test_simplifies_invariant_height_4_exhaustive():
     slopes = stern_brocot_slopes(4)
     maps = (swap_lr, swap_tb, swap_fb, rot3, rot3_fix_ne, mirror_sym)
@@ -147,7 +158,6 @@ def test_simplifies_invariant_height_4_exhaustive():
 def test_necessary_condition_transports_along_rot3():
     # the order-3 rotation permutes the three distinguished fillings
     # x = 0 -> -1 -> inf -> 0, and the chart rows are closed under it
-    from surgeryforge.rationals import corot_map
     slopes = stern_brocot_slopes(3)
     rng = random.Random(101)
     for _ in range(500):
@@ -487,6 +497,7 @@ def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
         lists = [frozenset()] * 3
         lists[pairing] = frozenset({pentangle._key(u, v)})
         monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
+        reunite_simplifying(monkeypatch)
     tb = _SweepTables(slopes)
     assert [a] in _corner_groups(tb, range(tb.n))
     assert_chunks_match_oracle(tb, (1, 3))
@@ -556,16 +567,19 @@ def test_solved_pair_rows_match_scanned_rows():
 
 def empty_lists(monkeypatch, *names):
     """Empty the named simplification lists in the library and the oracle."""
-    none = (frozenset(),) * 3
     for name in names:
-        if name == "NONHYP_LISTS":
-            monkeypatch.setattr(pentangle, name, none)
-            for part in ("_NONHYP_A", "_NONHYP_B", "_NONHYP_C"):
-                monkeypatch.setattr(oracle, part, frozenset())
-        else:
-            empty = frozenset() if name == "_TRIVIAL" else none
-            for module in (pentangle, oracle):
-                monkeypatch.setattr(module, name, empty)
+        empty = frozenset() if name == "_TRIVIAL" else (frozenset(),) * 3
+        for module in (pentangle, oracle):
+            monkeypatch.setattr(module, name, empty)
+    reunite_simplifying(monkeypatch)
+
+
+def reunite_simplifying(monkeypatch):
+    """Rebuild the library's per-pairing union of the condition lists from
+    the lists as patched."""
+    monkeypatch.setattr(pentangle, "_SIMPLIFYING", tuple(map(
+        frozenset.union, pentangle.NONHYP_LISTS, pentangle.P3_LISTS,
+        pentangle.MIRROR_P3_LISTS)))
 
 
 def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):

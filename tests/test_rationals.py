@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pentangle_oracle import corot_map
 from surgeryforge.rationals import (INF, ExtRational, cf_eval,
-                                    cf_expand_norm, cf_solve_tail, corot_map,
+                                    cf_expand_norm, cf_solve_tail,
                                     format_cf, parse_cf, parse_slope, rat,
                                     reciprocal, rot_map, shift)
 

@@ -69,9 +69,9 @@ KINDS = (
               st.integers(-1, 9), small, st.integers(-1, 10)),
     st.builds(lambda s: Make("P5Filling", *s), st.lists(slope, min_size=4,
                                                         max_size=5)),
-    st.builds(lambda s, x: Make("P5Filling", nw=s[0], ne=s[1], sw=s[2],
-                                se=s[3], x=x),
-              st.lists(slope, min_size=4, max_size=4), slope),
+    st.builds(lambda s: Make("P5Filling", nw=s[0], ne=s[1], sw=s[2],
+                             se=s[3]),
+              st.lists(slope, min_size=4, max_size=4)),
     st.builds(lambda p, q, k: Make("CensusEntry", p, q, k),
               small, small, small))
 values = st.one_of(KINDS)

@@ -145,16 +145,12 @@ class P5Filling:
     ne: ExtRational
     sw: ExtRational
     se: ExtRational
-    x: ExtRational = None
 
     def corners(self):
         return (self.nw, self.ne, self.sw, self.se)
 
     def __str__(self):
-        parts = [str(s) for s in self.corners()]
-        if self.x is not None:
-            parts.append(str(self.x))
-        return "P(" + ",".join(parts) + ")"
+        return "P(" + ",".join(str(s) for s in self.corners()) + ")"
 
 
 @dataclass(frozen=True, slots=True, order=True)
