@@ -15,8 +15,8 @@ bounded height and confirms there are no counterexamples.
 from itertools import product
 from operator import itemgetter
 
-from .rationals import (INF, ZERO, ExtRational, FrozenValue, cf_eval, rat,
-                        reciprocal, rot_map, shift)
+from .rationals import (INF, ZERO, ExtRational, FrozenValue, _mobius, rat,
+                        reciprocal, rot_map)
 from .tangle import (MontesinosLink, is_reciprocal_of_integer,
                      montesinos_is_two_bridge)
 
@@ -170,77 +170,59 @@ def simplifies(f):
 
 
 # ---------------------------------------------------------------------------
-# Montesinos presentations.  When a corner slope satisfies the rationality
-# constraint of a chart row, the corresponding filling at x in {0, inf, -1}
-# is a Montesinos link whose factors are evaluated by rational-tail
-# continued fractions.  One base row per x; the other rows are its images
-# under the three x-preserving involutions.
+# The chart rows, one per fifth slope x in {0, inf, -1}.  A row applies when
+# its gate corner lies in the thin slope set of x,
+#
+#     T0 = {inf} u {-1/h},    Tinf = the integers,    Tm1 = {inf} u {1-1/m},
+#
+# where its parameter function solves for h, n or m (inf is h = 0 and
+# m = 0), and gives None off the set.  The x-filling is then the Montesinos
+# link Q(A, B, C) whose factors are three corner slopes under
+# x -> (a x + b)/(c x + d), for integer matrices of the parameter:
+#
+#     x = 0:    nw = [0, h]    Q([-1, h, sw], [ne], [se])
+#     x = inf:  nw = [n]       Q([1, n + ne], [0, sw], [0, se])
+#     x = -1:   ne = [1, m]    Q([1, nw], [m, 1, sw], [-1 + se])
+#
+# Each matrix is a product of c - 1/x = (c, -1; 1, 0) and x + n = (1, n;
+# 0, 1), so it has determinant 1.  The sweep pairs the gate with the corner
+# whose factor reads the parameter.  The other rows of each x are the images
+# of its row under _KLEIN.
 # ---------------------------------------------------------------------------
 
-
-def _h_param(s):
-    # solve s = [0,h] = -1/h for integer h (h = 0 gives inf), given
-    # is_reciprocal_of_integer(s)
-    if s.is_infinite:
-        return 0
-    return -s.den * s.num  # s.num is +-1 here
-
-
-def _is_one_minus_reciprocal(s):
-    # s = [1,m] = 1 - 1/m for integer m (m = 0 gives inf)
-    return s.is_infinite or abs(s.den - s.num) == 1
-
-
-def _m_param(s):
-    # solve s = 1 - 1/m
-    if s.is_infinite:
-        return 0
-    return s.den * (s.den - s.num)  # den - num is +-1 here
-
-
-def _row_west(t):
-    """x = 0 row: needs nw = [0,h]; gives Q([-1,h,sw], [ne], [se])."""
-    if not is_reciprocal_of_integer(t.nw):
-        return None
-    return MontesinosLink((cf_eval([-1, _h_param(t.nw), t.sw]), t.ne, t.se))
-
-
-def _row_north(t):
-    """x = inf row: needs nw = [n]; gives Q([1,n+ne], [0,sw], [0,se])."""
-    if not t.nw.is_integer:
-        return None
-    return MontesinosLink((
-        cf_eval([1, shift(t.ne, t.nw.num)]),
-        cf_eval([0, t.sw]),
-        cf_eval([0, t.se]),
-    ))
-
-
-def _row_front(t):
-    """x = -1 row: needs ne = [1,m]; gives Q([1,nw], [m,1,sw], [-1+se])."""
-    if not _is_one_minus_reciprocal(t.ne):
-        return None
-    return MontesinosLink((
-        cf_eval([1, t.nw]),
-        cf_eval([_m_param(t.ne), 1, t.sw]),
-        shift(t.se, -1),
-    ))
-
-
-_BASE_ROWS = {(0, 1): _row_west, (1, 0): _row_north, (-1, 1): _row_front}
+# x -> (gate corner, parameter of a gate slope, paired corner, the factors
+# as (corner, matrix of the parameter) in printed order)
+_ROWS = {
+    ZERO: ("nw", lambda s: (-s.num * s.den if is_reciprocal_of_integer(s)
+                            else None),
+           "sw", (("sw", lambda h: (-h - 1, 1, h, -1)),
+                  ("ne", lambda h: (1, 0, 0, 1)),
+                  ("se", lambda h: (1, 0, 0, 1)))),
+    INF: ("nw", lambda s: s.num if s.is_integer else None,
+          "ne", (("ne", lambda n: (1, n - 1, 1, n)),
+                 ("sw", lambda n: (0, -1, 1, 0)),
+                 ("se", lambda n: (0, -1, 1, 0)))),
+    rat(-1): ("ne", lambda s: (s.den * (s.den - s.num)
+                               if abs(s.den - s.num) == 1 else None),
+              "sw", (("nw", lambda m: (1, -1, 1, 0)),
+                     ("sw", lambda m: (m - 1, -m, 1, -1)),
+                     ("se", lambda m: (1, -1, 0, 1)))),
+}
 
 
 def montesinos_presentations(f, x):
     """All Montesinos presentations of the x-filling, x in {0, inf, -1}."""
-    key = (x.num, x.den)
-    if key not in _BASE_ROWS:
+    if x not in _ROWS:
         raise ValueError("x must be one of 0, inf, -1")
-    row = _BASE_ROWS[key]
+    gate, param, _, factors = _ROWS[x]
     out = []
     for g in _KLEIN:
-        link = row(g(f))
-        if link is not None:
-            out.append(link)
+        t = g(f)
+        h = param(getattr(t, gate))
+        if h is not None:
+            out.append(MontesinosLink(
+                _mobius(getattr(t, corner), *matrix(h))
+                for corner, matrix in factors))
     return out
 
 
@@ -256,15 +238,22 @@ def two_bridge_necessary(f, x):
 # that check the two order-3 symmetries permute the cases as expected).
 # ---------------------------------------------------------------------------
 
+
+def _thin(x, corner):
+    """The test that a filling's corner lies in the thin set of x."""
+    param = _ROWS[x][1]
+    return lambda f: param(getattr(f, corner)) is not None
+
+
 ROW_CONSTRAINTS = {
-    "WxNW": lambda f: is_reciprocal_of_integer(f.nw),
-    "WxSW": lambda f: is_reciprocal_of_integer(f.sw),
-    "ExNE": lambda f: is_reciprocal_of_integer(f.ne),
-    "ExSE": lambda f: is_reciprocal_of_integer(f.se),
-    "NxNW": lambda f: f.nw.is_integer,
-    "NxNE": lambda f: f.ne.is_integer,
-    "FxNE": lambda f: _is_one_minus_reciprocal(f.ne),
-    "FxSW": lambda f: _is_one_minus_reciprocal(f.sw),
+    "WxNW": _thin(ZERO, "nw"),
+    "WxSW": _thin(ZERO, "sw"),
+    "ExNE": _thin(ZERO, "ne"),
+    "ExSE": _thin(ZERO, "se"),
+    "NxNW": _thin(INF, "nw"),
+    "NxNE": _thin(INF, "ne"),
+    "FxNE": _thin(rat(-1), "ne"),
+    "FxSW": _thin(rat(-1), "sw"),
 }
 
 # one x = 0 row, one x = inf row and one x = -1 row per case, numbered 1-16
@@ -306,27 +295,25 @@ def stern_brocot_slopes(bound):
 # ---------------------------------------------------------------------------
 # The sweep.  Masks are Python ints over the slope list: bit s refers to
 # slope s, in the se position unless said otherwise.  Each of the three
-# necessary conditions can pass only through a corner in a thin slope set,
-#
-#     T0 = {inf} u {-1/h},    Tinf = the integers,    Tm1 = {inf} u {1-1/m},
-#
-# for x = 0, inf and -1, with masks M0, Minf and Mm1.  For fixed corners
-# nw, ne, sw = i, j, k each condition is then `full`, its thin mask, or one
-# symmetric pair row V[s], the slopes t for which the chart-row factor of
-# (s, t) or of (t, s) is the reciprocal of an integer:
+# necessary conditions can pass only through a corner in the thin set T0,
+# Tinf or Tm1 of its chart rows, with masks M0, Minf and Mm1.  For fixed
+# corners nw, ne, sw = i, j, k each condition is then `full`, its thin mask,
+# or one symmetric pair row V[s], the slopes t for which the paired factor
+# of the gate s and the paired corner t, or of t and s, is the reciprocal of
+# an integer:
 #
 #             value     unless           then full when               else
 #     x0      V0[j]     i or k in T0     j in T0 or k in V0[i]        M0
 #     xinf    Vinf[k]   i or j in Tinf   k in Tinf or j in Vinf[i]    Minf
 #     xm1     Vm1[i]    j or k in Tm1    i in Tm1 or k in Vm1[j]      Mm1
 #
-# A chart-row factor of (s, t) is t under x -> (a x + b)/(c x + d) for an
-# integer matrix of determinant 1 given by s, since c - 1/x is (c, -1; 1, 0)
-# and x + n is (1, n; 0, 1).  For t = p/q in lowest terms a p + b q and
-# c p + d q are then coprime, so the factor is the reciprocal of an integer,
-# or inf, exactly when a p + b q = +-1: when (p, q) = +-(d - b h, a h - c)
-# for an integer h.  The rows are solved for the O(bound) values of h that
-# keep q (or p, when a = 0) within the bound, not scanned.
+# The paired factor is t under the determinant-1 matrix (a, b; c, d) that
+# _ROWS gives for the parameter of s.  For t = p/q in lowest terms a p + b q
+# and c p + d q are then coprime, so the factor is the reciprocal of an
+# integer, or inf, exactly when a p + b q = +-1: when (p, q) =
+# +-(d - b z, a z - c) for an integer z.  The rows are solved for the
+# O(bound) values of z that keep q (or p, when a = 0) within the bound, not
+# scanned.
 #
 # _KLEIN moves each corner into the nw slot once, and it fixes each
 # necessary condition (montesinos_presentations ranges over it) and each
@@ -388,34 +375,22 @@ class _SweepTables:
                     m |= 1 << j
             return m
 
-        self.in0 = [is_reciprocal_of_integer(s) for s in slopes]
-        self.m0 = mask(self.in0)
-        self.ininf = [s.is_integer for s in slopes]
-        self.minf = mask(self.ininf)
-        self.inm1 = [_is_one_minus_reciprocal(s) for s in slopes]
-        self.mm1 = mask(self.inm1)
-        self.triv = [(s.num, s.den) in _TRIVIAL for s in slopes]
-        self.triv_mask = mask(self.triv)
-        # the nw corners the kernel walks, and the slopes after all of them
-        self.walk = [i for i in range(n) if self.in0[i]]
-        self.off0 = self.full & ~self.m0
-
         index = {(s.num, s.den): i for i, s in enumerate(slopes)}
         height = max(max(abs(p), q) for p, q in index)
 
-        def pair_rows(thin, matrix):
+        def pair_rows(params, matrix):
             rows = [0] * n
-            for i, s in enumerate(slopes):
-                if not thin[i]:
+            for i, h in enumerate(params):
+                if h is None:
                     continue
-                a, b, c, d = matrix(s)
-                # the h with |u h - v| <= height, for q = a h - c or, when
-                # a = 0, for p = d - b h
+                a, b, c, d = matrix(h)
+                # the z with |u z - v| <= height, for q = a z - c or, when
+                # a = 0, for p = d - b z
                 u, v = (a, c) if a else (b, d)
                 if u < 0:
                     u, v = -u, -v
-                for h in range(-((height - v) // u), (height + v) // u + 1):
-                    p, q = d - b * h, a * h - c
+                for z in range(-((height - v) // u), (height + v) // u + 1):
+                    p, q = d - b * z, a * z - c
                     if q < 0 or not q and p < 0:
                         p, q = -p, -q
                     j = index.get((p, q))
@@ -424,13 +399,21 @@ class _SweepTables:
                         rows[j] |= 1 << i
             return rows
 
-        # [-1, h, t], [1, t + n] and [m, 1, t]
-        self.v0 = pair_rows(self.in0,
-                            lambda s: (-_h_param(s) - 1, 1, _h_param(s), -1))
-        self.vinf = pair_rows(self.ininf,
-                              lambda s: (1, s.num - 1, 1, s.num))
-        self.vm1 = pair_rows(self.inm1,
-                             lambda s: (_m_param(s) - 1, -_m_param(s), 1, -1))
+        # per chart row: its thin set as flags and mask, and the pair rows
+        # of its paired factor
+        tables = []
+        for _, param, pair, factors in _ROWS.values():
+            params = [param(s) for s in slopes]
+            thin = [h is not None for h in params]
+            tables.append((thin, mask(thin),
+                           pair_rows(params, dict(factors)[pair])))
+        ((self.in0, self.m0, self.v0), (self.ininf, self.minf, self.vinf),
+         (self.inm1, self.mm1, self.vm1)) = tables
+        self.triv = [(s.num, s.den) in _TRIVIAL for s in slopes]
+        self.triv_mask = mask(self.triv)
+        # the nw corners the kernel walks, and the slopes after all of them
+        self.walk = [i for i in range(n) if self.in0[i]]
+        self.off0 = self.full & ~self.m0
         self.fulls = [self.full] * n
         self._near = {}
 

@@ -10,8 +10,8 @@ Continued fractions use the minus convention
 
 evaluated right to left by x -> a - 1/x with the Moebius conventions
 1/0 = inf, 1/inf = 0 and a - inf = inf.  The empty word evaluates to inf.
-Only the final entry of a continued fraction may itself be a rational; this
-is what the tangle calculus needs for words like [-1, h, sw].
+Only the final entry of a continued fraction may itself be a rational, a
+rational tail as in the word [1, 2, 3/5].
 """
 
 from math import gcd
@@ -136,11 +136,6 @@ def _mobius(x, a, b, c, d):
 def reciprocal(x):
     """x -> 1/x, with 1/0 = inf and 1/inf = 0."""
     return _mobius(x, 0, 1, 1, 0)
-
-
-def shift(x, n):
-    """x -> x + n for an integer n; fixes inf."""
-    return _mobius(x, 1, n, 0, 1)
 
 
 def rot_map(x):

@@ -14,16 +14,19 @@ reports what the counting kernel reports for a chunk.
 
 The chain coordinates of a five-cusp filling and the order-3 and mirror
 symmetries, which no command reads, are kept here for the tests of the
-condition lists and the necessary conditions."""
+condition lists and the necessary conditions.
+
+The chart rows as continued-fraction words, with their own solvers for the
+thin-set parameters, are the reference for the library's matrix table
+_ROWS: the presentations, the case constraints and, through _sweep_chunk's
+tables, the pair rows."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, P5Filling, _KLEIN, _TRIVIAL,
-                                    _bits, _h_param,
-                                    _is_one_minus_reciprocal, _key, _m_param,
-                                    swap_tb)
+                                    _bits, _key, swap_tb)
 from surgeryforge.rationals import (INF, ZERO, _mobius, cf_eval, cf_step, rat,
-                                    reciprocal, rot_map, shift)
-from surgeryforge.tangle import (is_reciprocal_of_integer,
+                                    reciprocal, rot_map)
+from surgeryforge.tangle import (MontesinosLink, is_reciprocal_of_integer,
                                  is_reciprocal_of_integer as _is_neg_reciprocal)
 
 MINUS_ONE = rat(-1)
@@ -33,6 +36,91 @@ X_FILLINGS = (ZERO, INF, MINUS_ONE)
 def corot_map(x):
     """The order-3 map x -> -1/(1 + x)."""
     return _mobius(x, 0, -1, 1, 1)
+
+
+def shift(x, n):
+    """x -> x + n for an integer n; fixes inf."""
+    return _mobius(x, 1, n, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The chart rows as words.  One base row per x; the other rows are its
+# images under the three x-preserving involutions.
+# ---------------------------------------------------------------------------
+
+
+def _h_param(s):
+    # solve s = [0,h] = -1/h for integer h (h = 0 gives inf), given
+    # is_reciprocal_of_integer(s)
+    if s.is_infinite:
+        return 0
+    return -s.den * s.num  # s.num is +-1 here
+
+
+def _is_one_minus_reciprocal(s):
+    # s = [1,m] = 1 - 1/m for integer m (m = 0 gives inf)
+    return s.is_infinite or abs(s.den - s.num) == 1
+
+
+def _m_param(s):
+    # solve s = 1 - 1/m
+    if s.is_infinite:
+        return 0
+    return s.den * (s.den - s.num)  # den - num is +-1 here
+
+
+def _row_west(t):
+    """x = 0 row: needs nw = [0,h]; gives Q([-1,h,sw], [ne], [se])."""
+    if not is_reciprocal_of_integer(t.nw):
+        return None
+    return MontesinosLink((cf_eval([-1, _h_param(t.nw), t.sw]), t.ne, t.se))
+
+
+def _row_north(t):
+    """x = inf row: needs nw = [n]; gives Q([1,n+ne], [0,sw], [0,se])."""
+    if not t.nw.is_integer:
+        return None
+    return MontesinosLink((
+        cf_eval([1, shift(t.ne, t.nw.num)]),
+        cf_eval([0, t.sw]),
+        cf_eval([0, t.se]),
+    ))
+
+
+def _row_front(t):
+    """x = -1 row: needs ne = [1,m]; gives Q([1,nw], [m,1,sw], [-1+se])."""
+    if not _is_one_minus_reciprocal(t.ne):
+        return None
+    return MontesinosLink((
+        cf_eval([1, t.nw]),
+        cf_eval([_m_param(t.ne), 1, t.sw]),
+        shift(t.se, -1),
+    ))
+
+
+_BASE_ROWS = {ZERO: _row_west, INF: _row_north, MINUS_ONE: _row_front}
+
+
+def montesinos_presentations(f, x):
+    """All Montesinos presentations of the x-filling, x in {0, inf, -1}."""
+    out = []
+    for g in _KLEIN:
+        link = _BASE_ROWS[x](g(f))
+        if link is not None:
+            out.append(link)
+    return out
+
+
+ROW_CONSTRAINTS = {
+    "WxNW": lambda f: is_reciprocal_of_integer(f.nw),
+    "WxSW": lambda f: is_reciprocal_of_integer(f.sw),
+    "ExNE": lambda f: is_reciprocal_of_integer(f.ne),
+    "ExSE": lambda f: is_reciprocal_of_integer(f.se),
+    "NxNW": lambda f: f.nw.is_integer,
+    "NxNE": lambda f: f.ne.is_integer,
+    "FxNE": lambda f: _is_one_minus_reciprocal(f.ne),
+    "FxSW": lambda f: _is_one_minus_reciprocal(f.sw),
+}
 
 
 # Filling the double branched cover picture gives a chain-link filling
@@ -370,10 +458,3 @@ def scan_pair_rows(slopes, thin, matrix):
                 rows[j] |= 1 << i
     return rows
 
-
-# the chart-row matrices of [-1, h, t], [1, t + n] and [m, 1, t]
-ROW_MATRICES = (
-    lambda s: (-_h_param(s) - 1, 1, _h_param(s), -1),
-    lambda s: (1, s.num - 1, 1, s.num),
-    lambda s: (_m_param(s) - 1, -_m_param(s), 1, -1),
-)

@@ -5,13 +5,14 @@ from types import SimpleNamespace
 
 import pentangle_oracle as oracle
 import pytest
-from pentangle_oracle import (X_FILLINGS, corot_map, m5_to_p5, mirror_sym,
-                              p5_to_m5, rot3, rot3_fix_ne)
+from pentangle_oracle import (X_FILLINGS, _is_one_minus_reciprocal,
+                              corot_map, m5_to_p5, mirror_sym, p5_to_m5, rot3,
+                              rot3_fix_ne, shift)
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
-                                    P3_LISTS, P5Filling as F,
+                                    P3_LISTS, ROW_CONSTRAINTS,
+                                    P5Filling as F, _ROWS,
                                     _bits, _corner_groups,
-                                    _is_one_minus_reciprocal,
                                     _pair_masks, _partition,
                                     _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
@@ -21,8 +22,14 @@ from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     swap_tb, two_bridge_necessary,
                                     verify_simplification)
 from surgeryforge.rationals import (INF, ZERO, ExtRational, cf_eval, rat,
-                                   reciprocal, shift)
-from surgeryforge.tangle import is_reciprocal_of_integer
+                                   reciprocal)
+from surgeryforge.tangle import (is_reciprocal_of_integer,
+                                 montesinos_is_two_bridge)
+
+
+# the thin slope sets T0, Tinf and Tm1 of the chart rows of x = 0, inf, -1
+THIN = {ZERO: is_reciprocal_of_integer, INF: lambda s: s.is_integer,
+        rat(-1): _is_one_minus_reciprocal}
 
 
 def test_m5_p5_translation_is_inverse():
@@ -265,8 +272,6 @@ def test_necessary_tuples_have_a_corner_in_the_thin_sets():
     # T0 = {inf} u {-1/h}, as every x = 0 row needs nw in T0 and the rows
     # range over the Klein four-group; likewise the integers for x = inf
     # and {inf} u {1-1/m} for x = -1
-    thin = {ZERO: is_reciprocal_of_integer, INF: lambda s: s.is_integer,
-            rat(-1): _is_one_minus_reciprocal}
     fillings = [F(*corners) for corners in product(stern_brocot_slopes(2),
                                                     repeat=4)]
     slopes = stern_brocot_slopes(6)
@@ -278,7 +283,7 @@ def test_necessary_tuples_have_a_corner_in_the_thin_sets():
         for x in X_FILLINGS:
             if two_bridge_necessary(f, x):
                 passed[x] += 1
-                assert any(map(thin[x], f.corners())), (f, x)
+                assert any(map(THIN[x], f.corners())), (f, x)
     assert all(passed.values())
 
 
@@ -559,10 +564,48 @@ def test_solved_pair_rows_match_scanned_rows():
     for bound in range(2, 41):
         slopes = stern_brocot_slopes(bound)
         tb = _SweepTables(slopes)
-        for rows, thin, matrix in zip((tb.v0, tb.vinf, tb.vm1),
-                                      (tb.in0, tb.ininf, tb.inm1),
-                                      oracle.ROW_MATRICES):
-            assert rows == oracle.scan_pair_rows(slopes, thin, matrix), bound
+        for rows, thin, (_, param, pair, factors) in zip(
+                (tb.v0, tb.vinf, tb.vm1), (tb.in0, tb.ininf, tb.inm1),
+                _ROWS.values()):
+            matrix = dict(factors)[pair]
+            assert rows == oracle.scan_pair_rows(
+                slopes, thin, lambda s: matrix(param(s))), bound
+
+
+def test_row_parameters_solve_the_gates():
+    # each parameter is the h, n or m whose word [0, h], [n] or [1, m] is
+    # the gate slope, and it is given exactly on the thin set
+    words = {ZERO: lambda h: [0, h], INF: lambda n: [n],
+             rat(-1): lambda m: [1, m]}
+    for s in stern_brocot_slopes(20):
+        for x, (_, param, _, _) in _ROWS.items():
+            h = param(s)
+            assert (h is not None) == THIN[x](s), (s, x)
+            assert h is None or cf_eval(words[x](h)) == s, (s, x)
+
+
+def test_row_matrices_have_determinant_one():
+    # the pair-row solver and the presentations' Moebius maps rely on it
+    for _, _, _, factors in _ROWS.values():
+        for _, matrix in factors:
+            for h in range(-50, 51):
+                a, b, c, d = matrix(h)
+                assert a * d - b * c == 1, (matrix, h)
+
+
+def test_rows_match_chart_words_exhaustive_height_2():
+    # the matrix table against the rows as continued-fraction words: every
+    # presentation, necessary condition and case constraint of every
+    # height-2 filling
+    for corners in product(stern_brocot_slopes(2), repeat=4):
+        f = F(*corners)
+        for x in X_FILLINGS:
+            want = oracle.montesinos_presentations(f, x)
+            assert montesinos_presentations(f, x) == want, (f, x)
+            assert two_bridge_necessary(f, x) == any(
+                map(montesinos_is_two_bridge, want)), (f, x)
+        for name, holds in ROW_CONSTRAINTS.items():
+            assert holds(f) == oracle.ROW_CONSTRAINTS[name](f), (f, name)
 
 
 def empty_lists(monkeypatch, *names):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pentangle_oracle import corot_map
+from pentangle_oracle import corot_map, shift
 from surgeryforge.rationals import (INF, ExtRational, cf_eval,
                                     cf_expand_norm, cf_solve_tail,
                                     format_cf, parse_cf, parse_slope, rat,
-                                    reciprocal, rot_map, shift)
+                                    reciprocal, rot_map)
 
 # Independent oracle: evaluate the minus-convention word with Fractions,
 # using None for infinity.
