@@ -4,14 +4,26 @@ deterministic JSON/CSV/text reports.
 Exit codes: 0 on success, 1 when a verification command finds
 counterexamples, 2 on usage errors.  Output is byte-identical across runs
 and across --jobs values; timing is only attached when --timing is passed.
+
+The parser reads argv as argparse reads the COMMANDS table built as one
+subparser level per command word (tests/cli_oracle.py keeps that parser as
+the reference):
+
+- the global options --format, --jobs and --timing go before the first
+  command word, and a command's options after its last word;
+- an option takes its value as --format=text or --format text, and any
+  unique prefix names it: --form text, --tm 2, --b 3;
+- "--" ends the options of the level that reads it;
+- a negative number or fraction, such as -1.5 or -7/3, is an argument;
+- -h at any level prints that level's help and exits 0.
+
+No command imports argparse or json.
 """
 
-import argparse
 import importlib.util
-import json
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__, lens, rationals
 from .rationals import parse_cf, parse_slope
@@ -48,7 +60,24 @@ def _jsonable(value):
 
 
 def _compact(value):
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """value as json.dumps(value, sort_keys=True, separators=(",", ":"))
+    writes it, for the values _jsonable returns."""
+    if isinstance(value, str):
+        if (value.isascii() and value.isprintable() and '"' not in value
+                and "\\" not in value):
+            return f'"{value}"'
+        import json  # escapes; no report string needs them
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{_compact(key)}:{_compact(value[key])}"
+                              for key in sorted(value)) + "}"
+    return "[" + ",".join(map(_compact, value)) + "]"
 
 
 def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
@@ -115,39 +144,34 @@ def _emit_text(report):
         print(f"elapsed_ms: {report['elapsed_ms']}")
 
 
-_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reads a negative fraction such as -7/3 as a positional, as argparse
-    already does for a negative integer, and raises a usage error as a
-    ValueError, so that main reports it on one line and exits 2; subparsers
-    inherit the class."""
-
-    def _parse_optional(self, arg_string):
-        if _NEGATIVE_FRACTION.match(arg_string):
-            return None
-        return super()._parse_optional(arg_string)
-
-    def error(self, message):
-        raise ValueError(message)
-
-
 # The command table: command words -> (arguments, handler), each argument a
-# (flags, keywords) pair for add_argument.  Each word is one subparser level,
-# and the arguments belong to the parser of the last word, which records
-# the entry's name as args.command.  A handler returns (parameters, results)
-# or (parameters, results, counterexamples), with results a dict or a list
-# of dicts, which is what the emitters read; a sweep returns the (results,
-# counterexamples) pair itself, and its handler passes it through after the
-# parameters.  Fields hold library values, which _jsonable prints through
-# their __str__.  Handlers call library functions through their modules at
-# call time, so that a function replaced on its module (by a test or a
-# tracer) is the one that runs.
+# (flags, keywords) pair as argparse's add_argument takes them.  Each word is
+# one level of the parser, and the arguments belong to the level of the last
+# word, which records the entry's name as args.command.  A handler returns
+# (parameters, results) or (parameters, results, counterexamples), with
+# results a dict or a list of dicts, which is what the emitters read; a
+# sweep returns the (results, counterexamples) pair itself, and its handler
+# passes it through after the parameters.  Fields hold library values, which
+# _jsonable prints through their __str__.  Handlers call library functions
+# through their modules at call time, so that a function replaced on its
+# module (by a test or a tracer) is the one that runs.
 COMMANDS = {}
 
 
+# The keywords the parser reads, with the values it reads for those that
+# choose a behaviour.  Any other raises here, at import, so that no argument
+# is read other than as argparse reads it.  A default is stored as given,
+# never converted by the type as argparse converts a string default.
+_KEYWORD_VALUES = {"type": (int,), "action": ("store_true",),
+                   "nargs": ("+", "?")}
+_KEYWORDS = {"choices", "default", "required", "help", *_KEYWORD_VALUES}
+
+
 def _arg(*flags, **keywords):
+    for key, value in keywords.items():
+        if key not in _KEYWORDS or value not in _KEYWORD_VALUES.get(
+                key, (value,)):
+            raise TypeError(f"unsupported argument keyword {key}={value!r}")
     return flags, keywords
 
 
@@ -365,77 +389,338 @@ def _families_fes_triple(args):
                 for key, val in data.items()}
 
 
-def _command_tree():
-    """The command words as nested dicts, in the order of COMMANDS: each
-    word maps to the words below it, or at a leaf to its command name."""
-    tree = {}
-    for name in COMMANDS:
-        *path, last = name.split()
-        node = tree
-        for word in path:
-            node = node.setdefault(word, {})
-        node[last] = name
-    return tree
+# The parser reads argv as argparse reads it with one subparser level per
+# command word and a command's arguments on the level of its last word, and
+# reads a negative fraction such as -7/3 as an argument, as argparse reads a
+# negative number.  tests/cli_oracle.py keeps that argparse parser, and the
+# tests compare the two.  A level classifies the tokens left to it in
+# argparse's pattern letters: O an option, A an argument, - the first "--".
+
+_PARSER = "A..."  # the nargs of the choice of the next command word
+# argparse's nargs regexes, -*A-*, -*A?-*, -*A[A-]* and -*A[-AO]*, as runs
+# of (letters, fewest, most) with None for no limit
+_DASHES = ("-", 0, None)
+_RUNS = {None: (_DASHES, ("A", 1, 1), _DASHES),
+         "?": (_DASHES, ("A", 0, 1), _DASHES),
+         "+": (_DASHES, ("A", 1, 1), ("A-", 0, None)),
+         _PARSER: (_DASHES, ("A", 1, 1), ("-AO", 0, None))}
 
 
-def _next_word(node, tokens):
-    """(word, first) for the first token that is a word of node, or None,
-    consuming tokens up to it; first when no token came before it, so that
-    argparse reads the word before anything that could make it print every
-    word of the level, as help or an "invalid choice" message does."""
-    for count, token in enumerate(tokens):
-        if token in node:
-            return token, count == 0
-    return None, False
+class _Action:
+    """An argument of a parser level, read from add_argument's (flags,
+    keywords): an option or a positional, -h, or the choice of the next
+    command word, which store no field."""
+
+    __slots__ = ("flags", "dest", "name", "nargs", "type", "choices",
+                 "default", "required", "help")
+
+    def __init__(self, flags, keywords, stored=True):
+        optional = flags[0].startswith("-")
+        store_true = keywords.get("action") == "store_true"
+        self.flags = flags if optional else ()
+        self.dest = None if not stored else (
+            flags[0].lstrip("-").replace("-", "_") if optional else flags[0])
+        self.name = "/".join(flags)
+        self.nargs = 0 if store_true else keywords.get("nargs")
+        self.type = keywords.get("type")
+        self.choices = keywords.get("choices")
+        self.default = keywords.get("default", False if store_true else None)
+        self.required = keywords.get("required",
+                                     not optional and self.nargs != "?")
+        self.help = keywords.get("help")
 
 
-def _build_parser(argv):
-    """The parser for argv.  Each level on argv's command path gets a parser
-    for the word argv reads there when it is the level's first token, and
-    otherwise for every word of the level, which argparse may then list in
-    help or an "invalid choice" message; only the word argv reads gets
-    subparsers, and a command its arguments."""
-    parser = _Parser(
-        prog="surgeryforge",
-        description="exact Dehn-surgery calculators and verification sweeps")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default: 1)")
-    parser.add_argument("--timing", action="store_true",
-                        help="attach elapsed_ms to the report")
-    # The word argparse reads at a level is the first token that is a word
-    # of the level: before the first command word argv holds only global
-    # options, whose values (a format, an integer) are never command words,
-    # and a value that is one fails in argparse before any word is read.
-    node, level_parser, tokens = _command_tree(), parser, iter(argv)
-    while isinstance(node, dict):
-        level = level_parser.add_subparsers(required=True)
-        word, first = _next_word(node, tokens)
-        children = {w: level.add_parser(w)
-                    for w in ([word] if first else node)}
-        if word is None:
-            return parser
-        node, level_parser = node[word], children[word]
-    level_parser.set_defaults(command=node)
-    for flags, keywords in COMMANDS[node][0]:
-        level_parser.add_argument(*flags, **keywords)
-    return parser
+_HELP = _Action(("-h", "--help"), {"action": "store_true",
+                                   "help": "show this help message and exit"},
+                stored=False)
+_GLOBALS = tuple(_Action(*arg) for arg in (
+    _arg("--format", choices=("json", "csv", "text"), default="json"),
+    _arg("--jobs", type=int, default=1, help="worker processes (default: 1)"),
+    _arg("--timing", action="store_true",
+         help="attach elapsed_ms to the report")))
+
+
+def _error(action, message):
+    return ValueError(f"argument {action.name}: {message}")
+
+
+def _negative_number(string):
+    """Whether string, which starts with "-", reads as a negative number:
+    -D, -D.D, -.D or -D/D with D a run of decimal digits, where, as at the
+    $ of argparse's regexes, one final newline may follow.  No option of
+    the table starts with "-" and a digit or ".", so no option reads so."""
+    body = string[1:].removesuffix("\n")
+    whole, point, part = body.partition(".")
+    if whole.isdecimal() and not point or part.isdecimal() and (
+            not whole or whole.isdecimal()):
+        return True
+    whole, slash, part = body.partition("/")
+    return slash != "" and whole.isdecimal() and part.isdecimal()
+
+
+def _option(options, string):
+    """(action or None, flag, explicit value or None) for a string read as
+    an option of a level with these options, or None for an argument."""
+    if not string.startswith("-") or _negative_number(string):
+        return None
+    if string in options:
+        return options[string], string, None
+    if len(string) == 1:
+        return None
+    flag, equals, explicit = string.partition("=")
+    if equals and flag in options:
+        return options[flag], flag, explicit
+    if string[1] == "-":
+        # a long option is matched by its prefix before "="
+        matches = [(options[f], f, explicit if equals else None)
+                   for f in options if f.startswith(flag)]
+    else:
+        # -hX reads as -h with the explicit value X
+        matches = [(options[f], f, string[2:] if f == string[:2] else None)
+                   for f in options
+                   if f == string[:2] or f.startswith(string)]
+    if len(matches) > 1:
+        flags = ", ".join(f for _, f, _ in matches)
+        raise ValueError(f"ambiguous option: {string} could match {flags}")
+    if matches:
+        return matches[0]
+    return None if " " in string else (None, string, None)
+
+
+def _match(groups, pattern):
+    """The letter count of each group of runs matched at the start of
+    pattern as re.match matches their regexes: each run takes all the
+    letters it can and gives them back one at a time while the runs after
+    it fail; None when nothing matches."""
+    runs = [run for group in groups for run in group]
+
+    def walk(k, at):
+        if k == len(runs):
+            return []
+        letters, fewest, most = runs[k]
+        end = at
+        while (end < len(pattern) and pattern[end] in letters
+               and (most is None or end - at < most)):
+            end += 1
+        for stop in range(end, at + fewest - 1, -1):
+            rest = walk(k + 1, stop)
+            if rest is not None:
+                return [stop - at, *rest]
+        return None
+
+    counts = walk(0, 0)  # per run; each group is three runs
+    return None if counts is None else [sum(counts[3 * g:3 * g + 3])
+                                        for g in range(len(groups))]
+
+
+def _value(action, string):
+    """string converted by the action's type and checked against its
+    choices."""
+    value = string
+    if action.type is int:
+        try:
+            value = int(string)
+        except ValueError:
+            raise _error(action, f"invalid int value: {string!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise _error(action,
+                     f"invalid choice: {value!r} (choose from {choices})")
+    return value
+
+
+def _values(action, strings):
+    """The field an action stores from the strings it took: one value for
+    nargs None or "?" with one string, the default for "?" with none, else
+    a list.  The first "--" among them is dropped."""
+    if "--" in strings:
+        strings.remove("--")
+    if len(strings) == 1 and action.nargs in (None, "?"):
+        return _value(action, strings[0])
+    if not strings and action.nargs == "?":
+        return action.default
+    return [_value(action, string) for string in strings]
+
+
+def _help(words, actions):
+    """The -h text of a level, laid out as argparse lays it out, but with
+    the usage on one line."""
+    def metavar(action):
+        if action.choices is not None:
+            return "{" + ",".join(action.choices) + "}"
+        return action.dest.upper() if action.flags else action.name
+
+    def usage(action):
+        if action.flags:
+            flag = action.flags[0]
+            part = flag if action.nargs == 0 else f"{flag} {metavar(action)}"
+            return part if action.required else f"[{part}]"
+        m = metavar(action)
+        return {None: m, "?": f"[{m}]", "+": f"{m} [{m} ...]",
+                _PARSER: f"{m} ..."}[action.nargs]
+
+    def invocation(action):
+        if not action.flags:
+            return metavar(action)
+        if action.nargs == 0:
+            return ", ".join(action.flags)
+        return ", ".join(f"{flag} {metavar(action)}" for flag in action.flags)
+
+    options = [action for action in actions if action.flags]
+    positionals = [action for action in actions if not action.flags]
+    column = min(max(len(invocation(action)) for action in actions) + 4, 24)
+    lines = [" ".join(["usage:", "surgeryforge", *words,
+                       *map(usage, options + positionals)]), ""]
+    if not words:
+        lines += ["exact Dehn-surgery calculators and verification sweeps", ""]
+    for title, group in (("positional arguments:", positionals),
+                         ("options:", options)):
+        if group:
+            lines.append(title)
+            for action in group:
+                entry = "  " + invocation(action)
+                if action.help and len(entry) <= column - 2:
+                    entry = entry.ljust(column) + action.help
+                elif action.help:
+                    entry += "\n" + " " * column + action.help
+                lines.append(entry)
+            lines.append("")
+    return "\n".join(lines)
+
+
+def _parse_level(words, strings, fields):
+    """Read strings into fields at the level below the command words
+    `words`, as argparse's parse_known_args reads them, and return the
+    strings that no level read."""
+    name = " ".join(words)
+    if name in COMMANDS:
+        actions = [_HELP, *(_Action(*arg) for arg in COMMANDS[name][0])]
+        fields["command"] = name
+    else:
+        prefix = f"{name} " if words else ""
+        below = tuple(dict.fromkeys(command[len(prefix):].split()[0]
+                                    for command in COMMANDS
+                                    if command.startswith(prefix)))
+        actions = [_HELP, *(() if words else _GLOBALS),
+                   _Action(("{" + ",".join(below) + "}",),
+                           {"choices": below, "nargs": _PARSER},
+                           stored=False)]
+    for action in actions:
+        if action.dest is not None:
+            fields[action.dest] = action.default
+    options = {flag: action for action in actions for flag in action.flags}
+    pattern, found = "", {}
+    for i, string in enumerate(strings):
+        if string == "--":
+            pattern += "-" + "A" * (len(strings) - i - 1)
+            break
+        option = _option(options, string)
+        if option is not None:
+            found[i] = option
+        pattern += "A" if option is None else "O"
+    positionals = [action for action in actions if not action.flags]
+    seen, unread, deeper = set(), [], []
+
+    def take(action, taken):
+        seen.add(action)
+        if action is _HELP:
+            sys.stdout.write(_help(words, actions))
+            raise SystemExit(0)
+        if action.nargs == 0:
+            fields[action.dest] = True
+        elif action.nargs == _PARSER:
+            word = _value(action, taken[0])
+            deeper.extend(_parse_level((*words, word), taken[1:], fields))
+        else:
+            fields[action.dest] = _values(action, taken)
+
+    def consume_optional(i):
+        action, flag, explicit = found[i]
+        if action is None:
+            unread.append(strings[i])
+            return i + 1
+        taken, stop = [], i + 1
+        # -hh reads as -h -h; any other letter after -h is an error
+        while explicit is not None and action.nargs == 0:
+            if flag[1] == "-" or "-" + explicit[:1] not in options:
+                raise _error(action,
+                             f"ignored explicit argument {explicit!r}")
+            taken.append((action, []))
+            flag = "-" + explicit[0]
+            action, explicit = options[flag], explicit[1:] or None
+        if explicit is not None:
+            taken.append((action, [explicit]))
+        else:
+            if action.nargs != 0:
+                if pattern[stop:stop + 1] != "A":
+                    raise _error(action, "expected one argument")
+                stop += 1
+            taken.append((action, strings[i + 1:stop]))
+        for action, values in taken:
+            take(action, values)
+        return stop
+
+    def consume_positionals(start):
+        # as many positionals as match, the longest run of them first
+        for n in range(len(positionals), 0, -1):
+            counts = _match([_RUNS[a.nargs] for a in positionals[:n]],
+                            pattern[start:])
+            if counts is not None:
+                break
+        else:
+            counts = []
+        for action, count in zip(positionals, counts):
+            take(action, strings[start:start + count])
+            start += count
+        del positionals[:len(counts)]
+        return start
+
+    i, last = 0, max(found, default=-1)
+    while i <= last:
+        next_option = min(j for j in found if j >= i)
+        if i != next_option:
+            end = consume_positionals(i)
+            if end > i:
+                i = end
+                continue
+            unread.extend(strings[i:next_option])
+            i = next_option
+        i = consume_optional(i)
+    end = consume_positionals(i)
+    unread.extend(strings[end:])
+    missing = [action.name for action in actions
+               if action.required and action not in seen]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    return unread + deeper
+
+
+def _parse(argv):
+    """The fields argv gives: one per argument of its command, the global
+    options, and `command`, the command's name.  A usage error raises
+    ValueError with argparse's message; -h prints the help of its level and
+    exits 0."""
+    fields = {}
+    unread = _parse_level((), list(argv), fields)
+    if unread:
+        raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None):
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        args = _build_parser(argv).parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         started = time.monotonic()
         outcome = COMMANDS[args.command][1](args)
         elapsed = int((time.monotonic() - started) * 1000)
         return _emit(args, args.command, elapsed, *outcome)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, MemoryError) as exc:
+        # an oversize 2^[t] block overflows an index or asks for more memory
+        # than there is; a MemoryError has no message of its own
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

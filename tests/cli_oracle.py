@@ -1,0 +1,89 @@
+"""The command-line parser as argparse built it, kept as the reference for
+the table parser in surgeryforge.cli.
+
+_build_parser(argv).parse_args(argv) returns an argparse Namespace with the
+fields cli._parse returns, raises ValueError with the message cli._parse
+raises, or prints the help of the level argv asks for and exits 0.  It
+builds argparse subparsers only along argv's command path, reading the
+command words and their arguments from cli.COMMANDS.
+"""
+
+import argparse
+import re
+
+from surgeryforge.cli import COMMANDS
+
+_NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction such as -7/3 as a positional, as argparse
+    already does for a negative integer, and raises a usage error as a
+    ValueError, so that main reports it on one line and exits 2; subparsers
+    inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_FRACTION.match(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _command_tree():
+    """The command words as nested dicts, in the order of COMMANDS: each
+    word maps to the words below it, or at a leaf to its command name."""
+    tree = {}
+    for name in COMMANDS:
+        *path, last = name.split()
+        node = tree
+        for word in path:
+            node = node.setdefault(word, {})
+        node[last] = name
+    return tree
+
+
+def _next_word(node, tokens):
+    """(word, first) for the first token that is a word of node, or None,
+    consuming tokens up to it; first when no token came before it, so that
+    argparse reads the word before anything that could make it print every
+    word of the level, as help or an "invalid choice" message does."""
+    for count, token in enumerate(tokens):
+        if token in node:
+            return token, count == 0
+    return None, False
+
+
+def _build_parser(argv):
+    """The parser for argv.  Each level on argv's command path gets a parser
+    for the word argv reads there when it is the level's first token, and
+    otherwise for every word of the level, which argparse may then list in
+    help or an "invalid choice" message; only the word argv reads gets
+    subparsers, and a command its arguments."""
+    parser = _Parser(
+        prog="surgeryforge",
+        description="exact Dehn-surgery calculators and verification sweeps")
+    parser.add_argument("--format", choices=("json", "csv", "text"),
+                        default="json")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default: 1)")
+    parser.add_argument("--timing", action="store_true",
+                        help="attach elapsed_ms to the report")
+    # The word argparse reads at a level is the first token that is a word
+    # of the level: before the first command word argv holds only global
+    # options, whose values (a format, an integer) are never command words,
+    # and a value that is one fails in argparse before any word is read.
+    node, level_parser, tokens = _command_tree(), parser, iter(argv)
+    while isinstance(node, dict):
+        level = level_parser.add_subparsers(required=True)
+        word, first = _next_word(node, tokens)
+        children = {w: level.add_parser(w)
+                    for w in ([word] if first else node)}
+        if word is None:
+            return parser
+        node, level_parser = node[word], children[word]
+    level_parser.set_defaults(command=node)
+    for flags, keywords in COMMANDS[node][0]:
+        level_parser.add_argument(*flags, **keywords)
+    return parser

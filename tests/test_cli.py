@@ -10,6 +10,7 @@ import subprocess
 import sys
 import types
 
+import cli_oracle
 import families_oracle
 import pytest
 from hypothesis import given, settings
@@ -169,7 +170,13 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
              # only catalog families 1-3 take a second index
              ["families", "optsurg", "4", "2", "3"],
              ["families", "optsurg", "5", "2", "3"],
-             ["families", "optsurg", "6", "2", "3"]]
+             ["families", "optsurg", "6", "2", "3"],
+             # a 2^[t] block too long to expand: t overflows an index, or
+             # asks for more memory than any address space holds
+             ["normseq", "reduce", "(3,2^[10000000000000000000],4)"],
+             ["normseq", "exponents", "(2^[1000000000000000])"],
+             ["normseq", "dual", "(2^[1000000000000000])"],
+             ["cf", "solve-tail", "(1,2^[1000000000000000])", "1"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -448,9 +455,10 @@ def test_cli_import_leaves_multiprocessing_out():
 
 
 # Imports the CLI, runs cli.main on argv and prints, as JSON, the package
-# modules that are in sys.modules and those whose code ran.
+# modules that are in sys.modules and those whose code ran, and the heavy
+# stdlib modules that were loaded; json is imported only after the run.
 _RAN_MODULES = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 ran = set()
 sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code.co_filename))
 import surgeryforge.cli as cli
@@ -460,13 +468,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     except SystemExit:
         pass
 sys.setprofile(None)
+loaded = set(sys.modules)
+import json
 package = os.path.dirname(cli.__file__)
 print(json.dumps({
-    "loaded": sorted(name.split(".")[1] for name in sys.modules
+    "loaded": sorted(name.split(".")[1] for name in loaded
                      if name.startswith("surgeryforge.")),
     "ran": sorted(os.path.basename(f)[:-3] for f in ran
                   if os.path.dirname(f) == package),
-    "heavy": sorted({"dataclasses", "inspect"} & set(sys.modules))}))
+    "heavy": sorted({"dataclasses", "inspect", "argparse", "json", "gettext",
+                     "locale"} & loaded)}))
 """
 _LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
 
@@ -488,8 +499,9 @@ _LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
      ("families", "normseq", "simpleknot"))])
 def test_command_runs_only_the_modules_it_uses(argv, unused):
     # every library module is imported, but a module's code runs only when
-    # a command uses it; no command loads dataclasses or inspect, whose
-    # import would cost more than most commands' own work
+    # a command uses it; no command loads dataclasses, inspect, argparse,
+    # json, gettext or locale, whose import would cost more than most
+    # commands' own work
     out = json.loads(run_python("-c", _RAN_MODULES, *argv))
     assert set(out["loaded"]) >= set(_LIBRARY) | {"cli", "lens", "rationals"}
     assert "cli" in out["ran"]
@@ -713,37 +725,15 @@ def test_grammar_at_every_prefix(capsys, prefix):
         assert all(repr(word) in err for word in below)
 
 
-@pytest.mark.parametrize("argv, built", [
-    (["cf", "eval", "[3,2]"], 3),
-    (["families", "verify", "intersections", "--bound", "3"], 4),
-    # a level whose word is not its first token gets all its words
-    (["--jobs", "2", "pentangle", "verify"], 1 + len(_LEVELS[()]) + 1),
-    (["-h", "cf"], 1 + len(_LEVELS[()]) + len(_LEVELS[("cf",)])),
-    (["cf", "bogus", "eval"], 2 + len(_LEVELS[("cf",)])),
-    (["--jobs", "2"], 1 + len(_LEVELS[()])),
-])
-def test_parsers_built_on_the_command_path(monkeypatch, argv, built):
-    # a level gets a parser for every word only where argparse may print
-    # them all; otherwise only the word argv reads does
-    names = []
-    init = cli._Parser.__init__
-
-    def counting(self, *args, **kwargs):
-        names.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._Parser, "__init__", counting)
-    cli._build_parser(argv)
-    assert len(names) == built, names
-
-
 # Fields for the grammar fuzz: values of every kind the commands read, some
 # malformed by construction (0/0, 2^[-1], 2^[x], L(4,2), a lone "(").
 # Integers stay in -2..3, which caps every sweep and census bound at 3.
 _FUZZ_INT = st.integers(-2, 3).map(str)
 _FUZZ_SLOPE = (st.builds("{}/{}".format, st.integers(-3, 3),
                          st.integers(-1, 3)) | st.just("inf"))
-_FUZZ_ITEM = _FUZZ_INT | st.sampled_from(("2^[-1]", "2^[0]", "2^[2]", "2^[x]"))
+_FUZZ_ITEM = _FUZZ_INT | st.sampled_from(("2^[-1]", "2^[0]", "2^[2]", "2^[x]",
+                                          "2^[1000000000000000]",
+                                          "2^[10000000000000000000]"))
 _FUZZ_SEQ = st.lists(_FUZZ_ITEM, max_size=4).map(
     lambda xs: "(" + ",".join(xs) + ")")
 _FUZZ_WORD = st.lists(_FUZZ_INT | _FUZZ_SLOPE, max_size=3).map(
@@ -809,3 +799,68 @@ def test_cli_grammar_fuzz(name, data):
                 and err.getvalue().count("\n") == 1), argv
     if code == 1:
         assert name.startswith(_VERIFICATION), argv
+
+
+def _parse_outcome(parse, argv):
+    """What a parser makes of argv: its fields, its one error line, or the
+    exit code and entries of the help it prints."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "fields", vars(parse(list(argv)))
+    except ValueError as exc:
+        assert "\n" not in str(exc), argv
+        return "error", f"error: {exc}"
+    except SystemExit as exc:
+        return "help", exc.code, _help_entries(out.getvalue())
+
+
+@st.composite
+def _parser_argv(draw, name):
+    """A grammar fuzz argv for name, with options written as --opt=value
+    or shortened to a prefix, which argparse reads when it is unique, and
+    "--", -h, negative numbers and unknown options put in anywhere."""
+    fuzz, argv = iter(draw(_fuzz_argv(name))), []
+    for token in fuzz:
+        if token.startswith("--") and draw(st.booleans()):
+            token = token[:draw(st.integers(2, len(token)))]
+            if draw(st.booleans()):
+                token += "=" + next(fuzz, "")
+        argv.append(token)
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ("--", "-h", "--help", "-hh", "-hx", "-7/3", "-1.5", "-x",
+             "-x y"))))
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_parser_matches_argparse_oracle(name, data):
+    # the table parser reads every argv as the argparse parser it replaced
+    # does: the same fields, the same error line, or help with the same
+    # entries and exit 0
+    argv = data.draw(st.just([]) | _parser_argv(name), label="argv")
+    oracle = _parse_outcome(
+        lambda argv: cli_oracle._build_parser(argv).parse_args(argv), argv)
+    assert _parse_outcome(cli._parse, argv) == oracle, argv
+    if oracle[0] == "help":
+        assert oracle[1] == 0
+
+
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x7fé😀'),
+                     max_size=6)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+def test_compact_matches_json_dumps(value):
+    # the report writer prints what json.dumps prints, escapes included
+    assert cli._compact(value) == json.dumps(value, sort_keys=True,
+                                             separators=(",", ":"))
