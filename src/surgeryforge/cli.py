@@ -7,17 +7,25 @@ and across --jobs values; timing is only attached when --timing is passed.
 
 The parser reads argv as argparse reads the COMMANDS table built as one
 subparser level per command word (tests/cli_oracle.py keeps that parser as
-the reference):
+the reference), except that an option written as --opt=-- is an error
+where argparse would store an empty list.  _read reads the plain form,
+where an argument is a string that does not start with "-", or a negative
+integer or fraction such as -5 or -7/3:
 
-- the global options --format, --jobs and --timing go before the first
-  command word, and a command's options after its last word;
-- an option takes its value as --format=text or --format text, and any
-  unique prefix names it: --form text, --tm 2, --b 3;
-- "--" ends the options of the level that reads it;
-- a negative number or fraction, such as -1.5 or -7/3, is an argument;
-- -h at any level prints that level's help and exits 0.
+- the global options --format, --jobs and --timing, spelled in full, come
+  before the first command word;
+- the command words come next, then the command's options and arguments
+  in any order, each option spelled in full with its value, an argument,
+  as the next string;
+- one "--" may come among the command's arguments when an argument
+  follows it, and every string after it is an argument;
+- -h or --help prints the help of its level and exits 0, when no
+  argument of that level comes before it and only arguments and "--"
+  follow it.
 
-No command imports argparse or json.
+argparse reads every other argv, such as one with --format=text, a unique
+prefix (--form text), -hh, -1.5 or a usage error.  No plain argv imports
+argparse or json.
 """
 
 import importlib.util
@@ -176,6 +184,14 @@ def _arg(*flags, **keywords):
 
 
 def _command(name, *arguments):
+    # the property on which _read's reading of positionals in order rests
+    counted = [i for i, (_, keywords) in enumerate(arguments)
+               if "nargs" in keywords]
+    if counted and (counted != [len(arguments) - 1] or any(
+            flags[0].startswith("-") for flags, _ in arguments)):
+        raise TypeError(f"{name}: only the last argument of a command "
+                        f"without options may take nargs")
+
     def register(handler):
         COMMANDS[name] = (arguments, handler)
         return handler
@@ -389,21 +405,14 @@ def _families_fes_triple(args):
                 for key, val in data.items()}
 
 
-# The parser reads argv as argparse reads it with one subparser level per
-# command word and a command's arguments on the level of its last word, and
-# reads a negative fraction such as -7/3 as an argument, as argparse reads a
-# negative number.  tests/cli_oracle.py keeps that argparse parser, and the
-# tests compare the two.  A level classifies the tokens left to it in
-# argparse's pattern letters: O an option, A an argument, - the first "--".
+# The parser.  _read reads a plain argv, the form the module docstring
+# lists, and _argparse reads every other argv with argparse.  Both read it
+# as argparse reads the table with one subparser level per command word and
+# a command's arguments on the level of its last word.
+# tests/cli_oracle.py keeps that argparse parser, and the tests compare the
+# two paths with it.
 
 _PARSER = "A..."  # the nargs of the choice of the next command word
-# argparse's nargs regexes, -*A-*, -*A?-*, -*A[A-]* and -*A[-AO]*, as runs
-# of (letters, fewest, most) with None for no limit
-_DASHES = ("-", 0, None)
-_RUNS = {None: (_DASHES, ("A", 1, 1), _DASHES),
-         "?": (_DASHES, ("A", 0, 1), _DASHES),
-         "+": (_DASHES, ("A", 1, 1), ("A-", 0, None)),
-         _PARSER: (_DASHES, ("A", 1, 1), ("-AO", 0, None))}
 
 
 class _Action:
@@ -433,116 +442,30 @@ class _Action:
 _HELP = _Action(("-h", "--help"), {"action": "store_true",
                                    "help": "show this help message and exit"},
                 stored=False)
-_GLOBALS = tuple(_Action(*arg) for arg in (
+_GLOBALS = (
     _arg("--format", choices=("json", "csv", "text"), default="json"),
     _arg("--jobs", type=int, default=1, help="worker processes (default: 1)"),
     _arg("--timing", action="store_true",
-         help="attach elapsed_ms to the report")))
+         help="attach elapsed_ms to the report"))
 
 
-def _error(action, message):
-    return ValueError(f"argument {action.name}: {message}")
+def _level(words):
+    """The actions of the parser level below the command words `words`:
+    -h and a command's arguments, or -h, the global options at the root,
+    and the choice of the next command word."""
+    name = " ".join(words)
+    if name in COMMANDS:
+        return [_HELP, *(_Action(*arg) for arg in COMMANDS[name][0])]
+    prefix = f"{name} " if words else ""
+    below = tuple(dict.fromkeys(command[len(prefix):].split()[0]
+                                for command in COMMANDS
+                                if command.startswith(prefix)))
+    return [_HELP, *(_Action(*arg) for arg in (() if words else _GLOBALS)),
+            _Action(("{" + ",".join(below) + "}",),
+                    {"choices": below, "nargs": _PARSER}, stored=False)]
 
 
-def _negative_number(string):
-    """Whether string, which starts with "-", reads as a negative number:
-    -D, -D.D, -.D or -D/D with D a run of decimal digits, where, as at the
-    $ of argparse's regexes, one final newline may follow.  No option of
-    the table starts with "-" and a digit or ".", so no option reads so."""
-    body = string[1:].removesuffix("\n")
-    whole, point, part = body.partition(".")
-    if whole.isdecimal() and not point or part.isdecimal() and (
-            not whole or whole.isdecimal()):
-        return True
-    whole, slash, part = body.partition("/")
-    return slash != "" and whole.isdecimal() and part.isdecimal()
-
-
-def _option(options, string):
-    """(action or None, flag, explicit value or None) for a string read as
-    an option of a level with these options, or None for an argument."""
-    if not string.startswith("-") or _negative_number(string):
-        return None
-    if string in options:
-        return options[string], string, None
-    if len(string) == 1:
-        return None
-    flag, equals, explicit = string.partition("=")
-    if equals and flag in options:
-        return options[flag], flag, explicit
-    if string[1] == "-":
-        # a long option is matched by its prefix before "="
-        matches = [(options[f], f, explicit if equals else None)
-                   for f in options if f.startswith(flag)]
-    else:
-        # -hX reads as -h with the explicit value X
-        matches = [(options[f], f, string[2:] if f == string[:2] else None)
-                   for f in options
-                   if f == string[:2] or f.startswith(string)]
-    if len(matches) > 1:
-        flags = ", ".join(f for _, f, _ in matches)
-        raise ValueError(f"ambiguous option: {string} could match {flags}")
-    if matches:
-        return matches[0]
-    return None if " " in string else (None, string, None)
-
-
-def _match(groups, pattern):
-    """The letter count of each group of runs matched at the start of
-    pattern as re.match matches their regexes: each run takes all the
-    letters it can and gives them back one at a time while the runs after
-    it fail; None when nothing matches."""
-    runs = [run for group in groups for run in group]
-
-    def walk(k, at):
-        if k == len(runs):
-            return []
-        letters, fewest, most = runs[k]
-        end = at
-        while (end < len(pattern) and pattern[end] in letters
-               and (most is None or end - at < most)):
-            end += 1
-        for stop in range(end, at + fewest - 1, -1):
-            rest = walk(k + 1, stop)
-            if rest is not None:
-                return [stop - at, *rest]
-        return None
-
-    counts = walk(0, 0)  # per run; each group is three runs
-    return None if counts is None else [sum(counts[3 * g:3 * g + 3])
-                                        for g in range(len(groups))]
-
-
-def _value(action, string):
-    """string converted by the action's type and checked against its
-    choices."""
-    value = string
-    if action.type is int:
-        try:
-            value = int(string)
-        except ValueError:
-            raise _error(action, f"invalid int value: {string!r}")
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise _error(action,
-                     f"invalid choice: {value!r} (choose from {choices})")
-    return value
-
-
-def _values(action, strings):
-    """The field an action stores from the strings it took: one value for
-    nargs None or "?" with one string, the default for "?" with none, else
-    a list.  The first "--" among them is dropped."""
-    if "--" in strings:
-        strings.remove("--")
-    if len(strings) == 1 and action.nargs in (None, "?"):
-        return _value(action, strings[0])
-    if not strings and action.nargs == "?":
-        return action.default
-    return [_value(action, string) for string in strings]
-
-
-def _help(words, actions):
+def _help(words):
     """The -h text of a level, laid out as argparse lays it out, but with
     the usage on one line."""
     def metavar(action):
@@ -566,6 +489,7 @@ def _help(words, actions):
             return ", ".join(action.flags)
         return ", ".join(f"{flag} {metavar(action)}" for flag in action.flags)
 
+    actions = _level(words)
     options = [action for action in actions if action.flags]
     positionals = [action for action in actions if not action.flags]
     column = min(max(len(invocation(action)) for action in actions) + 4, 24)
@@ -588,129 +512,152 @@ def _help(words, actions):
     return "\n".join(lines)
 
 
-def _parse_level(words, strings, fields):
-    """Read strings into fields at the level below the command words
-    `words`, as argparse's parse_known_args reads them, and return the
-    strings that no level read."""
-    name = " ".join(words)
-    if name in COMMANDS:
-        actions = [_HELP, *(_Action(*arg) for arg in COMMANDS[name][0])]
-        fields["command"] = name
-    else:
-        prefix = f"{name} " if words else ""
-        below = tuple(dict.fromkeys(command[len(prefix):].split()[0]
-                                    for command in COMMANDS
-                                    if command.startswith(prefix)))
-        actions = [_HELP, *(() if words else _GLOBALS),
-                   _Action(("{" + ",".join(below) + "}",),
-                           {"choices": below, "nargs": _PARSER},
-                           stored=False)]
-    for action in actions:
-        if action.dest is not None:
-            fields[action.dest] = action.default
-    options = {flag: action for action in actions for flag in action.flags}
-    pattern, found = "", {}
-    for i, string in enumerate(strings):
-        if string == "--":
-            pattern += "-" + "A" * (len(strings) - i - 1)
-            break
-        option = _option(options, string)
-        if option is not None:
-            found[i] = option
-        pattern += "A" if option is None else "O"
-    positionals = [action for action in actions if not action.flags]
-    seen, unread, deeper = set(), [], []
+def _argument(string):
+    """Whether string is an argument of the plain form: it does not start
+    with "-", or it is a negative integer or fraction such as -5 or -7/3."""
+    if not string.startswith("-"):
+        return True
+    numbers = string[1:].split("/")
+    return len(numbers) <= 2 and all(number.isascii() and number.isdigit()
+                                     for number in numbers)
 
-    def take(action, taken):
-        seen.add(action)
-        if action is _HELP:
-            sys.stdout.write(_help(words, actions))
-            raise SystemExit(0)
-        if action.nargs == 0:
-            fields[action.dest] = True
-        elif action.nargs == _PARSER:
-            word = _value(action, taken[0])
-            deeper.extend(_parse_level((*words, word), taken[1:], fields))
-        else:
-            fields[action.dest] = _values(action, taken)
 
-    def consume_optional(i):
-        action, flag, explicit = found[i]
-        if action is None:
-            unread.append(strings[i])
-            return i + 1
-        taken, stop = [], i + 1
-        # -hh reads as -h -h; any other letter after -h is an error
-        while explicit is not None and action.nargs == 0:
-            if flag[1] == "-" or "-" + explicit[:1] not in options:
-                raise _error(action,
-                             f"ignored explicit argument {explicit!r}")
-            taken.append((action, []))
-            flag = "-" + explicit[0]
-            action, explicit = options[flag], explicit[1:] or None
-        if explicit is not None:
-            taken.append((action, [explicit]))
-        else:
-            if action.nargs != 0:
-                if pattern[stop:stop + 1] != "A":
-                    raise _error(action, "expected one argument")
-                stop += 1
-            taken.append((action, strings[i + 1:stop]))
-        for action, values in taken:
-            take(action, values)
-        return stop
+def _value(action, string):
+    """string converted by the action's type; ValueError when the type or
+    the choices refuse it."""
+    value = int(string) if action.type is int else string
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(string)
+    return value
 
-    def consume_positionals(start):
-        # as many positionals as match, the longest run of them first
-        for n in range(len(positionals), 0, -1):
-            counts = _match([_RUNS[a.nargs] for a in positionals[:n]],
-                            pattern[start:])
-            if counts is not None:
+
+def _read(argv):
+    """The fields of a plain argv: one per argument of its command, the
+    global options, and `command`, the command's name; -h prints the help
+    of its level and exits 0.  None for any other argv, and for one with a
+    value that its type or choices refuse, so that _argparse reports it.
+
+    Arguments go to a command's positionals in order.  argparse reads them
+    so because a variable-count positional is the last argument of a
+    command without options, which _command checks."""
+    fields, words, i = {}, (), 0
+    try:
+        while True:
+            actions = _level(words)
+            for action in actions:
+                if action.dest is not None:
+                    fields[action.dest] = action.default
+            options = {flag: action for action in actions
+                       for flag in action.flags}
+            positionals = [action for action in actions if not action.flags]
+            name = " ".join(words)
+            taken, given, dashed = [], set(), False
+            while i < len(argv):
+                string = argv[i]
+                i += 1
+                if _argument(string):
+                    if name in COMMANDS:
+                        taken.append(string)
+                        continue
+                    if string not in positionals[0].choices:
+                        return None
+                    words += (string,)
+                    break
+                if dashed:
+                    return None
+                if string == "--" and name in COMMANDS and i < len(argv):
+                    dashed = True
+                    continue
+                action = options.get(string)
+                if action is _HELP and not taken and all(
+                        # argparse sorts every string into option or
+                        # argument before it reads any, and may refuse an
+                        # option string even after -h
+                        _argument(s) or s == "--" for s in argv[i:]):
+                    sys.stdout.write(_help(words))
+                    raise SystemExit(0)
+                if action in (None, _HELP):
+                    return None
+                given.add(action)
+                if action.nargs == 0:
+                    fields[action.dest] = True
+                    continue
+                if i == len(argv) or not _argument(argv[i]):
+                    return None
+                fields[action.dest] = _value(action, argv[i])
+                i += 1
+            else:  # argv ends at this level
                 break
-        else:
-            counts = []
-        for action, count in zip(positionals, counts):
-            take(action, strings[start:start + count])
-            start += count
-        del positionals[:len(counts)]
-        return start
-
-    i, last = 0, max(found, default=-1)
-    while i <= last:
-        next_option = min(j for j in found if j >= i)
-        if i != next_option:
-            end = consume_positionals(i)
-            if end > i:
-                i = end
-                continue
-            unread.extend(strings[i:next_option])
-            i = next_option
-        i = consume_optional(i)
-    end = consume_positionals(i)
-    unread.extend(strings[end:])
-    missing = [action.name for action in actions
-               if action.required and action not in seen]
-    if missing:
-        raise ValueError("the following arguments are required: "
-                         + ", ".join(missing))
-    return unread + deeper
-
-
-def _parse(argv):
-    """The fields argv gives: one per argument of its command, the global
-    options, and `command`, the command's name.  A usage error raises
-    ValueError with argparse's message; -h prints the help of its level and
-    exits 0."""
-    fields = {}
-    unread = _parse_level((), list(argv), fields)
-    if unread:
-        raise ValueError(f"unrecognized arguments: {' '.join(unread)}")
+        if name not in COMMANDS:
+            return None
+        for action in positionals:
+            count = len(taken) if action.nargs == "+" else 1
+            strings, taken = taken[:count], taken[count:]
+            if strings:
+                values = [_value(action, string) for string in strings]
+                fields[action.dest] = (values if action.nargs == "+"
+                                       else values[0])
+            elif action.required:
+                return None
+        if taken or any(action.required and action not in given
+                        for action in options.values()):
+            return None
+    except ValueError:
+        return None
+    fields["command"] = name
     return SimpleNamespace(**fields)
+
+
+def _argparse(argv):
+    """The fields of any argv, as _read gives them, read by argparse over
+    the whole command table.  A usage error raises ValueError with
+    argparse's message; -h prints the help of its level, as _help lays it
+    out, and exits 0."""
+    import argparse
+    import re
+
+    class Parser(argparse.ArgumentParser):
+        def _parse_optional(self, arg_string):
+            # a negative fraction is an argument, as a negative integer is
+            if re.match(r"^-\d+/\d+$", arg_string):
+                return None
+            return super()._parse_optional(arg_string)
+
+        def _get_values(self, action, arg_strings):
+            # --opt=-- gives no value, where argparse stores an empty list
+            if action.option_strings and arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected one argument")
+            return super()._get_values(action, arg_strings)
+
+        def error(self, message):
+            raise ValueError(message)
+
+        def format_help(self):
+            return _help(self.words)
+
+    def build(parser, words):
+        parser.words = words
+        name = " ".join(words)
+        if name in COMMANDS:
+            parser.set_defaults(command=name)
+            for flags, keywords in COMMANDS[name][0]:
+                parser.add_argument(*flags, **keywords)
+        else:
+            level = parser.add_subparsers(required=True)
+            for word in _level(words)[-1].choices:
+                build(level.add_parser(word), (*words, word))
+        return parser
+
+    root = Parser(prog="surgeryforge")
+    for flags, keywords in _GLOBALS:
+        root.add_argument(*flags, **keywords)
+    return build(root, ()).parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _read(argv) or _argparse(argv)
         if args.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         started = time.monotonic()

@@ -176,7 +176,13 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
              ["normseq", "reduce", "(3,2^[10000000000000000000],4)"],
              ["normseq", "exponents", "(2^[1000000000000000])"],
              ["normseq", "dual", "(2^[1000000000000000])"],
-             ["cf", "solve-tail", "(1,2^[1000000000000000])", "1"]]
+             ["cf", "solve-tail", "(1,2^[1000000000000000])", "1"],
+             # an option written --opt=-- has no value
+             ["pentangle", "verify", "--bound=--"],
+             ["--jobs=--", "cf", "eval", "[1]"],
+             ["simpleknot", "star", "5", "--eps=--"],
+             ["pentangle", "montesinos", "1", "2", "3", "4", "--x=--"],
+             ["--format=--", "cf", "eval", "[1]"]]
     for argv in cases:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -496,12 +502,15 @@ _LIBRARY = ("families", "normseq", "pentangle", "simpleknot", "tangle")
     (["tangle", "two-bridge", "Q(1,2,3)"],
      ("families", "normseq", "pentangle", "simpleknot")),
     (["pentangle", "simplifies", "1", "2", "3", "4"],
-     ("families", "normseq", "simpleknot"))])
+     ("families", "normseq", "simpleknot")),
+    (["pentangle", "simplifies", "--", "-1/2", "2", "3", "4"],
+     ("families", "normseq", "simpleknot")),
+    (["--format", "text", "cf", "eval", "[3,2,2]"], _LIBRARY)])
 def test_command_runs_only_the_modules_it_uses(argv, unused):
     # every library module is imported, but a module's code runs only when
-    # a command uses it; no command loads dataclasses, inspect, argparse,
-    # json, gettext or locale, whose import would cost more than most
-    # commands' own work
+    # a command uses it; no plain argv loads dataclasses, inspect,
+    # argparse, json, gettext or locale, whose import would cost more than
+    # most commands' own work
     out = json.loads(run_python("-c", _RAN_MODULES, *argv))
     assert set(out["loaded"]) >= set(_LIBRARY) | {"cli", "lens", "rationals"}
     assert "cli" in out["ran"]
@@ -556,13 +565,17 @@ def test_negative_fraction_positionals(capsys):
     assert json.loads(plain)["parameters"]["filling"] == "P(-7/3,1,2,3)"
 
 
-def test_reports_match_recorded_digests():
-    # every report recorded in perfbench/digests.json, as "exit:sha256 of
-    # stdout", is reproduced byte for byte
+def _recorded_digests():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "digests.json")
     with open(path) as f:
-        digests = json.load(f)
+        return json.load(f)
+
+
+def test_reports_match_recorded_digests():
+    # every report recorded in perfbench/digests.json, as "exit:sha256 of
+    # stdout", is reproduced byte for byte
+    digests = _recorded_digests()
     got = {}
     for key in digests:
         out = io.StringIO()
@@ -572,6 +585,12 @@ def test_reports_match_recorded_digests():
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         got[key] = f"{code}:{digest}"
     assert got == digests
+
+
+def test_recorded_commands_are_plain():
+    # _read, not argparse, reads every command the benchmark records
+    for key in _recorded_digests():
+        assert cli._read(key.split()) is not None, key
 
 
 def _read_field(text, want):
@@ -725,6 +744,35 @@ def test_grammar_at_every_prefix(capsys, prefix):
         assert all(repr(word) in err for word in below)
 
 
+@pytest.mark.parametrize("argv, plain", [
+    (["cf", "-hh"], ["cf", "-h"]),
+    (["--form", "text", "-h"], ["-h"]),
+    (["lens", "homeo", "1", "-h"], ["lens", "homeo", "-h"])])
+def test_argparse_prints_the_plain_help(capsys, argv, plain):
+    # argparse reads these argvs, and prints the help of their level byte
+    # for byte as _read prints it for the plain -h
+    assert cli._read(argv) is None
+    helps = []
+    for args in (argv, plain):
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+
+
+@pytest.mark.parametrize("arguments", [
+    (cli._arg("params", nargs="+"), cli._arg("k")),
+    (cli._arg("--x"), cli._arg("ell", nargs="?")),
+    (cli._arg("--x", nargs="+"),)])
+def test_variable_count_argument_is_last_and_alone(arguments):
+    # _read gives arguments to positionals in order, which is how argparse
+    # reads them only while a variable-count argument is the last argument
+    # of a command without options
+    with pytest.raises(TypeError):
+        cli._command("bad entry", *arguments)
+
+
 # Fields for the grammar fuzz: values of every kind the commands read, some
 # malformed by construction (0/0, 2^[-1], 2^[x], L(4,2), a lone "(").
 # Integers stay in -2..3, which caps every sweep and census bound at 3.
@@ -753,7 +801,7 @@ _FUZZ_KINDS = {"seq": _FUZZ_SEQ, "prefix": _FUZZ_SEQ, "word": _FUZZ_WORD,
                "slope": _FUZZ_SLOPE, "--x": _FUZZ_SLOPE}
 _FUZZ_GLOBALS = ([], [], [], ["--format", "text"], ["--format", "csv"],
                  ["--jobs", "1"], ["--format", "xml"], ["--jobs", "0"],
-                 ["--jobs", "x"])
+                 ["--jobs", "x"], ["--jobs=--"])
 _VERIFICATION = ("pentangle verify", "families census", "families verify")
 
 
@@ -773,7 +821,9 @@ def _fuzz_argv(draw, name):
         elif keywords.get("action") == "store_true":
             argv += [flag] if draw(st.booleans()) else []
         elif keywords.get("required") or draw(st.booleans()):
-            argv += [flag, draw(field)]
+            value = draw(field)
+            argv += draw(st.sampled_from(([flag, value], [flag, value],
+                                          [flag, value], [f"{flag}=--"])))
     arity = draw(st.sampled_from(("keep", "keep", "keep", "drop", "add")))
     if arity == "drop":
         argv.pop()
@@ -802,12 +852,14 @@ def test_cli_grammar_fuzz(name, data):
 
 
 def _parse_outcome(parse, argv):
-    """What a parser makes of argv: its fields, its one error line, or the
-    exit code and entries of the help it prints."""
+    """What a parser makes of argv: its fields (None when it returns None),
+    its one error line, or the exit code and entries of the help it
+    prints."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return "fields", vars(parse(list(argv)))
+            fields = parse(list(argv))
+        return "fields", None if fields is None else vars(fields)
     except ValueError as exc:
         assert "\n" not in str(exc), argv
         return "error", f"error: {exc}"
@@ -818,15 +870,23 @@ def _parse_outcome(parse, argv):
 @st.composite
 def _parser_argv(draw, name):
     """A grammar fuzz argv for name, with options written as --opt=value
-    or shortened to a prefix, which argparse reads when it is unique, and
-    "--", -h, negative numbers and unknown options put in anywhere."""
+    or --opt=-- or shortened to a prefix, which argparse reads when it is
+    unique, at times "--" after an option's value or at the end, and "--",
+    -h, negative numbers and unknown options put in anywhere."""
     fuzz, argv = iter(draw(_fuzz_argv(name))), []
     for token in fuzz:
         if token.startswith("--") and draw(st.booleans()):
             token = token[:draw(st.integers(2, len(token)))]
             if draw(st.booleans()):
-                token += "=" + next(fuzz, "")
+                token += "=" + draw(st.sampled_from((next(fuzz, ""), "--")))
         argv.append(token)
+    flags = [i for i, token in enumerate(argv)
+             if token.startswith("--") and "=" not in token]
+    where = draw(st.sampled_from(("", "", "after a value", "at the end")))
+    if where == "after a value" and flags:
+        argv.insert(draw(st.sampled_from(flags)) + 2, "--")
+    elif where == "at the end":
+        argv.append("--")
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
             ("--", "-h", "--help", "-hh", "-hx", "-7/3", "-1.5", "-x",
@@ -838,13 +898,14 @@ def _parser_argv(draw, name):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_parser_matches_argparse_oracle(name, data):
-    # the table parser reads every argv as the argparse parser it replaced
-    # does: the same fields, the same error line, or help with the same
-    # entries and exit 0
+    # _argparse reads every argv as the argparse parser built along argv's
+    # path does: the same fields, the same error line, or help with the
+    # same entries and exit 0; _read reads an argv so too, or returns None
     argv = data.draw(st.just([]) | _parser_argv(name), label="argv")
     oracle = _parse_outcome(
         lambda argv: cli_oracle._build_parser(argv).parse_args(argv), argv)
-    assert _parse_outcome(cli._parse, argv) == oracle, argv
+    assert _parse_outcome(cli._argparse, argv) == oracle, argv
+    assert _parse_outcome(cli._read, argv) in (oracle, ("fields", None)), argv
     if oracle[0] == "help":
         assert oracle[1] == 0
 
