@@ -319,7 +319,7 @@ def prop15_consistency(bound):
 # Census: lens spaces from positive integral surgery on a knot in S^3 that
 # contain a genus one fibered knot, with the homology class of the surgery
 # dual.  The sporadic small-type rows are fixed data; the all-2s rows and the
-# large types are generated from dual sequence pairs pushed through six
+# large types are generated from dual sequence pairs pushed through three
 # templates and filtered by the fibered pattern shapes.  Entries are
 # canonicalized by simple-knot equivalence.
 # ---------------------------------------------------------------------------
@@ -357,29 +357,50 @@ _SMALL_TYPE_ROWS = (
 
 
 def _template_instances(first, second):
-    """The six large-type sequence templates on a dual pair, with the
-    structural side conditions the case analysis attaches to each type.
+    """The three large-type sequence templates on a dual pair: the plain
+    join first + rev(second); the merged cell, which adds second's last
+    entry to first's last and drops second's first; and the merged cell
+    + 1, which keeps all of rev(second).  With m = len(second) = 1 the
+    merged cell drops together with the tail.
 
-    rev(second) enters as b_m, ...; index ranges that empty out at m = 1
-    drop the merged cell together with the tail.  The insert-2 template only
-    realizes census members when one side is a single entry (otherwise the
-    output is a shape that no positive surgery produces), and the
-    double-insert template only at the self-dual pair (2) <-> (2)."""
+    What each seed a of _gofk_seeds gives, with w = dual(a), in each order
+    and template, and the rule of the normseq._pattern_sums chart that
+    admits it ("rev": the rule matches the reversed sequence):
+
+        a        order   template     kept instances            rule
+        (v)      (a, w)  plain join   (v,2^[v-1]), v = 2, 3, 4  all 2s,
+                                                                (r,2,s),
+                                                                one 4
+                         merged cell  (5), (7,2,2): v = 3, 5    (r), (r,2,s)
+                         merged + 1   (5), (7,2,2): v = 2, 4    (r), (r,2,s)
+        (v)      (w, a)  plain join   (2^[v-1],v), v = 2, 3, 4  as (a, w)
+                         merged cell  2^[v-2], v >= 3           all 2s
+                         merged + 1   (5), (2,2,7): v = 2, 4    (r), (r,2,s)
+        (v,2)    (a, w)  plain join   (2,2,3): v = 2            (r,2,s)
+                         merged cell  (2), (3,5): v = 2, 3      (r), (r,3) rev
+        (v,2)    (w, a)  plain join   (3,2,2): v = 2            (r,2,s)
+                         merged cell  (5), (2,2,5): v = 2, 4    (r), (r,2,s)
+        (2,v)    (a, w)  none
+        (2,v)    (w, a)  merged cell  (3,5), (3,2,6): v = 3, 4  (r,3) rev,
+                                                                (r,2,s)
+        (t+2,3)  (a, w)  none
+        (t+2,3)  (w, a)  merged cell  (2^[t],3,5), t >= 1       (r,3,2^[s-1])
+                                                                rev
+
+    So the all-2s and the twist family come from the merged cell in the
+    (w, a) order, and every other instance from a seed with v <= 5.  The
+    insert templates add nothing to these: a 2 between (v) and 2^[v-1] is
+    the plain join, and between 2^[v-1] and (v) it gives 2^[v], the merged
+    cell of (v+2) in the (w, a) order; a 5 between 2^[v-1] and (v) gives
+    (2^[v-1],5), the merged cell of (v+1,2) in the (w, a) order; and
+    (3,2,2), the double insert on (2) <-> (2), is the plain join of (3)."""
     rev = tuple(reversed(second))
-    m = len(second)
-    out = []
-    if len(first) == 1 or m == 1:
-        out.append(first + (2,) + rev[:-1])                    # chain insert 2
-    out.append(first + (5,) + rev[:-1])                        # chain insert 5
-    out.append(first + rev)                                    # plain join
-    if m == 1 and second[0] == 2:
-        out.append(first[:-1] + (first[-1] + 1, 2, 2))         # double insert
-    if m >= 2:
-        out.append(first[:-1] + (first[-1] + second[-1],) + rev[1:-1])
+    if len(second) >= 2:
+        merged = first[:-1] + (first[-1] + second[-1],) + rev[1:-1]
     else:
-        out.append(first[:-1])                                 # merged cell
-    out.append(first[:-1] + (first[-1] + second[-1] + 1,) + rev[1:])
-    return out
+        merged = first[:-1]
+    return (first + rev, merged,
+            first[:-1] + (first[-1] + second[-1] + 1,) + rev[1:])
 
 
 def _is_twist_shape(seq):
@@ -391,20 +412,21 @@ def _is_twist_shape(seq):
 
 
 def _gofk_seeds(t_bound, seq_bound):
-    """The seeds a of the dual pairs (a, dual(a)): lengths 1..seq_bound, all
-    2s or all 2s but one entry, from 3..seq_bound+3 at lengths 1 and 2 and a
-    3 at greater lengths; and the twist seeds (t+2, 3), 1 <= t <= t_bound.
+    """One seed a per dual pair (a, dual(a)) that can contribute: (v) and
+    (v, 2) for 2 <= v <= seq_bound+3, (2, v) for 3 <= v <= seq_bound+3, and
+    the twist seeds (t+2, 3), 1 <= t <= t_bound.  Two pairs come twice, as
+    (2, 2) is the dual of (3) and (2, 3) of (3, 2).
 
-    No other seed contributes.  Let a (length >= 2) have n entries other than
-    2, I inside.  By the row-start rule of riemenschneider_dual (b is all 2s
-    plus one at each partial sum of a_k - 2 short of the last), b = dual(a)
-    has I + 1, ending in one exactly where a ends in 2.  Any seed with two or
-    more, one inside, has b longer than 1 with n - 1 inside.  Each
-    template instance on (f, s) = (a, b) or (b, a) is then, up to reversing
-    s, f+(5,)+s[1:] or f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with
-    x >= 5 (n + I + 1, as just one of f, s ends in 2) or f[:-1]+(x,)+s[1:-1]
-    with x >= 4 (2n - 1 or 2I + 1): three or more, and no rule of
-    normseq._pattern_sums admits more than two.
+    No other pair contributes.  Let a (length >= 2) have n entries other
+    than 2, I inside.  By the row-start rule of riemenschneider_dual (b is
+    all 2s plus one at each partial sum of a_k - 2 short of the last),
+    b = dual(a) has I + 1, ending in one exactly where a ends in 2.  Any
+    seed with two or more, one inside, has b longer than 1 with n - 1
+    inside.  Each template instance on (f, s) = (a, b) or (b, a) is then,
+    up to reversing s, f+s (n + I + 1 or more), f[:-1]+(x,)+s[:-1] with
+    x >= 5 (n + I + 1, as just one of f, s ends in 2) or
+    f[:-1]+(x,)+s[1:-1] with x >= 4 (2n - 1 or 2I + 1): three or more,
+    and no rule of normseq._pattern_sums admits more than two.
 
     Two ends, a = (v, 2^[L-2], w) with v, w >= 3: b = (2^[v-2], L+1,
     2^[w-2]), and every instance has three or more but
@@ -419,25 +441,33 @@ def _gofk_seeds(t_bound, seq_bound):
     with second entry 3 neither way and a lone entry other than 2 of at
     least 6 (no single 4), which no rule admits.
 
-    The seed (t+2, 3) gives only the twist shape of index t."""
-    big = range(3, seq_bound + 4)
-    for length in range(1, seq_bound + 1):
-        twos = (2,) * length
-        yield twos
-        yield from (twos[:i] + (v,) + twos[i + 1:] for i in range(length)
-                    for v in (big if length <= 2 else (3,)))
+    That leaves all 2s, one entry at lengths 1 and 2, a single 3 in a
+    longer seed and the twist seeds, at lengths up to seq_bound.  By the
+    row-start rule the longer ones are duals of kept seeds: 2^[L] of
+    (L+1), (3,2^[L-1]) of (2,L+1) and (2^[L-1],3) of (L+1,2).  The interior
+    3, (2^[i],3,2^[j]), is the dual of the two-ends seed (i+2,j+2), which
+    contributes only as the twist seed (i+2,3): its instances are the twist
+    shape of index i, which the t_bound filter drops past t_bound."""
+    for v in range(2, seq_bound + 4):
+        yield (v,)
+        yield (v, 2)
+        if v > 2:
+            yield (2, v)
     for t in range(1, t_bound + 1):
         yield (t + 2, 3)
 
 
 def _gofk_sequences(t_bound, seq_bound):
-    """All constrained template instances over bounded dual pairs that match
-    a fibered pattern shape, deduplicated.
+    """All template instances over the bounded dual pairs, each pair drawn
+    once by its seed and tried in both orders, that match a fibered
+    pattern shape, deduplicated.
 
     The two infinite families are cut off by their own knobs: all-2s
     sequences at seq_bound entries and twist-family sequences at index
     t_bound.  The fixed rows and the twist row t = -1 come from seeds of
-    length at most 2, so seeds are drawn as for seq_bound 2 at least."""
+    length at most 2, so seeds are drawn as for seq_bound 2 at least.  The
+    merged cell of (2) <-> (2) is (), which has exponent sums but is no
+    census sequence."""
     found = set()
     for a in _gofk_seeds(t_bound, max(seq_bound, 2)):
         b = riemenschneider_dual(a)
@@ -445,8 +475,6 @@ def _gofk_sequences(t_bound, seq_bound):
             for seq in _template_instances(first, second):
                 if not seq or seq in found:
                     continue
-                if len(seq) - seq.count(2) > 2:
-                    continue  # no `others` rule of _pattern_sums allows more
                 if not gofk_exponent_sums(seq):
                     continue
                 if all(e == 2 for e in seq) and len(seq) > seq_bound:

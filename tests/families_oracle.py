@@ -1,15 +1,17 @@
 """The three-filling intersection check, its slope helper c - 1/m, its
 two coincidence solvers and its case-2b member loop, the family label
-closed forms, the Riemenschneider point rule, the census seed generators and
-the once-punctured-torus catalog as they stood before their rewrites: a
-family_triple and ExtRational slopes for every parameter pair, a double
-loop over both parameter ranges per coincidence, a label evaluation per
-A-family member, one function per family with its exclusions as checks
-(families.FAMILIES has them as one coefficient table), a dual built dot by
-dot, seeds with up to three entries other than 2 placed among 2s, seeds of
-four shapes (all 2s, one entry anywhere, two at the ends, the twist seeds),
-the product over all entries 2..seq_bound+3, and one catalog branch with its
-own data per family kind.
+closed forms, the Riemenschneider point rule, the census seed generators
+and templates, and the once-punctured-torus catalog as they stood before
+their rewrites: a family_triple and ExtRational slopes for every parameter
+pair, a double loop over both parameter ranges per coincidence, a label
+evaluation per A-family member, one function per family with its
+exclusions as checks (families.FAMILIES has them as one coefficient
+table), a dual built dot by dot, seeds with up to three entries other than
+2 placed among 2s, seeds of four shapes (all 2s, one entry anywhere, two at
+the ends, the twist seeds), seeds with at most one entry other than 2 (any
+at lengths 1 and 2, a 3 beyond, and the twist seeds), the six sequence
+templates, the product over all entries 2..seq_bound+3, and one catalog
+branch with its own data per family kind.
 Kept verbatim as the reference that surgeryforge.families and
 surgeryforge.normseq are tested against."""
 
@@ -18,7 +20,7 @@ from math import gcd
 
 from surgeryforge import families
 from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
-                                   _template_instances, family_triple)
+                                   family_triple)
 from surgeryforge.lens import LensSpace, is_lens_label
 from surgeryforge.normseq import gofk_exponent_sums
 from surgeryforge.rationals import INF, ExtRational, rat
@@ -324,28 +326,79 @@ def _four_shape_gofk_seeds(t_bound, seq_bound):
         yield (t + 2, 3)
 
 
+def _single_entry_gofk_seeds(t_bound, seq_bound):
+    """The seeds a of the dual pairs (a, dual(a)): lengths 1..seq_bound, all
+    2s or all 2s but one entry, from 3..seq_bound+3 at lengths 1 and 2 and a
+    3 at greater lengths; and the twist seeds (t+2, 3), 1 <= t <= t_bound."""
+    big = range(3, seq_bound + 4)
+    for length in range(1, seq_bound + 1):
+        twos = (2,) * length
+        yield twos
+        yield from (twos[:i] + (v,) + twos[i + 1:] for i in range(length)
+                    for v in (big if length <= 2 else (3,)))
+    for t in range(1, t_bound + 1):
+        yield (t + 2, 3)
+
+
+def _template_instances(first, second):
+    """The six large-type sequence templates on a dual pair, with the
+    structural side conditions the case analysis attaches to each type.
+
+    rev(second) enters as b_m, ...; index ranges that empty out at m = 1
+    drop the merged cell together with the tail.  The insert-2 template only
+    realizes census members when one side is a single entry (otherwise the
+    output is a shape that no positive surgery produces), and the
+    double-insert template only at the self-dual pair (2) <-> (2)."""
+    rev = tuple(reversed(second))
+    m = len(second)
+    out = []
+    if len(first) == 1 or m == 1:
+        out.append(first + (2,) + rev[:-1])                    # chain insert 2
+    out.append(first + (5,) + rev[:-1])                        # chain insert 5
+    out.append(first + rev)                                    # plain join
+    if m == 1 and second[0] == 2:
+        out.append(first[:-1] + (first[-1] + 1, 2, 2))         # double insert
+    if m >= 2:
+        out.append(first[:-1] + (first[-1] + second[-1],) + rev[1:-1])
+    else:
+        out.append(first[:-1])                                 # merged cell
+    out.append(first[:-1] + (first[-1] + second[-1] + 1,) + rev[1:])
+    return out
+
+
+def census_keeps(seq, t_bound, seq_bound):
+    """The census filters: a sequence with exponent sums, all 2s at most
+    seq_bound long and a twist shape of index at most t_bound."""
+    if len(seq) - seq.count(2) > 2:
+        return False  # no pattern shape has more entries other than 2
+    if not seq or not gofk_exponent_sums(seq):
+        return False
+    if all(e == 2 for e in seq) and len(seq) > seq_bound:
+        return False
+    t = _is_twist_shape(seq)
+    return t is None or t <= t_bound
+
+
+def seeded_gofk_sequences(seeds, t_bound, seq_bound):
+    """The six-template instances of the dual pairs (a, dual(a)), a in
+    seeds, in both orders, that the census filters keep."""
+    found = set()
+    for a in seeds:
+        b = riemenschneider_dual(a)
+        for first, second in ((a, b), (b, a)):
+            for seq in _template_instances(first, second):
+                if seq not in found and census_keeps(seq, t_bound, seq_bound):
+                    found.add(seq)
+    return found
+
+
 def _oracle_gofk_sequences(t_bound, seq_bound):
     # the product-based generator: every sequence over 2..seq_bound+3, then
     # the ones with at most three non-2 entries
-    found = set()
-    for length in range(1, seq_bound + 1):
-        for a in itertools.product(range(2, seq_bound + 4), repeat=length):
-            if sum(1 for e in a if e != 2) > 3:
-                continue
-            b = riemenschneider_dual(a)
-            for first, second in ((a, b), (b, a)):
-                for seq in _template_instances(first, second):
-                    if not seq or seq in found:
-                        continue
-                    if not gofk_exponent_sums(seq):
-                        continue
-                    if all(e == 2 for e in seq) and len(seq) > seq_bound:
-                        continue
-                    t = _is_twist_shape(seq)
-                    if t is not None and t > t_bound:
-                        continue
-                    found.add(seq)
-    return found
+    return seeded_gofk_sequences(
+        (a for length in range(1, seq_bound + 1)
+         for a in itertools.product(range(2, seq_bound + 4), repeat=length)
+         if sum(1 for e in a if e != 2) <= 3), t_bound, seq_bound)
 
 
 def optsurg_catalog(family, k, ell=None):

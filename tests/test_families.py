@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import gcd
+from math import gcd, inf
 
 import pytest
 
@@ -334,14 +334,23 @@ def test_census_ok_on_bound_grid():
 
 def test_seeds_match_old_generator_on_bound_grid(monkeypatch):
     # the closed-form seeds give the same sequences and the same census
-    # report as the old seeds, with up to three entries other than 2 anywhere
+    # report as the old seeds, with up to three entries other than 2
+    # anywhere, through the six old templates.  Only the old twist seeds,
+    # past the length-2 range, depend on t_bound, so the other seeds'
+    # sequences are made once per seq_bound and cut at each t_bound
     for seq_bound in range(0, 9):
+        seeds = max(seq_bound, 2)
+        rest = oracle.seeded_gofk_sequences(oracle._gofk_seeds(-1, seeds),
+                                            inf, seq_bound)
         for t_bound in range(-1, 9):
+            old = {seq for seq in rest
+                   if oracle.census_keeps(seq, t_bound, seq_bound)}
+            old |= oracle.seeded_gofk_sequences(
+                [(t + 2, 3) for t in range(seeds + 2, t_bound + 1)],
+                t_bound, seq_bound)
             seqs = _gofk_sequences(t_bound, seq_bound)
             census = gofklens_census(t_bound, seq_bound)
             with monkeypatch.context() as patch:
-                patch.setattr(families, "_gofk_seeds", oracle._gofk_seeds)
-                old = _gofk_sequences(t_bound, seq_bound)
                 patch.setattr(families, "_gofk_sequences", lambda t, s: old)
                 old_census = gofklens_census(t_bound, seq_bound)
             assert seqs == old, (t_bound, seq_bound)
@@ -360,39 +369,109 @@ def test_census_duals_go_through_checked_point_rule(monkeypatch):
     monkeypatch.setattr(families, "riemenschneider_dual", counted)
     gofklens_census(6, 6)
     seeds = list(families._gofk_seeds(6, 6))
-    assert len(seeds) == 51
+    assert len(seeds) == 29
     assert calls == seeds
 
 
-def test_seeds_left_out_give_no_kept_sequence():
-    # every instance of every four-shape seed left out (two ends, one entry
-    # of 4 or more at length 3 or more, a twist seed beyond tmax) is
-    # rejected by a filter of _gofk_sequences: three or more entries other
-    # than 2, no exponent sums, or a twist shape beyond tmax
+def test_seeds_left_out_give_no_new_sequence():
+    # every four-shape seed left out (the dual of a kept seed, two ends,
+    # one entry of 4 or more at length 3 or more, a twist seed beyond
+    # tmax) gives through the six old templates only sequences that a
+    # census filter rejects or that the kept seeds give too
     for t_bound, seq_bound in ((-1, 9), (4, 9), (12, 9)):
         kept = set(families._gofk_seeds(t_bound, seq_bound))
         old = set(oracle._four_shape_gofk_seeds(t_bound, seq_bound))
         assert kept < old
-        for a in old - kept:
-            b = riemenschneider_dual(a)
-            for first, second in ((a, b), (b, a)):
-                for seq in _template_instances(first, second):
-                    t = _is_twist_shape(seq)
-                    assert (len(seq) - seq.count(2) >= 3
-                            or not gofk_exponent_sums(seq)
-                            or (t is not None and t > t_bound)), (a, seq)
-
-
-def test_seeds_match_four_shape_generator_past_seqmax_8(monkeypatch):
-    # the census sequences from the proved seeds equal those from the four
-    # seed shapes at cells too large for the three-entry oracle
-    for t_bound, seq_bound in ((20, 20), (12, 40), (40, 12)):
         seqs = _gofk_sequences(t_bound, seq_bound)
-        with monkeypatch.context() as patch:
-            patch.setattr(families, "_gofk_seeds",
-                          oracle._four_shape_gofk_seeds)
-            assert _gofk_sequences(t_bound, seq_bound) == seqs, (
-                t_bound, seq_bound)
+        for a in sorted(old - kept):
+            assert oracle.seeded_gofk_sequences(
+                [a], t_bound, seq_bound) <= seqs, a
+
+
+def test_seeds_match_four_shape_generator_past_seqmax_8():
+    # the census sequences from the proved seeds equal those from the four
+    # seed shapes through the six old templates at cells too large for the
+    # three-entry oracle
+    for t_bound, seq_bound in ((20, 20), (12, 40), (40, 12), (100, 5)):
+        assert _gofk_sequences(t_bound, seq_bound) == (
+            oracle.seeded_gofk_sequences(
+                oracle._four_shape_gofk_seeds(t_bound, seq_bound),
+                t_bound, seq_bound)), (t_bound, seq_bound)
+
+
+def test_seeds_match_single_entry_generator_at_large_bounds():
+    # at (80, 80) and (5, 100) the four seed shapes are 0.8 and 1.5 million
+    # seeds, tens of seconds through the oracle.  The old seeds with at most
+    # one entry other than 2, to which the _gofk_seeds lemmas cut the four
+    # shapes, stand in for them there
+    for t_bound, seq_bound in ((40, 40), (80, 80), (5, 100), (100, 5)):
+        assert _gofk_sequences(t_bound, seq_bound) == (
+            oracle.seeded_gofk_sequences(
+                oracle._single_entry_gofk_seeds(t_bound, seq_bound),
+                t_bound, seq_bound)), (t_bound, seq_bound)
+
+
+def _docstring_table(t_bound, seeds):
+    # the _template_instances docstring's table: (seed shape, order,
+    # template) to the instances it lists, before the census filters
+    def twos(n):
+        return (2,) * n
+
+    return {
+        ("(v)", "a, w", "plain join"): [(v,) + twos(v - 1) for v in (2, 3, 4)],
+        ("(v)", "a, w", "merged cell"): [(5,), (7, 2, 2)],
+        ("(v)", "a, w", "merged + 1"): [(5,), (7, 2, 2)],
+        ("(v)", "w, a", "plain join"): [twos(v - 1) + (v,) for v in (2, 3, 4)],
+        ("(v)", "w, a", "merged cell"): [twos(v - 2)
+                                         for v in range(3, seeds + 4)],
+        ("(v)", "w, a", "merged + 1"): [(5,), (2, 2, 7)],
+        ("(v,2)", "a, w", "plain join"): [(2, 2, 3)],
+        ("(v,2)", "a, w", "merged cell"): [(2,), (3, 5)],
+        ("(v,2)", "w, a", "plain join"): [(3, 2, 2)],
+        ("(v,2)", "w, a", "merged cell"): [(5,), (2, 2, 5)],
+        ("(2,v)", "w, a", "merged cell"): [(3, 5), (3, 2, 6)],
+        ("(t+2,3)", "w, a", "merged cell"): [twos(t) + (3, 5)
+                                             for t in range(1, t_bound + 1)],
+    }
+
+
+def test_template_table_of_the_docstring():
+    # on a grid of cells, the kept instances of each seed shape, order and
+    # template are those the _template_instances docstring lists; they make
+    # up the census sequences, and the oracle's three insert templates add
+    # none on the kept seeds
+    for t_bound in range(-1, 13):
+        for seq_bound in range(0, 13):
+            seeds = max(seq_bound, 2)
+            shapes = {"(v)": [(v,) for v in range(2, seeds + 4)],
+                      "(v,2)": [(v, 2) for v in range(2, seeds + 4)],
+                      "(2,v)": [(2, v) for v in range(3, seeds + 4)],
+                      "(t+2,3)": [(t + 2, 3) for t in range(1, t_bound + 1)]}
+            drawn = [a for row in shapes.values() for a in row]
+            assert sorted(families._gofk_seeds(t_bound, seeds)) == sorted(
+                drawn)
+
+            def keeps(seq):
+                return oracle.census_keeps(seq, t_bound, seq_bound)
+
+            got = {}
+            for shape, row in shapes.items():
+                for a in row:
+                    w = riemenschneider_dual(a)
+                    for order, pair in (("a, w", (a, w)), ("w, a", (w, a))):
+                        for name, seq in zip(
+                                ("plain join", "merged cell", "merged + 1"),
+                                _template_instances(*pair)):
+                            if keeps(seq):
+                                got.setdefault((shape, order, name),
+                                               set()).add(seq)
+            table = {key: set(filter(keeps, seqs)) for key, seqs
+                     in _docstring_table(t_bound, seeds).items()}
+            assert got == {key: seqs for key, seqs in table.items() if seqs}
+            seqs = set().union(*got.values())
+            assert seqs == _gofk_sequences(t_bound, seq_bound)
+            assert oracle.seeded_gofk_sequences(
+                drawn, t_bound, seq_bound) == seqs, (t_bound, seq_bound)
 
 
 def test_alt_gofk_pipeline():
