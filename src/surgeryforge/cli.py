@@ -5,12 +5,9 @@ Exit codes: 0 on success, 1 when a verification command finds
 counterexamples, 2 on usage errors.  Output is byte-identical across runs
 and across --jobs values; timing is only attached when --timing is passed.
 
-The parser reads argv as argparse reads the COMMANDS table built as one
-subparser level per command word (tests/cli_oracle.py keeps that parser as
-the reference), except that an option written as --opt=-- is an error
-where argparse would store an empty list.  _read reads the plain form,
-where an argument is a string that does not start with "-", or a negative
-integer or fraction such as -5 or -7/3:
+_read reads argv in the plain form, where an argument is a string that
+does not start with "-", or a negative integer or fraction such as -5 or
+-7/3:
 
 - the global options --format, --jobs and --timing, spelled in full, come
   before the first command word;
@@ -18,14 +15,15 @@ integer or fraction such as -5 or -7/3:
   in any order, each option spelled in full with its value, an argument,
   as the next string;
 - one "--" may come among the command's arguments when an argument
-  follows it, and every string after it is an argument;
-- -h or --help prints the help of its level and exits 0, when no
-  argument of that level comes before it and only arguments and "--"
-  follow it.
+  follows it, and every string after it but another "--" is an argument;
+- -h or --help prints the help of its level and exits 0, wherever it
+  stands at that level.
 
-argparse reads every other argv, such as one with --format=text, a unique
-prefix (--form text), -hh, -1.5 or a usage error.  No plain argv imports
-argparse or json.
+It reads a plain argv as argparse reads the COMMANDS table built as one
+subparser level per command word (tests/cli_oracle.py keeps that parser
+as the reference).  Every other argv, such as one with --format=text, a
+unique prefix (--form text), -hh, a trailing "--" or -1.5, exits 2 with
+one error line in argparse's words.  No argv imports argparse.
 """
 
 import importlib.util
@@ -405,12 +403,10 @@ def _families_fes_triple(args):
                 for key, val in data.items()}
 
 
-# The parser.  _read reads a plain argv, the form the module docstring
-# lists, and _argparse reads every other argv with argparse.  Both read it
-# as argparse reads the table with one subparser level per command word and
-# a command's arguments on the level of its last word.
-# tests/cli_oracle.py keeps that argparse parser, and the tests compare the
-# two paths with it.
+# The parser.  _read reads an argv as argparse reads the table with one
+# subparser level per command word and a command's arguments on the level
+# of its last word; tests/cli_oracle.py keeps that argparse parser, and the
+# tests compare _read with it.
 
 _PARSER = "A..."  # the nargs of the choice of the next command word
 
@@ -523,141 +519,94 @@ def _argument(string):
 
 
 def _value(action, string):
-    """string converted by the action's type; ValueError when the type or
-    the choices refuse it."""
-    value = int(string) if action.type is int else string
+    """string converted by the action's type and checked against its
+    choices; ValueError in argparse's words when either refuses it."""
+    try:
+        value = int(string) if action.type is int else string
+    except ValueError:
+        raise ValueError(f"argument {action.name}: invalid int value: "
+                         f"{string!r}") from None
     if action.choices is not None and value not in action.choices:
-        raise ValueError(string)
+        raise ValueError(f"argument {action.name}: invalid choice: "
+                         f"{string!r} (choose from "
+                         f"{', '.join(action.choices)})")
     return value
 
 
 def _read(argv):
     """The fields of a plain argv: one per argument of its command, the
     global options, and `command`, the command's name; -h prints the help
-    of its level and exits 0.  None for any other argv, and for one with a
-    value that its type or choices refuse, so that _argparse reports it.
+    of its level and exits 0.  Any other argv raises ValueError with one
+    line in argparse's words.  Read from the left, an unknown option
+    (--opt=value among them), an option without its value, or a word or
+    option value that its choices or type refuse stops the reading; then
+    come, in turn, a positional value that its type refuses, the arguments
+    still required and the arguments left over.
 
     Arguments go to a command's positionals in order.  argparse reads them
     so because a variable-count positional is the last argument of a
     command without options, which _command checks."""
     fields, words, i = {}, (), 0
-    try:
-        while True:
-            actions = _level(words)
-            for action in actions:
-                if action.dest is not None:
-                    fields[action.dest] = action.default
-            options = {flag: action for action in actions
-                       for flag in action.flags}
-            positionals = [action for action in actions if not action.flags]
-            name = " ".join(words)
-            taken, given, dashed = [], set(), False
-            while i < len(argv):
-                string = argv[i]
-                i += 1
-                if _argument(string):
-                    if name in COMMANDS:
-                        taken.append(string)
-                        continue
-                    if string not in positionals[0].choices:
-                        return None
-                    words += (string,)
+    while True:
+        actions = _level(words)
+        for action in actions:
+            if action.dest is not None:
+                fields[action.dest] = action.default
+        options = {flag: action for action in actions
+                   for flag in action.flags}
+        positionals = [action for action in actions if not action.flags]
+        name = " ".join(words)
+        taken, given, dashed = [], set(), False
+        while i < len(argv):
+            string = argv[i]
+            i += 1
+            if (string == "--" and name in COMMANDS and not dashed
+                    and i < len(argv)):
+                dashed = True
+            elif _argument(string) or dashed and string != "--":
+                if name not in COMMANDS:
+                    words += (_value(positionals[0], string),)
                     break
-                if dashed:
-                    return None
-                if string == "--" and name in COMMANDS and i < len(argv):
-                    dashed = True
-                    continue
+                taken.append(string)
+            else:
                 action = options.get(string)
-                if action is _HELP and not taken and all(
-                        # argparse sorts every string into option or
-                        # argument before it reads any, and may refuse an
-                        # option string even after -h
-                        _argument(s) or s == "--" for s in argv[i:]):
+                if action is _HELP:
                     sys.stdout.write(_help(words))
                     raise SystemExit(0)
-                if action in (None, _HELP):
-                    return None
-                given.add(action)
+                if action is None:
+                    raise ValueError(f"unrecognized arguments: {string}")
                 if action.nargs == 0:
                     fields[action.dest] = True
-                    continue
-                if i == len(argv) or not _argument(argv[i]):
-                    return None
-                fields[action.dest] = _value(action, argv[i])
-                i += 1
-            else:  # argv ends at this level
-                break
-        if name not in COMMANDS:
-            return None
-        for action in positionals:
-            count = len(taken) if action.nargs == "+" else 1
-            strings, taken = taken[:count], taken[count:]
-            if strings:
-                values = [_value(action, string) for string in strings]
-                fields[action.dest] = (values if action.nargs == "+"
-                                       else values[0])
-            elif action.required:
-                return None
-        if taken or any(action.required and action not in given
-                        for action in options.values()):
-            return None
-    except ValueError:
-        return None
+                elif i < len(argv) and _argument(argv[i]):
+                    fields[action.dest] = _value(action, argv[i])
+                    given.add(action)
+                    i += 1
+                else:
+                    raise ValueError(f"argument {action.name}: "
+                                     f"expected one argument")
+        else:  # argv ends at this level
+            break
+    for action in positionals:
+        count = len(taken) if action.nargs == "+" else 1
+        strings, taken = taken[:count], taken[count:]
+        if strings:
+            values = [_value(action, string) for string in strings]
+            fields[action.dest] = values if action.nargs == "+" else values[0]
+            given.add(action)
+    missing = [action.name for action in actions
+               if action.required and action not in given]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    if taken:
+        raise ValueError(f"unrecognized arguments: {' '.join(taken)}")
     fields["command"] = name
     return SimpleNamespace(**fields)
 
 
-def _argparse(argv):
-    """The fields of any argv, as _read gives them, read by argparse over
-    the whole command table.  A usage error raises ValueError with
-    argparse's message; -h prints the help of its level, as _help lays it
-    out, and exits 0."""
-    import argparse
-    import re
-
-    class Parser(argparse.ArgumentParser):
-        def _parse_optional(self, arg_string):
-            # a negative fraction is an argument, as a negative integer is
-            if re.match(r"^-\d+/\d+$", arg_string):
-                return None
-            return super()._parse_optional(arg_string)
-
-        def _get_values(self, action, arg_strings):
-            # --opt=-- gives no value, where argparse stores an empty list
-            if action.option_strings and arg_strings == ["--"]:
-                raise argparse.ArgumentError(action, "expected one argument")
-            return super()._get_values(action, arg_strings)
-
-        def error(self, message):
-            raise ValueError(message)
-
-        def format_help(self):
-            return _help(self.words)
-
-    def build(parser, words):
-        parser.words = words
-        name = " ".join(words)
-        if name in COMMANDS:
-            parser.set_defaults(command=name)
-            for flags, keywords in COMMANDS[name][0]:
-                parser.add_argument(*flags, **keywords)
-        else:
-            level = parser.add_subparsers(required=True)
-            for word in _level(words)[-1].choices:
-                build(level.add_parser(word), (*words, word))
-        return parser
-
-    root = Parser(prog="surgeryforge")
-    for flags, keywords in _GLOBALS:
-        root.add_argument(*flags, **keywords)
-    return build(root, ()).parse_args(argv)
-
-
 def main(argv=None):
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = _read(argv) or _argparse(argv)
+        args = _read(sys.argv[1:] if argv is None else list(argv))
         if args.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         started = time.monotonic()

@@ -376,13 +376,10 @@ def _template_instances(first, second):
         (v)      (w, a)  plain join   (2^[v-1],v), v = 2, 3, 4  as (a, w)
                          merged cell  2^[v-2], v >= 3           all 2s
                          merged + 1   (5), (2,2,7): v = 2, 4    (r), (r,2,s)
-        (v,2)    (a, w)  plain join   (2,2,3): v = 2            (r,2,s)
-                         merged cell  (2), (3,5): v = 2, 3      (r), (r,3) rev
-        (v,2)    (w, a)  plain join   (3,2,2): v = 2            (r,2,s)
-                         merged cell  (5), (2,2,5): v = 2, 4    (r), (r,2,s)
+        (v,2)    (a, w)  merged cell  (3,5): v = 3              (r,3) rev
+        (v,2)    (w, a)  merged cell  (2,2,5): v = 4            (r,2,s)
         (2,v)    (a, w)  none
-        (2,v)    (w, a)  merged cell  (3,5), (3,2,6): v = 3, 4  (r,3) rev,
-                                                                (r,2,s)
+        (2,v)    (w, a)  merged cell  (3,2,6): v = 4            (r,2,s)
         (t+2,3)  (a, w)  none
         (t+2,3)  (w, a)  merged cell  (2^[t],3,5), t >= 1       (r,3,2^[s-1])
                                                                 rev
@@ -412,10 +409,9 @@ def _is_twist_shape(seq):
 
 
 def _gofk_seeds(t_bound, seq_bound):
-    """One seed a per dual pair (a, dual(a)) that can contribute: (v) and
-    (v, 2) for 2 <= v <= seq_bound+3, (2, v) for 3 <= v <= seq_bound+3, and
-    the twist seeds (t+2, 3), 1 <= t <= t_bound.  Two pairs come twice, as
-    (2, 2) is the dual of (3) and (2, 3) of (3, 2).
+    """One seed a per dual pair (a, dual(a)) that can contribute: (v) for
+    2 <= v <= seq_bound+3, (v, 2) for 3 <= v <= seq_bound+3, (2, v) for
+    4 <= v <= seq_bound+3, and the twist seeds (t+2, 3), 1 <= t <= t_bound.
 
     No other pair contributes.  Let a (length >= 2) have n entries other
     than 2, I inside.  By the row-start rule of riemenschneider_dual (b is
@@ -444,14 +440,17 @@ def _gofk_seeds(t_bound, seq_bound):
     That leaves all 2s, one entry at lengths 1 and 2, a single 3 in a
     longer seed and the twist seeds, at lengths up to seq_bound.  By the
     row-start rule the longer ones are duals of kept seeds: 2^[L] of
-    (L+1), (3,2^[L-1]) of (2,L+1) and (2^[L-1],3) of (L+1,2).  The interior
-    3, (2^[i],3,2^[j]), is the dual of the two-ends seed (i+2,j+2), which
+    (L+1), (3,2^[L-1]) of (2,L+1) and (2^[L-1],3) of (L+1,2).  So are
+    (2,2), the dual of (3), and (2,3), the dual of (3,2), which is why
+    (v,2) starts at v = 3 and (2,v) at v = 4.  The interior 3,
+    (2^[i],3,2^[j]), is the dual of the two-ends seed (i+2,j+2), which
     contributes only as the twist seed (i+2,3): its instances are the twist
     shape of index i, which the t_bound filter drops past t_bound."""
     for v in range(2, seq_bound + 4):
         yield (v,)
-        yield (v, 2)
         if v > 2:
+            yield (v, 2)
+        if v > 3:
             yield (2, v)
     for t in range(1, t_bound + 1):
         yield (t + 2, 3)

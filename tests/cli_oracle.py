@@ -1,12 +1,11 @@
-"""The command-line parser as argparse built it, kept as the reference for
-the parser in surgeryforge.cli, which reads a plain argv by hand
-(cli._read) and any other with argparse over the whole table
-(cli._argparse).
+"""The command-line parser as argparse builds it, kept as the reference for
+the parser in surgeryforge.cli (cli._read), which reads the plain form by
+hand and refuses every other argv.
 
 _build_parser(argv).parse_args(argv) returns an argparse Namespace with the
-fields cli._read and cli._argparse return, raises ValueError with the
-message cli._argparse raises, or prints the help of the level argv asks for
-and exits 0.  It builds argparse subparsers only along argv's command path,
+fields cli._read returns for a plain argv, raises ValueError with
+argparse's message, or prints the help of the level argv asks for and
+exits 0.  It builds argparse subparsers only along argv's command path,
 reading the command words and their arguments from cli.COMMANDS.
 """
 
@@ -20,20 +19,13 @@ _NEGATIVE_FRACTION = re.compile(r"^-\d+/\d+$")
 
 class _Parser(argparse.ArgumentParser):
     """Reads a negative fraction such as -7/3 as a positional, as argparse
-    already does for a negative integer, refuses an option written as
-    --opt=--, for which argparse would store an empty list, and raises a
-    usage error as a ValueError, so that main reports it on one line and
-    exits 2; subparsers inherit the class."""
+    already does for a negative integer, and raises a usage error as a
+    ValueError, as cli._read does; subparsers inherit the class."""
 
     def _parse_optional(self, arg_string):
         if _NEGATIVE_FRACTION.match(arg_string):
             return None
         return super()._parse_optional(arg_string)
-
-    def _get_values(self, action, arg_strings):
-        if action.option_strings and arg_strings == ["--"]:
-            raise argparse.ArgumentError(action, "expected one argument")
-        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         raise ValueError(message)
