@@ -55,25 +55,16 @@ families, normseq, pentangle, simpleknot, tangle = map(
     _lazy_module, ("families", "normseq", "pentangle", "simpleknot", "tangle"))
 
 
-def _jsonable(value):
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
+def _items(table):
+    """A dict's items as a report prints them: keyed and sorted by str."""
+    return sorted(((str(key), value) for key, value in table.items()),
+                  key=lambda item: item[0])
 
 
 def _compact(value):
     """value as json.dumps(value, sort_keys=True, separators=(",", ":"))
-    writes it, for the values _jsonable returns."""
-    if isinstance(value, str):
-        if (value.isascii() and value.isprintable() and '"' not in value
-                and "\\" not in value):
-            return f'"{value}"'
-        import json  # escapes; no report string needs them
-        return json.dumps(value)
+    writes it, with a tuple as a list, dict keys by _items, and a string
+    or a library value such as L(7,2) as the JSON string of its str."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -81,25 +72,27 @@ def _compact(value):
     if isinstance(value, int):
         return str(value)
     if isinstance(value, dict):
-        return "{" + ",".join(f"{_compact(key)}:{_compact(value[key])}"
-                              for key in sorted(value)) + "}"
-    return "[" + ",".join(map(_compact, value)) + "]"
+        return "{" + ",".join(f"{_compact(key)}:{_compact(val)}"
+                              for key, val in _items(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_compact, value)) + "]"
+    value = str(value)
+    if (value.isascii() and value.isprintable() and '"' not in value
+            and "\\" not in value):
+        return f'"{value}"'
+    import json  # escapes; no report string needs them
+    return json.dumps(value)
 
 
-def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
-    report = {
-        "command": command,
-        "parameters": _jsonable(parameters),
-        "results": _jsonable(results),
-        "counterexamples": _jsonable(list(counterexamples)),
-        "version": __version__,
-    }
+def _emit(args, elapsed_ms, parameters, results, counterexamples=()):
+    report = {"command": args.command, "parameters": parameters,
+              "results": results, "counterexamples": list(counterexamples),
+              "version": __version__}
     if args.timing:
         report["elapsed_ms"] = elapsed_ms
-    fmt = args.format
-    if fmt == "json":
+    if args.format == "json":
         print(_compact(report))
-    elif fmt == "csv":
+    elif args.format == "csv":
         _emit_csv(report)
     else:
         _emit_text(report)
@@ -107,9 +100,11 @@ def _emit(args, command, elapsed_ms, parameters, results, counterexamples=()):
 
 
 def _cell(value):
-    """A report field as text and csv print it: a string as itself, any
-    other value as its compact JSON."""
-    return value if isinstance(value, str) else _compact(value)
+    """A report field as text and csv print it: a string or a library value
+    such as L(7,2) as its str, any other value as its compact JSON."""
+    if value is None or isinstance(value, (int, list, tuple, dict)):
+        return _compact(value)
+    return str(value)
 
 
 def _emit_csv(report):
@@ -117,9 +112,9 @@ def _emit_csv(report):
     quoted where CSV needs it.  Counterexamples follow under a
     `counterexample` header, one cell each, then elapsed_ms under its own."""
     import csv
-    rows = report["results"]
-    if isinstance(rows, dict):
-        rows = [rows]
+    results = report["results"]
+    rows = [dict(_items(row)) for row in
+            ([results] if isinstance(results, dict) else results)]
     keys = sorted({k for row in rows for k in row})
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(keys)
@@ -133,11 +128,11 @@ def _emit_csv(report):
 
 def _emit_text(report):
     print(f"# {report['command']}")
-    for key, val in sorted(report["parameters"].items()):
+    for key, val in _items(report["parameters"]):
         print(f"  {key} = {_cell(val)}")
     results = report["results"]
     if isinstance(results, dict):
-        for key, val in sorted(results.items()):
+        for key, val in _items(results):
             print(f"{key}: {_cell(val)}")
     else:
         for row in results:
@@ -158,7 +153,7 @@ def _emit_text(report):
 # results a dict or a list of dicts, which is what the emitters read; a
 # sweep returns the (results, counterexamples) pair itself, and its handler
 # passes it through after the parameters.  Fields hold library values, which
-# _jsonable prints through their __str__.  Handlers call library functions
+# the report writers print as their str.  Handlers call library functions
 # through their modules at call time, so that a function replaced on its
 # module (by a test or a tracer) is the one that runs.
 COMMANDS = {}
@@ -612,7 +607,7 @@ def main(argv=None):
         started = time.monotonic()
         outcome = COMMANDS[args.command][1](args)
         elapsed = int((time.monotonic() - started) * 1000)
-        return _emit(args, args.command, elapsed, *outcome)
+        return _emit(args, elapsed, *outcome)
     except (ValueError, OverflowError, MemoryError) as exc:
         # an oversize 2^[t] block overflows an index or asks for more memory
         # than there is; a MemoryError has no message of its own

@@ -494,8 +494,6 @@ def _pair_masks(tb, i, after):
                 cell = k0 & km1
                 if cell and (c := x0 & (vm1i if xm1 is None else xm1)):
                     cells.append((cell, c))
-        if not cells:
-            continue
         if i_inf or j_inf:
             # xinf is full on every sw corner for the ne corners in
             # Vinf[nw]; for the others it is full on Minf and Minf elsewhere

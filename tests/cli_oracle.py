@@ -7,6 +7,11 @@ fields cli._read returns for a plain argv, raises ValueError with
 argparse's message, or prints the help of the level argv asks for and
 exits 0.  It builds argparse subparsers only along argv's command path,
 reading the command words and their arguments from cli.COMMANDS.
+
+_jsonable(value) copies a report value with every library value as its
+str, every tuple as a list and every dict key as its str.  json.dumps of
+the copy is the reference for cli._compact, and the copy for cli._cell,
+which both print the value itself.
 """
 
 import argparse
@@ -87,3 +92,13 @@ def _build_parser(argv):
     for flags, keywords in COMMANDS[node][0]:
         level_parser.add_argument(*flags, **keywords)
     return parser
+
+
+def _jsonable(value):
+    if isinstance(value, (int, str, bool)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return str(value)

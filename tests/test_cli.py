@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from surgeryforge import cli, families, pentangle
 from surgeryforge.cli import COMMANDS, main
+from surgeryforge.lens import LensSpace
 from surgeryforge.rationals import INF, rat
 
 
@@ -622,6 +624,30 @@ def _read_fields(pairs, want):
     return {key: _read_field(text, want[key]) for key, text in pairs}
 
 
+def _assert_text_and_csv_read_back(capsys, argv):
+    """argv's text and csv reports read back to its JSON report's
+    parameters and results."""
+    code, report = run_json(capsys, *argv)
+    params, results = report["parameters"], report["results"]
+    rows = results if isinstance(results, list) else [results]
+    code, out = run(capsys, "--format", "text", *argv)
+    head, *lines, tail = out.splitlines()
+    assert (head, tail) == (f"# {report['command']}", "counterexamples: 0")
+    assert _read_fields((line[2:].split(" = ", 1) for line in lines
+                         if line.startswith("  ")), params) == params, argv
+    lines = [line for line in lines if not line.startswith("  ")]
+    if isinstance(results, list):
+        assert list(map(json.loads, lines)) == results, argv
+    else:
+        assert _read_fields((line.split(": ", 1) for line in lines),
+                            results) == results, argv
+    code, out = run(capsys, "--format", "csv", *argv)
+    header, *cells = csv.reader(io.StringIO(out))
+    assert [_read_fields(zip(header, row), want)
+            for row, want in zip(cells, rows)] == rows, argv
+    assert len(cells) == len(rows), argv
+
+
 def test_formats(capsys):
     code, out = run(capsys, "--format", "text", "simpleknot", "chi", "5",
                     "4", "2")
@@ -642,32 +668,23 @@ def test_formats(capsys):
         results = run_json(capsys, *argv)[1]["results"]
         assert dict(zip(header, map(json.loads, row))) == results
     # booleans, nulls, lists and tables print as JSON in text and csv, so
-    # that every parameter, result and row reads back to the JSON report
+    # that every parameter, result and row reads back to the JSON report;
+    # families eval keys its results by slope, not by string
     for argv in (["lens", "homeo", "7", "2", "7", "4"],
                  ["families", "optsurg", "1", "2"],
                  ["simpleknot", "star", "7", "--eps", "+1"],
                  ["pentangle", "simplifies", "1", "2", "3", "4"],
                  ["families", "verify", "alt-gofk"],
-                 ["families", "fes-triple"]):
-        code, report = run_json(capsys, *argv)
-        params, results = report["parameters"], report["results"]
-        rows = results if isinstance(results, list) else [results]
-        code, out = run(capsys, "--format", "text", *argv)
-        head, *lines, tail = out.splitlines()
-        assert (head, tail) == (f"# {report['command']}", "counterexamples: 0")
-        assert _read_fields((line[2:].split(" = ", 1) for line in lines
-                             if line.startswith("  ")), params) == params
-        lines = [line for line in lines if not line.startswith("  ")]
-        if isinstance(results, list):
-            assert list(map(json.loads, lines)) == results
-        else:
-            assert _read_fields((line.split(": ", 1) for line in lines),
-                                results) == results
-        code, out = run(capsys, "--format", "csv", *argv)
-        header, *cells = csv.reader(io.StringIO(out))
-        assert [_read_fields(zip(header, row), want)
-                for row, want in zip(cells, rows)] == rows
-        assert len(cells) == len(rows)
+                 ["families", "fes-triple"],
+                 ["families", "eval", "A", "3", "2"]):
+        _assert_text_and_csv_read_back(capsys, argv)
+
+
+def test_recorded_reports_read_back_in_text_and_csv(capsys):
+    # every recorded report that exits 0 reads back from text and csv
+    for key, digest in _recorded_digests().items():
+        if digest.startswith("0:"):
+            _assert_text_and_csv_read_back(capsys, key.split())
 
 
 def test_no_timing_by_default(capsys):
@@ -951,16 +968,28 @@ def test_parser_matches_argparse_oracle(name, data):
 
 _JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x7fé😀'),
                      max_size=6)
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | _JSON_TEXT,
+_LENS = st.tuples(st.integers(-30, 30), st.integers(-30, 30)).filter(
+    lambda pq: math.gcd(*pq) == 1).map(lambda pq: LensSpace(*pq))
+_SLOPES = st.tuples(st.integers(-30, 30), st.integers(0, 9)).filter(
+    any).map(lambda ab: rat(*ab))
+_KEYS = (_JSON_TEXT | st.integers() | _SLOPES | _LENS
+         | st.builds(families.CensusEntry, *[st.integers(-9, 99)] * 3))
+_REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_TEXT | _SLOPES | _LENS,
     lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(st.tuples(_KEYS, inner), max_size=4,
+                              unique_by=lambda item: str(item[0])).map(dict)),
     max_leaves=12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_JSON_VALUES)
+@given(_REPORT_VALUES)
 def test_compact_matches_json_dumps(value):
-    # the report writer prints what json.dumps prints, escapes included
-    assert cli._compact(value) == json.dumps(value, sort_keys=True,
-                                             separators=(",", ":"))
+    # the report writers print a handler value as they printed its
+    # _jsonable copy, escapes included: _compact as json.dumps of the copy,
+    # and _cell as the copy itself when a string, else as its compact JSON
+    copy = cli_oracle._jsonable(value)
+    dumped = json.dumps(copy, sort_keys=True, separators=(",", ":"))
+    assert cli._compact(value) == dumped
+    assert cli._cell(value) == (copy if isinstance(copy, str) else dumped)

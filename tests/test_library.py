@@ -9,11 +9,11 @@ SRC = Path(surgeryforge.__file__).parent
 
 # public names kept for a command still to come, each with its reason
 NO_CALLER_YET = {
-    # the case table of the bound-free pentangle certificate (ROADMAP item 6)
+    # the case table of the bound-free pentangle certificate (ROADMAP item 7)
     "case_holds",
     # the slope-translation cross-check that acceptance criterion 10 runs,
     # until the X1 label is repaired and the families tier is proved as
-    # polynomial identities (ROADMAP items 2 and 4)
+    # polynomial identities (ROADMAP items 2 and 5)
     "prop15_consistency",
 }
 
