@@ -3,14 +3,14 @@ deterministic JSON/CSV/text reports.
 
 Exit codes: 0 on success, 1 when a verification command finds
 counterexamples, 2 on usage errors.  Output is byte-identical across runs
-and across --jobs values; timing is only attached when --timing is passed.
+and worker counts; timing is only attached when --timing is passed.
 
 _read reads argv in the plain form, where an argument is a string that
 does not start with "-", or a negative integer or fraction such as -5 or
 -7/3:
 
-- the global options --format, --jobs and --timing, spelled in full, come
-  before the first command word;
+- the global options --format and --timing, spelled in full, come before
+  the first command word;
 - the command words come next, then the command's options and arguments
   in any order, each option spelled in full with its value, an argument,
   as the next string;
@@ -331,9 +331,8 @@ def _tangle_two_bridge(args):
 
 @_command("pentangle verify", _arg("--bound", type=int, required=True))
 def _pentangle_verify(args):
-    # jobs only partitions the sweep; it never appears in the report
     return ({"bound": args.bound},
-            *pentangle.verify_simplification(args.bound, jobs=args.jobs))
+            *pentangle.verify_simplification(args.bound))
 
 
 @_command("pentangle simplifies", *_FILLING)
@@ -435,7 +434,6 @@ _HELP = _Action(("-h", "--help"), {"action": "store_true",
                 stored=False)
 _GLOBALS = (
     _arg("--format", choices=("json", "csv", "text"), default="json"),
-    _arg("--jobs", type=int, default=1, help="worker processes (default: 1)"),
     _arg("--timing", action="store_true",
          help="attach elapsed_ms to the report"))
 
@@ -602,8 +600,6 @@ def _read(argv):
 def main(argv=None):
     try:
         args = _read(sys.argv[1:] if argv is None else list(argv))
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         started = time.monotonic()
         outcome = COMMANDS[args.command][1](args)
         elapsed = int((time.monotonic() - started) * 1000)

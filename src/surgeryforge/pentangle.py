@@ -12,6 +12,7 @@ necessary conditions for two-bridgeness case by case over all slopes of
 bounded height and confirms there are no counterexamples.
 """
 
+import os
 from itertools import product
 from operator import itemgetter
 
@@ -25,12 +26,6 @@ class P5Filling(FrozenValue):
     """Tangle coordinates (nw, ne, sw, se) at the four corners."""
 
     __slots__ = ("nw", "ne", "sw", "se")
-
-    def __init__(self, nw, ne, sw, se):
-        object.__setattr__(self, "nw", nw)
-        object.__setattr__(self, "ne", ne)
-        object.__setattr__(self, "sw", sw)
-        object.__setattr__(self, "se", se)
 
     def corners(self):
         return (self.nw, self.ne, self.sw, self.se)
@@ -624,7 +619,7 @@ def _sweep_chunk(tb, lo, hi):
     return necessary // 12, simplified // 12, counterexamples
 
 
-def verify_simplification(bound, jobs=1):
+def verify_simplification(bound):
     """Sweep all slope 4-tuples of height <= bound; every tuple passing the
     two-bridge necessary conditions at x = 0, inf and -1 must simplify.
 
@@ -636,7 +631,7 @@ def verify_simplification(bound, jobs=1):
     slopes = stern_brocot_slopes(bound)
     n = len(slopes)
     tables = _SweepTables(slopes)
-    chunks = _partition(len(tables.walk), jobs)
+    chunks = _partition(len(tables.walk), _workers(tables.walk))
     if len(chunks) == 1:
         results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
     else:
@@ -670,7 +665,19 @@ def _pool_chunk(bounds):
     return _sweep_chunk(_worker_tables, *bounds)
 
 
-def _partition(n, jobs):
-    jobs = max(1, min(jobs, n))
-    step = -(-n // jobs)
+# Below this walk length a fork pool starts up slower than its second
+# worker saves: on a 2-CPU host (Python 3.11.7) a whole `pentangle verify`
+# takes as long either way at bound 40, a walk of 81 nw corners.
+_POOL_WALK = 82
+
+
+def _workers(walk):
+    """The worker processes that sweep walk: one, in process, below
+    _POOL_WALK, and otherwise one per CPU this process may run on."""
+    return 1 if len(walk) < _POOL_WALK else len(os.sched_getaffinity(0))
+
+
+def _partition(n, workers):
+    workers = min(workers, n)
+    step = -(-n // workers)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]

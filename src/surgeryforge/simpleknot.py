@@ -29,9 +29,7 @@ class SimpleKnot(FrozenValue):
             raise ValueError(f"gcd({p},{q}) != 1")
         if not 0 < k < p:
             raise ValueError("need 0 < k < p")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
+        super().__init__(p, q, k)
 
     @property
     def homological_order(self):

@@ -71,14 +71,12 @@ def _build_parser(argv):
         description="exact Dehn-surgery calculators and verification sweeps")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="json")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default: 1)")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
     # The word argparse reads at a level is the first token that is a word
     # of the level: before the first command word argv holds only global
-    # options, whose values (a format, an integer) are never command words,
-    # and a value that is one fails in argparse before any word is read.
+    # options, whose values (formats) are never command words, and a value
+    # that is one fails in argparse before any word is read.
     node, level_parser, tokens = _command_tree(), parser, iter(argv)
     while isinstance(node, dict):
         level = level_parser.add_subparsers(required=True)

@@ -51,32 +51,38 @@ def test_lens_homeo(capsys):
     assert report["results"]["homeomorphic"] is True
 
 
-def test_pentangle_verify_exit_and_determinism(capsys):
+def run_workers(monkeypatch, capsys, workers, *argv):
+    """run with the pentangle sweep split over `workers` processes."""
+    monkeypatch.setattr(pentangle, "_workers", lambda walk: workers)
+    return run(capsys, *argv)
+
+
+def test_pentangle_verify_exit_and_determinism(monkeypatch, capsys):
     code1, out1 = run(capsys, "pentangle", "verify", "--bound", "2")
     assert code1 == 0
     assert json.loads(out1)["counterexamples"] == []
-    code2, out2 = run(capsys, "--jobs", "3", "pentangle", "verify",
-                      "--bound", "2")
+    code2, out2 = run_workers(monkeypatch, capsys, 3,
+                              "pentangle", "verify", "--bound", "2")
     assert code2 == 0
-    assert out1 == out2  # byte-identical across --jobs
+    assert out1 == out2  # byte-identical across worker counts
     code3, out3 = run(capsys, "pentangle", "verify", "--bound", "2")
     assert out1 == out3  # and across runs
 
 
-def test_pentangle_verify_jobs_byte_identical(capsys):
-    code1, out1 = run(capsys, "--jobs", "1", "pentangle", "verify",
-                      "--bound", "6")
-    code2, out2 = run(capsys, "--jobs", "2", "pentangle", "verify",
-                      "--bound", "6")
+def test_pentangle_verify_jobs_byte_identical(monkeypatch, capsys):
+    code1, out1 = run_workers(monkeypatch, capsys, 1,
+                              "pentangle", "verify", "--bound", "6")
+    code2, out2 = run_workers(monkeypatch, capsys, 2,
+                              "pentangle", "verify", "--bound", "6")
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_pentangle_verify_bound_14_pinned(capsys):
-    code1, out1 = run(capsys, "--jobs", "1", "pentangle", "verify",
-                      "--bound", "14")
-    code2, out2 = run(capsys, "--jobs", "2", "pentangle", "verify",
-                      "--bound", "14")
+def test_pentangle_verify_bound_14_pinned(monkeypatch, capsys):
+    code1, out1 = run_workers(monkeypatch, capsys, 1,
+                              "pentangle", "verify", "--bound", "14")
+    code2, out2 = run_workers(monkeypatch, capsys, 2,
+                              "pentangle", "verify", "--bound", "14")
     assert code1 == code2 == 0
     assert out1 == out2
     report = json.loads(out1)
@@ -155,9 +161,7 @@ def test_usage_errors_exit_2(capsys):
 
 def test_bad_jobs_and_family_arity_exit_2(capsys):
     # one error line on stderr, no traceback, exit 2
-    cases = [["--jobs", "0", "pentangle", "verify", "--bound", "2"],
-             ["--jobs", "-2", "pentangle", "verify", "--bound", "2"],
-             ["families", "eval", "A", "3"],
+    cases = [["families", "eval", "A", "3"],
              ["families", "eval", "B", "3", "4"],
              # options follow the last command word, and alt-gofk has none
              ["families", "verify", "alt-gofk", "--bound", "3"],
@@ -181,7 +185,6 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
              ["cf", "solve-tail", "(1,2^[1000000000000000])", "1"],
              # an option written --opt=value is unrecognized
              ["pentangle", "verify", "--bound=--"],
-             ["--jobs=--", "cf", "eval", "[1]"],
              ["simpleknot", "star", "5", "--eps=--"],
              ["pentangle", "montesinos", "1", "2", "3", "4", "--x=--"],
              ["--format=--", "cf", "eval", "[1]"]]
@@ -189,10 +192,12 @@ def test_bad_jobs_and_family_arity_exit_2(capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, argv
-    # --jobs is a global option only
-    assert main(["pentangle", "verify", "--bound", "2", "--jobs", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: unrecognized arguments: --jobs\n"
+    # the sweep sizes its own pool: --jobs is no option, global or not
+    for argv in (["--jobs", "4", "pentangle", "verify", "--bound", "5"],
+                 ["pentangle", "verify", "--bound", "2", "--jobs", "2"]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: unrecognized arguments: --jobs\n", argv
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -456,10 +461,17 @@ def test_touching_blocks_exit_2(op, seq):
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # multiprocessing is imported only by a pentangle sweep with jobs > 1
+    # multiprocessing is imported only by a pentangle sweep that forks a
+    # pool, and a sweep at bound 10 runs in process
     out = run_python("-c", "import sys, surgeryforge.cli; "
                            "print('multiprocessing' in sys.modules)")
     assert out == "False\n"
+    out = run_python("-c", "import contextlib, io, sys, surgeryforge.cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           "    code = surgeryforge.cli.main(sys.argv[1:])\n"
+                           "print(code, 'multiprocessing' in sys.modules)",
+                     "pentangle", "verify", "--bound", "10")
+    assert out == "0 False\n"
 
 
 # Imports the CLI, runs cli.main on argv and prints, as JSON, the package
@@ -849,8 +861,7 @@ _FUZZ_KINDS = {"seq": _FUZZ_SEQ, "prefix": _FUZZ_SEQ, "word": _FUZZ_WORD,
                "lens": _FUZZ_LENS, "link": _FUZZ_LINK, "value": _FUZZ_SLOPE,
                "slope": _FUZZ_SLOPE, "--x": _FUZZ_SLOPE}
 _FUZZ_GLOBALS = ([], [], [], ["--format", "text"], ["--format", "csv"],
-                 ["--jobs", "1"], ["--format", "xml"], ["--jobs", "0"],
-                 ["--jobs", "x"])
+                 ["--timing"], ["--format", "xml"], ["--jobs", "2"])
 _VERIFICATION = ("pentangle verify", "families census", "families verify")
 
 

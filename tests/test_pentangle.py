@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import random
 from itertools import product
 from types import SimpleNamespace
@@ -352,26 +353,27 @@ def test_kernel_matches_oracle_bounds_2_to_8():
         assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
 
 
-def assert_chunks_match_oracle(tb, jobs_values=(1, 2, 3, 7, 128)):
-    """Each --jobs chunk reports what the least-corner oracle reports for
+def assert_chunks_match_oracle(tb, worker_counts=(1, 2, 3, 7, 128)):
+    """Each worker's chunk reports what the least-corner oracle reports for
     its nw corners, and the chunks together report the sweep over every
     tuple."""
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
     necessary, simplified, ces = oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
     whole = necessary, simplified, len(ces), set(ces)
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
-    for jobs in jobs_values:
+    for workers in worker_counts:
         chunks = []
-        for lo, hi in _partition(len(tb.walk), jobs):
+        for lo, hi in _partition(len(tb.walk), workers):
             necessary, simplified, ces = _sweep_chunk(tb, lo, hi)
             chunks.append((necessary, simplified, len(ces), ces))
             want = [by_corner[i] for i in tb.walk[lo:hi]]
             assert chunks[-1] == (
                 sum(w[0] for w in want), sum(w[1] for w in want),
                 sum(len(w[2]) for w in want),
-                set().union(*(w[2] for w in want))), (jobs, lo, hi)
+                set().union(*(w[2] for w in want))), (workers, lo, hi)
         union = tuple(sum(chunk[x] for chunk in chunks) for x in range(3))
-        assert union + (set().union(*(c[3] for c in chunks)),) == whole, jobs
+        assert union + (set().union(*(c[3] for c in chunks)),) == whole, (
+            workers)
 
 
 MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
@@ -380,7 +382,7 @@ EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
 
 
 def test_kernel_matches_visit_oracle_by_chunk():
-    # the walk ranges that --jobs workers sweep, at a bound above the range
+    # the walk ranges that pool workers sweep, at a bound above the range
     # of the per-triple oracle
     assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)))
 
@@ -639,8 +641,8 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
     # chunks report the orbit images of their counterexamples, whose nw
     # corners may lie outside the walk
-    for jobs in (1, 2, 3, 7):
-        assert verify_simplification(3, jobs=jobs)[1] == named
+    for workers in (1, 2, 3, 7):
+        assert verify_with_workers(monkeypatch, 3, workers)[1] == named
 
 
 @pytest.mark.parametrize("names", MIXED_CELL_PATCHES)
@@ -678,15 +680,22 @@ def test_necessary_tuples_pinned(bound, necessary):
     assert results["necessary_all_three"] == results["simplified"] == necessary
 
 
-def test_verify_simplification_jobs_deterministic():
-    serial = verify_simplification(2, jobs=1)
-    parallel = verify_simplification(2, jobs=3)
+def verify_with_workers(monkeypatch, bound, workers):
+    """verify_simplification(bound) with its walk split over `workers`."""
+    monkeypatch.setattr(pentangle, "_workers", lambda walk: workers)
+    return verify_simplification(bound)
+
+
+def test_verify_simplification_jobs_deterministic(monkeypatch):
+    serial = verify_with_workers(monkeypatch, 2, 1)
+    parallel = verify_with_workers(monkeypatch, 2, 3)
     assert serial == parallel
 
 
-def test_pool_sized_by_chunks(monkeypatch):
-    # a fake fork context runs the chunks in process and records the pool
-    # size asked for; no process is started
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the pools sweeps ask for: a fake fork context runs the
+    chunks in process and records each size; no process is started."""
     sizes = []
 
     class Pool:
@@ -706,11 +715,28 @@ def test_pool_sized_by_chunks(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(pentangle, "_worker_tables", None)
+    return sizes
+
+
+def test_pool_sized_by_chunks(monkeypatch, pool_sizes):
     serial = verify_simplification(2)
+    assert pool_sizes == []  # a walk of 5 is swept in process
     # the workers split the walked nw corners, the 5 slopes of T0 at bound
-    # 2 (inf, +-1 and +-1/2), so --jobs 64 asks for 5
+    # 2 (inf, +-1 and +-1/2), so 64 workers ask for a pool of 5
     walk = _SweepTables(stern_brocot_slopes(2)).walk
-    for jobs, chunks in ((64, 5), (3, 3), (2, 2)):
-        assert verify_simplification(2, jobs=jobs) == serial
-        assert sizes[-1] == chunks == len(_partition(len(walk), jobs))
-    assert len(sizes) == 3
+    for workers, chunks in ((64, 5), (3, 3), (2, 2)):
+        assert verify_with_workers(monkeypatch, 2, workers) == serial
+        assert pool_sizes[-1] == chunks == len(_partition(len(walk), workers))
+    assert len(pool_sizes) == 3
+
+
+def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes):
+    # a process that may run on 10,000 CPUs sweeps a short walk in process,
+    # and asks for a pool no larger than the walk of a long one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10_000))
+    assert pentangle._workers(range(pentangle._POOL_WALK - 1)) == 1
+    assert pentangle._workers(range(pentangle._POOL_WALK)) == 10_000
+    serial = verify_simplification(2)
+    monkeypatch.setattr(pentangle, "_POOL_WALK", 1)
+    assert verify_simplification(2) == serial
+    assert pool_sizes == [5]
