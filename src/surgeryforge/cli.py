@@ -331,8 +331,7 @@ def _tangle_two_bridge(args):
 
 @_command("pentangle verify", _arg("--bound", type=int, required=True))
 def _pentangle_verify(args):
-    return ({"bound": args.bound},
-            *pentangle.verify_simplification(args.bound))
+    return {"bound": args.bound}, *pentangle.verify_simplification(args.bound)
 
 
 @_command("pentangle simplifies", *_FILLING)

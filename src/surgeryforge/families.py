@@ -330,6 +330,11 @@ class CensusEntry(FrozenValue):
 
     __slots__ = ("p", "q", "k")
 
+    def __init__(self, p, q, k):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
+
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._fields() < other._fields()

@@ -41,7 +41,8 @@ class LensSpace(FrozenValue):
             q = 1  # L(0,1) and L(0,-1) name the same oriented manifold
         elif p == 1:
             q = 0
-        super().__init__(p, q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __str__(self):
         if self.p == 1:

@@ -36,7 +36,7 @@ class Pow2(FrozenValue):
     def __init__(self, t):
         if t < -1:
             raise ValueError(f"2^[{t}] is undefined: blocks need t >= -1")
-        super().__init__(t)
+        object.__setattr__(self, "t", t)
 
     def __str__(self):
         return f"2^[{self.t}]"

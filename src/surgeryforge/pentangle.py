@@ -27,6 +27,12 @@ class P5Filling(FrozenValue):
 
     __slots__ = ("nw", "ne", "sw", "se")
 
+    def __init__(self, nw, ne, sw, se):
+        object.__setattr__(self, "nw", nw)
+        object.__setattr__(self, "ne", ne)
+        object.__setattr__(self, "sw", sw)
+        object.__setattr__(self, "se", se)
+
     def corners(self):
         return (self.nw, self.ne, self.sw, self.se)
 
@@ -665,19 +671,14 @@ def _pool_chunk(bounds):
     return _sweep_chunk(_worker_tables, *bounds)
 
 
-# Below this walk length a fork pool starts up slower than its second
-# worker saves: on a 2-CPU host (Python 3.11.7) a whole `pentangle verify`
-# takes as long either way at bound 40, a walk of 81 nw corners.
-_POOL_WALK = 82
-
-
 def _workers(walk):
-    """The worker processes that sweep walk: one, in process, below
-    _POOL_WALK, and otherwise one per CPU this process may run on."""
-    return 1 if len(walk) < _POOL_WALK else len(os.sched_getaffinity(0))
+    """One worker per 41 nw corners of walk, up to one per usable CPU: two
+    first tie with one in process at 81 (bound 40, 2 CPUs, Python 3.11.7)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(cpus, len(walk) // 41))
 
 
 def _partition(n, workers):
-    workers = min(workers, n)
-    step = -(-n // workers)
+    step = -(-n // workers)  # more workers than n give n chunks
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]

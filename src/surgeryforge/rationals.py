@@ -20,8 +20,8 @@ from math import gcd
 class FrozenValue:
     """Base of the package's immutable value classes.
 
-    A subclass lists its fields in ``__slots__``; ``__init__`` sets them
-    once, in order, from the (normalised) arguments.  Equality holds only
+    A subclass lists its fields in ``__slots__`` and sets each one once in
+    its ``__init__`` through ``object.__setattr__``.  Equality holds only
     between instances of the same class with equal field tuples, and the
     hash is the hash of the field tuple, as for a frozen dataclass.  The
     repr is ``Name(field=value, ...)``.  These are plain classes rather
@@ -38,12 +38,6 @@ class FrozenValue:
     """
 
     __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {self.__slots__}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -93,7 +87,8 @@ class ExtRational(FrozenValue):
             if g > 1:
                 num //= g
                 den //= g
-        super().__init__(num, den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def is_infinite(self):

@@ -29,7 +29,9 @@ class SimpleKnot(FrozenValue):
             raise ValueError(f"gcd({p},{q}) != 1")
         if not 0 < k < p:
             raise ValueError("need 0 < k < p")
-        super().__init__(p, q, k)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
 
     @property
     def homological_order(self):

@@ -30,7 +30,7 @@ class MontesinosLink(FrozenValue):
                              f"factors, got {len(factors)}")
         if not all(isinstance(f, ExtRational) for f in factors):
             raise TypeError("factors must be ExtRational values")
-        super().__init__(factors)
+        object.__setattr__(self, "factors", factors)
 
     def __str__(self):
         return "Q(" + ",".join(str(f) for f in self.factors) + ")"

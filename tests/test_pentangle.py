@@ -730,13 +730,36 @@ def test_pool_sized_by_chunks(monkeypatch, pool_sizes):
     assert len(pool_sizes) == 3
 
 
-def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes):
-    # a process that may run on 10,000 CPUs sweeps a short walk in process,
-    # and asks for a pool no larger than the walk of a long one
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(10_000))
-    assert pentangle._workers(range(pentangle._POOL_WALK - 1)) == 1
-    assert pentangle._workers(range(pentangle._POOL_WALK)) == 10_000
-    serial = verify_simplification(2)
-    monkeypatch.setattr(pentangle, "_POOL_WALK", 1)
-    assert verify_simplification(2) == serial
-    assert pool_sizes == [5]
+@pytest.mark.parametrize("source", ["sched_getaffinity", "cpu_count"])
+def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
+    # one worker per 41 walked nw corners, at most one per CPU the process
+    # may run on, read from its affinity mask or, where os has no
+    # sched_getaffinity (macOS), from os.cpu_count()
+    def cpus(count):
+        if source == "sched_getaffinity":
+            monkeypatch.setattr(os, source, lambda pid: range(count))
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, source, lambda: count)
+
+    cpus(10_000)
+    assert [pentangle._workers(range(n)) for n in (5, 81, 82, 164, 10**6)] == [
+        1, 1, 2, 4, 10_000]
+    cpus(3)
+    assert pentangle._workers(range(10**6)) == 3
+    # 10,000 CPUs sweep bound 40 (a walk of 81) in process and bound 41
+    # (83) in a pool of 2; 1 CPU sweeps bound 41 in process
+    verify_simplification(40)
+    cpus(1)
+    serial = verify_simplification(41)
+    assert pool_sizes == []
+    cpus(10_000)
+    assert verify_simplification(41) == serial
+    assert pool_sizes == [2]
+
+
+def test_workers_without_a_cpu_count(monkeypatch):
+    # os.cpu_count() is None where the count cannot be determined
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pentangle._workers(range(10**6)) == 1

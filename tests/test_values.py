@@ -1,8 +1,6 @@
 """The plain value classes behave as the frozen dataclasses they replaced
 (tests/values_oracle.py): the same fields after normalisation, the same
-errors, equality, hash, str, repr and sort order, and no assignment.
-P5Filling and CensusEntry, which normalise nothing and take their fields
-through FrozenValue.__init__, take them by position only."""
+errors, equality, hash, str, repr and sort order, and no assignment."""
 
 import pickle
 import types
@@ -70,7 +68,10 @@ KINDS = (
     st.builds(lambda p, q, k: Make("SimpleKnot", p, q, k),
               st.integers(-1, 9), small, st.integers(-1, 10)),
     st.builds(lambda s: Make("P5Filling", *s), st.lists(slope, min_size=4,
-                                                        max_size=4)),
+                                                        max_size=5)),
+    st.builds(lambda s: Make("P5Filling", nw=s[0], ne=s[1], sw=s[2],
+                             se=s[3]),
+              st.lists(slope, min_size=4, max_size=4)),
     st.builds(lambda p, q, k: Make("CensusEntry", p, q, k),
               small, small, small))
 values = st.one_of(KINDS)
@@ -136,16 +137,3 @@ def test_census_entries_sort_as_the_oracle(triples):
     new = sorted(CensusEntry(*t) for t in triples)
     old = sorted(oracle.CensusEntry(*t) for t in triples)
     assert [repr(e) for e in new] == [repr(e) for e in old]
-
-
-@pytest.mark.parametrize("cls, args, kwargs", [
-    (P5Filling, (1, 2, 3), {}), (P5Filling, (1, 2, 3, 4, 5), {}),
-    (CensusEntry, (1, 2), {}), (CensusEntry, (1, 2, 3, 4), {}),
-    (P5Filling, (), {"nw": 1, "ne": 2, "sw": 3, "se": 4})])
-def test_fields_by_position_only(cls, args, kwargs):
-    # each field once, in __slots__ order: a short or long tuple, or fields
-    # by name, is refused
-    with pytest.raises(TypeError):
-        cls(*args, **kwargs)
-    assert cls(*range(len(cls.__slots__)))._fields() == tuple(
-        range(len(cls.__slots__)))
