@@ -132,7 +132,7 @@ ROW_CONSTRAINTS = {
 def m5_to_p5(m):
     """Chain coordinates (a1, ..., a5) to the pair (filling, x)."""
     a1, a2, a3, a4, a5 = m
-    return (P5Filling(a2, cf_step(1, a1), cf_step(1, a4), a3),
+    return (P5Filling(nw=a2, ne=cf_step(1, a1), sw=cf_step(1, a4), se=a3),
             shift(a5, -1))
 
 
