@@ -159,20 +159,7 @@ def _emit_text(report):
 COMMANDS = {}
 
 
-# The keywords the parser reads, with the values it reads for those that
-# choose a behaviour.  Any other raises here, at import, so that no argument
-# is read other than as argparse reads it.  A default is stored as given,
-# never converted by the type as argparse converts a string default.
-_KEYWORD_VALUES = {"type": (int,), "action": ("store_true",),
-                   "nargs": ("+", "?")}
-_KEYWORDS = {"choices", "default", "required", "help", *_KEYWORD_VALUES}
-
-
 def _arg(*flags, **keywords):
-    for key, value in keywords.items():
-        if key not in _KEYWORDS or value not in _KEYWORD_VALUES.get(
-                key, (value,)):
-            raise TypeError(f"unsupported argument keyword {key}={value!r}")
     return flags, keywords
 
 
@@ -407,19 +394,29 @@ _PARSER = "A..."  # the nargs of the choice of the next command word
 class _Action:
     """An argument of a parser level, read from add_argument's (flags,
     keywords): an option or a positional, -h, or the choice of the next
-    command word, which store no field."""
+    command word, the one positional that stores no field.  A keyword or
+    value that _read does not read as argparse does raises TypeError, so a
+    table entry fails at import.  A default is stored as given, never
+    converted by the type as argparse converts a string default."""
 
     __slots__ = ("flags", "dest", "name", "nargs", "type", "choices",
                  "default", "required", "help")
 
     def __init__(self, flags, keywords, stored=True):
+        for key, value in keywords.items():
+            if key not in ("choices", "default", "required", "help") and (
+                    key, value) not in (("type", int), ("nargs", "+"),
+                                        ("nargs", "?"),
+                                        ("action", "store_true")):
+                raise TypeError(f"unsupported argument {key}={value!r}")
         optional = flags[0].startswith("-")
         store_true = keywords.get("action") == "store_true"
         self.flags = flags if optional else ()
         self.dest = None if not stored else (
             flags[0].lstrip("-").replace("-", "_") if optional else flags[0])
         self.name = "/".join(flags)
-        self.nargs = 0 if store_true else keywords.get("nargs")
+        self.nargs = 0 if store_true else keywords.get(
+            "nargs", None if stored or optional else _PARSER)
         self.type = keywords.get("type")
         self.choices = keywords.get("choices")
         self.default = keywords.get("default", False if store_true else None)
@@ -431,10 +428,12 @@ class _Action:
 _HELP = _Action(("-h", "--help"), {"action": "store_true",
                                    "help": "show this help message and exit"},
                 stored=False)
-_GLOBALS = (
+_GLOBALS = [_Action(*arg) for arg in (
     _arg("--format", choices=("json", "csv", "text"), default="json"),
     _arg("--timing", action="store_true",
-         help="attach elapsed_ms to the report"))
+         help="attach elapsed_ms to the report"))]
+_COMMAND_ACTIONS = {name: [_HELP, *(_Action(*arg) for arg in arguments)]
+                    for name, (arguments, _) in COMMANDS.items()}
 
 
 def _level(words):
@@ -442,15 +441,15 @@ def _level(words):
     -h and a command's arguments, or -h, the global options at the root,
     and the choice of the next command word."""
     name = " ".join(words)
-    if name in COMMANDS:
-        return [_HELP, *(_Action(*arg) for arg in COMMANDS[name][0])]
+    if name in _COMMAND_ACTIONS:
+        return _COMMAND_ACTIONS[name]
     prefix = f"{name} " if words else ""
     below = tuple(dict.fromkeys(command[len(prefix):].split()[0]
                                 for command in COMMANDS
                                 if command.startswith(prefix)))
-    return [_HELP, *(_Action(*arg) for arg in (() if words else _GLOBALS)),
-            _Action(("{" + ",".join(below) + "}",),
-                    {"choices": below, "nargs": _PARSER}, stored=False)]
+    return [_HELP, *(() if words else _GLOBALS),
+            _Action(("{" + ",".join(below) + "}",), {"choices": below},
+                    stored=False)]
 
 
 def _help(words):

@@ -181,62 +181,67 @@ def _coprime_everywhere(label):
     return False
 
 
+def _allowed(family, parameter, values):
+    """The values that FAMILIES lets the family's parameter take."""
+    excluded = dict(FAMILIES[family][0])[parameter]
+    return [value for value in values if value not in excluded]
+
+
 def verify_three_filling_intersections(bound):
     """Solve the slope-pair coincidences between families with adjacent lens
     slots and check the solution set is the A and B families plus the
     subsumed cases.
 
     Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
-    case 3 ({2,inf} vs {3,inf}), each in both pairing orders.  Returns
-    (results, counterexamples): the solution sets per case, and a
-    (case, solutions) row for each case whose solutions are not the
-    expected ones."""
+    case 3 ({2,inf} vs {3,inf}), each in both pairing orders, over the
+    values in [-bound, bound] that FAMILIES allows.  Returns (results,
+    counterexamples): the solution sets per case, and a (case, solutions)
+    row for each case whose solutions are not the expected ones."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     rng = range(-bound, bound + 1)
-    rng_mp = [mp for mp in rng if mp not in (0, 1)]
-    rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
+    m0, m1, m2, m3 = (_allowed(f"X{i}", "m", rng) for i in range(4))
+    a_m, a_n = _allowed("A", "m", rng), _allowed("A", "n", rng)
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
-    # labels must be valid.  The two ranges are the A family's exclusions.
-    # A slot with a Bezout certificate has gcd 1, so a valid label, at every
-    # member.  Only the slots without one are evaluated member by member;
-    # every shipped slot has one, so no member is visited at any bound.
+    # labels must be valid.  A slot with a Bezout certificate has gcd 1, so a
+    # valid label, at every member.  Only the slots without one are evaluated
+    # member by member; every shipped slot has one, so none is ever visited.
     uncertified = [slot for slot, label in enumerate(FAMILIES["A"][3])
                    if not _coprime_everywhere(label)]
     bad_2b = []
     if uncertified:
-        for mp in rng_mp:
-            for mpp in rng_mpp:
-                labels = _evaluate("A", (mpp, mp))
+        for n in a_n:
+            for m in a_m:
+                labels = _evaluate("A", (m, n))
                 if not all(is_lens_label(*labels[slot])
                            for slot in uncertified):
-                    bad_2b.append((mpp, mp))
+                    bad_2b.append((m, n))
 
     # (case, solutions, expected solutions), in report order
     cases = (
         # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is
         # excluded), leaving the one-parameter family M3(4, -1/m).
-        ("case_1a", tuple((s.num, mp) for mp in rng_mp
+        ("case_1a", tuple((s.num, mp) for mp in m1
                           if (s := cf_step(3, rat(mp))).is_integer
-                          and s.num not in (0, 1, 2, 3)), ((4, -1),)),
+                          and _allowed("X0", "n", [s.num])), ((4, -1),)),
         # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m', so n = 1 + t with
         # t = 1/m' - 1/m an integer, m != 0.  |t| <= 2 as m' is not 0 or 1,
         # and n is not 0..3, so t = -2: 0 - 1/m = -2 - 1/m' with n = -1,
         # which no (m, n) exclusion meets.
         ("case_1b", tuple((m, mp, -1) for m, mp
-                          in _coincidences(0, rng, -2, rng_mp)),
+                          in _coincidences(0, m0, -2, m1)),
          ((1, -1, -1),)),
         # Case 2a: 3 - 1/m' = 2 - 1/m'', the free slope shared: family B.
-        ("case_2a", _coincidences(3, rng_mp, 2, rng_mpp), ((2, -2),)),
+        ("case_2a", _coincidences(3, m1, 2, m2), ((2, -2),)),
         # Case 2b: the A family members with an invalid label.
         ("case_2b", tuple(bad_2b), ()),
         # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
-        ("case_3a", _coincidences(2, rng_mpp, 1, rng_mpp), ((2, -2),)),
+        ("case_3a", _coincidences(2, m2, 1, m3), ((2, -2),)),
     )
     results = {name: sols for name, sols, _ in cases if name != "case_2b"}
-    results["case_2b_count"] = len(rng_mp) * len(rng_mpp) - len(bad_2b)
+    results["case_2b_count"] = len(a_m) * len(a_n) - len(bad_2b)
     # Case 3b pairs the slopes the other way; the constraint equation is the
     # same, so the solution set must agree with case 3a.
     results["case_3b_matches_3a"] = results["case_3a"] == ((2, -2),)
@@ -292,18 +297,14 @@ def prop15_consistency(bound):
             bad.append(row)
 
     # Setting I: A[m,-1] = M3(2-1/m, 4) against M3(3/2, mu^-1(slot), 1+1/m).
-    for m in range(-bound, bound + 1):
-        if m in (-1, 0, 1):
-            continue
+    for m in _allowed("A", "m", range(-bound, bound + 1)):
         pq = cf_step(1, rat(-m))  # 1 + 1/m
         record("A[m,-1]", m, (m, -1), rat(1), ("X2", (2, pq), INF))
         record("A[m,-1]", m, (m, -1), rat(2), ("X3", (-2, -m), rat(3)))
         record("A[m,-1]", m, (m, -1), INF, ("X2", (2, pq), rat(2)))
 
     # Setting II: A[2,n] = M3(3/2, 3-1/n) against M3(4, mu(slot), 1/n).
-    for n in range(-bound, bound + 1):
-        if n in (0, 1):
-            continue
+    for n in _allowed("A", "n", range(-bound, bound + 1)):
         record("A[2,n]", n, (2, n), rat(1), ("X0", (-n, 4), rat(0)))
         record("A[2,n]", n, (2, n), rat(2), ("X0", (-n, 4), INF))
         # the partner of the inf slot is the slot-1 formula of X1, which is

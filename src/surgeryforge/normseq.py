@@ -25,7 +25,8 @@ ValueError.
 """
 
 from .lens import LensSpace, from_fraction
-from .rationals import INF, ExtRational, FrozenValue, cf_expand_norm, cf_step
+from .rationals import (INF, ExtRational, FrozenValue, _mobius, cf_expand_norm,
+                        cf_step)
 
 
 class Pow2(FrozenValue):
@@ -103,8 +104,7 @@ def eval_items(items):
             t = item.t
             # T^t as a matrix: x -> ((t+1)x - t) / (tx - (t-1)).  Its
             # determinant is 1, so a reduced value never maps to 0/0.
-            value = ExtRational((t + 1) * value.num - t * value.den,
-                                t * value.num - (t - 1) * value.den)
+            value = _mobius(value, t + 1, -t, t, 1 - t)
         else:
             value = cf_step(item, value)
     return value

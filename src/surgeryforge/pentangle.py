@@ -673,10 +673,11 @@ def _pool_chunk(bounds):
 
 def _workers(walk):
     """One worker per 41 nw corners of walk, up to one per usable CPU: two
-    first tie with one in process at 81 (bound 40, 2 CPUs, Python 3.11.7)."""
+    first tie with one in process at 81 (bound 40, 2 CPUs, Python 3.11.7).
+    One where os cannot fork (Windows), as the pool forks."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, len(walk) // 41))
+    return max(1, min(cpus, len(walk) // 41)) if hasattr(os, "fork") else 1
 
 
 def _partition(n, workers):

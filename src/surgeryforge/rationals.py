@@ -110,9 +110,7 @@ INF = ExtRational(1, 0)
 ZERO = ExtRational(0, 1)
 
 
-def rat(num, den=1):
-    """Shorthand constructor for ExtRational."""
-    return ExtRational(num, den)
+rat = ExtRational  # shorthand
 
 
 def parse_slope(text):

@@ -399,11 +399,13 @@ def test_failing_row_in_every_format(capsys, monkeypatch, argv):
     assert tail == [["counterexample"], [cell]]
 
 
+_README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def test_readme_command_examples(capsys):
     # every example of the README's command-line block runs and prints one
     # JSON report
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path) as f:
+    with open(_README) as f:
         readme = f.read()
     block = readme.split("## Command line", 1)[1]
     block = block.split("```sh\n", 1)[1].split("```", 1)[0]
@@ -416,6 +418,19 @@ def test_readme_command_examples(capsys):
         assert code == 0, argv
         assert out.count("\n") == 1, argv
         json.loads(out)
+
+
+def test_readme_prose_is_wrapped():
+    # prose lines keep the file's wrap; table rows and code blocks may not
+    with open(_README) as f:
+        lines = f.read().splitlines()
+    fenced, long = False, []
+    for number, line in enumerate(lines, 1):
+        if line.startswith("```"):
+            fenced = not fenced
+        elif not fenced and not line.startswith("|") and len(line) > 79:
+            long.append(number)
+    assert long == []
 
 
 def test_star_and_genus_search_bad_input_exit_2(capsys):
@@ -832,6 +847,23 @@ def test_variable_count_argument_is_last_and_alone(arguments):
     # of a command without options
     with pytest.raises(TypeError):
         cli._command("bad entry", *arguments)
+
+
+@pytest.mark.parametrize("keywords", [
+    {"nargs": "*"}, {"type": float}, {"action": "count"}, {"metavar": "X"}])
+def test_action_refuses_what_read_does_not_read(keywords):
+    # a keyword or value that _read does not read as argparse does fails
+    # when the table entry is built, at import
+    for flags in (("value",), ("--value",)):
+        with pytest.raises(TypeError):
+            cli._Action(flags, keywords)
+
+
+def test_every_table_entry_builds():
+    for arguments, _ in COMMANDS.values():
+        for flags, keywords in arguments:
+            cli._Action(flags, keywords)
+    assert [action.dest for action in cli._GLOBALS] == ["format", "timing"]
 
 
 # Fields for the grammar fuzz: values of every kind the commands read, some

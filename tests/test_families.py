@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 from math import gcd, inf
@@ -6,6 +7,7 @@ import pytest
 
 import families_oracle as oracle
 from surgeryforge import families
+from surgeryforge.cli import main
 from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    _gofk_sequences, _is_twist_shape,
                                    _template_instances,
@@ -133,6 +135,35 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     assert ces == (("case_2b", ((2, 3),)),)
     assert r == dict(clean, case_2b_count=clean["case_2b_count"] - 1)
     assert oracle.case_2b(4) == (((2, 3),), r["case_2b_count"])
+
+
+def _exclude(monkeypatch, family, parameter, *values):
+    """Add values to a parameter's exclusions in FAMILIES."""
+    parameters, *rest = families.FAMILIES[family]
+    parameters = tuple((name, excluded | set(values) if name == parameter
+                        else excluded) for name, excluded in parameters)
+    monkeypatch.setitem(families.FAMILIES, family, (parameters, *rest))
+
+
+def test_sweeps_read_their_ranges_from_families(monkeypatch, capsys):
+    # the intersection sweep and the prop15 check range each parameter over
+    # what FAMILIES allows: A's n for case 2b and setting II, X0's n for
+    # case 1a
+    clean, _ = verify_three_filling_intersections(4)
+    rows = prop15_consistency(4)[0]["rows"]
+    _exclude(monkeypatch, "A", "n", 2)
+    r, ces = verify_three_filling_intersections(4)
+    assert ces == ()
+    assert clean["case_2b_count"] == 7 * 6
+    assert r == dict(clean, case_2b_count=6 * 6)
+    assert prop15_consistency(4)[0]["rows"] == tuple(
+        row for row in rows if (row["setting"], row["param"]) != ("A[2,n]", 2))
+    _exclude(monkeypatch, "X0", "n", 4)
+    r, ces = verify_three_filling_intersections(4)
+    assert r["case_1a"] == () and ces == (("case_1a", ()),)
+    assert main(["families", "verify", "intersections", "--bound", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["counterexamples"] == [["case_1a", []]]
 
 
 def test_fam_a_table_matches_closed_form():

@@ -763,3 +763,19 @@ def test_workers_without_a_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pentangle._workers(range(10**6)) == 1
+
+
+def test_workers_without_fork(monkeypatch):
+    # Windows has neither os.fork nor os.sched_getaffinity; the pool forks,
+    # so a sweep there stays in process whatever its CPU count
+    serial = verify_with_workers(monkeypatch, 41, 1)
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def get_context(method):
+        pytest.fail(f"asked for a {method} context")
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    assert pentangle._workers(range(10**6)) == 1
+    assert verify_simplification(41) == serial
