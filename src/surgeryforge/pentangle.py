@@ -332,10 +332,20 @@ def stern_brocot_slopes(bound):
 # by ne.  The sw corners for fixed nw, ne split into at most six cells on
 # which x0 & xm1 is one constant c.  In a cell the need mask is c & Vinf[k],
 # or c and c & Minf on the two sides of the sw corners where xinf is full;
-# since Vinf is symmetric, the k with Vinf[k] & c != 0 are the union of
-# Vinf[s] over s in c, and only those k are candidates.  The ne corners with
-# equal flags and rows, on no simplification pair, give every nw the same
-# cells and are swept as one group.
+# since Vinf is symmetric, the k with Vinf[k] & c != 0 are near(c), the
+# union of Vinf[s] over s in c, and only those k are candidates.
+#
+# The ne corners with equal flags and rows, on no simplification pair, are
+# one group.  For a fixed nw most groups give parts that another group
+# already gave, so _pair_masks sorts them into classes and builds each
+# class's parts once.  A group's parts depend only on its flags, its
+# simplification rows and f, the part of fm1 = am1 & Vm1[ne] (the sw
+# corners where xm1 is full rather than Mm1) that can reach a cell: none
+# for nw in Tm1, where xm1 is full on all of am1; fm1 & after where xinf is
+# full or Minf; else fm1 within near(x0) on each x0 class.  The x0 values
+# are after and after & M0, with after the T0 corners from nw on and every
+# slope off T0; their near masks are the suffix unions of Vinf over the
+# walk, with near(off0) for the first, which the tables build once.
 #
 # The kernel counts cells rather than visiting their sw corners.  The sw
 # corners in simp_k simplify whole; the others simplify exactly on
@@ -430,20 +440,37 @@ class _SweepTables:
         self.ga, self.gb, self.gc = map(group_rows, _SIMPLIFYING)
         self.ga_support = mask(self.ga)
 
-        # _pair_masks splits each ne group by Vinf[nw] itself.  Per group:
-        # its mask js, a member j, and what _pair_masks reads of j, with the
-        # xm1 classes for nw outside and inside Tm1: sw corners where xm1 is
-        # full or Mm1, and elsewhere Vm1[nw] (None)
+        # Per ne group: its mask js, a member j, the id of what _pair_masks
+        # reads of j besides fm1 (its thin-set flags and, for _simp_masks,
+        # its simplification rows), fm1, its T0 and Tinf flags, and the sw
+        # corners where xm1 is full or Mm1 (am1) and where it is Vm1[nw]
+        ids = {}
         self.ne_groups = []
         for group in _corner_groups(self, range(n)):
             j = group[0]
-            am1 = self.full if self.inm1[j] else self.mm1
-            fm1 = am1 & self.vm1[j]
-            rest = self.full & ~am1
+            in0, inf, m1 = self.in0[j], self.ininf[j], self.inm1[j]
+            am1 = self.full if m1 else self.mm1
+            key = in0, inf, m1, self.triv[j], self.gb[j], self.gc[j]
             self.ne_groups.append((
-                sum(1 << g for g in group), j, self.in0[j],
-                ((fm1, self.full), (am1 & ~fm1, self.mm1), (rest, None)),
-                ((am1, self.full), (rest, None)), self.ininf[j]))
+                sum(1 << g for g in group), j, ids.setdefault(key, len(ids)),
+                am1 & self.vm1[j], in0, inf, am1, self.full & ~am1))
+
+        # near(after) and near(after & M0) for the after of each walked nw
+        # corner, from suffix unions of Vinf over the walk and near(off0).
+        # Every pair of Vinf has a corner in Tinf, so near(off0) is the
+        # corners of Tinf whose row meets off0 with the rows of those in it
+        near_off0 = 0
+        for k in _bits(self.minf):
+            if self.vinf[k] & self.off0:
+                near_off0 |= 1 << k
+            if self.off0 >> k & 1:
+                near_off0 |= self.vinf[k]
+        suffix = 0
+        for i in reversed(self.walk):
+            suffix |= self.vinf[i]
+            after_m0 = self.m0 >> i << i
+            self._near[after_m0] = suffix
+            self._near[after_m0 | self.off0] = suffix | near_off0
 
     def near(self, mask):
         """The sw corners k whose Vinf[k] meets mask."""
@@ -477,39 +504,84 @@ def _pair_masks(tb, i, after):
     (i, j, k), cut to after, is c & rows[k] when k is in a cand, else 0, and
     (simp_k, simp_base) is _simp_masks(tb, i, j).
     """
-    minf = tb.minf
-    vinf, fulls = tb.vinf, tb.fulls
-    v0i, vinfi, vm1i = tb.v0[i], vinf[i], tb.vm1[i]
-    # the x0 classes for nw in T0, for ne inside and outside T0: sw corners
-    # where x0 is full or M0
-    x0_in = ((after, after),)
-    x0_out = ((after & v0i, after), (after & ~v0i, after & tb.m0))
+    minf, mm1, vinf, fulls, near = tb.minf, tb.mm1, tb.vinf, tb.fulls, tb.near
+    v0i, vinfi, vm1i, ga_i = tb.v0[i], vinf[i], tb.vm1[i], tb.ga[i]
     i_inf, i_m1 = tb.ininf[i], tb.inm1[i]
-    for js, j, j_in0, m1_out, m1_in, j_inf in tb.ne_groups:
+    # x0 is full (after) on all of after for ne in T0; for the others it is
+    # full on v0_in and M0 (out) on v0_out
+    out = after & tb.m0
+    v0_in, v0_out = after & v0i, after & ~v0i
+    # the sw corners on which fm1, where xm1 is full rather than Mm1, can
+    # reach a cell, for ne inside and outside T0
+    near_after = after & near(after)
+    reach_out = near_after & v0i | v0_out & near(out)
+    # the ne groups by what they give: each class's parts are built once
+    classes = {}
+    for group in tb.ne_groups:
+        js, j, ident, fm1, j_in0, j_inf, _, _ = group
         js &= after
         if not js:
             continue
-        cells = []
-        for k0, x0 in x0_in if j_in0 else x0_out:
-            for km1, xm1 in m1_in if i_m1 else m1_out:
-                cell = k0 & km1
-                if cell and (c := x0 & (vm1i if xm1 is None else xm1)):
-                    cells.append((cell, c))
-        if i_inf or j_inf:
-            # xinf is full on every sw corner for the ne corners in
-            # Vinf[nw]; for the others it is full on Minf and Minf elsewhere
-            splits = ((js & vinfi, [(cell, c, fulls) for cell, c in cells]),
-                      (js & ~vinfi, [part for cell, c in cells for part in (
-                          (cell & minf, c, fulls),
-                          (cell & ~minf, c & minf, fulls))]))
+        if i_m1:
+            f = 0
+        elif i_inf or j_inf:
+            f = fm1 & after
         else:
-            splits = ((js, [(cell & tb.near(c), c, vinf)
-                            for cell, c in cells]),)
+            f = fm1 & (near_after if j_in0 else reach_out)
+        key = ident, ga_i >> j & 1, f
+        if key in classes:
+            classes[key][0] |= js
+        else:
+            classes[key] = [js, group]
+    # per x0 class of the sw corners, for ne inside and outside T0: the sw
+    # masks on which x0 & xm1 is x0 & c for c = full, Mm1 and Vm1[nw], then
+    # those x0 & c
+    c_in = after, after & mm1, after & vm1i
+    c_out = out, out & mm1, out & vm1i
+    x0_in = ((after,) * 3 + c_in,)
+    x0_out = ((v0_in,) * 3 + c_in, (v0_out,) * 3 + c_out)
+    if not i_inf:
+        # the same where xinf is Vinf[sw]: only the sw corners k with
+        # Vinf[k] & c nonzero, near(c), can have a need
+        n_in, n_out = [near(c) for c in c_in], [near(c) for c in c_out]
+        near_in = (tuple(after & n for n in n_in) + c_in,)
+        near_out = (tuple(v0_in & n for n in n_in) + c_in,
+                    tuple(v0_out & n for n in n_out) + c_out)
+    for (_, _, f), (js, (_, j, _, _, j_in0, j_inf, am1, rest)) in (
+            classes.items()):
+        # the sw corners where xm1 is full; it is Mm1 on the rest of am1
+        m1_full = am1 if i_m1 else f
+        tinf = i_inf or j_inf
+        rows = fulls if tinf else vinf
+        parts = []
+        for k_full, k_mm1, k_vm1, c_full, c_mm1, c_vm1 in (
+                (x0_in if j_in0 else x0_out) if tinf else
+                near_in if j_in0 else near_out):
+            if cell := k_full & m1_full:
+                parts.append((cell, c_full, rows))
+            if c_mm1 and (cell := k_mm1 & am1 & ~m1_full):
+                parts.append((cell, c_mm1, rows))
+            if c_vm1 and (cell := k_vm1 & rest):
+                parts.append((cell, c_vm1, rows))
+        if not parts:
+            continue
         simp_k, simp_base = _simp_masks(tb, i, j)
-        for sub, parts in splits:
-            parts = [part for part in parts if part[0] and part[1]]
-            if sub and parts:
-                yield sub, parts, simp_k, simp_base
+        if not tinf:
+            yield js, parts, simp_k, simp_base
+            continue
+        # xinf is full on every sw corner for the ne corners in Vinf[nw];
+        # for the others it is full on Minf and Minf elsewhere
+        if sub := js & vinfi:
+            yield sub, parts, simp_k, simp_base
+        if sub := js & ~vinfi:
+            split = []
+            for cell, c, _ in parts:
+                if low := cell & minf:
+                    split.append((low, c, fulls))
+                if (high := cell & ~minf) and (c_inf := c & minf):
+                    split.append((high, c_inf, fulls))
+            if split:
+                yield sub, split, simp_k, simp_base
 
 
 def _pair_count(rows, a, b):
@@ -576,16 +648,16 @@ def _corner_groups(tb, corners):
     return list(groups.values())
 
 
-def _sweep_chunk(tb, lo, hi):
+def _sweep_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the orbits whose least
-    corner is one of the walked nw corners tb.walk[lo:hi]; the
-    counterexamples are a set of index tuples."""
+    corner is one of the walked nw corners `corners`; the counterexamples
+    are a set of index tuples."""
     necessary = 0
     simplified = 0
     counterexamples = set()
     fulls, ga = tb.fulls, tb.ga
     counted = {}
-    for i in tb.walk[lo:hi]:
+    for i in corners:
         nw = 1 << i
         after = tb.m0 >> i << i | tb.off0
         for js, parts, simp_k, simp_base in _pair_masks(tb, i, after):
@@ -637,11 +709,11 @@ def verify_simplification(bound):
     slopes = stern_brocot_slopes(bound)
     n = len(slopes)
     tables = _SweepTables(slopes)
-    chunks = _partition(len(tables.walk), _workers(tables.walk))
+    chunks = _partition(tables.walk, _workers(tables.walk))
     if len(chunks) == 1:
-        results = [_sweep_chunk(tables, lo, hi) for lo, hi in chunks]
+        results = [_sweep_chunk(tables, chunks[0])]
     else:
-        # forked workers inherit the tables; only the walk ranges are sent.
+        # forked workers inherit the tables; only their nw corners are sent.
         # Imported here because it costs every CLI process its import time.
         from multiprocessing import get_context
         with get_context("fork").Pool(len(chunks),
@@ -667,19 +739,20 @@ def _adopt_tables(tables):
     _worker_tables = tables
 
 
-def _pool_chunk(bounds):
-    return _sweep_chunk(_worker_tables, *bounds)
+def _pool_chunk(corners):
+    return _sweep_chunk(_worker_tables, corners)
 
 
 def _workers(walk):
-    """One worker per 41 nw corners of walk, up to one per usable CPU: two
-    first tie with one in process at 81 (bound 40, 2 CPUs, Python 3.11.7).
+    """One worker per 83 nw corners of walk, up to one per usable CPU: two
+    first tie with one in process at 165 (bound 82, 2 CPUs, Python 3.11.7).
     One where os cannot fork (Windows), as the pool forks."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, len(walk) // 41)) if hasattr(os, "fork") else 1
+    return max(1, min(cpus, len(walk) // 83)) if hasattr(os, "fork") else 1
 
 
-def _partition(n, workers):
-    step = -(-n // workers)  # more workers than n give n chunks
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _partition(walk, workers):
+    """walk dealt round-robin into at most `workers` chunks: a corner's cost
+    falls steeply along the walk, so contiguous ranges would not balance."""
+    return [walk[w::workers] for w in range(min(workers, len(walk)))]

@@ -339,7 +339,7 @@ def test_mask_engine_matches_object_predicates_sampled():
 def sweep(tb):
     """The counting kernel over every walked nw corner, in one chunk, with
     its counterexamples sorted."""
-    necessary, simplified, ces = _sweep_chunk(tb, 0, len(tb.walk))
+    necessary, simplified, ces = _sweep_chunk(tb, tb.walk)
     return necessary, simplified, sorted(ces)
 
 
@@ -354,23 +354,26 @@ def test_kernel_matches_oracle_bounds_2_to_8():
 
 
 def assert_chunks_match_oracle(tb, worker_counts=(1, 2, 3, 7, 128)):
-    """Each worker's chunk reports what the least-corner oracle reports for
-    its nw corners, and the chunks together report the sweep over every
-    tuple."""
+    """Each worker's chunk, the walked nw corners dealt to it, reports what
+    the least-corner oracle reports for those corners, and the chunks
+    together report the sweep over every tuple."""
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
     necessary, simplified, ces = oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
     whole = necessary, simplified, len(ces), set(ces)
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
     for workers in worker_counts:
+        dealt = _partition(tb.walk, workers)
+        assert len(dealt) == min(workers, len(tb.walk))
+        assert sorted(i for corners in dealt for i in corners) == tb.walk
         chunks = []
-        for lo, hi in _partition(len(tb.walk), workers):
-            necessary, simplified, ces = _sweep_chunk(tb, lo, hi)
+        for corners in dealt:
+            necessary, simplified, ces = _sweep_chunk(tb, corners)
             chunks.append((necessary, simplified, len(ces), ces))
-            want = [by_corner[i] for i in tb.walk[lo:hi]]
+            want = [by_corner[i] for i in corners]
             assert chunks[-1] == (
                 sum(w[0] for w in want), sum(w[1] for w in want),
                 sum(len(w[2]) for w in want),
-                set().union(*(w[2] for w in want))), (workers, lo, hi)
+                set().union(*(w[2] for w in want))), (workers, corners)
         union = tuple(sum(chunk[x] for chunk in chunks) for x in range(3))
         assert union + (set().union(*(c[3] for c in chunks)),) == whole, (
             workers)
@@ -421,13 +424,17 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
     # over the parts of every walked nw corner, however many ne groups and
     # nw corners share it.  The walk of nw over T0 alone, with every corner
     # at or after nw, builds fewer: 322 distinct parts, against 667 for the
-    # walk over every nw group with ne >= nw
+    # walk over every nw group with ne >= nw.  _pair_masks yields once per
+    # class of ne groups that give a nw corner the same parts (twice where
+    # Vinf[nw] splits the class): 278 yields, where one per (nw, ne group)
+    # step gave 714
     slopes = stern_brocot_slopes(10)
     tb = _SweepTables(slopes)
+    yields = [(simp_k, simp_base, parts) for i in tb.walk
+              for _, parts, simp_k, simp_base in _pair_masks(
+                  tb, i, tb.m0 >> i << i | tb.off0)]
     keys = {(simp_k, simp_base, cand, c, rows is tb.fulls)
-            for i in tb.walk
-            for _, parts, simp_k, simp_base in _pair_masks(
-                tb, i, tb.m0 >> i << i | tb.off0)
+            for simp_k, simp_base, parts in yields
             for cand, c, rows in parts}
     calls = []
     cell_counts = pentangle._cell_counts
@@ -439,6 +446,44 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
     monkeypatch.setattr(pentangle, "_cell_counts", counting)
     assert sweep(tb) == oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
     assert len(calls) == len(keys) == 322
+    assert len(yields) == 278
+
+
+def test_ne_classes_keep_every_needed_ne_corner():
+    # per walked nw corner the classes' ne masks are disjoint, lie in after,
+    # and together hold exactly the ne corners with a need at or after nw
+    tb = _SweepTables(stern_brocot_slopes(10))
+    for i in tb.walk:
+        after = tb.m0 >> i << i | tb.off0
+        merged = 0
+        for js, _, _, _ in _pair_masks(tb, i, after):
+            assert not js & merged and not js & ~after, i
+            merged |= js
+        needed = 0
+        for j, parts, _, _ in oracle._visit_pair_masks(tb, i):
+            if (after >> j) & 1 and any(
+                    c & rows[k] & after for cand, c, rows in parts
+                    for k in _bits(cand & after)):
+                needed |= 1 << j
+        assert merged == needed, i
+
+
+@pytest.mark.parametrize("names", MIXED_CELL_PATCHES + [EVERY_LIST])
+def test_classes_keep_simplification_rows_apart(monkeypatch, names):
+    # a class holds ne corners with equal simplification rows (triv, gb, gc
+    # and their bit of ga[nw]) as well as equal parts: one that mixed them
+    # would count the tuples of some members with another's rows, which
+    # shows only when the lists are patched
+    empty_lists(monkeypatch, *names)
+    for bound in range(2, 9):
+        slopes = stern_brocot_slopes(bound)
+        n = len(slopes)
+        tb = _SweepTables(slopes)
+        got = sweep(tb)
+        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
+        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
+    assert got[2]
+    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)), (3,))
 
 
 def _ne_key(tb, j):
@@ -508,6 +553,21 @@ def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
     tb = _SweepTables(slopes)
     assert [a] in _corner_groups(tb, range(tb.n))
     assert_chunks_match_oracle(tb, (1, 3))
+
+
+def test_near_masks_of_the_walk():
+    # the tables seed near(after) and near(after & M0) for every walked nw
+    # corner from suffix unions over the walk and near(off0), built over
+    # Tinf alone; each is the union of Vinf[s] over s in the mask
+    for bound in range(2, 21):
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        for i in tb.walk:
+            after = tb.m0 >> i << i | tb.off0
+            for mask in (after, after & tb.m0):
+                union = 0
+                for s in _bits(mask):
+                    union |= tb.vinf[s]
+                assert tb._near[mask] == union, (bound, i)
 
 
 def test_pair_count_transposes():
@@ -726,13 +786,13 @@ def test_pool_sized_by_chunks(monkeypatch, pool_sizes):
     walk = _SweepTables(stern_brocot_slopes(2)).walk
     for workers, chunks in ((64, 5), (3, 3), (2, 2)):
         assert verify_with_workers(monkeypatch, 2, workers) == serial
-        assert pool_sizes[-1] == chunks == len(_partition(len(walk), workers))
+        assert pool_sizes[-1] == chunks == len(_partition(walk, workers))
     assert len(pool_sizes) == 3
 
 
 @pytest.mark.parametrize("source", ["sched_getaffinity", "cpu_count"])
 def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
-    # one worker per 41 walked nw corners, at most one per CPU the process
+    # one worker per 83 walked nw corners, at most one per CPU the process
     # may run on, read from its affinity mask or, where os has no
     # sched_getaffinity (macOS), from os.cpu_count()
     def cpus(count):
@@ -743,18 +803,18 @@ def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
             monkeypatch.setattr(os, source, lambda: count)
 
     cpus(10_000)
-    assert [pentangle._workers(range(n)) for n in (5, 81, 82, 164, 10**6)] == [
-        1, 1, 2, 4, 10_000]
+    assert [pentangle._workers(range(n))
+            for n in (5, 165, 166, 332, 10**6)] == [1, 1, 2, 4, 10_000]
     cpus(3)
     assert pentangle._workers(range(10**6)) == 3
-    # 10,000 CPUs sweep bound 40 (a walk of 81) in process and bound 41
-    # (83) in a pool of 2; 1 CPU sweeps bound 41 in process
-    verify_simplification(40)
+    # 10,000 CPUs sweep bound 82 (a walk of 165) in process and bound 83
+    # (167) in a pool of 2; 1 CPU sweeps bound 83 in process
+    verify_simplification(82)
     cpus(1)
-    serial = verify_simplification(41)
+    serial = verify_simplification(83)
     assert pool_sizes == []
     cpus(10_000)
-    assert verify_simplification(41) == serial
+    assert verify_simplification(83) == serial
     assert pool_sizes == [2]
 
 
@@ -768,7 +828,7 @@ def test_workers_without_a_cpu_count(monkeypatch):
 def test_workers_without_fork(monkeypatch):
     # Windows has neither os.fork nor os.sched_getaffinity; the pool forks,
     # so a sweep there stays in process whatever its CPU count
-    serial = verify_with_workers(monkeypatch, 41, 1)
+    serial = verify_with_workers(monkeypatch, 83, 1)
     monkeypatch.undo()
     monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -778,4 +838,4 @@ def test_workers_without_fork(monkeypatch):
         pytest.fail(f"asked for a {method} context")
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     assert pentangle._workers(range(10**6)) == 1
-    assert verify_simplification(41) == serial
+    assert verify_simplification(83) == serial
