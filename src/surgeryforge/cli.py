@@ -27,6 +27,7 @@ one error line in argparse's words.  No argv imports argparse.
 """
 
 import importlib.util
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -90,13 +91,37 @@ def _emit(args, elapsed_ms, parameters, results, counterexamples=()):
               "version": __version__}
     if args.timing:
         report["elapsed_ms"] = elapsed_ms
+    verdict = 1 if report["counterexamples"] else 0
     if args.format == "json":
-        print(_compact(report))
-    elif args.format == "csv":
-        _emit_csv(report)
-    else:
-        _emit_text(report)
-    return 1 if report["counterexamples"] else 0
+        return _write(verdict, print, _compact(report))
+    return _write(verdict, _emit_csv if args.format == "csv" else _emit_text,
+                  report)
+
+
+def _write(verdict, write, *args):
+    """write(*args), which prints to stdout, and a flush of stdout; then
+    verdict.  A reader that closed the pipe early is not an error: the rest
+    is dropped and verdict returned.  Any other failure to write prints one
+    error line and returns 2."""
+    try:
+        write(*args)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit: point what is left at
+        # devnull, where stdout has a file descriptor
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the report: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+    return verdict
 
 
 def _cell(value):
@@ -562,8 +587,8 @@ def _read(argv):
             else:
                 action = options.get(string)
                 if action is _HELP:
-                    sys.stdout.write(_help(words))
-                    raise SystemExit(0)
+                    raise SystemExit(_write(0, sys.stdout.write,
+                                            _help(words)))
                 if action is None:
                     raise ValueError(f"unrecognized arguments: {string}")
                 if action.nargs == 0:

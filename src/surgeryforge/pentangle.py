@@ -43,26 +43,14 @@ class P5Filling(FrozenValue):
 # ---------------------------------------------------------------------------
 # Symmetries.  The three slope-preserving involutions swap corner pairs and
 # fix each of the fillings x = 0, inf and -1; with the identity they form
-# the Klein four-group _KLEIN below.
+# the Klein four-group _KLEIN, whose getters take a tuple (nw, ne, sw, se)
+# of corners or corner indices to its image: the identity, then the
+# left-right, top-bottom and front-back swaps.
 # ---------------------------------------------------------------------------
 
 
-def swap_lr(f):
-    return P5Filling(f.ne, f.nw, f.se, f.sw)
-
-
-def swap_tb(f):
-    return P5Filling(f.sw, f.se, f.nw, f.ne)
-
-
-def swap_fb(f):
-    return P5Filling(f.se, f.sw, f.ne, f.nw)
-
-
-_KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
-# _KLEIN on tuples of corners, read off its images of the corner positions
-_KLEIN_ON_TUPLES = tuple(itemgetter(*g(P5Filling(0, 1, 2, 3)).corners())
-                         for g in _KLEIN)
+_KLEIN = tuple(itemgetter(*order) for order in (
+    (0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +206,7 @@ def montesinos_presentations(f, x):
     gate, param, _, factors = _ROWS[x]
     out = []
     for g in _KLEIN:
-        t = g(f)
+        t = P5Filling(*g(f.corners()))
         h = param(getattr(t, gate))
         if h is not None:
             out.append(MontesinosLink(
@@ -335,7 +323,7 @@ def stern_brocot_slopes(bound):
 # since Vinf is symmetric, the k with Vinf[k] & c != 0 are near(c), the
 # union of Vinf[s] over s in c, and only those k are candidates.
 #
-# The ne corners with equal flags and rows, on no simplification pair, are
+# The ne corners with equal flags, Vm1 rows and simplification rows are
 # one group.  For a fixed nw most groups give parts that another group
 # already gave, so _pair_masks sorts them into classes and builds each
 # class's parts once.  A group's parts depend only on its flags, its
@@ -440,20 +428,27 @@ class _SweepTables:
         self.ga, self.gb, self.gc = map(group_rows, _SIMPLIFYING)
         self.ga_support = mask(self.ga)
 
-        # Per ne group: its mask js, a member j, the id of what _pair_masks
-        # reads of j besides fm1 (its thin-set flags and, for _simp_masks,
-        # its simplification rows), fm1, its T0 and Tinf flags, and the sw
-        # corners where xm1 is full or Mm1 (am1) and where it is Vm1[nw]
-        ids = {}
-        self.ne_groups = []
-        for group in _corner_groups(self, range(n)):
-            j = group[0]
+        # The ne groups: the corners j with one key (ident, ga[j], Vm1[j]),
+        # where ident is the id of what _pair_masks reads of j besides fm1
+        # and ga: its thin-set flags and, for _simp_masks, its rows triv, gb
+        # and gc.  Equal keys are the corners those two cannot tell apart,
+        # as ga is symmetric: bit j of ga[nw] is bit nw of ga[j].  Per group:
+        # its mask js, its first member j, ident, fm1, its T0 and Tinf flags,
+        # and the sw corners where xm1 is full or Mm1 (am1) and where it is
+        # Vm1[nw]
+        ids, groups = {}, {}
+        for j in range(n):
             in0, inf, m1 = self.in0[j], self.ininf[j], self.inm1[j]
+            ident = ids.setdefault(
+                (in0, inf, m1, self.triv[j], self.gb[j], self.gc[j]), len(ids))
+            key = ident, self.ga[j], self.vm1[j]
+            if key in groups:
+                groups[key][0] |= 1 << j
+                continue
             am1 = self.full if m1 else self.mm1
-            key = in0, inf, m1, self.triv[j], self.gb[j], self.gc[j]
-            self.ne_groups.append((
-                sum(1 << g for g in group), j, ids.setdefault(key, len(ids)),
-                am1 & self.vm1[j], in0, inf, am1, self.full & ~am1))
+            groups[key] = [1 << j, j, ident, am1 & self.vm1[j], in0, inf, am1,
+                           self.full & ~am1]
+        self.ne_groups = list(groups.values())
 
         # near(after) and near(after & M0) for the after of each walked nw
         # corner, from suffix unions of Vinf over the walk and near(off0).
@@ -634,20 +629,6 @@ def _cell_counts(tb, cand, c, rows, simp_k, simp_base):
     return necessary, simplified, tuple(bad)
 
 
-def _corner_groups(tb, corners):
-    """The ne corners as lists that _pair_masks cannot tell apart: equal
-    thin-set flags and rows, on no simplification pair and not trivial
-    (_simp_masks reads those rows).  The others stand alone."""
-    groups = {}
-    for i in corners:
-        if tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]:
-            key = i
-        else:
-            key = (tb.in0[i], tb.ininf[i], tb.inm1[i], tb.vm1[i])
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _sweep_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the orbits whose least
     corner is one of the walked nw corners `corners`; the counterexamples
@@ -693,7 +674,7 @@ def _sweep_chunk(tb, corners):
                 if bad:
                     counterexamples.update(
                         g((i, j, k, se)) for j in _bits(js)
-                        for k, se in bad for g in _KLEIN_ON_TUPLES)
+                        for k, se in bad for g in _KLEIN)
     return necessary // 12, simplified // 12, counterexamples
 
 
@@ -716,10 +697,16 @@ def verify_simplification(bound):
         # forked workers inherit the tables; only their nw corners are sent.
         # Imported here because it costs every CLI process its import time.
         from multiprocessing import get_context
-        with get_context("fork").Pool(len(chunks),
-                                      initializer=_adopt_tables,
-                                      initargs=(tables,)) as pool:
-            results = pool.map(_pool_chunk, chunks)
+        try:
+            pool = get_context("fork").Pool(len(chunks),
+                                            initializer=_adopt_tables,
+                                            initargs=(tables,))
+        except OSError:
+            # fork or a pipe failed; the report is the same in process
+            results = [_sweep_chunk(tables, tables.walk)]
+        else:
+            with pool:
+                results = pool.map(_pool_chunk, chunks)
     # a tuple outside the walk lies in the orbit of a walked one, or has no
     # corner in T0 and fails x = 0
     return ({"bound": bound,

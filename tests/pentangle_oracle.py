@@ -14,7 +14,13 @@ reports what the counting kernel reports for a chunk.
 
 The chain coordinates of a five-cusp filling and the order-3 and mirror
 symmetries, which no command reads, are kept here for the tests of the
-condition lists and the necessary conditions.
+condition lists and the necessary conditions, beside the corner swaps
+swap_lr, swap_tb and swap_fb, named on P5Filling fields, that the
+library's _KLEIN lists as getters over corner tuples.
+
+corner_groups is the ne-corner grouping as the library's _SweepTables
+first built it, a corner on a simplification pair standing alone: the
+reference for the groups of one key that _SweepTables.ne_groups holds.
 
 The chart rows as continued-fraction words, with their own solvers for the
 thin-set parameters, are the reference for the library's matrix table
@@ -22,8 +28,8 @@ _ROWS: the presentations, the case constraints and, through _sweep_chunk's
 tables, the pair rows."""
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
-                                    P3_LISTS, P5Filling, _KLEIN, _TRIVIAL,
-                                    _bits, _key, swap_tb)
+                                    P3_LISTS, P5Filling, _TRIVIAL, _bits,
+                                    _key)
 from surgeryforge.rationals import (INF, ZERO, _mobius, cf_eval, cf_step, rat,
                                     reciprocal, rot_map)
 from surgeryforge.tangle import (MontesinosLink, is_reciprocal_of_integer,
@@ -41,6 +47,28 @@ def corot_map(x):
 def shift(x, n):
     """x -> x + n for an integer n; fixes inf."""
     return _mobius(x, 1, n, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The three x-preserving involutions on the corners of a filling, the
+# library's _KLEIN written out; with the identity they form KLEIN, in the
+# library's order.
+# ---------------------------------------------------------------------------
+
+
+def swap_lr(f):
+    return P5Filling(f.ne, f.nw, f.se, f.sw)
+
+
+def swap_tb(f):
+    return P5Filling(f.sw, f.se, f.nw, f.ne)
+
+
+def swap_fb(f):
+    return P5Filling(f.se, f.sw, f.ne, f.nw)
+
+
+KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +132,7 @@ _BASE_ROWS = {ZERO: _row_west, INF: _row_north, MINUS_ONE: _row_front}
 def montesinos_presentations(f, x):
     """All Montesinos presentations of the x-filling, x in {0, inf, -1}."""
     out = []
-    for g in _KLEIN:
+    for g in KLEIN:
         link = _BASE_ROWS[x](g(f))
         if link is not None:
             out.append(link)
@@ -437,9 +465,23 @@ def least_corner_chunk(tb, corners):
                         else:
                             f = P5Filling(*t)
                             counterexamples.update(
-                                g(f).corners() for g in _KLEIN)
+                                g(f).corners() for g in KLEIN)
     assert necessary % 12 == simplified % 12 == 0
     return necessary // 12, simplified // 12, counterexamples
+
+
+def corner_groups(tb, corners):
+    """The ne corners as lists that _pair_masks cannot tell apart: equal
+    thin-set flags and rows, on no simplification pair and not trivial
+    (_simp_masks reads those rows).  The others stand alone."""
+    groups = {}
+    for i in corners:
+        if tb.triv[i] or tb.ga[i] or tb.gb[i] or tb.gc[i]:
+            key = i
+        else:
+            key = (tb.in0[i], tb.ininf[i], tb.inm1[i], tb.vm1[i])
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
 
 
 def scan_pair_rows(slopes, thin, matrix):

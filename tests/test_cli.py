@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -473,6 +474,68 @@ def test_touching_blocks_exit_2(op, seq):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: adjacent shorthand blocks are not reducible\n"
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that closes after one byte of the 213 KB census report takes
+    # no more: exit 0, the verdict, and nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "surgeryforge.cli", "families", "census",
+         "--tmax", "300", "--seqmax", "300"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["lens", "normalize", "7", "3"],
+                                  ["--help"]])
+def test_full_device_exits_2(argv):
+    # a report or help text that cannot be written exits 2 with one line
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "surgeryforge.cli", *argv], env=env,
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert (proc.stderr.startswith("error: cannot write the report: ")
+            and proc.stderr.count("\n") == 1), proc.stderr
+
+
+class _Unwritable:
+    """A stdout, without a file descriptor, whose every write raises."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("error, code", [
+    (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 1),
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2)])
+def test_unwritable_report_keeps_its_verdict(capsys, monkeypatch, error,
+                                             code):
+    # with its reader gone a report with counterexamples still exits 1, as
+    # help exits 0; any other write failure exits 2 with one error line
+    row = families.CensusEntry(68, 15, 23)
+    report = {"entries": (), "witnesses": {}}, (("missing", row),)
+    monkeypatch.setattr(families, "gofklens_census", lambda t, s: report)
+    with contextlib.redirect_stdout(_Unwritable(error)):
+        assert main(["families", "census", "--tmax", "6"]) == code
+        with pytest.raises(SystemExit) as exit_:
+            main(["families", "census", "-h"])
+    assert exit_.value.code == (0 if code == 1 else 2)
+    err = capsys.readouterr().err
+    assert err == ("" if code == 1 else
+                   f"error: cannot write the report: {error.strerror}\n" * 2)
 
 
 def test_cli_import_leaves_multiprocessing_out():

@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import random
@@ -8,19 +9,17 @@ import pentangle_oracle as oracle
 import pytest
 from pentangle_oracle import (X_FILLINGS, _is_one_minus_reciprocal,
                               corot_map, m5_to_p5, mirror_sym, p5_to_m5, rot3,
-                              rot3_fix_ne, shift)
+                              rot3_fix_ne, shift, swap_fb, swap_lr, swap_tb)
 from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, ROW_CONSTRAINTS,
-                                    P5Filling as F, _ROWS,
-                                    _bits, _corner_groups,
-                                    _pair_masks, _partition,
+                                    P5Filling as F, _KLEIN, _ROWS,
+                                    _bits, _pair_masks, _partition,
                                     _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     montesinos_presentations, simplifies,
-                                    stern_brocot_slopes, swap_fb, swap_lr,
-                                    swap_tb, two_bridge_necessary,
+                                    stern_brocot_slopes, two_bridge_necessary,
                                     verify_simplification)
 from surgeryforge.rationals import (INF, ZERO, ExtRational, cf_eval, rat,
                                    reciprocal)
@@ -68,6 +67,21 @@ def test_symmetry_group_laws():
     # the mirror squares to the front-back involution
     assert mirror_sym(mirror_sym(f)) == swap_fb(f)
     assert reciprocal(reciprocal(x)) == x
+
+
+def test_klein_getters_are_the_named_swaps():
+    # each _KLEIN getter takes the corners of a filling to the corners of
+    # its named swap's image, and the getters form a group of involutions
+    for corners in product(stern_brocot_slopes(3), repeat=4):
+        f = F(*corners)
+        for g, swap in zip(_KLEIN, oracle.KLEIN):
+            assert g(f.corners()) == swap(f).corners(), (f, swap)
+    t = (0, 1, 2, 3)
+    images = {g(t) for g in _KLEIN}
+    assert len(images) == 4
+    for g in _KLEIN:
+        assert g(g(t)) == t
+        assert {g(h(t)) for h in _KLEIN} == images
 
 
 def test_mirror_exchanges_factoring_lists():
@@ -490,6 +504,11 @@ def _ne_key(tb, j):
     return tb.in0[j], tb.ininf[j], tb.inm1[j], tb.vm1[j]
 
 
+def ne_group_members(tb):
+    """The members of each of the library's ne groups, in increasing order."""
+    return [list(_bits(group[0])) for group in tb.ne_groups]
+
+
 def test_ne_groups_partition_the_slopes():
     # the ne groups are disjoint, cover the slopes, share the key of what
     # _pair_masks reads of an ne corner for nw in T0, and leave out no
@@ -498,7 +517,7 @@ def test_ne_groups_partition_the_slopes():
     tb = _SweepTables(slopes)
     alone = [tb.triv[j] or tb.ga[j] or tb.gb[j] or tb.gc[j]
              for j in range(tb.n)]
-    groups = _corner_groups(tb, range(tb.n))
+    groups = ne_group_members(tb)
     assert (tb.n, len(tb.walk), len(groups)) == (128, 21, 39)
     assert sorted(j for g in groups for j in g) == list(range(tb.n))
     keys = []
@@ -523,7 +542,7 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
     ces = sweep(tb)[2]
     ne_bad = {ce[1] for ce in ces}
     assert any(len(g) > 1 and ne_bad.issuperset(g)
-               for g in _corner_groups(tb, range(tb.n)))
+               for g in ne_group_members(tb))
     rank = {s: r for r, s in enumerate(sorted(
         range(tb.n), key=lambda s: (not tb.in0[s], s)))}
     walked = [ce for ce in ces if min(ce, key=rank.get) == ce[0]]
@@ -532,16 +551,13 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
     assert_chunks_match_oracle(tb, (1, 3, 7))
 
 
-@pytest.mark.parametrize("pairing", [None, 0, 1, 2])
-def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
-                                                         pairing):
-    # make one member of a wide ne group trivial (None), or put it on a
-    # pair of one pairing, which fills its row of ga, gb or gc: its tuples
-    # then simplify unlike the rest of the group, so it must stand alone
+def single_out_a_corner(monkeypatch, pairing):
+    """With every list emptied, make the last member a of the widest ne
+    group at bound 5 trivial (pairing None), or put it on a pair with the
+    slope 1 in one pairing, which fills its row of ga, gb or gc; return a."""
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(5)
-    a = max(_corner_groups(_SweepTables(slopes), range(len(slopes))),
-            key=len)[-1]
+    a = max(ne_group_members(_SweepTables(slopes)), key=len)[-1]
     u, v = slopes[a], slopes[2]
     if pairing is None:
         monkeypatch.setattr(pentangle, "_TRIVIAL", frozenset({(u.num, u.den)}))
@@ -550,9 +566,32 @@ def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
         lists[pairing] = frozenset({pentangle._key(u, v)})
         monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
         reunite_simplifying(monkeypatch)
-    tb = _SweepTables(slopes)
-    assert [a] in _corner_groups(tb, range(tb.n))
+    return a
+
+
+@pytest.mark.parametrize("pairing", [None, 0, 1, 2])
+def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
+                                                         pairing):
+    # the singled-out corner's tuples then simplify unlike the rest of its
+    # group, so it must stand alone
+    a = single_out_a_corner(monkeypatch, pairing)
+    tb = _SweepTables(stern_brocot_slopes(5))
+    assert [a] in ne_group_members(tb)
     assert_chunks_match_oracle(tb, (1, 3))
+
+
+@pytest.mark.parametrize("pairing", ["unpatched", None, 0, 1, 2])
+def test_ne_groups_match_the_oracle_grouping(monkeypatch, pairing):
+    # the groups of one key (ident, ga, Vm1) are the groups of the grouping
+    # that set every corner on a simplification pair apart, with the lists
+    # as they stand and with a corner singled out as above
+    if pairing != "unpatched":
+        single_out_a_corner(monkeypatch, pairing)
+    for bound in range(2, 31):
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        assert ({frozenset(g) for g in ne_group_members(tb)}
+                == {frozenset(g) for g in oracle.corner_groups(
+                    tb, range(tb.n))}), bound
 
 
 def test_near_masks_of_the_walk():
@@ -816,6 +855,23 @@ def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
     cpus(10_000)
     assert verify_simplification(83) == serial
     assert pool_sizes == [2]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
+def test_pool_that_cannot_start_sweeps_in_process(monkeypatch):
+    # fork or a pipe can fail (EAGAIN under a process limit, ENOMEM,
+    # EMFILE); the walk is then swept in process, to the same report
+    serial = verify_with_workers(monkeypatch, 10, 1)
+    asked = []
+
+    def refuse(*args, **kwargs):
+        asked.append(args)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool",
+                        refuse)
+    assert verify_with_workers(monkeypatch, 10, 2) == serial
+    assert len(asked) == 1
 
 
 def test_workers_without_a_cpu_count(monkeypatch):
