@@ -4,21 +4,24 @@ that both arise from positive integral surgery on a knot in the three-sphere
 and contain a genus one fibered knot, the alternative-surgery elimination,
 and the once-punctured-torus surgery catalog.
 
-Family formulas give the lens space of each exceptional filling slot as a
-polynomial in the family parameters, all read from one coefficient table;
-the slot-1 formula of the X1 family is inconsistent with the A/B families
-on overlaps and is excluded from consistency checking (see the flagged rows
-it produces).
+Each family is a chart: its members are the fillings M3(x, y, s) with the
+slopes (x, y) a function of the family parameters, and a member is excluded
+when a chart slope is exceptional (in {0, 1, 2, 3, inf}).  The lens space at
+slot inf is surgery on a Hopf link, computed from the chart; at each finite
+lens slot it is a polynomial label in the family parameters, all read from
+one coefficient table.  The slot-1 formula of the X1 family is inconsistent
+with the A/B families on overlaps and is excluded from consistency checking
+(see the flagged rows it produces).
 """
 
 from math import prod
 
-from .lens import (LensSpace, homeo_oriented, homeo_unoriented, is_lens_label,
-                   mirror)
+from .lens import (LensSpace, from_surgery, homeo_oriented, homeo_unoriented,
+                   is_lens_label, mirror)
 from .normseq import (format_items, gofk_exponent_sums, norm_sequence_of,
                       riemenschneider_dual, to_lens)
-from .rationals import (INF, ExtRational, FrozenValue, cf_step, parse_slope,
-                        rat)
+from .rationals import (INF, ExtRational, FrozenValue, cf_eval, cf_expand,
+                        cf_step, parse_slope, rat)
 from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
                          knots_with_genus, star_solutions)
 
@@ -29,42 +32,46 @@ class ExcludedParameter(ValueError):
 
 _X_PQ = {rat(0), rat(1), rat(2), rat(3), INF}
 
-# name: (parameters, excluded members, lens slots, labels).  A parameter is
-# (name, excluded values), where the slope "p/q" gives the variables p and
-# q; an excluded member is a tuple of parameter values.  The labels are the
-# lens spaces' (p, q) at the slots, in order, each a pair of polynomials
-# {monomial: coefficient} whose monomial is the string of its variables
-# ("mnn" is m n^2, "" the constant).
+# name: (parameters, chart, lens slots, labels).  A parameter is (name,
+# excluded values), where the slope "p/q" gives the variables p and q.  The
+# chart maps a member's parameters to the slopes (x, y) of its cusps: the
+# member is the filling M3(x, y, s) of the magic manifold (Martelli and
+# Petronio, "Dehn filling of the 'magic' 3-manifold", Comm. Anal. Geom.
+# 2006), and (x, y) is in the order _slot_inf reads.  A member with a chart
+# slope in _X_PQ is excluded, as is each excluded parameter value.  The
+# labels are the lens spaces' (p, q) at the finite lens slots, in order,
+# each a pair of polynomials {monomial: coefficient} whose monomial is the
+# string of its variables ("mp" is m p, "" the constant).  Every family has
+# the lens slot inf as well, computed from the chart.
 FAMILIES = {
     # Two slot formulas of the two-filling families X0-X3 are written with
     # the parameter m where the transcription read n.
-    "X0": ((("m", {0}), ("n", {0, 1, 2, 3})), {(-1, 4), (-1, 5)},
-           (rat(0), INF),
-           (({"m": 6, "": -1}, {"m": 2, "": -1}),
-            ({"mn": 4, "mnn": -1, "m": -1, "n": -1},
-             {"mn": 1, "m": -4, "": 1}))),
+    "X0": ((("m", {0}), ("n", {0, 1, 2, 3})),
+           lambda m, n: (rat(n), cf_step(4 - n, rat(m))), (rat(0),),
+           (({"m": 6, "": -1}, {"m": 2, "": -1}),)),
     # the slot-1 label is kept verbatim from the transcription although it
     # is inconsistent with the A/B families on shared manifolds
-    "X1": ((("m", {0, 1}), ("p/q", _X_PQ)), (), (rat(1), INF),
+    "X1": ((("m", {0, 1}), ("p/q", _X_PQ)),
+           lambda m, pq: (cf_step(3, rat(m)), pq), (rat(1),),
            (({"mp": 2, "mq": -6, "p": 1, "q": -1},
-             {"mp": 1, "mq": -3, "q": -1}),
-            ({"mp": -3, "mq": 1, "p": 1}, {"p": 3, "q": -1}))),
-    "X2": ((("m", {-1, 0, 1}), ("p/q", _X_PQ)), (), (rat(2), INF),
+             {"mp": 1, "mq": -3, "q": -1}),)),
+    "X2": ((("m", {-1, 0, 1}), ("p/q", _X_PQ)),
+           lambda m, pq: (cf_step(2, rat(m)), pq), (rat(2),),
            (({"mp": 3, "mq": -6, "p": -2, "q": 1},
-             {"mp": 1, "mq": -2, "p": -1, "q": 1}),
-            ({"mp": -2, "mq": 1, "p": 1}, {"p": 2, "q": -1}))),
-    "X3": ((("m", {-1, 0, 1}), ("n", {-1, 0, 1})), (), (rat(3), INF),
-           (({"mn": 4, "m": 2, "n": 2, "": -3}, {"mn": 2, "m": 1, "": -2}),
-            ({"m": 1, "n": 1, "": -1}, {"": -1}))),
-    "A": ((("m", {-1, 0, 1}), ("n", {0, 1})), (), (rat(1), rat(2), INF),
+             {"mp": 1, "mq": -2, "p": -1, "q": 1}),)),
+    "X3": ((("m", {-1, 0, 1}), ("n", {-1, 0, 1})),
+           lambda m, n: (cf_step(1, rat(m)), cf_step(1, rat(n))), (rat(3),),
+           (({"mn": 4, "m": 2, "n": 2, "": -3}, {"mn": 2, "m": 1, "": -2}),)),
+    "A": ((("m", {-1, 0, 1}), ("n", {0, 1})),
+          lambda m, n: (cf_step(3, rat(n)), cf_step(2, rat(m))),
+          (rat(1), rat(2)),
           (({"mn": 2, "m": 1, "n": 2, "": -1}, {"mn": 1, "m": 1, "n": 1}),
            ({"mn": 3, "m": -3, "n": -5, "": 2},
-            {"mn": 1, "m": -1, "n": -2, "": 1}),
-           ({"mn": 5, "m": -2, "n": -3, "": 1}, {"m": -5, "": 3}))),
-    "B": ((("p/q", _X_PQ | {rat(3, 2)}),), (), (rat(1), rat(2), INF),
+            {"mn": 1, "m": -1, "n": -2, "": 1}))),
+    "B": ((("p/q", _X_PQ | {rat(3, 2)}),), lambda pq: (rat(5, 2), pq),
+          (rat(1), rat(2)),
           (({"p": -3, "q": 11}, {"p": 2, "q": -7}),
-           ({"p": 8, "q": -13}, {"p": 3, "q": -5}),
-           ({"p": 5, "q": -2}, {"p": 2, "q": -1}))),
+           ({"p": 8, "q": -13}, {"p": 3, "q": -5}))),
 }
 
 
@@ -91,8 +98,8 @@ def parse_params(family, raw):
 
 
 def _evaluate(family, params):
-    """The raw lens labels (p, q) of a family member at its lens slots, in
-    order, with no exclusion check."""
+    """The raw lens labels (p, q) of a family member at its finite lens
+    slots, in order, with no exclusion check."""
     parameters, _, _, labels = FAMILIES[family]
     values = {}
     for (name, _), value in zip(parameters, params):
@@ -106,30 +113,40 @@ def _evaluate(family, params):
                  for label in labels)
 
 
-def _labels(family, params):
-    """The raw lens labels of a family member, after checking each parameter
-    in turn and then the member against the family's exclusions."""
-    parameters, excluded, _, _ = FAMILIES[family]
+def _chart(family, params):
+    """The chart slopes (x, y) of a family member, after checking each
+    parameter in turn and then the slopes against the family's exclusions."""
+    parameters, chart, _, _ = FAMILIES[family]
     bad = [f"{name} = {value}" for (name, values), value
            in zip(parameters, params) if value in values]
-    if tuple(params) in excluded:
+    slopes = chart(*params)
+    if not _X_PQ.isdisjoint(slopes):
         names = ",".join(name for name, _ in parameters)
         bad.append(f"({names}) = ({','.join(map(str, params))})")
     if bad:
         raise ExcludedParameter(f"{family}: excluded parameters ({bad[0]})")
-    return _evaluate(family, params)
+    return slopes
+
+
+def _slot_inf(x, y):
+    """M3(x, y, inf): surgery on a Hopf link, which slam dunks turn into the
+    chain of unknots [reversed cf_expand(x), y] and then into one unknot."""
+    return from_surgery(cf_eval(cf_expand(x)[::-1] + (y,)))
 
 
 def family_triple(family, params):
     """All lens filling slots of one family member, as (slot, LensSpace)
-    pairs in slot order, from one evaluation of the family's labels.
+    pairs in slot order: the finite slots from one evaluation of the
+    family's labels, then slot inf from its chart.
 
     params: X0/X3/A take (m, n) integers; X1/X2 take (m, p/q); B takes (p/q,)
     with p/q an ExtRational.  Excluded parameters raise ExcludedParameter
     with the exclusion named, and an invalid label raises ValueError.
     """
+    x, y = _chart(family, params)
     return tuple((slot, LensSpace(*label)) for slot, label
-                 in zip(FAMILIES[family][2], _labels(family, params)))
+                 in zip(FAMILIES[family][2], _evaluate(family, params))) + (
+                     (INF, _slot_inf(x, y)),)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +222,11 @@ def verify_three_filling_intersections(bound):
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
-    # labels must be valid.  A slot with a Bezout certificate has gcd 1, so a
-    # valid label, at every member.  Only the slots without one are evaluated
-    # member by member; every shipped slot has one, so none is ever visited.
+    # labels must be valid.  Slot inf's is a reduced fraction computed from
+    # the chart, so valid by construction.  A finite slot with a Bezout
+    # certificate has gcd 1, so a valid label, at every member.  Only the
+    # slots without one are evaluated member by member; every shipped slot
+    # has one, so none is ever visited.
     uncertified = [slot for slot, label in enumerate(FAMILIES["A"][3])
                    if not _coprime_everywhere(label)]
     bad_2b = []

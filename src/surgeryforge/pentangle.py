@@ -327,10 +327,10 @@ def stern_brocot_slopes(bound):
 # one group.  For a fixed nw most groups give parts that another group
 # already gave, so _pair_masks sorts them into classes and builds each
 # class's parts once.  A group's parts depend only on its flags, its
-# simplification rows and f, the part of fm1 = am1 & Vm1[ne] (the sw
-# corners where xm1 is full rather than Mm1) that can reach a cell: none
-# for nw in Tm1, where xm1 is full on all of am1; fm1 & after where xinf is
-# full or Minf; else fm1 within near(x0) on each x0 class.  The x0 values
+# simplification rows and f, the part of fm1 = Vm1[ne] (the sw corners
+# where xm1 is full rather than Mm1) that can reach a cell: none for nw in
+# Tm1, where xm1 is full on all of am1; fm1 & after where xinf is full or
+# Minf; else fm1 within near(x0) on each x0 class.  The x0 values
 # are after and after & M0, with after the T0 corners from nw on and every
 # slope off T0; their near masks are the suffix unions of Vinf over the
 # walk, with near(off0) for the first, which the tables build once.
@@ -445,8 +445,10 @@ class _SweepTables:
             if key in groups:
                 groups[key][0] |= 1 << j
                 continue
+            # fm1 is Vm1[j] within am1: a pair row of a corner off Tm1 has
+            # bits only on Tm1, and am1 is full or Mm1
             am1 = self.full if m1 else self.mm1
-            groups[key] = [1 << j, j, ident, am1 & self.vm1[j], in0, inf, am1,
+            groups[key] = [1 << j, j, ident, self.vm1[j], in0, inf, am1,
                            self.full & ~am1]
         self.ne_groups = list(groups.values())
 

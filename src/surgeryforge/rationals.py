@@ -201,22 +201,26 @@ def cf_solve_tail(prefix, target_j):
     return cf_eval(word)
 
 
+def cf_expand(x):
+    """The expansion of x whose every entry is the ceiling of what remains:
+    x = p/q = a - 1/x' with a = ceil(p/q), so every entry after the first is
+    at least 2.  inf expands to the empty sequence."""
+    coeffs = []
+    p, q = x.num, x.den
+    while q != 0:
+        a = -((-p) // q)  # ceil(p/q)
+        coeffs.append(a)
+        # x' = q/(a*q - p) > 1 when finite, as 0 <= a*q - p < q
+        p, q = q, a * q - p
+    return tuple(coeffs)
+
+
 def cf_expand_norm(x):
     """The unique expansion of x = p/q (p > q >= 1) with all entries >= 2.
 
     inf expands to the empty sequence.  Finite x <= 1 is rejected: those
     values have no expansion with every coefficient at least 2.
     """
-    if x.is_infinite:
-        return ()
-    if x.num <= x.den:
+    if not x.is_infinite and x.num <= x.den:
         raise ValueError(f"{x} has no all->=2 expansion (need p/q > 1)")
-    coeffs = []
-    p, q = x.num, x.den
-    while q != 0:
-        a = -((-p) // q)  # ceil(p/q)
-        coeffs.append(a)
-        # p/q = a - 1/x'  with  x' = q/(a*q - p), again > 1 when finite,
-        # so every coefficient comes out >= 2.
-        p, q = q, a * q - p
-    return tuple(coeffs)
+    return cf_expand(x)

@@ -5,13 +5,14 @@ and templates, and the once-punctured-torus catalog as they stood before
 their rewrites: a family_triple and ExtRational slopes for every parameter
 pair, a double loop over both parameter ranges per coincidence, a label
 evaluation per A-family member, one function per family with its
-exclusions as checks (families.FAMILIES has them as one coefficient
-table), a dual built dot by dot, seeds with up to three entries other than
-2 placed among 2s, seeds of four shapes (all 2s, one entry anywhere, two at
-the ends, the twist seeds), seeds with at most one entry other than 2 (any
-at lengths 1 and 2, a 3 beyond, and the twist seeds), the six sequence
-templates, the product over all entries 2..seq_bound+3, and one catalog
-branch with its own data per family kind.
+exclusions as checks and its slot-inf label (families.FAMILIES has them as
+a chart per family and one coefficient table of the finite slots), a dual
+built dot by dot, seeds with up to three entries other than 2 placed among
+2s, seeds of four shapes (all 2s, one entry anywhere, two at the ends, the
+twist seeds), seeds with at most one entry other than 2 (any at lengths 1
+and 2, a 3 beyond, and the twist seeds), the six sequence templates, the
+product over all entries 2..seq_bound+3, and one catalog branch with its
+own data per family kind.
 Kept verbatim as the reference that surgeryforge.families and
 surgeryforge.normseq are tested against."""
 
@@ -218,7 +219,8 @@ def bilinear(form):
 
 
 def a_family(labels):
-    """families.FAMILIES["A"] with its labels replaced."""
+    """families.FAMILIES["A"] with the labels of its finite slots
+    replaced."""
     return families.FAMILIES["A"][:3] + (labels,)
 
 
@@ -237,17 +239,17 @@ def case_2b(bound):
     rng_mpp = [mpp for mpp in rng if mpp not in (-1, 0, 1)]
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
-    # works and gives the A family member A[m'', m'], whose three lens
-    # labels must be valid.  The two ranges are the A family's exclusions.
-    # A label with gcd 1 is valid, so is_lens_label decides only the rest.
+    # works and gives the A family member A[m'', m'], whose labels at the
+    # finite slots must be valid (slot inf's is computed from the chart).
+    # The two ranges are the A family's exclusions.  A label with gcd 1 is
+    # valid, so is_lens_label decides only the rest.
     bad_2b = []
     for mp in rng_mp:
         for mpp in rng_mpp:
-            (p1, q1), (p2, q2), (p3, q3) = families._evaluate("A", (mpp, mp))
-            if gcd(p1, q1) == gcd(p2, q2) == gcd(p3, q3) == 1:
+            labels = families._evaluate("A", (mpp, mp))
+            if all(gcd(p, q) == 1 for p, q in labels):
                 continue
-            if not (is_lens_label(p1, q1) and is_lens_label(p2, q2)
-                    and is_lens_label(p3, q3)):
+            if not all(is_lens_label(p, q) for p, q in labels):
                 bad_2b.append((mpp, mp))
     return tuple(bad_2b), len(rng_mp) * len(rng_mpp) - len(bad_2b)
 

@@ -79,7 +79,7 @@ def test_family_triple_matches_closed_form_lenses():
                                 for name, _ in parameters)):
             try:
                 want = tuple((slot, LensSpace(*label)) for slot, label
-                             in zip(slots, closed_form(*params)))
+                             in zip(slots + (INF,), closed_form(*params)))
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     family_triple(family, params)
@@ -87,6 +87,44 @@ def test_family_triple_matches_closed_form_lenses():
                     (type(exc), str(exc)), (family, params)
                 continue
             assert family_triple(family, params) == want, (family, params)
+
+
+# the linking matrix of the three cusps of the magic manifold M3
+_M3_LINKING = ((0, 1, 1), (1, 0, -1), (1, -1, 0))
+
+
+def _h1_order(slopes):
+    """|H1(M3(s1, s2, s3))| = |det M|, with M_ii = p_i and M_ij = q_i L_ij
+    for the slopes s_i = p_i/q_i and the linking matrix L."""
+    (a, b, c), (d, e, f), (g, h, k) = (
+        [s.num if i == j else s.den * link for j, link in enumerate(row)]
+        for i, (s, row) in enumerate(zip(slopes, _M3_LINKING)))
+    return abs(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
+
+
+def test_chart_homology_matches_labels():
+    # at each lens slot s of a valid member, the chart filling M3(x, y, s)
+    # has the label's order p, but for X1 slot 1, whose transcribed label
+    # has the wrong order at every member until that label is repaired
+    ints = range(-8, 9)
+    slopes = [rat(a, b) for a in ints for b in range(1, 9) if gcd(a, b) == 1]
+    x1_slot_1 = 0
+    for family, (parameters, chart, _, _) in families.FAMILIES.items():
+        for params in product(*(slopes if name == "p/q" else ints
+                                for name, _ in parameters)):
+            try:
+                triple = family_triple(family, params)
+            except ValueError:
+                continue
+            x, y = chart(*params)
+            for slot, space in triple:
+                order = _h1_order((x, y, slot))
+                if (family, slot) == ("X1", rat(1)):
+                    assert order != space.p, params
+                    x1_slot_1 += 1
+                else:
+                    assert order == space.p, (family, params, slot)
+    assert x1_slot_1 == 1035
 
 
 def test_x_families_against_known_overlaps():
@@ -167,9 +205,9 @@ def test_sweeps_read_their_ranges_from_families(monkeypatch, capsys):
 
 
 def test_fam_a_table_matches_closed_form():
-    # every family's table against its closed form, labels and exclusions:
-    # the grid has more points per variable than any label's degree, so
-    # each slot agrees as a polynomial identity
+    # every family's table against its closed form, the finite slots'
+    # labels and the exclusions: the grid has more points per variable than
+    # any label's degree, so each finite slot agrees as a polynomial identity
     ints = range(-12, 13)
     slopes = [rat(a, b) for a in range(-12, 13) for b in range(1, 13)
               if gcd(a, b) == 1] + [INF]
@@ -181,13 +219,16 @@ def test_fam_a_table_matches_closed_form():
                 want = closed_form(*params)
             except ExcludedParameter as exc:
                 with pytest.raises(ValueError) as got:
-                    families._labels(family, params)
+                    families._chart(family, params)
                 assert (type(got.value), str(got.value)) == \
                     (type(exc), str(exc)), (family, params)
                 continue
-            assert families._labels(family, params) == want, (family, params)
+            families._chart(family, params)
+            assert families._evaluate(family, params) == want[:-1], (
+                family, params)
     for m, n in product(range(-40, 41), repeat=2):
-        assert families._evaluate("A", (m, n)) == oracle._fam_a_labels(m, n)
+        assert (families._evaluate("A", (m, n))
+                == oracle._fam_a_labels(m, n)[:-1])
 
 
 def test_case_2b_is_bound_free(monkeypatch):
@@ -208,10 +249,10 @@ _CONSTANT_LABELS = ((0, 5), (0, 0), (6, 4), (1, 4))
 
 
 def _random_a_table(rnd):
-    """Three slots, each a constant label or a random bilinear form with
-    coefficients in -3..3, drawn certified or uncertified."""
+    """A's finite slots, each a constant label or a random bilinear form
+    with coefficients in -3..3, drawn certified or uncertified."""
     slots = []
-    for _ in range(3):
+    for _ in families.FAMILIES["A"][2]:
         kind = rnd.randrange(4)
         if kind == 0:
             p, q = rnd.choice(_CONSTANT_LABELS)
@@ -245,9 +286,10 @@ def test_case_2b_matches_member_loop_on_random_tables(monkeypatch):
 
 def test_coprime_everywhere_refuses_other_monomials():
     # a label with a monomial other than mn, m, n and 1 is uncertified, not
-    # read without that term: X0's slot-inf label has an m n^2 term, and
-    # the term added to a certified A label leaves it uncertified
-    assert not families._coprime_everywhere(families.FAMILIES["X0"][3][1])
+    # read without that term: X0's former slot-inf label has an m n^2 term,
+    # and the term added to a certified A label leaves it uncertified
+    assert not families._coprime_everywhere(
+        ({"mn": 4, "mnn": -1, "m": -1, "n": -1}, {"mn": 1, "m": -4, "": 1}))
     p, q = families.FAMILIES["A"][3][0]
     assert families._coprime_everywhere((p, q))
     assert not families._coprime_everywhere((dict(p, mnn=1), q))
@@ -271,7 +313,7 @@ def test_coincidence_solvers_match_double_loops():
 
 @pytest.mark.parametrize("label", [(0, 5), (0, 0), (1, 4), (-1, 0), (1, 0),
                                    (-1, 7), (0, 1), (6, 4), (2, 0), (-6, 9)])
-@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("slot", [0, 1])
 def test_case_2b_gcd_fast_path_agrees_with_is_lens_label(monkeypatch, label,
                                                           slot):
     # an A-family label with gcd other than 1 is still valid when

@@ -594,6 +594,19 @@ def test_ne_groups_match_the_oracle_grouping(monkeypatch, pairing):
                     tb, range(tb.n))}), bound
 
 
+def test_pair_rows_off_the_thin_set_lie_in_its_mask():
+    # a pair row of a slope outside its thin set has bits only on that set:
+    # the ne groups take Vm1[ne] as the part of Mm1 where xm1 is full, and
+    # near(off0) is built from the rows of Tinf alone
+    for bound in range(2, 31):
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        for rows, thin, mask in ((tb.v0, tb.in0, tb.m0),
+                                 (tb.vinf, tb.ininf, tb.minf),
+                                 (tb.vm1, tb.inm1, tb.mm1)):
+            for row, inside in zip(rows, thin):
+                assert inside or not row & ~mask, bound
+
+
 def test_near_masks_of_the_walk():
     # the tables seed near(after) and near(after & M0) for every walked nw
     # corner from suffix unions over the walk and near(off0), built over
