@@ -349,7 +349,8 @@ def stern_brocot_slopes(bound):
 # once per chunk; its tuples with sw or se equal to nw, which weigh less,
 # are read off the row of nw.  The kernel reproduces the object-level
 # predicates above, which the test suite cross-checks, as it does against
-# the two kernels this one replaced (tests/pentangle_oracle.py).
+# the per-triple kernel it replaced and, chunk by chunk, the least-corner
+# visit of the tuples it walks (tests/pentangle_oracle.py).
 # ---------------------------------------------------------------------------
 
 

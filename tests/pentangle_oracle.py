@@ -1,16 +1,18 @@
-"""Two earlier pentangle sweep kernels, kept as references for the counting
-kernel in surgeryforge.pentangle, and the pair rows as its tables scanned
-them.
+"""References for the counting kernel in surgeryforge.pentangle, one per
+property, and the pair rows as its tables scanned them.
 
-_sweep_chunk is the kernel as it stood before the thin-set rewrite: one
-_SweepTables per chunk and a mask evaluation for every (nw, ne, sw) triple.
+_sweep_chunk is the kernel as it stood before the thin-set rewrite: its own
+_SweepTables, whose pair rows it builds from the chart rows'
+continued-fraction words, and a mask evaluation for every (nw, ne, sw)
+triple.  It is the reference for a whole sweep, and its masks for the
+counts of each (nw, ne) pair.
 
-_visit_sweep_chunk is the thin-set kernel that visited every sw corner of
-every cell, with the _visit_pair_masks cells it read, tallied per (nw, ne)
-pair by visit_pair_counts.  It runs on the library's _SweepTables.
-least_corner_chunk visits the same cells tuple by tuple, but only the
-tuples the counting kernel walks, and weights each as the kernel does: it
-reports what the counting kernel reports for a chunk.
+least_corner_chunk is the reference for one chunk: it visits the tuples the
+counting kernel walks from the given nw corners one by one and weights each
+as the kernel does.  It reads the cells that _visit_pair_masks, the
+thin-set kernel's visit of every sw corner, builds on the library's
+_SweepTables, so it checks the walk, the weights and the orbit images of
+each chunk, not the tables.
 
 The chain coordinates of a five-cusp filling and the order-3 and mirror
 symmetries, which no command reads, are kept here for the tests of the
@@ -69,6 +71,10 @@ def swap_fb(f):
 
 
 KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
+
+# the corner positions each swap reads, in KLEIN's order: the image of a
+# tuple t of corners or corner indices is tuple(t[p] for p in order)
+KLEIN_ORDERS = tuple(g(P5Filling(0, 1, 2, 3)).corners() for g in KLEIN)
 
 
 # ---------------------------------------------------------------------------
@@ -394,47 +400,6 @@ def _visit_pair_masks(tb, i):
         yield j, parts, simp_k, triv_mask | gb[j] | gc[i]
 
 
-def visit_pair_counts(tb, i):
-    """For nw = i, yield (j, necessary, simplified, bad) for every ne = j,
-    where bad lists the (sw, se) corners of the pair's counterexamples."""
-    ga = tb.ga
-    for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
-        necessary = 0
-        simplified = 0
-        bad = []
-        for cand, c, rows in parts:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                k = low.bit_length() - 1
-                need = c & rows[k]
-                count = need.bit_count()
-                necessary += count
-                if simp_k & low:
-                    simplified += count
-                    continue
-                good = need & (simp_base | ga[k])
-                simplified += good.bit_count()
-                for se in _bits(need & ~good):
-                    bad.append((k, se))
-        yield j, necessary, simplified, bad
-
-
-def _visit_sweep_chunk(tb, i_lo, i_hi):
-    """The sweep of the nw range [i_lo, i_hi) over every ne corner."""
-    necessary = 0
-    simplified = 0
-    counterexamples = []
-    for i in range(i_lo, i_hi):
-        for j, nec, simp, bad in visit_pair_counts(tb, i):
-            necessary += nec
-            simplified += simp
-            counterexamples.extend((i, j, k, se) for k, se in bad)
-    counterexamples.sort()
-    checked = (i_hi - i_lo) * tb.n ** 3
-    return checked, necessary, simplified, counterexamples
-
-
 def least_corner_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the tuples whose nw
     corner is one of corners and is their least corner in the order that
@@ -463,9 +428,9 @@ def least_corner_chunk(tb, corners):
                         if (good >> se) & 1:
                             simplified += weight
                         else:
-                            f = P5Filling(*t)
                             counterexamples.update(
-                                g(f).corners() for g in KLEIN)
+                                tuple(t[p] for p in order)
+                                for order in KLEIN_ORDERS)
     assert necessary % 12 == simplified % 12 == 0
     return necessary // 12, simplified // 12, counterexamples
 

@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import product
-from math import gcd, inf
+from math import gcd, inf, isqrt
 
 import pytest
 
@@ -16,8 +16,8 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    gofklens_census, optsurg_catalog,
                                    prop15_consistency,
                                    verify_three_filling_intersections)
-from surgeryforge.lens import (LensSpace, S3, homeo_oriented, homeo_unoriented,
-                              is_lens_label)
+from surgeryforge.lens import (LensSpace, S1XS2, S3, homeo_oriented,
+                              homeo_unoriented, is_lens_label)
 from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
 from surgeryforge.rationals import INF, rat
 from surgeryforge.simpleknot import (SimpleKnot, canonical_triple,
@@ -125,6 +125,41 @@ def test_chart_homology_matches_labels():
                 else:
                     assert order == space.p, (family, params, slot)
     assert x1_slot_1 == 1035
+
+
+def test_orders_beside_s1xs2_are_squares():
+    # a knot in S1xS2 with winding number w has |H1| = w^2 at every filling
+    # at distance 1 from the S1xS2 slope; of the 47 lens slots beside an
+    # S1xS2 slot of a valid member, the eight whose order is not a square
+    # are X1 slot 1, whose transcribed label has the wrong order
+    ints = range(-12, 13)
+    slopes = [rat(a, b) for a in ints for b in range(1, 13) if gcd(a, b) == 1]
+    pairs, not_square = set(), set()
+    for family, (parameters, _, _, _) in families.FAMILIES.items():
+        for params in product(*(slopes if name == "p/q" else ints
+                                for name, _ in parameters)):
+            try:
+                triple = family_triple(family, params)
+            except ValueError:
+                continue
+            for s, space in triple:
+                if space != S1XS2:
+                    continue
+                for slot, beside in triple:
+                    if abs(s.num * slot.den - s.den * slot.num) != 1:
+                        continue
+                    pairs.add((family, params, s, slot))
+                    if isqrt(beside.p) ** 2 != beside.p:
+                        not_square.add((params, str(s), str(slot)))
+                        assert family == "X1", (params, s, slot)
+    assert len(pairs) == 47
+    assert not_square == {
+        # slot 1 beside an S1xS2 slot inf
+        ((-3, rat(3, 10)), "inf", "1"), ((-2, rat(2, 7)), "inf", "1"),
+        ((-1, rat(1, 4)), "inf", "1"), ((2, rat(2, 5)), "inf", "1"),
+        ((3, rat(3, 8)), "inf", "1"), ((4, rat(4, 11)), "inf", "1"),
+        # slot inf beside an S1xS2 label at slot 1
+        ((-2, rat(11, 3)), "1", "inf"), ((-1, rat(5)), "1", "inf")}
 
 
 def test_x_families_against_known_overlaps():

@@ -357,23 +357,42 @@ def sweep(tb):
     return necessary, simplified, sorted(ces)
 
 
-def test_kernel_matches_oracle_bounds_2_to_8():
+MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
+                      ("MIRROR_P3_LISTS", "_TRIVIAL")]
+EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
+
+
+@pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES + [EVERY_LIST])
+def test_kernel_matches_oracle_bounds_2_to_8(monkeypatch, names):
+    # the whole sweep against the per-triple oracle, with the lists as they
+    # stand and with some or all of them emptied.  Patched, cells hold
+    # counterexamples; with only part of the lists emptied they hold
+    # simplified tuples too.  A class holds ne corners with equal
+    # simplification rows (triv, gb, gc and their bit of ga[nw]) as well as
+    # equal parts: one that mixed them would count the tuples of some
+    # members with another's rows, which shows only when lists are patched
+    empty_lists(monkeypatch, *names)
     for bound in range(2, 9):
         slopes = stern_brocot_slopes(bound)
-        n = len(slopes)
-        tb = _SweepTables(slopes)
-        got = sweep(tb)
-        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
-        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
+        got = sweep(_SweepTables(slopes))
+        assert got == oracle._sweep_chunk((slopes, 0, len(slopes)))[1:], bound
+        assert got[0] == got[1] + len(got[2]), bound
+    assert bool(got[2]) == bool(names)
+    assert got[1] > 0 or names == EVERY_LIST
 
 
-def assert_chunks_match_oracle(tb, worker_counts=(1, 2, 3, 7, 128)):
+def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
     """Each worker's chunk, the walked nw corners dealt to it, reports what
-    the least-corner oracle reports for those corners, and the chunks
-    together report the sweep over every tuple."""
+    the least-corner oracle reports for those corners.  Up to bound 8 the
+    chunks together report the per-triple oracle's sweep over every tuple.
+    Returns the counterexamples the chunks report."""
+    slopes = stern_brocot_slopes(bound)
+    tb = _SweepTables(slopes)
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
-    necessary, simplified, ces = oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
-    whole = necessary, simplified, len(ces), set(ces)
+    whole = None
+    if bound <= 8:
+        necessary, simplified, ces = oracle._sweep_chunk((slopes, 0, tb.n))[1:]
+        whole = necessary, simplified, len(ces), set(ces)
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
     for workers in worker_counts:
         dealt = _partition(tb.walk, workers)
@@ -389,19 +408,15 @@ def assert_chunks_match_oracle(tb, worker_counts=(1, 2, 3, 7, 128)):
                 sum(len(w[2]) for w in want),
                 set().union(*(w[2] for w in want))), (workers, corners)
         union = tuple(sum(chunk[x] for chunk in chunks) for x in range(3))
-        assert union + (set().union(*(c[3] for c in chunks)),) == whole, (
-            workers)
-
-
-MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
-                      ("MIRROR_P3_LISTS", "_TRIVIAL")]
-EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
+        union += (set().union(*(c[3] for c in chunks)),)
+        assert whole is None or union == whole, workers
+    return union[3]
 
 
 def test_kernel_matches_visit_oracle_by_chunk():
     # the walk ranges that pool workers sweep, at a bound above the range
     # of the per-triple oracle
-    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)))
+    assert_chunks_match_oracle(10)
 
 
 @pytest.mark.parametrize("names", MIXED_CELL_PATCHES + [EVERY_LIST])
@@ -411,9 +426,28 @@ def test_chunks_match_least_corner_oracle_with_counterexamples(monkeypatch,
     # reports with their orbit images
     empty_lists(monkeypatch, *names)
     for bound in range(2, 7):
-        tb = _SweepTables(stern_brocot_slopes(bound))
-        assert_chunks_match_oracle(tb)
-    assert sweep(tb)[2]
+        ces = assert_chunks_match_oracle(bound)
+    assert ces
+    assert_chunks_match_oracle(10, (3,))
+
+
+def oracle_pair_counts(slopes):
+    """Per (nw, ne) pair, the per-triple oracle's (necessary, simplified,
+    bad) over every sw corner, bad the set of (sw, se) corners of the
+    pair's counterexamples."""
+    otb = oracle._SweepTables(slopes)
+    pairs = {}
+    for i, j in product(range(otb.n), repeat=2):
+        necessary = simplified = 0
+        bad = set()
+        for k in range(otb.n):
+            need = oracle._necessary_masks(otb, i, j, k)
+            good = need & oracle._simplifies_mask(otb, i, j, k)
+            necessary += need.bit_count()
+            simplified += good.bit_count()
+            bad.update((k, se) for se in _bits(need & ~good))
+        pairs[i, j] = necessary, simplified, bad
+    return pairs
 
 
 @pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES)
@@ -423,9 +457,7 @@ def test_pair_counts_symmetric_under_swap_lr(monkeypatch, names):
     # counterexamples: one of the three involutions of the kernel's walk
     empty_lists(monkeypatch, *names)
     for bound in range(2, 7):
-        tb = _SweepTables(stern_brocot_slopes(bound))
-        pairs = {(i, j): (nec, simp, set(bad)) for i in range(tb.n)
-                 for j, nec, simp, bad in oracle.visit_pair_counts(tb, i)}
+        pairs = oracle_pair_counts(stern_brocot_slopes(bound))
         for (i, j), (nec, simp, bad) in pairs.items():
             nec_t, simp_t, bad_t = pairs[j, i]
             assert (nec, simp) == (nec_t, simp_t), (bound, i, j)
@@ -458,7 +490,7 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
         return cell_counts(*args)
 
     monkeypatch.setattr(pentangle, "_cell_counts", counting)
-    assert sweep(tb) == oracle._visit_sweep_chunk(tb, 0, tb.n)[1:]
+    assert _sweep_chunk(tb, tb.walk) == oracle.least_corner_chunk(tb, tb.walk)
     assert len(calls) == len(keys) == 322
     assert len(yields) == 278
 
@@ -480,24 +512,6 @@ def test_ne_classes_keep_every_needed_ne_corner():
                     for k in _bits(cand & after)):
                 needed |= 1 << j
         assert merged == needed, i
-
-
-@pytest.mark.parametrize("names", MIXED_CELL_PATCHES + [EVERY_LIST])
-def test_classes_keep_simplification_rows_apart(monkeypatch, names):
-    # a class holds ne corners with equal simplification rows (triv, gb, gc
-    # and their bit of ga[nw]) as well as equal parts: one that mixed them
-    # would count the tuples of some members with another's rows, which
-    # shows only when the lists are patched
-    empty_lists(monkeypatch, *names)
-    for bound in range(2, 9):
-        slopes = stern_brocot_slopes(bound)
-        n = len(slopes)
-        tb = _SweepTables(slopes)
-        got = sweep(tb)
-        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
-        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
-    assert got[2]
-    assert_chunks_match_oracle(_SweepTables(stern_brocot_slopes(10)), (3,))
 
 
 def _ne_key(tb, j):
@@ -537,8 +551,7 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
     # 4 / c tuples of their orbit.  No tuple with four equal corners passes,
     # as no slope lies in all three thin sets
     empty_lists(monkeypatch, *EVERY_LIST)
-    slopes = stern_brocot_slopes(5)
-    tb = _SweepTables(slopes)
+    tb = _SweepTables(stern_brocot_slopes(5))
     ces = sweep(tb)[2]
     ne_bad = {ce[1] for ce in ces}
     assert any(len(g) > 1 and ne_bad.issuperset(g)
@@ -548,24 +561,27 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
     walked = [ce for ce in ces if min(ce, key=rank.get) == ce[0]]
     assert {ce.count(ce[0]) for ce in walked} == {1, 2, 3}
     assert not tb.m0 & tb.minf & tb.mm1
-    assert_chunks_match_oracle(tb, (1, 3, 7))
+    assert_chunks_match_oracle(5, (1, 3, 7))
 
 
 def single_out_a_corner(monkeypatch, pairing):
     """With every list emptied, make the last member a of the widest ne
     group at bound 5 trivial (pairing None), or put it on a pair with the
-    slope 1 in one pairing, which fills its row of ga, gb or gc; return a."""
+    slope 1 in one pairing, which fills its row of ga, gb or gc, in the
+    library and the oracle; return a."""
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(5)
     a = max(ne_group_members(_SweepTables(slopes)), key=len)[-1]
     u, v = slopes[a], slopes[2]
     if pairing is None:
-        monkeypatch.setattr(pentangle, "_TRIVIAL", frozenset({(u.num, u.den)}))
+        name, value = "_TRIVIAL", frozenset({(u.num, u.den)})
     else:
         lists = [frozenset()] * 3
         lists[pairing] = frozenset({pentangle._key(u, v)})
-        monkeypatch.setattr(pentangle, "P3_LISTS", tuple(lists))
-        reunite_simplifying(monkeypatch)
+        name, value = "P3_LISTS", tuple(lists)
+    for module in (pentangle, oracle):
+        monkeypatch.setattr(module, name, value)
+    reunite_simplifying(monkeypatch)
     return a
 
 
@@ -575,9 +591,8 @@ def test_ne_corner_on_a_simplification_pair_stands_alone(monkeypatch,
     # the singled-out corner's tuples then simplify unlike the rest of its
     # group, so it must stand alone
     a = single_out_a_corner(monkeypatch, pairing)
-    tb = _SweepTables(stern_brocot_slopes(5))
-    assert [a] in ne_group_members(tb)
-    assert_chunks_match_oracle(tb, (1, 3))
+    assert [a] in ne_group_members(_SweepTables(stern_brocot_slopes(5)))
+    assert_chunks_match_oracle(5, (1, 3))
 
 
 @pytest.mark.parametrize("pairing", ["unpatched", None, 0, 1, 2])
@@ -744,33 +759,15 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     # conditions a counterexample, which real sweeps never produce
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(3)
-    n = len(slopes)
-    tb = _SweepTables(slopes)
-    got = sweep(tb)
-    want = oracle._sweep_chunk((slopes, 0, n))
-    assert got == want[1:] == oracle._visit_sweep_chunk(tb, 0, n)[1:]
+    got = sweep(_SweepTables(slopes))
+    want = oracle._sweep_chunk((slopes, 0, len(slopes)))
+    assert got == want[1:]
     assert got[1] == 0 and len(got[2]) == got[0] > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
     # chunks report the orbit images of their counterexamples, whose nw
     # corners may lie outside the walk
     for workers in (1, 2, 3, 7):
         assert verify_with_workers(monkeypatch, 3, workers)[1] == named
-
-
-@pytest.mark.parametrize("names", MIXED_CELL_PATCHES)
-def test_counterexamples_in_mixed_cells(monkeypatch, names):
-    # with only part of the simplification lists emptied, cells hold both
-    # simplified tuples and counterexamples
-    empty_lists(monkeypatch, *names)
-    for bound in range(2, 7):
-        slopes = stern_brocot_slopes(bound)
-        n = len(slopes)
-        tb = _SweepTables(slopes)
-        got = sweep(tb)
-        assert got == oracle._visit_sweep_chunk(tb, 0, n)[1:], bound
-        assert got == oracle._sweep_chunk((slopes, 0, n))[1:], bound
-        assert got[0] == got[1] + len(got[2])
-    assert got[1] > 0 and got[2]
 
 
 def test_verify_simplification_small_bounds():
