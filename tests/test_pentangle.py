@@ -362,23 +362,53 @@ MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
 EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
 
 
-@pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES + [EVERY_LIST])
-def test_kernel_matches_oracle_bounds_2_to_8(monkeypatch, names):
-    # the whole sweep against the per-triple oracle, with the lists as they
-    # stand and with some or all of them emptied.  Patched, cells hold
-    # counterexamples; with only part of the lists emptied they hold
-    # simplified tuples too.  A class holds ne corners with equal
-    # simplification rows (triv, gb, gc and their bit of ga[nw]) as well as
-    # equal parts: one that mixed them would count the tuples of some
-    # members with another's rows, which shows only when lists are patched
-    empty_lists(monkeypatch, *names)
-    for bound in range(2, 9):
+def assert_sweeps_match_oracle(bounds):
+    """At each bound the whole sweep reports what the per-triple oracle
+    reports, and counts each necessary tuple as simplified or as a
+    counterexample.  Returns the sweep at the last bound."""
+    for bound in bounds:
         slopes = stern_brocot_slopes(bound)
         got = sweep(_SweepTables(slopes))
         assert got == oracle._sweep_chunk((slopes, 0, len(slopes)))[1:], bound
         assert got[0] == got[1] + len(got[2]), bound
-    assert bool(got[2]) == bool(names)
-    assert got[1] > 0 or names == EVERY_LIST
+    return got
+
+
+def test_kernel_matches_oracle_bounds_2_to_8():
+    # with the lists as they stand, every necessary tuple simplifies
+    necessary, simplified, ces = assert_sweeps_match_oracle(range(2, 9))
+    assert necessary == simplified > 0 and not ces
+
+
+@pytest.mark.parametrize("names", MIXED_CELL_PATCHES + [EVERY_LIST])
+def test_classes_keep_simplification_rows_apart(monkeypatch, names):
+    # a class holds ne corners with equal simplification rows (triv, gb, gc
+    # and their bit of ga[nw]) as well as equal parts: one that mixed them
+    # would count the tuples of some members with another's rows, which
+    # shows only when the lists are patched
+    empty_lists(monkeypatch, *names)
+    necessary, simplified, ces = assert_sweeps_match_oracle(range(2, 9))
+    assert ces
+    assert simplified > 0 or names == EVERY_LIST
+
+
+@pytest.mark.parametrize("names", MIXED_CELL_PATCHES)
+def test_counterexamples_in_mixed_cells(monkeypatch, names):
+    # with only part of the simplification lists emptied, cells hold both
+    # simplified tuples and counterexamples, and each counterexample is one
+    # by the object predicates: necessary for every x-filling, and neither
+    # non-hyperbolic nor factoring through a listed pair
+    empty_lists(monkeypatch, *names)
+    rng = random.Random(29)
+    for bound in range(2, 7):
+        slopes = stern_brocot_slopes(bound)
+        necessary, simplified, ces = sweep(_SweepTables(slopes))
+        assert necessary == simplified + len(ces), bound
+        for tup in rng.sample(ces, min(len(ces), 40)):
+            f = F(*(slopes[i] for i in tup))
+            assert all(two_bridge_necessary(f, x) for x in X_FILLINGS), f
+            assert not simplifies(f), f
+    assert simplified > 0 and ces
 
 
 def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
