@@ -4,6 +4,9 @@ deterministic JSON/CSV/text reports.
 Exit codes: 0 on success, 1 when a verification command finds
 counterexamples, 2 on usage errors.  Output is byte-identical across runs
 and worker counts; timing is only attached when --timing is passed.
+The `surgeryforge` process (and python -m surgeryforge.cli) ends through
+run, by os._exit once stdout and stderr are flushed, so atexit handlers do
+not run; main called in process returns its exit code.
 
 _read reads argv in the plain form, where an argument is a string that
 does not start with "-", or a negative integer or fraction such as -5 or
@@ -107,8 +110,9 @@ def _write(verdict, write, *args):
         write(*args)
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit: point what is left at
-        # devnull, where stdout has a file descriptor
+        # run, or the interpreter at exit after an in-process main, flushes
+        # stdout again: point what is left at devnull, where stdout has a
+        # file descriptor
         try:
             fd = sys.stdout.fileno()
         except (AttributeError, OSError):
@@ -634,5 +638,21 @@ def main(argv=None):
         return 2
 
 
+def run():
+    """The `surgeryforge` process: main() on sys.argv, with the code of the
+    SystemExit that -h raises; then stdout and stderr are flushed and the
+    process ends at that code by os._exit, skipping interpreter
+    finalization (module teardown, atexit handlers), which costs more than
+    most commands.  An unexpected exception propagates as from main."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the descriptor was closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -645,11 +645,14 @@ def _sweep_chunk(tb, corners):
         nw = 1 << i
         after = tb.m0 >> i << i | tb.off0
         for js, parts, simp_k, simp_base in _pair_masks(tb, i, after):
-            # 48 / c per tuple: 48, 24 and 16 off the ne = nw diagonal and
-            # 24, 16 and 12 on it, for 0, 1 and 2 of sw, se equal to nw
+            # 48 / c per tuple: 48, 24 and 16 off the ne = nw diagonal, for
+            # 0, 1 and 2 of sw, se equal to nw, and 24 and 16 on it, for 0
+            # and 1.  On it 2 is (nw, nw, nw, nw), never necessary: nw is
+            # the gate of every row, and T0, Tinf and Tm1 share no slope
+            # (T0 and Tinf share only +-1, and neither is 1 - 1/m)
             off, on = (js & ~nw).bit_count(), (js & nw) >> i
             w_all = 48 * off + 24 * on
-            w_one, w_two = 24 * off + 8 * on, 16 * off + 4 * on
+            w_one, w_two = 24 * off + 8 * on, 16 * off
             for cand, c, rows in parts:
                 key = (simp_k, simp_base, cand, c, rows is fulls)
                 counts = counted.get(key)

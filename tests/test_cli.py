@@ -8,6 +8,7 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import types
@@ -503,6 +504,73 @@ def test_full_device_exits_2(argv):
     assert proc.returncode == 2
     assert (proc.stderr.startswith("error: cannot write the report: ")
             and proc.stderr.count("\n") == 1), proc.stderr
+
+
+def in_process(capsys, argv):
+    """(exit code, stdout bytes, stderr) of main(argv) in this process, the
+    code of -h taken from its SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out.encode(), captured.err
+
+
+def cli_process(argv, **popen):
+    """A `python -m surgeryforge.cli argv` process with piped stdout and
+    stderr, which stdout buffers."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "surgeryforge.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+
+
+CENSUS_300 = ["families", "census", "--tmax", "300", "--seqmax", "300"]
+
+
+@pytest.mark.parametrize("argv", [["--format", "json", *CENSUS_300],
+                                  ["--format", "csv", *CENSUS_300],
+                                  ["pentangle", "verify", "--bound", "x"],
+                                  ["--help"]])
+def test_process_exit_keeps_every_byte(capsys, argv):
+    # the process ends by os._exit once its streams are flushed: the 213 KB
+    # census reports, which take many buffer flushes, a usage error and the
+    # help text reach their readers whole, with main's exit code
+    proc = cli_process(argv)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err.decode()) == in_process(capsys, argv)
+
+
+def test_pool_sweep_process_leaves_no_process(capsys):
+    # os._exit skips multiprocessing's atexit hooks, so the sweep's fork
+    # pool must be gone with the process: its group is empty once reaped
+    argv = ["pentangle", "verify", "--bound", "83"]
+    walk = pentangle._SweepTables(pentangle.stern_brocot_slopes(83)).walk
+    if pentangle._workers(walk) == 1:
+        pytest.skip("bound 83 sweeps in process on one CPU")
+    proc = cli_process(argv, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, out, err.decode()) == in_process(capsys, argv)
+
+
+def test_console_script_is_the_main_guard_entry():
+    # an installed `surgeryforge` ends as python -m surgeryforge.cli does
+    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+        scripts = f.read().split("\n[project.scripts]\n", 1)[1]
+    with open(os.path.join(PACKAGE_DIR, "cli.py")) as f:
+        guard = f.read().split('\nif __name__ == "__main__":\n', 1)[1]
+    entry = guard.strip().removesuffix("()")
+    assert entry.isidentifier() and callable(getattr(cli, entry))
+    assert scripts.split("\n", 1)[0] == (
+        f'surgeryforge = "surgeryforge.cli:{entry}"')
 
 
 class _Unwritable:

@@ -302,6 +302,17 @@ def test_necessary_tuples_have_a_corner_in_the_thin_sets():
     assert all(passed.values())
 
 
+def test_no_tuple_of_one_slope_is_necessary():
+    # the kernel weighs no (nw, nw, nw, nw) on the ne = nw diagonal: every
+    # row's gate is then that slope, which would have to lie in T0, Tinf
+    # and Tm1 at once, and they share none; the slopes of bound 40 hold
+    # those of bounds 2-40
+    for s in stern_brocot_slopes(40):
+        assert not all(THIN[x](s) for x in X_FILLINGS), s
+        f = F(s, s, s, s)
+        assert not all(two_bridge_necessary(f, x) for x in X_FILLINGS), s
+
+
 def kernel_masks(tb, i):
     """(j, k, need, simp) for nw = i in T0 and every ne = j, sw = k, read off
     the counting kernel's pair masks."""
@@ -362,14 +373,31 @@ MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
 EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
 
 
-def assert_sweeps_match_oracle(bounds):
+# the per-triple oracle's whole sweep by (names of the emptied lists, bound)
+_ORACLE_SWEEPS = {}
+
+
+def oracle_sweep(bound, names=None):
+    """The per-triple oracle's (necessary, simplified, counterexamples) over
+    every tuple at bound, with the lists as patched.  Tests whose only
+    patch is empty_lists(monkeypatch, *names) pass names, and share one
+    computation per (names, bound)."""
+    if (names, bound) in _ORACLE_SWEEPS:
+        return _ORACLE_SWEEPS[names, bound]
+    slopes = stern_brocot_slopes(bound)
+    whole = oracle._sweep_chunk((slopes, 0, len(slopes)))[1:]
+    if names is not None:
+        _ORACLE_SWEEPS[names, bound] = whole
+    return whole
+
+
+def assert_sweeps_match_oracle(bounds, names=None):
     """At each bound the whole sweep reports what the per-triple oracle
-    reports, and counts each necessary tuple as simplified or as a
+    reports, oracle_sweep(bound, names), and counts each necessary tuple as simplified or as a
     counterexample.  Returns the sweep at the last bound."""
     for bound in bounds:
-        slopes = stern_brocot_slopes(bound)
-        got = sweep(_SweepTables(slopes))
-        assert got == oracle._sweep_chunk((slopes, 0, len(slopes)))[1:], bound
+        got = sweep(_SweepTables(stern_brocot_slopes(bound)))
+        assert got == oracle_sweep(bound, names), bound
         assert got[0] == got[1] + len(got[2]), bound
     return got
 
@@ -387,7 +415,8 @@ def test_classes_keep_simplification_rows_apart(monkeypatch, names):
     # would count the tuples of some members with another's rows, which
     # shows only when the lists are patched
     empty_lists(monkeypatch, *names)
-    necessary, simplified, ces = assert_sweeps_match_oracle(range(2, 9))
+    necessary, simplified, ces = assert_sweeps_match_oracle(range(2, 9),
+                                                            names)
     assert ces
     assert simplified > 0 or names == EVERY_LIST
 
@@ -411,17 +440,18 @@ def test_counterexamples_in_mixed_cells(monkeypatch, names):
     assert simplified > 0 and ces
 
 
-def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
+def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128),
+                               names=None):
     """Each worker's chunk, the walked nw corners dealt to it, reports what
     the least-corner oracle reports for those corners.  Up to bound 8 the
-    chunks together report the per-triple oracle's sweep over every tuple.
-    Returns the counterexamples the chunks report."""
-    slopes = stern_brocot_slopes(bound)
-    tb = _SweepTables(slopes)
+    chunks together report the per-triple oracle's sweep over every tuple,
+    oracle_sweep(bound, names).  Returns the counterexamples the chunks
+    report."""
+    tb = _SweepTables(stern_brocot_slopes(bound))
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
     whole = None
     if bound <= 8:
-        necessary, simplified, ces = oracle._sweep_chunk((slopes, 0, tb.n))[1:]
+        necessary, simplified, ces = oracle_sweep(bound, names)
         whole = necessary, simplified, len(ces), set(ces)
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
     for workers in worker_counts:
@@ -456,7 +486,7 @@ def test_chunks_match_least_corner_oracle_with_counterexamples(monkeypatch,
     # reports with their orbit images
     empty_lists(monkeypatch, *names)
     for bound in range(2, 7):
-        ces = assert_chunks_match_oracle(bound)
+        ces = assert_chunks_match_oracle(bound, names=names)
     assert ces
     assert_chunks_match_oracle(10, (3,))
 
