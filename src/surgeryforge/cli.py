@@ -29,6 +29,7 @@ unique prefix (--form text), -hh, a trailing "--" or -1.5, exits 2 with
 one error line in argparse's words.  No argv imports argparse.
 """
 
+import errno
 import importlib.util
 import os
 import sys
@@ -104,9 +105,12 @@ def _emit(args, elapsed_ms, parameters, results, counterexamples=()):
 def _write(verdict, write, *args):
     """write(*args), which prints to stdout, and a flush of stdout; then
     verdict.  A reader that closed the pipe early is not an error: the rest
-    is dropped and verdict returned.  Any other failure to write prints one
-    error line and returns 2."""
+    is dropped and verdict returned.  Any other failure to write, a stdout
+    closed before the process started included, prints one error line and
+    returns 2."""
     try:
+        if sys.stdout is None:  # no file descriptor 1 at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         write(*args)
         sys.stdout.flush()
     except OSError as exc:
@@ -591,8 +595,9 @@ def _read(argv):
             else:
                 action = options.get(string)
                 if action is _HELP:
-                    raise SystemExit(_write(0, sys.stdout.write,
-                                            _help(words)))
+                    # sys.stdout is read once _write has checked it
+                    raise SystemExit(_write(
+                        0, lambda text: sys.stdout.write(text), _help(words)))
                 if action is None:
                     raise ValueError(f"unrecognized arguments: {string}")
                 if action.nargs == 0:

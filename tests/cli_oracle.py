@@ -6,12 +6,13 @@ _build_parser(argv).parse_args(argv) returns an argparse Namespace with the
 fields cli._read returns for a plain argv, raises ValueError with
 argparse's message, or prints the help of the level argv asks for and
 exits 0.  It builds argparse subparsers only along argv's command path,
-reading the command words and their arguments from cli.COMMANDS.
+reading the command words and their arguments from cli.COMMANDS (100
+drawn argvs per command).
 
 _jsonable(value) copies a report value with every library value as its
 str, every tuple as a list and every dict key as its str.  json.dumps of
 the copy is the reference for cli._compact, and the copy for cli._cell,
-which both print the value itself.
+which both print the value itself (300 drawn report values).
 """
 
 import argparse

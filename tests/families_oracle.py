@@ -1,27 +1,30 @@
-"""The three-filling intersection check, its slope helper c - 1/m, its
-two coincidence solvers and its case-2b member loop, the family label
-closed forms, the Riemenschneider point rule, the census seed generators
-and templates, and the once-punctured-torus catalog as they stood before
-their rewrites: a family_triple and ExtRational slopes for every parameter
-pair, a double loop over both parameter ranges per coincidence, a label
-evaluation per A-family member, one function per family with its
-exclusions as checks and its slot-inf label (families.FAMILIES has them as
-a chart per family and one coefficient table of the finite slots), a dual
-built dot by dot, seeds with up to three entries other than 2 placed among
-2s, seeds of four shapes (all 2s, one entry anywhere, two at the ends, the
-twist seeds), seeds with at most one entry other than 2 (any at lengths 1
-and 2, a 3 beyond, and the twist seeds), the six sequence templates, the
-product over all entries 2..seq_bound+3, and one catalog branch with its
-own data per family kind.
-Kept verbatim as the reference that surgeryforge.families and
-surgeryforge.normseq are tested against."""
+"""References for surgeryforge.families and the point rule, one per
+property, each as the code stood before its rewrite; property: reference
+(the inputs the tests run it at).
+
+- Intersection report: verify_three_filling_intersections, from the
+  references below (bounds 2-30).
+- Coincidence solvers: _coincidences, a double loop, once per c1 - c2
+  (c1, c2 in -3..3, bounds 2-60, 100, 300).  Case 1b: _case_1b (bounds
+  31-60, 100, 300; below, the report).
+- Case 2b: case_2b, one label evaluation per A-family member (the shipped
+  labels in the report; 40 random tables once at bound 12 for bounds
+  2-12; constant labels and BAD_SLOT_1 at bound 4).
+- Labels and exclusions: CLOSED_FORMS, one function per family
+  (|m|, |n|, |p| <= 12, 1 <= q <= 12; A over |m|, |n| <= 40).
+- Dual: riemenschneider_dual, dot by dot (over 2..7, lengths 1-6).
+- Census sequences: seeded_gofk_sequences, six templates on each seed's
+  dual pair, with the seeds of one generator per docstring lemma:
+  _gofk_seeds (seqmax 0-8, tmax -1..8), _four_shape_gofk_seeds (seqmax 9
+  at tmax -1, 4, 12; (20, 20), (12, 40), (40, 12), (100, 5)) and
+  _single_entry_gofk_seeds ((40, 40), (80, 80), (5, 100), (100, 5)).
+- Catalog: optsurg_catalog, one branch per family kind (|k| <= 20)."""
 
 import itertools
 from math import gcd
 
 from surgeryforge import families
-from surgeryforge.families import (ExcludedParameter, _is_twist_shape,
-                                   family_triple)
+from surgeryforge.families import ExcludedParameter, _is_twist_shape
 from surgeryforge.lens import LensSpace, is_lens_label
 from surgeryforge.normseq import gofk_exponent_sums
 from surgeryforge.rationals import INF, ExtRational, rat
@@ -54,94 +57,42 @@ def verify_three_filling_intersections(bound):
     subsumed cases.
 
     Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
-    case 3 ({2,inf} vs {3,inf}), each in both pairing orders."""
+    case 3 ({2,inf} vs {3,inf}), each in both pairing orders: case 1a by
+    its slope loop, cases 1b, 2a and 3a by the double loops above and case
+    2b by case_2b's member loop."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
-    rng = [m for m in range(-bound, bound + 1)]
-    bad = []
+    rng = range(-bound, bound + 1)
+    rng_mp = [m for m in rng if m not in (0, 1)]
+    rng_mpp = [m for m in rng if m not in (-1, 0, 1)]
+    rows_2b, count_2b = case_2b(bound)
 
-    # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is excluded),
-    # leaving the one-parameter family M3(4, -1/m).
-    case_1a = tuple((_recip_shift(3, mp).num, mp) for mp in rng
-                    if mp not in (0, 1) and _recip_shift(3, mp).is_integer
-                    and _recip_shift(3, mp).num not in (0, 1, 2, 3))
-    if case_1a != ((4, -1),):
-        bad.append(("case_1a", case_1a))
-
-    # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
-    sols_1b = []
-    for m in rng:
-        if m == 0:
-            continue
-        for mp in rng:
-            if mp in (0, 1):
-                continue
-            # n = 1 - 1/m + 1/m'
-            num = m * mp - mp + m
-            if num % (m * mp) != 0:
-                continue
-            n = num // (m * mp)
-            if n in (0, 1, 2, 3) or (m, n) in ((-1, 4), (-1, 5)):
-                continue
-            sols_1b.append((m, mp, n))
-    case_1b = tuple(sorted(sols_1b))
-    if case_1b != ((1, -1, -1),):
-        bad.append(("case_1b", case_1b))
-
-    # Case 2a: 3 - 1/m' = 2 - 1/m'' with the free slope shared: the B family.
-    sols_2a = []
-    for mp in rng:
-        if mp in (0, 1):
-            continue
-        for mpp in rng:
-            if mpp in (-1, 0, 1):
-                continue
-            if _recip_shift(3, mp) == _recip_shift(2, mpp):
-                sols_2a.append((mp, mpp))
-    case_2a = tuple(sorted(sols_2a))
-    if case_2a != ((2, -2),):
-        bad.append(("case_2a", case_2a))
-
-    # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
-    # works and gives the A family member A[m'', m'].
-    count_2b = 0
-    for mp in rng:
-        if mp in (0, 1):
-            continue
-        for mpp in rng:
-            if mpp in (-1, 0, 1):
-                continue
-            try:
-                family_triple("A", (mpp, mp))
-            except ExcludedParameter:
-                continue
-            count_2b += 1
-
-    # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
-    sols_3a = []
-    for mpp in rng:
-        if mpp in (-1, 0, 1):
-            continue
-        for mppp in rng:
-            if mppp in (-1, 0, 1):
-                continue
-            if _recip_shift(2, mpp) == _recip_shift(1, mppp):
-                sols_3a.append((mpp, mppp))
-    case_3a = tuple(sorted(sols_3a))
-    if case_3a != ((2, -2),):
-        bad.append(("case_3a", case_3a))
-
+    # (case, solutions, expected solutions), in report order
+    cases = (
+        # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is
+        # excluded), leaving the one-parameter family M3(4, -1/m).
+        ("case_1a", tuple((_recip_shift(3, mp).num, mp) for mp in rng_mp
+                          if _recip_shift(3, mp).is_integer
+                          and _recip_shift(3, mp).num not in (0, 1, 2, 3)),
+         ((4, -1),)),
+        # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m'.
+        ("case_1b", _case_1b(rng, rng_mp), ((1, -1, -1),)),
+        # Case 2a: 3 - 1/m' = 2 - 1/m'' with the free slope shared: the B
+        # family.
+        ("case_2a", _coincidences(3, rng_mp, 2, rng_mpp), ((2, -2),)),
+        # Case 2b: every pair (m'', m') gives the A family member
+        # A[m'', m'], whose labels must be valid.
+        ("case_2b", rows_2b, ()),
+        # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
+        ("case_3a", _coincidences(2, rng_mpp, 1, rng_mpp), ((2, -2),)),
+    )
+    results = {name: sols for name, sols, _ in cases if name != "case_2b"}
+    results["case_2b_count"] = count_2b
     # Case 3b pairs the slopes the other way; the constraint equation is the
     # same, so the solution set must agree with case 3a.
-    case_3b_same = case_3a == ((2, -2),)
-
-    return ({"case_1a": case_1a,
-             "case_1b": case_1b,
-             "case_2a": case_2a,
-             "case_2b_count": count_2b,
-             "case_3a": case_3a,
-             "case_3b_matches_3a": case_3b_same},
-            tuple(bad))
+    results["case_3b_matches_3a"] = results["case_3a"] == ((2, -2),)
+    return results, tuple((name, sols) for name, sols, want in cases
+                          if sols != want)
 
 
 def _check(cond, family, message):
@@ -392,15 +343,6 @@ def seeded_gofk_sequences(seeds, t_bound, seq_bound):
                 if seq not in found and census_keeps(seq, t_bound, seq_bound):
                     found.add(seq)
     return found
-
-
-def _oracle_gofk_sequences(t_bound, seq_bound):
-    # the product-based generator: every sequence over 2..seq_bound+3, then
-    # the ones with at most three non-2 entries
-    return seeded_gofk_sequences(
-        (a for length in range(1, seq_bound + 1)
-         for a in itertools.product(range(2, seq_bound + 4), repeat=length)
-         if sum(1 for e in a if e != 2) <= 3), t_bound, seq_bound)
 
 
 def optsurg_catalog(family, k, ell=None):

@@ -1,33 +1,26 @@
-"""References for the counting kernel in surgeryforge.pentangle, one per
-property, and the pair rows as its tables scanned them.
+"""References for the counting kernel in surgeryforge.pentangle and its
+tables, one per property; property: reference (inputs the tests run it at).
 
-_sweep_chunk is the kernel as it stood before the thin-set rewrite: its own
-_SweepTables, whose pair rows it builds from the chart rows'
-continued-fraction words, and a mask evaluation for every (nw, ne, sw)
-triple.  It is the reference for a whole sweep, and its masks for the
-counts of each (nw, ne) pair.
+- Whole sweep: _sweep_chunk, the kernel before the thin-set rewrite, on its
+  own _SweepTables with pair rows built from the chart rows'
+  continued-fraction words, one mask row per (nw, ne) (bounds 2-8, plain
+  and per patch set of emptied lists, once per patch set and bound; its
+  masks also for each (nw, ne) pair's counts, bounds 2-6, and the kernel's
+  masks, bound 5).
+- One chunk: least_corner_chunk, which visits the kernel's walk from the
+  given nw corners tuple by tuple through _visit_pair_masks on the
+  library's _SweepTables, so it checks the walk, the weights and the orbit
+  images, not the tables (each walked corner once: bounds 2-6 and 10).
+- ne-corner groups: corner_groups, as _SweepTables first built them, a
+  corner on a simplification pair alone (bounds 2-30).
+- Pair rows solved from _ROWS: scan_pair_rows (bounds 2-40).
+- Chart rows: montesinos_presentations and ROW_CONSTRAINTS on the rows as
+  continued-fraction words with their own parameter solvers (height 2).
+- Symmetries no command reads: swap_lr, swap_tb and swap_fb on P5Filling
+  fields (the library's _KLEIN as getters), rot3, rot3_fix_ne, mirror_sym
+  and the chain coordinates m5_to_p5 and p5_to_m5."""
 
-least_corner_chunk is the reference for one chunk: it visits the tuples the
-counting kernel walks from the given nw corners one by one and weights each
-as the kernel does.  It reads the cells that _visit_pair_masks, the
-thin-set kernel's visit of every sw corner, builds on the library's
-_SweepTables, so it checks the walk, the weights and the orbit images of
-each chunk, not the tables.
-
-The chain coordinates of a five-cusp filling and the order-3 and mirror
-symmetries, which no command reads, are kept here for the tests of the
-condition lists and the necessary conditions, beside the corner swaps
-swap_lr, swap_tb and swap_fb, named on P5Filling fields, that the
-library's _KLEIN lists as getters over corner tuples.
-
-corner_groups is the ne-corner grouping as the library's _SweepTables
-first built it, a corner on a simplification pair standing alone: the
-reference for the groups of one key that _SweepTables.ne_groups holds.
-
-The chart rows as continued-fraction words, with their own solvers for the
-thin-set parameters, are the reference for the library's matrix table
-_ROWS: the presentations, the case constraints and, through _sweep_chunk's
-tables, the pair rows."""
+from operator import itemgetter
 
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, P5Filling, _TRIVIAL, _bits,
@@ -72,9 +65,10 @@ def swap_fb(f):
 
 KLEIN = (lambda f: f, swap_lr, swap_tb, swap_fb)
 
-# the corner positions each swap reads, in KLEIN's order: the image of a
-# tuple t of corners or corner indices is tuple(t[p] for p in order)
-KLEIN_ORDERS = tuple(g(P5Filling(0, 1, 2, 3)).corners() for g in KLEIN)
+# each swap on a tuple of corners or corner indices, in KLEIN's order: the
+# getter of the corner positions that the swap reads
+KLEIN_GETTERS = tuple(itemgetter(*g(P5Filling(0, 1, 2, 3)).corners())
+                      for g in KLEIN)
 
 
 # ---------------------------------------------------------------------------
@@ -276,43 +270,48 @@ class _SweepTables:
         return cols
 
 
-def _necessary_masks(tb, i, j, k):
-    """se-bit masks of the three necessary conditions for fixed nw,ne,sw."""
+def _necessary_row(tb, i, j):
+    """se-bit masks of the three necessary conditions for fixed nw, ne and
+    each sw corner k, in order."""
     full, rec, rec_mask = tb.full, tb.rec, tb.rec_mask
+    c0, t0, c0_mask = tb.c0, tb.t0, tb.c0_mask
+    z, z_mask, cinf, tinf, cinf_mask = (tb.z, tb.z_mask, tb.cinf, tb.tinf,
+                                        tb.cinf_mask)
+    r1m, r3, cm1, tm1, cm1_mask = tb.r1m, tb.r3, tb.cm1, tb.tm1, tb.cm1_mask
+    row = []
+    for k in range(tb.n):
+        x0 = 0
+        if c0[i]:
+            x0 |= full if ((t0[i] >> k) & 1 or rec[j]) else rec_mask
+        if c0[k]:
+            x0 |= full if ((t0[k] >> i) & 1 or rec[j]) else rec_mask
+        if c0[j]:
+            x0 |= full if (rec[i] or rec[k]) else t0[j]
+        if x0 != full:
+            x0 |= c0_mask if (rec[k] or rec[i]) else c0_mask & tb.t0T[j]
 
-    x0 = 0
-    if tb.c0[i]:
-        x0 |= full if ((tb.t0[i] >> k) & 1 or rec[j]) else rec_mask
-    if tb.c0[k]:
-        x0 |= full if ((tb.t0[k] >> i) & 1 or rec[j]) else rec_mask
-    if tb.c0[j]:
-        x0 |= full if (rec[i] or rec[k]) else tb.t0[j]
-    if x0 != full:
-        x0 |= tb.c0_mask if (rec[k] or rec[i]) else tb.c0_mask & tb.t0T[j]
+        xinf = 0
+        if cinf[i]:
+            xinf |= full if ((tinf[i] >> j) & 1 or z[k]) else z_mask
+        if cinf[j]:
+            xinf |= full if ((tinf[j] >> i) & 1 or z[k]) else z_mask
+        if cinf[k]:
+            xinf |= full if (z[i] or z[j]) else tinf[k]
+        if xinf != full:
+            xinf |= cinf_mask if (z[i] or z[j]) else cinf_mask & tb.tinfT[k]
 
-    z, z_mask = tb.z, tb.z_mask
-    xinf = 0
-    if tb.cinf[i]:
-        xinf |= full if ((tb.tinf[i] >> j) & 1 or z[k]) else z_mask
-    if tb.cinf[j]:
-        xinf |= full if ((tb.tinf[j] >> i) & 1 or z[k]) else z_mask
-    if tb.cinf[k]:
-        xinf |= full if (z[i] or z[j]) else tb.tinf[k]
-    if xinf != full:
-        xinf |= tb.cinf_mask if (z[i] or z[j]) else tb.cinf_mask & tb.tinfT[k]
+        xm1 = 0
+        if cm1[j]:
+            xm1 |= full if (r1m[i] or (tm1[j] >> k) & 1) else tb.r3_mask
+        if cm1[i]:
+            xm1 |= full if (r1m[j] or r3[k]) else tm1[i]
+        if cm1[k]:
+            xm1 |= full if ((tm1[k] >> j) & 1 or r3[i]) else tb.r1m_mask
+        if xm1 != full:
+            xm1 |= cm1_mask if (r1m[k] or r3[j]) else cm1_mask & tb.tm1T[i]
 
-    r1m, r3 = tb.r1m, tb.r3
-    xm1 = 0
-    if tb.cm1[j]:
-        xm1 |= full if (r1m[i] or (tb.tm1[j] >> k) & 1) else tb.r3_mask
-    if tb.cm1[i]:
-        xm1 |= full if (r1m[j] or r3[k]) else tb.tm1[i]
-    if tb.cm1[k]:
-        xm1 |= full if ((tb.tm1[k] >> j) & 1 or r3[i]) else tb.r1m_mask
-    if xm1 != full:
-        xm1 |= tb.cm1_mask if (r1m[k] or r3[j]) else tb.cm1_mask & tb.tm1T[i]
-
-    return x0 & xinf & xm1
+        row.append(x0 & xinf & xm1)
+    return row
 
 
 def _simplifies_mask(tb, i, j, k):
@@ -323,31 +322,29 @@ def _simplifies_mask(tb, i, j, k):
     return tb.triv_mask | tb.ga[k] | tb.gb[j] | tb.gc[i]
 
 
-def _sweep_chunk(args):
-    slopes, i_lo, i_hi = args
+def _sweep_chunk(slopes):
+    """(necessary, simplified, counterexamples) over every slope 4-tuple,
+    the counterexamples in order."""
     tb = _SweepTables(slopes)
     n = tb.n
-    checked = 0
     necessary = 0
     simplified = 0
     counterexamples = []
-    for i in range(i_lo, i_hi):
+    for i in range(n):
         for j in range(n):
-            for k in range(n):
-                need = _necessary_masks(tb, i, j, k)
-                checked += n
+            for k, need in enumerate(_necessary_row(tb, i, j)):
                 if not need:
                     continue
                 simp = _simplifies_mask(tb, i, j, k)
-                necessary += bin(need).count("1")
+                necessary += need.bit_count()
                 good = need & simp
-                simplified += bin(good).count("1")
+                simplified += good.bit_count()
                 bad = need & ~simp
-                if bad:
-                    for se in range(n):
-                        if (bad >> se) & 1:
-                            counterexamples.append((i, j, k, se))
-    return checked, necessary, simplified, counterexamples
+                while bad:
+                    low = bad & -bad
+                    bad ^= low
+                    counterexamples.append((i, j, k, low.bit_length() - 1))
+    return necessary, simplified, counterexamples
 
 
 def _visit_pair_masks(tb, i):
@@ -429,8 +426,7 @@ def least_corner_chunk(tb, corners):
                             simplified += weight
                         else:
                             counterexamples.update(
-                                tuple(t[p] for p in order)
-                                for order in KLEIN_ORDERS)
+                                g(t) for g in KLEIN_GETTERS)
     assert necessary % 12 == simplified % 12 == 0
     return necessary // 12, simplified // 12, counterexamples
 

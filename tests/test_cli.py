@@ -453,12 +453,12 @@ def test_star_and_genus_search_bad_input_exit_2(capsys):
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PACKAGE_DIR = os.path.join(ROOT, "src", "surgeryforge")
+SRC_ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
 
 
 def run_python(*argv):
     """Stdout of a fresh interpreter run with src on PYTHONPATH."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    return subprocess.run([sys.executable, *argv], env=env,
+    return subprocess.run([sys.executable, *argv], env=SRC_ENV,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -468,10 +468,9 @@ def run_python(*argv):
 def test_touching_blocks_exit_2(op, seq):
     # the 0/1 redexes sit behind two touching 2^[-1] blocks, which no rule
     # fuses; a fresh process with a timeout, so a rewrite loop fails here
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "surgeryforge.cli", "normseq", op, seq],
-        env=env, capture_output=True, text=True, timeout=30)
+        env=SRC_ENV, capture_output=True, text=True, timeout=30)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: adjacent shorthand blocks are not reducible\n"
@@ -480,11 +479,10 @@ def test_touching_blocks_exit_2(op, seq):
 def test_closed_pipe_ends_quietly():
     # a reader that closes after one byte of the 213 KB census report takes
     # no more: exit 0, the verdict, and nothing on stderr
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "surgeryforge.cli", "families", "census",
          "--tmax", "300", "--seqmax", "300"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.read(1)) == 1
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -496,14 +494,32 @@ def test_closed_pipe_ends_quietly():
                                   ["--help"]])
 def test_full_device_exits_2(argv):
     # a report or help text that cannot be written exits 2 with one line
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "surgeryforge.cli", *argv], env=env,
+            [sys.executable, "-m", "surgeryforge.cli", *argv], env=SRC_ENV,
             stdout=full, stderr=subprocess.PIPE, text=True, timeout=30)
     assert proc.returncode == 2
     assert (proc.stderr.startswith("error: cannot write the report: ")
             and proc.stderr.count("\n") == 1), proc.stderr
+
+
+_EBADF = "error: cannot write the report: Bad file descriptor\n"
+
+
+@pytest.mark.parametrize("argv, closed, err", [
+    (["lens", "normalize", "7", "3"], (1,), _EBADF), (["--help"], (1,), _EBADF),
+    (["pentangle", "verify", "--bound", "x"], (1,),
+     "error: argument --bound: invalid int value: 'x'\n"),
+    (["lens", "normalize", "7", "3"], (1, 2), "")])
+def test_closed_stdout_exits_2(argv, closed, err):
+    # a process started with no file descriptor 1 (sh's >&-) has no
+    # sys.stdout: a report or help text exits 2 with one line, as a usage
+    # error does, and with fd 2 closed too it still exits 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "surgeryforge.cli", *argv], env=SRC_ENV,
+        stderr=subprocess.PIPE, text=True, timeout=30,
+        preexec_fn=lambda: [os.close(fd) for fd in closed])
+    assert (proc.returncode, proc.stderr) == (2, err)
 
 
 def in_process(capsys, argv):
@@ -520,7 +536,7 @@ def in_process(capsys, argv):
 def cli_process(argv, **popen):
     """A `python -m surgeryforge.cli argv` process with piped stdout and
     stderr, which stdout buffers."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(SRC_ENV)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen(
         [sys.executable, "-m", "surgeryforge.cli", *argv], env=env,
@@ -588,15 +604,18 @@ class _Unwritable:
 
 @pytest.mark.parametrize("error, code", [
     (BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), 1),
-    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2)])
+    (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), 2),
+    (OSError(errno.EBADF, os.strerror(errno.EBADF)), 2)])
 def test_unwritable_report_keeps_its_verdict(capsys, monkeypatch, error,
                                              code):
     # with its reader gone a report with counterexamples still exits 1, as
-    # help exits 0; any other write failure exits 2 with one error line
+    # help exits 0; any other write failure exits 2 with one error line,
+    # EBADF where there is no stdout at all
     row = families.CensusEntry(68, 15, 23)
     report = {"entries": (), "witnesses": {}}, (("missing", row),)
     monkeypatch.setattr(families, "gofklens_census", lambda t, s: report)
-    with contextlib.redirect_stdout(_Unwritable(error)):
+    stdout = None if error.errno == errno.EBADF else _Unwritable(error)
+    with contextlib.redirect_stdout(stdout):
         assert main(["families", "census", "--tmax", "6"]) == code
         with pytest.raises(SystemExit) as exit_:
             main(["families", "census", "-h"])
@@ -705,12 +724,10 @@ def test_tracer_wraps_every_module(tmp_path, argv):
     # perfbench/tracer.py counts calls to the functions of every package
     # module and leaves the CLI's stdout and exit code as they are
     trace = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
-               TRACE=str(trace))
     traced = subprocess.run(
         ["sh", "-c", 'exec "$@" 3>"$TRACE"', "sh", sys.executable,
          os.path.join(ROOT, "perfbench", "tracer.py"), *argv],
-        env=env, capture_output=True, text=True)
+        env=dict(SRC_ENV, TRACE=str(trace)), capture_output=True, text=True)
     assert traced.returncode == 0
     assert traced.stdout == run_python("-m", "surgeryforge.cli", *argv)
     functions = json.loads(trace.read_text())["functions"]
@@ -1055,7 +1072,7 @@ def _fuzz_argv(draw, name):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_cli_grammar_fuzz(name, data):
     # every input gives a report (exit 0, or 1 for a verification that found
@@ -1116,7 +1133,7 @@ def _parser_argv(draw, name):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_parser_matches_argparse_oracle(name, data):
     # fields _read reads are those of the argparse parser built along
@@ -1157,7 +1174,7 @@ _REPORT_VALUES = st.recursive(
     max_leaves=12)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(_REPORT_VALUES)
 def test_compact_matches_json_dumps(value):
     # the report writers print a handler value as they printed its

@@ -9,8 +9,7 @@ import families_oracle as oracle
 from surgeryforge import families
 from surgeryforge.cli import main
 from surgeryforge.families import (CensusEntry, ExcludedParameter,
-                                   _gofk_sequences, _is_twist_shape,
-                                   _template_instances,
+                                   _gofk_sequences, _template_instances,
                                    alt_gofk_pipeline, family_triple,
                                    figure_eight_sister_triple,
                                    gofklens_census, optsurg_catalog,
@@ -18,7 +17,7 @@ from surgeryforge.families import (CensusEntry, ExcludedParameter,
                                    verify_three_filling_intersections)
 from surgeryforge.lens import (LensSpace, S1XS2, S3, homeo_oriented,
                               homeo_unoriented, is_lens_label)
-from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
+from surgeryforge.normseq import riemenschneider_dual
 from surgeryforge.rationals import INF, rat
 from surgeryforge.simpleknot import (SimpleKnot, canonical_triple,
                                      star_solutions)
@@ -311,11 +310,15 @@ def test_case_2b_matches_member_loop_on_random_tables(monkeypatch):
         table = _random_a_table(rnd)
         monkeypatch.setitem(families.FAMILIES, "A", oracle.a_family(table))
         seen.update(map(families._coprime_everywhere, table))
+        # the member loop once: a smaller bound's rows are its members'
+        largest = oracle.case_2b(12)[0]
         for bound in range(2, 13):
             r, ces = verify_three_filling_intersections(bound)
-            rows = dict(ces).get("case_2b", ())
-            assert (rows, r["case_2b_count"]) == oracle.case_2b(bound), (
-                table, bound)
+            rows = tuple(row for row in largest
+                         if max(map(abs, row)) <= bound)
+            assert dict(ces).get("case_2b", ()) == rows, (table, bound)
+            assert r["case_2b_count"] == (
+                (2 * bound - 1) * (2 * bound - 2) - len(rows)), (table, bound)
     assert seen == {True, False}
 
 
@@ -333,17 +336,22 @@ def test_coprime_everywhere_refuses_other_monomials():
 
 def test_coincidence_solvers_match_double_loops():
     # the O(bound) solvers against the double loops they replaced, on the
-    # parameter ranges of the call sites
+    # parameter ranges of the call sites (case 1b to bound 30: the report's
+    # test).  (c1 x - 1) y = (c2 y - 1) x is (c1 - c2) x y = y - x, so the
+    # double loop runs once per c1 - c2
     for bound in [*range(2, 61), 100, 300]:
         rng = range(-bound, bound + 1)
         rng_mp = [m for m in rng if m not in (0, 1)]
         rng_mpp = [m for m in rng if m not in (-1, 0, 1)]
-        assert (verify_three_filling_intersections(bound)[0]["case_1b"]
-                == oracle._case_1b(rng, rng_mp)), bound
+        if bound > 30:
+            assert (verify_three_filling_intersections(bound)[0]["case_1b"]
+                    == oracle._case_1b(rng, rng_mp)), bound
+        loops = {}
         for c1, c2 in product(range(-3, 4), repeat=2):
+            if c1 - c2 not in loops:
+                loops[c1 - c2] = oracle._coincidences(c1, rng_mp, c2, rng_mpp)
             assert (families._coincidences(c1, rng_mp, c2, rng_mpp)
-                    == oracle._coincidences(c1, rng_mp, c2, rng_mpp)), (
-                        bound, c1, c2)
+                    == loops[c1 - c2]), (bound, c1, c2)
 
 
 @pytest.mark.parametrize("label", [(0, 5), (0, 0), (1, 4), (-1, 0), (1, 0),
@@ -417,19 +425,68 @@ def test_census_respects_bounds():
     assert 41 not in orders      # twist index 3 cut by t_bound = 2
 
 
-@pytest.mark.parametrize("seq_bound,t_bound",
-                         [(s, t) for s in range(2, 6) for t in range(-1, 7)]
-                         + [(6, 6)])
-def test_gofk_sequences_match_product_oracle(seq_bound, t_bound):
-    got = _gofk_sequences(t_bound, seq_bound)
-    product = oracle._oracle_gofk_sequences(t_bound, seq_bound)
-    # the product generator reaches twist index seq_bound+1 at most; beyond
-    # that the seeded one adds exactly the twist rows up to t_bound
-    assert product <= got
-    extra = got - product
-    assert all(_is_twist_shape(seq) is not None for seq in extra)
-    assert sorted(_is_twist_shape(seq) for seq in extra) == list(
-        range(seq_bound + 2, t_bound + 1))
+@pytest.fixture(scope="module")
+def seed_sequences():
+    """oracle.seeded_gofk_sequences(seeds, t_bound, seq_bound) from each
+    seed's census sequences uncut by the bounds, made once per module."""
+    made = {}
+
+    def sequences(seeds, t_bound, seq_bound):
+        found = set()
+        for a in seeds:
+            if a not in made:
+                made[a] = frozenset(
+                    oracle.seeded_gofk_sequences([a], inf, inf))
+            found.update(seq for seq in made[a]
+                         if oracle.census_keeps(seq, t_bound, seq_bound))
+        return found
+    return sequences
+
+
+@pytest.fixture(scope="module")
+def three_entry_cell(seed_sequences):
+    """A check that at one cell the closed-form seeds give the same
+    sequences and census report as the old seeds, with up to three entries
+    other than 2 anywhere (the product over 2..seeds+3 cut to those),
+    seeds = max(seq_bound, 2), through the six old templates.  Only the
+    twist seeds past the length-2 range depend on t_bound, so the other
+    seeds' sequences are made once per seq_bound."""
+    rest = {}
+
+    def check(monkeypatch, t_bound, seq_bound):
+        seeds = max(seq_bound, 2)
+        if seq_bound not in rest:
+            rest[seq_bound] = seed_sequences(oracle._gofk_seeds(-1, seeds),
+                                             inf, seq_bound)
+        old = {seq for seq in rest[seq_bound]
+               if oracle.census_keeps(seq, t_bound, seq_bound)}
+        old |= seed_sequences(
+            [(t + 2, 3) for t in range(seeds + 2, t_bound + 1)], t_bound,
+            seq_bound)
+        cell = t_bound, seq_bound
+        assert _gofk_sequences(*cell) == old, cell
+        census = gofklens_census(*cell)
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "_gofk_sequences", lambda t, s: old)
+            assert gofklens_census(*cell) == census, cell
+    return check
+
+
+PRODUCT_CELLS = [(s, t) for s in range(2, 6) for t in range(-1, 7)] + [(6, 6)]
+
+
+@pytest.mark.parametrize("seq_bound,t_bound", PRODUCT_CELLS)
+def test_gofk_sequences_match_product_oracle(monkeypatch, three_entry_cell,
+                                             seq_bound, t_bound):
+    three_entry_cell(monkeypatch, t_bound, seq_bound)
+
+
+def test_seeds_match_old_generator_on_bound_grid(monkeypatch,
+                                                 three_entry_cell):
+    # the other cells with seqmax 0-8 and tmax -1..8
+    for cell in product(range(0, 9), range(-1, 9)):
+        if cell not in PRODUCT_CELLS:
+            three_entry_cell(monkeypatch, cell[1], cell[0])
 
 
 def test_census_ok_on_bound_grid():
@@ -438,31 +495,6 @@ def test_census_ok_on_bound_grid():
             _, ces = gofklens_census(t_bound, seq_bound)
             assert ces == (), (t_bound, seq_bound)
     assert gofklens_census(40, 40)[1] == ()
-
-
-def test_seeds_match_old_generator_on_bound_grid(monkeypatch):
-    # the closed-form seeds give the same sequences and the same census
-    # report as the old seeds, with up to three entries other than 2
-    # anywhere, through the six old templates.  Only the old twist seeds,
-    # past the length-2 range, depend on t_bound, so the other seeds'
-    # sequences are made once per seq_bound and cut at each t_bound
-    for seq_bound in range(0, 9):
-        seeds = max(seq_bound, 2)
-        rest = oracle.seeded_gofk_sequences(oracle._gofk_seeds(-1, seeds),
-                                            inf, seq_bound)
-        for t_bound in range(-1, 9):
-            old = {seq for seq in rest
-                   if oracle.census_keeps(seq, t_bound, seq_bound)}
-            old |= oracle.seeded_gofk_sequences(
-                [(t + 2, 3) for t in range(seeds + 2, t_bound + 1)],
-                t_bound, seq_bound)
-            seqs = _gofk_sequences(t_bound, seq_bound)
-            census = gofklens_census(t_bound, seq_bound)
-            with monkeypatch.context() as patch:
-                patch.setattr(families, "_gofk_sequences", lambda t, s: old)
-                old_census = gofklens_census(t_bound, seq_bound)
-            assert seqs == old, (t_bound, seq_bound)
-            assert census == old_census, (t_bound, seq_bound)
 
 
 def test_census_duals_go_through_checked_point_rule(monkeypatch):
@@ -481,42 +513,31 @@ def test_census_duals_go_through_checked_point_rule(monkeypatch):
     assert calls == seeds
 
 
-def test_seeds_left_out_give_no_new_sequence():
-    # every four-shape seed left out (the dual of a kept seed, two ends,
-    # one entry of 4 or more at length 3 or more, a twist seed beyond
-    # tmax) gives through the six old templates only sequences that a
-    # census filter rejects or that the kept seeds give too
-    for t_bound, seq_bound in ((-1, 9), (4, 9), (12, 9)):
-        kept = set(families._gofk_seeds(t_bound, seq_bound))
-        old = set(oracle._four_shape_gofk_seeds(t_bound, seq_bound))
-        assert kept < old
-        seqs = _gofk_sequences(t_bound, seq_bound)
-        for a in sorted(old - kept):
-            assert oracle.seeded_gofk_sequences(
-                [a], t_bound, seq_bound) <= seqs, a
+def test_seeds_match_four_shape_generator_past_seqmax_8(seed_sequences):
+    # the proved seeds are four-shape seeds, and the census sequences from
+    # them equal those from the four seed shapes through the six old
+    # templates at cells too large for the three-entry oracle: every seed
+    # left out (the dual of a kept seed, two ends, one entry of 4 or more
+    # at length 3 or more, a twist seed beyond tmax) gives only sequences
+    # that a census filter rejects or that the kept seeds give too
+    for t_bound, seq_bound in ((-1, 9), (4, 9), (12, 9), (20, 20), (12, 40),
+                               (40, 12), (100, 5)):
+        old = list(oracle._four_shape_gofk_seeds(t_bound, seq_bound))
+        assert set(families._gofk_seeds(t_bound, seq_bound)) < set(old)
+        assert _gofk_sequences(t_bound, seq_bound) == seed_sequences(
+            old, t_bound, seq_bound), (t_bound, seq_bound)
 
 
-def test_seeds_match_four_shape_generator_past_seqmax_8():
-    # the census sequences from the proved seeds equal those from the four
-    # seed shapes through the six old templates at cells too large for the
-    # three-entry oracle
-    for t_bound, seq_bound in ((20, 20), (12, 40), (40, 12), (100, 5)):
-        assert _gofk_sequences(t_bound, seq_bound) == (
-            oracle.seeded_gofk_sequences(
-                oracle._four_shape_gofk_seeds(t_bound, seq_bound),
-                t_bound, seq_bound)), (t_bound, seq_bound)
-
-
-def test_seeds_match_single_entry_generator_at_large_bounds():
+def test_seeds_match_single_entry_generator_at_large_bounds(
+        seed_sequences):
     # at (80, 80) and (5, 100) the four seed shapes are 0.8 and 1.5 million
     # seeds, tens of seconds through the oracle.  The old seeds with at most
     # one entry other than 2, to which the _gofk_seeds lemmas cut the four
     # shapes, stand in for them there
     for t_bound, seq_bound in ((40, 40), (80, 80), (5, 100), (100, 5)):
-        assert _gofk_sequences(t_bound, seq_bound) == (
-            oracle.seeded_gofk_sequences(
-                oracle._single_entry_gofk_seeds(t_bound, seq_bound),
-                t_bound, seq_bound)), (t_bound, seq_bound)
+        assert _gofk_sequences(t_bound, seq_bound) == seed_sequences(
+            oracle._single_entry_gofk_seeds(t_bound, seq_bound), t_bound,
+            seq_bound), (t_bound, seq_bound)
 
 
 def _docstring_table(t_bound, seeds):
@@ -541,7 +562,7 @@ def _docstring_table(t_bound, seeds):
     }
 
 
-def test_template_table_of_the_docstring():
+def test_template_table_of_the_docstring(seed_sequences):
     # on a grid of cells, the kept instances of each seed shape, order and
     # template are those the _template_instances docstring lists; they make
     # up the census sequences, and the oracle's three insert templates add
@@ -576,8 +597,8 @@ def test_template_table_of_the_docstring():
             assert got == {key: seqs for key, seqs in table.items() if seqs}
             seqs = set().union(*got.values())
             assert seqs == _gofk_sequences(t_bound, seq_bound)
-            assert oracle.seeded_gofk_sequences(
-                drawn, t_bound, seq_bound) == seqs, (t_bound, seq_bound)
+            assert seed_sequences(drawn, t_bound, seq_bound) == seqs, (
+                t_bound, seq_bound)
 
 
 def test_alt_gofk_pipeline():

@@ -205,7 +205,7 @@ def _non2(seq):
     return sum(1 for e in seq if e != 2)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(st.lists(st.integers(2, 9), min_size=1, max_size=12),
        st.integers(2, 60))
 def test_dual_counts_entries_other_than_2(seq, v):
@@ -221,13 +221,6 @@ def test_dual_counts_entries_other_than_2(seq, v):
     assert riemenschneider_dual((v,)) == (2,) * (v - 1)
 
 
-def test_dual_rejects_bad_input():
-    with pytest.raises(ValueError):
-        riemenschneider_dual(())
-    with pytest.raises(ValueError):
-        riemenschneider_dual((3, 1))
-
-
 def _outcome(fn, arg):
     try:
         return fn(arg), None
@@ -235,17 +228,14 @@ def _outcome(fn, arg):
         return None, str(exc)
 
 
-def test_dual_matches_checked_and_unchecked_pair_oracle():
-    # the one checked function against the old checked/unchecked pair, on
-    # every short tuple with entries on both sides of the >= 2 guard
-    checked = 0
+def test_dual_rejects_bad_input():
+    # () and every short tuple with an entry below 2 raise with one message;
+    # the tuples over 2..6 are the dual tests' inputs above
     for length in range(0, 6):
         for seq in product(range(-1, 7), repeat=length):
-            got = _outcome(riemenschneider_dual, seq)
-            assert got == _outcome(normseq_oracle.riemenschneider_dual,
-                                   seq), seq
-            checked += 1
-    assert checked == sum(8 ** n for n in range(0, 6))
+            if not seq or min(seq) < 2:
+                assert _outcome(riemenschneider_dual, seq) == (
+                    None, "point rule needs a nonempty all->=2 sequence"), seq
 
 
 def test_eval_items_matches_guarded_oracle():
@@ -344,7 +334,7 @@ def test_exponent_sums_match_chart_oracle():
 
 
 @given(st.lists(st.integers(2, 6), min_size=1, max_size=5))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_exponent_sums_match_oracle_random(seq):
     assert gofk_exponent_sums(tuple(seq)) == _oracle_sums(tuple(seq))
 

@@ -168,13 +168,37 @@ def test_simplifies_reads_the_union_of_the_lists():
 
 
 def test_simplifies_invariant_height_4_exhaustive():
+    # each map puts one slope map h of corner order[q] at corner q (checked
+    # on every height-2 filling), so simplifies(g(f)) is read from a table
+    # of simplifies over the tuples of h's images: one call per tuple and h
     slopes = stern_brocot_slopes(4)
-    maps = (swap_lr, swap_tb, swap_fb, rot3, rot3_fix_ne, mirror_sym)
-    for corners in product(slopes, repeat=4):
-        f = F(*corners)
-        s = simplifies(f)
-        for g in maps:
-            assert simplifies(g(f)) == s, (f, g)
+    n = len(slopes)
+    index = {s: i for i, s in enumerate(slopes)}
+    tables = {}
+
+    def table(values):
+        if values not in tables:
+            tables[values] = [simplifies(F(*corners))
+                              for corners in product(values, repeat=4)]
+        return tables[values]
+
+    want = table(tuple(slopes))
+    small = list(product(stern_brocot_slopes(2), repeat=4))
+    for g in (swap_lr, swap_tb, swap_fb, rot3, rot3_fix_ne, mirror_sym):
+        h = {s: g(F(s, s, s, s)).nw for s in slopes}
+        firsts = [h[s] for s in slopes[:4]]
+        order = [firsts.index(c) for c in g(F(*slopes[:4])).corners()]
+        for c in small:
+            assert g(F(*c)) == F(*(h[c[p]] for p in order)), (g, c)
+        if set(h.values()) <= index.keys():
+            got, idx = want, [index[h[s]] for s in slopes]
+        else:
+            got, idx = table(tuple(h.values())), range(n)
+        # the flat index of g(f) in got: corner p of f lands at corner q
+        place = {p: n ** (3 - q) for q, p in enumerate(order)}
+        w0, w1, w2, w3 = ([place[p] * i for i in idx] for p in range(4))
+        assert [got[a + b + c + d] for a in w0 for b in w1 for c in w2
+                for d in w3] == want, g
 
 
 def test_necessary_condition_transports_along_rot3():
@@ -379,13 +403,14 @@ _ORACLE_SWEEPS = {}
 
 def oracle_sweep(bound, names=None):
     """The per-triple oracle's (necessary, simplified, counterexamples) over
-    every tuple at bound, with the lists as patched.  Tests whose only
-    patch is empty_lists(monkeypatch, *names) pass names, and share one
-    computation per (names, bound)."""
+    every tuple at bound, with the lists as patched, the counterexamples as
+    a set.  Tests whose only patch is empty_lists(monkeypatch, *names) pass
+    names, and share one computation per (names, bound)."""
     if (names, bound) in _ORACLE_SWEEPS:
         return _ORACLE_SWEEPS[names, bound]
     slopes = stern_brocot_slopes(bound)
-    whole = oracle._sweep_chunk((slopes, 0, len(slopes)))[1:]
+    necessary, simplified, ces = oracle._sweep_chunk(slopes)
+    whole = necessary, simplified, set(ces)
     if names is not None:
         _ORACLE_SWEEPS[names, bound] = whole
     return whole
@@ -393,10 +418,12 @@ def oracle_sweep(bound, names=None):
 
 def assert_sweeps_match_oracle(bounds, names=None):
     """At each bound the whole sweep reports what the per-triple oracle
-    reports, oracle_sweep(bound, names), and counts each necessary tuple as simplified or as a
-    counterexample.  Returns the sweep at the last bound."""
+    reports, oracle_sweep(bound, names), and counts each necessary tuple as
+    simplified or as a counterexample.  Returns the sweep at the last
+    bound."""
     for bound in bounds:
-        got = sweep(_SweepTables(stern_brocot_slopes(bound)))
+        tb = _SweepTables(stern_brocot_slopes(bound))
+        got = _sweep_chunk(tb, tb.walk)
         assert got == oracle_sweep(bound, names), bound
         assert got[0] == got[1] + len(got[2]), bound
     return got
@@ -443,34 +470,37 @@ def test_counterexamples_in_mixed_cells(monkeypatch, names):
 def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128),
                                names=None):
     """Each worker's chunk, the walked nw corners dealt to it, reports what
-    the least-corner oracle reports for those corners.  Up to bound 8 the
-    chunks together report the per-triple oracle's sweep over every tuple,
-    oracle_sweep(bound, names).  Returns the counterexamples the chunks
-    report."""
+    the least-corner oracle reports for those corners; a chunk dealt under
+    several worker counts is swept once.  Up to bound 8 the chunks of each
+    dealing, which partitions the walk, together report the per-triple
+    oracle's sweep over every tuple, oracle_sweep(bound, names), and their
+    counterexamples are returned."""
     tb = _SweepTables(stern_brocot_slopes(bound))
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
-    whole = None
-    if bound <= 8:
-        necessary, simplified, ces = oracle_sweep(bound, names)
-        whole = necessary, simplified, len(ces), set(ces)
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
+
+    def report(corners):
+        want = [by_corner[i] for i in corners]
+        return (sum(w[0] for w in want), sum(w[1] for w in want),
+                sum(len(w[2]) for w in want),
+                set().union(*(w[2] for w in want)))
+
+    swept = set()
     for workers in worker_counts:
         dealt = _partition(tb.walk, workers)
         assert len(dealt) == min(workers, len(tb.walk))
         assert sorted(i for corners in dealt for i in corners) == tb.walk
-        chunks = []
         for corners in dealt:
+            if tuple(corners) in swept:
+                continue
+            swept.add(tuple(corners))
             necessary, simplified, ces = _sweep_chunk(tb, corners)
-            chunks.append((necessary, simplified, len(ces), ces))
-            want = [by_corner[i] for i in corners]
-            assert chunks[-1] == (
-                sum(w[0] for w in want), sum(w[1] for w in want),
-                sum(len(w[2]) for w in want),
-                set().union(*(w[2] for w in want))), (workers, corners)
-        union = tuple(sum(chunk[x] for chunk in chunks) for x in range(3))
-        union += (set().union(*(c[3] for c in chunks)),)
-        assert whole is None or union == whole, workers
-    return union[3]
+            assert (necessary, simplified, len(ces), ces) == report(
+                corners), (workers, corners)
+    if bound <= 8:
+        necessary, simplified, ces = oracle_sweep(bound, names)
+        assert report(tb.walk) == (necessary, simplified, len(ces), ces)
+        return ces
 
 
 def test_kernel_matches_visit_oracle_by_chunk():
@@ -500,8 +530,7 @@ def oracle_pair_counts(slopes):
     for i, j in product(range(otb.n), repeat=2):
         necessary = simplified = 0
         bad = set()
-        for k in range(otb.n):
-            need = oracle._necessary_masks(otb, i, j, k)
+        for k, need in enumerate(oracle._necessary_row(otb, i, j)):
             good = need & oracle._simplifies_mask(otb, i, j, k)
             necessary += need.bit_count()
             simplified += good.bit_count()
@@ -716,8 +745,11 @@ def test_kernel_masks_match_oracle_exhaustive_bound_5():
     tb = _SweepTables(slopes)
     otb = oracle._SweepTables(slopes)
     for i in tb.walk:
-        for j, k, need, simp in kernel_masks(tb, i):
-            assert need == oracle._necessary_masks(otb, i, j, k), (i, j, k)
+        wants = (need for j in range(tb.n)
+                 for need in oracle._necessary_row(otb, i, j))
+        for (j, k, need, simp), want in zip(kernel_masks(tb, i), wants,
+                                            strict=True):
+            assert need == want, (i, j, k)
             assert simp == oracle._simplifies_mask(otb, i, j, k), (i, j, k)
 
 
@@ -820,10 +852,10 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(3)
     got = sweep(_SweepTables(slopes))
-    want = oracle._sweep_chunk((slopes, 0, len(slopes)))
-    assert got == want[1:]
+    want = oracle._sweep_chunk(slopes)
+    assert got == want
     assert got[1] == 0 and len(got[2]) == got[0] > 0
-    named = tuple(tuple(slopes[x] for x in ce) for ce in want[3])
+    named = tuple(tuple(slopes[x] for x in ce) for ce in want[2])
     # chunks report the orbit images of their counterexamples, whose nw
     # corners may lie outside the walk
     for workers in (1, 2, 3, 7):

@@ -189,7 +189,7 @@ def test_knots_with_genus():
 
 
 @given(st.integers(2, 80), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_symmetrized_gradings_sum_structure(p, data):
     units = [q for q in range(1, p) if gcd(p, q) == 1]
     q = data.draw(st.sampled_from(units))

@@ -108,7 +108,7 @@ def check_same(spec, other_spec):
         assert (new != new_other) is (old != old_other)
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=600)
 @given(data=st.data())
 def test_values_match_dataclass_oracle(data):
     kind = data.draw(st.sampled_from(KINDS))
@@ -131,7 +131,7 @@ def test_bad_fields_raise_as_the_oracle(spec):
     check_same(spec, spec)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(st.lists(st.tuples(small, small, small), max_size=12))
 def test_census_entries_sort_as_the_oracle(triples):
     new = sorted(CensusEntry(*t) for t in triples)

@@ -3,7 +3,8 @@ dataclasses: ExtRational (rationals), LensSpace (lens), MontesinosLink
 (tangle), Pow2 (normseq), SimpleKnot (simpleknot), P5Filling (pentangle)
 and CensusEntry (families).  Kept verbatim as the reference
 for the plain __slots__ classes that replaced them: the same fields after
-normalisation, the same errors, equality, hash, str and repr."""
+normalisation, the same errors, equality, hash, str and repr (600 drawn
+values of the seven kinds, and 100 drawn lists of census entries sorted)."""
 
 from dataclasses import dataclass
 from math import gcd
