@@ -637,8 +637,9 @@ def main(argv=None):
         elapsed = int((time.monotonic() - started) * 1000)
         return _emit(args, elapsed, *outcome)
     except (ValueError, OverflowError, MemoryError) as exc:
-        # an oversize 2^[t] block overflows an index or asks for more memory
-        # than there is; a MemoryError has no message of its own
+        # an oversize entry, such as the point rule's (10^20), overflows an
+        # index or asks for more memory than there is; a MemoryError has no
+        # message of its own
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 

@@ -63,6 +63,15 @@ def parse_seq(text):
     return tuple(items)
 
 
+def _twos(block):
+    """The t twos of a block 2^[t] with t >= 0, as a list.  A t past the
+    index range or the memory raises ValueError naming the block."""
+    try:
+        return [2] * block.t
+    except (OverflowError, MemoryError):
+        raise ValueError(f"{block} is too long to expand") from None
+
+
 def expand_blocks(items):
     """The plain entries of an item list: each 2^[t] block with t >= 0
     becomes t twos.  Negative blocks have no plain expansion."""
@@ -71,7 +80,7 @@ def expand_blocks(items):
         if isinstance(item, Pow2):
             if item.t < 0:
                 raise ValueError(f"{item} has no plain expansion")
-            out.extend([2] * item.t)
+            out.extend(_twos(item))
         else:
             out.append(item)
     return tuple(out)
@@ -146,7 +155,7 @@ def applicable_rewrites(items):
         end = i == n - 1 and is_int(i - 1)
         if isinstance(item, Pow2):
             if item.t >= 0:
-                out.append((0, i, i, i + 1, [2] * item.t))
+                out.append((0, i, i, i + 1, _twos(item)))
             elif i == 0 and is_int(1):
                 out.append((0, i, 0, 2, [0, items[1] - 2]))
             elif mid:

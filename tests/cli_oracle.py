@@ -6,8 +6,8 @@ _build_parser(argv).parse_args(argv) returns an argparse Namespace with the
 fields cli._read returns for a plain argv, raises ValueError with
 argparse's message, or prints the help of the level argv asks for and
 exits 0.  It builds argparse subparsers only along argv's command path,
-reading the command words and their arguments from cli.COMMANDS (100
-drawn argvs per command).
+once per path, reading the command words and their arguments from
+cli.COMMANDS (100 drawn argvs per command).
 
 _jsonable(value) copies a report value with every library value as its
 str, every tuple as a list and every dict key as its str.  json.dumps of
@@ -16,6 +16,7 @@ which both print the value itself (300 drawn report values).
 """
 
 import argparse
+import functools
 import re
 
 from surgeryforge.cli import COMMANDS
@@ -50,6 +51,9 @@ def _command_tree():
     return tree
 
 
+_TREE = _command_tree()
+
+
 def _next_word(node, tokens):
     """(word, first) for the first token that is a word of node, or None,
     consuming tokens up to it; first when no token came before it, so that
@@ -67,6 +71,23 @@ def _build_parser(argv):
     otherwise for every word of the level, which argparse may then list in
     help or an "invalid choice" message; only the word argv reads gets
     subparsers, and a command its arguments."""
+    # The word argparse reads at a level is the first token that is a word
+    # of the level: before the first command word argv holds only global
+    # options, whose values (formats) are never command words, and a value
+    # that is one fails in argparse before any word is read.
+    node, tokens, path = _TREE, iter(argv), []
+    while isinstance(node, dict):
+        word, first = _next_word(node, tokens)
+        path.append((word, first))
+        if word is None:
+            break
+        node = node[word]
+    return _parser_along(tuple(path))
+
+
+@functools.cache
+def _parser_along(path):
+    """The parser for a command path of (word, first) steps, built once."""
     parser = _Parser(
         prog="surgeryforge",
         description="exact Dehn-surgery calculators and verification sweeps")
@@ -74,14 +95,9 @@ def _build_parser(argv):
                         default="json")
     parser.add_argument("--timing", action="store_true",
                         help="attach elapsed_ms to the report")
-    # The word argparse reads at a level is the first token that is a word
-    # of the level: before the first command word argv holds only global
-    # options, whose values (formats) are never command words, and a value
-    # that is one fails in argparse before any word is read.
-    node, level_parser, tokens = _command_tree(), parser, iter(argv)
-    while isinstance(node, dict):
+    node, level_parser = _TREE, parser
+    for word, first in path:
         level = level_parser.add_subparsers(required=True)
-        word, first = _next_word(node, tokens)
         children = {w: level.add_parser(w)
                     for w in ([word] if first else node)}
         if word is None:

@@ -14,10 +14,11 @@ property, each as the code stood before its rewrite; property: reference
   (|m|, |n|, |p| <= 12, 1 <= q <= 12; A over |m|, |n| <= 40).
 - Dual: riemenschneider_dual, dot by dot (over 2..7, lengths 1-6).
 - Census sequences: seeded_gofk_sequences, six templates on each seed's
-  dual pair, with the seeds of one generator per docstring lemma:
-  _gofk_seeds (seqmax 0-8, tmax -1..8), _four_shape_gofk_seeds (seqmax 9
-  at tmax -1, 4, 12; (20, 20), (12, 40), (40, 12), (100, 5)) and
-  _single_entry_gofk_seeds ((40, 40), (80, 80), (5, 100), (100, 5)).
+  dual pair, once per pair for the seed and its dual, with the seeds of
+  one generator per docstring lemma: _gofk_seeds (seqmax 0-8, tmax
+  -1..8), _four_shape_gofk_seeds (seqmax 9 at tmax -1, 4, 12; (20, 20),
+  (12, 40), (40, 12), (100, 5)) and _single_entry_gofk_seeds ((40, 40),
+  (80, 80), (5, 100), (100, 5)).
 - Catalog: optsurg_catalog, one branch per family kind (|k| <= 20)."""
 
 import itertools
@@ -332,12 +333,11 @@ def census_keeps(seq, t_bound, seq_bound):
     return t is None or t <= t_bound
 
 
-def seeded_gofk_sequences(seeds, t_bound, seq_bound):
-    """The six-template instances of the dual pairs (a, dual(a)), a in
-    seeds, in both orders, that the census filters keep."""
+def seeded_gofk_sequences(pairs, t_bound, seq_bound):
+    """The six-template instances of the dual pairs (a, dual(a)) in pairs,
+    in both orders, that the census filters keep."""
     found = set()
-    for a in seeds:
-        b = riemenschneider_dual(a)
+    for a, b in pairs:
         for first, second in ((a, b), (b, a)):
             for seq in _template_instances(first, second):
                 if seq not in found and census_keeps(seq, t_bound, seq_bound):

@@ -1,68 +1,21 @@
 """Earlier forms of surgeryforge.normseq functions, kept verbatim as the
 reference that the module is tested against; property: reference (inputs).
 
-- Fibered-knot exponent sums: gofk_exponent_sums over _pattern_sums, the
-  if-chain over the chart shapes with a per-index search for an interior
-  4, before the chart became rules on the entries other than 2 (every
-  sequence over 2..9 of length 1-5, 20,000 sparse ones, the terminal
-  forms and four unreduced ones).
 - Norm sequences: norm_sequence_of with its q = 0 and S^3 branches (every
   L(p, q) with p < 100).
 - Block evaluation: eval_items with its guard against a 0/0 block value,
   before it was folded into one function (every word of length 0-4 over
-  ten items)."""
+  ten items).
+
+Fibered-knot exponent sums have one reference, the braid chart [a, 2, b]
+tabulated once over |a|, |b| <= 41 in tests/test_normseq.py (the chart
+targets, every sequence over 2..9 of length 1-5, 150 drawn ones, 20,000
+sparse ones with entries up to 40 and length up to 16, and the terminal
+forms)."""
 
 from surgeryforge.lens import LensSpace
 from surgeryforge.normseq import Pow2
 from surgeryforge.rationals import INF, ExtRational, cf_expand_norm, cf_step
-
-
-def _pattern_sums(e):
-    s = set()
-    n = len(e)
-    if n == 0:
-        s.add(-2)  # S^3 as (); the (1) form carries the other S^3 values
-        return s
-    if n == 1:
-        r = e[0]
-        if r == 0:
-            s.update({-1, 1})
-        elif r == 1:
-            s.update({0, 2})
-        elif r == 2:
-            s.update({1, 3, -1, -3})  # both the (r) and the all-2s readings
-        elif r >= 3:
-            s.update({r - 1, r + 1})
-            if r == 4:
-                s.add(-3)
-        return s
-    if n == 3 and e[1] == 2 and e[0] >= 2 and e[2] >= 2:
-        s.add(e[0] + e[2] - 1)
-    if n == 2 and e[1] == 3 and e[0] >= 2:
-        s.add(e[0] - 2)
-    if n >= 3 and e[0] >= 2 and e[1] == 3 and all(c == 2 for c in e[2:]):
-        s.add(e[0] - n)  # (r,3,2^[s-1]) with s = n-1
-    if all(c == 2 for c in e):
-        s.update({-n, -n - 2})
-    if e[0] == 4 and all(c == 2 for c in e[1:]):
-        s.add(-n - 2)
-    if n >= 3:
-        for i in range(1, n - 1):
-            if e[i] == 4 and all(c == 2 for j, c in enumerate(e) if j != i):
-                s.add(-n - 2)
-    return s
-
-
-def gofk_exponent_sums(seq):
-    """Exponent sums of genus one fibered knots detected by sequence shape.
-
-    Input must be a reduced sequence, as a tuple: all entries >= 2, or one
-    of the terminal forms (), (0), (1).  Returns the set of realizable
-    exponent sums; empty means the criterion finds no genus one fibered knot.
-    """
-    if seq not in ((), (0,), (1,)) and any(e < 2 for e in seq):
-        raise ValueError(f"{seq} is not reduced")
-    return frozenset(_pattern_sums(seq) | _pattern_sums(seq[::-1]))
 
 
 def norm_sequence_of(lens):

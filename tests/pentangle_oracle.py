@@ -4,9 +4,9 @@ tables, one per property; property: reference (inputs the tests run it at).
 - Whole sweep: _sweep_chunk, the kernel before the thin-set rewrite, on its
   own _SweepTables with pair rows built from the chart rows'
   continued-fraction words, one mask row per (nw, ne) (bounds 2-8, plain
-  and per patch set of emptied lists, once per patch set and bound; its
-  masks also for each (nw, ne) pair's counts, bounds 2-6, and the kernel's
-  masks, bound 5).
+  and per patch set of emptied lists, once per patch set and bound, from
+  necessary_rows made once per bound; its masks also the kernel's masks,
+  bound 5).
 - One chunk: least_corner_chunk, which visits the kernel's walk from the
   given nw corners tuple by tuple through _visit_pair_masks on the
   library's _SweepTables, so it checks the walk, the weights and the orbit
@@ -322,9 +322,18 @@ def _simplifies_mask(tb, i, j, k):
     return tb.triv_mask | tb.ga[k] | tb.gb[j] | tb.gc[i]
 
 
-def _sweep_chunk(slopes):
+def necessary_rows(slopes):
+    """_necessary_row(tb, i, j) for every nw corner i and ne corner j, as
+    rows[i][j].  No simplification list enters them, so they serve every
+    patch of the lists."""
+    tb = _SweepTables(slopes)
+    return [[_necessary_row(tb, i, j) for j in range(tb.n)]
+            for i in range(tb.n)]
+
+
+def _sweep_chunk(slopes, rows):
     """(necessary, simplified, counterexamples) over every slope 4-tuple,
-    the counterexamples in order."""
+    the counterexamples in order, from the necessary_rows(slopes) rows."""
     tb = _SweepTables(slopes)
     n = tb.n
     necessary = 0
@@ -332,7 +341,7 @@ def _sweep_chunk(slopes):
     counterexamples = []
     for i in range(n):
         for j in range(n):
-            for k, need in enumerate(_necessary_row(tb, i, j)):
+            for k, need in enumerate(rows[i][j]):
                 if not need:
                     continue
                 simp = _simplifies_mask(tb, i, j, k)
@@ -407,7 +416,7 @@ def least_corner_chunk(tb, corners):
     rank = {s: r for r, s in enumerate(order)}
     necessary = 0   # in twelfths: 48 / c per tuple
     simplified = 0
-    counterexamples = set()
+    bad = []
     for i in corners:
         after = sum(1 << s for s in range(tb.n) if rank[s] >= rank[i])
         for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
@@ -425,10 +434,10 @@ def least_corner_chunk(tb, corners):
                         if (good >> se) & 1:
                             simplified += weight
                         else:
-                            counterexamples.update(
-                                g(t) for g in KLEIN_GETTERS)
+                            bad.append(t)
     assert necessary % 12 == simplified % 12 == 0
-    return necessary // 12, simplified // 12, counterexamples
+    return (necessary // 12, simplified // 12,
+            {image for g in KLEIN_GETTERS for image in map(g, bad)})
 
 
 def corner_groups(tb, corners):

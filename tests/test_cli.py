@@ -238,6 +238,23 @@ def test_normseq_dual_expands_blocks(capsys):
     assert captured.err == "error: 2^[-1] has no plain expansion\n"
 
 
+_HUGE = "2^[99999999999999999999]"
+
+
+@pytest.mark.parametrize("argv, block", [
+    (["normseq", "dual", f"({_HUGE})"], _HUGE),
+    (["cf", "solve-tail", f"({_HUGE})", "1"], _HUGE),
+    (["normseq", "exponents", f"(3,{_HUGE})"], _HUGE),
+    (["normseq", "reduce", "(2^[1000000000000])"], "2^[1000000000000]")])
+def test_oversize_block_error_names_the_block(capsys, argv, block):
+    # a block past the index range or the memory cannot be written out as
+    # twos, and the one error line says which
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {block} is too long to expand\n"
+
+
 def test_census_bounds_out_of_range_exit_2(capsys):
     assert main(["families", "census", "--seqmax", "-1"]) == 2
     assert main(["families", "census", "--tmax", "-3"]) == 2

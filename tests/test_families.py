@@ -427,19 +427,22 @@ def test_census_respects_bounds():
 
 @pytest.fixture(scope="module")
 def seed_sequences():
-    """oracle.seeded_gofk_sequences(seeds, t_bound, seq_bound) from each
-    seed's census sequences uncut by the bounds, made once per module."""
+    """oracle.seeded_gofk_sequences over the dual pairs of seeds, cut to
+    (t_bound, seq_bound), from each pair's census sequences uncut by the
+    bounds, made once per module for the seed and its dual, as the point
+    rule is an involution."""
     made = {}
 
     def sequences(seeds, t_bound, seq_bound):
         found = set()
         for a in seeds:
             if a not in made:
-                made[a] = frozenset(
-                    oracle.seeded_gofk_sequences([a], inf, inf))
-            found.update(seq for seq in made[a]
-                         if oracle.census_keeps(seq, t_bound, seq_bound))
-        return found
+                pair = a, oracle.riemenschneider_dual(a)
+                made[a] = made[pair[1]] = frozenset(
+                    oracle.seeded_gofk_sequences([pair], inf, inf))
+            found |= made[a]
+        return {seq for seq in found
+                if oracle.census_keeps(seq, t_bound, seq_bound)}
     return sequences
 
 

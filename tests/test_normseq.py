@@ -253,7 +253,7 @@ def test_eval_items_matches_guarded_oracle():
 
 # --- exponent sums ---------------------------------------------------------
 #
-# Independent oracle: map each pair (a, b) to its reduced sequence via the
+# The one reference: map each pair (a, b) to its reduced sequence via the
 # tabulated case chart, then collect a + b - 1 over all pairs whose chart
 # sequence matches the target up to reversal.
 
@@ -294,15 +294,27 @@ def _chart_sequence(a, b):
     return (2,) * (d - 1) + (4,) + (2,) * (c - 1)
 
 
-def _oracle_sums(target, span=14):
+def _chart_table(span):
+    """Chart sequence -> the sums a + b - 1 of its pairs, |a|, |b| <= span."""
+    table = {}
+    for a, b in product(range(-span, span + 1), repeat=2):
+        table.setdefault(_chart_sequence(a, b), set()).add(a + b - 1)
+    return table
+
+
+# A pair with max(|a|, |b|) = m has a chart sequence with an entry of at
+# least m - 1 or a length of at least m - 1.  So the pairs up to CHART_SPAN
+# give every sum of a sequence whose entries and length are below it: every
+# input below has entries up to 40 and length up to 16.
+CHART_SPAN = 41
+CHART_SUMS = _chart_table(CHART_SPAN)
+
+
+def _oracle_sums(target):
     target = tuple(target)
-    flips = {target, tuple(reversed(target))}
-    out = set()
-    for a in range(-span, span + 1):
-        for b in range(-span, span + 1):
-            if _chart_sequence(a, b) in flips:
-                out.add(a + b - 1)
-    return frozenset(out)
+    assert max(target, default=0) < CHART_SPAN and len(target) < CHART_SPAN
+    return frozenset(CHART_SUMS.get(target, set())
+                     | CHART_SUMS.get(target[::-1], set()))
 
 
 def test_exponent_sums_examples():
@@ -364,20 +376,18 @@ def _random_sparse_sequences(count, seed=15):
 
 
 def test_pattern_rules_match_chart_chain_oracle():
-    # the rules on the entries other than 2 against the if-chain they replace
+    # the rules on the entries other than 2 against the braid chart, on
+    # every short sequence and on long sparse ones
     seqs = [seq for n in range(1, 6)
             for seq in product(range(2, 10), repeat=n)]
     seqs += [(), (0,), (1,)]
     seqs += _random_sparse_sequences(20000)
     for seq in seqs:
-        assert gofk_exponent_sums(seq) == normseq_oracle.gofk_exponent_sums(
-            seq), seq
+        assert gofk_exponent_sums(seq) == _oracle_sums(seq), seq
     for seq in ((-3,), (0, 1), (2, 1), (1, 5)):
-        with pytest.raises(ValueError) as new:
+        with pytest.raises(ValueError) as exc:
             gofk_exponent_sums(seq)
-        with pytest.raises(ValueError) as old:
-            normseq_oracle.gofk_exponent_sums(seq)
-        assert str(new.value) == str(old.value) == f"{seq} is not reduced"
+        assert str(exc.value) == f"{seq} is not reduced"
 
 
 def test_norm_sequence_of_matches_oracle():

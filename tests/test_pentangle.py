@@ -1,4 +1,5 @@
 import errno
+import functools
 import multiprocessing
 import os
 import random
@@ -397,6 +398,13 @@ MIXED_CELL_PATCHES = [("P3_LISTS",), ("NONHYP_LISTS",),
 EVERY_LIST = ("P3_LISTS", "MIRROR_P3_LISTS", "_TRIVIAL", "NONHYP_LISTS")
 
 
+@functools.cache
+def oracle_rows(bound):
+    """The per-triple oracle's necessary rows at bound, made once for every
+    patch set."""
+    return oracle.necessary_rows(stern_brocot_slopes(bound))
+
+
 # the per-triple oracle's whole sweep by (names of the emptied lists, bound)
 _ORACLE_SWEEPS = {}
 
@@ -409,7 +417,8 @@ def oracle_sweep(bound, names=None):
     if (names, bound) in _ORACLE_SWEEPS:
         return _ORACLE_SWEEPS[names, bound]
     slopes = stern_brocot_slopes(bound)
-    necessary, simplified, ces = oracle._sweep_chunk(slopes)
+    necessary, simplified, ces = oracle._sweep_chunk(slopes,
+                                                     oracle_rows(bound))
     whole = necessary, simplified, set(ces)
     if names is not None:
         _ORACLE_SWEEPS[names, bound] = whole
@@ -519,39 +528,6 @@ def test_chunks_match_least_corner_oracle_with_counterexamples(monkeypatch,
         ces = assert_chunks_match_oracle(bound, names=names)
     assert ces
     assert_chunks_match_oracle(10, (3,))
-
-
-def oracle_pair_counts(slopes):
-    """Per (nw, ne) pair, the per-triple oracle's (necessary, simplified,
-    bad) over every sw corner, bad the set of (sw, se) corners of the
-    pair's counterexamples."""
-    otb = oracle._SweepTables(slopes)
-    pairs = {}
-    for i, j in product(range(otb.n), repeat=2):
-        necessary = simplified = 0
-        bad = set()
-        for k, need in enumerate(oracle._necessary_row(otb, i, j)):
-            good = need & oracle._simplifies_mask(otb, i, j, k)
-            necessary += need.bit_count()
-            simplified += good.bit_count()
-            bad.update((k, se) for se in _bits(need & ~good))
-        pairs[i, j] = necessary, simplified, bad
-    return pairs
-
-
-@pytest.mark.parametrize("names", [()] + MIXED_CELL_PATCHES)
-def test_pair_counts_symmetric_under_swap_lr(monkeypatch, names):
-    # swap_lr fixes the necessary conditions and the simplification lists,
-    # so the pair (j, i) has the counts of (i, j) and the transposed
-    # counterexamples: one of the three involutions of the kernel's walk
-    empty_lists(monkeypatch, *names)
-    for bound in range(2, 7):
-        pairs = oracle_pair_counts(stern_brocot_slopes(bound))
-        for (i, j), (nec, simp, bad) in pairs.items():
-            nec_t, simp_t, bad_t = pairs[j, i]
-            assert (nec, simp) == (nec_t, simp_t), (bound, i, j)
-            assert bad == {(se, k) for k, se in bad_t}, (bound, i, j)
-    assert any(bad for _, _, bad in pairs.values()) == bool(names)
 
 
 def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
@@ -745,8 +721,7 @@ def test_kernel_masks_match_oracle_exhaustive_bound_5():
     tb = _SweepTables(slopes)
     otb = oracle._SweepTables(slopes)
     for i in tb.walk:
-        wants = (need for j in range(tb.n)
-                 for need in oracle._necessary_row(otb, i, j))
+        wants = (need for row in oracle_rows(5)[i] for need in row)
         for (j, k, need, simp), want in zip(kernel_masks(tb, i), wants,
                                             strict=True):
             assert need == want, (i, j, k)
@@ -852,10 +827,10 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(3)
     got = sweep(_SweepTables(slopes))
-    want = oracle._sweep_chunk(slopes)
-    assert got == want
+    want = oracle_sweep(3, EVERY_LIST)
+    assert got[:2] == want[:2] and set(got[2]) == want[2]
     assert got[1] == 0 and len(got[2]) == got[0] > 0
-    named = tuple(tuple(slopes[x] for x in ce) for ce in want[2])
+    named = tuple(tuple(slopes[x] for x in ce) for ce in got[2])
     # chunks report the orbit images of their counterexamples, whose nw
     # corners may lie outside the walk
     for workers in (1, 2, 3, 7):
@@ -885,6 +860,13 @@ def verify_with_workers(monkeypatch, bound, workers):
     """verify_simplification(bound) with its walk split over `workers`."""
     monkeypatch.setattr(pentangle, "_workers", lambda walk: workers)
     return verify_simplification(bound)
+
+
+@functools.cache
+def serial_sweep(bound):
+    """verify_simplification(bound) in process, made once per module."""
+    with pytest.MonkeyPatch.context() as patch:
+        return verify_with_workers(patch, bound, 1)
 
 
 def test_verify_simplification_jobs_deterministic(monkeypatch):
@@ -948,14 +930,14 @@ def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
             for n in (5, 165, 166, 332, 10**6)] == [1, 1, 2, 4, 10_000]
     cpus(3)
     assert pentangle._workers(range(10**6)) == 3
-    # 10,000 CPUs sweep bound 82 (a walk of 165) in process and bound 83
-    # (167) in a pool of 2; 1 CPU sweeps bound 83 in process
-    verify_simplification(82)
     cpus(1)
-    serial = verify_simplification(83)
-    assert pool_sizes == []
+    assert pentangle._workers(range(10**6)) == 1
+    # 10,000 CPUs sweep bound 82 (a walk of 165) in process and bound 83
+    # (167) in a pool of 2, to the report of one worker
     cpus(10_000)
-    assert verify_simplification(83) == serial
+    verify_simplification(82)
+    assert pool_sizes == []
+    assert verify_simplification(83) == serial_sweep(83)
     assert pool_sizes == [2]
 
 
@@ -986,8 +968,6 @@ def test_workers_without_a_cpu_count(monkeypatch):
 def test_workers_without_fork(monkeypatch):
     # Windows has neither os.fork nor os.sched_getaffinity; the pool forks,
     # so a sweep there stays in process whatever its CPU count
-    serial = verify_with_workers(monkeypatch, 83, 1)
-    monkeypatch.undo()
     monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -996,4 +976,4 @@ def test_workers_without_fork(monkeypatch):
         pytest.fail(f"asked for a {method} context")
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     assert pentangle._workers(range(10**6)) == 1
-    assert verify_simplification(83) == serial
+    assert verify_simplification(83) == serial_sweep(83)
