@@ -430,7 +430,7 @@ def _is_twist_shape(seq):
 
 def _gofk_seeds(t_bound, seq_bound):
     """One seed a per dual pair (a, dual(a)) that can contribute: (v) for
-    2 <= v <= seq_bound+3, (v, 2) for 3 <= v <= seq_bound+3, (2, v) for
+    2 <= v <= seq_bound+2, (v, 2) for 3 <= v <= seq_bound+3, (2, v) for
     4 <= v <= seq_bound+3, and the twist seeds (t+2, 3), 1 <= t <= t_bound.
 
     No other pair contributes.  Let a (length >= 2) have n entries other
@@ -465,9 +465,13 @@ def _gofk_seeds(t_bound, seq_bound):
     (v,2) starts at v = 3 and (2,v) at v = 4.  The interior 3,
     (2^[i],3,2^[j]), is the dual of the two-ends seed (i+2,j+2), which
     contributes only as the twist seed (i+2,3): its instances are the twist
-    shape of index i, which the t_bound filter drops past t_bound."""
+    shape of index i, which the t_bound filter drops past t_bound.  The
+    (v) range stops at seq_bound+2: the (w, a) merged cell of (seq_bound+3)
+    is 2^[seq_bound+1], past the all-2s cut, and its one other kept
+    instance, (7,2,2) at v = 5, is the merged cell + 1 of (4)."""
     for v in range(2, seq_bound + 4):
-        yield (v,)
+        if v <= seq_bound + 2:
+            yield (v,)
         if v > 2:
             yield (v, 2)
         if v > 3:

@@ -221,7 +221,11 @@ def riemenschneider_dual(seq):
     """
     if not seq or min(seq) < 2:
         raise ValueError("point rule needs a nonempty all->=2 sequence")
-    b = [2] * (sum(seq) - 2 * len(seq) + 1)
+    try:
+        b = [2] * (sum(seq) - 2 * len(seq) + 1)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"the dual of {format_items(seq)} is too long "
+                         "to write out") from None
     s = 0
     for a in seq[:-1]:
         s += a - 2

@@ -697,9 +697,8 @@ def verify_simplification(bound):
     n = len(slopes)
     tables = _SweepTables(slopes)
     chunks = _partition(tables.walk, _workers(tables.walk))
-    if len(chunks) == 1:
-        results = [_sweep_chunk(tables, chunks[0])]
-    else:
+    results = None
+    if len(chunks) > 1:
         # forked workers inherit the tables; only their nw corners are sent.
         # Imported here because it costs every CLI process its import time.
         from multiprocessing import get_context
@@ -708,11 +707,12 @@ def verify_simplification(bound):
                                             initializer=_adopt_tables,
                                             initargs=(tables,))
         except OSError:
-            # fork or a pipe failed; the report is the same in process
-            results = [_sweep_chunk(tables, tables.walk)]
+            pass  # fork or a pipe failed; the report is the same in process
         else:
             with pool:
                 results = pool.map(_pool_chunk, chunks)
+    if results is None:
+        results = [_sweep_chunk(tables, tables.walk)]
     # a tuple outside the walk lies in the orbit of a walked one, or has no
     # corner in T0 and fails x = 0
     return ({"bound": bound,

@@ -128,6 +128,15 @@ MUTANTS = [
      [T_PENTANGLE + "test_kernel_matches_visit_oracle_by_chunk",
       T_CLI + "test_pentangle_verify_exit_and_determinism"]),
     (PENTANGLE,
+     "    if len(chunks) > 1:\n",
+     "    if len(chunks) > 0:\n",
+     [T_PENTANGLE + "test_pool_sized_by_chunks"]),
+    (PENTANGLE,
+     "            pass  # fork or a pipe failed; the report is the same in"
+     " process\n",
+     "            raise\n",
+     [T_PENTANGLE + "test_pool_that_cannot_start_sweeps_in_process"]),
+    (PENTANGLE,
      "    return max(1, min(cpus, len(walk) // 83)) if hasattr(os, \"fork\")",
      "    return max(1, min(cpus, len(walk) // 82)) if hasattr(os, \"fork\")",
      [T_PENTANGLE + "test_workers_sized_by_walk_and_cpus"]),
@@ -150,6 +159,11 @@ MUTANTS = [
      "NONHYP_LISTS, P3_LISTS,\n"
      "                         MIRROR_P3_LISTS[:2] + (frozenset(),)))",
      [T_PENTANGLE + "test_simplifies_invariant_height_4_exhaustive",
+      T_ACCEPTANCE + "test_criterion_09_pentangle_sweep"]),
+    (PENTANGLE,
+     "    [(rat(-1), rat(2)), (rat(1, 2), rat(1, 2))])))\n",
+     "    [(rat(-1), rat(2)), (rat(1, 2), rat(2))])))\n",
+     [T_PENTANGLE + "test_mirror_exchanges_factoring_lists",
       T_ACCEPTANCE + "test_criterion_09_pentangle_sweep"]),
     (PENTANGLE,
      "_TRIVIAL.isdisjoint([(s.num, s.den) for s in f.corners()])",
@@ -208,9 +222,10 @@ MUTANTS = [
      [T_CLI + "test_reports_match_recorded_digests",
       T_FAMILIES + "test_template_table_of_the_docstring"]),
     (FAMILIES,
-     "    for v in range(2, seq_bound + 4):\n        yield (v,)\n",
-     "    for v in range(2, seq_bound + 3):\n        yield (v,)\n",
-     [T_FAMILIES + "test_census_duals_go_through_checked_point_rule"]),
+     "        if v <= seq_bound + 2:\n",
+     "        if v <= seq_bound + 1:\n",
+     [T_ACCEPTANCE + "test_criterion_07_census",
+      T_FAMILIES + "test_seeds_match_old_generator_on_bound_grid"]),
     # --- intersections: coincidences and case 1b
     (FAMILIES,
      "        d = 1 + (c2 - c1) * x\n",
@@ -295,11 +310,80 @@ MUTANTS = [
      '        raise ValueError(f"{seq} is not reduced")\n',
      '        raise ValueError(f"{seq} is not a reduced sequence")\n',
      [T_NORMSEQ + "test_pattern_rules_match_chart_chain_oracle"]),
+    # --- the acceptance criteria, each the one test of what it checks
+    (FAMILIES,
+     '(({"mn": 2, "m": 1, "n": 2, "": -1}',
+     '(({"mn": 2, "m": 1, "n": 2, "": 1}',
+     [T_ACCEPTANCE + "test_criterion_01_family_a_spot_checks"]),
+    (FAMILIES,
+     '({"p": 8, "q": -13}',
+     '({"p": 8, "q": -12}',
+     [T_ACCEPTANCE + "test_criterion_02_family_b_spot_checks"]),
+    ("src/surgeryforge/simpleknot.py",
+     "        if (k * k + eps * (k + 1)) % p == 0:\n",
+     "        if (k * k + eps * (k + 1)) % p <= 1:\n",
+     [T_ACCEPTANCE + "test_criterion_03_star_solver"]),
+    ("src/surgeryforge/simpleknot.py",
+     "            out.append((k, (-k * k) % p))\n",
+     "            out.append((k, (k * k) % p))\n",
+     [T_ACCEPTANCE + "test_criterion_03_star_solver"]),
+    ("src/surgeryforge/simpleknot.py",
+     "    return tuple(sorted({min(k, p - k) for k, _ in solutions}))\n",
+     "    return tuple(sorted({k for k, _ in solutions}))\n",
+     [T_ACCEPTANCE + "test_criterion_03_star_solver"]),
+    ("src/surgeryforge/simpleknot.py",
+     "    return (1 - chi) // 2\n",
+     "    return (1 - chi) // 2 or None\n",
+     [T_ACCEPTANCE + "test_criterion_04_euler_characteristics"]),
+    ("src/surgeryforge/simpleknot.py",
+     "        c -= (i * qi) % p - ((i + k) * qi) % p\n",
+     "        c -= (i * q) % p - ((i + k) * q) % p\n",
+     [T_ACCEPTANCE + "test_criterion_05_simple_knot_equivalences"]),
+    ("src/surgeryforge/rationals.py",
+     "    return cf_expand(x)\n",
+     "    return cf_expand(x)[:64]\n",
+     [T_ACCEPTANCE + "test_criterion_06_norm_sequence_suite"]),
+    (NORMSEQ,
+     "    for a in seq[:-1]:\n",
+     "    for a in seq[1:]:\n",
+     [T_ACCEPTANCE + "test_criterion_06_norm_sequence_suite"]),
+    (FAMILIES,
+     "    return CensusEntry(*canonical_triple(p, q, k))\n",
+     "    return CensusEntry(p, q, k)\n",
+     [T_ACCEPTANCE + "test_criterion_07_census"]),
+    (FAMILIES,
+     '                "classes": classes,\n',
+     '                "classes": knots,\n',
+     [T_ACCEPTANCE + "test_criterion_08_alternative_surgery_pipeline"]),
+    (FAMILIES,
+     'results["case_3a"] == ((2, -2),)',
+     'results["case_3a"] == ((-2, 2),)',
+     [T_ACCEPTANCE + "test_criterion_10_intersection_analysis"]),
+    (FAMILIES,
+     '(True, False): "equal"',
+     '(True, False): "mirror"',
+     [T_ACCEPTANCE + "test_criterion_10_intersection_analysis"]),
+    (FAMILIES,
+     "    f2 = optsurg_catalog(2, -1)\n",
+     "    f2 = optsurg_catalog(2, 1)\n",
+     [T_ACCEPTANCE + "test_criterion_11_once_punctured_torus_catalog"]),
+    (FAMILIES,
+     '    1: (("-1", (-6, 1), (6, -1, 2, -1)),) * 2,\n',
+     '    1: (("-1", (-6, 1), (6, -1, 2, 1)),) * 2,\n',
+     [T_ACCEPTANCE + "test_criterion_11_once_punctured_torus_catalog"]),
     # --- blocks and the command line
     (NORMSEQ,
-     "    except (OverflowError, MemoryError):\n",
-     "    except OverflowError:\n",
+     "    except (OverflowError, MemoryError):\n"
+     '        raise ValueError(f"{block}',
+     "    except OverflowError:\n"
+     '        raise ValueError(f"{block}',
      [T_CLI + "test_oversize_block_error_names_the_block"]),
+    (NORMSEQ,
+     "    except (OverflowError, MemoryError):\n"
+     '        raise ValueError(f"the dual',
+     "    except OverflowError:\n"
+     '        raise ValueError(f"the dual',
+     [T_CLI + "test_oversize_entry_error_names_the_sequence"]),
     (CLI,
      "        if sys.stdout is None:  # no file descriptor 1 at start-up\n"
      "            raise OSError(errno.EBADF, os.strerror(errno.EBADF))\n",

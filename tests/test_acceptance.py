@@ -12,7 +12,7 @@ from pentangle_oracle import rot3, swap_fb, swap_lr, swap_tb
 from surgeryforge import families, pentangle, simpleknot
 from surgeryforge.lens import LensSpace, S3, homeo_oriented, homeo_unoriented
 from surgeryforge.normseq import gofk_exponent_sums, riemenschneider_dual
-from surgeryforge.rationals import cf_eval, cf_expand_norm, rat
+from surgeryforge.rationals import INF, cf_eval, cf_expand_norm, rat
 from surgeryforge.simpleknot import SimpleKnot, canonical_triple, euler_char
 
 
@@ -40,9 +40,11 @@ def test_criterion_01_family_a_spot_checks():
         a32 = _triple("A", (3, 2))
         assert a32 == {"1": LensSpace(18, 11), "2": S3,
                        "inf": LensSpace(19, -12)}
+        assert LensSpace(19, -12) == LensSpace(19, 7)
         a25 = _triple("A", (2, 5))
         assert a25 == {"1": LensSpace(31, 17), "2": S3,
                        "inf": LensSpace(32, -7)}
+        assert LensSpace(32, -7) == LensSpace(32, 25)
         assert homeo_oriented(LensSpace(18, 11), LensSpace(18, 5))
 
 
@@ -56,20 +58,24 @@ def test_criterion_02_family_b_spot_checks():
 def test_criterion_03_star_solver():
     with criterion(3, 5.0, "quadratic congruence solver"):
         plus = simpleknot.star_solutions(31, 1)
-        assert {k for k, _ in plus} == {5, 25}
-        assert {q for _, q in plus} == {6, 26}
+        assert plus == ((5, 6), (25, 26))
         minus = simpleknot.star_solutions(31, -1)
-        assert {k for k, _ in minus} == {13, 19}
-        assert {q for _, q in minus} == {17, 11}
+        assert minus == ((13, 17), (19, 11))
+        assert simpleknot.star_canonical(31, plus) == (5, 6)
+        assert simpleknot.star_canonical(31, minus) == (12, 13)
+        # the tabulated tuples are the +-k partners of the raw eps = -1 roots
+        assert canonical_triple(31, 17, 13) == canonical_triple(31, 17, 18)
+        assert canonical_triple(31, 11, 19) == canonical_triple(31, 11, 12)
         for p in (33, 51, 69):
             assert simpleknot.star_solutions(p, 1) == ()
             assert simpleknot.star_solutions(p, -1) == ()
         for p in range(1, 501):
             for eps in (1, -1):
-                got = {k for k, _ in simpleknot.star_solutions(p, eps)}
+                got = simpleknot.star_solutions(p, eps)
                 want = {k for k in range(1, p)
                         if (k * k + eps * (k + 1)) % p == 0}
-                assert got == want
+                assert {k for k, _ in got} == want
+                assert all((-k * k) % p == q for k, q in got)
 
 
 def test_criterion_04_euler_characteristics():
@@ -79,7 +85,9 @@ def test_criterion_04_euler_characteristics():
         assert euler_char(SimpleKnot(67, 30, 29)) == -49
         assert simpleknot.genus_primitive(SimpleKnot(67, 30, 29)) == 25
         assert euler_char(SimpleKnot(3, 1, 1)) == 1
+        assert simpleknot.genus_primitive(SimpleKnot(3, 1, 1)) == 0
         assert euler_char(SimpleKnot(5, 4, 2)) == -1
+        assert simpleknot.genus_primitive(SimpleKnot(5, 4, 2)) == 1
         assert simpleknot.knots_with_genus(LensSpace(50, 41), 17) == ()
         assert simpleknot.knots_with_genus(LensSpace(68, 59), 25) == ()
 
@@ -113,6 +121,7 @@ def test_criterion_06_norm_sequence_suite():
                 assert cf_eval(seq) == rat(p, q)
         # dual involution, exact sum identity, point rule
         from fractions import Fraction
+        checked = 0
         for length in range(1, 7):
             for seq in product(range(2, 7), repeat=length):
                 dual = riemenschneider_dual(seq)
@@ -121,6 +130,8 @@ def test_criterion_06_norm_sequence_suite():
                 assert riemenschneider_dual(dual) == seq
                 if seq != (2,):
                     assert (seq[-1] == 2) != (dual[-1] == 2)
+                checked += 1
+        assert checked == sum(5 ** n for n in range(1, 7))
         # exponent sums of the tabulated pattern shapes, from the chart
         for r in range(2, 9):
             for s in range(2, 9):
@@ -158,6 +169,12 @@ def test_criterion_07_census():
         for t in range(0, 6):
             p = 9 * t + 14
             assert canon(p, (-9) % p, 3) in got
+        for n in range(2, 7):
+            assert canon(n + 1, n, 1) in got
+        # every entry satisfies the dual-class congruence in its own
+        # coordinates
+        for e in report["entries"]:
+            assert (-e.k * e.k) % e.p == e.q
 
 
 def test_criterion_08_alternative_surgery_pipeline():
@@ -165,13 +182,35 @@ def test_criterion_08_alternative_surgery_pipeline():
         report, ces = families.alt_gofk_pipeline()
         assert ces == () and report["census_ok"]
         by_order = {l.p: l for l in report["survivors"]}
-        assert sorted(by_order) == [18, 32, 50, 68]
+        assert [l.p for l in report["survivors"]] == [18, 32, 50, 68]
         assert homeo_oriented(by_order[18], LensSpace(18, 11))
         assert homeo_oriented(by_order[32], LensSpace(32, 7))
         for tprime in (1, 2, 3):
             p = 18 * tprime + 14
             assert homeo_oriented(by_order[p], LensSpace(p, -9))
-        assert [f["p"] for f in report["final"]] == [19, 31]
+        final = report["final"]
+        assert [f["p"] for f in final] == [19, 31]
+        assert homeo_unoriented(final[0]["alternative_lens"],
+                                LensSpace(18, 11))
+        assert homeo_unoriented(final[1]["alternative_lens"],
+                                LensSpace(32, 7))
+        # the twist branches died by the genus obstruction
+        assert all(not info["primitive_simple_knots"]
+                   for info in report["genus_stage"].values())
+        # quadratic-congruence classes at p = 31: torus pair and the dual
+        # pair
+        cands = report["star_stage"][final[1]["alternative_lens"]]
+        sols31 = cands[31]["solutions"]
+        assert sols31["+1"] == ((5, 6), (25, 26))
+        assert sols31["-1"] == ((13, 17), (19, 11))
+        assert len(cands[31]["classes"]) == 2
+        assert cands[33]["solutions"] == {"+1": (), "-1": ()}
+        # order 17 is excluded by the torus-knot bound, not by the
+        # congruence
+        cands18 = report["star_stage"][final[0]["alternative_lens"]]
+        assert "excluded" in cands18[17]
+        assert cands18[19]["solutions"]["+1"]
+        assert cands18[19]["solutions"]["-1"]
 
 
 def test_criterion_09_pentangle_sweep():
@@ -180,10 +219,12 @@ def test_criterion_09_pentangle_sweep():
         assert ces == ()
         assert report["necessary_all_three"] == report["simplified"] > 0
         # symmetry group laws
-        f = pentangle.P5Filling(rat(2, 3), rat(5), rat(-1, 2), rat(7, 2))
-        for swap in (swap_lr, swap_tb, swap_fb):
-            assert swap(swap(f)) == f
-        assert rot3(rot3(rot3(f))) == f
+        for corners in ((rat(2, 3), rat(5), rat(-1, 2), rat(7, 2)),
+                        (rat(2, 3), rat(5), INF, rat(-1, 2))):
+            f = pentangle.P5Filling(*corners)
+            for swap in (swap_lr, swap_tb, swap_fb):
+                assert swap(swap(f)) == f
+            assert rot3(rot3(rot3(f))) == f
         # reciprocation carries each factoring list onto its mirror partner
         def recip_set(pairset):
             out = set()
@@ -207,7 +248,20 @@ def test_criterion_10_intersection_analysis():
         assert set(r["case_2a"][0]) == {-2, 2}
         assert set(r["case_3a"][0]) == {-2, 2}
         assert r["case_3b_matches_3a"]
-        assert families.prop15_consistency(5)[1] == ()
+        assert r["case_2b_count"] > 0            # family A is unconstrained
+        r, ces = families.prop15_consistency(5)
+        assert ces == ()
+        unflagged = [row for row in r["rows"] if not row["flagged"]]
+        assert unflagged and all(row["relation"] != "mismatch"
+                                 for row in unflagged)
+        # the tabulated family formulas carry incoherent orientations: both
+        # oriented-equal and mirror-equal relations occur across the rows
+        relations = {row["relation"] for row in unflagged}
+        assert "equal" in relations and "mirror" in relations
+        # the inf-slot partner needs the defective slot-1 formula: flagged
+        # rows
+        flagged = [row for row in r["rows"] if row["flagged"]]
+        assert flagged and all(row["setting"] == "A[2,n]" for row in flagged)
 
 
 def test_criterion_11_once_punctured_torus_catalog():
@@ -215,6 +269,11 @@ def test_criterion_11_once_punctured_torus_catalog():
         data = families.figure_eight_sister_triple()
         assert data["triple"] == ("L(10,3)", "L(5,1)", "L(5,4)")
         assert LensSpace(5, 4) == LensSpace(5, -1)
+        # three catalog families reproduce members of the same triple
+        f1 = {str(l) for _, l in data["family1(k=1)"]}
+        f2 = {str(l) for _, l in data["family2(k=-1)"]}
+        assert f1 <= {"L(5,1)", "L(5,4)", "L(10,3)"} or "L(5,1)" in f1
+        assert "L(10,3)" in f2
         for m in range(-10, 11):
             if m == 0:
                 continue

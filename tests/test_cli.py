@@ -255,6 +255,17 @@ def test_oversize_block_error_names_the_block(capsys, argv, block):
     assert captured.err == f"error: {block} is too long to expand\n"
 
 
+@pytest.mark.parametrize("entry", ["99999999999999999999", "1000000000000"])
+def test_oversize_entry_error_names_the_sequence(capsys, entry):
+    # the dual of a plain entry v has v - 1 entries, past the index range or
+    # the memory here, and the one error line names the sequence
+    assert main(["normseq", "dual", f"({entry})"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the dual of ({entry}) is too long to write out\n")
+
+
 def test_census_bounds_out_of_range_exit_2(capsys):
     assert main(["families", "census", "--seqmax", "-1"]) == 2
     assert main(["families", "census", "--tmax", "-3"]) == 2

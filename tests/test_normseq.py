@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -160,33 +159,11 @@ def test_norm_sequence_of_round_trip():
 # --- Riemenschneider dual -------------------------------------------------
 
 
-def _frac(x):
-    return Fraction(x.num, x.den)
-
-
 def test_dual_examples():
     assert riemenschneider_dual((2,)) == (2,)
     assert riemenschneider_dual((3,)) == (2, 2)
     for b in range(2, 9):
         assert riemenschneider_dual((2,) * (b - 1)) == (b,)
-
-
-def test_dual_involution_identity_and_point_rule():
-    checked = 0
-    for length in range(1, 7):
-        for seq in product(range(2, 7), repeat=length):
-            dual = riemenschneider_dual(seq)
-            # exact defining identity
-            total = 1 / _frac(cf_eval(seq)) + 1 / _frac(cf_eval(dual))
-            assert total == 1, (seq, dual)
-            # involution
-            assert riemenschneider_dual(dual) == seq
-            # exactly one of the two final entries is 2, except at the
-            # self-dual fixed point (2) <-> (2)
-            if seq != (2,):
-                assert (seq[-1] == 2) != (dual[-1] == 2), (seq, dual)
-            checked += 1
-    assert checked == sum(5 ** n for n in range(1, 7))
 
 
 def test_dual_matches_point_rule_oracle():
@@ -320,13 +297,6 @@ def _oracle_sums(target):
 def test_exponent_sums_examples():
     assert gofk_exponent_sums((4, 3, 2, 2, 2)) == frozenset({-1})
     assert gofk_exponent_sums((5, 2, 2)) == frozenset({6})
-    for r in range(2, 9):
-        expected = {r - 1, r + 1}
-        if r == 4:
-            expected.add(-3)
-        if r == 2:
-            expected |= {-1, -3}
-        assert gofk_exponent_sums((r,)) == frozenset(expected)
 
 
 def test_exponent_sums_match_chart_oracle():

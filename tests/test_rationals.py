@@ -63,17 +63,6 @@ def test_expand_examples():
             cf_expand_norm(bad)
 
 
-def test_expand_round_trip_up_to_200():
-    from math import gcd
-    for p in range(2, 201):
-        for q in range(1, p):
-            if gcd(p, q) != 1:
-                continue
-            seq = cf_expand_norm(rat(p, q))
-            assert all(a >= 2 for a in seq)
-            assert cf_eval(seq) == rat(p, q)
-
-
 def test_expand_unique_over_small_words():
     # distinct all->=2 words take distinct values, so the expansion is the
     # unique such word for its value
