@@ -2,12 +2,12 @@
 the parser in surgeryforge.cli (cli._read), which reads the plain form by
 hand and refuses every other argv.
 
-_build_parser(argv).parse_args(argv) returns an argparse Namespace with the
-fields cli._read returns for a plain argv, raises ValueError with
-argparse's message, or prints the help of the level argv asks for and
-exits 0.  It builds argparse subparsers only along argv's command path,
-once per path, reading the command words and their arguments from
-cli.COMMANDS (100 drawn argvs per command).
+PARSER.parse_args(argv) returns an argparse Namespace with the fields
+cli._read returns for a plain argv, raises ValueError with argparse's
+message, or prints the help of the level argv asks for and exits 0.
+PARSER is built once, at import, as the whole command tree: a subparser
+level per command word and at each command its arguments, all read from
+cli.COMMANDS (100 drawn argvs per command, each also run through cli.main).
 
 _jsonable(value) copies a report value with every library value as its
 str, every tuple as a list and every dict key as its str.  json.dumps of
@@ -16,7 +16,6 @@ which both print the value itself (300 drawn report values).
 """
 
 import argparse
-import functools
 import re
 
 from surgeryforge.cli import COMMANDS
@@ -51,62 +50,27 @@ def _command_tree():
     return tree
 
 
-_TREE = _command_tree()
+def _add_words(parser, node):
+    """Give parser a subparser for each word of node, with the words below
+    it, or at a leaf the name and arguments of the command."""
+    if isinstance(node, str):
+        parser.set_defaults(command=node)
+        for flags, keywords in COMMANDS[node][0]:
+            parser.add_argument(*flags, **keywords)
+        return
+    level = parser.add_subparsers(required=True)
+    for word, below in node.items():
+        _add_words(level.add_parser(word), below)
 
 
-def _next_word(node, tokens):
-    """(word, first) for the first token that is a word of node, or None,
-    consuming tokens up to it; first when no token came before it, so that
-    argparse reads the word before anything that could make it print every
-    word of the level, as help or an "invalid choice" message does."""
-    for count, token in enumerate(tokens):
-        if token in node:
-            return token, count == 0
-    return None, False
-
-
-def _build_parser(argv):
-    """The parser for argv.  Each level on argv's command path gets a parser
-    for the word argv reads there when it is the level's first token, and
-    otherwise for every word of the level, which argparse may then list in
-    help or an "invalid choice" message; only the word argv reads gets
-    subparsers, and a command its arguments."""
-    # The word argparse reads at a level is the first token that is a word
-    # of the level: before the first command word argv holds only global
-    # options, whose values (formats) are never command words, and a value
-    # that is one fails in argparse before any word is read.
-    node, tokens, path = _TREE, iter(argv), []
-    while isinstance(node, dict):
-        word, first = _next_word(node, tokens)
-        path.append((word, first))
-        if word is None:
-            break
-        node = node[word]
-    return _parser_along(tuple(path))
-
-
-@functools.cache
-def _parser_along(path):
-    """The parser for a command path of (word, first) steps, built once."""
-    parser = _Parser(
-        prog="surgeryforge",
-        description="exact Dehn-surgery calculators and verification sweeps")
-    parser.add_argument("--format", choices=("json", "csv", "text"),
-                        default="json")
-    parser.add_argument("--timing", action="store_true",
-                        help="attach elapsed_ms to the report")
-    node, level_parser = _TREE, parser
-    for word, first in path:
-        level = level_parser.add_subparsers(required=True)
-        children = {w: level.add_parser(w)
-                    for w in ([word] if first else node)}
-        if word is None:
-            return parser
-        node, level_parser = node[word], children[word]
-    level_parser.set_defaults(command=node)
-    for flags, keywords in COMMANDS[node][0]:
-        level_parser.add_argument(*flags, **keywords)
-    return parser
+PARSER = _Parser(
+    prog="surgeryforge",
+    description="exact Dehn-surgery calculators and verification sweeps")
+PARSER.add_argument("--format", choices=("json", "csv", "text"),
+                    default="json")
+PARSER.add_argument("--timing", action="store_true",
+                    help="attach elapsed_ms to the report")
+_add_words(PARSER, _command_tree())
 
 
 def _jsonable(value):

@@ -97,6 +97,15 @@ MUTANTS = [
      "for ce in sorted(ce for r in results for ce in r[2])",
      "for ce in (ce for r in results for ce in r[2])",
      [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
+    (PENTANGLE,
+     '"necessary_all_three": sum(r[0] for r in results),',
+     '"necessary_all_three": results[0][0],',
+     [T_CLI + "test_pentangle_verify_bound_14_pinned",
+      T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
+    (PENTANGLE,
+     '"simplified": sum(r[1] for r in results)}',
+     '"simplified": results[0][1]}',
+     [T_CLI + "test_pentangle_verify_exit_and_determinism"]),
     # --- the pentangle chart rows
     (PENTANGLE,
      '("sw", lambda m: (m - 1, -m, 1, -1))',
@@ -226,6 +235,12 @@ MUTANTS = [
      "        if v <= seq_bound + 1:\n",
      [T_ACCEPTANCE + "test_criterion_07_census",
       T_FAMILIES + "test_seeds_match_old_generator_on_bound_grid"]),
+    (FAMILIES,
+     "    triples += [(n + 1, n, 1) for n in range(1, seq_bound + 1)]\n",
+     "    triples += [(n + 1, n, 1) for n in range(1, seq_bound + 2)]\n",
+     [T_FAMILIES + "test_gofk_sequences_match_product_oracle",
+      T_FAMILIES + "test_seeds_match_old_generator_on_bound_grid",
+      T_FAMILIES + "test_census_ok_on_bound_grid"]),
     # --- intersections: coincidences and case 1b
     (FAMILIES,
      "        d = 1 + (c2 - c1) * x\n",
@@ -266,7 +281,7 @@ MUTANTS = [
     (FAMILIES,
      "                    bad_2b.append((m, n))",
      "                    bad_2b.append((n, m))",
-     [T_CLI + "test_intersections_counterexample_exits_1"]),
+     [T_CLI + "test_intersection_case_failure_row[case_2b]"]),
     (FAMILIES,
      "            ((pa, pb, pc, pd), (qa, qb, qc, qd)),     # linear in m\n"
      "            ((pa, pc, pb, pd), (qa, qc, qb, qd))):    # linear in n\n",
@@ -283,7 +298,7 @@ MUTANTS = [
      'sequence")\n',
      "",
      [T_NORMSEQ + "test_dual_rejects_bad_input",
-      T_CLI + "test_cli_grammar_fuzz"]),
+      T_CLI + "test_parser_matches_argparse_oracle"]),
     (NORMSEQ,
      "    if not seq or min(seq) < 2:\n",
      "    if not seq or seq[0] < 2:\n",
@@ -389,10 +404,20 @@ MUTANTS = [
      "            raise OSError(errno.EBADF, os.strerror(errno.EBADF))\n",
      "",
      [T_CLI + "test_closed_stdout_exits_2"]),
-    ("tests/cli_oracle.py",
-     "        path.append((word, first))\n",
-     "        path.append((word, True))\n",
+    (CLI,
+     '    _arg("--format", choices=("json", "csv", "text"), default="json"),\n'
+     '    _arg("--timing", action="store_true",\n'
+     '         help="attach elapsed_ms to the report"))]\n',
+     '    _arg("--timing", action="store_true",\n'
+     '         help="attach elapsed_ms to the report"),\n'
+     '    _arg("--format", choices=("json", "csv", "text"),\n'
+     '         default="json"))]\n',
      [T_CLI + "test_parser_matches_argparse_oracle"]),
+    (FAMILIES,
+     '        return f"(p,q,k)=({self.p},{self.q},{self.k})"\n',
+     '        return f"(p,q,k)=({self.p},{self.k},{self.q})"\n',
+     [T_CLI + "test_failing_row_in_every_format"
+      "[families census --tmax 2 --seqmax 3]"]),
 ]
 
 
@@ -403,7 +428,7 @@ def _pytest(copy, tests):
         [sys.executable, "-m", "pytest", "-q", "-rfE",
          "-p", "no:cacheprovider", *tests],
         cwd=copy, capture_output=True, text=True)
-    return proc.returncode, re.findall(r"^(?:FAILED|ERROR) (\S+)",
+    return proc.returncode, re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - |$)",
                                        proc.stdout, re.MULTILINE)
 
 

@@ -71,15 +71,6 @@ def test_pentangle_verify_exit_and_determinism(monkeypatch, capsys):
     assert out1 == out3  # and across runs
 
 
-def test_pentangle_verify_jobs_byte_identical(monkeypatch, capsys):
-    code1, out1 = run_workers(monkeypatch, capsys, 1,
-                              "pentangle", "verify", "--bound", "6")
-    code2, out2 = run_workers(monkeypatch, capsys, 2,
-                              "pentangle", "verify", "--bound", "6")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_pentangle_verify_bound_14_pinned(monkeypatch, capsys):
     code1, out1 = run_workers(monkeypatch, capsys, 1,
                               "pentangle", "verify", "--bound", "14")
@@ -272,23 +263,6 @@ def test_census_bounds_out_of_range_exit_2(capsys):
     assert main(["families", "census", "--tmax", "-1", "--seqmax", "0"]) == 0
 
 
-def test_verification_failure_exits_1(capsys, monkeypatch):
-    # a census that reports a missing row is a counterexample, and the
-    # command signals failure
-    row = families.CensusEntry(68, 15, 23)
-    report = {"entries": (), "witnesses": {}}, (("missing", row),)
-    monkeypatch.setattr(families, "gofklens_census", lambda t, s: report)
-    argv = ("families", "census", "--tmax", "6", "--seqmax", "4")
-    code, out = run_json(capsys, *argv)
-    assert code == 1
-    assert out["counterexamples"] == [["missing", str(row)]]
-    # the text report counts the rows and prints each on its own line
-    code, out = run(capsys, "--format", "text", *argv)
-    assert code == 1
-    assert out.endswith("counterexamples: 1\n"
-                        '  ["missing","(p,q,k)=(68,15,23)"]\n')
-
-
 def test_alt_gofk_census_failure_row(capsys, monkeypatch):
     # a census counterexample reaches the pipeline's report as one row:
     # "census", then the extra entries, then the missing ones
@@ -319,19 +293,6 @@ def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
         ["final", [[31, "L(32,7)"]]]]
     assert outs["text"].endswith("counterexamples: 1\n"
                                  '  ["final",[[31,"L(32,7)"]]]\n')
-
-def test_intersections_counterexample_exits_1(capsys, monkeypatch):
-    # a bad A-family label is a counterexample: one report on stdout, exit 1,
-    # nothing on stderr
-    monkeypatch.setitem(families.FAMILIES, "A", families_oracle.a_family(
-        (families_oracle.BAD_SLOT_1,) + families.FAMILIES["A"][3][1:]))
-    code = main(["families", "verify", "intersections", "--bound", "4"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    assert captured.out.count("\n") == 1
-    report = json.loads(captured.out)
-    assert report["counterexamples"] == [["case_2b", [[2, 3]]]]
 
 
 def _break_intersection_cases(monkeypatch, cases):
@@ -366,15 +327,18 @@ _BROKEN_INTERSECTION_ROWS = [
 ]
 
 
-# case 2b alone is test_intersections_counterexample_exits_1
-@pytest.mark.parametrize("row", [row for row in _BROKEN_INTERSECTION_ROWS
-                                 if row[0] != "case_2b"],
+@pytest.mark.parametrize("row", _BROKEN_INTERSECTION_ROWS,
                          ids=lambda row: row[0])
 def test_intersection_case_failure_row(capsys, monkeypatch, row):
+    # a broken case is a counterexample: one report on stdout, exit 1,
+    # nothing on stderr
     _break_intersection_cases(monkeypatch, {row[0]})
-    code, report = run_json(capsys, "families", "verify", "intersections",
-                            "--bound", "4")
+    code = main(["families", "verify", "intersections", "--bound", "4"])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    report = json.loads(captured.out)
     assert report["counterexamples"] == [row]
     assert report["results"]["case_3b_matches_3a"] is (row[0] != "case_3a")
 
@@ -1035,13 +999,6 @@ def test_action_refuses_what_read_does_not_read(keywords):
             cli._Action(flags, keywords)
 
 
-def test_every_table_entry_builds():
-    for arguments, _ in COMMANDS.values():
-        for flags, keywords in arguments:
-            cli._Action(flags, keywords)
-    assert [action.dest for action in cli._GLOBALS] == ["format", "timing"]
-
-
 # Fields for the grammar fuzz: values of every kind the commands read, some
 # malformed by construction (0/0, 2^[-1], 2^[x], L(4,2), a lone "(").
 # Integers stay in -2..3, which caps every sweep and census bound at 3.
@@ -1099,25 +1056,6 @@ def _fuzz_argv(draw, name):
     return argv
 
 
-@pytest.mark.parametrize("name", sorted(COMMANDS))
-@settings(max_examples=50)
-@given(data=st.data())
-def test_cli_grammar_fuzz(name, data):
-    # every input gives a report (exit 0, or 1 for a verification that found
-    # counterexamples) or one error line with exit 2, never a traceback
-    argv = data.draw(_fuzz_argv(name), label="argv")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), argv
-    if code == 2:
-        assert out.getvalue() == "", argv
-        assert (err.getvalue().startswith("error: ")
-                and err.getvalue().count("\n") == 1), argv
-    if code == 1:
-        assert name.startswith(_VERIFICATION), argv
-
-
 def _parse_outcome(parse, argv):
     """What a parser makes of argv: its fields, its one error line, or the
     exit code and entries of the help it prints."""
@@ -1164,16 +1102,15 @@ def _parser_argv(draw, name):
 @settings(max_examples=100)
 @given(data=st.data())
 def test_parser_matches_argparse_oracle(name, data):
-    # fields _read reads are those of the argparse parser built along
-    # argv's path, and help both print has the same entries and exit 0;
-    # _read prints help where argparse refuses an argv only when it holds
-    # -h or --help, and refuses every other argv with one error line.  A
-    # plain argv it reads, refuses or answers with help as argparse does.
+    # fields _read reads are those of the argparse parser, and help both
+    # print has the same entries and exit 0; _read prints help where
+    # argparse refuses an argv only when it holds -h or --help, and refuses
+    # every other argv with one error line.  A plain argv it reads, refuses
+    # or answers with help as argparse does.
     plain = data.draw(st.booleans(), label="plain")
     argv = data.draw(_fuzz_argv(name) if plain
                      else st.just([]) | _parser_argv(name), label="argv")
-    oracle = _parse_outcome(
-        lambda argv: cli_oracle._build_parser(argv).parse_args(argv), argv)
+    oracle = _parse_outcome(cli_oracle.PARSER.parse_args, argv)
     got = _parse_outcome(cli._read, argv)
     if plain:
         assert got[0] == oracle[0], argv
@@ -1183,6 +1120,23 @@ def test_parser_matches_argparse_oracle(name, data):
                                  and {"-h", "--help"} & set(argv)), argv
     elif got[0] == "fields":
         assert got == oracle, argv
+    # and main gives help and exit 0, a report (exit 0, or 1 for a
+    # verification that found counterexamples) or one error line with exit
+    # 2, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert got[0] == "help" and exc.code == 0, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert (err.getvalue().startswith("error: ")
+                and err.getvalue().count("\n") == 1), argv
+    if code == 1:
+        assert name.startswith(_VERIFICATION), argv
 
 
 _JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x7fé😀'),

@@ -377,12 +377,13 @@ def seed_sequences():
 
 @pytest.fixture(scope="module")
 def three_entry_cell(seed_sequences):
-    """A check that at one cell the closed-form seeds give the same
-    sequences and census report as the old seeds, with up to three entries
-    other than 2 anywhere (the product over 2..seeds+3 cut to those),
-    seeds = max(seq_bound, 2), through the six old templates.  Only the
-    twist seeds past the length-2 range depend on t_bound, so the other
-    seeds' sequences are made once per seq_bound."""
+    """A check that at one cell the census has no counterexample, and the
+    closed-form seeds give the same sequences and census report as the old
+    seeds, with up to three entries other than 2 anywhere (the product
+    over 2..seeds+3 cut to those), seeds = max(seq_bound, 2), through the
+    six old templates.  Only the twist seeds past the length-2 range
+    depend on t_bound, so the other seeds' sequences are made once per
+    seq_bound."""
     rest = {}
 
     def check(monkeypatch, t_bound, seq_bound):
@@ -398,6 +399,7 @@ def three_entry_cell(seed_sequences):
         cell = t_bound, seq_bound
         assert _gofk_sequences(*cell) == old, cell
         census = gofklens_census(*cell)
+        assert census[1] == (), cell
         with monkeypatch.context() as patch:
             patch.setattr(families, "_gofk_sequences", lambda t, s: old)
             assert gofklens_census(*cell) == census, cell
@@ -422,7 +424,8 @@ def test_seeds_match_old_generator_on_bound_grid(monkeypatch,
 
 
 def test_census_ok_on_bound_grid():
-    for seq_bound in range(0, 11):
+    # seqmax 0-8 is three_entry_cell's grid
+    for seq_bound in range(9, 11):
         for t_bound in range(-1, 9):
             _, ces = gofklens_census(t_bound, seq_bound)
             assert ces == (), (t_bound, seq_bound)

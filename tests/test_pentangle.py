@@ -564,7 +564,8 @@ def test_each_distinct_part_counted_once_per_chunk(monkeypatch):
         return cell_counts(*args)
 
     monkeypatch.setattr(pentangle, "_cell_counts", counting)
-    assert _sweep_chunk(tb, tb.walk) == oracle.least_corner_chunk(tb, tb.walk)
+    # what it reports, test_kernel_matches_visit_oracle_by_chunk checks
+    _sweep_chunk(tb, tb.walk)
     assert len(calls) == len(keys) == 322
     assert len(yields) == 278
 
@@ -835,14 +836,15 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     # conditions a counterexample, which real sweeps never produce
     empty_lists(monkeypatch, *EVERY_LIST)
     slopes = stern_brocot_slopes(3)
-    necessary, simplified, ces = library_sweep(3)
-    assert (necessary, simplified, ces) == oracle_sweep(3)
+    necessary, simplified, ces = oracle_sweep(3)
     assert simplified == 0 and len(ces) == necessary > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in sorted(ces))
     # chunks report the orbit images of their counterexamples, whose nw
     # corners may lie outside the walk
     for workers in (1, 2, 3, 7):
-        assert verify_with_workers(monkeypatch, 3, workers)[1] == named
+        results, got = verify_with_workers(monkeypatch, 3, workers)
+        assert (results["necessary_all_three"], results["simplified"],
+                got) == (necessary, simplified, named), workers
 
 
 def test_verify_simplification_small_bounds():
@@ -875,12 +877,6 @@ def serial_sweep(bound):
     """verify_simplification(bound) in process, made once per module."""
     with pytest.MonkeyPatch.context() as patch:
         return verify_with_workers(patch, bound, 1)
-
-
-def test_verify_simplification_jobs_deterministic(monkeypatch):
-    serial = verify_with_workers(monkeypatch, 2, 1)
-    parallel = verify_with_workers(monkeypatch, 2, 3)
-    assert serial == parallel
 
 
 @pytest.fixture
