@@ -298,7 +298,7 @@ MUTANTS = [
      'sequence")\n',
      "",
      [T_NORMSEQ + "test_dual_rejects_bad_input",
-      T_CLI + "test_parser_matches_argparse_oracle"]),
+      T_CLI + "test_cli_grammar_fuzz"]),
     (NORMSEQ,
      "    if not seq or min(seq) < 2:\n",
      "    if not seq or seq[0] < 2:\n",

@@ -1056,6 +1056,25 @@ def _fuzz_argv(draw, name):
     return argv
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=50)
+@given(data=st.data())
+def test_cli_grammar_fuzz(name, data):
+    # every input gives a report (exit 0, or 1 for a verification that found
+    # counterexamples) or one error line with exit 2, never a traceback
+    argv = data.draw(_fuzz_argv(name), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert (err.getvalue().startswith("error: ")
+                and err.getvalue().count("\n") == 1), argv
+    if code == 1:
+        assert name.startswith(_VERIFICATION), argv
+
+
 def _parse_outcome(parse, argv):
     """What a parser makes of argv: its fields, its one error line, or the
     exit code and entries of the help it prints."""
@@ -1120,23 +1139,6 @@ def test_parser_matches_argparse_oracle(name, data):
                                  and {"-h", "--help"} & set(argv)), argv
     elif got[0] == "fields":
         assert got == oracle, argv
-    # and main gives help and exit 0, a report (exit 0, or 1 for a
-    # verification that found counterexamples) or one error line with exit
-    # 2, never a traceback
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            assert got[0] == "help" and exc.code == 0, argv
-            return
-    assert code in (0, 1, 2), argv
-    if code == 2:
-        assert out.getvalue() == "", argv
-        assert (err.getvalue().startswith("error: ")
-                and err.getvalue().count("\n") == 1), argv
-    if code == 1:
-        assert name.startswith(_VERIFICATION), argv
 
 
 _JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x7fé😀'),
