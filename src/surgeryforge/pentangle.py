@@ -313,8 +313,8 @@ def stern_brocot_slopes(bound):
 # those: nw over T0, and ne, sw and se at or after nw.  Such a tuple with
 # c = 1 + [ne = nw] + [sw = nw] + [se = nw] stands for 4 / c tuples of its
 # orbit, so counts are kept in twelfths (48, 24, 16, 12) and divided per
-# chunk, which is exact as an orbit's walked tuples share their nw.  Each
-# walked counterexample is reported with its images under _KLEIN.
+# chunk, which is exact as an orbit's walked tuples share their nw.  The
+# report adds the images under _KLEIN of the counterexamples a chunk walks.
 #
 # For nw in T0 the x0 value is full, or full on V0[nw] and M0 elsewhere,
 # by ne.  The sw corners for fixed nw, ne split into at most six cells on
@@ -635,7 +635,7 @@ def _cell_counts(tb, cand, c, rows, simp_k, simp_base):
 def _sweep_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the orbits whose least
     corner is one of the walked nw corners `corners`; the counterexamples
-    are a set of index tuples."""
+    are a set of the walked index tuples, whose nw is their least corner."""
     necessary = 0
     simplified = 0
     counterexamples = set()
@@ -678,9 +678,8 @@ def _sweep_chunk(tb, corners):
                                             + good_se.bit_count())
                                    - w_two * (good_sw >> i & 1))
                 if bad:
-                    counterexamples.update(
-                        g((i, j, k, se)) for j in _bits(js)
-                        for k, se in bad for g in _KLEIN)
+                    counterexamples.update((i, j, k, se) for j in _bits(js)
+                                           for k, se in bad)
     return necessary // 12, simplified // 12, counterexamples
 
 
@@ -714,14 +713,15 @@ def verify_simplification(bound):
     if results is None:
         results = [_sweep_chunk(tables, tables.walk)]
     # a tuple outside the walk lies in the orbit of a walked one, or has no
-    # corner in T0 and fails x = 0
+    # corner in T0 and fails x = 0; each walked counterexample stands for
+    # its images under _KLEIN
     return ({"bound": bound,
              "slope_count": n,
              "tuples_checked": n ** 4,
              "necessary_all_three": sum(r[0] for r in results),
              "simplified": sum(r[1] for r in results)},
-            tuple(tuple(slopes[x] for x in ce)
-                  for ce in sorted(ce for r in results for ce in r[2])))
+            tuple(tuple(slopes[x] for x in ce) for ce in sorted(
+                {g(ce) for r in results for ce in r[2] for g in _KLEIN})))
 
 
 _worker_tables = None

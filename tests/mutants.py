@@ -7,8 +7,8 @@ For each row it checks that the old text occurs exactly once in its file,
 makes the change in a temporary copy of the repository and runs the row's
 tests there with pytest.  A mutation survives when one of its tests passes.
 A row whose old text is not in its file, code that an earlier version of
-the repository does not have, is skipped.  The script prints one line per
-row and exits 1 when a mutation survives or a row cannot run (its old text
+the repository does not have, is skipped, and the last line counts the
+skipped rows.  The script prints one line per row and exits 1 when a mutation survives or a row cannot run (its old text
 occurs twice, or pytest cannot collect its tests); pytest does not collect
 this file."""
 
@@ -90,12 +90,25 @@ MUTANTS = [
      "w_all = 48 * off + 48 * on",
      [T_PENTANGLE + "test_kernel_matches_oracle_bounds_2_to_8"]),
     (PENTANGLE,
-     "for k, se in bad for g in _KLEIN)",
-     "for k, se in bad for g in _KLEIN[:1])",
-     [T_PENTANGLE + "test_classes_keep_simplification_rows_apart"]),
+     "counterexamples.update((i, j, k, se) for j in _bits(js)\n",
+     "counterexamples.update((i, j, k, se) for j in _bits(js & -js)\n",
+     [T_PENTANGLE
+      + "test_chunks_match_least_corner_oracle_with_counterexamples"]),
     (PENTANGLE,
-     "for ce in sorted(ce for r in results for ce in r[2])",
-     "for ce in (ce for r in results for ce in r[2])",
+     "counterexamples.update((i, j, k, se) for j in _bits(js)\n"
+     "                                           for k, se in bad)\n",
+     "counterexamples.update(g((i, j, k, se)) for j in _bits(js)\n"
+     "                                           for k, se in bad"
+     " for g in _KLEIN)\n",
+     [T_PENTANGLE + "test_grouped_ne_corners_expand_counterexamples"]),
+    # --- the pentangle report: orbit images of the walked counterexamples
+    (PENTANGLE,
+     "for ce in r[2] for g in _KLEIN})))",
+     "for ce in r[2] for g in _KLEIN[:1]})))",
+     [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
+    (PENTANGLE,
+     "for ce in sorted(\n                {g(ce)",
+     "for ce in (\n                {g(ce)",
      [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
     (PENTANGLE,
      '"necessary_all_three": sum(r[0] for r in results),',
@@ -400,6 +413,21 @@ MUTANTS = [
      '        raise ValueError(f"the dual',
      [T_CLI + "test_oversize_entry_error_names_the_sequence"]),
     (CLI,
+     "    if args.p < 2:\n",
+     "    if args.p < 1:\n",
+     [T_CLI + "test_refused_argv_exits_2_with_one_error_line"
+      "[simpleknot star 1]"]),
+    (FAMILIES,
+     "    if seq_bound < 0:\n",
+     "    if seq_bound < -1:\n",
+     [T_CLI + "test_refused_argv_exits_2_with_one_error_line"
+      "[families census --seqmax -1]"]),
+    (FAMILIES,
+     "    if len(raw) != len(parameters):\n",
+     "    if len(raw) < len(parameters):\n",
+     [T_CLI + "test_refused_argv_exits_2_with_one_error_line"
+      "[families eval B 3 4]"]),
+    (CLI,
      "        if sys.stdout is None:  # no file descriptor 1 at start-up\n"
      "            raise OSError(errno.EBADF, os.strerror(errno.EBADF))\n",
      "",
@@ -444,7 +472,7 @@ def main():
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
-        rows = []
+        rows, skipped = [], 0
         for row, (name, old, new, tests) in enumerate(MUTANTS, 1):
             label = f"{row:2d} {name}: {old.strip().splitlines()[0]}"
             count = (copy / name).read_text().count(old)
@@ -455,6 +483,7 @@ def main():
                 problems += 1
             else:
                 print(f"{label}\n   skipped, old text not in the file")
+                skipped += 1
         # a test that fails unmutated would count every mutation as caught
         code, failed = _pytest(copy, sorted({t for *_, tests in rows
                                              for t in tests}))
@@ -478,7 +507,8 @@ def main():
                 problems += 1
             else:
                 print(f"{label}\n   caught by " + ", ".join(tests))
-    print(f"{len(MUTANTS)} mutations, {problems} surviving or broken")
+    print(f"{len(MUTANTS)} mutations, {problems} surviving or broken,"
+          f" {skipped} skipped")
     return 1 if problems else 0
 
 

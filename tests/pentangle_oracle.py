@@ -9,8 +9,10 @@ tables, one per property; property: reference (inputs the tests run it at).
   bound 5).
 - One chunk: least_corner_chunk, which visits the kernel's walk from the
   given nw corners tuple by tuple through _visit_pair_masks on the
-  library's _SweepTables, so it checks the walk, the weights and the orbit
-  images, not the tables (each walked corner once: bounds 2-6 and 10).
+  library's _SweepTables, so it checks the walk and the weights, not the
+  tables (each walked corner once: bounds 2-6 and 10).
+- Orbit images of walked counterexamples: orbit_images, on KLEIN_GETTERS
+  (each whole walk that the per-triple oracle sweeps).
 - ne-corner groups: corner_groups, as _SweepTables first built them, a
   corner on a simplification pair alone (bounds 2-30).
 - Pair rows solved from _ROWS: scan_pair_rows (bounds 2-40).
@@ -409,14 +411,13 @@ def _visit_pair_masks(tb, i):
 def least_corner_chunk(tb, corners):
     """(necessary, simplified, counterexamples) over the tuples whose nw
     corner is one of corners and is their least corner in the order that
-    puts T0 first.  Such a tuple with c corners equal to nw stands for 4 / c
-    tuples of its Klein-four orbit, and each counterexample is reported with
-    its images under the group, in a set."""
+    puts T0 first, the counterexamples in a set.  Such a tuple with c
+    corners equal to nw stands for 4 / c tuples of its Klein-four orbit."""
     order = sorted(range(tb.n), key=lambda s: (not tb.in0[s], s))
     rank = {s: r for r, s in enumerate(order)}
     necessary = 0   # in twelfths: 48 / c per tuple
     simplified = 0
-    bad = []
+    bad = set()
     for i in corners:
         after = sum(1 << s for s in range(tb.n) if rank[s] >= rank[i])
         for j, parts, simp_k, simp_base in _visit_pair_masks(tb, i):
@@ -434,10 +435,14 @@ def least_corner_chunk(tb, corners):
                         if (good >> se) & 1:
                             simplified += weight
                         else:
-                            bad.append(t)
+                            bad.add(t)
     assert necessary % 12 == simplified % 12 == 0
-    return (necessary // 12, simplified // 12,
-            {image for g in KLEIN_GETTERS for image in map(g, bad)})
+    return necessary // 12, simplified // 12, bad
+
+
+def orbit_images(tuples):
+    """The images of the index tuples under the Klein four-group, a set."""
+    return {g(t) for t in tuples for g in KLEIN_GETTERS}
 
 
 def corner_groups(tb, corners):

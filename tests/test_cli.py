@@ -146,51 +146,77 @@ def test_families_optsurg(capsys):
     assert report["results"][1]["lens"] == "L(5,4)"
 
 
-def test_usage_errors_exit_2(capsys):
-    assert main(["lens", "normalize", "10", "4"]) == 2
-    assert main(["families", "eval", "A", "1", "5"]) == 2
-    assert main(["cf", "eval", "not-a-word"]) == 2
-
-
-def test_bad_jobs_and_family_arity_exit_2(capsys):
-    # one error line on stderr, no traceback, exit 2
-    cases = [["families", "eval", "A", "3"],
-             ["families", "eval", "B", "3", "4"],
-             # options follow the last command word, and alt-gofk has none
-             ["families", "verify", "alt-gofk", "--bound", "3"],
-             ["families", "verify", "--bound", "4", "intersections"],
-             # 2^[t] is defined for t >= -1 only
-             ["normseq", "reduce", "(3,2^[-2],4)"],
-             ["normseq", "to-lens", "(3,2^[-2],4)"],
-             ["normseq", "exponents", "(3,2^[-2],4)"],
-             # a Montesinos link Q(A,B,C) has three factors
-             ["tangle", "two-bridge", "Q(1,inf)"],
-             ["tangle", "two-bridge", "Q(1,2,3,4)"],
-             # only catalog families 1-3 take a second index
-             ["families", "optsurg", "4", "2", "3"],
-             ["families", "optsurg", "5", "2", "3"],
-             ["families", "optsurg", "6", "2", "3"],
-             # a 2^[t] block too long to expand: t overflows an index, or
-             # asks for more memory than any address space holds
-             ["normseq", "reduce", "(3,2^[10000000000000000000],4)"],
-             ["normseq", "exponents", "(2^[1000000000000000])"],
-             ["normseq", "dual", "(2^[1000000000000000])"],
-             ["cf", "solve-tail", "(1,2^[1000000000000000])", "1"],
-             # an option written --opt=value is unrecognized
-             ["pentangle", "verify", "--bound=--"],
-             ["simpleknot", "star", "5", "--eps=--"],
-             ["pentangle", "montesinos", "1", "2", "3", "4", "--x=--"],
-             ["--format=--", "cf", "eval", "[1]"]]
-    for argv in cases:
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
+# Every argv refused with exit 2, and the one error line after "error: " it
+# prints on stderr, with no traceback and no report
+_REFUSED = [
+    ("lens normalize 10 4", "L(10,4) is not a lens space label"),
+    ("families eval A 1 5", "A: excluded parameters (m = 1)"),
+    ("cf eval not-a-word",
+     "not a continued fraction: 'not-a-word' (expected [a1,...,an], "
+     "integers but for a last p/q or inf)"),
+    ("families eval A 3", "family A takes 2 parameter(s), got 1"),
+    ("families eval B 3 4", "family B takes 1 parameter(s), got 2"),
+    # options follow the last command word, and alt-gofk has none
+    ("families verify alt-gofk --bound 3", "unrecognized arguments: --bound"),
+    ("families verify --bound 4 intersections",
+     "unrecognized arguments: --bound"),
+    # 2^[t] is defined for t >= -1 only
+    ("normseq reduce (3,2^[-2],4)",
+     "2^[-2] is undefined: blocks need t >= -1"),
+    ("normseq to-lens (3,2^[-2],4)",
+     "2^[-2] is undefined: blocks need t >= -1"),
+    ("normseq exponents (3,2^[-2],4)",
+     "2^[-2] is undefined: blocks need t >= -1"),
+    # a Montesinos link Q(A,B,C) has three factors
+    ("tangle two-bridge Q(1,inf)",
+     "a Montesinos link Q(A,B,C) has three factors, got 2"),
+    ("tangle two-bridge Q(1,2,3,4)",
+     "a Montesinos link Q(A,B,C) has three factors, got 4"),
+    # only catalog families 1-3 take a second index
+    ("families optsurg 4 2 3", "only families 1-3 take a second index"),
+    ("families optsurg 5 2 3", "only families 1-3 take a second index"),
+    ("families optsurg 6 2 3", "only families 1-3 take a second index"),
+    # a 2^[t] block too long to expand: t overflows an index, or asks for
+    # more memory than any address space holds
+    ("normseq reduce (3,2^[10000000000000000000],4)",
+     "2^[10000000000000000000] is too long to expand"),
+    ("normseq exponents (2^[1000000000000000])",
+     "2^[1000000000000000] is too long to expand"),
+    ("normseq dual (2^[1000000000000000])",
+     "2^[1000000000000000] is too long to expand"),
+    ("cf solve-tail (1,2^[1000000000000000]) 1",
+     "2^[1000000000000000] is too long to expand"),
+    # an option written --opt=value is unrecognized
+    ("pentangle verify --bound=--", "unrecognized arguments: --bound=--"),
+    ("simpleknot star 5 --eps=--", "unrecognized arguments: --eps=--"),
+    ("pentangle montesinos 1 2 3 4 --x=--", "unrecognized arguments: --x=--"),
+    ("--format=-- cf eval [1]", "unrecognized arguments: --format=--"),
     # the sweep sizes its own pool: --jobs is no option, global or not
-    for argv in (["--jobs", "4", "pentangle", "verify", "--bound", "5"],
-                 ["pentangle", "verify", "--bound", "2", "--jobs", "2"]):
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err == "error: unrecognized arguments: --jobs\n", argv
+    ("--jobs 4 pentangle verify --bound 5", "unrecognized arguments: --jobs"),
+    ("pentangle verify --bound 2 --jobs 2", "unrecognized arguments: --jobs"),
+    # bounds and orders below their ranges
+    ("families census --seqmax -1", "seqmax must be >= 0"),
+    ("families census --tmax -3", "tmax must be >= -1"),
+    ("simpleknot star 0", "p must be >= 2, got 0"),
+    ("simpleknot star 1", "p must be >= 2, got 1"),
+    ("simpleknot star -5", "p must be >= 2, got -5"),
+    ("simpleknot star 1 --eps +1", "p must be >= 2, got 1"),
+    ("simpleknot genus-search L(7,3) -1", "genus must be >= 0, got -1"),
+    # a "--" after the first is no argument, where Python 3.11's argparse
+    # drops it from some arguments and keeps it in others, and read the
+    # genus-search argv with genus an empty list, which the handler crashed
+    # on
+    ("families eval -- A 1 --", "unrecognized arguments: --"),
+    ("simpleknot genus-search L(8,1) -- --", "unrecognized arguments: --"),
+    ("cf eval -- --", "unrecognized arguments: --")]
+
+
+@pytest.mark.parametrize("argv, line", _REFUSED, ids=[a for a, _ in _REFUSED])
+def test_refused_argv_exits_2_with_one_error_line(capsys, argv, line):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -255,12 +281,6 @@ def test_oversize_entry_error_names_the_sequence(capsys, entry):
     assert captured.out == ""
     assert captured.err == (
         f"error: the dual of ({entry}) is too long to write out\n")
-
-
-def test_census_bounds_out_of_range_exit_2(capsys):
-    assert main(["families", "census", "--seqmax", "-1"]) == 2
-    assert main(["families", "census", "--tmax", "-3"]) == 2
-    assert main(["families", "census", "--tmax", "-1", "--seqmax", "0"]) == 0
 
 
 def test_alt_gofk_census_failure_row(capsys, monkeypatch):
@@ -425,22 +445,6 @@ def test_readme_prose_is_wrapped():
         elif not fenced and not line.startswith("|") and len(line) > 79:
             long.append(number)
     assert long == []
-
-
-def test_star_and_genus_search_bad_input_exit_2(capsys):
-    for argv in (["simpleknot", "star", "0"], ["simpleknot", "star", "1"],
-                 ["simpleknot", "star", "-5"],
-                 ["simpleknot", "star", "1", "--eps", "+1"],
-                 ["simpleknot", "genus-search", "L(7,3)", "-1"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert (captured.err.startswith("error: ")
-                and captured.err.count("\n") == 1), argv
-    code, report = run_json(capsys, "simpleknot", "star", "2")
-    assert code == 0
-    code, report = run_json(capsys, "simpleknot", "genus-search", "L(7,3)", "0")
-    assert code == 0 and report["results"]["knots"] == ["K(7,3,1)", "K(7,3,3)"]
 
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -739,20 +743,6 @@ def test_negative_fraction_positionals(capsys):
     assert json.loads(plain)["parameters"]["filling"] == "P(-7/3,1,2,3)"
 
 
-def test_one_double_dash(capsys):
-    # a "--" after the first is no argument, where Python 3.11's argparse
-    # drops it from some arguments and keeps it in others, and read the
-    # genus-search argv with genus an empty list, which the handler crashed
-    # on
-    for argv in (["families", "eval", "--", "A", "1", "--"],
-                 ["simpleknot", "genus-search", "L(8,1)", "--", "--"],
-                 ["cf", "eval", "--", "--"]):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: unrecognized arguments: --\n", argv
-
-
 def _recorded_digests():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                         "digests.json")
@@ -827,8 +817,11 @@ def test_formats(capsys):
     # a cell with a comma is quoted, and a nested field is a JSON cell
     assert run(capsys, "--format", "csv", "lens", "normalize", "7", "2") == (
         0, 'lens\n"L(7,2)"\n')
+    # one csv row for a table-free report, the census and star at their
+    # least bounds too
     for argv in (["families", "census", "--tmax", "2", "--seqmax", "3"],
-                 ["simpleknot", "star", "31"]):
+                 ["families", "census", "--tmax", "-1", "--seqmax", "0"],
+                 ["simpleknot", "star", "31"], ["simpleknot", "star", "2"]):
         code, out = run(capsys, "--format", "csv", *argv)
         assert code == 0
         header, row = csv.reader(io.StringIO(out))
@@ -894,6 +887,8 @@ def test_genus_search_cli(capsys):
     assert code == 0 and report["results"]["knots"] == []
     code, report = run_json(capsys, "simpleknot", "genus-search", "L(5,4)", "1")
     assert "K(5,4,2)" in report["results"]["knots"]
+    code, report = run_json(capsys, "simpleknot", "genus-search", "L(7,3)", "0")
+    assert code == 0 and report["results"]["knots"] == ["K(7,3,1)", "K(7,3,3)"]
 
 
 def _command_levels():
@@ -1025,8 +1020,17 @@ _FUZZ_FIELD = st.one_of(
 _FUZZ_KINDS = {"seq": _FUZZ_SEQ, "prefix": _FUZZ_SEQ, "word": _FUZZ_WORD,
                "lens": _FUZZ_LENS, "link": _FUZZ_LINK, "value": _FUZZ_SLOPE,
                "slope": _FUZZ_SLOPE, "--x": _FUZZ_SLOPE}
-_FUZZ_GLOBALS = ([], [], [], ["--format", "text"], ["--format", "csv"],
-                 ["--timing"], ["--format", "xml"], ["--jobs", "2"])
+_FUZZ_GLOBALS = st.sampled_from((
+    [], [], [], ["--format", "text"], ["--format", "csv"], ["--timing"],
+    ["--format", "xml"], ["--jobs", "2"]))
+# Built once: a field per flag, and a count per positional's nargs
+_FUZZ_FIELDS = {flags[0]: st.one_of(_FUZZ_KINDS.get(flags[0], _FUZZ_INT),
+                                    _FUZZ_FIELD)
+                for arguments, *_ in COMMANDS.values()
+                for flags, _ in arguments}
+_FUZZ_COUNTS = {None: st.integers(1, 1), "+": st.integers(1, 3),
+                "?": st.integers(0, 1)}
+_FUZZ_ARITY = st.sampled_from(("keep", "keep", "keep", "drop", "add"))
 _VERIFICATION = ("pentangle verify", "families census", "families verify")
 
 
@@ -1035,20 +1039,17 @@ def _fuzz_argv(draw, name):
     """An argv for the command table entry name in the plain form's layout,
     with malformed fields (a slope such as -1/-1 is not even an argument of
     the plain form) and, at times, a field too few or too many."""
-    argv = draw(st.sampled_from(_FUZZ_GLOBALS)) + name.split()
+    argv = draw(_FUZZ_GLOBALS) + name.split()
     for flags, keywords in COMMANDS[name][0]:
-        flag = flags[0]
-        field = st.one_of(_FUZZ_KINDS.get(flag, _FUZZ_INT), _FUZZ_FIELD)
+        flag, field = flags[0], _FUZZ_FIELDS[flags[0]]
         if not flag.startswith("-"):
-            nargs = keywords.get("nargs")
-            low, high = {"+": (1, 3), "?": (0, 1)}.get(nargs, (1, 1))
-            count = draw(st.integers(low, high))
+            count = draw(_FUZZ_COUNTS[keywords.get("nargs")])
             argv += [draw(field) for _ in range(count)]
         elif keywords.get("action") == "store_true":
             argv += [flag] if draw(st.booleans()) else []
         elif keywords.get("required") or draw(st.booleans()):
             argv += [flag, draw(field)]
-    arity = draw(st.sampled_from(("keep", "keep", "keep", "drop", "add")))
+    arity = draw(_FUZZ_ARITY)
     if arity == "drop":
         argv.pop()
     elif arity == "add":

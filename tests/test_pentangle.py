@@ -417,8 +417,8 @@ def _once(kind, bound, make):
 
 def library_sweep(bound):
     """The library's (necessary, simplified, counterexamples) over the whole
-    walk at bound, with the lists as patched, the counterexamples as a
-    set."""
+    walk at bound, with the lists as patched, the walked counterexamples as
+    a set."""
     def make():
         tb = _SweepTables(stern_brocot_slopes(bound))
         return _sweep_chunk(tb, tb.walk)
@@ -437,14 +437,16 @@ def oracle_sweep(bound):
 
 
 def assert_sweeps_match_oracle(bounds):
-    """At each bound the whole sweep reports what the per-triple oracle
-    reports, and counts each necessary tuple as simplified or as a
-    counterexample.  Returns the sweep at the last bound."""
+    """At each bound the whole sweep, its walked counterexamples with their
+    orbit images, reports what the per-triple oracle reports, and counts
+    each necessary tuple as simplified or as a counterexample.  Returns the
+    sweep at the last bound, with the images."""
     for bound in bounds:
-        got = library_sweep(bound)
-        assert got == oracle_sweep(bound), bound
-        assert got[0] == got[1] + len(got[2]), bound
-    return got
+        necessary, simplified, walked = library_sweep(bound)
+        ces = oracle.orbit_images(walked)
+        assert (necessary, simplified, ces) == oracle_sweep(bound), bound
+        assert necessary == simplified + len(ces), bound
+    return necessary, simplified, ces
 
 
 def test_kernel_matches_oracle_bounds_2_to_8():
@@ -468,15 +470,15 @@ def test_classes_keep_simplification_rows_apart(monkeypatch, names):
 @pytest.mark.parametrize("names", MIXED_CELL_PATCHES)
 def test_counterexamples_in_mixed_cells(monkeypatch, names):
     # with only part of the simplification lists emptied, cells hold both
-    # simplified tuples and counterexamples, and each counterexample is one
-    # by the object predicates: necessary for every x-filling, and neither
-    # non-hyperbolic nor factoring through a listed pair
+    # simplified tuples and counterexamples, and each walked counterexample
+    # is one by the object predicates: necessary for every x-filling, and
+    # neither non-hyperbolic nor factoring through a listed pair.  The
+    # whole-sweep test at these lists counts the counterexamples
     empty_lists(monkeypatch, *names)
     rng = random.Random(29)
     for bound in SHARED_BOUNDS:
         slopes = stern_brocot_slopes(bound)
         necessary, simplified, ces = library_sweep(bound)
-        assert necessary == simplified + len(ces), bound
         for tup in rng.sample(sorted(ces), min(len(ces), 40)):
             f = F(*(slopes[i] for i in tup))
             assert all(two_bridge_necessary(f, x) for x in X_FILLINGS), f
@@ -490,7 +492,8 @@ def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
     several worker counts is swept once, and the whole walk is the library's
     whole sweep.  Up to bound 8 the chunks of each dealing, which partitions
     the walk, together report the per-triple oracle's sweep over every
-    tuple, and their counterexamples are returned."""
+    tuple, their walked counterexamples with their orbit images, and the
+    walked counterexamples are returned."""
     tb = _SweepTables(stern_brocot_slopes(bound))
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
@@ -498,7 +501,6 @@ def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
     def report(corners):
         want = [by_corner[i] for i in corners]
         return (sum(w[0] for w in want), sum(w[1] for w in want),
-                sum(len(w[2]) for w in want),
                 set().union(*(w[2] for w in want)))
 
     swept = set()
@@ -510,15 +512,14 @@ def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
             if tuple(corners) in swept:
                 continue
             swept.add(tuple(corners))
-            necessary, simplified, ces = (
-                library_sweep(bound) if corners == tb.walk
-                else _sweep_chunk(tb, corners))
-            assert (necessary, simplified, len(ces), ces) == report(
-                corners), (workers, corners)
+            got = (library_sweep(bound) if corners == tb.walk
+                   else _sweep_chunk(tb, corners))
+            assert got == report(corners), (workers, corners)
     if bound <= 8:
-        necessary, simplified, ces = oracle_sweep(bound)
-        assert report(tb.walk) == (necessary, simplified, len(ces), ces)
-        return ces
+        necessary, simplified, walked = report(tb.walk)
+        assert (necessary, simplified,
+                oracle.orbit_images(walked)) == oracle_sweep(bound)
+        return walked
 
 
 def test_kernel_matches_visit_oracle_by_chunk():
@@ -531,7 +532,7 @@ def test_kernel_matches_visit_oracle_by_chunk():
 def test_chunks_match_least_corner_oracle_with_counterexamples(monkeypatch,
                                                               names):
     # with lists emptied, cells hold counterexamples, which each chunk
-    # reports with their orbit images
+    # reports as the tuples it walks
     empty_lists(monkeypatch, *names)
     for bound in SHARED_BOUNDS:
         ces = assert_chunks_match_oracle(bound)
@@ -623,9 +624,11 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
     # with nothing simplifying, a group of several ne corners yields
     # counterexamples, which must be expanded over every member, and so do
     # walked tuples with c = 1, 2 and 3 corners equal to nw, which stand for
-    # 4 / c tuples of their orbit.  No tuple with four equal corners passes,
-    # as no slope lies in all three thin sets.  The chunk test with every
-    # list emptied checks the expansions against the least-corner oracle
+    # 4 / c tuples of their orbit.  A chunk returns only walked tuples: nw
+    # is their least corner in the order that puts T0 first.  No tuple with
+    # four equal corners passes, as no slope lies in all three thin sets.
+    # The chunk test with every list emptied checks the expansions against
+    # the least-corner oracle
     empty_lists(monkeypatch, *EVERY_LIST)
     tb = _SweepTables(stern_brocot_slopes(5))
     ces = library_sweep(5)[2]
@@ -634,8 +637,8 @@ def test_grouped_ne_corners_expand_counterexamples(monkeypatch):
                for g in ne_group_members(tb))
     rank = {s: r for r, s in enumerate(sorted(
         range(tb.n), key=lambda s: (not tb.in0[s], s)))}
-    walked = [ce for ce in ces if min(ce, key=rank.get) == ce[0]]
-    assert {ce.count(ce[0]) for ce in walked} == {1, 2, 3}
+    assert all(min(ce, key=rank.get) == ce[0] for ce in ces)
+    assert {ce.count(ce[0]) for ce in ces} == {1, 2, 3}
     assert not tb.m0 & tb.minf & tb.mm1
 
 
@@ -839,8 +842,8 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     necessary, simplified, ces = oracle_sweep(3)
     assert simplified == 0 and len(ces) == necessary > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in sorted(ces))
-    # chunks report the orbit images of their counterexamples, whose nw
-    # corners may lie outside the walk
+    # the report adds the orbit images of the counterexamples that chunks
+    # walk, whose nw corners may lie outside the walk
     for workers in (1, 2, 3, 7):
         results, got = verify_with_workers(monkeypatch, 3, workers)
         assert (results["necessary_all_three"], results["simplified"],
