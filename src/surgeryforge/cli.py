@@ -2,8 +2,8 @@
 deterministic JSON/CSV/text reports.
 
 Exit codes: 0 on success, 1 when a verification command finds
-counterexamples, 2 on usage errors.  Output is byte-identical across runs
-and worker counts; timing is only attached when --timing is passed.
+counterexamples, 2 on usage errors.  Output is byte-identical across
+runs; timing is only attached when --timing is passed.
 The `surgeryforge` process (and python -m surgeryforge.cli) ends through
 run, by os._exit once stdout and stderr are flushed, so atexit handlers do
 not run; main called in process returns its exit code.
@@ -523,10 +523,8 @@ def _help(words):
             lines.append(title)
             for action in group:
                 entry = "  " + invocation(action)
-                if action.help and len(entry) <= column - 2:
+                if action.help:
                     entry = entry.ljust(column) + action.help
-                elif action.help:
-                    entry += "\n" + " " * column + action.help
                 lines.append(entry)
             lines.append("")
     return "\n".join(lines)

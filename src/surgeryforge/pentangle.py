@@ -12,8 +12,7 @@ necessary conditions for two-bridgeness case by case over all slopes of
 bounded height and confirms there are no counterexamples.
 """
 
-import os
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from .rationals import (INF, ZERO, ExtRational, FrozenValue, _mobius, rat,
@@ -257,7 +256,7 @@ def case_holds(case, f):
 # ---------------------------------------------------------------------------
 # Slope enumeration: Stern-Brocot level order over Qhat, restricted to
 # height max(|num|, den) <= bound.  Deterministic, so sweep reports are
-# reproducible and partitions are stable.
+# reproducible.
 # ---------------------------------------------------------------------------
 
 
@@ -333,7 +332,12 @@ def stern_brocot_slopes(bound):
 # Minf; else fm1 within near(x0) on each x0 class.  The x0 values
 # are after and after & M0, with after the T0 corners from nw on and every
 # slope off T0; their near masks are the suffix unions of Vinf over the
-# walk, with near(off0) for the first, which the tables build once.
+# walk, with near(off0) for the first, which the tables build once.  For a
+# group off T0 and Tinf, f is fm1 & target, where the target is 0 for nw in
+# Tm1, after for nw in Tinf and otherwise the x0-reachable corners of an ne
+# outside T0, mostly a bit or none.  So only the groups whose fm1 meets the
+# target, besides the few in T0 or Tinf or on a pairing-A pair, take a key
+# of their own; the rest of each ident is the one class (ident, 0, 0).
 #
 # The kernel counts cells rather than visiting their sw corners.  The sw
 # corners in simp_k simplify whole; the others simplify exactly on
@@ -453,6 +457,25 @@ class _SweepTables:
                            self.full & ~am1]
         self.ne_groups = list(groups.values())
 
+        # The groups _pair_masks keys one by one for every nw: those in T0
+        # or Tinf, and those on a pairing-A pair, whose bit of ga[nw] can be
+        # set.  Any other group falls in the class (ident, 0, 0) unless its
+        # fm1 meets the target mask of nw, so it is indexed, as a bit over
+        # ne_groups, under each corner of its fm1, and per ident the tables
+        # keep the union of the js of such groups and one of them
+        self.keyed = []
+        self.by_fm1 = {}
+        self.plain = [(0, None)] * len(ids)
+        for g, group in enumerate(self.ne_groups):
+            js, j, ident, fm1, in0, inf, _, _ = group
+            if in0 or inf or self.ga[j]:
+                self.keyed.append(group)
+                continue
+            for k in _bits(fm1):
+                self.by_fm1[k] = self.by_fm1.get(k, 0) | 1 << g
+            self.plain[ident] = self.plain[ident][0] | js, group
+        self.fm1_support = sum(1 << k for k in self.by_fm1)
+
         # near(after) and near(after & M0) for the after of each walked nw
         # corner, from suffix unions of Vinf over the walk and near(off0).
         # Every pair of Vinf has a corner in Tinf, so near(off0) is the
@@ -513,10 +536,19 @@ def _pair_masks(tb, i, after):
     # reach a cell, for ne inside and outside T0
     near_after = after & near(after)
     reach_out = near_after & v0i | v0_out & near(out)
-    # the ne groups by what they give: each class's parts are built once
+    # the ne groups by what they give: each class's parts are built once.
+    # Only the groups the tables always key and those whose fm1 meets the
+    # target take a key of their own; the rest of each ident is one class
+    target = 0 if i_m1 else after if i_inf else reach_out
+    touched = 0
+    for k in _bits(target & tb.fm1_support):
+        touched |= tb.by_fm1[k]
+    plain = [js & after for js, _ in tb.plain]
     classes = {}
-    for group in tb.ne_groups:
+    for group in chain(tb.keyed, map(tb.ne_groups.__getitem__,
+                                     _bits(touched))):
         js, j, ident, fm1, j_in0, j_inf, _, _ = group
+        plain[ident] &= ~js
         js &= after
         if not js:
             continue
@@ -526,11 +558,10 @@ def _pair_masks(tb, i, after):
             f = fm1 & after
         else:
             f = fm1 & (near_after if j_in0 else reach_out)
-        key = ident, ga_i >> j & 1, f
-        if key in classes:
-            classes[key][0] |= js
-        else:
-            classes[key] = [js, group]
+        classes.setdefault((ident, ga_i >> j & 1, f), [0, group])[0] |= js
+    for ident, (js, (_, group)) in enumerate(zip(plain, tb.plain)):
+        if js:
+            classes.setdefault((ident, 0, 0), [0, group])[0] |= js
     # per x0 class of the sw corners, for ne inside and outside T0: the sw
     # masks on which x0 & xm1 is x0 & c for c = full, Mm1 and Vm1[nw], then
     # those x0 & c
@@ -561,8 +592,6 @@ def _pair_masks(tb, i, after):
                 parts.append((cell, c_mm1, rows))
             if c_vm1 and (cell := k_vm1 & rest):
                 parts.append((cell, c_vm1, rows))
-        if not parts:
-            continue
         simp_k, simp_base = _simp_masks(tb, i, j)
         if not tinf:
             yield js, parts, simp_k, simp_base
@@ -695,57 +724,14 @@ def verify_simplification(bound):
     slopes = stern_brocot_slopes(bound)
     n = len(slopes)
     tables = _SweepTables(slopes)
-    chunks = _partition(tables.walk, _workers(tables.walk))
-    results = None
-    if len(chunks) > 1:
-        # forked workers inherit the tables; only their nw corners are sent.
-        # Imported here because it costs every CLI process its import time.
-        from multiprocessing import get_context
-        try:
-            pool = get_context("fork").Pool(len(chunks),
-                                            initializer=_adopt_tables,
-                                            initargs=(tables,))
-        except OSError:
-            pass  # fork or a pipe failed; the report is the same in process
-        else:
-            with pool:
-                results = pool.map(_pool_chunk, chunks)
-    if results is None:
-        results = [_sweep_chunk(tables, tables.walk)]
+    necessary, simplified, walked = _sweep_chunk(tables, tables.walk)
     # a tuple outside the walk lies in the orbit of a walked one, or has no
     # corner in T0 and fails x = 0; each walked counterexample stands for
     # its images under _KLEIN
     return ({"bound": bound,
              "slope_count": n,
              "tuples_checked": n ** 4,
-             "necessary_all_three": sum(r[0] for r in results),
-             "simplified": sum(r[1] for r in results)},
+             "necessary_all_three": necessary,
+             "simplified": simplified},
             tuple(tuple(slopes[x] for x in ce) for ce in sorted(
-                {g(ce) for r in results for ce in r[2] for g in _KLEIN})))
-
-
-_worker_tables = None
-
-
-def _adopt_tables(tables):
-    global _worker_tables
-    _worker_tables = tables
-
-
-def _pool_chunk(corners):
-    return _sweep_chunk(_worker_tables, corners)
-
-
-def _workers(walk):
-    """One worker per 83 nw corners of walk, up to one per usable CPU: two
-    first tie with one in process at 165 (bound 82, 2 CPUs, Python 3.11.7).
-    One where os cannot fork (Windows), as the pool forks."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cpus, len(walk) // 83)) if hasattr(os, "fork") else 1
-
-
-def _partition(walk, workers):
-    """walk dealt round-robin into at most `workers` chunks: a corner's cost
-    falls steeply along the walk, so contiguous ranges would not balance."""
-    return [walk[w::workers] for w in range(min(workers, len(walk)))]
+                {g(ce) for ce in walked for g in _KLEIN})))

@@ -53,9 +53,29 @@ MUTANTS = [
      "(in0, inf, m1, self.gb[j], self.gc[j]), len(ids))",
      [T_PENTANGLE + "test_ne_corner_on_a_simplification_pair_stands_alone"]),
     (PENTANGLE,
-     "        key = ident, ga_i >> j & 1, f\n",
-     "        key = ident, 0, f\n",
+     "classes.setdefault((ident, ga_i >> j & 1, f), ",
+     "classes.setdefault((ident, 0, f), ",
      [T_PENTANGLE + "test_ne_corner_on_a_simplification_pair_stands_alone"]),
+    (PENTANGLE,
+     "            if in0 or inf or self.ga[j]:\n",
+     "            if in0 or inf:\n",
+     [T_PENTANGLE + "test_ne_corner_on_a_simplification_pair_stands_alone"]),
+    (PENTANGLE,
+     "        plain[ident] &= ~js\n",
+     "",
+     [T_PENTANGLE + "test_ne_classes_keep_every_needed_ne_corner"]),
+    (PENTANGLE,
+     "            classes.setdefault((ident, 0, 0), [0, group])[0] |= js\n",
+     "            pass\n",
+     [T_PENTANGLE + "test_kernel_matches_oracle_bounds_2_to_8"]),
+    (PENTANGLE,
+     "    target = 0 if i_m1 else after if i_inf else reach_out\n",
+     "    target = 0 if i_m1 else reach_out\n",
+     [T_PENTANGLE + "test_kernel_matches_oracle_bounds_2_to_8"]),
+    (PENTANGLE,
+     "    target = 0 if i_m1 else after if i_inf else reach_out\n",
+     "    target = 0 if i_m1 else after if i_inf else 0\n",
+     [T_PENTANGLE + "test_kernel_matches_visit_oracle_by_chunk"]),
     (PENTANGLE,
      "            if self.off0 >> k & 1:\n"
      "                near_off0 |= self.vinf[k]\n",
@@ -103,22 +123,21 @@ MUTANTS = [
      [T_PENTANGLE + "test_grouped_ne_corners_expand_counterexamples"]),
     # --- the pentangle report: orbit images of the walked counterexamples
     (PENTANGLE,
-     "for ce in r[2] for g in _KLEIN})))",
-     "for ce in r[2] for g in _KLEIN[:1]})))",
+     "for ce in walked for g in _KLEIN})))",
+     "for ce in walked for g in _KLEIN[:1]})))",
      [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
     (PENTANGLE,
      "for ce in sorted(\n                {g(ce)",
      "for ce in (\n                {g(ce)",
      [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
     (PENTANGLE,
-     '"necessary_all_three": sum(r[0] for r in results),',
-     '"necessary_all_three": results[0][0],',
-     [T_CLI + "test_pentangle_verify_bound_14_pinned",
-      T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
+     '"necessary_all_three": necessary,',
+     '"necessary_all_three": simplified,',
+     [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
     (PENTANGLE,
-     '"simplified": sum(r[1] for r in results)}',
-     '"simplified": results[0][1]}',
-     [T_CLI + "test_pentangle_verify_exit_and_determinism"]),
+     '"simplified": simplified}',
+     '"simplified": necessary}',
+     [T_PENTANGLE + "test_counterexamples_reported_when_nothing_simplifies"]),
     # --- the pentangle chart rows
     (PENTANGLE,
      '("sw", lambda m: (m - 1, -m, 1, -1))',
@@ -136,36 +155,14 @@ MUTANTS = [
      "if abs(s.den - s.num) == 1 else None)",
      "if abs(s.den - s.num) == 1 and s.den else None)",
      [T_PENTANGLE + "test_kernel_matches_oracle_bounds_2_to_8"]),
-    # --- the pentangle pool's chunks
-    (PENTANGLE,
-     "    return [walk[w::workers] for w in range(min(workers, len(walk)))]",
-     "    return [walk[w::workers] for w in range(\n"
-     "        workers if workers <= len(walk) else len(walk) - 1)]",
-     [T_PENTANGLE + "test_kernel_matches_visit_oracle_by_chunk"]),
+    # --- the pentangle chunks
     (PENTANGLE,
      "        after = tb.m0 >> i << i | tb.off0\n"
      "        for js, parts, simp_k, simp_base in _pair_masks(tb, i, after):",
      "        after = tb.m0 >> i << i | tb.off0 | 1 << corners[0]\n"
      "        for js, parts, simp_k, simp_base in _pair_masks(tb, i, after):",
      [T_PENTANGLE + "test_kernel_matches_visit_oracle_by_chunk",
-      T_CLI + "test_pentangle_verify_exit_and_determinism"]),
-    (PENTANGLE,
-     "    if len(chunks) > 1:\n",
-     "    if len(chunks) > 0:\n",
-     [T_PENTANGLE + "test_pool_sized_by_chunks"]),
-    (PENTANGLE,
-     "            pass  # fork or a pipe failed; the report is the same in"
-     " process\n",
-     "            raise\n",
-     [T_PENTANGLE + "test_pool_that_cannot_start_sweeps_in_process"]),
-    (PENTANGLE,
-     "    return max(1, min(cpus, len(walk) // 83)) if hasattr(os, \"fork\")",
-     "    return max(1, min(cpus, len(walk) // 82)) if hasattr(os, \"fork\")",
-     [T_PENTANGLE + "test_workers_sized_by_walk_and_cpus"]),
-    (PENTANGLE,
-     "    return max(1, min(cpus, len(walk) // 83)) if hasattr(os, \"fork\")",
-     "    return max(1, len(walk) // 83) if hasattr(os, \"fork\")",
-     [T_PENTANGLE + "test_workers_sized_by_walk_and_cpus"]),
+      T_CLI + "test_pentangle_verify_bound_14_pinned"]),
     # --- the simplification lists and their symmetries
     (PENTANGLE,
      "        (_ordered(nw, se), _ordered(sw, ne)),",
@@ -399,6 +396,28 @@ MUTANTS = [
      '    1: (("-1", (-6, 1), (6, -1, 2, -1)),) * 2,\n',
      '    1: (("-1", (-6, 1), (6, -1, 2, 1)),) * 2,\n',
      [T_ACCEPTANCE + "test_criterion_11_once_punctured_torus_catalog"]),
+    # --- the failure rows of the pipeline and the prop15 check
+    (FAMILIES,
+     '        bad.append(("exponent-survivors", survivor_orders))\n',
+     "        pass\n",
+     [T_CLI + "test_alt_gofk_exponent_survivors_row"]),
+    (FAMILIES,
+     '                bad.append(("genus-stage", lens, hits))\n',
+     "                pass\n",
+     [T_CLI + "test_alt_gofk_genus_stage_row"]),
+    (FAMILIES,
+     '        if rel == "mismatch" and not flagged:\n',
+     '        if rel == "mismatch" and flagged:\n',
+     [T_FAMILIES + "test_prop15_mismatch_rows_are_counterexamples"]),
+    (FAMILIES,
+     "            if not flagged:\n                raise\n",
+     "            if False:\n                raise\n",
+     [T_FAMILIES + "test_prop15_invalid_unflagged_partner_raises"]),
+    (PENTANGLE,
+     '        raise ValueError("x must be one of 0, inf, -1")\n',
+     '        raise ValueError("x must be 0, inf or -1")\n',
+     [T_CLI + "test_refused_argv_exits_2_with_one_error_line"
+      "[pentangle montesinos 1 2 3 4 --x 2]"]),
     # --- blocks and the command line
     (NORMSEQ,
      "    except (OverflowError, MemoryError):\n"

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import shlex
-import signal
 import subprocess
 import sys
 import types
@@ -22,7 +21,9 @@ from hypothesis import strategies as st
 from surgeryforge import cli, families, pentangle
 from surgeryforge.cli import COMMANDS, main
 from surgeryforge.lens import LensSpace
+from surgeryforge.normseq import to_lens
 from surgeryforge.rationals import INF, rat
+from surgeryforge.simpleknot import SimpleKnot
 
 
 def run(capsys, *argv):
@@ -53,31 +54,17 @@ def test_lens_homeo(capsys):
     assert report["results"]["homeomorphic"] is True
 
 
-def run_workers(monkeypatch, capsys, workers, *argv):
-    """run with the pentangle sweep split over `workers` processes."""
-    monkeypatch.setattr(pentangle, "_workers", lambda walk: workers)
-    return run(capsys, *argv)
-
-
-def test_pentangle_verify_exit_and_determinism(monkeypatch, capsys):
+def test_pentangle_verify_exit_and_determinism(capsys):
     code1, out1 = run(capsys, "pentangle", "verify", "--bound", "2")
     assert code1 == 0
     assert json.loads(out1)["counterexamples"] == []
-    code2, out2 = run_workers(monkeypatch, capsys, 3,
-                              "pentangle", "verify", "--bound", "2")
-    assert code2 == 0
-    assert out1 == out2  # byte-identical across worker counts
-    code3, out3 = run(capsys, "pentangle", "verify", "--bound", "2")
-    assert out1 == out3  # and across runs
+    code2, out2 = run(capsys, "pentangle", "verify", "--bound", "2")
+    assert out1 == out2  # byte-identical across runs
 
 
-def test_pentangle_verify_bound_14_pinned(monkeypatch, capsys):
-    code1, out1 = run_workers(monkeypatch, capsys, 1,
-                              "pentangle", "verify", "--bound", "14")
-    code2, out2 = run_workers(monkeypatch, capsys, 2,
-                              "pentangle", "verify", "--bound", "14")
-    assert code1 == code2 == 0
-    assert out1 == out2
+def test_pentangle_verify_bound_14_pinned(capsys):
+    code1, out1 = run(capsys, "pentangle", "verify", "--bound", "14")
+    assert code1 == 0
     report = json.loads(out1)
     assert report["results"] == {
         "bound": 14, "slope_count": 256, "tuples_checked": 256 ** 4,
@@ -191,7 +178,7 @@ _REFUSED = [
     ("simpleknot star 5 --eps=--", "unrecognized arguments: --eps=--"),
     ("pentangle montesinos 1 2 3 4 --x=--", "unrecognized arguments: --x=--"),
     ("--format=-- cf eval [1]", "unrecognized arguments: --format=--"),
-    # the sweep sizes its own pool: --jobs is no option, global or not
+    # the sweep runs in one process: --jobs is no option, global or not
     ("--jobs 4 pentangle verify --bound 5", "unrecognized arguments: --jobs"),
     ("pentangle verify --bound 2 --jobs 2", "unrecognized arguments: --jobs"),
     # bounds and orders below their ranges
@@ -202,6 +189,7 @@ _REFUSED = [
     ("simpleknot star -5", "p must be >= 2, got -5"),
     ("simpleknot star 1 --eps +1", "p must be >= 2, got 1"),
     ("simpleknot genus-search L(7,3) -1", "genus must be >= 0, got -1"),
+    ("pentangle montesinos 1 2 3 4 --x 2", "x must be one of 0, inf, -1"),
     # a "--" after the first is no argument, where Python 3.11's argparse
     # drops it from some arguments and keeps it in others, and read the
     # genus-search argv with genus an empty list, which the handler crashed
@@ -313,6 +301,31 @@ def test_alt_gofk_final_row_names_lens_spaces(capsys, monkeypatch):
         ["final", [[31, "L(32,7)"]]]]
     assert outs["text"].endswith("counterexamples: 1\n"
                                  '  ["final",[[31,"L(32,7)"]]]\n')
+
+
+def test_alt_gofk_exponent_survivors_row(capsys, monkeypatch):
+    # with the twist exponent sums of L(68, q) and its mirror off {-1, 1,
+    # 3} (and nonempty, so the census keeps its sequences) the exponent
+    # stage keeps three lens spaces, and its row lists their orders
+    sums = families.gofk_exponent_sums
+    monkeypatch.setattr(families, "gofk_exponent_sums", lambda seq: (
+        frozenset({5}) if to_lens(seq).p == 68 else sums(seq)))
+    code, out = run_json(capsys, "families", "verify", "alt-gofk")
+    assert code == 1
+    assert out["counterexamples"] == [["exponent-survivors", [18, 32, 50]]]
+
+
+def test_alt_gofk_genus_stage_row(capsys, monkeypatch):
+    # a primitive simple knot of the target genus 17 in L(50, 11) keeps the
+    # twist-family branch alive, and the genus stage's row names it
+    knots_with_genus = families.knots_with_genus
+    hit = SimpleKnot(50, 11, 3)
+    monkeypatch.setattr(families, "knots_with_genus", lambda lens, genus: (
+        (hit,) if lens.p == 50 else knots_with_genus(lens, genus)))
+    code, out = run_json(capsys, "families", "verify", "alt-gofk")
+    assert code == 1
+    assert out["counterexamples"] == [
+        ["genus-stage", "L(50,11)", [str(hit)]]]
 
 
 def _break_intersection_cases(monkeypatch, cases):
@@ -529,14 +542,14 @@ def in_process(capsys, argv):
     return code, captured.out.encode(), captured.err
 
 
-def cli_process(argv, **popen):
+def cli_process(argv):
     """A `python -m surgeryforge.cli argv` process with piped stdout and
     stderr, which stdout buffers."""
     env = dict(SRC_ENV)
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen(
         [sys.executable, "-m", "surgeryforge.cli", *argv], env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, **popen)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
 CENSUS_300 = ["families", "census", "--tmax", "300", "--seqmax", "300"]
@@ -552,24 +565,6 @@ def test_process_exit_keeps_every_byte(capsys, argv):
     # help text reach their readers whole, with main's exit code
     proc = cli_process(argv)
     out, err = proc.communicate(timeout=60)
-    assert (proc.returncode, out, err.decode()) == in_process(capsys, argv)
-
-
-def test_pool_sweep_process_leaves_no_process(capsys):
-    # os._exit skips multiprocessing's atexit hooks, so the sweep's fork
-    # pool must be gone with the process: its group is empty once reaped
-    argv = ["pentangle", "verify", "--bound", "83"]
-    walk = pentangle._SweepTables(pentangle.stern_brocot_slopes(83)).walk
-    if pentangle._workers(walk) == 1:
-        pytest.skip("bound 83 sweeps in process on one CPU")
-    proc = cli_process(argv, start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-    finally:
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
     assert (proc.returncode, out, err.decode()) == in_process(capsys, argv)
 
 
@@ -622,8 +617,8 @@ def test_unwritable_report_keeps_its_verdict(capsys, monkeypatch, error,
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # multiprocessing is imported only by a pentangle sweep that forks a
-    # pool, and a sweep at bound 10 runs in process
+    # the CLI starts no process: a pentangle sweep, at any bound, runs in
+    # the one process
     out = run_python("-c", "import sys, surgeryforge.cli; "
                            "print('multiprocessing' in sys.modules)")
     assert out == "False\n"
@@ -631,7 +626,7 @@ def test_cli_import_leaves_multiprocessing_out():
                            "with contextlib.redirect_stdout(io.StringIO()):\n"
                            "    code = surgeryforge.cli.main(sys.argv[1:])\n"
                            "print(code, 'multiprocessing' in sys.modules)",
-                     "pentangle", "verify", "--bound", "10")
+                     "pentangle", "verify", "--bound", "83")
     assert out == "0 False\n"
 
 
@@ -889,6 +884,11 @@ def test_genus_search_cli(capsys):
     assert "K(5,4,2)" in report["results"]["knots"]
     code, report = run_json(capsys, "simpleknot", "genus-search", "L(7,3)", "0")
     assert code == 0 and report["results"]["knots"] == ["K(7,3,1)", "K(7,3,3)"]
+    # S3 and S1xS2, of order 1 and 0, hold no simple knot to search
+    for lens, genus in (("S3", "0"), ("S1xS2", "1")):
+        code, report = run_json(capsys, "simpleknot", "genus-search", lens,
+                                genus)
+        assert code == 0 and report["results"]["knots"] == [], lens
 
 
 def _command_levels():

@@ -14,9 +14,9 @@ from surgeryforge.families import (ExcludedParameter, _gofk_sequences,
                                    optsurg_catalog, prop15_consistency,
                                    verify_three_filling_intersections)
 from surgeryforge.lens import (LensSpace, S1XS2, S3, homeo_oriented,
-                              is_lens_label)
+                              is_lens_label, mirror)
 from surgeryforge.normseq import riemenschneider_dual
-from surgeryforge.rationals import INF, rat
+from surgeryforge.rationals import INF, ExtRational, cf_step, rat
 from surgeryforge.simpleknot import (SimpleKnot, canonical_triple,
                                      star_solutions)
 
@@ -202,6 +202,93 @@ def test_sweeps_read_their_ranges_from_families(monkeypatch, capsys):
     assert main(["families", "verify", "intersections", "--bound", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["counterexamples"] == [["case_1a", []]]
+
+
+def _relabel_x0(monkeypatch, q):
+    """Give X0 the q-label q in place of 2m - 1 (p stays 6m - 1)."""
+    parameters, chart, slots, ((p, _),) = families.FAMILIES["X0"]
+    monkeypatch.setitem(families.FAMILIES, "X0",
+                        (parameters, chart, slots, ((p, q),)))
+
+
+def test_prop15_mismatch_rows_are_counterexamples(monkeypatch):
+    # X0[-n, 4] read as L(6m - 1, 1) no longer matches A[2, n] at slot 1,
+    # and exactly the unflagged mismatch rows are reported
+    _relabel_x0(monkeypatch, {"": 1})
+    r, ces = prop15_consistency(4)
+    assert ces and ces == tuple(row for row in r["rows"] if
+                                row["relation"] == "mismatch"
+                                and not row["flagged"])
+    assert {(row["setting"], row["alpha"]) for row in ces} == {
+        ("A[2,n]", rat(1))}
+
+
+def test_prop15_invalid_unflagged_partner_raises(monkeypatch):
+    # only the flagged X1 partner may carry an invalid label; an invalid
+    # X0 label, q = p, is raised
+    _relabel_x0(monkeypatch, {"m": 6, "": -1})
+    with pytest.raises(ValueError, match=r",0\) is not a lens space label"):
+        prop15_consistency(4)
+
+
+def _members(family, params):
+    """The members of a family among the given parameters."""
+    out = []
+    for param in params:
+        try:
+            family_triple(family, param)
+        except ExcludedParameter:
+            continue
+        out.append(param)
+    return out
+
+
+def _slot_label(family, params, slot):
+    """A member's lens space at a finite slot; None for an invalid label."""
+    try:
+        return dict(family_triple(family, params))[slot]
+    except ExcludedParameter:
+        raise
+    except ValueError:
+        return None
+
+
+def test_family_tables_agree_on_shared_members(monkeypatch):
+    # A[m, n] = X2[m, 3 - 1/n] = X1[n, 2 - 1/m] and B[p/q] = X2[-2, p/q] =
+    # X1[2, p/q] have the same charts up to the swap of the two cusps, so
+    # their labels at a shared slot name one lens space (ROADMAP items 2
+    # and 17).  At slot 2 the tables agree on every member of the box.  At
+    # slot 1 the shipped X1 label agrees with A nowhere, while X1 with the
+    # p-label 2mp - 6mq - p + q agrees with A as given and with B only as
+    # its mirror, which equals B exactly where B is its own mirror
+    box = range(-12, 13)
+    a_members = _members("A", product(box, box))
+    b_members = _members("B", [(ExtRational(p, q),) for p in box
+                               for q in range(1, 13) if gcd(p, q) == 1])
+    assert (len(a_members), len(b_members)) == (506, 178)
+    x2_of_a = [(m, cf_step(3, rat(n))) for m, n in a_members]
+    x1_of_a = [(n, cf_step(2, rat(m))) for m, n in a_members]
+    x_of_b = [(2, pq) for pq, in b_members]
+    two, one = rat(2), rat(1)
+    for a, x2 in zip(a_members, x2_of_a):
+        assert _slot_label("A", a, two) == _slot_label("X2", x2, two), a
+    for (pq,), x1 in zip(b_members, x_of_b):
+        assert (_slot_label("B", (pq,), two)
+                == _slot_label("X2", (-2, pq), two)), pq
+    assert not any(_slot_label("A", a, one) == _slot_label("X1", x1, one)
+                   for a, x1 in zip(a_members, x1_of_a))
+    parameters, chart, slots, ((_, q_label),) = families.FAMILIES["X1"]
+    p_label = {"mp": 2, "mq": -6, "p": -1, "q": 1}
+    monkeypatch.setitem(families.FAMILIES, "X1",
+                        (parameters, chart, slots, ((p_label, q_label),)))
+    for a, x1 in zip(a_members, x1_of_a):
+        assert _slot_label("A", a, one) == _slot_label("X1", x1, one), a
+    own_mirrors = 0
+    for b, x1 in zip(b_members, x_of_b):
+        lens = _slot_label("B", b, one)
+        assert mirror(lens) == _slot_label("X1", x1, one), b
+        own_mirrors += lens == mirror(lens)
+    assert own_mirrors == 3
 
 
 def test_fam_a_table_matches_closed_form():

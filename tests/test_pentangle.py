@@ -1,10 +1,6 @@
-import errno
 import functools
-import multiprocessing
-import os
 import random
 from itertools import product
-from types import SimpleNamespace
 
 import pentangle_oracle as oracle
 import pytest
@@ -15,8 +11,7 @@ from surgeryforge import pentangle
 from surgeryforge.pentangle import (MIRROR_P3_LISTS, NONHYP_LISTS,
                                     P3_LISTS, ROW_CONSTRAINTS,
                                     P5Filling as F, _KLEIN, _ROWS,
-                                    _bits, _pair_masks, _partition,
-                                    _simp_masks,
+                                    _bits, _pair_masks, _simp_masks,
                                     _sweep_chunk, _SweepTables, case_holds,
                                     factors_through_P3, is_nonhyperbolic,
                                     montesinos_presentations, simplifies,
@@ -486,14 +481,15 @@ def test_counterexamples_in_mixed_cells(monkeypatch, names):
     assert simplified > 0 and ces
 
 
-def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
-    """Each worker's chunk, the walked nw corners dealt to it, reports what
-    the least-corner oracle reports for those corners; a chunk dealt under
-    several worker counts is swept once, and the whole walk is the library's
-    whole sweep.  Up to bound 8 the chunks of each dealing, which partitions
-    the walk, together report the per-triple oracle's sweep over every
-    tuple, their walked counterexamples with their orbit images, and the
-    walked counterexamples are returned."""
+def assert_chunks_match_oracle(bound, chunk_counts=(1, 2, 3, 7, 128)):
+    """Each chunk of the walk dealt round-robin into `count` chunks, for
+    each count of chunk_counts, reports what the least-corner oracle
+    reports for its nw corners; a chunk dealt under several counts is swept
+    once, and the whole walk is the library's whole sweep.  Up to bound 8
+    the chunks of each dealing, which partitions the walk, together report
+    the per-triple oracle's sweep over every tuple, their walked
+    counterexamples with their orbit images, and the walked
+    counterexamples are returned."""
     tb = _SweepTables(stern_brocot_slopes(bound))
     assert tb.walk == [i for i in range(tb.n) if tb.in0[i]]
     by_corner = {i: oracle.least_corner_chunk(tb, [i]) for i in tb.walk}
@@ -504,17 +500,15 @@ def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
                 set().union(*(w[2] for w in want)))
 
     swept = set()
-    for workers in worker_counts:
-        dealt = _partition(tb.walk, workers)
-        assert len(dealt) == min(workers, len(tb.walk))
-        assert sorted(i for corners in dealt for i in corners) == tb.walk
+    for count in chunk_counts:
+        dealt = [tb.walk[w::count] for w in range(min(count, len(tb.walk)))]
         for corners in dealt:
             if tuple(corners) in swept:
                 continue
             swept.add(tuple(corners))
             got = (library_sweep(bound) if corners == tb.walk
                    else _sweep_chunk(tb, corners))
-            assert got == report(corners), (workers, corners)
+            assert got == report(corners), (count, corners)
     if bound <= 8:
         necessary, simplified, walked = report(tb.walk)
         assert (necessary, simplified,
@@ -523,8 +517,8 @@ def assert_chunks_match_oracle(bound, worker_counts=(1, 2, 3, 7, 128)):
 
 
 def test_kernel_matches_visit_oracle_by_chunk():
-    # the walk ranges that pool workers sweep, at a bound above the range
-    # of the per-triple oracle
+    # chunks of the walk, at a bound above the range of the per-triple
+    # oracle
     assert_chunks_match_oracle(10)
 
 
@@ -842,12 +836,11 @@ def test_counterexamples_reported_when_nothing_simplifies(monkeypatch):
     necessary, simplified, ces = oracle_sweep(3)
     assert simplified == 0 and len(ces) == necessary > 0
     named = tuple(tuple(slopes[x] for x in ce) for ce in sorted(ces))
-    # the report adds the orbit images of the counterexamples that chunks
-    # walk, whose nw corners may lie outside the walk
-    for workers in (1, 2, 3, 7):
-        results, got = verify_with_workers(monkeypatch, 3, workers)
-        assert (results["necessary_all_three"], results["simplified"],
-                got) == (necessary, simplified, named), workers
+    # the report adds the orbit images of the counterexamples that the
+    # walk meets, whose nw corners may lie outside the walk
+    results, got = verify_simplification(3)
+    assert (results["necessary_all_three"], results["simplified"],
+            got) == (necessary, simplified, named)
 
 
 def test_verify_simplification_small_bounds():
@@ -867,120 +860,3 @@ def test_necessary_tuples_pinned(bound, necessary):
     results, ces = verify_simplification(bound)
     assert ces == ()
     assert results["necessary_all_three"] == results["simplified"] == necessary
-
-
-def verify_with_workers(monkeypatch, bound, workers):
-    """verify_simplification(bound) with its walk split over `workers`."""
-    monkeypatch.setattr(pentangle, "_workers", lambda walk: workers)
-    return verify_simplification(bound)
-
-
-@functools.cache
-def serial_sweep(bound):
-    """verify_simplification(bound) in process, made once per module."""
-    with pytest.MonkeyPatch.context() as patch:
-        return verify_with_workers(patch, bound, 1)
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """The sizes of the pools sweeps ask for: a fake fork context runs the
-    chunks in process and records each size; no process is started."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: SimpleNamespace(Pool=Pool))
-    monkeypatch.setattr(pentangle, "_worker_tables", None)
-    return sizes
-
-
-def test_pool_sized_by_chunks(monkeypatch, pool_sizes):
-    serial = verify_simplification(2)
-    assert pool_sizes == []  # a walk of 5 is swept in process
-    # the workers split the walked nw corners, the 5 slopes of T0 at bound
-    # 2 (inf, +-1 and +-1/2), so 64 workers ask for a pool of 5
-    walk = _SweepTables(stern_brocot_slopes(2)).walk
-    for workers, chunks in ((64, 5), (3, 3), (2, 2)):
-        assert verify_with_workers(monkeypatch, 2, workers) == serial
-        assert pool_sizes[-1] == chunks == len(_partition(walk, workers))
-    assert len(pool_sizes) == 3
-
-
-@pytest.mark.parametrize("source", ["sched_getaffinity", "cpu_count"])
-def test_workers_sized_by_walk_and_cpus(monkeypatch, pool_sizes, source):
-    # one worker per 83 walked nw corners, at most one per CPU the process
-    # may run on, read from its affinity mask or, where os has no
-    # sched_getaffinity (macOS), from os.cpu_count()
-    def cpus(count):
-        if source == "sched_getaffinity":
-            monkeypatch.setattr(os, source, lambda pid: range(count))
-        else:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            monkeypatch.setattr(os, source, lambda: count)
-
-    cpus(10_000)
-    assert [pentangle._workers(range(n))
-            for n in (5, 165, 166, 332, 10**6)] == [1, 1, 2, 4, 10_000]
-    cpus(3)
-    assert pentangle._workers(range(10**6)) == 3
-    cpus(1)
-    assert pentangle._workers(range(10**6)) == 1
-    # 10,000 CPUs sweep bound 82 (a walk of 165) in process and bound 83
-    # (167) in a pool of 2, to the report of one worker
-    cpus(10_000)
-    verify_simplification(82)
-    assert pool_sizes == []
-    assert verify_simplification(83) == serial_sweep(83)
-    assert pool_sizes == [2]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool forks")
-def test_pool_that_cannot_start_sweeps_in_process(monkeypatch):
-    # fork or a pipe can fail (EAGAIN under a process limit, ENOMEM,
-    # EMFILE); the walk is then swept in process, to the same report
-    serial = verify_with_workers(monkeypatch, 10, 1)
-    asked = []
-
-    def refuse(*args, **kwargs):
-        asked.append(args)
-        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(type(multiprocessing.get_context("fork")), "Pool",
-                        refuse)
-    assert verify_with_workers(monkeypatch, 10, 2) == serial
-    assert len(asked) == 1
-
-
-def test_workers_without_a_cpu_count(monkeypatch):
-    # os.cpu_count() is None where the count cannot be determined
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pentangle._workers(range(10**6)) == 1
-
-
-def test_workers_without_fork(monkeypatch):
-    # Windows has neither os.fork nor os.sched_getaffinity; the pool forks,
-    # so a sweep there stays in process whatever its CPU count
-    monkeypatch.delattr(os, "fork", raising=False)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-
-    def get_context(method):
-        pytest.fail(f"asked for a {method} context")
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    assert pentangle._workers(range(10**6)) == 1
-    assert verify_simplification(83) == serial_sweep(83)
