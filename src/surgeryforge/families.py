@@ -6,12 +6,12 @@ and the once-punctured-torus surgery catalog.
 
 Each family is a chart: its members are the fillings M3(x, y, s) with the
 slopes (x, y) a function of the family parameters, and a member is excluded
-when a chart slope is exceptional (in {0, 1, 2, 3, inf}).  The lens space at
-slot inf is surgery on a Hopf link, computed from the chart; at each finite
-lens slot it is a polynomial label in the family parameters, all read from
-one coefficient table.  The slot-1 formula of the X1 family is inconsistent
-with the A/B families on overlaps and is excluded from consistency checking
-(see the flagged rows it produces).
+when a chart slope is exceptional (in {0, 1, 2, 3, inf}), as is B[3/2].
+The lens space at slot inf is surgery on a Hopf link, computed from the
+chart; at each finite lens slot it is a polynomial label in the family
+parameters, all read from one coefficient table.  The slot-1 formula of the
+X1 family is inconsistent with the A/B families on overlaps and is excluded
+from consistency checking (see the flagged rows it produces).
 """
 
 from math import prod
@@ -27,49 +27,49 @@ from .simpleknot import (SimpleKnot, canonical_triple, genus_primitive,
 
 
 class ExcludedParameter(ValueError):
-    """Raised when family parameters violate the stated exclusions."""
+    """Raised for a family member that _chart's exclusion rule refuses."""
 
 
 _X_PQ = {rat(0), rat(1), rat(2), rat(3), INF}
 
-# name: (parameters, chart, lens slots, labels).  A parameter is (name,
-# excluded values), where the slope "p/q" gives the variables p and q.  The
-# chart maps a member's parameters to the slopes (x, y) of its cusps: the
-# member is the filling M3(x, y, s) of the magic manifold (Martelli and
-# Petronio, "Dehn filling of the 'magic' 3-manifold", Comm. Anal. Geom.
-# 2006), and (x, y) is in the order _slot_inf reads.  A member with a chart
-# slope in _X_PQ is excluded, as is each excluded parameter value.  The
-# labels are the lens spaces' (p, q) at the finite lens slots, in order,
-# each a pair of polynomials {monomial: coefficient} whose monomial is the
-# string of its variables ("mp" is m p, "" the constant).  Every family has
-# the lens slot inf as well, computed from the chart.
+# B[3/2], the chart M3(5/2, 3/2), is excluded although neither slope is in
+# _X_PQ.  A[2,2], X1[2,3/2], X2[-2,3/2] and X2[2,5/2] have the same chart up
+# to the order of the cusps and stay members (ROADMAP item 14).
+_B_EXCEPTIONAL = ("B", (rat(5, 2), rat(3, 2)))
+
+# name: (parameters, chart, lens slots, labels).  The parameters are named
+# in order, where the slope "p/q" gives the variables p and q.  The chart
+# maps a member's parameters to the slopes (x, y) of its cusps: the member
+# is the filling M3(x, y, s) of the magic manifold (Martelli and Petronio,
+# "Dehn filling of the 'magic' 3-manifold", Comm. Anal. Geom. 2006), and
+# (x, y) is in the order _slot_inf reads.  A member with a chart slope in
+# _X_PQ is excluded, as is _B_EXCEPTIONAL.  The labels are the lens spaces'
+# (p, q) at the finite lens slots, in order, each a pair of polynomials
+# {monomial: coefficient} whose monomial is the string of its variables
+# ("mp" is m p, "" the constant).  Every family has the lens slot inf as
+# well, computed from the chart.
 FAMILIES = {
     # Two slot formulas of the two-filling families X0-X3 are written with
     # the parameter m where the transcription read n.
-    "X0": ((("m", {0}), ("n", {0, 1, 2, 3})),
-           lambda m, n: (rat(n), cf_step(4 - n, rat(m))), (rat(0),),
-           (({"m": 6, "": -1}, {"m": 2, "": -1}),)),
+    "X0": (("m", "n"), lambda m, n: (rat(n), cf_step(4 - n, rat(m))),
+           (rat(0),), (({"m": 6, "": -1}, {"m": 2, "": -1}),)),
     # the slot-1 label is kept verbatim from the transcription although it
     # is inconsistent with the A/B families on shared manifolds
-    "X1": ((("m", {0, 1}), ("p/q", _X_PQ)),
-           lambda m, pq: (cf_step(3, rat(m)), pq), (rat(1),),
+    "X1": (("m", "p/q"), lambda m, pq: (cf_step(3, rat(m)), pq), (rat(1),),
            (({"mp": 2, "mq": -6, "p": 1, "q": -1},
              {"mp": 1, "mq": -3, "q": -1}),)),
-    "X2": ((("m", {-1, 0, 1}), ("p/q", _X_PQ)),
-           lambda m, pq: (cf_step(2, rat(m)), pq), (rat(2),),
+    "X2": (("m", "p/q"), lambda m, pq: (cf_step(2, rat(m)), pq), (rat(2),),
            (({"mp": 3, "mq": -6, "p": -2, "q": 1},
              {"mp": 1, "mq": -2, "p": -1, "q": 1}),)),
-    "X3": ((("m", {-1, 0, 1}), ("n", {-1, 0, 1})),
+    "X3": (("m", "n"),
            lambda m, n: (cf_step(1, rat(m)), cf_step(1, rat(n))), (rat(3),),
            (({"mn": 4, "m": 2, "n": 2, "": -3}, {"mn": 2, "m": 1, "": -2}),)),
-    "A": ((("m", {-1, 0, 1}), ("n", {0, 1})),
-          lambda m, n: (cf_step(3, rat(n)), cf_step(2, rat(m))),
+    "A": (("m", "n"), lambda m, n: (cf_step(3, rat(n)), cf_step(2, rat(m))),
           (rat(1), rat(2)),
           (({"mn": 2, "m": 1, "n": 2, "": -1}, {"mn": 1, "m": 1, "n": 1}),
            ({"mn": 3, "m": -3, "n": -5, "": 2},
             {"mn": 1, "m": -1, "n": -2, "": 1}))),
-    "B": ((("p/q", _X_PQ | {rat(3, 2)}),), lambda pq: (rat(5, 2), pq),
-          (rat(1), rat(2)),
+    "B": (("p/q",), lambda pq: (rat(5, 2), pq), (rat(1), rat(2)),
           (({"p": -3, "q": 11}, {"p": 2, "q": -7}),
            ({"p": 8, "q": -13}, {"p": 3, "q": -5}))),
 }
@@ -85,7 +85,7 @@ def parse_params(family, raw):
         raise ValueError(f"family {family} takes {len(parameters)} "
                          f"parameter(s), got {len(raw)}")
     params = []
-    for (name, _), text in zip(parameters, raw):
+    for name, text in zip(parameters, raw):
         if name == "p/q":
             params.append(parse_slope(text))
             continue
@@ -102,7 +102,7 @@ def _evaluate(family, params):
     slots, in order, with no exclusion check."""
     parameters, _, _, labels = FAMILIES[family]
     values = {}
-    for (name, _), value in zip(parameters, params):
+    for name, value in zip(parameters, params):
         if name == "p/q":
             values["p"], values["q"] = value.num, value.den
         else:
@@ -114,17 +114,14 @@ def _evaluate(family, params):
 
 
 def _chart(family, params):
-    """The chart slopes (x, y) of a family member, after checking each
-    parameter in turn and then the slopes against the family's exclusions."""
+    """The chart slopes (x, y) of a family member, after checking that
+    neither is in _X_PQ and that the member is not _B_EXCEPTIONAL."""
     parameters, chart, _, _ = FAMILIES[family]
-    bad = [f"{name} = {value}" for (name, values), value
-           in zip(parameters, params) if value in values]
     slopes = chart(*params)
-    if not _X_PQ.isdisjoint(slopes):
-        names = ",".join(name for name, _ in parameters)
-        bad.append(f"({names}) = ({','.join(map(str, params))})")
-    if bad:
-        raise ExcludedParameter(f"{family}: excluded parameters ({bad[0]})")
+    if not _X_PQ.isdisjoint(slopes) or (family, slopes) == _B_EXCEPTIONAL:
+        raise ExcludedParameter(
+            f"{family}: excluded parameters (({','.join(parameters)}) = "
+            f"({','.join(map(str, params))}))")
     return slopes
 
 
@@ -198,10 +195,9 @@ def _coprime_everywhere(label):
     return False
 
 
-def _allowed(family, parameter, values):
-    """The values that FAMILIES lets the family's parameter take."""
-    excluded = dict(FAMILIES[family][0])[parameter]
-    return [value for value in values if value not in excluded]
+def _allowed(c, values):
+    """The values v whose chart slope c - 1/v is not in _X_PQ."""
+    return [v for v in values if cf_step(c, rat(v)) not in _X_PQ]
 
 
 def verify_three_filling_intersections(bound):
@@ -211,14 +207,16 @@ def verify_three_filling_intersections(bound):
 
     Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
     case 3 ({2,inf} vs {3,inf}), each in both pairing orders, over the
-    values in [-bound, bound] that FAMILIES allows.  Returns (results,
-    counterexamples): the solution sets per case, and a (case, solutions)
-    row for each case whose solutions are not the expected ones."""
+    values in [-bound, bound] whose chart slopes are not in _X_PQ.
+    Returns (results, counterexamples): the solution sets per case, and a
+    (case, solutions) row for each case whose solutions are not the
+    expected ones."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     rng = range(-bound, bound + 1)
-    m0, m1, m2, m3 = (_allowed(f"X{i}", "m", rng) for i in range(4))
-    a_m, a_n = _allowed("A", "m", rng), _allowed("A", "n", rng)
+    # the chart slopes c - 1/v: X0's 5 - 1/m at case 1b's n = -1, X1-X3, A
+    m0, m1, m2, m3 = (_allowed(c, rng) for c in (5, 3, 2, 1))
+    a_m, a_n = _allowed(2, rng), _allowed(3, rng)
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
     # works and gives the A family member A[m'', m'], whose three lens
@@ -240,15 +238,16 @@ def verify_three_filling_intersections(bound):
 
     # (case, solutions, expected solutions), in report order
     cases = (
-        # Case 1a: n = 3 - 1/m'.  Forces m' = -1, n = 4 (m' = +1 is
-        # excluded), leaving the one-parameter family M3(4, -1/m).
-        ("case_1a", tuple((s.num, mp) for mp in m1
+        # Case 1a: n = 3 - 1/m', one slope of X0 and X1, so one exclusion
+        # test.  Forces m' = -1, n = 4 (m' = +1 gives n = 2), leaving the
+        # one-parameter family M3(4, -1/m).
+        ("case_1a", tuple((s.num, mp) for mp in rng
                           if (s := cf_step(3, rat(mp))).is_integer
-                          and _allowed("X0", "n", [s.num])), ((4, -1),)),
+                          and s not in _X_PQ), ((4, -1),)),
         # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m', so n = 1 + t with
         # t = 1/m' - 1/m an integer, m != 0.  |t| <= 2 as m' is not 0 or 1,
         # and n is not 0..3, so t = -2: 0 - 1/m = -2 - 1/m' with n = -1,
-        # which no (m, n) exclusion meets.
+        # where X0's slopes -1 and 5 - 1/m meet _X_PQ only at m = 0.
         ("case_1b", tuple((m, mp, -1) for m, mp
                           in _coincidences(0, m0, -2, m1)),
          ((1, -1, -1),)),
@@ -316,14 +315,14 @@ def prop15_consistency(bound):
             bad.append(row)
 
     # Setting I: A[m,-1] = M3(2-1/m, 4) against M3(3/2, mu^-1(slot), 1+1/m).
-    for m in _allowed("A", "m", range(-bound, bound + 1)):
+    for m in _allowed(2, range(-bound, bound + 1)):
         pq = cf_step(1, rat(-m))  # 1 + 1/m
         record("A[m,-1]", m, (m, -1), rat(1), ("X2", (2, pq), INF))
         record("A[m,-1]", m, (m, -1), rat(2), ("X3", (-2, -m), rat(3)))
         record("A[m,-1]", m, (m, -1), INF, ("X2", (2, pq), rat(2)))
 
     # Setting II: A[2,n] = M3(3/2, 3-1/n) against M3(4, mu(slot), 1/n).
-    for n in _allowed("A", "n", range(-bound, bound + 1)):
+    for n in _allowed(3, range(-bound, bound + 1)):
         record("A[2,n]", n, (2, n), rat(1), ("X0", (-n, 4), rat(0)))
         record("A[2,n]", n, (2, n), rat(2), ("X0", (-n, 4), INF))
         # the partner of the inf slot is the slot-1 formula of X1, which is

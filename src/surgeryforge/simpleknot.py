@@ -124,7 +124,5 @@ def knots_with_genus(lens, genus):
     non-primitive ones and those of even Euler characteristic) never match.
     """
     p, q = lens.p, lens.q
-    if p < 2:
-        return ()
     knots = (SimpleKnot(p, q, k) for k in range(1, p // 2 + 1))
     return tuple(knot for knot in knots if genus_primitive(knot) == genus)

@@ -96,9 +96,11 @@ def verify_three_filling_intersections(bound):
                           if sols != want)
 
 
-def _check(cond, family, message):
+def _check(cond, family, names, *params):
+    # the one error line of an excluded member, whichever condition fails
     if not cond:
-        raise ExcludedParameter(f"{family}: excluded parameters ({message})")
+        raise ExcludedParameter(f"{family}: excluded parameters (({names}) = "
+                                f"({','.join(map(str, params))}))")
 
 
 _X_PQ_EXCLUDED = {rat(0), rat(1), rat(2), rat(3), INF}
@@ -106,16 +108,14 @@ _B_PQ_EXCLUDED = {rat(0), rat(1), rat(3, 2), rat(2), rat(3), INF}
 
 
 def _x0(m, n):
-    _check(m != 0, "X0", "m = 0")
-    _check(n not in (0, 1, 2, 3), "X0", f"n = {n}")
-    _check((m, n) not in ((-1, 4), (-1, 5)), "X0", f"(m,n) = ({m},{n})")
+    _check(m != 0 and n not in (0, 1, 2, 3)
+           and (m, n) not in ((-1, 4), (-1, 5)), "X0", "m,n", m, n)
     c = 1 - m * (4 - n)
     return (6 * m - 1, 2 * m - 1), (-n * c - m, c)
 
 
 def _x1(m, pq):
-    _check(m not in (0, 1), "X1", f"m = {m}")
-    _check(pq not in _X_PQ_EXCLUDED, "X1", f"p/q = {pq}")
+    _check(m not in (0, 1) and pq not in _X_PQ_EXCLUDED, "X1", "m,p/q", m, pq)
     p, q = pq.num, pq.den
     # the slot-1 label is kept verbatim from the transcription although it
     # is inconsistent with the A/B families on shared manifolds
@@ -124,16 +124,15 @@ def _x1(m, pq):
 
 
 def _x2(m, pq):
-    _check(m not in (-1, 0, 1), "X2", f"m = {m}")
-    _check(pq not in _X_PQ_EXCLUDED, "X2", f"p/q = {pq}")
+    _check(m not in (-1, 0, 1) and pq not in _X_PQ_EXCLUDED, "X2", "m,p/q",
+           m, pq)
     p, q = pq.num, pq.den
     return ((3 * m * (p - 2 * q) - 2 * p + q, m * (p - 2 * q) - p + q),
             (-m * (2 * p - q) + p, 2 * p - q))
 
 
 def _x3(m, n):
-    _check(m not in (-1, 0, 1), "X3", f"m = {m}")
-    _check(n not in (-1, 0, 1), "X3", f"n = {n}")
+    _check(m not in (-1, 0, 1) and n not in (-1, 0, 1), "X3", "m,n", m, n)
     return (((1 + 2 * m) * (1 + 2 * n) - 4, m * (1 + 2 * n) - 2),
             (m + n - 1, -1))
 
@@ -146,13 +145,12 @@ def _fam_a_labels(m, n):
 
 
 def _fam_a(m, n):
-    _check(m not in (-1, 0, 1), "A", f"m = {m}")
-    _check(n not in (0, 1), "A", f"n = {n}")
+    _check(m not in (-1, 0, 1) and n not in (0, 1), "A", "m,n", m, n)
     return _fam_a_labels(m, n)
 
 
 def _fam_b(pq):
-    _check(pq not in _B_PQ_EXCLUDED, "B", f"p/q = {pq}")
+    _check(pq not in _B_PQ_EXCLUDED, "B", "p/q", pq)
     p, q = pq.num, pq.den
     return ((-3 * p + 11 * q, 2 * p - 7 * q), (8 * p - 13 * q, 3 * p - 5 * q),
             (5 * p - 2 * q, 2 * p - q))

@@ -251,6 +251,26 @@ MUTANTS = [
      [T_FAMILIES + "test_gofk_sequences_match_product_oracle",
       T_FAMILIES + "test_seeds_match_old_generator_on_bound_grid",
       T_FAMILIES + "test_census_ok_on_bound_grid"]),
+    # --- the exclusion rule: the exceptional slopes and B's chart
+    (FAMILIES,
+     '_B_EXCEPTIONAL = ("B", (rat(5, 2), rat(3, 2)))',
+     '_B_EXCEPTIONAL = ("B", ())',
+     [T_FAMILIES + "test_family_exclusions_are_named",
+      T_FAMILIES + "test_fam_a_table_matches_closed_form"]),
+    (FAMILIES,
+     "    return [v for v in values if cf_step(c, rat(v)) not in _X_PQ]\n",
+     "    return [v for v in values if cf_step(c, rat(v)) in _X_PQ]\n",
+     [T_FAMILIES + "test_intersections_match_oracle_bounds_2_to_30"]),
+    (FAMILIES,
+     "(_allowed(c, rng) for c in (5, 3, 2, 1))",
+     "(_allowed(c, rng) for c in (5, 2, 3, 1))",
+     [T_FAMILIES + "test_intersections_match_oracle_bounds_2_to_30"]),
+    (FAMILIES,
+     "                          if (s := cf_step(3, rat(mp))).is_integer\n"
+     "                          and s not in _X_PQ), ((4, -1),)),\n",
+     "                          if (s := cf_step(3, rat(mp))).is_integer),"
+     " ((4, -1),)),\n",
+     [T_FAMILIES + "test_sweeps_read_their_ranges_from_families"]),
     # --- intersections: coincidences and case 1b
     (FAMILIES,
      "        d = 1 + (c2 - c1) * x\n",

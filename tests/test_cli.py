@@ -137,7 +137,7 @@ def test_families_optsurg(capsys):
 # prints on stderr, with no traceback and no report
 _REFUSED = [
     ("lens normalize 10 4", "L(10,4) is not a lens space label"),
-    ("families eval A 1 5", "A: excluded parameters (m = 1)"),
+    ("families eval A 1 5", "A: excluded parameters ((m,n) = (1,5))"),
     ("cf eval not-a-word",
      "not a continued fraction: 'not-a-word' (expected [a1,...,an], "
      "integers but for a last p/q or inf)"),

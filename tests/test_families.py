@@ -26,20 +26,44 @@ def lenses(family, params):
 
 
 def test_family_exclusions_are_named():
-    with pytest.raises(ExcludedParameter, match="X0"):
-        family_triple("X0", (0, 5))
-    with pytest.raises(ExcludedParameter, match="n = 2"):
-        family_triple("X0", (3, 2))
-    with pytest.raises(ExcludedParameter, match="B"):
-        family_triple("B", (rat(3, 2),))
-    with pytest.raises(ExcludedParameter, match="A"):
-        family_triple("A", (1, 5))
-    with pytest.raises(ExcludedParameter):
-        family_triple("X2", (2, rat(3)))
+    # every refusal names the member, whichever of its slopes is exceptional
+    for family, params, line in (
+            ("X0", (0, 5), "X0: excluded parameters ((m,n) = (0,5))"),
+            ("X0", (3, 2), "X0: excluded parameters ((m,n) = (3,2))"),
+            ("B", (rat(3, 2),), "B: excluded parameters ((p/q) = (3/2))"),
+            ("A", (1, 5), "A: excluded parameters ((m,n) = (1,5))"),
+            ("X2", (2, rat(3)), "X2: excluded parameters ((m,p/q) = (2,3))")):
+        with pytest.raises(ExcludedParameter) as got:
+            family_triple(family, params)
+        assert str(got.value) == line
     # parameters given as a list are checked as their tuple
     with pytest.raises(ExcludedParameter, match=r"\(m,n\) = \(-1,4\)"):
         family_triple("X0", [-1, 4])
     assert family_triple("X0", [2, 5]) == family_triple("X0", (2, 5))
+
+
+def test_b_has_the_one_exclusion_the_slope_rule_misses():
+    # on the grid, the one member refused with no chart slope in _X_PQ is
+    # B[3/2], the chart M3(5/2, 3/2); four members of other families with
+    # that chart up to the order of the cusps stay members until the rule
+    # holds the pair {3/2, 5/2} for every family (ROADMAP item 14)
+    ints = range(-12, 13)
+    slopes = [rat(a, b) for a in ints for b in range(1, 13) if gcd(a, b) == 1]
+    missed = []
+    for family, (parameters, chart, _, _) in families.FAMILIES.items():
+        for params in product(*(slopes if name == "p/q" else ints
+                                for name in parameters)):
+            if not families._X_PQ.isdisjoint(chart(*params)):
+                continue
+            try:
+                families._chart(family, params)
+            except ExcludedParameter:
+                missed.append((family, params))
+    assert missed == [("B", (rat(3, 2),))]
+    chart = {rat(5, 2), rat(3, 2)}
+    for family, params in (("A", (2, 2)), ("X1", (2, rat(3, 2))),
+                           ("X2", (-2, rat(3, 2))), ("X2", (2, rat(5, 2)))):
+        assert set(families._chart(family, params)) == chart, family
 
 
 def test_family_triple_matches_closed_form_lenses():
@@ -52,7 +76,7 @@ def test_family_triple_matches_closed_form_lenses():
     for family, (parameters, _, slots, _) in families.FAMILIES.items():
         closed_form = oracle.CLOSED_FORMS[family]
         for params in product(*(slopes if name == "p/q" else ints
-                                for name, _ in parameters)):
+                                for name in parameters)):
             try:
                 want = tuple((slot, LensSpace(*label)) for slot, label
                              in zip(slots + (INF,), closed_form(*params)))
@@ -87,7 +111,7 @@ def test_chart_homology_matches_labels():
     x1_slot_1 = 0
     for family, (parameters, chart, _, _) in families.FAMILIES.items():
         for params in product(*(slopes if name == "p/q" else ints
-                                for name, _ in parameters)):
+                                for name in parameters)):
             try:
                 triple = family_triple(family, params)
             except ValueError:
@@ -113,7 +137,7 @@ def test_orders_beside_s1xs2_are_squares():
     pairs, not_square = set(), set()
     for family, (parameters, _, _, _) in families.FAMILIES.items():
         for params in product(*(slopes if name == "p/q" else ints
-                                for name, _ in parameters)):
+                                for name in parameters)):
             try:
                 triple = family_triple(family, params)
             except ValueError:
@@ -175,33 +199,30 @@ def test_intersections_bad_a_label_is_a_counterexample(monkeypatch):
     assert oracle.case_2b(4) == (((2, 3),), r["case_2b_count"])
 
 
-def _exclude(monkeypatch, family, parameter, *values):
-    """Add values to a parameter's exclusions in FAMILIES."""
-    parameters, *rest = families.FAMILIES[family]
-    parameters = tuple((name, excluded | set(values) if name == parameter
-                        else excluded) for name, excluded in parameters)
-    monkeypatch.setitem(families.FAMILIES, family, (parameters, *rest))
-
-
 def test_sweeps_read_their_ranges_from_families(monkeypatch, capsys):
     # the intersection sweep and the prop15 check range each parameter over
-    # what FAMILIES allows: A's n for case 2b and setting II, X0's n for
-    # case 1a
+    # the values whose chart slope is not in families._X_PQ.  8/3 is
+    # 3 - 1/3, A's slope at n = 3 (case 2b and setting II) and X1's at
+    # m = 3, which no solution uses
+    x_pq = families._X_PQ
     clean, _ = verify_three_filling_intersections(4)
     rows = prop15_consistency(4)[0]["rows"]
-    _exclude(monkeypatch, "A", "n", 2)
+    monkeypatch.setattr(families, "_X_PQ", x_pq | {rat(8, 3)})
     r, ces = verify_three_filling_intersections(4)
     assert ces == ()
     assert clean["case_2b_count"] == 7 * 6
     assert r == dict(clean, case_2b_count=6 * 6)
     assert prop15_consistency(4)[0]["rows"] == tuple(
-        row for row in rows if (row["setting"], row["param"]) != ("A[2,n]", 2))
-    _exclude(monkeypatch, "X0", "n", 4)
+        row for row in rows if (row["setting"], row["param"]) != ("A[2,n]", 3))
+    # 4 = 3 - 1/(-1) is case 1a's n and A's slope at n = -1; case 1b loses
+    # both its m = 1 (X0's 5 - 1/m) and its m' = -1 (X1's 3 - 1/m')
+    monkeypatch.setattr(families, "_X_PQ", x_pq | {rat(4)})
     r, ces = verify_three_filling_intersections(4)
-    assert r["case_1a"] == () and ces == (("case_1a", ()),)
+    assert r == dict(clean, case_1a=(), case_1b=(), case_2b_count=6 * 6)
+    assert ces == (("case_1a", ()), ("case_1b", ()))
     assert main(["families", "verify", "intersections", "--bound", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["counterexamples"] == [["case_1a", []]]
+    assert report["counterexamples"] == [["case_1a", []], ["case_1b", []]]
 
 
 def _relabel_x0(monkeypatch, q):
@@ -301,7 +322,7 @@ def test_fam_a_table_matches_closed_form():
     for family, (parameters, _, _, _) in families.FAMILIES.items():
         closed_form = oracle.CLOSED_FORMS[family]
         for params in product(*(slopes if name == "p/q" else ints
-                                for name, _ in parameters)):
+                                for name in parameters)):
             try:
                 want = closed_form(*params)
             except ExcludedParameter as exc:
