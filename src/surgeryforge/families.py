@@ -153,17 +153,13 @@ def family_triple(family, params):
 # ---------------------------------------------------------------------------
 
 
-def _coincidences(c1, xs, c2, ys):
-    """The pairs (x, y) with c1 - 1/x = c2 - 1/y, in order.  Cross
-    multiplied, (c1 x - 1) y = (c2 y - 1) x, whose one solution for a given
-    x is y = x / (1 + (c2 - c1) x) when that is an integer."""
-    ys = set(ys)
-    out = []
-    for x in xs:
-        d = 1 + (c2 - c1) * x
-        if d and not x % d and (y := x // d) in ys:
-            out.append((x, y))
-    return tuple(sorted(out))
+def _coincidence(c1, c2):
+    """The pairs (x, y) of nonzero integers with c1 - 1/x = c2 - 1/y not
+    in _X_PQ, for c1 != c2.  Cross multiplied, y = x / d with
+    d = 1 + (c2 - c1) x.  gcd(x, d) = 1, so d divides x only as +-1: d = 1
+    gives x = 0, and d = -1 the one pair (x, -x) with (c2 - c1) x = -2."""
+    x, r = divmod(-2, c2 - c1)
+    return () if r or cf_step(c1, rat(x)) in _X_PQ else ((x, -x),)
 
 
 _BILINEAR = ("mn", "m", "n", "")
@@ -206,16 +202,15 @@ def verify_three_filling_intersections(bound):
     subsumed cases.
 
     Case 1 (slots {0,inf} vs {1,inf}), case 2 ({1,inf} vs {2,inf}) and
-    case 3 ({2,inf} vs {3,inf}), each in both pairing orders, over the
-    values in [-bound, bound] whose chart slopes are not in _X_PQ.
-    Returns (results, counterexamples): the solution sets per case, and a
-    (case, solutions) row for each case whose solutions are not the
-    expected ones."""
+    case 3 ({2,inf} vs {3,inf}), each in both pairing orders.  Case 2b
+    ranges the A family over the values in [-bound, bound] whose chart
+    slopes are not in _X_PQ; the other cases have finitely many solutions,
+    solved from the chart constants.  Returns (results, counterexamples):
+    the solution sets per case, and a (case, solutions) row for each case
+    whose solutions are not the expected ones."""
     if bound < 2:
         raise ValueError("bound must be >= 2")
     rng = range(-bound, bound + 1)
-    # the chart slopes c - 1/v: X0's 5 - 1/m at case 1b's n = -1, X1-X3, A
-    m0, m1, m2, m3 = (_allowed(c, rng) for c in (5, 3, 2, 1))
     a_m, a_n = _allowed(2, rng), _allowed(3, rng)
 
     # Case 2b: 3 - 1/m' = p''/q'' and p'/q' = 2 - 1/m'': every pair (m'',m')
@@ -239,24 +234,23 @@ def verify_three_filling_intersections(bound):
     # (case, solutions, expected solutions), in report order
     cases = (
         # Case 1a: n = 3 - 1/m', one slope of X0 and X1, so one exclusion
-        # test.  Forces m' = -1, n = 4 (m' = +1 gives n = 2), leaving the
-        # one-parameter family M3(4, -1/m).
-        ("case_1a", tuple((s.num, mp) for mp in rng
-                          if (s := cf_step(3, rat(mp))).is_integer
-                          and s not in _X_PQ), ((4, -1),)),
+        # test.  n is an integer only at m' = +-1, and m' = +1 gives n = 2,
+        # so m' = -1, n = 4, leaving the one-parameter family M3(4, -1/m).
+        ("case_1a", tuple((s.num, mp) for mp in (-1, 1)
+                          if (s := cf_step(3, rat(mp))) not in _X_PQ),
+         ((4, -1),)),
         # Case 1b: n = p'/q' and 4 - n - 1/m = 3 - 1/m', so n = 1 + t with
         # t = 1/m' - 1/m an integer, m != 0.  |t| <= 2 as m' is not 0 or 1,
-        # and n is not 0..3, so t = -2: 0 - 1/m = -2 - 1/m' with n = -1,
-        # where X0's slopes -1 and 5 - 1/m meet _X_PQ only at m = 0.
-        ("case_1b", tuple((m, mp, -1) for m, mp
-                          in _coincidences(0, m0, -2, m1)),
+        # and n is not 0..3, so t = -2 and n = -1: X0's 5 - 1/m = 3 - 1/m',
+        # where X0's other slope, -1, is not in _X_PQ.
+        ("case_1b", tuple((m, mp, -1) for m, mp in _coincidence(5, 3)),
          ((1, -1, -1),)),
         # Case 2a: 3 - 1/m' = 2 - 1/m'', the free slope shared: family B.
-        ("case_2a", _coincidences(3, m1, 2, m2), ((2, -2),)),
+        ("case_2a", _coincidence(3, 2), ((2, -2),)),
         # Case 2b: the A family members with an invalid label.
         ("case_2b", tuple(bad_2b), ()),
         # Case 3a: 2 - 1/m'' = 1 - 1/m'''.
-        ("case_3a", _coincidences(2, m2, 1, m3), ((2, -2),)),
+        ("case_3a", _coincidence(2, 1), ((2, -2),)),
     )
     results = {name: sols for name, sols, _ in cases if name != "case_2b"}
     results["case_2b_count"] = len(a_m) * len(a_n) - len(bad_2b)

@@ -4,9 +4,10 @@ property, each as the code stood before its rewrite; property: reference
 
 - Intersection report: verify_three_filling_intersections, from the
   references below (bounds 2-30).
-- Coincidence solvers: _coincidences, a double loop, once per c1 - c2
-  (c1, c2 in -3..3, bounds 2-60, 100, 300).  Case 1b: _case_1b (bounds
-  31-60, 100, 300; below, the report).
+- Coincidence solver: _coincidences, a double loop over the nonzero
+  values in [-bound, bound], once per c1 - c2, its pairs filtered by the
+  exclusion rule (c1 != c2 in -5..5, bounds 2-60, 100, 300).  Case 1b:
+  _case_1b (bounds 31-60, 100, 300; below, the report).
 - Case 2b: case_2b, one label evaluation per A-family member (the shipped
   labels in the report; 40 random tables once at bound 12 for bounds
   2-12; constant labels and BAD_SLOT_1 at bound 4).

@@ -262,30 +262,26 @@ MUTANTS = [
      "    return [v for v in values if cf_step(c, rat(v)) in _X_PQ]\n",
      [T_FAMILIES + "test_intersections_match_oracle_bounds_2_to_30"]),
     (FAMILIES,
-     "(_allowed(c, rng) for c in (5, 3, 2, 1))",
-     "(_allowed(c, rng) for c in (5, 2, 3, 1))",
-     [T_FAMILIES + "test_intersections_match_oracle_bounds_2_to_30"]),
-    (FAMILIES,
-     "                          if (s := cf_step(3, rat(mp))).is_integer\n"
-     "                          and s not in _X_PQ), ((4, -1),)),\n",
-     "                          if (s := cf_step(3, rat(mp))).is_integer),"
-     " ((4, -1),)),\n",
+     "                          if (s := cf_step(3, rat(mp))) not in _X_PQ),\n",
+     "                          if (s := cf_step(3, rat(mp))) is not None),\n",
      [T_FAMILIES + "test_sweeps_read_their_ranges_from_families"]),
-    # --- intersections: coincidences and case 1b
+    # --- intersections: the coincidence solver and case 1b
     (FAMILIES,
-     "        d = 1 + (c2 - c1) * x\n",
-     "        d = 1 + (c1 - c2) * x\n",
+     "    x, r = divmod(-2, c2 - c1)\n",
+     "    x, r = divmod(-2, c1 - c2)\n",
      [T_ACCEPTANCE + "test_criterion_10_intersection_analysis",
       T_FAMILIES + "test_coincidence_solvers_match_double_loops"]),
     (FAMILIES,
-     "in _coincidences(0, m0, -2, m1)),",
-     "in _coincidences(0, m0, -2, m2)),",
-     [T_ACCEPTANCE + "test_criterion_10_intersection_analysis",
-      T_FAMILIES + "test_intersections_match_oracle_bounds_2_to_30"]),
+     "    return () if r or cf_step(c1, rat(x)) in _X_PQ else ((x, -x),)\n",
+     "    return () if r else ((x, -x),)\n",
+     [T_FAMILIES + "test_coincidence_solvers_match_double_loops",
+      T_FAMILIES + "test_sweeps_read_their_ranges_from_families"]),
+    # X0's 5 - 1/m = 3 - 1/m' and 0 - 1/m = -2 - 1/m' are one equation;
+    # only an exceptional slope 4 tells them apart
     (FAMILIES,
-     "if d and not x % d and (y := x // d) in ys:",
-     "if d and not x % d and (y := x // d) is not None:",
-     [T_FAMILIES + "test_coincidence_solvers_match_double_loops"]),
+     "_coincidence(5, 3)),",
+     "_coincidence(0, -2)),",
+     [T_FAMILIES + "test_sweeps_read_their_ranges_from_families"]),
     # --- intersections: case 2b
     (FAMILIES,
      "                and abs(a0 * d0 - b0 * c0) == 1):",

@@ -331,19 +331,23 @@ def test_alt_gofk_genus_stage_row(capsys, monkeypatch):
 def _break_intersection_cases(monkeypatch, cases):
     """Push each named intersection case off its expected solutions by
     patching the helper or table that computes them."""
-    cf_step, coincidences = families.cf_step, families._coincidences
+    cf_step, coincidence = families.cf_step, families._coincidence
     if "case_1a" in cases:
-        # 3 - 1/m' read as the integer 5 at m' = 2
+        # 3 - 1/m' read as the integer 5 at its candidate m' = 1.  A's n
+        # has the same chart slope 3 - 1/n, and n = 1 stays out of its range
+        allowed = families._allowed
         monkeypatch.setattr(families, "cf_step",
-                            lambda c, x: rat(5) if x == rat(2)
+                            lambda c, x: rat(5) if (c, x) == (3, rat(1))
                             else cf_step(c, x))
-    # case 1b solves 0 - 1/x = -2 - 1/y, case 2a 3 - 1/x = 2 - 1/y and
+        monkeypatch.setattr(families, "_allowed", lambda c, values: [
+            v for v in allowed(c, values) if (c, v) != (3, 1)])
+    # case 1b solves 5 - 1/x = 3 - 1/y, case 2a 3 - 1/x = 2 - 1/y and
     # case 3a 2 - 1/x = 1 - 1/y
-    shifted = {c1 for case, c1 in (("case_1b", 0), ("case_2a", 3),
+    shifted = {c1 for case, c1 in (("case_1b", 5), ("case_2a", 3),
                                    ("case_3a", 2))
                if case in cases}
-    monkeypatch.setattr(families, "_coincidences",
-                        lambda c1, xs, c2, ys: coincidences(c1, xs, c2, ys)
+    monkeypatch.setattr(families, "_coincidence",
+                        lambda c1, c2: coincidence(c1, c2)
                         + (((0, 0),) if c1 in shifted else ()))
     if "case_2b" in cases:
         # a slot-1 label invalid only at A[2, 3]
@@ -352,7 +356,7 @@ def _break_intersection_cases(monkeypatch, cases):
 
 
 _BROKEN_INTERSECTION_ROWS = [
-    ["case_1a", [[4, -1], [5, 2]]],
+    ["case_1a", [[4, -1], [5, 1]]],
     ["case_1b", [[1, -1, -1], [0, 0, -1]]],
     ["case_2a", [[2, -2], [0, 0]]],
     ["case_2b", [[2, 3]]],

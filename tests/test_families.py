@@ -409,23 +409,46 @@ def test_coprime_everywhere_refuses_other_monomials():
 
 
 def test_coincidence_solvers_match_double_loops():
-    # the O(bound) solvers against the double loops they replaced, on the
-    # parameter ranges of the call sites (case 1b to bound 30: the report's
-    # test).  (c1 x - 1) y = (c2 y - 1) x is (c1 - c2) x y = y - x, so the
-    # double loop runs once per c1 - c2
+    # the bound-free solver against the double loop over [-bound, bound]
+    # with the exclusion rule applied: x, y != 0 and neither slope in
+    # _X_PQ (case 1b to bound 30: the report's test).  (c1 x - 1) y =
+    # (c2 y - 1) x is (c1 - c2) x y = y - x, so the double loop runs once
+    # per c1 - c2 and the rule filters its pairs
+    excluded = oracle._X_PQ_EXCLUDED
     for bound in [*range(2, 61), 100, 300]:
         rng = range(-bound, bound + 1)
         rng_mp = [m for m in rng if m not in (0, 1)]
-        rng_mpp = [m for m in rng if m not in (-1, 0, 1)]
         if bound > 30:
             assert (verify_three_filling_intersections(bound)[0]["case_1b"]
                     == oracle._case_1b(rng, rng_mp)), bound
+        nonzero = [v for v in rng if v]
         loops = {}
-        for c1, c2 in product(range(-3, 4), repeat=2):
+        for c1, c2 in product(range(-5, 6), repeat=2):
+            if c1 == c2:
+                continue
             if c1 - c2 not in loops:
-                loops[c1 - c2] = oracle._coincidences(c1, rng_mp, c2, rng_mpp)
-            assert (families._coincidences(c1, rng_mp, c2, rng_mpp)
-                    == loops[c1 - c2]), (bound, c1, c2)
+                loops[c1 - c2] = oracle._coincidences(c1 - c2, nonzero,
+                                                      0, nonzero)
+            assert families._coincidence(c1, c2) == tuple(
+                (x, y) for x, y in loops[c1 - c2]
+                if oracle._recip_shift(c1, x) not in excluded
+                and oracle._recip_shift(c2, y) not in excluded), (
+                    bound, c1, c2)
+
+
+def test_intersections_range_only_the_a_family(monkeypatch):
+    # every case but 2b is solved from the chart constants, so the sweep
+    # ranges only A's two parameters, whose chart slopes are 2 - 1/m and
+    # 3 - 1/n
+    allowed, constants = families._allowed, []
+
+    def recording(c, values):
+        constants.append(c)
+        return allowed(c, values)
+
+    monkeypatch.setattr(families, "_allowed", recording)
+    verify_three_filling_intersections(50)
+    assert sorted(constants) == [2, 3]
 
 
 @pytest.mark.parametrize("label", [(0, 5), (0, 0), (1, 4), (-1, 0), (1, 0),
